@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     format: str = "json"
-    deterministic_reduction: bool = True
     workers: int = 1
     thresholds: dict = field(default_factory=dict)
     grid_level: int = 6
@@ -70,23 +69,19 @@ class ExperimentConfig:
     n_boundary: int = 400
     n_interior: int = 2000
 
-    _FIELDS = (
-        "domain", "coefficients", "x0", "T", "levels", "p_list", "M",
-        "substeps_per_knot", "fine_margin", "seed", "out", "format",
-        "deterministic_reduction", "workers", "thresholds", "grid_level",
-        "r", "cover_certificate", "n_boundary", "n_interior",
-    )
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
-        unknown = set(data) - set(cls._FIELDS)
+        names = [f.name for f in fields(cls)]
+        # "deterministic_reduction" still parses so older config files load;
+        # it selects nothing, as reduction is always in path-index order.
+        unknown = set(data) - set(names) - {"deterministic_reduction"}
         if unknown:
             raise ConfigError(f"unknown keys {sorted(unknown)}", field="config")
         if "domain" not in data:
             raise ConfigError("missing required key", field="domain")
-        return cls(**{k: data[k] for k in cls._FIELDS if k in data})
+        return cls(**{k: data[k] for k in names if k in data})
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -219,16 +214,13 @@ def cmd_converge(config: ExperimentConfig) -> int:
     if len(config.levels) < 2:
         raise DegenerateFit("rate fitting needs at least two levels")
     p = float(config.p_list[0]) if config.p_list else 2.0
-    rate = harness.estimate_strong_error(
-        domain, coeffs, config.x0, config.T, config.levels, p, config.M,
+    stats = harness.run_coupling_stats(
+        domain, coeffs, config.x0, config.T, config.levels, config.M,
         config.fine_margin, config.substeps_per_knot, config.seed,
-        workers=config.workers,
+        r=config.r, workers=config.workers,
     )
-    decay = harness.lyapunov_decay_check(
-        domain, coeffs, config.x0, config.T, config.levels, config.M, config.seed,
-        r=config.r, fine_margin=config.fine_margin,
-        substeps_per_knot=config.substeps_per_knot, workers=config.workers,
-    )
+    rate = harness.rate_report(stats, p, config.seed)
+    decay = harness.lyapunov_report(stats, config.seed)
     if config.format == "csv":
         _emit(rate.to_csv_string(), config.out)
         if config.out:

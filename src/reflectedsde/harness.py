@@ -2,9 +2,14 @@
 
 One Brownian path per Monte Carlo draw drives the fine-level reference once
 and the piecewise-linear-noise approximation at every requested level, so
-per-level errors are coupled through common increments.  Per-path stats are
-reduced in path-index order, which makes every report bit-reproducible for
-a fixed configuration regardless of worker count.
+per-level errors are coupled through common increments.
+``run_coupling_stats`` is the one engine call: a study runs once, and
+``rate_report`` and ``lyapunov_report`` reduce its ``CouplingStats``.  Paths
+are marched in chunks; with several workers the chunks run in forked
+processes that inherit the domain and coefficient objects themselves, so
+any domain, built-in, modified or custom, runs in parallel.  Per-path stats
+are reduced in path-index order, which makes every report bit-reproducible
+for a fixed configuration regardless of worker count.
 
 The decay diagnostic uses the weighted squared distance
 ``exp(r (phi(X) + phi(X^n))) |X^n - X|^2`` with ``r`` strictly below
@@ -14,7 +19,7 @@ multiples of the squared distance, so its decay certifies the strong rate.
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import ceil
@@ -23,9 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .brownian import sample_path, wz_knot_slopes
-from .coefficients import CoefficientSet, make_coefficients
+from .coefficients import CoefficientSet
 from .errors import DegenerateFit, ExperimentFailed, MismatchedTimes
-from .geometry import DomainSpec, make_domain
+from .geometry import DomainSpec
 from .solvers import (
     ReflectedPath,
     coupled_output_grid,
@@ -258,52 +263,35 @@ class CouplingStats:
         )
 
 
-_COUPLING_CACHE: dict = {}
+def _chunk_paths(coeffs, T, fine_level, seed, indices):
+    return [sample_path(coeffs.dim_noise, T, fine_level, path_seed(seed, i)) for i in indices]
 
 
-def clear_coupling_cache() -> None:
-    _COUPLING_CACHE.clear()
-
-
-def _stats_key(domain, coeffs, x0, T, levels, M, fine_margin, substeps, seed, r):
-    if domain.name == "custom" or coeffs.name == "custom":
-        return None
-    return json.dumps(
-        [
-            domain.name,
-            domain.params,
-            coeffs.name,
-            coeffs.params,
-            list(np.asarray(x0, float)),
-            T,
-            list(levels),
-            M,
-            fine_margin,
-            substeps,
-            seed,
-            r,
-        ],
-        sort_keys=True,
-    )
+def _march_chunk(domain, coeffs, x0, paths, process, grid, substeps):
+    """Outputs at ``grid`` of the reference (``process="reference"``) or the
+    level-``process`` approximation, marched over one chunk of paths."""
+    x0_batch = np.broadcast_to(np.asarray(x0, float), (len(paths), domain.dim)).copy()
+    if process == "reference":
+        increments = np.stack([np.asarray(p.increments) for p in paths])
+        out_steps = fine_grid_positions(paths[0], grid)
+        return integrate_reference_batch(
+            domain, coeffs, x0_batch, increments, paths[0].fine_level, out_steps
+        )
+    slopes = np.stack([wz_knot_slopes(p, process) for p in paths])
+    times, knot_idx, out_pos = wz_schedule(process, substeps, grid, paths[0].horizon)
+    return integrate_wz_batch(domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos)
 
 
 def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, indices):
     """Coupled stats for one chunk of path indices (arrays ordered by index)."""
-    fine_level = max(levels) + fine_margin
-    m = coeffs.dim_noise
-    d = domain.dim
-    B = len(indices)
-    paths = [sample_path(m, T, fine_level, path_seed(seed, i)) for i in indices]
+    paths = _chunk_paths(coeffs, T, max(levels) + fine_margin, seed, indices)
+    B = len(paths)
     # Stats at the padded horizon keep every output on the fine grid even
     # when the requested horizon is not dyadic.
     horizon = paths[0].horizon
     grid = coupled_output_grid(max(levels), [horizon], horizon)
-    x0_batch = np.broadcast_to(np.asarray(x0, float), (B, d)).copy()
-
-    increments = np.stack([np.asarray(p.increments) for p in paths])
-    out_steps = fine_grid_positions(paths[0], grid)
-    ref_states, _, ref_var, _ = integrate_reference_batch(
-        domain, coeffs, x0_batch, increments, fine_level, out_steps
+    ref_states, _, ref_var, _ = _march_chunk(
+        domain, coeffs, x0, paths, "reference", grid, substeps
     )
 
     n_lev = len(levels)
@@ -314,11 +302,7 @@ def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, 
     phi_ref_final = domain.phi(ref_states[-1])
 
     for j, n in enumerate(levels):
-        slopes = np.stack([wz_knot_slopes(p, n) for p in paths])
-        times, knot_idx, out_pos = wz_schedule(n, substeps, grid, horizon)
-        wz_states, _, wz_var, _ = integrate_wz_batch(
-            domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos
-        )
+        wz_states, _, wz_var, _ = _march_chunk(domain, coeffs, x0, paths, n, grid, substeps)
         dist = np.linalg.norm(wz_states - ref_states, axis=2)
         with np.errstate(invalid="ignore"):
             sup_dist[:, j] = np.max(dist, axis=0)
@@ -329,21 +313,17 @@ def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, 
     return sup_dist, final_dist, f_final, var_final, ref_var[-1]
 
 
-def _chunk_worker(payload: dict):
-    domain = make_domain(payload["domain_name"], **payload["domain_params"])
-    coeffs = make_coefficients(payload["coeffs_name"], **payload["coeffs_params"])
-    return _chunk_stats(
-        domain,
-        coeffs,
-        np.asarray(payload["x0"], float),
-        payload["T"],
-        payload["levels"],
-        payload["fine_margin"],
-        payload["substeps"],
-        payload["seed"],
-        payload["r"],
-        payload["indices"],
-    )
+# The study a forked pool worker marches; set only inside pool workers.
+_WORKER_STUDY = None
+
+
+def _adopt_study(study):
+    global _WORKER_STUDY
+    _WORKER_STUDY = study
+
+
+def _worker_chunk(indices):
+    return _chunk_stats(*_WORKER_STUDY, indices)
 
 
 def run_coupling_stats(
@@ -358,9 +338,13 @@ def run_coupling_stats(
     seed: int,
     r: float | None = None,
     workers: int = 1,
-    use_cache: bool = True,
 ) -> CouplingStats:
-    """Coupled per-path statistics for all levels on common Brownian paths."""
+    """Coupled per-path statistics for all levels on common Brownian paths.
+
+    Paths are marched in chunks of ``_CHUNK``; with ``workers > 1`` the
+    chunks are spread over forked processes where the platform can fork,
+    and the stats are bit-identical to a serial run either way.
+    """
     levels = tuple(int(n) for n in levels)
     if not levels or list(levels) != sorted(set(levels)):
         raise ValueError("levels must be nonempty and strictly increasing")
@@ -374,82 +358,40 @@ def run_coupling_stats(
     if r >= threshold:
         raise ValueError(f"rate exponent r={r} must be strictly below {threshold}")
 
-    key = _stats_key(domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot, seed, r)
-    if use_cache and key is not None and key in _COUPLING_CACHE:
-        return _COUPLING_CACHE[key]
-
-    chunks = [list(range(i, min(i + _CHUNK, M))) for i in range(0, M, _CHUNK)]
-    parallel = workers > 1 and key is not None
-    results = []
-    if parallel:
-        payloads = [
-            {
-                "domain_name": domain.name,
-                "domain_params": domain.params,
-                "coeffs_name": coeffs.name,
-                "coeffs_params": coeffs.params,
-                "x0": list(np.asarray(x0, float)),
-                "T": T,
-                "levels": levels,
-                "fine_margin": fine_margin,
-                "substeps": substeps_per_knot,
-                "seed": seed,
-                "r": r,
-                "indices": chunk,
-            }
-            for chunk in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_worker, payloads))
+    study = (
+        domain, coeffs, np.asarray(x0, float), T, levels, fine_margin, substeps_per_knot, seed, r
+    )
+    chunks = [range(i, min(i + _CHUNK, M)) for i in range(0, M, _CHUNK)]
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # Forked workers inherit the study's objects instead of unpickling
+        # them, so any domain, modified or custom, runs as it does serially.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            workers, mp_context=fork, initializer=_adopt_study, initargs=(study,)
+        ) as pool:
+            results = list(pool.map(_worker_chunk, chunks))
     else:
-        for chunk in chunks:
-            results.append(
-                _chunk_stats(
-                    domain, coeffs, np.asarray(x0, float), T, levels,
-                    fine_margin, substeps_per_knot, seed, r, chunk,
-                )
-            )
+        results = [_chunk_stats(*study, chunk) for chunk in chunks]
 
-    sup_dist = np.concatenate([res[0] for res in results])
-    final_dist = np.concatenate([res[1] for res in results])
-    f_final = np.concatenate([res[2] for res in results])
-    var_final = np.concatenate([res[3] for res in results])
-    ref_var_final = np.concatenate([res[4] for res in results])
+    sup_dist, final_dist, f_final, var_final, ref_var_final = (
+        np.concatenate(parts) for parts in zip(*results)
+    )
     valid = np.all(np.isfinite(sup_dist), axis=1) & np.all(np.isfinite(final_dist), axis=1)
     n_failed = int(M - np.sum(valid))
     if n_failed > 0.01 * M:
         raise ExperimentFailed(f"{n_failed} of {M} paths failed")
-    stats = CouplingStats(
+    return CouplingStats(
         levels, r, sup_dist, final_dist, f_final, var_final, ref_var_final, n_failed
     )
-    if use_cache and key is not None:
-        _COUPLING_CACHE[key] = stats
-    return stats
 
 
-def estimate_strong_error(
-    domain: DomainSpec,
-    coeffs: CoefficientSet,
-    x0,
-    T: float,
-    levels: Sequence[int],
-    p: float,
-    M: int,
-    fine_margin: int,
-    substeps_per_knot: int,
-    seed: int,
-    workers: int = 1,
-) -> RateReport:
-    """Estimate coupled p-th moment errors per level and fit the decay rate.
+def rate_report(stats: CouplingStats, p: float, seed: int) -> RateReport:
+    """Per-level coupled p-th moment errors of one study, with fitted decay rates.
 
     Grid-sup errors are reported as the headline numbers; fixed-time errors
     at the horizon are reported alongside, and only the fixed-time slope is
     held to the theoretical exponent by the acceptance checks.
     """
-    stats = run_coupling_stats(
-        domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot, seed,
-        workers=workers,
-    )
     valid = stats.valid_mask()
     sup_p = stats.sup_dist[valid] ** p
     fin_p = stats.final_dist[valid] ** p
@@ -478,33 +420,15 @@ def estimate_strong_error(
         intercept=intercept,
         final_slope=final_slope,
         final_intercept=final_intercept,
-        n_paths=M,
+        n_paths=len(stats.sup_dist),
         n_failed=stats.n_failed,
         seed=seed,
         degenerate=degenerate,
     )
 
 
-def lyapunov_decay_check(
-    domain: DomainSpec,
-    coeffs: CoefficientSet,
-    x0,
-    T: float,
-    levels: Sequence[int],
-    M: int,
-    seed: int,
-    r: float | None = None,
-    fine_margin: int = 4,
-    substeps_per_knot: int = 8,
-    workers: int = 1,
-) -> LyapunovDecayReport:
-    """Per-level means of the weighted squared distance at the horizon."""
-    if r is None:
-        r = default_rate_exponent(domain)
-    stats = run_coupling_stats(
-        domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot, seed,
-        r=r, workers=workers,
-    )
+def lyapunov_report(stats: CouplingStats, seed: int) -> LyapunovDecayReport:
+    """Per-level means of the weighted squared distance at the horizon of one study."""
     valid = stats.valid_mask()
     f_vals = stats.f_final[valid]
     means = np.mean(f_vals, axis=0)
@@ -523,11 +447,53 @@ def lyapunov_decay_check(
         slope=slope,
         intercept=intercept,
         r=stats.r,
-        n_paths=M,
+        n_paths=len(stats.sup_dist),
         n_failed=stats.n_failed,
         seed=seed,
         degenerate=degenerate,
     )
+
+
+def estimate_strong_error(
+    domain: DomainSpec,
+    coeffs: CoefficientSet,
+    x0,
+    T: float,
+    levels: Sequence[int],
+    p: float,
+    M: int,
+    fine_margin: int,
+    substeps_per_knot: int,
+    seed: int,
+    workers: int = 1,
+) -> RateReport:
+    """Run one coupled study and reduce it with ``rate_report``."""
+    stats = run_coupling_stats(
+        domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot, seed,
+        workers=workers,
+    )
+    return rate_report(stats, p, seed)
+
+
+def lyapunov_decay_check(
+    domain: DomainSpec,
+    coeffs: CoefficientSet,
+    x0,
+    T: float,
+    levels: Sequence[int],
+    M: int,
+    seed: int,
+    r: float | None = None,
+    fine_margin: int = 4,
+    substeps_per_knot: int = 8,
+    workers: int = 1,
+) -> LyapunovDecayReport:
+    """Run one coupled study and reduce it with ``lyapunov_report``."""
+    stats = run_coupling_stats(
+        domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot, seed,
+        r=r, workers=workers,
+    )
+    return lyapunov_report(stats, seed)
 
 
 def lyapunov_trace(domain: DomainSpec, X: ReflectedPath, Xn: ReflectedPath, r: float) -> LyapunovTrace:
@@ -549,36 +515,6 @@ def lyapunov_trace(domain: DomainSpec, X: ReflectedPath, Xn: ReflectedPath, r: f
 # ---------------------------------------------------------------------------
 # Time-regularity (Holder) diagnostics
 # ---------------------------------------------------------------------------
-
-def _ensemble_states(
-    domain, coeffs, x0, T, process, fine_level, grid, M, seed, substeps_per_knot
-):
-    """States of one process at grid times for M independent paths."""
-    d = domain.dim
-    m = coeffs.dim_noise
-    states = np.empty((M, len(grid), d))
-    for start in range(0, M, _CHUNK):
-        indices = range(start, min(start + _CHUNK, M))
-        paths = [sample_path(m, T, fine_level, path_seed(seed, i)) for i in indices]
-        B = len(paths)
-        x0_batch = np.broadcast_to(np.asarray(x0, float), (B, d)).copy()
-        if process == "reference":
-            increments = np.stack([np.asarray(p.increments) for p in paths])
-            out_steps = fine_grid_positions(paths[0], grid)
-            out, _, _, _ = integrate_reference_batch(
-                domain, coeffs, x0_batch, increments, fine_level, out_steps
-            )
-        else:
-            slopes = np.stack([wz_knot_slopes(p, process) for p in paths])
-            times, knot_idx, out_pos = wz_schedule(
-                process, substeps_per_knot, grid, paths[0].horizon
-            )
-            out, _, _, _ = integrate_wz_batch(
-                domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos
-            )
-        states[start : start + B] = np.swapaxes(out, 0, 1)
-    return states
-
 
 def holder_report(
     domain: DomainSpec,
@@ -616,9 +552,11 @@ def holder_report(
     horizon = ceil(T * 2.0**fine_level - 1e-9) / 2.0**fine_level
     n_grid = int(np.floor(horizon * 2.0**grid_level + 1e-9))
     grid = np.arange(n_grid + 1) / 2.0**grid_level
-    states = _ensemble_states(
-        domain, coeffs, x0, T, process, fine_level, grid, M, seed, substeps_per_knot
-    )
+    states = np.empty((M, len(grid), domain.dim))
+    for start in range(0, M, _CHUNK):
+        paths = _chunk_paths(coeffs, T, fine_level, seed, range(start, min(start + _CHUNK, M)))
+        out = _march_chunk(domain, coeffs, x0, paths, process, grid, substeps_per_knot)[0]
+        states[start : start + len(paths)] = np.swapaxes(out, 0, 1)
 
     strides = [2**j for j in range(n_lags) if 2**j < n_grid]
     lags = [s / 2.0**grid_level for s in strides]

@@ -8,10 +8,13 @@ comes from state dependence of the diffusion, controlled by substepping.
 The second is the projected Euler-Maruyama scheme at the path's fine level
 with the Ito-corrected drift, the strong-order-half reference.
 
-Both kernels operate on a batch of paths in lockstep; the public per-path
-operations call them with batch size one, and the Monte Carlo harness calls
-them with whole chunks.  Per-row results are identical either way because
-every array operation is elementwise across the batch.
+Both are one scheme, an unconstrained step followed by the discrete
+Skorokhod map, and share one march kernel; they differ only in the
+displacement rule and the step grid.  The march operates on a batch of
+paths in lockstep; the public per-path operations call it with batch size
+one, and the Monte Carlo harness calls it with whole chunks.  Per-row
+results are identical either way because every array operation is
+elementwise across the batch.
 """
 
 from __future__ import annotations
@@ -137,21 +140,15 @@ def _batch_resolver(domain: DomainSpec):
     return resolve
 
 
-def integrate_wz_batch(
-    domain: DomainSpec,
-    coeffs: CoefficientSet,
-    x0: np.ndarray,
-    slopes: np.ndarray,
-    times: np.ndarray,
-    knot_idx: np.ndarray,
-    out_pos: np.ndarray,
-    record_substeps: bool = False,
-):
-    """Drive the constrained ODE for a batch of paths over one schedule.
+def _march(domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, record_substeps):
+    """The discrete Skorokhod march both solvers share.
 
-    ``slopes`` has shape ``(B, K_n, m)``; returns states, cumulative
-    regulator, and cumulative variation at the output positions, each with a
-    leading output axis, plus an optional substep log (batch size one only).
+    Step ``i`` (from ``times[i]`` to ``times[i + 1]``) adds
+    ``displacement(i, X)`` to the batch state ``X``, resolves the result
+    against the closure, and accumulates the regulator and its variation.
+    Returns states, cumulative regulator, and cumulative variation at the
+    step positions ``out_pos``, each with a leading output axis, plus an
+    optional substep log (batch size one only).
     """
     B, d = x0.shape
     X = np.array(x0, float)
@@ -166,7 +163,11 @@ def integrate_wz_batch(
     record_at = np.full(len(times), -1, np.intp)
     record_at[out_pos] = np.arange(n_out)
 
-    log = [] if record_substeps else None
+    n_steps = len(times) - 1
+    if record_substeps:
+        sub_states = np.empty((n_steps, d))
+        sub_dl = np.empty((n_steps, d))
+        sub_dvar = np.empty(n_steps)
     abort_check = B == 1
 
     if record_at[0] >= 0:
@@ -174,12 +175,8 @@ def integrate_wz_batch(
         out_reg[record_at[0]] = L
         out_var[record_at[0]] = var
 
-    for i in range(len(times) - 1):
-        dt = times[i + 1] - times[i]
-        s = slopes[:, knot_idx[i], :]
-        sig = coeffs.sigma_batch(X)
-        v = (np.einsum("bij,bj->bi", sig, s) + coeffs.b_batch(X)) * dt
-        X, d_l = resolve(X, v)
+    for i in range(n_steps):
+        X, d_l = resolve(X, displacement(i, X))
         d_var = np.linalg.norm(d_l, axis=1)
         L = L + d_l
         var = var + d_var
@@ -191,17 +188,39 @@ def integrate_wz_batch(
             out_reg[j] = L
             out_var[j] = var
         if record_substeps:
-            log.append((times[i + 1], X[0].copy(), d_l[0].copy(), float(d_var[0])))
+            sub_states[i] = X[0]
+            sub_dl[i] = d_l[0]
+            sub_dvar[i] = d_var[0]
 
     substeps = None
     if record_substeps:
-        sub_times = np.asarray([e[0] for e in log])
-        sub_states = np.asarray([e[1] for e in log])
-        sub_dl = np.asarray([e[2] for e in log])
-        sub_dvar = np.asarray([e[3] for e in log])
-        sub_bd = np.asarray([float(domain.boundary_distance(s)) for s in sub_states])
-        substeps = SubstepLog(sub_times, sub_states, sub_dl, sub_dvar, sub_bd)
+        sub_bd = np.asarray(domain.boundary_distance(sub_states), float)
+        substeps = SubstepLog(np.array(times[1:]), sub_states, sub_dl, sub_dvar, sub_bd)
     return out_states, out_reg, out_var, substeps
+
+
+def integrate_wz_batch(
+    domain: DomainSpec,
+    coeffs: CoefficientSet,
+    x0: np.ndarray,
+    slopes: np.ndarray,
+    times: np.ndarray,
+    knot_idx: np.ndarray,
+    out_pos: np.ndarray,
+    record_substeps: bool = False,
+):
+    """Drive the constrained ODE for a batch of paths over one schedule.
+
+    ``slopes`` has shape ``(B, K_n, m)``; each step moves along the
+    interpolant's slope on its knot interval.  Returns as ``_march``.
+    """
+
+    def displacement(i, X):
+        dt = times[i + 1] - times[i]
+        s = slopes[:, knot_idx[i], :]
+        return (np.einsum("bij,bj->bi", coeffs.sigma_batch(X), s) + coeffs.b_batch(X)) * dt
+
+    return _march(domain, x0, times, out_pos, displacement, record_substeps)
 
 
 def integrate_reference_batch(
@@ -216,58 +235,16 @@ def integrate_reference_batch(
     """Projected Euler-Maruyama over the fine grid for a batch of paths.
 
     ``increments`` has shape ``(B, K, m)``; ``out_steps`` are fine-knot
-    indices at which to record.
+    indices at which to record, and the march stops at the last of them.
     """
-    B, d = x0.shape
-    K = increments.shape[1]
     h = 2.0 ** (-fine_level)
-    X = np.array(x0, float)
-    L = np.zeros((B, d))
-    var = np.zeros(B)
-    resolve = _batch_resolver(domain)
+    last = int(np.max(out_steps)) if len(out_steps) else 0
 
-    n_out = len(out_steps)
-    out_states = np.empty((n_out, B, d))
-    out_reg = np.empty((n_out, B, d))
-    out_var = np.empty((n_out, B))
-    record_at = np.full(K + 1, -1, np.intp)
-    record_at[out_steps] = np.arange(n_out)
-
-    log = [] if record_substeps else None
-    abort_check = B == 1
-
-    if record_at[0] >= 0:
-        out_states[record_at[0]] = X
-        out_reg[record_at[0]] = L
-        out_var[record_at[0]] = var
-
-    last = int(np.max(out_steps)) if n_out else 0
-    for k in range(last):
+    def displacement(k, X):
         sig = coeffs.sigma_batch(X)
-        v = np.einsum("bij,bj->bi", sig, increments[:, k, :]) + ito_drift_batch(coeffs, X) * h
-        X, d_l = resolve(X, v)
-        d_var = np.linalg.norm(d_l, axis=1)
-        L = L + d_l
-        var = var + d_var
-        j = record_at[k + 1]
-        if j >= 0:
-            if abort_check and not np.all(np.isfinite(X)):
-                raise NonFiniteState(f"non-finite state at fine step {k + 1}")
-            out_states[j] = X
-            out_reg[j] = L
-            out_var[j] = var
-        if record_substeps:
-            log.append(((k + 1) * h, X[0].copy(), d_l[0].copy(), float(d_var[0])))
+        return np.einsum("bij,bj->bi", sig, increments[:, k, :]) + ito_drift_batch(coeffs, X) * h
 
-    substeps = None
-    if record_substeps:
-        sub_times = np.asarray([e[0] for e in log])
-        sub_states = np.asarray([e[1] for e in log])
-        sub_dl = np.asarray([e[2] for e in log])
-        sub_dvar = np.asarray([e[3] for e in log])
-        sub_bd = np.asarray([float(domain.boundary_distance(s)) for s in sub_states])
-        substeps = SubstepLog(sub_times, sub_states, sub_dl, sub_dvar, sub_bd)
-    return out_states, out_reg, out_var, substeps
+    return _march(domain, x0, np.arange(last + 1) * h, out_steps, displacement, record_substeps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run ``pytest tests/test_acceptance.py
--v -s`` to see them live).  The heavy coupled study (criteria 1 and 2)
-shares a single cached engine run; all realized values are deterministic
-for the pinned seeds.
+-v -s`` to see them live).  The heavy coupled study runs once, as a
+module-scoped fixture, and criteria 1 and 2 reduce that one engine run; all
+realized values are deterministic for the pinned seeds.
 """
 
 import json
@@ -13,7 +13,7 @@ import pytest
 
 import reflectedsde as rs
 from reflectedsde.brownian import level_values
-from reflectedsde.harness import clear_coupling_cache, jackknife_se, path_seed
+from reflectedsde.harness import jackknife_se, path_seed
 
 SEED = 20240817
 
@@ -37,19 +37,20 @@ def problem():
 
 
 @pytest.fixture(scope="module")
-def rate_report(problem):
+def coupling_stats(problem):
     domain, coeffs = problem
-    return rs.estimate_strong_error(
-        domain, coeffs, [0.0], 1.0, LEVELS, 2.0, M_PATHS, FINE_MARGIN, SUBSTEPS, SEED
+    return rs.run_coupling_stats(
+        domain, coeffs, [0.0], 1.0, LEVELS, M_PATHS, FINE_MARGIN, SUBSTEPS, SEED
     )
 
 
-def test_criterion_01_weighted_decay_rate(problem):
-    domain, coeffs = problem
-    decay = rs.lyapunov_decay_check(
-        domain, coeffs, [0.0], 1.0, LEVELS, M_PATHS, SEED,
-        fine_margin=FINE_MARGIN, substeps_per_knot=SUBSTEPS,
-    )
+@pytest.fixture(scope="module")
+def rate_report(coupling_stats):
+    return rs.rate_report(coupling_stats, 2.0, SEED)
+
+
+def test_criterion_01_weighted_decay_rate(coupling_stats):
+    decay = rs.lyapunov_report(coupling_stats, SEED)
     ok = decay.slope is not None and decay.slope >= 0.4
     _verdict(1, ok, f"weighted-distance decay slope {decay.slope:.3f} >= 0.4")
 
@@ -249,7 +250,6 @@ def test_criterion_10_byte_identical_reports(problem):
     domain, coeffs = problem
 
     def run() -> bytes:
-        clear_coupling_cache()
         report = rs.estimate_strong_error(
             domain, coeffs, [0.0], 1.0, [4, 5, 6], 2.0, 50, 3, SUBSTEPS, SEED,
             workers=1,

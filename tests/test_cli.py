@@ -6,7 +6,6 @@ import pytest
 import reflectedsde as rs
 from reflectedsde.cli import ExperimentConfig, main
 from reflectedsde.errors import ConfigError
-from reflectedsde.harness import clear_coupling_cache
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -50,6 +49,14 @@ def test_config_round_trip(tmp_path):
 def test_unknown_key_is_reported():
     with pytest.raises(ConfigError, match="config"):
         ExperimentConfig.from_dict({"domain": {"name": "ball"}, "sigma": 1})
+
+
+def test_legacy_reduction_key_is_accepted_and_ignored(tmp_path):
+    plain = ExperimentConfig.from_file(str(_write_config(tmp_path)))
+    legacy = ExperimentConfig.from_file(
+        str(_write_config(tmp_path, "legacy.json", deterministic_reduction=False))
+    )
+    assert legacy == plain and "deterministic_reduction" not in legacy.to_dict()
 
 
 def test_missing_domain_is_reported():
@@ -137,7 +144,6 @@ def test_certify_requires_domain_or_config(capsys):
 # ---------------------------------------------------------------------------
 
 def test_converge_meets_thresholds(tmp_path, capsys):
-    clear_coupling_cache()
     path = _write_config(
         tmp_path, thresholds={"rate_slope_min": 0.3, "lyapunov_slope_min": 0.3}
     )

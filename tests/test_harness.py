@@ -8,7 +8,6 @@ import reflectedsde as rs
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import DegenerateFit, ExperimentFailed, MismatchedTimes
 from reflectedsde.harness import (
-    clear_coupling_cache,
     default_rate_exponent,
     jackknife_se,
     path_seed,
@@ -201,7 +200,6 @@ def test_report_round_trips_and_recomputable_slope(unit_interval, wavy_coeffs):
 
 def test_determinism_byte_identical(unit_interval, wavy_coeffs):
     def run():
-        clear_coupling_cache()
         report = rs.estimate_strong_error(
             unit_interval, wavy_coeffs, [0.0], 1.0, [3, 4, 5], 2.0, 60, 3, 8, seed=2718
         )
@@ -211,17 +209,36 @@ def test_determinism_byte_identical(unit_interval, wavy_coeffs):
 
 
 def test_parallel_workers_match_serial(unit_interval, wavy_coeffs):
-    clear_coupling_cache()
-    serial = rs.run_coupling_stats(
-        unit_interval, wavy_coeffs, [0.0], 1.0, (3, 4), 24, 3, 4, 5,
-        workers=1, use_cache=False,
-    )
-    parallel = rs.run_coupling_stats(
-        unit_interval, wavy_coeffs, [0.0], 1.0, (3, 4), 24, 3, 4, 5,
-        workers=2, use_cache=False,
-    )
-    np.testing.assert_array_equal(serial.sup_dist, parallel.sup_dist)
-    np.testing.assert_array_equal(serial.f_final, parallel.f_final)
+    def clip_half(X, V):  # a closure: workers must inherit it, not rebuild it
+        y = X + V
+        state = np.clip(y, -0.5, 0.5)
+        return state, state - y
+
+    clipped = dataclasses.replace(unit_interval, resolve_batch=clip_half)
+    custom = dataclasses.replace(unit_interval, name="custom", resolve_batch=None)
+    # The clipped study spans three chunks, so chunk order is checked too.
+    for domain, M in ((unit_interval, 24), (clipped, 520), (custom, 24)):
+        parallel = rs.run_coupling_stats(
+            domain, wavy_coeffs, [0.0], 1.0, (3, 4), M, 3, 4, 5,
+            workers=2,
+        )
+        # The serial run gets a copy named "custom", so nothing keyed by the
+        # domain's name can stand in for either run.
+        serial = rs.run_coupling_stats(
+            dataclasses.replace(domain, name="custom"), wavy_coeffs, [0.0], 1.0, (3, 4), M,
+            3, 4, 5, workers=1,
+        )
+        np.testing.assert_array_equal(serial.sup_dist, parallel.sup_dist)
+        np.testing.assert_array_equal(serial.f_final, parallel.f_final)
+
+
+def test_modified_domain_is_not_served_an_earlier_study(unit_interval, wavy_coeffs):
+    args = (wavy_coeffs, [0.0], 1.0, (3, 4), 24, 3, 4, 5)
+    rs.run_coupling_stats(unit_interval, *args)
+    doubled = dataclasses.replace(unit_interval, phi=lambda x: 2.0 * unit_interval.phi(x))
+    after = rs.run_coupling_stats(doubled, *args)
+    alone = rs.run_coupling_stats(dataclasses.replace(doubled, name="custom"), *args)
+    np.testing.assert_array_equal(after.f_final, alone.f_final)
 
 
 def test_failed_paths_abort(unit_interval):
@@ -237,7 +254,7 @@ def test_failed_paths_abort(unit_interval):
     )
     with pytest.raises(ExperimentFailed):
         rs.run_coupling_stats(
-            unit_interval, poisoned, [0.0], 1.0, [3], 10, 2, 2, seed=1, use_cache=False
+            unit_interval, poisoned, [0.0], 1.0, [3], 10, 2, 2, seed=1
         )
 
 
@@ -264,7 +281,6 @@ def _planar_coeffs():
 def test_planar_ball_gap_decays(unit_ball):
     stats = rs.run_coupling_stats(
         unit_ball, _planar_coeffs(), [0.0, 0.0], 1.0, [3, 5, 7], 200, 3, 8, seed=41,
-        use_cache=False,
     )
     errors = np.mean(stats.sup_dist**2, axis=0)
     assert stats.n_failed == 0
@@ -275,7 +291,6 @@ def test_planar_ball_gap_decays(unit_ball):
 def test_nonconvex_ring_gap_decays(thick_annulus):
     stats = rs.run_coupling_stats(
         thick_annulus, _planar_coeffs(), [1.0, 0.0], 1.0, [3, 5, 7], 200, 3, 8, seed=42,
-        use_cache=False,
     )
     errors = np.mean(stats.sup_dist**2, axis=0)
     assert stats.n_failed == 0

@@ -99,7 +99,6 @@ def test_coupled_identical_without_noise(unit_interval):
 def test_gap_shrinks_with_level(unit_interval, wavy_coeffs):
     stats = rs.run_coupling_stats(
         unit_interval, wavy_coeffs, [0.0], 1.0, [3, 8], 100, 4, 8, seed=771,
-        use_cache=False,
     )
     means = np.mean(stats.sup_dist, axis=0)
     assert means[1] < 0.5 * means[0]
@@ -242,7 +241,6 @@ def test_horizon_shorter_than_one_knot(unit_interval, wavy_coeffs):
 def test_non_dyadic_horizon_is_padded(unit_interval, wavy_coeffs):
     stats = rs.run_coupling_stats(
         unit_interval, wavy_coeffs, [0.0], 0.7, [3, 4], 30, 3, 4, seed=62,
-        use_cache=False,
     )
     assert np.all(np.isfinite(stats.sup_dist))
     report = rs.holder_report(
