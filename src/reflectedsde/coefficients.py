@@ -5,9 +5,9 @@ the derivative of the diffusion, together with Lipschitz metadata.  All
 built-in fields are defined on the whole space and restricted to the domain
 closure by the solvers, which always evaluate at constrained points.
 
-Built-in callables are batch-aware: they accept a single point of shape
-``(d,)`` or a batch ``(B, d)`` and return ``(d, m)`` / ``(B, d, m)``
-accordingly (one extra leading axis everywhere).
+Every coefficient callable, built-in or custom, is batch-aware: it accepts
+a single point of shape ``(d,)`` or a batch ``(B, d)`` and returns
+``(d, m)`` / ``(B, d, m)`` accordingly (one extra leading axis everywhere).
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ class CoefficientSet:
     ``grad_sigma(y)[i, j, k]`` is the derivative of entry ``(i, j)`` of the
     diffusion matrix in state direction ``k``.  Lipschitz constants are
     certified metadata; sampled ratio tests validate them.
+
+    Every callable, built-in or custom, must be batch-aware: given a point
+    ``(d,)`` it returns ``(d, m)`` / ``(d,)`` / ``(d, m, d)``, and given a
+    batch ``(B, d)`` the same shapes with a leading ``B`` axis.  The solvers
+    evaluate whole batches of paths in one call.
     """
 
     sigma: Callable[[np.ndarray], np.ndarray]
@@ -38,24 +43,8 @@ class CoefficientSet:
     lipschitz_sigma: float
     lipschitz_b: float
     lipschitz_grad_sigma: float
-    batch_capable: bool = False
     name: str = "custom"
     params: dict = field(default_factory=dict)
-
-    def sigma_batch(self, Y: np.ndarray) -> np.ndarray:
-        if self.batch_capable:
-            return self.sigma(Y)
-        return np.stack([self.sigma(y) for y in Y])
-
-    def b_batch(self, Y: np.ndarray) -> np.ndarray:
-        if self.batch_capable:
-            return self.b(Y)
-        return np.stack([self.b(y) for y in Y])
-
-    def grad_sigma_batch(self, Y: np.ndarray) -> np.ndarray:
-        if self.batch_capable:
-            return self.grad_sigma(Y)
-        return np.stack([self.grad_sigma(y) for y in Y])
 
 
 def _check_in_domain(domain: DomainSpec | None, y: np.ndarray):
@@ -78,7 +67,7 @@ def stratonovich_correction(
 
 
 def stratonovich_correction_batch(coeffs: CoefficientSet, Y: np.ndarray) -> np.ndarray:
-    return np.einsum("bijk,bkj->bi", coeffs.grad_sigma_batch(Y), coeffs.sigma_batch(Y))
+    return np.einsum("bijk,bkj->bi", coeffs.grad_sigma(Y), coeffs.sigma(Y))
 
 
 def ito_drift(coeffs: CoefficientSet, y, domain: DomainSpec | None = None) -> np.ndarray:
@@ -89,7 +78,7 @@ def ito_drift(coeffs: CoefficientSet, y, domain: DomainSpec | None = None) -> np
 
 
 def ito_drift_batch(coeffs: CoefficientSet, Y: np.ndarray) -> np.ndarray:
-    return coeffs.b_batch(Y) + 0.5 * stratonovich_correction_batch(coeffs, Y)
+    return coeffs.b(Y) + 0.5 * stratonovich_correction_batch(coeffs, Y)
 
 
 def finite_difference_correction(
@@ -155,7 +144,6 @@ def constant(sigma, drift_matrix=None, drift_offset=None) -> CoefficientSet:
         lipschitz_sigma=0.0,
         lipschitz_b=lip_b,
         lipschitz_grad_sigma=0.0,
-        batch_capable=True,
         name="constant",
         params={
             "sigma": sig.tolist(),
@@ -197,7 +185,6 @@ def linear(A, B=None, drift_matrix=None, drift_offset=None) -> CoefficientSet:
         lipschitz_sigma=lip_sigma,
         lipschitz_b=lip_b,
         lipschitz_grad_sigma=0.0,
-        batch_capable=True,
         name="linear",
         params={
             "A": A.tolist(),
@@ -250,7 +237,6 @@ def trig(
         lipschitz_sigma=amp_scale,
         lipschitz_b=lip_b,
         lipschitz_grad_sigma=amp_scale * float(np.linalg.norm(frequency)),
-        batch_capable=True,
         name="trig",
         params={
             "offset": offset.tolist(),

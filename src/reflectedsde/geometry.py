@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -50,6 +51,14 @@ class DomainSpec:
     points (an extra leading axis); ``nu``, ``grad_phi``, and ``hess_phi``
     are pointwise.  Instances are immutable and safe to share across
     concurrent simulations.
+
+    ``resolve_batch(X, V)`` is the domain's one projection: for a batch of
+    closure points ``X`` and displacements ``V``, both ``(B, d)``, it returns
+    the resolved states and the regulator increments ``dL = state - (X + V)``.
+    Every built-in domain defines it in closed form.  Without it, rows whose
+    ``boundary_distance`` is at most ``MEMBERSHIP_TOL`` pass through and every
+    other row bisects along the segment from ``interior_anchor``, which yields
+    a feasible boundary point rather than the closest one.
     """
 
     dim: int
@@ -70,7 +79,6 @@ class DomainSpec:
     params: dict = field(default_factory=dict)
     sample_boundary: Callable[[int, np.random.Generator], np.ndarray] | None = None
     sample_interior: Callable[[int, np.random.Generator], np.ndarray] | None = None
-    project: Callable[[np.ndarray], np.ndarray] | None = None
     resolve_batch: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     @property
@@ -185,7 +193,8 @@ def skorokhod_step(domain: DomainSpec, x, v) -> SkorokhodStepResult:
     v = np.asarray(v, float)
     if float(domain.boundary_distance(x)) > MEMBERSHIP_TOL * max(1.0, domain.diameter):
         raise OutOfDomain(f"start point {x} is outside the domain closure")
-    state, d_l = _resolve_single(domain, x, v)
+    state, d_l = _resolver(domain)(x[None, :], v[None, :])
+    state, d_l = state[0], d_l[0]
     if not np.all(np.isfinite(state)):
         raise InfeasibleStep("constraint resolution produced non-finite state")
     if float(domain.boundary_distance(state)) > MEMBERSHIP_TOL * max(1.0, domain.diameter):
@@ -195,44 +204,53 @@ def skorokhod_step(domain: DomainSpec, x, v) -> SkorokhodStepResult:
     return SkorokhodStepResult(state, d_l, float(np.linalg.norm(d_l)))
 
 
-def _resolve_single(domain: DomainSpec, x: np.ndarray, v: np.ndarray):
-    if domain.resolve_batch is not None:
-        state, d_l = domain.resolve_batch(x[None, :], v[None, :])
-        return state[0], d_l[0]
-    y = x + v
-    if domain.contains(y):
-        return y, np.zeros_like(y)
-    p = project_to_closure(domain, y)
-    return p, p - y
-
-
 def project_to_closure(domain: DomainSpec, y) -> np.ndarray:
     """Closest point of the closure for built-ins; idempotent on the closure.
 
-    Domains without a closed-form projection fall back to bisection along
-    the segment from a certified interior anchor, which yields a feasible
-    boundary point rather than the true closest point.
+    Domains without ``resolve_batch`` fall back to bisection along the
+    segment from a certified interior anchor, which yields a feasible
+    boundary point rather than the true closest point.  Raises
+    ``ProjectionDiverged`` where the projection is not finite (the centre
+    of an annulus).
     """
     y = np.asarray(y, float)
-    if domain.contains(y):
-        return y.copy()
-    if domain.project is not None:
-        return domain.project(y)
-    anchor = np.asarray(domain.interior_anchor, float)
-    lo, hi = 0.0, 1.0
-    if domain.boundary_distance(anchor) >= 0:
-        raise ProjectionDiverged("interior anchor is not strictly inside the domain")
-    for _ in range(_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        point = anchor + mid * (y - anchor)
-        if float(domain.boundary_distance(point)) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    point = anchor + lo * (y - anchor)
-    if float(domain.boundary_distance(point)) > MEMBERSHIP_TOL * max(1.0, domain.diameter):
-        raise ProjectionDiverged(f"bisection failed to reach the closure from {y}")
-    return point
+    state = _resolver(domain)(y[None, :], np.zeros((1, len(y))))[0][0]
+    if not np.all(np.isfinite(state)):
+        raise ProjectionDiverged(f"no closest point of the closure for {y}")
+    return state
+
+
+def _resolver(domain: DomainSpec):
+    """The batched resolution ``(X, V) -> (state, dL)`` of ``domain``."""
+    if domain.resolve_batch is not None:
+        return domain.resolve_batch
+    return partial(_bisection_resolve, domain)
+
+
+def _bisection_resolve(domain: DomainSpec, X: np.ndarray, V: np.ndarray):
+    Y = X + V
+    state = Y.copy()
+    # Rows whose distance is not known to be within tolerance (NaN too) bisect.
+    outside = ~(domain.boundary_distance(Y) <= MEMBERSHIP_TOL)
+    if np.any(outside):
+        anchor = np.asarray(domain.interior_anchor, float)
+        if domain.boundary_distance(anchor) >= 0:
+            raise ProjectionDiverged("interior anchor is not strictly inside the domain")
+        seg = Y[outside] - anchor
+        lo = np.zeros(len(seg))
+        hi = np.ones(len(seg))
+        for _ in range(_BISECTION_ITERS):
+            mid = 0.5 * (lo + hi)
+            inside = domain.boundary_distance(anchor + mid[:, None] * seg) <= 0.0
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid)
+        points = anchor + lo[:, None] * seg
+        diverged = domain.boundary_distance(points) > MEMBERSHIP_TOL * max(1.0, domain.diameter)
+        if np.any(diverged):
+            y = Y[outside][np.argmax(diverged)]
+            raise ProjectionDiverged(f"bisection failed to reach the closure from {y}")
+        state[outside] = points
+    return state, state - Y
 
 
 def cone_angle(generators: np.ndarray, vector: np.ndarray) -> float:
@@ -415,7 +433,6 @@ def interval(a: float, b: float) -> DomainSpec:
         params={"a": a, "b": b},
         sample_boundary=lambda n, rng: np.asarray([a, b])[rng.integers(0, 2, n)][:, None],
         sample_interior=lambda n, rng: rng.uniform(a, b, (n, 1)),
-        project=lambda y: np.clip(np.asarray(y, float), a, b),
         resolve_batch=resolve_batch,
     )
 
@@ -485,7 +502,6 @@ def box(lo, hi) -> DomainSpec:
         params={"lo": lo.tolist(), "hi": hi.tolist()},
         sample_boundary=sample_boundary,
         sample_interior=lambda n, rng: rng.uniform(lo, hi, (n, d)),
-        project=lambda y: np.clip(np.asarray(y, float), lo, hi),
         resolve_batch=resolve_batch,
     )
 
@@ -519,13 +535,6 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
         r = radius * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / d)
         return r * z
 
-    def project(y):
-        y = np.asarray(y, float)
-        r = np.linalg.norm(y)
-        if r <= radius:
-            return y.copy()
-        return y * (radius / r)
-
     def resolve_batch(X, V):
         y = X + V
         r = np.linalg.norm(y, axis=1)
@@ -553,7 +562,6 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
         params={"radius": radius, "dim": d},
         sample_boundary=sample_boundary,
         sample_interior=sample_interior,
-        project=project,
         resolve_batch=resolve_batch,
     )
 
@@ -611,17 +619,6 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
         outer = np.outer(x, x) / r**2
         return -2.0 * outer - 2.0 * (r - rm) * (np.eye(d) - outer) / r
 
-    def project(y):
-        y = np.asarray(y, float)
-        r = np.linalg.norm(y)
-        if r == 0.0:
-            raise ProjectionDiverged("origin is equidistant from the inner sphere")
-        if r < r1:
-            return y * (r1 / r)
-        if r > r2:
-            return y * (r2 / r)
-        return y.copy()
-
     def resolve_batch(X, V):
         y = X + V
         r = np.linalg.norm(y, axis=1)
@@ -650,7 +647,6 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
         params={"r1": r1, "r2": r2, "dim": d},
         sample_boundary=sample_boundary,
         sample_interior=sample_interior,
-        project=project,
         resolve_batch=resolve_batch,
     )
 

@@ -33,6 +33,7 @@ from .errors import DegenerateFit, ExperimentFailed, MismatchedTimes
 from .geometry import DomainSpec
 from .solvers import (
     ReflectedPath,
+    _check_start,
     coupled_output_grid,
     fine_grid_positions,
     integrate_reference_batch,
@@ -270,7 +271,7 @@ def _chunk_paths(coeffs, T, fine_level, seed, indices):
 def _march_chunk(domain, coeffs, x0, paths, process, grid, substeps):
     """Outputs at ``grid`` of the reference (``process="reference"``) or the
     level-``process`` approximation, marched over one chunk of paths."""
-    x0_batch = np.broadcast_to(np.asarray(x0, float), (len(paths), domain.dim)).copy()
+    x0_batch = np.broadcast_to(x0, (len(paths), domain.dim)).copy()
     if process == "reference":
         increments = np.stack([np.asarray(p.increments) for p in paths])
         out_steps = fine_grid_positions(paths[0], grid)
@@ -357,10 +358,9 @@ def run_coupling_stats(
     threshold = -2.0 * domain.c0 / domain.alpha
     if r >= threshold:
         raise ValueError(f"rate exponent r={r} must be strictly below {threshold}")
+    x0 = _check_start(domain, coeffs, x0)
 
-    study = (
-        domain, coeffs, np.asarray(x0, float), T, levels, fine_margin, substeps_per_knot, seed, r
-    )
+    study = (domain, coeffs, x0, T, levels, fine_margin, substeps_per_knot, seed, r)
     chunks = [range(i, min(i + _CHUNK, M)) for i in range(0, M, _CHUNK)]
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # Forked workers inherit the study's objects instead of unpickling
@@ -539,6 +539,7 @@ def holder_report(
     p_list = [float(p) for p in p_list]
     if any(p not in (2.0, 4.0, 6.0) for p in p_list):
         raise ValueError("p_list entries must be even moments in {2, 4, 6}")
+    x0 = _check_start(domain, coeffs, x0)
     if n_or_reference == "reference":
         process = "reference"
         fine_level = grid_level + fine_margin

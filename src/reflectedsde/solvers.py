@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteState,
     OutOfDomain,
 )
-from .geometry import MEMBERSHIP_TOL, DomainSpec, _resolve_single
+from .geometry import MEMBERSHIP_TOL, DomainSpec, _resolver
 
 
 @dataclass(frozen=True)
@@ -126,20 +126,6 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
 # Kernels (batched over paths)
 # ---------------------------------------------------------------------------
 
-def _batch_resolver(domain: DomainSpec):
-    if domain.resolve_batch is not None:
-        return domain.resolve_batch
-
-    def resolve(X, V):
-        states = np.empty_like(X)
-        d_l = np.empty_like(X)
-        for r in range(X.shape[0]):
-            states[r], d_l[r] = _resolve_single(domain, X[r], V[r])
-        return states, d_l
-
-    return resolve
-
-
 def _march(domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, record_substeps):
     """The discrete Skorokhod march both solvers share.
 
@@ -154,7 +140,7 @@ def _march(domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, rec
     X = np.array(x0, float)
     L = np.zeros((B, d))
     var = np.zeros(B)
-    resolve = _batch_resolver(domain)
+    resolve = _resolver(domain)
 
     n_out = len(out_pos)
     out_states = np.empty((n_out, B, d))
@@ -218,7 +204,7 @@ def integrate_wz_batch(
     def displacement(i, X):
         dt = times[i + 1] - times[i]
         s = slopes[:, knot_idx[i], :]
-        return (np.einsum("bij,bj->bi", coeffs.sigma_batch(X), s) + coeffs.b_batch(X)) * dt
+        return (np.einsum("bij,bj->bi", coeffs.sigma(X), s) + coeffs.b(X)) * dt
 
     return _march(domain, x0, times, out_pos, displacement, record_substeps)
 
@@ -241,7 +227,7 @@ def integrate_reference_batch(
     last = int(np.max(out_steps)) if len(out_steps) else 0
 
     def displacement(k, X):
-        sig = coeffs.sigma_batch(X)
+        sig = coeffs.sigma(X)
         return np.einsum("bij,bj->bi", sig, increments[:, k, :]) + ito_drift_batch(coeffs, X) * h
 
     return _march(domain, x0, np.arange(last + 1) * h, out_steps, displacement, record_substeps)
@@ -251,16 +237,23 @@ def integrate_reference_batch(
 # Public per-path operations
 # ---------------------------------------------------------------------------
 
-def _validate_start(domain: DomainSpec, coeffs: CoefficientSet, path: BrownianPath, x0):
+def _check_start(domain: DomainSpec, coeffs: CoefficientSet, x0) -> np.ndarray:
+    """``x0`` as a float array, checked to be a closure point of ``domain``'s
+    dimension for coefficients of that state dimension."""
     x0 = np.asarray(x0, float)
     if x0.shape != (domain.dim,):
         raise ValueError(f"x0 must have shape ({domain.dim},), got {x0.shape}")
     if coeffs.dim_state != domain.dim:
         raise ValueError("coefficient state dimension does not match the domain")
-    if coeffs.dim_noise != path.dim_noise:
-        raise ValueError("coefficient noise dimension does not match the path")
     if float(domain.boundary_distance(x0)) > MEMBERSHIP_TOL * max(1.0, domain.diameter):
         raise OutOfDomain(f"x0 {x0} is outside the domain closure")
+    return x0
+
+
+def _validate_start(domain: DomainSpec, coeffs: CoefficientSet, path: BrownianPath, x0):
+    x0 = _check_start(domain, coeffs, x0)
+    if coeffs.dim_noise != path.dim_noise:
+        raise ValueError("coefficient noise dimension does not match the path")
     return x0
 
 

@@ -128,9 +128,9 @@ def test_out_of_domain_enforced(unit_interval):
 def test_batch_evaluation_matches_pointwise(name, rng):
     coeffs = BUILTINS[name]
     Y = rng.uniform(-1.0, 1.0, (17, coeffs.dim_state))
-    sig = coeffs.sigma_batch(Y)
-    bb = coeffs.b_batch(Y)
-    grad = coeffs.grad_sigma_batch(Y)
+    sig = coeffs.sigma(Y)
+    bb = coeffs.b(Y)
+    grad = coeffs.grad_sigma(Y)
     corr = stratonovich_correction_batch(coeffs, Y)
     drift = ito_drift_batch(coeffs, Y)
     for i, y in enumerate(Y):

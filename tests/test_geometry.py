@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from reflectedsde.errors import (
     OutOfDomain,
     ProjectionDiverged,
 )
+from reflectedsde.geometry import MEMBERSHIP_TOL, _resolver
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +140,7 @@ def test_projection_idempotent(unit_ball, rng):
 
 def test_generic_bisection_fallback(unit_ball):
     # Strip the closed-form projection; the fallback must still land on the closure.
-    import dataclasses
-
-    stripped = dataclasses.replace(unit_ball, project=None, resolve_batch=None)
+    stripped = dataclasses.replace(unit_ball, resolve_batch=None)
     p = rs.project_to_closure(stripped, np.array([1.5, 0.9]))
     assert abs(float(stripped.boundary_distance(p))) <= 1e-9
     res = rs.skorokhod_step(stripped, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
@@ -150,6 +150,39 @@ def test_generic_bisection_fallback(unit_ball):
 def test_projection_diverges_at_annulus_center(thick_annulus):
     with pytest.raises(ProjectionDiverged):
         rs.project_to_closure(thick_annulus, np.zeros(2))
+
+
+@pytest.mark.parametrize("stripped", [False, True], ids=["closed-form", "bisection"])
+@pytest.mark.parametrize("name", ["interval", "box", "ball", "annulus"])
+def test_batched_resolution_matches_row_by_row(name, stripped, rng):
+    domain = _builtin(name)
+    if stripped:
+        domain = dataclasses.replace(domain, resolve_batch=None)
+    X = domain.sample_interior(64, rng)
+    V = rng.normal(0.0, 0.4 * domain.diameter, X.shape)
+    outside = domain.boundary_distance(X + V) > 0.0
+    assert 0 < np.count_nonzero(outside) < len(X)
+
+    resolve = _resolver(domain)
+    state, d_l = resolve(X, V)
+    for i in range(len(X)):
+        row_state, row_d_l = resolve(X[i : i + 1], V[i : i + 1])
+        np.testing.assert_array_equal(state[i], row_state[0])
+        np.testing.assert_array_equal(d_l[i], row_d_l[0])
+    assert np.all(domain.boundary_distance(state) <= MEMBERSHIP_TOL)
+    np.testing.assert_array_equal(d_l[~outside], 0.0)
+    assert np.all(np.any(d_l[outside] != 0.0, axis=1))
+
+
+def test_bisection_agrees_with_closed_form_on_the_ball(unit_ball, rng):
+    # The ball's anchor is its centre, so bisection runs along the radius.
+    stripped = dataclasses.replace(unit_ball, resolve_batch=None)
+    X = unit_ball.sample_interior(200, rng)
+    V = rng.normal(0.0, 0.8, X.shape)
+    exact, exact_d_l = unit_ball.resolve_batch(X, V)
+    state, d_l = _resolver(stripped)(X, V)
+    np.testing.assert_allclose(state, exact, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(d_l, exact_d_l, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import reflectedsde as rs
 from reflectedsde.coefficients import CoefficientSet
-from reflectedsde.errors import DegenerateFit, ExperimentFailed, MismatchedTimes
+from reflectedsde.errors import DegenerateFit, ExperimentFailed, MismatchedTimes, OutOfDomain
 from reflectedsde.harness import (
     default_rate_exponent,
     jackknife_se,
@@ -241,11 +241,24 @@ def test_modified_domain_is_not_served_an_earlier_study(unit_interval, wavy_coef
     np.testing.assert_array_equal(after.f_final, alone.f_final)
 
 
+def test_engine_rejects_a_start_outside_the_domain(unit_interval, wavy_coeffs):
+    # Marching would clip the start to the boundary and study another problem.
+    with pytest.raises(OutOfDomain):
+        rs.run_coupling_stats(unit_interval, wavy_coeffs, [5.0], 1.0, (3, 4), 8, 2, 4, 1)
+    with pytest.raises(OutOfDomain):
+        rs.holder_report(unit_interval, wavy_coeffs, [5.0], 1.0, "reference", [2], 8, seed=1)
+    with pytest.raises(ValueError, match="shape"):
+        rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0, 0.0], 1.0, (3, 4), 8, 2, 4, 1)
+    planar = rs.constant(np.eye(2))
+    with pytest.raises(ValueError, match="state dimension"):
+        rs.holder_report(unit_interval, planar, [0.0], 1.0, "reference", [2], 8, seed=1)
+
+
 def test_failed_paths_abort(unit_interval):
     poisoned = CoefficientSet(
-        sigma=lambda y: np.full((1, 1), np.nan),
-        b=lambda y: np.zeros(1),
-        grad_sigma=lambda y: np.zeros((1, 1, 1)),
+        sigma=lambda y: np.full(np.shape(y) + (1,), np.nan),
+        b=lambda y: np.zeros(np.shape(y)),
+        grad_sigma=lambda y: np.zeros(np.shape(y) + (1, 1)),
         dim_state=1,
         dim_noise=1,
         lipschitz_sigma=0.0,

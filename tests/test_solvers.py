@@ -155,9 +155,9 @@ def test_substep_refinement_stability(unit_interval, wavy_coeffs):
 
 def test_non_finite_state_aborts(unit_interval):
     poisoned = CoefficientSet(
-        sigma=lambda y: np.full((1, 1), np.nan),
-        b=lambda y: np.zeros(1),
-        grad_sigma=lambda y: np.zeros((1, 1, 1)),
+        sigma=lambda y: np.full(np.shape(y) + (1,), np.nan),
+        b=lambda y: np.zeros(np.shape(y)),
+        grad_sigma=lambda y: np.zeros(np.shape(y) + (1, 1)),
         dim_state=1,
         dim_noise=1,
         lipschitz_sigma=0.0,
