@@ -13,6 +13,12 @@ The interpolant is the lagged one: on the knot interval starting at
 makes its slope depend only on already-observed increments.  Values at
 negative times are the value at zero.  This differs from the common
 current-interval interpolation on purpose.
+
+A path may also be a batch: ``sample_path`` given a sequence of seeds
+returns one ``BrownianPath`` whose ``values`` has a leading path axis,
+``(B, K + 1, m)``, with row ``b`` equal bit for bit to the path sampled
+alone from seed ``b``.  ``refine``, ``restrict``, ``level_values`` and
+``wz_knot_slopes`` work over that axis.
 """
 
 from __future__ import annotations
@@ -38,13 +44,15 @@ class BrownianPath:
 
     ``values`` has shape ``(K + 1, dim_noise)`` with ``values[0] = 0``; the
     horizon is ``K / 2^fine_level`` (the requested horizon padded up to a
-    dyadic multiple).  Immutable; ``refine`` returns a new path.
+    dyadic multiple).  A batch of ``B`` paths has ``values`` of shape
+    ``(B, K + 1, dim_noise)`` and a tuple of ``B`` seeds.  Immutable;
+    ``refine`` returns a new path.
     """
 
     dim_noise: int
     horizon: float
     fine_level: int
-    seed: int
+    seed: int | tuple
     values: np.ndarray
 
     def __post_init__(self):
@@ -52,12 +60,12 @@ class BrownianPath:
 
     @property
     def increments(self) -> np.ndarray:
-        """Per-knot increments, shape (K, dim_noise)."""
-        return np.diff(self.values, axis=0)
+        """Per-knot increments, shape (K, dim_noise) (leading path axis kept)."""
+        return np.diff(self.values, axis=-2)
 
     @property
     def n_knots(self) -> int:
-        return self.values.shape[0] - 1
+        return self.values.shape[-2] - 1
 
 
 @dataclass(frozen=True)
@@ -80,11 +88,13 @@ class DyadicIndex:
         return cls(level, int(np.floor(t * 2.0**level)))
 
 
-def sample_path(m: int, T: float, fine_level: int, seed: int) -> BrownianPath:
+def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     """Sample a Brownian path on the dyadic grid, canonically refined.
 
     Deterministic given ``(seed, m, T, fine_level)``.  The horizon is padded
-    up to the next multiple of the grid spacing when needed.
+    up to the next multiple of the grid spacing when needed.  ``seed`` is
+    an int, or a sequence of ints for a batch of paths sampled into one
+    ``(B, K + 1, m)`` array.
     """
     if T <= 0:
         raise InvalidHorizon(f"horizon must be positive, got {T}")
@@ -92,30 +102,56 @@ def sample_path(m: int, T: float, fine_level: int, seed: int) -> BrownianPath:
         raise ValueError("fine_level must be at least 1")
     if m < 1:
         raise ValueError("dim_noise must be at least 1")
+    single = np.ndim(seed) == 0
+    seeds = (int(seed),) if single else tuple(int(s) for s in seed)
     n_fine = ceil(T * 2.0**fine_level - 1e-9)
     units = ceil(n_fine / 2.0**fine_level - 1e-12)
 
-    draws = _level_stream(seed, 0).standard_normal((units, m))
-    values = np.zeros((units + 1, m))
-    np.cumsum(draws, axis=0, out=values[1:])
+    # The final array is allocated once; level 0 fills every 2^fine_level-th
+    # knot and each finer level fills the midpoints between filled knots.
+    stride = 2**fine_level
+    values = np.empty((len(seeds), units * stride + 1, m))
+    values[:, 0] = 0.0
+    draws = np.empty((units, m))
+    for b, s in enumerate(seeds):
+        _level_stream(s, 0).standard_normal(out=draws)
+        np.cumsum(draws, axis=0, out=values[b, stride::stride])
     for level in range(1, fine_level + 1):
-        values = _refine_values(values, seed, level)
-    return BrownianPath(m, n_fine / 2.0**fine_level, fine_level, seed, values[: n_fine + 1])
+        _insert_midpoints(values, stride, seeds, level)
+        stride //= 2
+    values = values[:, : n_fine + 1]
+    return BrownianPath(
+        m, n_fine / 2.0**fine_level, fine_level, seeds[0] if single else seeds,
+        values[0] if single else values,
+    )
 
 
-def _refine_values(values: np.ndarray, seed: int, new_level: int) -> np.ndarray:
-    n_int, m = values.shape[0] - 1, values.shape[1]
-    xi = _level_stream(seed, new_level).standard_normal((n_int, m))
-    xi *= 2.0 ** (-0.5 * (new_level + 1))
-    out = np.empty((2 * n_int + 1, m))
-    out[0::2] = values
-    out[1::2] = 0.5 * (values[:-1] + values[1:]) + xi
-    return out
+def _insert_midpoints(values: np.ndarray, stride: int, seeds, level: int) -> None:
+    """Fill, in place, the level-``level`` midpoints of knots ``stride`` apart.
+
+    ``values`` is ``(B, N, m)``; row ``b`` draws from the stream of
+    ``(seeds[b], level)``.  Each midpoint is the mean of its neighbours plus
+    a scaled normal, evaluated in that order.
+    """
+    mid = values[:, stride // 2 :: stride]
+    np.add(values[:, 0:-1:stride], values[:, stride::stride], out=mid)
+    mid *= 0.5
+    xi = np.empty(mid.shape[1:])
+    for b, s in enumerate(seeds):
+        _level_stream(s, level).standard_normal(out=xi)
+        xi *= 2.0 ** (-0.5 * (level + 1))
+        mid[b] += xi
 
 
 def refine(path: BrownianPath) -> BrownianPath:
     """One level of midpoint insertion; existing knot values are kept exactly."""
-    values = _refine_values(np.asarray(path.values), path.seed, path.fine_level + 1)
+    old = np.asarray(path.values)
+    values = np.empty(old.shape[:-2] + (2 * old.shape[-2] - 1, old.shape[-1]))
+    values[..., ::2, :] = old
+    if values.ndim == 3:
+        _insert_midpoints(values, 2, path.seed, path.fine_level + 1)
+    else:
+        _insert_midpoints(values[None], 2, (path.seed,), path.fine_level + 1)
     return BrownianPath(path.dim_noise, path.horizon, path.fine_level + 1, path.seed, values)
 
 
@@ -125,7 +161,8 @@ def restrict(path: BrownianPath, level: int) -> BrownianPath:
         raise LevelTooFine(f"cannot restrict level {path.fine_level} to finer level {level}")
     stride = 2 ** (path.fine_level - level)
     return BrownianPath(
-        path.dim_noise, path.horizon, level, path.seed, np.asarray(path.values)[::stride]
+        path.dim_noise, path.horizon, level, path.seed,
+        np.asarray(path.values)[..., ::stride, :],
     )
 
 
@@ -133,10 +170,7 @@ def level_values(path: BrownianPath, n: int) -> np.ndarray:
     """Path values at the level-``n`` knots that the path's grid contains."""
     if n > path.fine_level:
         raise LevelTooFine(f"level {n} exceeds the path's fine level {path.fine_level}")
-    stride = 2 ** (path.fine_level - n)
-    n_full = path.n_knots // stride
-    idx = np.minimum(np.arange(n_full + 1) * stride, path.n_knots)
-    return np.asarray(path.values)[idx]
+    return np.asarray(path.values)[..., :: 2 ** (path.fine_level - n), :]
 
 
 def wz_value(path: BrownianPath, n: int, t: float) -> np.ndarray:
@@ -179,15 +213,16 @@ def wz_knot_slopes(path: BrownianPath, n: int) -> np.ndarray:
     Row ``k`` is the constant slope on ``[k/2^n, (k+1)/2^n)``: ``2^n`` times
     the previous knot increment, zero on the first interval.  The number of
     rows is the number of level-``n`` intervals needed to cover the horizon
-    (at least one, even for horizons shorter than a knot).
+    (at least one, even for horizons shorter than a knot).  A batch of
+    paths gives ``(B, rows, dim_noise)``.
     """
     knots = level_values(path, n)
     stride = 2 ** (path.fine_level - n)
     n_int = max(1, -(-path.n_knots // stride))
-    slopes = np.zeros((n_int, path.dim_noise))
-    lagged = 2.0**n * np.diff(knots, axis=0)
-    take = min(len(lagged), n_int - 1)
-    slopes[1 : 1 + take] = lagged[:take]
+    slopes = np.zeros(knots.shape[:-2] + (n_int, path.dim_noise))
+    lagged = 2.0**n * np.diff(knots, axis=-2)
+    take = min(lagged.shape[-2], n_int - 1)
+    slopes[..., 1 : 1 + take, :] = lagged[..., :take, :]
     return slopes
 
 

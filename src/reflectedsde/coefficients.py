@@ -66,8 +66,13 @@ def stratonovich_correction(
     return np.einsum("ijk,kj->i", coeffs.grad_sigma(y), coeffs.sigma(y))
 
 
-def stratonovich_correction_batch(coeffs: CoefficientSet, Y: np.ndarray) -> np.ndarray:
-    return np.einsum("bijk,bkj->bi", coeffs.grad_sigma(Y), coeffs.sigma(Y))
+def stratonovich_correction_batch(
+    coeffs: CoefficientSet, Y: np.ndarray, sig: np.ndarray | None = None
+) -> np.ndarray:
+    """Batched noise-interaction drift; ``sig`` reuses ``sigma(Y)`` if the caller has it."""
+    if sig is None:
+        sig = coeffs.sigma(Y)
+    return np.einsum("bijk,bkj->bi", coeffs.grad_sigma(Y), sig)
 
 
 def ito_drift(coeffs: CoefficientSet, y, domain: DomainSpec | None = None) -> np.ndarray:
@@ -77,8 +82,11 @@ def ito_drift(coeffs: CoefficientSet, y, domain: DomainSpec | None = None) -> np
     return coeffs.b(y) + 0.5 * stratonovich_correction(coeffs, y)
 
 
-def ito_drift_batch(coeffs: CoefficientSet, Y: np.ndarray) -> np.ndarray:
-    return coeffs.b(Y) + 0.5 * stratonovich_correction_batch(coeffs, Y)
+def ito_drift_batch(
+    coeffs: CoefficientSet, Y: np.ndarray, sig: np.ndarray | None = None
+) -> np.ndarray:
+    """Batched Ito drift; ``sig`` reuses ``sigma(Y)`` if the caller has it."""
+    return coeffs.b(Y) + 0.5 * stratonovich_correction_batch(coeffs, Y, sig)
 
 
 def finite_difference_correction(

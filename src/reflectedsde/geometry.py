@@ -19,7 +19,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import (
     InfeasibleStep,
@@ -30,7 +29,7 @@ from .errors import (
 
 # Tolerances, fixed package-wide.
 UNIT_NORM_TOL = 1e-12
-MEMBERSHIP_TOL = 1e-10      # boundary_distance <= this counts as inside the closure
+MEMBERSHIP_TOL = 1e-10      # per unit of diameter; see closure_tol
 CONE_ANGLE_TOL = 1e-6       # radians; admissibility of regulator increments
 CHECK_SLACK = 1e-9          # slack for the certificate inequalities
 _BISECTION_ITERS = 200
@@ -56,9 +55,13 @@ class DomainSpec:
     closure points ``X`` and displacements ``V``, both ``(B, d)``, it returns
     the resolved states and the regulator increments ``dL = state - (X + V)``.
     Every built-in domain defines it in closed form.  Without it, rows whose
-    ``boundary_distance`` is at most ``MEMBERSHIP_TOL`` pass through and every
-    other row bisects along the segment from ``interior_anchor``, which yields
-    a feasible boundary point rather than the closest one.
+    ``boundary_distance`` is at most ``closure_tol(domain)`` pass through and
+    every other row bisects along the segment from ``interior_anchor``, which
+    yields a feasible boundary point rather than the closest one.
+
+    A point is in the closure when its ``boundary_distance`` is at most
+    ``closure_tol(domain)``; ``contains``, the start checks and the
+    resolution checks all use that one tolerance.
     """
 
     dim: int
@@ -87,7 +90,7 @@ class DomainSpec:
         return 1e-9 * self.diameter
 
     def contains(self, x) -> bool:
-        return bool(np.all(self.boundary_distance(np.asarray(x, float)) <= MEMBERSHIP_TOL))
+        return bool(np.all(self.boundary_distance(np.asarray(x, float)) <= closure_tol(self)))
 
     def certificate_dict(self) -> dict:
         return {"c0": self.c0, "alpha": self.alpha, "phi_name": self.phi_name}
@@ -181,6 +184,11 @@ class D3Report:
 # Constraint resolution
 # ---------------------------------------------------------------------------
 
+def closure_tol(domain: DomainSpec) -> float:
+    """Largest ``boundary_distance`` of a closure point, scaled by the domain's size."""
+    return MEMBERSHIP_TOL * max(1.0, domain.diameter)
+
+
 def skorokhod_step(domain: DomainSpec, x, v) -> SkorokhodStepResult:
     """Resolve one unconstrained displacement against the domain closure.
 
@@ -191,13 +199,13 @@ def skorokhod_step(domain: DomainSpec, x, v) -> SkorokhodStepResult:
     """
     x = np.asarray(x, float)
     v = np.asarray(v, float)
-    if float(domain.boundary_distance(x)) > MEMBERSHIP_TOL * max(1.0, domain.diameter):
+    if float(domain.boundary_distance(x)) > closure_tol(domain):
         raise OutOfDomain(f"start point {x} is outside the domain closure")
     state, d_l = _resolver(domain)(x[None, :], v[None, :])
     state, d_l = state[0], d_l[0]
     if not np.all(np.isfinite(state)):
         raise InfeasibleStep("constraint resolution produced non-finite state")
-    if float(domain.boundary_distance(state)) > MEMBERSHIP_TOL * max(1.0, domain.diameter):
+    if float(domain.boundary_distance(state)) > closure_tol(domain):
         raise InfeasibleStep(
             f"resolved state {state} still violates the domain (displacement {v})"
         )
@@ -231,7 +239,7 @@ def _bisection_resolve(domain: DomainSpec, X: np.ndarray, V: np.ndarray):
     Y = X + V
     state = Y.copy()
     # Rows whose distance is not known to be within tolerance (NaN too) bisect.
-    outside = ~(domain.boundary_distance(Y) <= MEMBERSHIP_TOL)
+    outside = ~(domain.boundary_distance(Y) <= closure_tol(domain))
     if np.any(outside):
         anchor = np.asarray(domain.interior_anchor, float)
         if domain.boundary_distance(anchor) >= 0:
@@ -245,7 +253,7 @@ def _bisection_resolve(domain: DomainSpec, X: np.ndarray, V: np.ndarray):
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
         points = anchor + lo[:, None] * seg
-        diverged = domain.boundary_distance(points) > MEMBERSHIP_TOL * max(1.0, domain.diameter)
+        diverged = domain.boundary_distance(points) > closure_tol(domain)
         if np.any(diverged):
             y = Y[outside][np.argmax(diverged)]
             raise ProjectionDiverged(f"bisection failed to reach the closure from {y}")
@@ -255,6 +263,10 @@ def _bisection_resolve(domain: DomainSpec, X: np.ndarray, V: np.ndarray):
 
 def cone_angle(generators: np.ndarray, vector: np.ndarray) -> float:
     """Angle in radians between a vector and the convex cone of generators."""
+    # scipy costs about half a second and 50 MB at import, and only this
+    # function needs it, so the engine path never loads it.
+    from scipy.optimize import nnls
+
     vector = np.asarray(vector, float)
     generators = np.atleast_2d(np.asarray(generators, float))
     norm_v = np.linalg.norm(vector)

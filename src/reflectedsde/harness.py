@@ -4,12 +4,19 @@ One Brownian path per Monte Carlo draw drives the fine-level reference once
 and the piecewise-linear-noise approximation at every requested level, so
 per-level errors are coupled through common increments.
 ``run_coupling_stats`` is the one engine call: a study runs once, and
-``rate_report`` and ``lyapunov_report`` reduce its ``CouplingStats``.  Paths
-are marched in chunks; with several workers the chunks run in forked
-processes that inherit the domain and coefficient objects themselves, so
-any domain, built-in, modified or custom, runs in parallel.  Per-path stats
-are reduced in path-index order, which makes every report bit-reproducible
-for a fixed configuration regardless of worker count.
+``rate_report`` and ``lyapunov_report`` reduce its ``CouplingStats``.
+
+Paths are marched in chunks.  A chunk's Brownian paths are held once, as
+one ``(B, K + 1, m)`` array of fine-grid knot values that the reference
+reads step by step and every level restricts; that array dominates a
+chunk's memory.  Chunks are therefore sized by bytes: the study is split
+into the fewest balanced chunks whose path arrays stay within
+``_CHUNK_BYTES``, and never fewer chunks than workers.  With several
+workers the chunks run in forked processes that inherit the domain and
+coefficient objects themselves, so any domain, built-in, modified or
+custom, runs in parallel.  Per-path stats are reduced in path-index order,
+which makes every report bit-reproducible for a fixed configuration
+regardless of chunk layout or worker count.
 
 The decay diagnostic uses the weighted squared distance
 ``exp(r (phi(X) + phi(X^n))) |X^n - X|^2`` with ``r`` strictly below
@@ -41,7 +48,9 @@ from .solvers import (
     wz_schedule,
 )
 
-_CHUNK = 256
+# Budget for the Brownian path array of one chunk.  Wider chunks spend less
+# Python time per path; the chunk's other arrays are small beside this one.
+_CHUNK_BYTES = 48 * 2**20
 
 
 def path_seed(seed: int, index: int) -> int:
@@ -264,32 +273,47 @@ class CouplingStats:
         )
 
 
+def _chunk_ranges(M: int, T: float, fine_level: int, dim_noise: int, workers: int = 1):
+    """Path-index ranges of the chunks of an ``M``-path study, in order.
+
+    The fewest chunks whose ``(B, K + 1, dim_noise)`` path arrays fit in
+    ``_CHUNK_BYTES`` on average, at least ``workers`` of them (at most
+    ``M``), with widths that differ by at most one path.  Balanced widths
+    leave no small trailing chunk.
+    """
+    path_bytes = (ceil(T * 2.0**fine_level - 1e-9) + 1) * dim_noise * 8
+    n_chunks = min(max(ceil(M * path_bytes / _CHUNK_BYTES), workers), M)
+    bounds = [M * i // n_chunks for i in range(n_chunks + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _chunk_paths(coeffs, T, fine_level, seed, indices):
-    return [sample_path(coeffs.dim_noise, T, fine_level, path_seed(seed, i)) for i in indices]
+    """The chunk's Brownian paths, sampled as one batch."""
+    seeds = [path_seed(seed, i) for i in indices]
+    return sample_path(coeffs.dim_noise, T, fine_level, seeds)
 
 
 def _march_chunk(domain, coeffs, x0, paths, process, grid, substeps):
     """Outputs at ``grid`` of the reference (``process="reference"``) or the
-    level-``process`` approximation, marched over one chunk of paths."""
-    x0_batch = np.broadcast_to(x0, (len(paths), domain.dim)).copy()
+    level-``process`` approximation, marched over one batch of paths."""
+    x0_batch = np.broadcast_to(x0, (len(paths.values), domain.dim)).copy()
     if process == "reference":
-        increments = np.stack([np.asarray(p.increments) for p in paths])
-        out_steps = fine_grid_positions(paths[0], grid)
+        out_steps = fine_grid_positions(paths, grid)
         return integrate_reference_batch(
-            domain, coeffs, x0_batch, increments, paths[0].fine_level, out_steps
+            domain, coeffs, x0_batch, paths.values, paths.fine_level, out_steps
         )
-    slopes = np.stack([wz_knot_slopes(p, process) for p in paths])
-    times, knot_idx, out_pos = wz_schedule(process, substeps, grid, paths[0].horizon)
+    slopes = wz_knot_slopes(paths, process)
+    times, knot_idx, out_pos = wz_schedule(process, substeps, grid, paths.horizon)
     return integrate_wz_batch(domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos)
 
 
 def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, indices):
     """Coupled stats for one chunk of path indices (arrays ordered by index)."""
     paths = _chunk_paths(coeffs, T, max(levels) + fine_margin, seed, indices)
-    B = len(paths)
+    B = len(indices)
     # Stats at the padded horizon keep every output on the fine grid even
     # when the requested horizon is not dyadic.
-    horizon = paths[0].horizon
+    horizon = paths.horizon
     grid = coupled_output_grid(max(levels), [horizon], horizon)
     ref_states, _, ref_var, _ = _march_chunk(
         domain, coeffs, x0, paths, "reference", grid, substeps
@@ -342,9 +366,12 @@ def run_coupling_stats(
 ) -> CouplingStats:
     """Coupled per-path statistics for all levels on common Brownian paths.
 
-    Paths are marched in chunks of ``_CHUNK``; with ``workers > 1`` the
-    chunks are spread over forked processes where the platform can fork,
-    and the stats are bit-identical to a serial run either way.
+    Paths are marched in balanced chunks sized by ``_CHUNK_BYTES``, the
+    memory budget of a chunk's Brownian path array (``8 (K + 1) m`` bytes
+    per path at the fine level); with ``workers > 1`` there are at least
+    ``workers`` chunks, spread over forked processes where the platform can
+    fork.  The stats are bit-identical whatever the chunk layout or worker
+    count.
     """
     levels = tuple(int(n) for n in levels)
     if not levels or list(levels) != sorted(set(levels)):
@@ -361,7 +388,7 @@ def run_coupling_stats(
     x0 = _check_start(domain, coeffs, x0)
 
     study = (domain, coeffs, x0, T, levels, fine_margin, substeps_per_knot, seed, r)
-    chunks = [range(i, min(i + _CHUNK, M)) for i in range(0, M, _CHUNK)]
+    chunks = _chunk_ranges(M, T, max(levels) + fine_margin, coeffs.dim_noise, workers)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # Forked workers inherit the study's objects instead of unpickling
         # them, so any domain, modified or custom, runs as it does serially.
@@ -554,10 +581,10 @@ def holder_report(
     n_grid = int(np.floor(horizon * 2.0**grid_level + 1e-9))
     grid = np.arange(n_grid + 1) / 2.0**grid_level
     states = np.empty((M, len(grid), domain.dim))
-    for start in range(0, M, _CHUNK):
-        paths = _chunk_paths(coeffs, T, fine_level, seed, range(start, min(start + _CHUNK, M)))
+    for chunk in _chunk_ranges(M, T, fine_level, coeffs.dim_noise):
+        paths = _chunk_paths(coeffs, T, fine_level, seed, chunk)
         out = _march_chunk(domain, coeffs, x0, paths, process, grid, substeps_per_knot)[0]
-        states[start : start + len(paths)] = np.swapaxes(out, 0, 1)
+        states[chunk.start : chunk.stop] = np.swapaxes(out, 0, 1)
 
     strides = [2**j for j in range(n_lags) if 2**j < n_grid]
     lags = [s / 2.0**grid_level for s in strides]

@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteState,
     OutOfDomain,
 )
-from .geometry import MEMBERSHIP_TOL, DomainSpec, _resolver
+from .geometry import DomainSpec, _resolver, closure_tol
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,10 @@ def _march(domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, rec
 
     for i in range(n_steps):
         X, d_l = resolve(X, displacement(i, X))
-        d_var = np.linalg.norm(d_l, axis=1)
-        L = L + d_l
-        var = var + d_var
+        # np.linalg.norm(d_l, axis=1), without its dispatch.
+        d_var = np.sqrt(np.add.reduce(d_l * d_l, axis=1))
+        L += d_l
+        var += d_var
         j = record_at[i + 1]
         if j >= 0:
             if abort_check and not np.all(np.isfinite(X)):
@@ -200,11 +201,11 @@ def integrate_wz_batch(
     ``slopes`` has shape ``(B, K_n, m)``; each step moves along the
     interpolant's slope on its knot interval.  Returns as ``_march``.
     """
+    dts = np.diff(times)
 
     def displacement(i, X):
-        dt = times[i + 1] - times[i]
         s = slopes[:, knot_idx[i], :]
-        return (np.einsum("bij,bj->bi", coeffs.sigma(X), s) + coeffs.b(X)) * dt
+        return (np.einsum("bij,bj->bi", coeffs.sigma(X), s) + coeffs.b(X)) * dts[i]
 
     return _march(domain, x0, times, out_pos, displacement, record_substeps)
 
@@ -213,22 +214,25 @@ def integrate_reference_batch(
     domain: DomainSpec,
     coeffs: CoefficientSet,
     x0: np.ndarray,
-    increments: np.ndarray,
+    values: np.ndarray,
     fine_level: int,
     out_steps: np.ndarray,
     record_substeps: bool = False,
 ):
     """Projected Euler-Maruyama over the fine grid for a batch of paths.
 
-    ``increments`` has shape ``(B, K, m)``; ``out_steps`` are fine-knot
-    indices at which to record, and the march stops at the last of them.
+    ``values`` are the Brownian knot values, shape ``(B, K + 1, m)``; each
+    step forms its own increment, so no increments array is held.
+    ``out_steps`` are fine-knot indices at which to record, and the march
+    stops at the last of them.  ``sigma`` is evaluated once per step.
     """
     h = 2.0 ** (-fine_level)
     last = int(np.max(out_steps)) if len(out_steps) else 0
 
     def displacement(k, X):
         sig = coeffs.sigma(X)
-        return np.einsum("bij,bj->bi", sig, increments[:, k, :]) + ito_drift_batch(coeffs, X) * h
+        dw = values[:, k + 1] - values[:, k]
+        return np.einsum("bij,bj->bi", sig, dw) + ito_drift_batch(coeffs, X, sig) * h
 
     return _march(domain, x0, np.arange(last + 1) * h, out_steps, displacement, record_substeps)
 
@@ -245,7 +249,7 @@ def _check_start(domain: DomainSpec, coeffs: CoefficientSet, x0) -> np.ndarray:
         raise ValueError(f"x0 must have shape ({domain.dim},), got {x0.shape}")
     if coeffs.dim_state != domain.dim:
         raise ValueError("coefficient state dimension does not match the domain")
-    if float(domain.boundary_distance(x0)) > MEMBERSHIP_TOL * max(1.0, domain.diameter):
+    if float(domain.boundary_distance(x0)) > closure_tol(domain):
         raise OutOfDomain(f"x0 {x0} is outside the domain closure")
     return x0
 
@@ -259,7 +263,7 @@ def _validate_start(domain: DomainSpec, coeffs: CoefficientSet, path: BrownianPa
 
 def _check_outputs_feasible(domain: DomainSpec, states: np.ndarray):
     worst = float(np.max(domain.boundary_distance(states)))
-    if not np.isfinite(worst) or worst > MEMBERSHIP_TOL * max(1.0, domain.diameter):
+    if not np.isfinite(worst) or worst > closure_tol(domain):
         raise InfeasibleStep(f"constraint violation at output states (distance {worst})")
 
 
@@ -313,7 +317,7 @@ def solve_reference(
         domain,
         coeffs,
         x0[None],
-        np.asarray(path.increments)[None],
+        np.asarray(path.values)[None],
         path.fine_level,
         out_steps,
         record_substeps,

@@ -57,6 +57,32 @@ def test_direct_sampling_equals_repeated_refinement():
     np.testing.assert_array_equal(np.asarray(refined.values), np.asarray(direct.values))
 
 
+@pytest.mark.parametrize("T", [0.3, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batched_sampling_matches_single_paths(m, T):
+    seeds = [3, 2**64 - 5, 0, 41]
+    batch = rs.sample_path(m, T, 6, seeds)
+    assert batch.seed == tuple(seeds)
+    for b, seed in enumerate(seeds):
+        alone = rs.sample_path(m, T, 6, seed)
+        assert batch.horizon == alone.horizon and batch.n_knots == alone.n_knots
+        np.testing.assert_array_equal(np.asarray(batch.values)[b], np.asarray(alone.values))
+        for n in range(7):
+            np.testing.assert_array_equal(rs.wz_knot_slopes(batch, n)[b], rs.wz_knot_slopes(alone, n))
+            np.testing.assert_array_equal(level_values(batch, n)[b], level_values(alone, n))
+
+
+def test_batched_refine_then_restrict_returns_the_knots():
+    batch = rs.sample_path(2, 1.5, 4, [8, 9, 10])
+    fine = rs.refine(batch)
+    np.testing.assert_array_equal(np.asarray(rs.restrict(fine, 4).values), np.asarray(batch.values))
+    for b, seed in enumerate((8, 9, 10)):
+        np.testing.assert_array_equal(
+            np.asarray(fine.values)[b], np.asarray(rs.refine(rs.sample_path(2, 1.5, 4, seed)).values)
+        )
+    np.testing.assert_array_equal(np.asarray(fine.values), np.asarray(rs.sample_path(2, 1.5, 5, [8, 9, 10]).values))
+
+
 def test_restriction_to_finer_level_rejected():
     path = rs.sample_path(1, 1.0, 3, seed=5)
     with pytest.raises(LevelTooFine):

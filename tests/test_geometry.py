@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from reflectedsde.errors import (
     OutOfDomain,
     ProjectionDiverged,
 )
-from reflectedsde.geometry import MEMBERSHIP_TOL, _resolver
+from reflectedsde.geometry import MEMBERSHIP_TOL, _resolver, closure_tol
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +389,43 @@ def test_make_domain_registry():
     assert d.name == "annulus" and d.c0 == 1.0
     with pytest.raises(ValueError):
         rs.make_domain("polygon")
+
+
+def test_one_closure_tolerance_at_every_entry_point(wavy_coeffs):
+    # The tolerance scales with the diameter: 2e-7 on an interval of width 2000.
+    wide = rs.interval(-1000.0, 1000.0)
+    assert closure_tol(wide) == pytest.approx(2e-7)
+    near, far = [1000.0 + 1e-8], [1000.0 + 1e-6]
+    assert wide.contains(near) and not wide.contains(far)
+    stats = rs.run_coupling_stats(wide, wavy_coeffs, near, 1.0, (2, 3), 4, 2, 4, 1)
+    assert stats.n_failed == 0
+    with pytest.raises(OutOfDomain):
+        rs.run_coupling_stats(wide, wavy_coeffs, far, 1.0, (2, 3), 4, 2, 4, 1)
+    rs.skorokhod_step(wide, near, [0.0])
+    with pytest.raises(OutOfDomain):
+        rs.skorokhod_step(wide, far, [0.0])
+    # Without a closed-form projection, a closure point passes through untouched.
+    bisected = dataclasses.replace(wide, resolve_batch=None)
+    state, d_l = _resolver(bisected)(np.zeros((2, 1)), np.array([near, far]))
+    assert state[0, 0] == near[0] and d_l[0, 0] == 0.0
+    assert float(wide.boundary_distance(state[1])) <= closure_tol(wide) and d_l[1, 0] < 0.0
+
+
+def test_engine_path_does_not_import_scipy():
+    package_root = Path(rs.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import reflectedsde.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+        "from reflectedsde import box, cone_angle\n"
+        "corner = np.array([1.0, 1.0])\n"
+        "print(cone_angle(box([0.0, 0.0], [1.0, 1.0]).nu(corner), np.array([-0.3, -0.7])))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 1e-12
 
 
 def test_cone_angle_corner_membership():

@@ -7,7 +7,9 @@ import pytest
 import reflectedsde as rs
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import DegenerateFit, ExperimentFailed, MismatchedTimes, OutOfDomain
+from reflectedsde import harness
 from reflectedsde.harness import (
+    _chunk_ranges,
     default_rate_exponent,
     jackknife_se,
     path_seed,
@@ -208,7 +210,11 @@ def test_determinism_byte_identical(unit_interval, wavy_coeffs):
     assert run() == run()
 
 
-def test_parallel_workers_match_serial(unit_interval, wavy_coeffs):
+def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
+    # A budget of 200 paths at fine level 7: the M=520 study spans three chunks.
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 200 * 129 * 8)
+    assert len(_chunk_ranges(520, 1.0, 7, 1, 2)) == 3
+
     def clip_half(X, V):  # a closure: workers must inherit it, not rebuild it
         y = X + V
         state = np.clip(y, -0.5, 0.5)
@@ -230,6 +236,51 @@ def test_parallel_workers_match_serial(unit_interval, wavy_coeffs):
         )
         np.testing.assert_array_equal(serial.sup_dist, parallel.sup_dist)
         np.testing.assert_array_equal(serial.f_final, parallel.f_final)
+
+
+def _layout_outputs(domain, coeffs):
+    stats = rs.run_coupling_stats(domain, coeffs, [0.0], 1.0, (3, 4), 12, 3, 4, 5)
+    arrays = [stats.sup_dist, stats.final_dist, stats.f_final, stats.var_final,
+              stats.ref_var_final]
+    holder = [
+        json.dumps(rs.holder_report(
+            domain, coeffs, [0.0], 1.0, process, [2], 12, seed=3, grid_level=4, fine_margin=3,
+        ).to_json_dict(), sort_keys=True)
+        for process in ("reference", 4)
+    ]
+    return arrays, holder
+
+
+def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, monkeypatch):
+    # Both studies use fine level 7 at T=1: 129 knot values of 8 bytes per path.
+    path_bytes = 129 * 8
+    expected = _layout_outputs(unit_interval, wavy_coeffs)
+    assert len(_chunk_ranges(12, 1.0, 7, 1)) == 1
+    for budget, n_chunks in ((1, 12), (4 * path_bytes, 3), (12 * path_bytes, 1)):
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+        assert len(_chunk_ranges(12, 1.0, 7, 1)) == n_chunks
+        arrays, holder = _layout_outputs(unit_interval, wavy_coeffs)
+        for got, want in zip(arrays, expected[0]):
+            np.testing.assert_array_equal(got, want)
+        assert holder == expected[1]
+
+
+@pytest.mark.parametrize("budget", [1, 10_000, 2**20, 2**40])
+def test_chunk_ranges_are_ordered_balanced_and_cover_the_study(budget, monkeypatch):
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+    path_bytes = 65 * 2 * 8  # fine level 6 at T=1 with two noise dimensions
+    for M in (2, 7, 520, 2000):
+        for workers in (1, 2, 3):
+            chunks = _chunk_ranges(M, 1.0, 6, 2, workers)
+            assert [i for chunk in chunks for i in chunk] == list(range(M))
+            widths = [len(chunk) for chunk in chunks]
+            assert min(widths) >= 1 and max(widths) - min(widths) <= 1
+            assert len(chunks) >= min(workers, M)
+            # The fewest chunks whose mean size is within the budget, so a
+            # chunk exceeds it by at most its one extra path.
+            if workers < len(chunks) < M:
+                assert (max(widths) - 1) * path_bytes <= budget
+                assert M * path_bytes > (len(chunks) - 1) * budget
 
 
 def test_modified_domain_is_not_served_an_earlier_study(unit_interval, wavy_coeffs):
