@@ -68,19 +68,22 @@ def test_batched_sampling_matches_single_paths(m, T):
         assert batch.horizon == alone.horizon and batch.n_knots == alone.n_knots
         np.testing.assert_array_equal(np.asarray(batch.values)[b], np.asarray(alone.values))
         for n in range(7):
-            np.testing.assert_array_equal(rs.wz_knot_slopes(batch, n)[b], rs.wz_knot_slopes(alone, n))
+            np.testing.assert_array_equal(
+                rs.wz_knot_slopes(batch, n)[b], rs.wz_knot_slopes(alone, n)
+            )
             np.testing.assert_array_equal(level_values(batch, n)[b], level_values(alone, n))
 
 
 def test_batched_refine_then_restrict_returns_the_knots():
-    batch = rs.sample_path(2, 1.5, 4, [8, 9, 10])
+    seeds = [8, 9, 10]
+    batch = rs.sample_path(2, 1.5, 4, seeds)
     fine = rs.refine(batch)
+    values = np.asarray(fine.values)
     np.testing.assert_array_equal(np.asarray(rs.restrict(fine, 4).values), np.asarray(batch.values))
-    for b, seed in enumerate((8, 9, 10)):
-        np.testing.assert_array_equal(
-            np.asarray(fine.values)[b], np.asarray(rs.refine(rs.sample_path(2, 1.5, 4, seed)).values)
-        )
-    np.testing.assert_array_equal(np.asarray(fine.values), np.asarray(rs.sample_path(2, 1.5, 5, [8, 9, 10]).values))
+    np.testing.assert_array_equal(values, np.asarray(rs.sample_path(2, 1.5, 5, seeds).values))
+    for b, seed in enumerate(seeds):
+        alone = rs.refine(rs.sample_path(2, 1.5, 4, seed))
+        np.testing.assert_array_equal(values[b], np.asarray(alone.values))
 
 
 def test_restriction_to_finer_level_rejected():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
+from reflectedsde import harness
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import DegenerateFit, ExperimentFailed, MismatchedTimes, OutOfDomain
-from reflectedsde import harness
 from reflectedsde.harness import (
     _chunk_ranges,
     default_rate_exponent,
