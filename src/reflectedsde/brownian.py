@@ -88,6 +88,21 @@ class DyadicIndex:
         return cls(level, int(np.floor(t * 2.0**level)))
 
 
+def dyadic_grid(T: float, fine_level: int) -> tuple[int, int]:
+    """``(K, N)`` for a path sampled over ``T`` at ``fine_level``.
+
+    ``K / 2^fine_level`` is the padded horizon and ``N`` the knots per path
+    that ``sample_path`` allocates.  Sampling refines the whole unit grid
+    covering the horizon, so ``N = ceil(K / 2^fine_level) 2^fine_level + 1``
+    exceeds ``K + 1`` when ``T`` is not a whole number; the path's
+    ``values`` is a view of the first ``K + 1`` knots that keeps all ``N``
+    alive.
+    """
+    n_fine = ceil(T * 2.0**fine_level - 1e-9)
+    units = ceil(n_fine / 2.0**fine_level - 1e-12)
+    return n_fine, units * 2**fine_level + 1
+
+
 def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     """Sample a Brownian path on the dyadic grid, canonically refined.
 
@@ -104,15 +119,14 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
         raise ValueError("dim_noise must be at least 1")
     single = np.ndim(seed) == 0
     seeds = (int(seed),) if single else tuple(int(s) for s in seed)
-    n_fine = ceil(T * 2.0**fine_level - 1e-9)
-    units = ceil(n_fine / 2.0**fine_level - 1e-12)
+    n_fine, n_held = dyadic_grid(T, fine_level)
 
     # The final array is allocated once; level 0 fills every 2^fine_level-th
     # knot and each finer level fills the midpoints between filled knots.
     stride = 2**fine_level
-    values = np.empty((len(seeds), units * stride + 1, m))
+    values = np.empty((len(seeds), n_held, m))
     values[:, 0] = 0.0
-    draws = np.empty((units, m))
+    draws = np.empty(((n_held - 1) // stride, m))
     for b, s in enumerate(seeds):
         _level_stream(s, 0).standard_normal(out=draws)
         np.cumsum(draws, axis=0, out=values[b, stride::stride])

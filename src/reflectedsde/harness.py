@@ -8,13 +8,13 @@ per-level errors are coupled through common increments.
 
 Paths are marched in chunks.  A chunk's Brownian paths are held once, as
 one ``(B, K + 1, m)`` array of fine-grid knot values that the reference
-reads step by step and every level restricts; that array dominates a
-chunk's memory.  Chunks are therefore sized by bytes: the study is split
-into the fewest balanced chunks whose path arrays stay within
-``_CHUNK_BYTES``, and never fewer chunks than workers.  With several
-workers the chunks run in forked processes that inherit the domain and
-coefficient objects themselves, so any domain, built-in, modified or
-custom, runs in parallel.  Per-path stats are reduced in path-index order,
+reads step by step and every level restricts; it is the largest of a
+chunk's arrays.  Chunks are therefore sized by bytes: the study is split
+into the fewest balanced chunks whose path arrays, as ``sample_path``
+allocates them, each stay within ``_CHUNK_BYTES``, and never into fewer
+chunks than workers.  With several workers the chunks run in forked
+processes that inherit the domain and coefficient objects themselves, so
+any domain, built-in, modified or custom, runs in parallel.  Per-path stats are reduced in path-index order,
 which makes every report bit-reproducible for a fixed configuration
 regardless of chunk layout or worker count.
 
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import sample_path, wz_knot_slopes
+from .brownian import dyadic_grid, sample_path, wz_knot_slopes
 from .coefficients import CoefficientSet
 from .errors import DegenerateFit, ExperimentFailed, MismatchedTimes
 from .geometry import DomainSpec
@@ -48,8 +48,10 @@ from .solvers import (
     wz_schedule,
 )
 
-# Budget for the Brownian path array of one chunk.  Wider chunks spend less
-# Python time per path; the chunk's other arrays are small beside this one.
+# Budget for the Brownian path array of one chunk, as ``sample_path``
+# allocates it.  Wider chunks spend less Python time per path.  The budget
+# covers that array only: a chunk's march outputs add about 70% more on the
+# acceptance study (see ROADMAP item 3).
 _CHUNK_BYTES = 48 * 2**20
 
 
@@ -276,13 +278,15 @@ class CouplingStats:
 def _chunk_ranges(M: int, T: float, fine_level: int, dim_noise: int, workers: int = 1):
     """Path-index ranges of the chunks of an ``M``-path study, in order.
 
-    The fewest chunks whose ``(B, K + 1, dim_noise)`` path arrays fit in
-    ``_CHUNK_BYTES`` on average, at least ``workers`` of them (at most
-    ``M``), with widths that differ by at most one path.  Balanced widths
-    leave no small trailing chunk.
+    The fewest chunks whose path arrays, as ``sample_path`` allocates them
+    (``dyadic_grid`` knots per path), each fit in ``_CHUNK_BYTES``, at least
+    ``workers`` of them (at most ``M``), with widths that differ by at most
+    one path.  Balanced widths leave no small trailing chunk.  A path wider
+    than the budget gets a chunk of its own.
     """
-    path_bytes = (ceil(T * 2.0**fine_level - 1e-9) + 1) * dim_noise * 8
-    n_chunks = min(max(ceil(M * path_bytes / _CHUNK_BYTES), workers), M)
+    path_bytes = dyadic_grid(T, fine_level)[1] * dim_noise * 8
+    width = max(_CHUNK_BYTES // path_bytes, 1)
+    n_chunks = min(max(ceil(M / width), workers), M)
     bounds = [M * i // n_chunks for i in range(n_chunks + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -367,11 +371,11 @@ def run_coupling_stats(
     """Coupled per-path statistics for all levels on common Brownian paths.
 
     Paths are marched in balanced chunks sized by ``_CHUNK_BYTES``, the
-    memory budget of a chunk's Brownian path array (``8 (K + 1) m`` bytes
-    per path at the fine level); with ``workers > 1`` there are at least
-    ``workers`` chunks, spread over forked processes where the platform can
-    fork.  The stats are bit-identical whatever the chunk layout or worker
-    count.
+    memory budget of a chunk's Brownian path array (``8 N m`` bytes per
+    path, ``N`` from ``brownian.dyadic_grid``); with ``workers > 1`` there
+    are at least ``workers`` chunks, spread over forked processes where the
+    platform can fork.  The stats are bit-identical whatever the chunk
+    layout or worker count.
     """
     levels = tuple(int(n) for n in levels)
     if not levels or list(levels) != sorted(set(levels)):
@@ -577,7 +581,7 @@ def holder_report(
         label = f"wz-{process}"
 
     # Grid knots must sit on the fine grid of the padded horizon.
-    horizon = ceil(T * 2.0**fine_level - 1e-9) / 2.0**fine_level
+    horizon = dyadic_grid(T, fine_level)[0] / 2.0**fine_level
     n_grid = int(np.floor(horizon * 2.0**grid_level + 1e-9))
     grid = np.arange(n_grid + 1) / 2.0**grid_level
     states = np.empty((M, len(grid), domain.dim))

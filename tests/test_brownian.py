@@ -1,11 +1,12 @@
 import io
+from math import ceil
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
 import reflectedsde as rs
-from reflectedsde.brownian import level_values
+from reflectedsde.brownian import dyadic_grid, level_values
 from reflectedsde.errors import InvalidHorizon, LevelTooFine
 
 
@@ -31,6 +32,18 @@ def test_horizon_padding():
     assert path.n_knots == 3
     with pytest.raises(InvalidHorizon):
         rs.sample_path(1, 0.0, 3, seed=1)
+
+
+@pytest.mark.parametrize("T", [0.01, 0.3, 1.0, 1.5])
+def test_dyadic_grid_counts_the_sampled_knots(T):
+    n_fine, n_held = dyadic_grid(T, 5)
+    for seed in (4, [4, 5]):
+        values = rs.sample_path(2, T, 5, seed).values
+        assert values.shape[-2] == n_fine + 1
+        base = values
+        while base.base is not None:
+            base = base.base
+        assert base.shape[-2] == n_held == ceil(T) * 32 + 1
 
 
 def test_refine_preserves_knots_exactly():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import harness
+from reflectedsde import brownian, harness
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import DegenerateFit, ExperimentFailed, MismatchedTimes, OutOfDomain
 from reflectedsde.harness import (
@@ -276,11 +276,42 @@ def test_chunk_ranges_are_ordered_balanced_and_cover_the_study(budget, monkeypat
             widths = [len(chunk) for chunk in chunks]
             assert min(widths) >= 1 and max(widths) - min(widths) <= 1
             assert len(chunks) >= min(workers, M)
-            # The fewest chunks whose mean size is within the budget, so a
-            # chunk exceeds it by at most its one extra path.
+            # The fewest chunks that each fit in the budget.
+            width = budget // path_bytes
+            if width >= 1:
+                assert max(widths) * path_bytes <= budget
             if workers < len(chunks) < M:
-                assert (max(widths) - 1) * path_bytes <= budget
-                assert M * path_bytes > (len(chunks) - 1) * budget
+                assert M > (len(chunks) - 1) * width
+
+
+def _allocated_bytes(array):
+    while array.base is not None:
+        array = array.base
+    return array.nbytes
+
+
+def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
+    unit_interval, wavy_coeffs, monkeypatch
+):
+    # At T=0.3 and fine level 7 a path uses 40 knots but sampling refines
+    # the whole unit interval, 129 knots, and the path keeps them alive.
+    assert brownian.dyadic_grid(0.3, 7) == (39, 129)
+    budget = 10 * 129 * 8
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+    allocated = []
+
+    def recording_sample_path(*args):
+        path = brownian.sample_path(*args)
+        allocated.append(_allocated_bytes(path.values))
+        return path
+
+    monkeypatch.setattr(harness, "sample_path", recording_sample_path)
+    rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 0.3, (3, 4), 24, 3, 4, 5)
+    rs.holder_report(
+        unit_interval, wavy_coeffs, [0.0], 0.3, 4, [2], 24, seed=3, grid_level=4, fine_margin=3
+    )
+    assert len(allocated) == 6
+    assert max(allocated) <= budget
 
 
 def test_modified_domain_is_not_served_an_earlier_study(unit_interval, wavy_coeffs):
