@@ -8,6 +8,14 @@ independent of call order, ``refine`` then restrict returns the original
 knot values byte-exactly, and sampling directly at a fine level equals
 repeated refinement of a coarser path.
 
+Each stream is the Philox generator that ``SeedSequence([seed, level])``
+keys (the seed masked to 63 bits), started at counter zero.  A sampling
+call computes the whole ``(levels, paths)`` key table in one vectorised
+pass of SeedSequence's hash (``stream_keys``) and re-keys one Philox
+before each stream, instead of building a ``SeedSequence``, a ``Philox``
+and a ``Generator`` per stream; the draws are exactly those of
+``Generator(Philox(SeedSequence([seed, level])))``.
+
 The interpolant is the lagged one: on the knot interval starting at
 ``k / 2^n`` it interpolates the path over the PREVIOUS knot interval, which
 makes its slope depend only on already-observed increments.  Values at
@@ -34,8 +42,100 @@ from .errors import InvalidHorizon, LevelTooFine
 _HEADER = struct.Struct("<IIdQ")
 
 
-def _level_stream(seed: int, level: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed & 0x7FFFFFFFFFFFFFFF, level])))
+_SEED_MASK = 2**63 - 1
+_U32 = 0xFFFFFFFF
+
+
+def _hash_chain(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiply constants of ``calls`` successive ``hashmix`` calls.
+
+    SeedSequence's hash constant starts at ``init`` and is multiplied by
+    ``mult`` inside each call: call ``i`` xors with link ``i`` of that chain
+    and multiplies by link ``i + 1``.  Each result has shape ``(calls, 1, 1)``.
+    """
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _U32)
+    chain = np.array(chain, np.uint32)[:, None, None]
+    chain.setflags(write=False)
+    return chain[:-1], chain[1:]
+
+
+# numpy's SeedSequence at its default pool size of 4 words.  Filling the
+# pool takes 4 ``hashmix`` calls, mixing takes 12 (each source word hashed
+# once per other word, in source-major order), and ``generate_state`` of
+# two uint64 words hashes the 4 pool words with a second chain.
+_FILL_XOR, _FILL_MUL = _hash_chain(0x43B0D7E5, 0x931E8875, 16)
+_MIX_XOR, _MIX_MUL = _FILL_XOR[4:].reshape(4, 3, 1, 1), _FILL_MUL[4:].reshape(4, 3, 1, 1)
+_OUT_XOR, _OUT_MUL = _hash_chain(0x8B51F9DD, 0x58F38DED, 4)
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_MIX_DST = np.array([[d for d in range(4) if d != s] for s in range(4)])
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    h = words ^ xor
+    h *= mul
+    h ^= h >> np.uint32(16)
+    return h
+
+
+def stream_keys(seeds, levels) -> np.ndarray:
+    """Philox keys of the ``(seed, level)`` streams, shape ``(L, B, 2)``.
+
+    Row ``[j, b]`` equals ``SeedSequence([seeds[b] & (2**63 - 1),
+    levels[j]]).generate_state(2, np.uint64)`` bit for bit: the pool-4 hash
+    runs as uint32 array arithmetic over every (level, seed) pair at once.
+    Seeds are masked as Python ints, so negative seeds and seeds of 2^63
+    and above are accepted.
+    """
+    masked = np.array([int(s) & _SEED_MASK for s in seeds], np.uint64)
+    lo = masked.astype(np.uint32)
+    hi = (masked >> np.uint64(32)).astype(np.uint32)
+    level = np.asarray(levels, np.uint32)[:, None]
+    # SeedSequence's entropy words: [lo, level] when the seed fits 32 bits,
+    # else [lo, hi, level]; the pool pads them with zeros.
+    wide = hi != 0
+    entropy = np.zeros((4, len(level), len(masked)), np.uint32)
+    entropy[0] = lo
+    entropy[1] = np.where(wide, hi, level)
+    entropy[2] = np.where(wide, level, 0)
+    pool = _hashmix(entropy, _FILL_XOR[:4], _FILL_MUL[:4])
+    for src in range(4):
+        hashed = _hashmix(pool[src], _MIX_XOR[src], _MIX_MUL[src])
+        dst = _MIX_DST[src]
+        mixed = _MIX_L * pool[dst]
+        mixed -= _MIX_R * hashed
+        mixed ^= mixed >> np.uint32(16)
+        pool[dst] = mixed
+    words = _hashmix(pool, _OUT_XOR, _OUT_MUL).astype(np.uint64)
+    words[1::2] <<= np.uint64(32)
+    return np.stack([words[0] | words[1], words[2] | words[3]], -1)
+
+
+def _stream_filler(seeds, first_level: int, last_level: int):
+    """``fill(level, b, out)``: ``out`` filled with standard normals from the
+    start of the ``(seeds[b], level)`` stream, for levels ``first_level`` to
+    ``last_level``.  One Philox serves every stream; it is re-keyed at
+    counter zero with an empty buffer before each fill."""
+    keys = stream_keys(seeds, range(first_level, last_level + 1))
+    bitgen = np.random.Philox(key=0)
+    normal = np.random.Generator(bitgen).standard_normal
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": None},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def fill(level: int, b: int, out: np.ndarray) -> None:
+        state["state"]["key"] = keys[level - first_level, b]
+        bitgen.state = state
+        normal(out=out)
+
+    return fill
 
 
 @dataclass(frozen=True)
@@ -127,11 +227,12 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     values = np.empty((len(seeds), n_held, m))
     values[:, 0] = 0.0
     draws = np.empty(((n_held - 1) // stride, m))
-    for b, s in enumerate(seeds):
-        _level_stream(s, 0).standard_normal(out=draws)
+    fill = _stream_filler(seeds, 0, fine_level)
+    for b in range(len(seeds)):
+        fill(0, b, draws)
         np.cumsum(draws, axis=0, out=values[b, stride::stride])
     for level in range(1, fine_level + 1):
-        _insert_midpoints(values, stride, seeds, level)
+        _insert_midpoints(values, stride, fill, level)
         stride //= 2
     values = values[:, : n_fine + 1]
     return BrownianPath(
@@ -140,19 +241,19 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     )
 
 
-def _insert_midpoints(values: np.ndarray, stride: int, seeds, level: int) -> None:
+def _insert_midpoints(values: np.ndarray, stride: int, fill, level: int) -> None:
     """Fill, in place, the level-``level`` midpoints of knots ``stride`` apart.
 
-    ``values`` is ``(B, N, m)``; row ``b`` draws from the stream of
-    ``(seeds[b], level)``.  Each midpoint is the mean of its neighbours plus
-    a scaled normal, evaluated in that order.
+    ``values`` is ``(B, N, m)``; row ``b`` draws ``fill(level, b, ...)``,
+    the stream of its seed at ``level``.  Each midpoint is the mean of its
+    neighbours plus a scaled normal, evaluated in that order.
     """
     mid = values[:, stride // 2 :: stride]
     np.add(values[:, 0:-1:stride], values[:, stride::stride], out=mid)
     mid *= 0.5
     xi = np.empty(mid.shape[1:])
-    for b, s in enumerate(seeds):
-        _level_stream(s, level).standard_normal(out=xi)
+    for b in range(len(values)):
+        fill(level, b, xi)
         xi *= 2.0 ** (-0.5 * (level + 1))
         mid[b] += xi
 
@@ -162,10 +263,10 @@ def refine(path: BrownianPath) -> BrownianPath:
     old = np.asarray(path.values)
     values = np.empty(old.shape[:-2] + (2 * old.shape[-2] - 1, old.shape[-1]))
     values[..., ::2, :] = old
-    if values.ndim == 3:
-        _insert_midpoints(values, 2, path.seed, path.fine_level + 1)
-    else:
-        _insert_midpoints(values[None], 2, (path.seed,), path.fine_level + 1)
+    level = path.fine_level + 1
+    batch = values.ndim == 3
+    seeds = path.seed if batch else (path.seed,)
+    _insert_midpoints(values if batch else values[None], 2, _stream_filler(seeds, level, level), level)
     return BrownianPath(path.dim_noise, path.horizon, path.fine_level + 1, path.seed, values)
 
 
@@ -192,6 +293,7 @@ def wz_value(path: BrownianPath, n: int, t: float) -> np.ndarray:
 
     On ``[k/2^n, (k+1)/2^n)`` the value runs linearly from the knot value at
     ``(k-1)/2^n`` to the one at ``k/2^n``; values at negative times are zero.
+    A batch of ``B`` paths gives one ``(B, dim_noise)`` row per path.
     """
     if n > path.fine_level:
         raise LevelTooFine(f"level {n} exceeds the path's fine level {path.fine_level}")
@@ -202,13 +304,14 @@ def wz_value(path: BrownianPath, n: int, t: float) -> np.ndarray:
     frac = scaled - k
     stride = 2 ** (path.fine_level - n)
     values = np.asarray(path.values)
-    w_k = values[min(k * stride, path.n_knots)]
-    w_prev = values[max(k - 1, 0) * stride]
+    w_k = values[..., min(k * stride, path.n_knots), :]
+    w_prev = values[..., max(k - 1, 0) * stride, :]
     return w_prev + frac * (w_k - w_prev)
 
 
 def wz_slope(path: BrownianPath, n: int, t: float) -> np.ndarray:
-    """Right-continuous derivative of the lagged interpolant at time ``t``."""
+    """Right-continuous derivative of the lagged interpolant at time ``t``
+    (one row per path for a batch, as ``wz_value``)."""
     if n > path.fine_level:
         raise LevelTooFine(f"level {n} exceeds the path's fine level {path.fine_level}")
     if t < 0 or t > path.horizon + 1e-12:
@@ -216,8 +319,8 @@ def wz_slope(path: BrownianPath, n: int, t: float) -> np.ndarray:
     k = int(np.floor(t * 2.0**n))
     stride = 2 ** (path.fine_level - n)
     values = np.asarray(path.values)
-    w_k = values[min(k * stride, path.n_knots)]
-    w_prev = values[max(k - 1, 0) * stride]
+    w_k = values[..., min(k * stride, path.n_knots), :]
+    w_prev = values[..., max(k - 1, 0) * stride, :]
     return 2.0**n * (w_k - w_prev)
 
 
@@ -241,7 +344,12 @@ def wz_knot_slopes(path: BrownianPath, n: int) -> np.ndarray:
 
 
 def dump_increments(path: BrownianPath, fileobj) -> None:
-    """Binary dump: little-endian header (m, fine_level, horizon, seed) then increments."""
+    """Binary dump: little-endian header (m, fine_level, horizon, seed) then increments.
+
+    The format holds one path; a batch raises ``ValueError``.
+    """
+    if np.ndim(path.values) != 2:
+        raise ValueError("dump_increments takes a single path, not a batch")
     fileobj.write(
         _HEADER.pack(
             path.dim_noise,

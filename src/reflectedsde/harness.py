@@ -298,17 +298,21 @@ def _chunk_paths(coeffs, T, fine_level, seed, indices):
 
 
 def _march_chunk(domain, coeffs, x0, paths, process, grid, substeps):
-    """Outputs at ``grid`` of the reference (``process="reference"``) or the
-    level-``process`` approximation, marched over one batch of paths."""
+    """States and variation at ``grid`` of the reference
+    (``process="reference"``) or the level-``process`` approximation,
+    marched over one batch of paths; the regulator is not recorded."""
     x0_batch = np.broadcast_to(x0, (len(paths.values), domain.dim)).copy()
     if process == "reference":
         out_steps = fine_grid_positions(paths, grid)
         return integrate_reference_batch(
-            domain, coeffs, x0_batch, paths.values, paths.fine_level, out_steps
+            domain, coeffs, x0_batch, paths.values, paths.fine_level, out_steps,
+            record_regulator=False,
         )
     slopes = wz_knot_slopes(paths, process)
     times, knot_idx, out_pos = wz_schedule(process, substeps, grid, paths.horizon)
-    return integrate_wz_batch(domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos)
+    return integrate_wz_batch(
+        domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos, record_regulator=False
+    )
 
 
 def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, indices):

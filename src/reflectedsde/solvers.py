@@ -126,25 +126,29 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
 # Kernels (batched over paths)
 # ---------------------------------------------------------------------------
 
-def _march(domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, record_substeps):
+def _march(
+    domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, record_substeps,
+    record_regulator,
+):
     """The discrete Skorokhod march both solvers share.
 
     Step ``i`` (from ``times[i]`` to ``times[i + 1]``) adds
     ``displacement(i, X)`` to the batch state ``X``, resolves the result
     against the closure, and accumulates the regulator and its variation.
-    Returns states, cumulative regulator, and cumulative variation at the
-    step positions ``out_pos``, each with a leading output axis, plus an
-    optional substep log (batch size one only).
+    Returns states, cumulative regulator (``None`` unless
+    ``record_regulator``), and cumulative variation at the step positions
+    ``out_pos``, each with a leading output axis, plus an optional substep
+    log (batch size one only).
     """
     B, d = x0.shape
     X = np.array(x0, float)
-    L = np.zeros((B, d))
+    L = np.zeros((B, d)) if record_regulator else None
     var = np.zeros(B)
     resolve = _resolver(domain)
 
     n_out = len(out_pos)
     out_states = np.empty((n_out, B, d))
-    out_reg = np.empty((n_out, B, d))
+    out_reg = np.empty((n_out, B, d)) if record_regulator else None
     out_var = np.empty((n_out, B))
     record_at = np.full(len(times), -1, np.intp)
     record_at[out_pos] = np.arange(n_out)
@@ -158,21 +162,24 @@ def _march(domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, rec
 
     if record_at[0] >= 0:
         out_states[record_at[0]] = X
-        out_reg[record_at[0]] = L
+        if record_regulator:
+            out_reg[record_at[0]] = L
         out_var[record_at[0]] = var
 
     for i in range(n_steps):
         X, d_l = resolve(X, displacement(i, X))
         # np.linalg.norm(d_l, axis=1), without its dispatch.
         d_var = np.sqrt(np.add.reduce(d_l * d_l, axis=1))
-        L += d_l
+        if record_regulator:
+            L += d_l
         var += d_var
         j = record_at[i + 1]
         if j >= 0:
             if abort_check and not np.all(np.isfinite(X)):
                 raise NonFiniteState(f"non-finite state at t={times[i + 1]}")
             out_states[j] = X
-            out_reg[j] = L
+            if record_regulator:
+                out_reg[j] = L
             out_var[j] = var
         if record_substeps:
             sub_states[i] = X[0]
@@ -195,11 +202,15 @@ def integrate_wz_batch(
     knot_idx: np.ndarray,
     out_pos: np.ndarray,
     record_substeps: bool = False,
+    *,
+    record_regulator: bool = True,
 ):
     """Drive the constrained ODE for a batch of paths over one schedule.
 
     ``slopes`` has shape ``(B, K_n, m)``; each step moves along the
-    interpolant's slope on its knot interval.  Returns as ``_march``.
+    interpolant's slope on its knot interval.  Returns as ``_march``;
+    ``record_regulator=False`` skips the ``(n_out, B, d)`` regulator record
+    for callers that read only states and variation.
     """
     dts = np.diff(times)
 
@@ -207,7 +218,7 @@ def integrate_wz_batch(
         s = slopes[:, knot_idx[i], :]
         return (np.einsum("bij,bj->bi", coeffs.sigma(X), s) + coeffs.b(X)) * dts[i]
 
-    return _march(domain, x0, times, out_pos, displacement, record_substeps)
+    return _march(domain, x0, times, out_pos, displacement, record_substeps, record_regulator)
 
 
 def integrate_reference_batch(
@@ -218,6 +229,8 @@ def integrate_reference_batch(
     fine_level: int,
     out_steps: np.ndarray,
     record_substeps: bool = False,
+    *,
+    record_regulator: bool = True,
 ):
     """Projected Euler-Maruyama over the fine grid for a batch of paths.
 
@@ -225,6 +238,7 @@ def integrate_reference_batch(
     step forms its own increment, so no increments array is held.
     ``out_steps`` are fine-knot indices at which to record, and the march
     stops at the last of them.  ``sigma`` is evaluated once per step.
+    ``record_regulator`` is as for ``integrate_wz_batch``.
     """
     h = 2.0 ** (-fine_level)
     last = int(np.max(out_steps)) if len(out_steps) else 0
@@ -234,7 +248,10 @@ def integrate_reference_batch(
         dw = values[:, k + 1] - values[:, k]
         return np.einsum("bij,bj->bi", sig, dw) + ito_drift_batch(coeffs, X, sig) * h
 
-    return _march(domain, x0, np.arange(last + 1) * h, out_steps, displacement, record_substeps)
+    return _march(
+        domain, x0, np.arange(last + 1) * h, out_steps, displacement, record_substeps,
+        record_regulator,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +272,8 @@ def _check_start(domain: DomainSpec, coeffs: CoefficientSet, x0) -> np.ndarray:
 
 
 def _validate_start(domain: DomainSpec, coeffs: CoefficientSet, path: BrownianPath, x0):
+    if np.ndim(path.values) != 2:
+        raise ValueError("the per-path solvers take a single path, not a batch")
     x0 = _check_start(domain, coeffs, x0)
     if coeffs.dim_noise != path.dim_noise:
         raise ValueError("coefficient noise dimension does not match the path")

@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from math import ceil
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy import stats as sstats
 
 import reflectedsde as rs
-from reflectedsde.brownian import dyadic_grid, level_values
+from reflectedsde.brownian import dyadic_grid, level_values, stream_keys
 from reflectedsde.errors import InvalidHorizon, LevelTooFine
 
 
@@ -97,6 +98,87 @@ def test_batched_refine_then_restrict_returns_the_knots():
     for b, seed in enumerate(seeds):
         alone = rs.refine(rs.sample_path(2, 1.5, 4, seed))
         np.testing.assert_array_equal(values[b], np.asarray(alone.values))
+
+
+# ---------------------------------------------------------------------------
+# Stream keys: the canonical construction with one SeedSequence per stream
+# ---------------------------------------------------------------------------
+
+_MASK = 2**63 - 1
+_ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63 + 5, 2**64 - 1, -1, -(2**40), 2**70 + 3]
+
+
+def _oracle_stream(seed, level):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed & _MASK, level])))
+
+
+def _oracle_midpoints(left, right, seed, level):
+    xi = _oracle_stream(seed, level).standard_normal(left.shape)
+    return 0.5 * (left + right) + xi * 2.0 ** (-0.5 * (level + 1))
+
+
+def _oracle_path(m, T, fine_level, seed):
+    """Knot values of one path, each stream from its own freshly seeded generator."""
+    n_fine, n_held = dyadic_grid(T, fine_level)
+    stride = 2**fine_level
+    values = np.zeros((n_held, m))
+    draws = _oracle_stream(seed, 0).standard_normal(((n_held - 1) // stride, m))
+    values[stride::stride] = np.cumsum(draws, axis=0)
+    for level in range(1, fine_level + 1):
+        values[stride // 2 :: stride] = _oracle_midpoints(
+            values[0:-1:stride], values[stride::stride], seed, level
+        )
+        stride //= 2
+    return values[: n_fine + 1]
+
+
+def _oracle_refine(values, fine_level, seed):
+    fine = np.empty((2 * len(values) - 1, values.shape[1]))
+    fine[::2] = values
+    fine[1::2] = _oracle_midpoints(values[:-1], values[1:], seed, fine_level + 1)
+    return fine
+
+
+@pytest.mark.parametrize("fine_level", [1, 5, 8])
+@pytest.mark.parametrize("T", [0.3, 1.0, 1.5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sampling_matches_one_seedsequence_generator_per_stream(m, T, fine_level):
+    batch = rs.sample_path(m, T, fine_level, _ORACLE_SEEDS)
+    refined = np.asarray(rs.refine(batch).values)
+    for b, seed in enumerate(_ORACLE_SEEDS):
+        expected = _oracle_path(m, T, fine_level, seed)
+        alone = rs.sample_path(m, T, fine_level, seed)
+        np.testing.assert_array_equal(np.asarray(batch.values)[b], expected)
+        np.testing.assert_array_equal(np.asarray(alone.values), expected)
+        expected_fine = _oracle_refine(expected, fine_level, seed)
+        np.testing.assert_array_equal(refined[b], expected_fine)
+        np.testing.assert_array_equal(np.asarray(rs.refine(alone).values), expected_fine)
+
+
+def test_stream_keys_match_seedsequence():
+    rng = np.random.default_rng(2024)
+    seeds = _ORACLE_SEEDS + [int(s) for s in rng.integers(0, 2**64 - 1, 300, np.uint64, endpoint=True)]
+    keys = stream_keys(seeds, range(21))
+    assert keys.shape == (21, len(seeds), 2) and keys.dtype == np.uint64
+    for level in range(21):
+        for b, seed in enumerate(seeds):
+            expected = np.random.SeedSequence([seed & _MASK, level]).generate_state(2, np.uint64)
+            np.testing.assert_array_equal(keys[level, b], expected)
+
+
+def test_batched_sampling_builds_one_philox_and_no_seedsequence(monkeypatch):
+    built = Counter()
+    for name in ("Philox", "SeedSequence"):
+        def counting(*args, _cls=getattr(np.random, name), _name=name, **kwargs):
+            built[_name] += 1
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+    batch = rs.sample_path(2, 1.5, 6, list(range(20)))
+    assert built["SeedSequence"] == 0 and built["Philox"] <= 1
+    built.clear()
+    rs.refine(batch)
+    assert built["SeedSequence"] == 0 and built["Philox"] <= 1
 
 
 def test_restriction_to_finer_level_rejected():
@@ -254,6 +336,19 @@ def test_level_too_fine_rejected():
         rs.wz_slope(path, 5, 0.3)
 
 
+def test_interpolant_of_a_batch_is_one_row_per_path():
+    seeds = [3, 4, 5]
+    batch = rs.sample_path(2, 1.0, 6, seeds)
+    alone = [rs.sample_path(2, 1.0, 6, seed) for seed in seeds]
+    for n in (0, 3, 6):
+        for t in (0.0, 0.01, 0.3, 0.5, 1.0):
+            value, slope = rs.wz_value(batch, n, t), rs.wz_slope(batch, n, t)
+            assert value.shape == slope.shape == (3, 2)
+            for b, path in enumerate(alone):
+                np.testing.assert_array_equal(value[b], rs.wz_value(path, n, t))
+                np.testing.assert_array_equal(slope[b], rs.wz_slope(path, n, t))
+
+
 # ---------------------------------------------------------------------------
 # Dyadic index and serialization
 # ---------------------------------------------------------------------------
@@ -282,3 +377,8 @@ def test_binary_dump_round_trip():
     assert loaded.seed == 77
     np.testing.assert_allclose(loaded.increments, path.increments, atol=1e-15)
     np.testing.assert_allclose(np.asarray(loaded.values), np.asarray(path.values), atol=1e-13)
+
+
+def test_dump_increments_rejects_a_batch():
+    with pytest.raises(ValueError, match="batch"):
+        rs.dump_increments(rs.sample_path(1, 1.0, 3, [1, 2]), io.BytesIO())

@@ -314,6 +314,25 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
     assert max(allocated) <= budget
 
 
+def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interval, wavy_coeffs):
+    seeds = [21, 22, 23]
+    paths = rs.sample_path(1, 1.0, 7, seeds)
+    grid = harness.coupled_output_grid(3, [1.0], 1.0)
+    for process in ("reference", 3):
+        states, reg, var, _ = harness._march_chunk(
+            unit_interval, wavy_coeffs, np.array([0.0]), paths, process, grid, 4
+        )
+        assert reg is None
+        for b, seed in enumerate(seeds):
+            path = rs.sample_path(1, 1.0, 7, seed)
+            if process == "reference":
+                alone = rs.solve_reference(unit_interval, wavy_coeffs, path, [0.0], grid)
+            else:
+                alone = rs.solve_wz(unit_interval, wavy_coeffs, path, 3, 4, [0.0], grid)
+            np.testing.assert_array_equal(states[:, b], alone.states)
+            np.testing.assert_array_equal(var[:, b], alone.variation)
+
+
 def test_modified_domain_is_not_served_an_earlier_study(unit_interval, wavy_coeffs):
     args = (wavy_coeffs, [0.0], 1.0, (3, 4), 24, 3, 4, 5)
     rs.run_coupling_stats(unit_interval, *args)

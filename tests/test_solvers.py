@@ -256,3 +256,15 @@ def test_solver_determinism(unit_interval, wavy_coeffs):
     b = rs.solve_wz(unit_interval, wavy_coeffs, path, 5, 8, [0.0], [1.0])
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.regulator, b.regulator)
+
+
+def test_per_path_solvers_reject_a_batch(unit_interval, wavy_coeffs):
+    batch = rs.sample_path(1, 1.0, 6, [1, 2])
+    calls = (
+        lambda: rs.solve_wz(unit_interval, wavy_coeffs, batch, 3, 4, [0.0], [1.0]),
+        lambda: rs.solve_reference(unit_interval, wavy_coeffs, batch, [0.0], [1.0]),
+        lambda: rs.coupled_solve(unit_interval, wavy_coeffs, batch, 3, 4, [0.0], [1.0]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="single path"):
+            call()
