@@ -336,11 +336,16 @@ def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, 
 
     for j, n in enumerate(levels):
         wz_states, _, wz_var, _ = _march_chunk(domain, coeffs, x0, paths, n, grid, substeps)
-        dist = np.linalg.norm(wz_states - ref_states, axis=2)
         with np.errstate(invalid="ignore"):
+            weight = np.exp(r * (phi_ref_final + domain.phi(wz_states[-1])))
+            # np.linalg.norm(wz_states - ref_states, axis=2), formed in the
+            # march's output rather than in three temporaries of its size.
+            sq = np.subtract(wz_states, ref_states, out=wz_states)
+            sq *= sq
+            dist = np.add.reduce(sq, axis=2)
+            np.sqrt(dist, out=dist)
             sup_dist[:, j] = np.max(dist, axis=0)
             final_dist[:, j] = dist[-1]
-            weight = np.exp(r * (phi_ref_final + domain.phi(wz_states[-1])))
             f_final[:, j] = weight * dist[-1] ** 2
             var_final[:, j] = wz_var[-1]
     return sup_dist, final_dist, f_final, var_final, ref_var[-1]
