@@ -264,9 +264,9 @@ def refine(path: BrownianPath) -> BrownianPath:
     values = np.empty(old.shape[:-2] + (2 * old.shape[-2] - 1, old.shape[-1]))
     values[..., ::2, :] = old
     level = path.fine_level + 1
-    batch = values.ndim == 3
-    seeds = path.seed if batch else (path.seed,)
-    _insert_midpoints(values if batch else values[None], 2, _stream_filler(seeds, level, level), level)
+    seeds = path.seed if values.ndim == 3 else (path.seed,)
+    fill = _stream_filler(seeds, level, level)
+    _insert_midpoints(values.reshape((len(seeds),) + values.shape[-2:]), 2, fill, level)
     return BrownianPath(path.dim_noise, path.horizon, path.fine_level + 1, path.seed, values)
 
 

@@ -50,8 +50,9 @@ from .solvers import (
 
 # Budget for the Brownian path array of one chunk, as ``sample_path``
 # allocates it.  Wider chunks spend less Python time per path.  The budget
-# covers that array only: a chunk's march outputs add about 70% more on the
-# acceptance study (see ROADMAP item 3).
+# covers that array only: the march outputs and the per-level reduction add
+# about 30 MB to the 42 MB path array of an acceptance-study chunk (see
+# ROADMAP item 3).
 _CHUNK_BYTES = 48 * 2**20
 
 

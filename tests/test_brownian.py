@@ -157,7 +157,8 @@ def test_sampling_matches_one_seedsequence_generator_per_stream(m, T, fine_level
 
 def test_stream_keys_match_seedsequence():
     rng = np.random.default_rng(2024)
-    seeds = _ORACLE_SEEDS + [int(s) for s in rng.integers(0, 2**64 - 1, 300, np.uint64, endpoint=True)]
+    drawn = rng.integers(0, 2**64 - 1, 300, np.uint64, endpoint=True)
+    seeds = _ORACLE_SEEDS + [int(s) for s in drawn]
     keys = stream_keys(seeds, range(21))
     assert keys.shape == (21, len(seeds), 2) and keys.dtype == np.uint64
     for level in range(21):
