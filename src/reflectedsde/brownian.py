@@ -44,6 +44,8 @@ _HEADER = struct.Struct("<IIdQ")
 
 _SEED_MASK = 2**63 - 1
 _U32 = 0xFFFFFFFF
+# Size of the buffer that midpoint insertion draws normals into.
+_SCRATCH_BYTES = 2**20
 
 
 def _hash_chain(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,11 +115,13 @@ def stream_keys(seeds, levels) -> np.ndarray:
     return np.stack([words[0] | words[1], words[2] | words[3]], -1)
 
 
-def _stream_filler(seeds, first_level: int, last_level: int):
+def _stream_filler(seeds, first_level: int, last_level: int, resume: bool = False):
     """``fill(level, b, out)``: ``out`` filled with standard normals from the
-    start of the ``(seeds[b], level)`` stream, for levels ``first_level`` to
-    ``last_level``.  One Philox serves every stream; it is re-keyed at
-    counter zero with an empty buffer before each fill."""
+    ``(seeds[b], level)`` stream, for levels ``first_level`` to
+    ``last_level``.  One Philox serves every stream; it is re-keyed with an
+    empty buffer at counter zero before each fill, or, with ``resume``, at
+    the counter and buffer where the stream's previous fill stopped.  A
+    stream drawn in pieces so gives the values it gives in one draw."""
     keys = stream_keys(seeds, range(first_level, last_level + 1))
     bitgen = np.random.Philox(key=0)
     normal = np.random.Generator(bitgen).standard_normal
@@ -129,11 +133,26 @@ def _stream_filler(seeds, first_level: int, last_level: int):
         "has_uint32": 0,
         "uinteger": 0,
     }
+    if resume:
+        # Per stream: counter (4 words), buffer (4 words), buffer position.
+        # Normal draws never leave a spare 32-bit half, so that is all.
+        saved = np.zeros(keys.shape[:2] + (9,), np.uint64)
+        saved[..., 8] = 4
 
     def fill(level: int, b: int, out: np.ndarray) -> None:
         state["state"]["key"] = keys[level - first_level, b]
+        if resume:
+            row = saved[level - first_level, b]
+            state["state"]["counter"] = row[:4]
+            state["buffer"] = row[4:8]
+            state["buffer_pos"] = int(row[8])
         bitgen.state = state
         normal(out=out)
+        if resume:
+            after = bitgen.state
+            row[:4] = after["state"]["counter"]
+            row[4:8] = after["buffer"]
+            row[8] = after["buffer_pos"]
 
     return fill
 
@@ -251,11 +270,73 @@ def _insert_midpoints(values: np.ndarray, stride: int, fill, level: int) -> None
     mid = values[:, stride // 2 :: stride]
     np.add(values[:, 0:-1:stride], values[:, stride::stride], out=mid)
     mid *= 0.5
-    xi = np.empty(mid.shape[1:])
-    for b in range(len(values)):
-        fill(level, b, xi)
-        xi *= 2.0 ** (-0.5 * (level + 1))
-        mid[b] += xi
+    # Rows are drawn into a scratch of about _SCRATCH_BYTES, then scaled and
+    # added a scratch at a time, with two numpy calls per scratch, not per row.
+    B, n, m = mid.shape
+    rows = min(B, max(1, _SCRATCH_BYTES // mid[0].nbytes))
+    xi = np.empty((rows, n, m))
+    for lo in range(0, B, rows):
+        part = xi[: B - lo]
+        for j in range(len(part)):
+            fill(level, lo + j, part[j])
+        part *= 2.0 ** (-0.5 * (level + 1))
+        mid[lo : lo + rows] += part
+
+
+@dataclass(frozen=True)
+class FineBlocks:
+    """Fine knots of a batch of paths, refined from its coarse knots one
+    time block at a time.
+
+    ``coarse`` is a batch sampled at level ``coarse.fine_level``, at most
+    ``fine_level``; ``n_knots`` fine intervals (the padded horizon) must lie
+    within it.  ``blocks()`` yields ``(start, values)``: ``values`` is
+    ``(B, n + 1, m)``, the fine knots ``start`` to ``start + n``, equal bit
+    for bit to the same knots of ``sample_path`` at ``fine_level``.  A block
+    spans whole coarse intervals, as many as fit in ``max_bytes`` (at least
+    one); consecutive blocks share their boundary knot, and the last ends at
+    the coarse knot at or after the horizon.  Each (path, level) stream
+    resumes where the previous block stopped.  Every block is a view of one
+    buffer, valid until the next is drawn.
+    """
+
+    coarse: BrownianPath
+    fine_level: int
+    n_knots: int
+    max_bytes: int
+
+    def __post_init__(self):
+        if np.ndim(self.coarse.values) != 3:
+            raise ValueError("FineBlocks takes a batch of paths")
+        if self.fine_level < self.coarse.fine_level:
+            raise ValueError("the fine level must not lie above the coarse path's level")
+        if self.n_knots > self.coarse.n_knots * self._stride:
+            raise ValueError("the fine horizon exceeds the coarse path")
+
+    @property
+    def _stride(self) -> int:
+        return 2 ** (self.fine_level - self.coarse.fine_level)
+
+    def blocks(self):
+        coarse = self.coarse.values
+        B, _, m = coarse.shape
+        stride = self._stride
+        n_coarse = -(-self.n_knots // stride)
+        width = max(1, (self.max_bytes // (B * m * 8) - 1) // stride)
+        width = min(width, n_coarse)
+        # Time-major, so that each step of a march reads contiguous rows.
+        buffer = np.empty((width * stride + 1, B, m)).transpose(1, 0, 2)
+        first = self.coarse.fine_level + 1
+        fill = _stream_filler(self.coarse.seed, first, self.fine_level, resume=True)
+        for lo in range(0, n_coarse, width):
+            hi = min(lo + width, n_coarse)
+            values = buffer[:, : (hi - lo) * stride + 1]
+            values[:, ::stride] = coarse[:, lo : hi + 1]
+            gap = stride
+            for level in range(first, self.fine_level + 1):
+                _insert_midpoints(values, gap, fill, level)
+                gap //= 2
+            yield lo * stride, values
 
 
 def refine(path: BrownianPath) -> BrownianPath:

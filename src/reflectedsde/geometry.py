@@ -423,7 +423,8 @@ def interval(a: float, b: float) -> DomainSpec:
 
     def resolve_batch(X, V):
         y = X + V
-        state = np.clip(y, a, b)
+        # np.clip(y, a, b) at half its cost, equal bit for bit (NaN too).
+        state = np.minimum(np.maximum(y, a), b)
         return state, state - y
 
     return DomainSpec(

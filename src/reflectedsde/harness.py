@@ -6,17 +6,24 @@ per-level errors are coupled through common increments.
 ``run_coupling_stats`` is the one engine call: a study runs once, and
 ``rate_report`` and ``lyapunov_report`` reduce its ``CouplingStats``.
 
-Paths are marched in chunks.  A chunk's Brownian paths are held once, as
-one ``(B, K + 1, m)`` array of fine-grid knot values that the reference
-reads step by step and every level restricts; it is the largest of a
-chunk's arrays.  Chunks are therefore sized by bytes: the study is split
-into the fewest balanced chunks whose path arrays, as ``sample_path``
-allocates them, each stay within ``_CHUNK_BYTES``, and never into fewer
-chunks than workers.  With several workers the chunks run in forked
+Paths are marched in groups of lockstep batches, usually one group per
+study.  A group's Brownian paths are sampled once, as one ``(B, K + 1, m)``
+array of knot values at the finest approximation level; every level's
+march reads its slopes from that array.  The reference march needs the
+fine grid, which it reads in time order: ``brownian.FineBlocks`` refines
+the next time block of fine knots from the group's knots as the march
+reaches it, with each (path, level) stream resuming where the previous
+block stopped, so the fine grid is never held whole.  Groups are sized by
+bytes: the study is split into the fewest balanced groups whose path
+arrays, as ``sample_path`` allocates them, each stay within
+``_CHUNK_BYTES``, never into fewer groups than workers, and never into
+groups of one path.  A block spans as many whole coarse intervals as fit
+in the same budget.  With several workers the groups run in forked
 processes that inherit the domain and coefficient objects themselves, so
-any domain, built-in, modified or custom, runs in parallel.  Per-path stats are reduced in path-index order,
-which makes every report bit-reproducible for a fixed configuration
-regardless of chunk layout or worker count.
+any domain, built-in, modified or custom, runs in parallel.  Per-path
+stats are reduced in path-index order, which makes every report
+bit-reproducible for a fixed configuration regardless of group and block
+layout or worker count.
 
 The decay diagnostic uses the weighted squared distance
 ``exp(r (phi(X) + phi(X^n))) |X^n - X|^2`` with ``r`` strictly below
@@ -34,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import dyadic_grid, sample_path, wz_knot_slopes
+from .brownian import FineBlocks, dyadic_grid, sample_path, wz_knot_slopes
 from .coefficients import CoefficientSet
 from .errors import DegenerateFit, ExperimentFailed, MismatchedTimes
 from .geometry import DomainSpec
@@ -48,12 +55,12 @@ from .solvers import (
     wz_schedule,
 )
 
-# Budget for the Brownian path array of one chunk, as ``sample_path``
-# allocates it.  Wider chunks spend less Python time per path.  The budget
-# covers that array only: the march outputs and the per-level reduction add
-# about 30 MB to the 42 MB path array of an acceptance-study chunk (see
-# ROADMAP item 3).
-_CHUNK_BYTES = 48 * 2**20
+# Budget for each of a group's two Brownian arrays: its path array at the
+# finest approximation level, as ``sample_path`` allocates it, and the
+# reference's block of fine knots.  Wider groups spend less Python time per
+# path, larger blocks less per resumed (path, level) stream.  The march
+# outputs come on top; ROADMAP item 3 has the measured peaks.
+_CHUNK_BYTES = 32 * 2**20
 
 
 def path_seed(seed: int, index: int) -> int:
@@ -276,57 +283,82 @@ class CouplingStats:
         )
 
 
-def _chunk_ranges(M: int, T: float, fine_level: int, dim_noise: int, workers: int = 1):
-    """Path-index ranges of the chunks of an ``M``-path study, in order.
+def _chunk_ranges(M: int, T: float, level: int, dim_noise: int, workers: int = 1):
+    """Path-index ranges of the groups of an ``M``-path study, in order.
 
-    The fewest chunks whose path arrays, as ``sample_path`` allocates them
-    (``dyadic_grid`` knots per path), each fit in ``_CHUNK_BYTES``, at least
-    ``workers`` of them (at most ``M``), with widths that differ by at most
-    one path.  Balanced widths leave no small trailing chunk.  A path wider
-    than the budget gets a chunk of its own.
+    The fewest groups whose path arrays at ``level``, as ``sample_path``
+    allocates them over ``T`` (``dyadic_grid`` knots per path), each fit in
+    ``_CHUNK_BYTES``, at least ``workers`` of them, with widths that differ
+    by at most one path.  Balanced widths leave no small trailing group.  No
+    group is narrower than two paths (unless ``M`` is one): the batched
+    contractions of a single row round differently for d >= 2 (see
+    ``solvers``), so a group of one would make the stats depend on the
+    layout.
     """
-    path_bytes = dyadic_grid(T, fine_level)[1] * dim_noise * 8
-    width = max(_CHUNK_BYTES // path_bytes, 1)
-    n_chunks = min(max(ceil(M / width), workers), M)
+    path_bytes = dyadic_grid(T, level)[1] * dim_noise * 8
+    width = max(_CHUNK_BYTES // path_bytes, 2)
+    n_chunks = max(min(max(ceil(M / width), workers), M // 2), 1)
     bounds = [M * i // n_chunks for i in range(n_chunks + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _chunk_paths(coeffs, T, fine_level, seed, indices):
-    """The chunk's Brownian paths, sampled as one batch."""
+def _fine_grid(T: float, fine_level: int) -> tuple[int, float]:
+    """Knot intervals and padded horizon of the fine grid covering ``T``."""
+    n_fine = dyadic_grid(T, fine_level)[0]
+    return n_fine, n_fine / 2.0**fine_level
+
+
+def _chunk_paths(coeffs, horizon, level, seed, indices):
+    """The group's Brownian paths at ``level`` over ``horizon``, sampled as
+    one batch."""
     seeds = [path_seed(seed, i) for i in indices]
-    return sample_path(coeffs.dim_noise, T, fine_level, seeds)
+    return sample_path(coeffs.dim_noise, horizon, level, seeds)
 
 
 def _march_chunk(domain, coeffs, x0, paths, process, grid, substeps):
-    """States and variation at ``grid`` of the reference
-    (``process="reference"``) or the level-``process`` approximation,
-    marched over one batch of paths; the regulator is not recorded."""
-    x0_batch = np.broadcast_to(x0, (len(paths.values), domain.dim)).copy()
+    """States and variation at ``grid`` over one group of paths.
+
+    ``process="reference"`` marches the reference over ``paths``, a
+    ``FineBlocks``; a level ``process`` marches that level's approximation
+    over ``paths``, a batch at that level or finer, up to ``grid[-1]``.  The
+    regulator is not recorded.
+    """
     if process == "reference":
+        x0_batch = np.broadcast_to(x0, (len(paths.coarse.values), domain.dim)).copy()
         out_steps = fine_grid_positions(paths, grid)
         return integrate_reference_batch(
-            domain, coeffs, x0_batch, paths.values, paths.fine_level, out_steps,
+            domain, coeffs, x0_batch, paths, paths.fine_level, out_steps,
             record_regulator=False,
         )
+    x0_batch = np.broadcast_to(x0, (len(paths.values), domain.dim)).copy()
     slopes = wz_knot_slopes(paths, process)
-    times, knot_idx, out_pos = wz_schedule(process, substeps, grid, paths.horizon)
+    times, knot_idx, out_pos = wz_schedule(process, substeps, grid, grid[-1])
     return integrate_wz_batch(
         domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos, record_regulator=False
     )
 
 
 def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, indices):
-    """Coupled stats for one chunk of path indices (arrays ordered by index)."""
-    paths = _chunk_paths(coeffs, T, max(levels) + fine_margin, seed, indices)
+    """Coupled stats for one group of path indices (arrays ordered by index).
+
+    The group's paths are sampled once at the finest approximation level;
+    the reference refines them block by block to the fine level, and every
+    level marches from them.
+    """
+    level = max(levels)
+    fine_level = level + fine_margin
+    # Stats at the fine grid's padded horizon keep every output on that
+    # grid even when the requested horizon is not dyadic.
+    n_fine, horizon = _fine_grid(T, fine_level)
+    paths = _chunk_paths(coeffs, horizon, level, seed, indices)
     B = len(indices)
-    # Stats at the padded horizon keep every output on the fine grid even
-    # when the requested horizon is not dyadic.
-    horizon = paths.horizon
-    grid = coupled_output_grid(max(levels), [horizon], horizon)
+    grid = coupled_output_grid(level, [horizon], horizon)
+    fine = FineBlocks(paths, fine_level, n_fine, _CHUNK_BYTES)
     ref_states, _, ref_var, _ = _march_chunk(
-        domain, coeffs, x0, paths, "reference", grid, substeps
+        domain, coeffs, x0, fine, "reference", grid, substeps
     )
+    # Only the horizon's variation is kept through the levels' marches.
+    ref_var = ref_var[-1].copy()
 
     n_lev = len(levels)
     sup_dist = np.empty((B, n_lev))
@@ -349,7 +381,9 @@ def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, 
             final_dist[:, j] = dist[-1]
             f_final[:, j] = weight * dist[-1] ** 2
             var_final[:, j] = wz_var[-1]
-    return sup_dist, final_dist, f_final, var_final, ref_var[-1]
+        # Free this level's arrays before the next level's march allocates.
+        del wz_states, wz_var, sq, dist
+    return sup_dist, final_dist, f_final, var_final, ref_var
 
 
 # The study a forked pool worker marches; set only inside pool workers.
@@ -380,12 +414,13 @@ def run_coupling_stats(
 ) -> CouplingStats:
     """Coupled per-path statistics for all levels on common Brownian paths.
 
-    Paths are marched in balanced chunks sized by ``_CHUNK_BYTES``, the
-    memory budget of a chunk's Brownian path array (``8 N m`` bytes per
-    path, ``N`` from ``brownian.dyadic_grid``); with ``workers > 1`` there
-    are at least ``workers`` chunks, spread over forked processes where the
-    platform can fork.  The stats are bit-identical whatever the chunk
-    layout or worker count.
+    Paths are marched in balanced groups sized by ``_CHUNK_BYTES``, the
+    memory budget of a group's Brownian path array at level ``max(levels)``
+    (``8 N m`` bytes per path, ``N`` from ``brownian.dyadic_grid``) and of
+    each block of fine knots the reference refines; with ``workers > 1``
+    there are at least ``workers`` groups of two or more paths, spread over
+    forked processes where the platform can fork.  The stats are
+    bit-identical whatever the group and block layout or worker count.
     """
     levels = tuple(int(n) for n in levels)
     if not levels or list(levels) != sorted(set(levels)):
@@ -402,8 +437,9 @@ def run_coupling_stats(
     x0 = _check_start(domain, coeffs, x0)
 
     study = (domain, coeffs, x0, T, levels, fine_margin, substeps_per_knot, seed, r)
-    chunks = _chunk_ranges(M, T, max(levels) + fine_margin, coeffs.dim_noise, workers)
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    horizon = _fine_grid(T, max(levels) + fine_margin)[1]
+    chunks = _chunk_ranges(M, horizon, max(levels), coeffs.dim_noise, workers)
+    if len(chunks) > 1 and workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # Forked workers inherit the study's objects instead of unpickling
         # them, so any domain, modified or custom, runs as it does serially.
         fork = multiprocessing.get_context("fork")
@@ -582,21 +618,22 @@ def holder_report(
         raise ValueError("p_list entries must be even moments in {2, 4, 6}")
     x0 = _check_start(domain, coeffs, x0)
     if n_or_reference == "reference":
-        process = "reference"
-        fine_level = grid_level + fine_margin
+        process, level = "reference", grid_level
         label = "reference"
     else:
-        process = int(n_or_reference)
-        fine_level = process + fine_margin
+        process = level = int(n_or_reference)
         label = f"wz-{process}"
+    fine_level = level + fine_margin
 
     # Grid knots must sit on the fine grid of the padded horizon.
-    horizon = dyadic_grid(T, fine_level)[0] / 2.0**fine_level
+    n_fine, horizon = _fine_grid(T, fine_level)
     n_grid = int(np.floor(horizon * 2.0**grid_level + 1e-9))
     grid = np.arange(n_grid + 1) / 2.0**grid_level
     states = np.empty((M, len(grid), domain.dim))
-    for chunk in _chunk_ranges(M, T, fine_level, coeffs.dim_noise):
-        paths = _chunk_paths(coeffs, T, fine_level, seed, chunk)
+    for chunk in _chunk_ranges(M, horizon, level, coeffs.dim_noise):
+        paths = _chunk_paths(coeffs, horizon, level, seed, chunk)
+        if process == "reference":
+            paths = FineBlocks(paths, fine_level, n_fine, _CHUNK_BYTES)
         out = _march_chunk(domain, coeffs, x0, paths, process, grid, substeps_per_knot)[0]
         states[chunk.start : chunk.stop] = np.swapaxes(out, 0, 1)
 

@@ -12,9 +12,14 @@ Both are one scheme, an unconstrained step followed by the discrete
 Skorokhod map, and share one march kernel; they differ only in the
 displacement rule and the step grid.  The march operates on a batch of
 paths in lockstep; the public per-path operations call it with batch size
-one, and the Monte Carlo harness calls it with whole chunks.  Per-row
-results are identical either way because every array operation is
-elementwise across the batch.
+one, and the Monte Carlo harness calls it with groups of at least two
+paths.  For a state dimension of one every array operation is elementwise
+across the batch, so a row's result does not depend on the batch.  For
+d >= 2 the built-in coefficients' contractions (``np.dot`` of ``(B, d)``
+states) go through BLAS from two rows on, which fuses a multiply into an
+add, while a single row is summed plainly; so batches of two or more
+paths agree row for row whatever their width, but a path marched alone
+can differ from its row in a batch at rounding level.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import BrownianPath, wz_knot_slopes
+from .brownian import BrownianPath, FineBlocks, wz_knot_slopes
 from .coefficients import CoefficientSet, ito_drift_batch
 from .errors import (
     InfeasibleStep,
@@ -234,18 +239,26 @@ def integrate_reference_batch(
 ):
     """Projected Euler-Maruyama over the fine grid for a batch of paths.
 
-    ``values`` are the Brownian knot values, shape ``(B, K + 1, m)``; each
-    step forms its own increment, so no increments array is held.
-    ``out_steps`` are fine-knot indices at which to record, and the march
-    stops at the last of them.  ``sigma`` is evaluated once per step.
+    ``values`` are the Brownian knot values, shape ``(B, K + 1, m)``, or a
+    ``brownian.FineBlocks`` whose blocks are drawn as the march reaches
+    them; each step forms its own increment, so no increments array is
+    held.  ``out_steps`` are fine-knot indices at which to record, and the
+    march stops at the last of them.  ``sigma`` is evaluated once per step.
     ``record_regulator`` is as for ``integrate_wz_batch``.
     """
     h = 2.0 ** (-fine_level)
     last = int(np.max(out_steps)) if len(out_steps) else 0
+    blocks = values.blocks() if isinstance(values, FineBlocks) else iter([(0, values)])
+    start = stop = 0
+    block = None
 
     def displacement(k, X):
+        nonlocal start, stop, block
+        if k == stop:
+            start, block = next(blocks)
+            stop = start + block.shape[1] - 1
         sig = coeffs.sigma(X)
-        dw = values[:, k + 1] - values[:, k]
+        dw = block[:, k + 1 - start] - block[:, k - start]
         return np.einsum("bij,bj->bi", sig, dw) + ito_drift_batch(coeffs, X, sig) * h
 
     return _march(

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sstats
 
 import reflectedsde as rs
+from reflectedsde import brownian
 from reflectedsde.brownian import dyadic_grid, level_values, stream_keys
 from reflectedsde.errors import InvalidHorizon, LevelTooFine
 
@@ -180,6 +181,72 @@ def test_batched_sampling_builds_one_philox_and_no_seedsequence(monkeypatch):
     built.clear()
     rs.refine(batch)
     assert built["SeedSequence"] == 0 and built["Philox"] <= 1
+
+
+# ---------------------------------------------------------------------------
+# Fine knots refined block by block from coarse knots
+# ---------------------------------------------------------------------------
+
+def test_a_resumed_stream_draws_what_one_draw_gives():
+    seeds = [5, -7, 2**63 + 1]
+    whole = brownian._stream_filler(seeds, 3, 4)
+    pieces = brownian._stream_filler(seeds, 3, 4, resume=True)
+    for b in range(len(seeds)):
+        expected = np.empty(1000)
+        whole(4, b, expected)
+        got = np.empty(1000)
+        pieces(4, b, got[:333])
+        pieces(3, b, np.empty(17))  # another stream in between
+        pieces(4, b, got[333:])
+        np.testing.assert_array_equal(got, expected)
+
+
+def _block_budgets(B, m, intervals, stride):
+    """Budgets giving blocks of one coarse interval, of a few, and of all."""
+    per_interval = B * m * 8 * stride
+    return [1, B * m * 8 * (3 * stride + 1), per_interval * intervals + B * m * 8, 2**40]
+
+
+@pytest.mark.parametrize("T", [0.3, 1.0, 1.5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fine_blocks_equal_sampling_at_the_fine_level(m, T):
+    coarse_level, fine_level = 4, 7
+    stride = 2 ** (fine_level - coarse_level)
+    fine = rs.sample_path(m, T, fine_level, _ORACLE_SEEDS)
+    expected = np.asarray(fine.values)
+    coarse = rs.sample_path(m, fine.horizon, coarse_level, _ORACLE_SEEDS)
+    B, n_fine = len(_ORACLE_SEEDS), fine.n_knots
+    n_coarse = ceil(n_fine / stride)
+    for budget in _block_budgets(B, m, n_coarse, stride):
+        source = brownian.FineBlocks(coarse, fine_level, n_fine, budget)
+        starts = []
+        for start, values in source.blocks():
+            starts.append(start)
+            # Aligned to coarse knots, within the budget when a coarse
+            # interval fits in it, and equal to the sampled fine knots.
+            assert start % stride == 0 and (values.shape[1] - 1) % stride == 0
+            if budget >= B * m * 8 * (stride + 1):
+                assert values.nbytes <= budget
+            n = min(values.shape[1], n_fine + 1 - start)
+            np.testing.assert_array_equal(values[:, :n], expected[:, start : start + n])
+        width = starts[1] if len(starts) > 1 else n_coarse * stride
+        assert starts == list(range(0, n_coarse * stride, width))
+        if budget == 1:
+            assert width == stride
+        if budget == 2**40:
+            assert len(starts) == 1
+    for b, seed in enumerate(_ORACLE_SEEDS[:3]):
+        np.testing.assert_array_equal(expected[b], _oracle_path(m, T, fine_level, seed))
+
+
+def test_fine_blocks_reject_a_horizon_beyond_the_coarse_path():
+    coarse = rs.sample_path(1, 0.5, 3, [1, 2])
+    with pytest.raises(ValueError):
+        brownian.FineBlocks(coarse, 6, 33, 2**20)
+    with pytest.raises(ValueError):
+        brownian.FineBlocks(coarse, 2, 2, 2**20)
+    with pytest.raises(ValueError):
+        brownian.FineBlocks(rs.sample_path(1, 0.5, 3, 1), 6, 32, 2**20)
 
 
 def test_restriction_to_finer_level_rejected():

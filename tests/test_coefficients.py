@@ -158,3 +158,33 @@ def test_shape_validation():
         rs.linear(A=[[[1.0, 0.0]]])
     with pytest.raises(ValueError):
         rs.trig(offset=[[0.5]], amplitude=[[0.2, 0.1]], frequency=[1.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_built_in_fields_equal_their_matmul_spelling(d):
+    # The fields contract with np.dot; it must agree bit for bit with the
+    # @ spelling, which goes through the same BLAS kernels for two or more
+    # rows and through a plain loop for one.
+    rng = np.random.default_rng(d)
+    A, c = rng.standard_normal((d, d)), rng.standard_normal(d)
+    offset, amplitude = rng.standard_normal((d, 2)), rng.standard_normal((d, 2))
+    frequency, phase = rng.standard_normal(d), rng.standard_normal((d, 2))
+    fields = [
+        (rs.trig(offset, amplitude, frequency, phase, A, c), A, c),
+        (rs.linear(rng.standard_normal((d, 2, d)), drift_matrix=A, drift_offset=c), A, c),
+        (rs.constant(offset, drift_matrix=A, drift_offset=c), A, c),
+    ]
+    for B in (1, 2, 7, 667, 1000, 2000):
+        for _ in range(5):
+            Y = rng.standard_normal((B, d))
+            for y in (Y, Y[0]):
+                arg = (y @ frequency)[..., None, None] + phase
+                trig = fields[0][0]
+                np.testing.assert_array_equal(
+                    trig.sigma(y), offset + amplitude * np.sin(arg)
+                )
+                np.testing.assert_array_equal(
+                    trig.grad_sigma(y), (amplitude * np.cos(arg))[..., None] * frequency
+                )
+                for coeffs, A_, c_ in fields:
+                    np.testing.assert_array_equal(coeffs.b(y), y @ A_.T + c_)

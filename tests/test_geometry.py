@@ -43,6 +43,20 @@ def test_interval_step_clips(unit_interval):
     np.testing.assert_allclose(res.variation_increment, 0.05, atol=1e-15)
 
 
+def test_interval_resolution_equals_clipping(unit_interval, rng):
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, 1.0, -1.0 - 1e-16, 1.0 + 1e-16]
+    for B in (1, 2, 7, 667, 2000):
+        y = rng.standard_normal((B, 1)) * 1.5
+        y[: min(B, len(specials)), 0] = specials[:B]
+        # Adding -0.0 leaves every value, -0.0 included, as it is.
+        state, dl = unit_interval.resolve_batch(y, np.full_like(y, -0.0))
+        clipped = np.clip(y, -1.0, 1.0)
+        # Bytes, so NaN and the sign of zero count too.
+        assert state.tobytes() == clipped.tobytes()
+        with np.errstate(invalid="ignore"):
+            assert dl.tobytes() == (clipped - y).tobytes()
+
+
 def test_box_oracle_dense_grid(unit_box):
     # Exhaustive clip-oracle comparison on a grid of starting points and moves.
     pts = np.linspace(0.0, 1.0, 6)

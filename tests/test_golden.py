@@ -42,9 +42,9 @@ def _array_digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _stats_digest(problem) -> str:
+def _stats_digest(problem, **changes) -> str:
     domain, coeffs, x0 = problem()
-    s = STUDY
+    s = dict(STUDY, **changes)
     stats = rs.run_coupling_stats(
         domain, coeffs, x0, s["T"], s["levels"], s["M"], s["fine_margin"],
         s["substeps_per_knot"], s["seed"],
@@ -86,6 +86,9 @@ def _substep_digest() -> str:
 CASES = {
     "stats_interval_trig": lambda: _stats_digest(_interval_problem),
     "stats_annulus_trig": lambda: _stats_digest(_annulus_problem),
+    # A horizon off the dyadic grid: the fine grid (level 8) pads T=0.3 to
+    # 0.30078, the level-5 grid to 0.3125; outputs keep the fine padding.
+    "stats_interval_trig_T0.3": lambda: _stats_digest(_interval_problem, T=0.3),
     "holder_reference": lambda: _holder_digest("reference"),
     "holder_level_4": lambda: _holder_digest(4),
     "substeps_ball_linear": _substep_digest,
@@ -94,6 +97,7 @@ CASES = {
 GOLDEN = {
     "stats_interval_trig": "bc81bd3143ce9cc286c76403080031982065f79cbbc3e98369bc2b9b52abdf17",
     "stats_annulus_trig": "c44d76c3d6c2bc92e4ed2277267d3364265c93b1e0b4948b09630269b0e40fc2",
+    "stats_interval_trig_T0.3": "41f9dbdf3caaab1685dc381f893547e910ff3e9acb32a19ce186e7636acf66bf",
     "holder_reference": "a317d719277a95fec161598f2eec323be484cc2e9af24a1fd1b0d4f55c46a747",
     "holder_level_4": "ad446c4436fce4c715b1b4b6a7e8a11ee6f652a20f304b70482c2796c58cf1ae",
     "substeps_ball_linear": "0a8a4ae950c7f60be3d859868222577c1b95ca59e1de60e9fb0acd1b82b2cfeb",

@@ -211,9 +211,9 @@ def test_determinism_byte_identical(unit_interval, wavy_coeffs):
 
 
 def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
-    # A budget of 200 paths at fine level 7: the M=520 study spans three chunks.
-    monkeypatch.setattr(harness, "_CHUNK_BYTES", 200 * 129 * 8)
-    assert len(_chunk_ranges(520, 1.0, 7, 1, 2)) == 3
+    # A budget of 200 paths at level 4: the M=520 study spans three groups.
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 200 * 17 * 8)
+    assert len(_chunk_ranges(520, 1.0, 4, 1, 2)) == 3
 
     def clip_half(X, V):  # a closure: workers must inherit it, not rebuild it
         y = X + V
@@ -222,7 +222,7 @@ def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
 
     clipped = dataclasses.replace(unit_interval, resolve_batch=clip_half)
     custom = dataclasses.replace(unit_interval, name="custom", resolve_batch=None)
-    # The clipped study spans three chunks, so chunk order is checked too.
+    # The clipped study spans three groups, so group order is checked too.
     for domain, M in ((unit_interval, 24), (clipped, 520), (custom, 24)):
         parallel = rs.run_coupling_stats(
             domain, wavy_coeffs, [0.0], 1.0, (3, 4), M, 3, 4, 5,
@@ -238,49 +238,118 @@ def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
         np.testing.assert_array_equal(serial.f_final, parallel.f_final)
 
 
-def _layout_outputs(domain, coeffs):
-    stats = rs.run_coupling_stats(domain, coeffs, [0.0], 1.0, (3, 4), 12, 3, 4, 5)
+def _annulus_problem():
+    coeffs = rs.trig(
+        offset=[[0.6, 0.1], [0.1, 0.6]],
+        amplitude=[[0.3, 0.1], [0.1, 0.3]],
+        frequency=[1.0, 2.0],
+        drift_matrix=[[-0.5, 0.0], [0.0, -0.5]],
+    )
+    return rs.annulus(0.5, 1.0, dim=2), coeffs, [0.75, 0.0]
+
+
+def _layout_outputs(domain, coeffs, x0):
+    stats = rs.run_coupling_stats(domain, coeffs, x0, 1.0, (3, 4), 12, 3, 4, 5)
     arrays = [stats.sup_dist, stats.final_dist, stats.f_final, stats.var_final,
               stats.ref_var_final]
     holder = [
         json.dumps(rs.holder_report(
-            domain, coeffs, [0.0], 1.0, process, [2], 12, seed=3, grid_level=4, fine_margin=3,
+            domain, coeffs, x0, 1.0, process, [2], 12, seed=3, grid_level=4, fine_margin=3,
         ).to_json_dict(), sort_keys=True)
         for process in ("reference", 4)
     ]
     return arrays, holder
 
 
+def _recording_blocks(monkeypatch):
+    """Patch ``FineBlocks.blocks`` to record each call's block count and
+    the bytes its block buffer allocates."""
+    calls = []
+    blocks = brownian.FineBlocks.blocks
+
+    def recording(self):
+        calls.append([0, 0])
+        for start, values in blocks(self):
+            calls[-1][0] += 1
+            calls[-1][1] = max(calls[-1][1], _allocated_bytes(values))
+            yield start, values
+
+    monkeypatch.setattr(brownian.FineBlocks, "blocks", recording)
+    return calls
+
+
 def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, monkeypatch):
-    # Both studies use fine level 7 at T=1: 129 knot values of 8 bytes per path.
-    path_bytes = 129 * 8
-    expected = _layout_outputs(unit_interval, wavy_coeffs)
-    assert len(_chunk_ranges(12, 1.0, 7, 1)) == 1
-    for budget, n_chunks in ((1, 12), (4 * path_bytes, 3), (12 * path_bytes, 1)):
-        monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
-        assert len(_chunk_ranges(12, 1.0, 7, 1)) == n_chunks
-        arrays, holder = _layout_outputs(unit_interval, wavy_coeffs)
-        for got, want in zip(arrays, expected[0]):
-            np.testing.assert_array_equal(got, want)
-        assert holder == expected[1]
+    calls = _recording_blocks(monkeypatch)
+    default = harness._CHUNK_BYTES
+    for domain, coeffs, x0 in ((unit_interval, wavy_coeffs, [0.0]), _annulus_problem()):
+        m = coeffs.dim_noise
+        # Every study and Holder table here samples its paths at level 4 (17
+        # knots per path at T=1) and refines them to fine level 7: 8 fine
+        # intervals per coarse one, 16 coarse intervals in all.
+        path_bytes = 17 * m * 8
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
+        expected = _layout_outputs(domain, coeffs, x0)
+        assert len(_chunk_ranges(12, 1.0, 4, m)) == 1
+        # (budget, groups of the M=12 study, reference blocks per group)
+        layouts = [
+            (1, 6, 16),                         # two-path groups, one-interval blocks
+            (4 * path_bytes, 3, 8),             # four-path groups, two-interval blocks
+            (12 * path_bytes, 1, 8),            # one group, two-interval blocks
+            (12 * m * 8 * (4 * 8 + 1), 1, 4),   # one group, four-interval blocks
+            (12 * m * 8 * (16 * 8 + 1), 1, 1),  # one group, one block
+        ]
+        for budget, n_groups, n_blocks in layouts:
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+            assert len(_chunk_ranges(12, 1.0, 4, m)) == n_groups
+            calls.clear()
+            arrays, holder = _layout_outputs(domain, coeffs, x0)
+            # The study's and the reference table's groups, each in its blocks.
+            assert [n for n, _ in calls] == [n_blocks] * (2 * n_groups)
+            for got, want in zip(arrays, expected[0]):
+                np.testing.assert_array_equal(got, want)
+            assert holder == expected[1]
+
+
+def test_layout_of_a_planar_study_never_leaves_a_path_alone(monkeypatch):
+    # At d=2 a batch of one row rounds its contractions differently from a
+    # batch of two or more, so no group may hold a single path.
+    domain, coeffs, x0 = _annulus_problem()
+
+    def stats(workers):
+        # Seed 3: a path marched alone here differs by up to 4.4e-16 in
+        # sup_dist and ref_var_final from its row in the batch of three.
+        s = rs.run_coupling_stats(domain, coeffs, x0, 1.0, (3, 4), 3, 3, 4, 3,
+                                  workers=workers)
+        return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
+
+    expected = stats(1)
+    assert [len(c) for c in _chunk_ranges(3, 1.0, 4, 2, 2)] == [3]
+    got = [stats(2)]
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
+    assert [len(c) for c in _chunk_ranges(3, 1.0, 4, 2)] == [3]
+    assert [len(c) for c in _chunk_ranges(5, 1.0, 4, 2)] == [2, 3]
+    got.append(stats(1))
+    for arrays in got:
+        for a, b in zip(arrays, expected):
+            np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("budget", [1, 10_000, 2**20, 2**40])
 def test_chunk_ranges_are_ordered_balanced_and_cover_the_study(budget, monkeypatch):
     monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
-    path_bytes = 65 * 2 * 8  # fine level 6 at T=1 with two noise dimensions
-    for M in (2, 7, 520, 2000):
+    path_bytes = 65 * 2 * 8  # level 6 at T=1 with two noise dimensions
+    for M in (2, 3, 7, 520, 2000):
         for workers in (1, 2, 3):
             chunks = _chunk_ranges(M, 1.0, 6, 2, workers)
             assert [i for chunk in chunks for i in chunk] == list(range(M))
             widths = [len(chunk) for chunk in chunks]
-            assert min(widths) >= 1 and max(widths) - min(widths) <= 1
-            assert len(chunks) >= min(workers, M)
-            # The fewest chunks that each fit in the budget.
-            width = budget // path_bytes
-            if width >= 1:
+            assert min(widths) >= 2 and max(widths) - min(widths) <= 1
+            assert len(chunks) >= min(workers, M // 2)
+            # The fewest groups that each fit in the budget, or hold two paths.
+            width = max(budget // path_bytes, 2)
+            if width > 2:
                 assert max(widths) * path_bytes <= budget
-            if workers < len(chunks) < M:
+            if workers < len(chunks) < M // 2:
                 assert M > (len(chunks) - 1) * width
 
 
@@ -293,10 +362,13 @@ def _allocated_bytes(array):
 def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
     unit_interval, wavy_coeffs, monkeypatch
 ):
-    # At T=0.3 and fine level 7 a path uses 40 knots but sampling refines
-    # the whole unit interval, 129 knots, and the path keeps them alive.
+    # At T=0.3 the fine grid (level 7) has 39 intervals, ending at 0.3047.
+    # Paths are sampled at level 4 over that horizon: 5 intervals are used,
+    # but sampling refines the whole unit interval, 17 knots, and the path
+    # keeps them alive.
     assert brownian.dyadic_grid(0.3, 7) == (39, 129)
-    budget = 10 * 129 * 8
+    assert brownian.dyadic_grid(39 / 128, 4) == (5, 17)
+    budget = 10 * 17 * 8
     monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
     allocated = []
 
@@ -306,19 +378,27 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
         return path
 
     monkeypatch.setattr(harness, "sample_path", recording_sample_path)
+    calls = _recording_blocks(monkeypatch)
     rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 0.3, (3, 4), 24, 3, 4, 5)
-    rs.holder_report(
-        unit_interval, wavy_coeffs, [0.0], 0.3, 4, [2], 24, seed=3, grid_level=4, fine_margin=3
-    )
-    assert len(allocated) == 6
-    assert max(allocated) <= budget
+    for process in (4, "reference"):
+        rs.holder_report(
+            unit_interval, wavy_coeffs, [0.0], 0.3, process, [2], 24, seed=3, grid_level=4,
+            fine_margin=3,
+        )
+    # Three groups of 8 paths per run; each reference refines its group in
+    # blocks of two coarse intervals (8 x 17 knots): three blocks for five,
+    # but the Holder grid ends at 0.25, so that march stops after two.
+    assert len(allocated) == 9
+    assert [n for n, _ in calls] == [3] * 3 + [2] * 3
+    assert max(allocated + [nbytes for _, nbytes in calls]) <= budget
 
 
 def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interval, wavy_coeffs):
     seeds = [21, 22, 23]
-    paths = rs.sample_path(1, 1.0, 7, seeds)
+    coarse = rs.sample_path(1, 1.0, 3, seeds)
     grid = harness.coupled_output_grid(3, [1.0], 1.0)
     for process in ("reference", 3):
+        paths = brownian.FineBlocks(coarse, 7, 128, 1) if process == "reference" else coarse
         states, reg, var, _ = harness._march_chunk(
             unit_interval, wavy_coeffs, np.array([0.0]), paths, process, grid, 4
         )
