@@ -138,7 +138,7 @@ def constant(sigma, drift_matrix=None, drift_offset=None) -> CoefficientSet:
         y = np.asarray(y, float)
         if y.ndim == 1:
             return sig.copy()
-        return np.broadcast_to(sig, (len(y), d, m)).copy()
+        return sig[None].repeat(len(y), 0)
 
     def grad_f(y):
         y = np.asarray(y, float)
@@ -182,7 +182,7 @@ def linear(A, B=None, drift_matrix=None, drift_offset=None) -> CoefficientSet:
         y = np.asarray(y, float)
         if y.ndim == 1:
             return A.copy()
-        return np.broadcast_to(A, (len(y), d, m, d)).copy()
+        return A[None].repeat(len(y), 0)
 
     # Operator norm of the linear map y -> A y as a (d*m, d) matrix.
     lip_sigma = float(np.linalg.norm(A.reshape(d * m, d), 2))
@@ -226,17 +226,36 @@ def trig(
     if phase.shape != (d, m):
         raise ValueError("phase must have shape (d, m)")
     b, lip_b, dm_, doff = _drift_field(drift_matrix, drift_offset, d)
+    # sin and cos run once per distinct phase value (``uphase``) and are then
+    # spread over the (d, m) entries.  Each entry's argument is the same sum
+    # freq . y + phase_ij as in the entrywise spelling, so the values are
+    # identical; one distinct phase (the default) spreads by broadcasting,
+    # several by indexing.
+    uphase, spread = np.unique(phase, return_inverse=True)
+    spread = (..., None) if len(uphase) == 1 else (..., spread.reshape(d, m))
 
-    def sigma_f(y):
+    def scaled(fn, y):
+        """``amplitude * fn(freq . y + phase)``, shape ``(..., d, m)``."""
         y = np.asarray(y, float)
         # np.dot for the same reason as in _drift_field.
-        arg = np.dot(y, frequency)[..., None, None] + phase
-        return offset + amplitude * np.sin(arg)
+        t = fn(np.dot(y, frequency)[..., None] + uphase)
+        # C order, as the entrywise spelling returns it: einsum's summation
+        # order follows its operands' memory layout, and an indexed spread
+        # is laid out phase axis first.
+        return np.multiply(amplitude, t[spread], order="C")
+
+    def sigma_f(y):
+        return offset + scaled(np.sin, y)
 
     def grad_f(y):
-        y = np.asarray(y, float)
-        arg = np.dot(y, frequency)[..., None, None] + phase
-        return (amplitude * np.cos(arg))[..., None] * frequency
+        # scaled(np.cos, y)[..., None] * frequency, one product over the
+        # whole batch per state direction instead of one loop of length d
+        # per entry.
+        c = scaled(np.cos, y)
+        out = np.empty(c.shape + (d,))
+        for k in range(d):
+            np.multiply(c, frequency[k], out=out[..., k])
+        return out
 
     amp_scale = float(np.linalg.norm(amplitude)) * float(np.linalg.norm(frequency))
     return CoefficientSet(

@@ -189,6 +189,29 @@ def closure_tol(domain: DomainSpec) -> float:
     return MEMBERSHIP_TOL * max(1.0, domain.diameter)
 
 
+def sum_squares(a: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a * a, axis=-1)``, bit for bit, at batch width.
+
+    numpy reduces a short last axis with one inner loop per row, so a
+    ``(B, 2)`` batch costs ``B`` loops of length two.  Up to seven terms
+    that loop adds sequentially, which the column sum ``a0*a0 + a1*a1 + ...``
+    reproduces with a handful of operations over the whole batch.  From
+    eight terms numpy's loop adds in pairs, and below 64 rows one reduction
+    call costs less than the column operations, so there the reduction is
+    used as is.
+    """
+    d = a.shape[-1]
+    if d >= 8 or a.size < 64 * d:
+        return np.add.reduce(a * a, axis=-1)
+    total = a[..., 0] * a[..., 0]
+    if d > 1:
+        term = np.empty_like(total)
+        for k in range(1, d):
+            np.multiply(a[..., k], a[..., k], out=term)
+            total += term
+    return total
+
+
 def skorokhod_step(domain: DomainSpec, x, v) -> SkorokhodStepResult:
     """Resolve one unconstrained displacement against the domain closure.
 
@@ -550,10 +573,13 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
 
     def resolve_batch(X, V):
         y = X + V
-        r = np.linalg.norm(y, axis=1)
-        outside = r > radius
-        scale = np.where(outside, radius / np.where(r == 0.0, 1.0, r), 1.0)
-        state = np.where(outside[:, None], y * scale[:, None], y)
+        # np.linalg.norm(y, axis=1), bit for bit.
+        r = np.sqrt(sum_squares(y))
+        # Only the pushed rows are scaled; NaN rows compare False and pass.
+        out = (r > radius).nonzero()[0]
+        state = y.copy()
+        if len(out):
+            state[out] = y[out] * (radius / r[out])[:, None]
         return state, state - y
 
     return DomainSpec(
@@ -634,11 +660,16 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
 
     def resolve_batch(X, V):
         y = X + V
-        r = np.linalg.norm(y, axis=1)
-        safe = np.where(r == 0.0, np.nan, r)
-        scale = np.where(r < r1, r1 / safe, np.where(r > r2, r2 / safe, 1.0))
-        violated = (r < r1) | (r > r2)
-        state = np.where(violated[:, None], y * scale[:, None], y)
+        # np.linalg.norm(y, axis=1), bit for bit.
+        r = np.sqrt(sum_squares(y))
+        # Only the pushed rows are scaled; NaN rows compare False and pass,
+        # and the centre (r == 0) has no closest point, so it becomes NaN.
+        out = ((r < r1) | (r > r2)).nonzero()[0]
+        state = y.copy()
+        if len(out):
+            ro = r[out]
+            scale = np.where(ro < r1, r1, r2) / np.where(ro == 0.0, np.nan, ro)
+            state[out] = y[out] * scale[:, None]
         return state, state - y
 
     return DomainSpec(

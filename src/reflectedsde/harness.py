@@ -44,7 +44,7 @@ import numpy as np
 from .brownian import FineBlocks, dyadic_grid, sample_path, wz_knot_slopes
 from .coefficients import CoefficientSet
 from .errors import DegenerateFit, ExperimentFailed, MismatchedTimes
-from .geometry import DomainSpec
+from .geometry import DomainSpec, sum_squares
 from .solvers import (
     ReflectedPath,
     _check_start,
@@ -316,25 +316,25 @@ def _chunk_paths(coeffs, horizon, level, seed, indices):
 
 
 def _march_chunk(domain, coeffs, x0, paths, process, grid, substeps):
-    """States and variation at ``grid`` over one group of paths.
+    """States at ``grid`` and the variation at ``grid[-1]`` over one group of paths.
 
     ``process="reference"`` marches the reference over ``paths``, a
     ``FineBlocks``; a level ``process`` marches that level's approximation
     over ``paths``, a batch at that level or finer, up to ``grid[-1]``.  The
-    regulator is not recorded.
+    regulator is not recorded, and the variation only where the march ends.
     """
     if process == "reference":
         x0_batch = np.broadcast_to(x0, (len(paths.coarse.values), domain.dim)).copy()
         out_steps = fine_grid_positions(paths, grid)
         return integrate_reference_batch(
             domain, coeffs, x0_batch, paths, paths.fine_level, out_steps,
-            record_regulator=False,
+            record_history=False,
         )
     x0_batch = np.broadcast_to(x0, (len(paths.values), domain.dim)).copy()
     slopes = wz_knot_slopes(paths, process)
     times, knot_idx, out_pos = wz_schedule(process, substeps, grid, grid[-1])
     return integrate_wz_batch(
-        domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos, record_regulator=False
+        domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos, record_history=False
     )
 
 
@@ -357,8 +357,6 @@ def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, 
     ref_states, _, ref_var, _ = _march_chunk(
         domain, coeffs, x0, fine, "reference", grid, substeps
     )
-    # Only the horizon's variation is kept through the levels' marches.
-    ref_var = ref_var[-1].copy()
 
     n_lev = len(levels)
     sup_dist = np.empty((B, n_lev))
@@ -371,18 +369,18 @@ def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, 
         wz_states, _, wz_var, _ = _march_chunk(domain, coeffs, x0, paths, n, grid, substeps)
         with np.errstate(invalid="ignore"):
             weight = np.exp(r * (phi_ref_final + domain.phi(wz_states[-1])))
-            # np.linalg.norm(wz_states - ref_states, axis=2), formed in the
-            # march's output rather than in three temporaries of its size.
-            sq = np.subtract(wz_states, ref_states, out=wz_states)
-            sq *= sq
-            dist = np.add.reduce(sq, axis=2)
+            # np.linalg.norm(wz_states - ref_states, axis=2), bit for bit:
+            # the difference is formed in the march's output, and its
+            # squares are summed over the state axis at batch width.
+            diff = np.subtract(wz_states, ref_states, out=wz_states)
+            dist = sum_squares(diff)
             np.sqrt(dist, out=dist)
             sup_dist[:, j] = np.max(dist, axis=0)
             final_dist[:, j] = dist[-1]
             f_final[:, j] = weight * dist[-1] ** 2
-            var_final[:, j] = wz_var[-1]
+            var_final[:, j] = wz_var
         # Free this level's arrays before the next level's march allocates.
-        del wz_states, wz_var, sq, dist
+        del wz_states, wz_var, diff, dist
     return sup_dist, final_dist, f_final, var_final, ref_var
 
 

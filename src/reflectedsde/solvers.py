@@ -41,7 +41,7 @@ from .errors import (
     NonFiniteState,
     OutOfDomain,
 )
-from .geometry import DomainSpec, _resolver, closure_tol
+from .geometry import DomainSpec, _resolver, closure_tol, sum_squares
 
 
 @dataclass(frozen=True)
@@ -133,28 +133,29 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
 
 def _march(
     domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, record_substeps,
-    record_regulator,
+    record_history,
 ):
     """The discrete Skorokhod march both solvers share.
 
     Step ``i`` (from ``times[i]`` to ``times[i + 1]``) adds
     ``displacement(i, X)`` to the batch state ``X``, resolves the result
     against the closure, and accumulates the regulator and its variation.
-    Returns states, cumulative regulator (``None`` unless
-    ``record_regulator``), and cumulative variation at the step positions
-    ``out_pos``, each with a leading output axis, plus an optional substep
-    log (batch size one only).
+    Returns states, cumulative regulator and cumulative variation at the
+    step positions ``out_pos``, each with a leading output axis, plus an
+    optional substep log (batch size one only).  Without
+    ``record_history`` the regulator is ``None`` and the variation is only
+    its final value, shape ``(B,)``.
     """
     B, d = x0.shape
     X = np.array(x0, float)
-    L = np.zeros((B, d)) if record_regulator else None
+    L = np.zeros((B, d)) if record_history else None
     var = np.zeros(B)
     resolve = _resolver(domain)
 
     n_out = len(out_pos)
     out_states = np.empty((n_out, B, d))
-    out_reg = np.empty((n_out, B, d)) if record_regulator else None
-    out_var = np.empty((n_out, B))
+    out_reg = np.empty((n_out, B, d)) if record_history else None
+    out_var = np.empty((n_out, B)) if record_history else None
     record_at = np.full(len(times), -1, np.intp)
     record_at[out_pos] = np.arange(n_out)
 
@@ -167,15 +168,15 @@ def _march(
 
     if record_at[0] >= 0:
         out_states[record_at[0]] = X
-        if record_regulator:
+        if record_history:
             out_reg[record_at[0]] = L
-        out_var[record_at[0]] = var
+            out_var[record_at[0]] = var
 
     for i in range(n_steps):
         X, d_l = resolve(X, displacement(i, X))
-        # np.linalg.norm(d_l, axis=1), without its dispatch.
-        d_var = np.sqrt(np.add.reduce(d_l * d_l, axis=1))
-        if record_regulator:
+        # np.linalg.norm(d_l, axis=1), bit for bit, without its dispatch.
+        d_var = np.sqrt(sum_squares(d_l))
+        if record_history:
             L += d_l
         var += d_var
         j = record_at[i + 1]
@@ -183,9 +184,9 @@ def _march(
             if abort_check and not np.all(np.isfinite(X)):
                 raise NonFiniteState(f"non-finite state at t={times[i + 1]}")
             out_states[j] = X
-            if record_regulator:
+            if record_history:
                 out_reg[j] = L
-            out_var[j] = var
+                out_var[j] = var
         if record_substeps:
             sub_states[i] = X[0]
             sub_dl[i] = d_l[0]
@@ -195,7 +196,7 @@ def _march(
     if record_substeps:
         sub_bd = np.asarray(domain.boundary_distance(sub_states), float)
         substeps = SubstepLog(np.array(times[1:]), sub_states, sub_dl, sub_dvar, sub_bd)
-    return out_states, out_reg, out_var, substeps
+    return out_states, out_reg, (out_var if record_history else var), substeps
 
 
 def integrate_wz_batch(
@@ -208,14 +209,16 @@ def integrate_wz_batch(
     out_pos: np.ndarray,
     record_substeps: bool = False,
     *,
-    record_regulator: bool = True,
+    record_history: bool = True,
 ):
     """Drive the constrained ODE for a batch of paths over one schedule.
 
     ``slopes`` has shape ``(B, K_n, m)``; each step moves along the
     interpolant's slope on its knot interval.  Returns as ``_march``;
-    ``record_regulator=False`` skips the ``(n_out, B, d)`` regulator record
-    for callers that read only states and variation.
+    ``record_history=False`` skips the ``(n_out, B, d)`` regulator record
+    and keeps only the final variation, for callers that read states at
+    every output and the variation at the last one, where the schedule
+    ends.
     """
     dts = np.diff(times)
 
@@ -223,7 +226,7 @@ def integrate_wz_batch(
         s = slopes[:, knot_idx[i], :]
         return (np.einsum("bij,bj->bi", coeffs.sigma(X), s) + coeffs.b(X)) * dts[i]
 
-    return _march(domain, x0, times, out_pos, displacement, record_substeps, record_regulator)
+    return _march(domain, x0, times, out_pos, displacement, record_substeps, record_history)
 
 
 def integrate_reference_batch(
@@ -235,7 +238,7 @@ def integrate_reference_batch(
     out_steps: np.ndarray,
     record_substeps: bool = False,
     *,
-    record_regulator: bool = True,
+    record_history: bool = True,
 ):
     """Projected Euler-Maruyama over the fine grid for a batch of paths.
 
@@ -244,7 +247,7 @@ def integrate_reference_batch(
     them; each step forms its own increment, so no increments array is
     held.  ``out_steps`` are fine-knot indices at which to record, and the
     march stops at the last of them.  ``sigma`` is evaluated once per step.
-    ``record_regulator`` is as for ``integrate_wz_batch``.
+    ``record_history`` is as for ``integrate_wz_batch``.
     """
     h = 2.0 ** (-fine_level)
     last = int(np.max(out_steps)) if len(out_steps) else 0
@@ -263,7 +266,7 @@ def integrate_reference_batch(
 
     return _march(
         domain, x0, np.arange(last + 1) * h, out_steps, displacement, record_substeps,
-        record_regulator,
+        record_history,
     )
 
 

@@ -188,3 +188,52 @@ def test_built_in_fields_equal_their_matmul_spelling(d):
                 )
                 for coeffs, A_, c_ in fields:
                     np.testing.assert_array_equal(coeffs.b(y), y @ A_.T + c_)
+
+
+def _phases(kind, d, m):
+    n = np.arange(d * m, dtype=float).reshape(d, m)
+    return {
+        "zero": np.zeros((d, m)),
+        "equal": np.full((d, m), 0.7),
+        "partly-equal": 0.5 * (n % 2),
+        "distinct": 0.37 * n - 0.5,
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["zero", "equal", "partly-equal", "distinct"])
+@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)])
+def test_trig_per_phase_evaluation_equals_the_entrywise_spelling(d, m, kind):
+    # trig takes sin and cos once per distinct phase and spreads them over
+    # the entries; every entry must equal the entrywise spelling bit for bit,
+    # and the arrays must stay C-ordered, since einsum's summation order
+    # follows its operands' layout.
+    rng = np.random.default_rng(10 * d + m)
+    offset, amplitude = rng.standard_normal((d, m)), rng.standard_normal((d, m))
+    frequency, phase = rng.standard_normal(d), _phases(kind, d, m)
+    coeffs = rs.trig(offset, amplitude, frequency, phase)
+    for B in (1, 2, 7, 2000):
+        Y = rng.uniform(-3.0, 3.0, (B, d))
+        for y in (Y, Y[0]):
+            arg = np.dot(y, frequency)[..., None, None] + phase
+            sig, grad = coeffs.sigma(y), coeffs.grad_sigma(y)
+            assert sig.flags.c_contiguous and grad.flags.c_contiguous
+            assert sig.shape == y.shape[:-1] + (d, m)
+            assert sig.tobytes() == (offset + amplitude * np.sin(arg)).tobytes()
+            assert grad.shape == y.shape[:-1] + (d, m, d)
+            old_grad = (amplitude * np.cos(arg))[..., None] * frequency
+            assert grad.tobytes() == old_grad.tobytes()
+
+
+def test_constant_fields_are_fresh_writable_batches():
+    rng = np.random.default_rng(5)
+    sig, A = rng.standard_normal((2, 3)), rng.standard_normal((2, 3, 2))
+    for coeffs, field, value in (
+        (rs.constant(sig), "sigma", sig),
+        (rs.linear(A), "grad_sigma", A),
+    ):
+        for B in (1, 2, 7):
+            out = getattr(coeffs, field)(np.zeros((B, 2)))
+            np.testing.assert_array_equal(out, np.broadcast_to(value, (B,) + value.shape))
+            assert out.flags.c_contiguous and out.flags.writeable
+            out[0] += 1.0
+            np.testing.assert_array_equal(getattr(coeffs, field)(np.zeros((B, 2)))[0], value)

@@ -16,7 +16,7 @@ from reflectedsde.errors import (
     OutOfDomain,
     ProjectionDiverged,
 )
-from reflectedsde.geometry import MEMBERSHIP_TOL, _resolver, closure_tol
+from reflectedsde.geometry import MEMBERSHIP_TOL, _resolver, closure_tol, sum_squares
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +190,91 @@ def test_batched_resolution_matches_row_by_row(name, stripped, rng):
     assert np.all(domain.boundary_distance(state) <= MEMBERSHIP_TOL)
     np.testing.assert_array_equal(d_l[~outside], 0.0)
     assert np.all(np.any(d_l[outside] != 0.0, axis=1))
+
+
+def _same_bits(a, b):
+    """Equal shapes, NaN at the same places and every other element bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_sum_squares_is_the_reduction_bit_for_bit(d):
+    # numpy adds up to seven terms of a short axis sequentially and from
+    # eight in pairs; the column sum must match both regimes.
+    rng = np.random.default_rng(d)
+    for shape in ((2000, d), (5, 300, d), (1, d)):
+        a = rng.standard_normal(shape)
+        flat = a.reshape(-1)
+        flat[rng.choice(flat.size, min(flat.size, 40), replace=False)] = np.resize(
+            [np.nan, np.inf, -np.inf, -0.0, 0.0], min(flat.size, 40)
+        )
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(sum_squares(a), np.add.reduce(a * a, axis=-1))
+
+
+def _ball_where(radius):
+    """The ball's projection spelled with np.where over every row: the reference."""
+
+    def resolve(X, V):
+        y = X + V
+        r = np.linalg.norm(y, axis=1)
+        outside = r > radius
+        scale = np.where(outside, radius / np.where(r == 0.0, 1.0, r), 1.0)
+        state = np.where(outside[:, None], y * scale[:, None], y)
+        return state, state - y
+
+    return resolve
+
+
+def _annulus_where(r1, r2):
+    """The annulus's projection spelled with np.where over every row: the reference."""
+
+    def resolve(X, V):
+        y = X + V
+        r = np.linalg.norm(y, axis=1)
+        safe = np.where(r == 0.0, np.nan, r)
+        scale = np.where(r < r1, r1 / safe, np.where(r > r2, r2 / safe, 1.0))
+        violated = (r < r1) | (r > r2)
+        state = np.where(violated[:, None], y * scale[:, None], y)
+        return state, state - y
+
+    return resolve
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", ["ball", "annulus"])
+def test_pushed_row_projection_equals_the_where_spelling(name, dim, rng):
+    if name == "ball":
+        domain, old = rs.ball(1.3, dim=dim), _ball_where(1.3)
+        radii = [1.3]
+    else:
+        domain, old = rs.annulus(0.5, 1.5, dim=dim), _annulus_where(0.5, 1.5)
+        radii = [0.5, 1.5]
+    e = np.eye(dim)
+    special = [np.zeros(dim), np.full(dim, np.nan), np.r_[np.nan, np.ones(dim - 1)],
+               np.r_[np.inf, np.zeros(dim - 1)], -0.0 * e[0]]
+    special += [s * r * e[k] for r in radii for k in range(dim) for s in (1.0, -1.0)]
+    on_sphere = rng.standard_normal((8, dim))
+    on_sphere *= (radii[-1] / np.linalg.norm(on_sphere, axis=1))[:, None]
+    mixed = rng.uniform(-2.0, 2.0, (500, dim))
+    inside = domain.sample_interior(50, rng)
+    batches = [np.vstack([special, on_sphere, mixed]), inside, mixed[:1], inside[:1]]
+    batches += [row[None] for row in special]
+    for Y in batches:
+        X, V = np.zeros_like(Y), Y
+        with np.errstate(invalid="ignore"):
+            state, d_l = domain.resolve_batch(X, V)
+            old_state, old_d_l = old(X, V)
+        assert _same_bits(state, old_state)
+        assert _same_bits(d_l, old_d_l)
+    state, d_l = domain.resolve_batch(np.zeros_like(inside), inside)
+    assert np.array_equal(state, inside) and not np.any(d_l)
 
 
 def test_bisection_agrees_with_closed_form_on_the_ball(unit_ball, rng):

@@ -33,6 +33,19 @@ def _annulus_problem():
     return rs.annulus(0.5, 1.0, dim=2), coeffs, [0.75, 0.0]
 
 
+def _ball3_problem():
+    # Three distinct phases shared unevenly over the nine entries: the
+    # batch-axis sine and the three-term row sums both meet their d = 3 case.
+    coeffs = rs.trig(
+        offset=[[0.5, 0.1, 0.0], [0.1, 0.5, 0.1], [0.0, 0.1, 0.5]],
+        amplitude=[[0.2, 0.1, 0.1], [0.1, 0.2, 0.1], [0.1, 0.1, 0.2]],
+        frequency=[1.0, -2.0, 0.5],
+        phase=[[0.0, 0.0, 0.5], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]],
+        drift_matrix=[[-0.5, 0.1, 0.0], [0.0, -0.5, 0.1], [0.1, 0.0, -0.5]],
+    )
+    return rs.ball(1.0, dim=3), coeffs, [0.6, 0.0, 0.2]
+
+
 def _array_digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -86,6 +99,7 @@ def _substep_digest() -> str:
 CASES = {
     "stats_interval_trig": lambda: _stats_digest(_interval_problem),
     "stats_annulus_trig": lambda: _stats_digest(_annulus_problem),
+    "stats_ball3_trig_phases": lambda: _stats_digest(_ball3_problem),
     # A horizon off the dyadic grid: the fine grid (level 8) pads T=0.3 to
     # 0.30078, the level-5 grid to 0.3125; outputs keep the fine padding.
     "stats_interval_trig_T0.3": lambda: _stats_digest(_interval_problem, T=0.3),
@@ -97,6 +111,7 @@ CASES = {
 GOLDEN = {
     "stats_interval_trig": "bc81bd3143ce9cc286c76403080031982065f79cbbc3e98369bc2b9b52abdf17",
     "stats_annulus_trig": "c44d76c3d6c2bc92e4ed2277267d3364265c93b1e0b4948b09630269b0e40fc2",
+    "stats_ball3_trig_phases": "f9d720c49b9baa93944b5ae94e69d25a5484cd95e7df9bc78a7d766df9f325b5",
     "stats_interval_trig_T0.3": "41f9dbdf3caaab1685dc381f893547e910ff3e9acb32a19ce186e7636acf66bf",
     "holder_reference": "a317d719277a95fec161598f2eec323be484cc2e9af24a1fd1b0d4f55c46a747",
     "holder_level_4": "ad446c4436fce4c715b1b4b6a7e8a11ee6f652a20f304b70482c2796c58cf1ae",
