@@ -8,6 +8,14 @@ closure by the solvers, which always evaluate at constrained points.
 Every coefficient callable, built-in or custom, is batch-aware: it accepts
 a single point of shape ``(d,)`` or a batch ``(B, d)`` and returns
 ``(d, m)`` / ``(B, d, m)`` accordingly (one extra leading axis everywhere).
+
+The march's two contractions, the noise term ``sigma @ dW`` (``noise_term``)
+and the noise-interaction term, run as products of batch columns for a
+planar state with planar noise (d = m = 2) from ``COLUMN_MIN_ROWS`` rows
+on, which reproduces ``np.einsum``'s bits; every other shape and width
+keeps the einsum, on C-ordered operands, since its summation order follows
+their memory layout.  The built-in fields likewise spread their parameters
+over a wide planar batch one column at a time.
 """
 
 from __future__ import annotations
@@ -72,7 +80,10 @@ def stratonovich_correction_batch(
     """Batched noise-interaction drift; ``sig`` reuses ``sigma(Y)`` if the caller has it."""
     if sig is None:
         sig = coeffs.sigma(Y)
-    return np.einsum("bijk,bkj->bi", coeffs.grad_sigma(Y), sig)
+    grad = coeffs.grad_sigma(Y)
+    if len(Y) >= COLUMN_MIN_ROWS and sig.shape[1:] == (2, 2):
+        return _stratonovich_columns(grad, sig)
+    return np.einsum("bijk,bkj->bi", np.ascontiguousarray(grad), np.ascontiguousarray(sig))
 
 
 def ito_drift(coeffs: CoefficientSet, y, domain: DomainSpec | None = None) -> np.ndarray:
@@ -87,6 +98,59 @@ def ito_drift_batch(
 ) -> np.ndarray:
     """Batched Ito drift; ``sig`` reuses ``sigma(Y)`` if the caller has it."""
     return coeffs.b(Y) + 0.5 * stratonovich_correction_batch(coeffs, Y, sig)
+
+
+def noise_term(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """The march's noise term ``np.einsum('bij,bj->bi', sig, dw)``."""
+    if len(sig) >= COLUMN_MIN_ROWS and sig.shape[1:] == (2, 2):
+        return _noise_columns(sig, dw)
+    return np.einsum("bij,bj->bi", np.ascontiguousarray(sig), dw)
+
+
+# ---------------------------------------------------------------------------
+# The planar contractions along the batch axis
+# ---------------------------------------------------------------------------
+
+# From this many rows on, at d = m = 2, a step's column forms together cost
+# less than the numpy calls they replace (ROADMAP item 3(b)): einsum and
+# broadcasting against a (d,) or (d, m) operand run one short loop per row,
+# a column form a fixed number of batch-wide calls.  The noise-interaction
+# term gains from 256 rows on; trig's fields alone break even near 512.
+COLUMN_MIN_ROWS = 512
+
+# At d = m = 2 (numpy 2.4, B >= 2) 'bij,bj->bi' adds its two products in
+# order, and 'bijk,bkj->bi' adds per-k sums over j, then the two partial
+# sums; both start from +0.0, so a sum of -0.0 products is +0.0.  Where two
+# NaNs of different sign meet, the noise term keeps the earlier term's and
+# dw's, which the column form follows; the noise-interaction term's choice
+# follows its vector kernel and the batch width, so there the column form
+# gives the same bits up to the sign of a NaN.  Other shapes sum in other
+# orders (the noise term at m = 3, the noise-interaction term at d = 3).
+
+
+def _noise_columns(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """``'bij,bj->bi'`` at d = m = 2, one product per ``(i, j)`` over the batch."""
+    out = np.empty((len(sig), 2))
+    for i in range(2):
+        o = out[:, i]
+        np.multiply(dw[:, 0], sig[:, i, 0], out=o)
+        o += dw[:, 1] * sig[:, i, 1]
+    out += 0.0  # einsum's sums start from +0.0
+    return out
+
+
+def _stratonovich_columns(grad: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """``'bijk,bkj->bi'`` at d = m = 2: per-k sums over j, then their sum."""
+    out = np.empty((len(sig), 2))
+    part = np.empty(len(sig))
+    for i in range(2):
+        o = out[:, i]
+        for k, acc in ((0, o), (1, part)):
+            np.multiply(sig[:, k, 0], grad[:, i, 0, k], out=acc)
+            acc += sig[:, k, 1] * grad[:, i, 1, k]
+        o += part
+    out += 0.0  # einsum's sums start from +0.0
+    return out
 
 
 def finite_difference_correction(
@@ -116,11 +180,18 @@ def _drift_field(drift_matrix, drift_offset, d: int):
     if A.shape != (d, d) or c.shape != (d,):
         raise ValueError("drift parameters must have shapes (d, d) and (d,)")
 
+    columns = d == 2
+
     def b(y):
         y = np.asarray(y, float)
         # np.dot, not @: bit-identical here, without @'s dispatch overhead
         # on narrow operands (6 us against 1.5 us for a (667, 1) batch).
-        return np.dot(y, A.T) + c
+        r = np.dot(y, A.T)
+        if columns and len(y) >= COLUMN_MIN_ROWS:
+            for k in range(d):
+                r[:, k] += c[k]
+            return r
+        return r + c
 
     lip = float(np.linalg.norm(A, 2))
     return b, lip, A, c
@@ -230,28 +301,51 @@ def trig(
     # spread over the (d, m) entries.  Each entry's argument is the same sum
     # freq . y + phase_ij as in the entrywise spelling, so the values are
     # identical; one distinct phase (the default) spreads by broadcasting,
-    # several by indexing.
+    # several by indexing, and a wide batch at d = m = 2 takes each entry as
+    # one column of its phase's values (``entries``).
     uphase, spread = np.unique(phase, return_inverse=True)
-    spread = (..., None) if len(uphase) == 1 else (..., spread.reshape(d, m))
+    spread = spread.reshape(d, m)
+    columns = d == 2 and m == 2
+    entries = [
+        (i, j, spread[i, j], amplitude[i, j], offset[i, j]) for i in range(d) for j in range(m)
+    ]
+    spread = (..., None) if len(uphase) == 1 else (..., spread)
+
+    def phase_values(fn, y):
+        # np.dot for the same reason as in _drift_field.
+        return fn(np.dot(y, frequency)[..., None] + uphase)
 
     def scaled(fn, y):
         """``amplitude * fn(freq . y + phase)``, shape ``(..., d, m)``."""
-        y = np.asarray(y, float)
-        # np.dot for the same reason as in _drift_field.
-        t = fn(np.dot(y, frequency)[..., None] + uphase)
         # C order, as the entrywise spelling returns it: einsum's summation
         # order follows its operands' memory layout, and an indexed spread
         # is laid out phase axis first.
-        return np.multiply(amplitude, t[spread], order="C")
+        return np.multiply(amplitude, phase_values(fn, y)[spread], order="C")
 
     def sigma_f(y):
+        y = np.asarray(y, float)
+        if columns and len(y) >= COLUMN_MIN_ROWS:
+            t = phase_values(np.sin, y)
+            out = np.empty((len(y), d, m))
+            for i, j, p, amp, off in entries:
+                o = out[:, i, j]
+                np.multiply(amp, t[:, p], out=o)
+                np.add(off, o, out=o)
+            return out
         return offset + scaled(np.sin, y)
 
     def grad_f(y):
         # scaled(np.cos, y)[..., None] * frequency, one product over the
         # whole batch per state direction instead of one loop of length d
         # per entry.
-        c = scaled(np.cos, y)
+        y = np.asarray(y, float)
+        if columns and len(y) >= COLUMN_MIN_ROWS:
+            t = phase_values(np.cos, y)
+            c = np.empty((len(y), d, m))
+            for i, j, p, amp, _ in entries:
+                np.multiply(amp, t[:, p], out=c[:, i, j])
+        else:
+            c = scaled(np.cos, y)
         out = np.empty(c.shape + (d,))
         for k in range(d):
             np.multiply(c, frequency[k], out=out[..., k])

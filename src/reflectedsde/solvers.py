@@ -20,6 +20,10 @@ states) go through BLAS from two rows on, which fuses a multiply into an
 add, while a single row is summed plainly; so batches of two or more
 paths agree row for row whatever their width, but a path marched alone
 can differ from its row in a batch at rounding level.
+
+The noise term ``sigma @ dW`` is ``coefficients.noise_term``: a wide march
+with d = m = 2 sums batch columns, every other march calls ``np.einsum``,
+with the same bits either way.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .brownian import BrownianPath, FineBlocks, wz_knot_slopes
-from .coefficients import CoefficientSet, ito_drift_batch
+from .coefficients import CoefficientSet, ito_drift_batch, noise_term
 from .errors import (
     InfeasibleStep,
     LevelTooFine,
@@ -221,10 +225,17 @@ def integrate_wz_batch(
     ends.
     """
     dts = np.diff(times)
+    knot, s = -1, None
 
     def displacement(i, X):
-        s = slopes[:, knot_idx[i], :]
-        return (np.einsum("bij,bj->bi", coeffs.sigma(X), s) + coeffs.b(X)) * dts[i]
+        nonlocal knot, s
+        if knot_idx[i] != knot:
+            # One contiguous (B, m) copy per knot: the column noise term
+            # reads a strided (B, K_n, m) slice about three times slower,
+            # and einsum's bits do not depend on this layout.
+            knot = knot_idx[i]
+            s = np.ascontiguousarray(slopes[:, knot, :])
+        return (noise_term(coeffs.sigma(X), s) + coeffs.b(X)) * dts[i]
 
     return _march(domain, x0, times, out_pos, displacement, record_substeps, record_history)
 
@@ -262,7 +273,7 @@ def integrate_reference_batch(
             stop = start + block.shape[1] - 1
         sig = coeffs.sigma(X)
         dw = block[:, k + 1 - start] - block[:, k - start]
-        return np.einsum("bij,bj->bi", sig, dw) + ito_drift_batch(coeffs, X, sig) * h
+        return noise_term(sig, dw) + ito_drift_batch(coeffs, X, sig) * h
 
     return _march(
         domain, x0, np.arange(last + 1) * h, out_steps, displacement, record_substeps,

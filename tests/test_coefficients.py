@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
+from reflectedsde import coefficients
 from reflectedsde.coefficients import (
+    COLUMN_MIN_ROWS,
     finite_difference_correction,
     ito_drift_batch,
+    noise_term,
     stratonovich_correction_batch,
 )
 from reflectedsde.errors import OutOfDomain
@@ -237,3 +240,151 @@ def test_constant_fields_are_fresh_writable_batches():
             assert out.flags.c_contiguous and out.flags.writeable
             out[0] += 1.0
             np.testing.assert_array_equal(getattr(coeffs, field)(np.zeros((B, 2)))[0], value)
+
+
+# ---------------------------------------------------------------------------
+# Column forms of the planar march: byte-equal to the spellings they replace
+# ---------------------------------------------------------------------------
+
+# Around the crossover and at the benchmark's width; the column functions
+# themselves are exact from two rows on, whatever the crossover.
+WIDTHS = (63, 64, 65, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS, COLUMN_MIN_ROWS + 1, 2000)
+
+
+def _draw(rng, shape, special):
+    """Standard normals; with ``special``, a fifth of them +-NaN, +-inf or +-0.0."""
+    a = rng.standard_normal(shape)
+    if special:
+        flat = a.reshape(-1)
+        pick = rng.choice(flat.size, flat.size // 5, replace=False)
+        flat[pick] = rng.choice([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0], len(pick))
+    return a
+
+
+def _increments(rng, B, m, special):
+    """``(B, m)`` increments in the layouts the marches pass them in."""
+    slopes = _draw(rng, (B, 5, m), special)
+    block = _draw(rng, (4, B, m), special).transpose(1, 0, 2)  # time-major fine knots
+    return [
+        slopes[:, 2, :],  # a strided knot row of the WZ slopes
+        np.ascontiguousarray(slopes[:, 2, :]),  # the copy the WZ march takes per knot
+        block[:, 1],  # a time-major block row
+        block[:, 2] - block[:, 1],  # the reference's increment
+    ]
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_bytes_but_nan_signs(a, b):
+    # Which of two NaNs a product or sum keeps is left open by IEEE 754;
+    # einsum's choice in the noise-interaction term follows its vector
+    # kernel and the batch width.
+    return _same_bytes(np.where(np.isnan(a), np.nan, a), np.where(np.isnan(b), np.nan, b))
+
+
+def test_noise_columns_equal_einsum_bytes():
+    rng = np.random.default_rng(122)
+    with np.errstate(invalid="ignore"):
+        for B in WIDTHS:
+            for special in (False, True):
+                sig = _draw(rng, (B, 2, 2), special)
+                for dw in _increments(rng, B, 2, special):
+                    expected = np.einsum("bij,bj->bi", sig, dw)
+                    assert _same_bytes(coefficients._noise_columns(sig, dw), expected)
+                    assert _same_bytes(noise_term(sig, dw), expected)
+
+
+def test_stratonovich_columns_equal_einsum_bytes():
+    rng = np.random.default_rng(222)
+    with np.errstate(invalid="ignore"):
+        for B in WIDTHS:
+            for special in (False, True):
+                grad, sig = _draw(rng, (B, 2, 2, 2), special), _draw(rng, (B, 2, 2), special)
+                expected = np.einsum("bijk,bkj->bi", grad, sig)
+                got = coefficients._stratonovich_columns(grad, sig)
+                assert _same_bytes_but_nan_signs(got, expected)
+                if not special:
+                    assert _same_bytes(got, expected)
+
+
+def test_sums_of_negative_zero_products_are_positive_zero():
+    # einsum starts each sum from +0.0; a plain column sum of -0.0 products
+    # would be -0.0.
+    B = COLUMN_MIN_ROWS
+    sig = -np.abs(np.random.default_rng(4).standard_normal((B, 2, 2))) - 0.5
+    for out in (
+        coefficients._stratonovich_columns(np.zeros((B, 2, 2, 2)), sig),
+        coefficients._noise_columns(sig, np.zeros((B, 2))),
+    ):
+        assert out.shape == (B, 2)
+        assert not np.any(np.signbit(out)) and not np.any(out)
+
+
+@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)])
+def test_contractions_are_columns_only_for_wide_planar_batches(d, m, monkeypatch):
+    # Every shape gives einsum's bytes; only d = m = 2 from COLUMN_MIN_ROWS
+    # rows on reaches the column forms, so d = 3 and m = 3 keep the einsum.
+    calls = []
+    for name in ("_noise_columns", "_stratonovich_columns"):
+        form = getattr(coefficients, name)
+        monkeypatch.setattr(
+            coefficients, name, lambda a, b, form=form, name=name: calls.append(name) or form(a, b)
+        )
+    rng = np.random.default_rng(500 + 10 * d + m)
+    coeffs = rs.trig(
+        rng.standard_normal((d, m)), rng.standard_normal((d, m)), rng.standard_normal(d),
+        rng.standard_normal((d, m)), rng.standard_normal((d, d)),
+    )
+    for B in (1, 2) + WIDTHS:
+        Y, dw = rng.standard_normal((B, d)), rng.standard_normal((B, m))
+        sig, grad = coeffs.sigma(Y), coeffs.grad_sigma(Y)
+        calls.clear()
+        assert _same_bytes(noise_term(sig, dw), np.einsum("bij,bj->bi", sig, dw))
+        assert _same_bytes(
+            stratonovich_correction_batch(coeffs, Y), np.einsum("bijk,bkj->bi", grad, sig)
+        )
+        wide = (d, m) == (2, 2) and B >= COLUMN_MIN_ROWS
+        assert calls == (["_noise_columns", "_stratonovich_columns"] if wide else [])
+
+
+@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)])
+def test_einsum_bits_do_not_depend_on_the_slope_row_layout(d, m):
+    # The WZ march hands the noise contraction a contiguous copy of each
+    # knot's slopes instead of the strided (B, K, m) slice.
+    rng = np.random.default_rng(300 + 10 * d + m)
+    for B in (1, 2, 7, 64, COLUMN_MIN_ROWS, 2000):
+        sig, slopes = rng.standard_normal((B, d, m)), rng.standard_normal((B, 9, m))
+        for k in (0, 4, 8):
+            row = slopes[:, k, :]
+            assert _same_bytes(
+                np.einsum("bij,bj->bi", sig, np.ascontiguousarray(row)),
+                np.einsum("bij,bj->bi", sig, row),
+            )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_planar_fields_equal_their_broadcast_spelling_on_special_values(m):
+    # The wide planar forms of b and trig's sigma and grad_sigma against the
+    # one-call spellings, with NaN, inf and signed zeros in the state and
+    # signed zeros in the parameters.
+    rng = np.random.default_rng(400 + m)
+    d = 2
+    A, c = rng.standard_normal((d, d)), np.array([-0.0, 0.3])
+    offset, amplitude = rng.standard_normal((d, m)), rng.standard_normal((d, m))
+    offset[0, 0], amplitude[-1, -1] = -0.0, 0.0
+    frequency, phase = rng.standard_normal(d), _phases("partly-equal", d, m)
+    trig = rs.trig(offset, amplitude, frequency, phase, A, c)
+    with np.errstate(invalid="ignore"):
+        for B in (2, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS, 2000):
+            for special in (False, True):
+                y = _draw(rng, (B, d), special)
+                if not special:
+                    y[: B // 4] = 0.0
+                    y[B // 4 : B // 2] = -0.0
+                arg = np.dot(y, frequency)[..., None, None] + phase
+                assert _same_bytes(trig.b(y), np.dot(y, A.T) + c)
+                assert _same_bytes(trig.sigma(y), offset + amplitude * np.sin(arg))
+                grad = (amplitude * np.cos(arg))[..., None] * frequency
+                assert _same_bytes(trig.grad_sigma(y), grad)

@@ -46,6 +46,27 @@ def _ball3_problem():
     return rs.ball(1.0, dim=3), coeffs, [0.6, 0.0, 0.2]
 
 
+def _planar_trig_2x3_problem():
+    # d = 2, m = 3: in groups of any width both contractions stay einsums,
+    # whose order the column forms (d = m = 2) do not reproduce here.
+    coeffs = rs.trig(
+        offset=[[0.5, 0.1, -0.1], [0.0, 0.4, 0.2]],
+        amplitude=[[0.2, 0.1, 0.1], [0.1, 0.2, 0.1]],
+        frequency=[1.0, -1.5],
+        phase=[[0.0, 0.5, 0.0], [0.5, 0.0, 1.0]],
+        drift_matrix=[[-0.5, 0.1], [0.0, -0.5]],
+    )
+    return rs.annulus(0.5, 1.0, dim=2), coeffs, [0.75, 0.0]
+
+
+def _ball_constant_negative_problem():
+    # Every sigma entry negative: the zero derivative times sigma, and sigma
+    # times the first knot interval's zero slope, are -0.0 products, whose
+    # einsum sums are +0.0.
+    coeffs = rs.constant([[-0.4, -0.1], [-0.1, -0.3]], drift_matrix=[[-0.5, 0.0], [0.0, -0.5]])
+    return rs.ball(1.0, dim=2), coeffs, [0.5, -0.3]
+
+
 def _array_digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -103,6 +124,10 @@ CASES = {
     # A horizon off the dyadic grid: the fine grid (level 8) pads T=0.3 to
     # 0.30078, the level-5 grid to 0.3125; outputs keep the fine padding.
     "stats_interval_trig_T0.3": lambda: _stats_digest(_interval_problem, T=0.3),
+    # Groups at least as wide as coefficients.COLUMN_MIN_ROWS: the d = m = 2
+    # ball runs the column forms, the (2, 3) annulus keeps the einsums.
+    "stats_annulus_trig_2x3": lambda: _stats_digest(_planar_trig_2x3_problem, M=512),
+    "stats_ball_constant_neg": lambda: _stats_digest(_ball_constant_negative_problem, M=512),
     "holder_reference": lambda: _holder_digest("reference"),
     "holder_level_4": lambda: _holder_digest(4),
     "substeps_ball_linear": _substep_digest,
@@ -113,6 +138,8 @@ GOLDEN = {
     "stats_annulus_trig": "c44d76c3d6c2bc92e4ed2277267d3364265c93b1e0b4948b09630269b0e40fc2",
     "stats_ball3_trig_phases": "f9d720c49b9baa93944b5ae94e69d25a5484cd95e7df9bc78a7d766df9f325b5",
     "stats_interval_trig_T0.3": "41f9dbdf3caaab1685dc381f893547e910ff3e9acb32a19ce186e7636acf66bf",
+    "stats_annulus_trig_2x3": "50464267bd56313047cb37a74bcfc2afd2669270820a2c1791bec2ce3e21907b",
+    "stats_ball_constant_neg": "b451106655e58bc0e52fcedc7550184af2011d634ee5e1706142986475437636",
     "holder_reference": "a317d719277a95fec161598f2eec323be484cc2e9af24a1fd1b0d4f55c46a747",
     "holder_level_4": "ad446c4436fce4c715b1b4b6a7e8a11ee6f652a20f304b70482c2796c58cf1ae",
     "substeps_ball_linear": "0a8a4ae950c7f60be3d859868222577c1b95ca59e1de60e9fb0acd1b82b2cfeb",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian, harness
+from reflectedsde import brownian, coefficients, harness
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import DegenerateFit, ExperimentFailed, MismatchedTimes, OutOfDomain
 from reflectedsde.harness import (
@@ -14,6 +14,7 @@ from reflectedsde.harness import (
     jackknife_se,
     path_seed,
 )
+from test_golden import _ball3_problem
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +333,34 @@ def test_layout_of_a_planar_study_never_leaves_a_path_alone(monkeypatch):
     for arrays in got:
         for a, b in zip(arrays, expected):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("problem", [_annulus_problem, _ball3_problem])
+@pytest.mark.parametrize("M", [16, 600])
+def test_stats_do_not_depend_on_the_layout_of_coefficient_outputs(problem, M):
+    # einsum's summation order follows its operands' memory layout, so the
+    # march hands it C-ordered coefficient outputs: a custom set returning
+    # the same values Fortran-ordered or with reversed axes gets the same
+    # bits, in groups narrower and wider than the column crossover.
+    assert 16 < coefficients.COLUMN_MIN_ROWS <= 600
+    domain, coeffs, x0 = problem()
+
+    def relaid(layout):
+        def wrap(field):
+            return lambda y: layout(field(y))
+
+        return dataclasses.replace(
+            coeffs, sigma=wrap(coeffs.sigma), grad_sigma=wrap(coeffs.grad_sigma)
+        )
+
+    def stats(c):
+        s = rs.run_coupling_stats(domain, c, x0, 0.5, (2, 3), M, 3, 4, 5)
+        return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
+
+    expected = stats(coeffs)
+    for layout in (np.asfortranarray, lambda a: np.ascontiguousarray(a.T).T):
+        for a, b in zip(stats(relaid(layout)), expected):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("budget", [1, 10_000, 2**20, 2**40])
