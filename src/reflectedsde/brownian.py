@@ -9,12 +9,24 @@ knot values byte-exactly, and sampling directly at a fine level equals
 repeated refinement of a coarser path.
 
 Each stream is the Philox generator that ``SeedSequence([seed, level])``
-keys (the seed masked to 63 bits), started at counter zero.  A sampling
-call computes the whole ``(levels, paths)`` key table in one vectorised
-pass of SeedSequence's hash (``stream_keys``) and re-keys one Philox
-before each stream, instead of building a ``SeedSequence``, a ``Philox``
-and a ``Generator`` per stream; the draws are exactly those of
-``Generator(Philox(SeedSequence([seed, level])))``.
+keys (the seed masked to 63 bits), started at counter zero; the draws are
+exactly those of ``Generator(Philox(SeedSequence([seed, level])))``.  A
+sampling call computes the whole ``(levels, paths)`` key table at once
+(``stream_keys``) and draws the streams through the stream library,
+``_streams.c``: Philox4x64-10 and SeedSequence's hash in C, with numpy's
+own ziggurat (``random_standard_normal`` from numpy's ``libnpyrandom.a``)
+for the normals, one call per level (or per level and time block) for a
+whole batch.
+
+The library is compiled on first use with ``cc -O2 -fPIC -shared
+-ffp-contract=off`` into ``$XDG_CACHE_HOME/reflectedsde/<key>.so``
+(``~/.cache`` when ``XDG_CACHE_HOME`` is unset), where the key is the
+SHA-256 of the C source, the numpy version, the operating system and the
+machine type; it is built in a temporary directory and renamed into place.
+When it cannot be compiled or loaded, sampling falls back to numpy code (a
+vectorised key hash and one numpy Philox re-keyed before each stream) that
+draws the same bits; the tests compare the two paths byte for byte.
+``native_library()`` tells which path runs.
 
 The interpolant is the lagged one: on the knot interval starting at
 ``k / 2^n`` it interpolates the path over the PREVIOUS knot interval, which
@@ -31,9 +43,17 @@ alone from seed ``b``.  ``refine``, ``restrict``, ``level_values`` and
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import platform
 import struct
+import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass
 from math import ceil
+from pathlib import Path
 
 import numpy as np
 
@@ -44,8 +64,79 @@ _HEADER = struct.Struct("<IIdQ")
 
 _SEED_MASK = 2**63 - 1
 _U32 = 0xFFFFFFFF
-# Size of the buffer that midpoint insertion draws normals into.
+# Size of the buffer that midpoint insertion on the numpy path draws normals into.
 _SCRATCH_BYTES = 2**20
+
+_SOURCE = Path(__file__).with_name("_streams.c")
+
+
+def _library_path() -> Path:
+    """Cache path of the stream library for this C source, numpy and platform."""
+    # Imported here: the engine's import path does not load it otherwise.
+    import hashlib
+
+    tag = hashlib.sha256(_SOURCE.read_bytes())
+    tag.update(f"{np.__version__} {sys.platform} {platform.machine()}".encode())
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(cache, "reflectedsde", tag.hexdigest() + ".so")
+
+
+def _compile(target: Path) -> None:
+    """Build the stream library at ``target`` with the system C compiler,
+    linking numpy's own sampler (``libnpyrandom.a``)."""
+    include = Path(np.get_include())
+    library = include.parent.parent / "random" / "lib" / "libnpyrandom.a"
+    subprocess.run(
+        ["cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-I", str(include),
+         str(_SOURCE), str(library), "-lm", "-o", str(target)],
+        check=True, capture_output=True,
+    )
+
+
+@functools.cache
+def _native():
+    """The stream library, built on first use; ``None`` when it cannot be
+    built or loaded, so that the numpy path runs instead."""
+    try:
+        target = _library_path()
+        if not target.exists():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            # Built aside and renamed into place, so that a concurrent
+            # process never loads a half-written file.
+            with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
+                built = Path(tmp, target.name)
+                _compile(built)
+                os.replace(built, target)
+        lib = ctypes.CDLL(str(target))
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        for name, args in (
+            ("stream_keys", [ptr, i64, ptr, i64, ptr]),
+            ("fill_streams", [ptr, ptr, i64, i64, ptr]),
+            ("refine_level", [ptr, ptr, i64, ptr, i64, i64, i64, i64, i64, ctypes.c_double]),
+        ):
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = args, None
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None
+    return lib
+
+
+def native_library() -> str | None:
+    """Path of the stream library that sampling uses, or ``None`` when the
+    numpy path runs."""
+    lib = _native()
+    return None if lib is None else lib._name
+
+
+def _ptr(a: np.ndarray) -> int:
+    return a.ctypes.data
+
+
+def _draws_ptr(out: np.ndarray) -> int:
+    """Address of ``out``, checked to be an array the library may fill."""
+    if out.dtype != np.float64 or not out.flags.c_contiguous or not out.flags.writeable:
+        raise ValueError("normals are drawn into a writeable C-contiguous float64 array")
+    return _ptr(out)
 
 
 def _hash_chain(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
@@ -82,19 +173,12 @@ def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     return h
 
 
-def stream_keys(seeds, levels) -> np.ndarray:
-    """Philox keys of the ``(seed, level)`` streams, shape ``(L, B, 2)``.
-
-    Row ``[j, b]`` equals ``SeedSequence([seeds[b] & (2**63 - 1),
-    levels[j]]).generate_state(2, np.uint64)`` bit for bit: the pool-4 hash
-    runs as uint32 array arithmetic over every (level, seed) pair at once.
-    Seeds are masked as Python ints, so negative seeds and seeds of 2^63
-    and above are accepted.
-    """
-    masked = np.array([int(s) & _SEED_MASK for s in seeds], np.uint64)
+def _numpy_stream_keys(masked: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``stream_keys`` as uint32 array arithmetic over every (level, seed)
+    pair at once; ``masked`` holds the seeds already masked to 63 bits."""
     lo = masked.astype(np.uint32)
     hi = (masked >> np.uint64(32)).astype(np.uint32)
-    level = np.asarray(levels, np.uint32)[:, None]
+    level = levels[:, None]
     # SeedSequence's entropy words: [lo, level] when the seed fits 32 bits,
     # else [lo, hi, level]; the pool pads them with zeros.
     wide = hi != 0
@@ -115,46 +199,99 @@ def stream_keys(seeds, levels) -> np.ndarray:
     return np.stack([words[0] | words[1], words[2] | words[3]], -1)
 
 
-def _stream_filler(seeds, first_level: int, last_level: int, resume: bool = False):
-    """``fill(level, b, out)``: ``out`` filled with standard normals from the
-    ``(seeds[b], level)`` stream, for levels ``first_level`` to
-    ``last_level``.  One Philox serves every stream; it is re-keyed with an
-    empty buffer at counter zero before each fill, or, with ``resume``, at
-    the counter and buffer where the stream's previous fill stopped.  A
-    stream drawn in pieces so gives the values it gives in one draw."""
-    keys = stream_keys(seeds, range(first_level, last_level + 1))
-    bitgen = np.random.Philox(key=0)
-    normal = np.random.Generator(bitgen).standard_normal
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": None},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    if resume:
-        # Per stream: counter (4 words), buffer (4 words), buffer position.
-        # Normal draws never leave a spare 32-bit half, so that is all.
-        saved = np.zeros(keys.shape[:2] + (9,), np.uint64)
-        saved[..., 8] = 4
+def stream_keys(seeds, levels) -> np.ndarray:
+    """Philox keys of the ``(seed, level)`` streams, shape ``(L, B, 2)``.
 
-    def fill(level: int, b: int, out: np.ndarray) -> None:
-        state["state"]["key"] = keys[level - first_level, b]
+    Row ``[j, b]`` equals ``SeedSequence([seeds[b] & (2**63 - 1),
+    levels[j]]).generate_state(2, np.uint64)`` bit for bit: SeedSequence's
+    pool-4 hash runs in the stream library, or as numpy arithmetic without
+    it.  Seeds are masked as Python ints, so negative seeds and seeds of
+    2^63 and above are accepted.
+    """
+    masked = np.array([int(s) & _SEED_MASK for s in seeds], np.uint64)
+    levels = np.array(levels, np.uint32)
+    lib = _native()
+    if lib is None:
+        return _numpy_stream_keys(masked, levels)
+    keys = np.empty((len(levels), len(masked), 2), np.uint64)
+    lib.stream_keys(_ptr(masked), len(masked), _ptr(levels), len(levels), _ptr(keys))
+    return keys
+
+
+class _Streams:
+    """The standard normal streams of a batch at levels ``first`` to ``last``.
+
+    Stream ``(level, b)`` is the Philox stream keyed
+    ``stream_keys(seeds, [level])[0, b]``.  Each draw starts the stream at
+    counter zero with an empty buffer or, with ``resume``, where its
+    previous draw stopped, so a stream drawn in pieces gives the values it
+    gives in one draw.  Draws run in the stream library, or through one
+    numpy Philox re-keyed before each draw, with the same bits.
+    """
+
+    def __init__(self, seeds, first: int, last: int, resume: bool = False):
+        self.first = first
+        self.keys = stream_keys(seeds, range(first, last + 1))
+        self.saved = None
         if resume:
-            row = saved[level - first_level, b]
+            # Per stream: counter (4 words), buffer (4 words), buffer position.
+            # Normal draws never leave a spare 32-bit half, so that is all.
+            self.saved = np.zeros(self.keys.shape[:2] + (9,), np.uint64)
+            self.saved[..., 8] = 4
+        self.lib = _native()
+        if self.lib is not None:
+            self._keys_at = _ptr(self.keys)
+            self._saved_at = None if self.saved is None else _ptr(self.saved)
+            return
+        self._bitgen = np.random.Philox(key=0)
+        self._normal = np.random.Generator(self._bitgen).standard_normal
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": None},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def addresses(self, level: int, b: int = 0):
+        """Addresses of the key and saved state (``None`` without ``resume``)
+        of stream ``(level, b)``, for the library."""
+        j = level - self.first
+        keys = self._keys_at + j * self.keys.strides[0] + b * self.keys.strides[1]
+        if self._saved_at is None:
+            return keys, None
+        return keys, self._saved_at + j * self.saved.strides[0] + b * self.saved.strides[1]
+
+    def draw(self, level: int, b: int, out: np.ndarray) -> None:
+        """Fill the C-contiguous ``out`` from stream ``(level, b)``."""
+        if self.lib is not None:
+            self.lib.fill_streams(*self.addresses(level, b), 1, out.size, _draws_ptr(out))
+            return
+        j = level - self.first
+        state = self._state
+        state["state"]["key"] = self.keys[j, b]
+        if self.saved is not None:
+            row = self.saved[j, b]
             state["state"]["counter"] = row[:4]
             state["buffer"] = row[4:8]
             state["buffer_pos"] = int(row[8])
-        bitgen.state = state
-        normal(out=out)
-        if resume:
-            after = bitgen.state
+        self._bitgen.state = state
+        self._normal(out=out)
+        if self.saved is not None:
+            after = self._bitgen.state
             row[:4] = after["state"]["counter"]
             row[4:8] = after["buffer"]
             row[8] = after["buffer_pos"]
 
-    return fill
+    def fill(self, level: int, out: np.ndarray) -> None:
+        """Fill row ``b`` of the C-contiguous ``out`` from stream ``(level, b)``."""
+        if self.lib is None:
+            for b in range(len(out)):
+                self.draw(level, b, out[b])
+            return
+        count = out.size // len(out) if len(out) else 0
+        self.lib.fill_streams(*self.addresses(level), len(out), count, _draws_ptr(out))
 
 
 @dataclass(frozen=True)
@@ -245,13 +382,12 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     stride = 2**fine_level
     values = np.empty((len(seeds), n_held, m))
     values[:, 0] = 0.0
-    draws = np.empty(((n_held - 1) // stride, m))
-    fill = _stream_filler(seeds, 0, fine_level)
-    for b in range(len(seeds)):
-        fill(0, b, draws)
-        np.cumsum(draws, axis=0, out=values[b, stride::stride])
+    draws = np.empty((len(seeds), (n_held - 1) // stride, m))
+    streams = _Streams(seeds, 0, fine_level)
+    streams.fill(0, draws)
+    np.cumsum(draws, axis=1, out=values[:, stride::stride])
     for level in range(1, fine_level + 1):
-        _insert_midpoints(values, stride, fill, level)
+        _insert_midpoints(values, stride, streams, level)
         stride //= 2
     values = values[:, : n_fine + 1]
     return BrownianPath(
@@ -260,13 +396,24 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     )
 
 
-def _insert_midpoints(values: np.ndarray, stride: int, fill, level: int) -> None:
+def _insert_midpoints(values: np.ndarray, stride: int, streams: _Streams, level: int) -> None:
     """Fill, in place, the level-``level`` midpoints of knots ``stride`` apart.
 
-    ``values`` is ``(B, N, m)``; row ``b`` draws ``fill(level, b, ...)``,
-    the stream of its seed at ``level``.  Each midpoint is the mean of its
-    neighbours plus a scaled normal, evaluated in that order.
+    ``values`` is ``(B, N, m)`` with ``N - 1`` a multiple of ``stride``; row
+    ``b`` draws from stream ``(level, b)`` in knot-major, component-minor
+    order.  Each midpoint is ``((left + right) * 0.5) + (z * scale)``,
+    rounded in that order, in one library call for the whole batch or in
+    numpy calls a scratch of rows at a time.
     """
+    scale = 2.0 ** (-0.5 * (level + 1))
+    if streams.lib is not None:
+        B, N, m = values.shape
+        path_step, knot_step, comp_step = (s // values.itemsize for s in values.strides)
+        streams.lib.refine_level(
+            *streams.addresses(level), B, _ptr(values), path_step, knot_step * (stride // 2),
+            comp_step, (N - 1) // stride, m, scale,
+        )
+        return
     mid = values[:, stride // 2 :: stride]
     np.add(values[:, 0:-1:stride], values[:, stride::stride], out=mid)
     mid *= 0.5
@@ -278,8 +425,8 @@ def _insert_midpoints(values: np.ndarray, stride: int, fill, level: int) -> None
     for lo in range(0, B, rows):
         part = xi[: B - lo]
         for j in range(len(part)):
-            fill(level, lo + j, part[j])
-        part *= 2.0 ** (-0.5 * (level + 1))
+            streams.draw(level, lo + j, part[j])
+        part *= scale
         mid[lo : lo + rows] += part
 
 
@@ -327,14 +474,14 @@ class FineBlocks:
         # Time-major, so that each step of a march reads contiguous rows.
         buffer = np.empty((width * stride + 1, B, m)).transpose(1, 0, 2)
         first = self.coarse.fine_level + 1
-        fill = _stream_filler(self.coarse.seed, first, self.fine_level, resume=True)
+        streams = _Streams(self.coarse.seed, first, self.fine_level, resume=True)
         for lo in range(0, n_coarse, width):
             hi = min(lo + width, n_coarse)
             values = buffer[:, : (hi - lo) * stride + 1]
             values[:, ::stride] = coarse[:, lo : hi + 1]
             gap = stride
             for level in range(first, self.fine_level + 1):
-                _insert_midpoints(values, gap, fill, level)
+                _insert_midpoints(values, gap, streams, level)
                 gap //= 2
             yield lo * stride, values
 
@@ -346,8 +493,8 @@ def refine(path: BrownianPath) -> BrownianPath:
     values[..., ::2, :] = old
     level = path.fine_level + 1
     seeds = path.seed if values.ndim == 3 else (path.seed,)
-    fill = _stream_filler(seeds, level, level)
-    _insert_midpoints(values.reshape((len(seeds),) + values.shape[-2:]), 2, fill, level)
+    streams = _Streams(seeds, level, level)
+    _insert_midpoints(values.reshape((len(seeds),) + values.shape[-2:]), 2, streams, level)
     return BrownianPath(path.dim_noise, path.horizon, path.fine_level + 1, path.seed, values)
 
 

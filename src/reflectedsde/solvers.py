@@ -145,8 +145,8 @@ def _march(
     ``displacement(i, X)`` to the batch state ``X``, resolves the result
     against the closure, and accumulates the regulator and its variation.
     Returns states, cumulative regulator and cumulative variation at the
-    step positions ``out_pos``, each with a leading output axis, plus an
-    optional substep log (batch size one only).  Without
+    ascending step positions ``out_pos``, each with a leading output axis,
+    plus an optional substep log (batch size one only).  Without
     ``record_history`` the regulator is ``None`` and the variation is only
     its final value, shape ``(B,)``.
     """
@@ -160,8 +160,6 @@ def _march(
     out_states = np.empty((n_out, B, d))
     out_reg = np.empty((n_out, B, d)) if record_history else None
     out_var = np.empty((n_out, B)) if record_history else None
-    record_at = np.full(len(times), -1, np.intp)
-    record_at[out_pos] = np.arange(n_out)
 
     n_steps = len(times) - 1
     if record_substeps:
@@ -170,12 +168,21 @@ def _march(
         sub_dvar = np.empty(n_steps)
     abort_check = B == 1
 
-    if record_at[0] >= 0:
-        out_states[record_at[0]] = X
-        if record_history:
-            out_reg[record_at[0]] = L
-            out_var[record_at[0]] = var
+    # Outputs are recorded in order: output ``j`` is due at step position
+    # ``next_pos``, a Python int, so that a step compares no numpy scalar.
+    j, next_pos = 0, int(out_pos[0]) if n_out else -1
 
+    def record(pos):
+        nonlocal j, next_pos
+        while next_pos == pos:
+            out_states[j] = X
+            if record_history:
+                out_reg[j] = L
+                out_var[j] = var
+            j += 1
+            next_pos = int(out_pos[j]) if j < n_out else -1
+
+    record(0)
     for i in range(n_steps):
         X, d_l = resolve(X, displacement(i, X))
         # np.linalg.norm(d_l, axis=1), bit for bit, without its dispatch.
@@ -183,14 +190,10 @@ def _march(
         if record_history:
             L += d_l
         var += d_var
-        j = record_at[i + 1]
-        if j >= 0:
+        if i + 1 == next_pos:
             if abort_check and not np.all(np.isfinite(X)):
                 raise NonFiniteState(f"non-finite state at t={times[i + 1]}")
-            out_states[j] = X
-            if record_history:
-                out_reg[j] = L
-                out_var[j] = var
+            record(i + 1)
         if record_substeps:
             sub_states[i] = X[0]
             sub_dl[i] = d_l[0]

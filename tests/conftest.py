@@ -2,6 +2,28 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
+from reflectedsde import brownian
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--no-native",
+        action="store_true",
+        help="draw Brownian streams on the numpy path: the stream library is never loaded",
+    )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _stream_library(request, tmp_path_factory):
+    """The session builds the stream library into its own cache directory,
+    not the user's; with ``--no-native`` the loader returns ``None``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        brownian._native.cache_clear()
+        if request.config.getoption("--no-native"):
+            mp.setattr(brownian, "_native", lambda: None)
+        yield
+    brownian._native.cache_clear()
 
 
 @pytest.fixture

@@ -189,8 +189,8 @@ def test_batched_sampling_builds_one_philox_and_no_seedsequence(monkeypatch):
 
 def test_a_resumed_stream_draws_what_one_draw_gives():
     seeds = [5, -7, 2**63 + 1]
-    whole = brownian._stream_filler(seeds, 3, 4)
-    pieces = brownian._stream_filler(seeds, 3, 4, resume=True)
+    whole = brownian._Streams(seeds, 3, 4).draw
+    pieces = brownian._Streams(seeds, 3, 4, resume=True).draw
     for b in range(len(seeds)):
         expected = np.empty(1000)
         whole(4, b, expected)
@@ -199,6 +199,12 @@ def test_a_resumed_stream_draws_what_one_draw_gives():
         pieces(3, b, np.empty(17))  # another stream in between
         pieces(4, b, got[333:])
         np.testing.assert_array_equal(got, expected)
+
+
+def test_draws_refuse_a_strided_output():
+    streams = brownian._Streams([5], 0, 0)
+    with pytest.raises(ValueError):
+        streams.draw(0, 0, np.empty((4, 2))[:, 0])
 
 
 def _block_budgets(B, m, intervals, stride):

@@ -1,0 +1,154 @@
+"""The stream library against the numpy streams, and its build and fallback.
+
+Every test here compares the bytes of what the library draws with what the
+numpy path draws for the same configuration, or checks that a failed build
+or load leaves the numpy path running with the same bits.
+"""
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import reflectedsde as rs
+from reflectedsde import brownian
+from reflectedsde.brownian import FineBlocks, dyadic_grid, stream_keys
+from reflectedsde.harness import path_seed
+
+_STUDY_SEEDS = [path_seed(97, i) for i in range(64)]
+_HOLDER_SEEDS = [path_seed(11, i) for i in range(64)]
+
+@pytest.fixture
+def native_streams(request):
+    """The stream library.  Skips under ``--no-native`` or without a C
+    compiler; fails when a compiler is there but the library did not load."""
+    if request.config.getoption("--no-native"):
+        pytest.skip("--no-native: the numpy streams run")
+    lib = brownian._native()
+    if lib is None:
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler, so the numpy streams run")
+        pytest.fail("a C compiler is present but the stream library did not build or load")
+    return lib
+
+
+# (m, T, seeds, coarse level, fine level, FineBlocks budget in bytes).
+CASES = {
+    # The Brownian inputs of the golden cases: each study samples its paths
+    # at level 5 and its reference refines them to level 8 in blocks.
+    "golden_interval": (1, 1.0, _STUDY_SEEDS, 5, 8, 32 * 2**20),
+    "golden_interval_T0.3": (1, 0.3, _STUDY_SEEDS, 5, 8, 32 * 2**20),
+    "golden_annulus": (2, 1.0, _STUDY_SEEDS, 5, 8, 32 * 2**20),
+    "golden_ball3": (3, 1.0, _STUDY_SEEDS, 5, 8, 32 * 2**20),
+    "golden_holder": (1, 1.0, _HOLDER_SEEDS, 5, 8, 32 * 2**20),
+    "golden_substeps": (2, 1.0, [3], 4, 7, 32 * 2**20),
+    # One path, negative or wide seeds, horizons off the unit grid, and
+    # blocks of one coarse interval.
+    "one_negative_seed": (1, 1.5, [-5], 2, 6, 1),
+    "wide_seeds_T0.3": (2, 0.3, [2**63 + 7, -1, 2**64 - 1], 3, 7, 1),
+    "mixed_seeds_m3_T1.5": (3, 1.5, [0, 2**63 - 1, -(2**40), 2**70 + 3], 1, 5, 1),
+}
+
+
+def _stream_digest(m, T, seeds, coarse_level, fine_level, budget) -> str:
+    """SHA-256 of the keys, a sampled batch, its refinement, its first path
+    sampled alone, and every block of fine knots refined from the batch."""
+    h = hashlib.sha256()
+    coarse = rs.sample_path(m, T, coarse_level, seeds)
+    alone = rs.sample_path(m, T, coarse_level, seeds[0])
+    for a in (stream_keys(seeds, range(fine_level + 1)), coarse.values,
+              rs.refine(coarse).values, alone.values, rs.refine(alone).values):
+        h.update(np.ascontiguousarray(a).tobytes())
+    n_fine = dyadic_grid(T, fine_level)[0]
+    for start, values in FineBlocks(coarse, fine_level, n_fine, budget).blocks():
+        h.update(np.int64(start).tobytes() + np.ascontiguousarray(values).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_native_streams_draw_the_numpy_bytes(native_streams, monkeypatch, case):
+    native = _stream_digest(*CASES[case])
+    monkeypatch.setattr(brownian, "_native", lambda: None)
+    assert _stream_digest(*CASES[case]) == native
+
+
+def _fail_compile(error):
+    def compile_(target):
+        raise error
+
+    return compile_
+
+
+@pytest.mark.parametrize("failure", ["compiler error", "no compiler", "corrupt cache"])
+def test_a_failed_build_or_load_runs_the_numpy_path(native_streams, monkeypatch, tmp_path,
+                                                     failure):
+    case = CASES["wide_seeds_T0.3"]
+    expected = _stream_digest(*case)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    if failure == "compiler error":
+        error = subprocess.CalledProcessError(1, "cc")
+        monkeypatch.setattr(brownian, "_compile", _fail_compile(error))
+    elif failure == "no compiler":
+        monkeypatch.setattr(brownian, "_compile", _fail_compile(FileNotFoundError("cc")))
+    else:
+        target = brownian._library_path()
+        target.parent.mkdir(parents=True)
+        target.write_bytes(b"not a shared library")
+    brownian._native.cache_clear()
+    try:
+        assert brownian.native_library() is None
+        assert _stream_digest(*case) == expected
+    finally:
+        brownian._native.cache_clear()
+
+
+_CHILD = """
+import hashlib
+from reflectedsde import brownian, sample_path
+path = sample_path(2, 1.5, 6, [-3, 2**63 + 1])
+print(brownian.native_library())
+print(hashlib.sha256(path.values.tobytes()).hexdigest())
+"""
+
+
+def test_two_processes_building_into_one_empty_cache_agree(native_streams, tmp_path):
+    package_root = Path(rs.__file__).resolve().parents[1]
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(package_root))
+    children = [
+        subprocess.Popen([sys.executable, "-c", _CHILD], env=env, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outputs = []
+    for child in children:
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        outputs.append(out.split())
+    (lib_a, digest_a), (lib_b, digest_b) = outputs
+    expected = hashlib.sha256(rs.sample_path(2, 1.5, 6, [-3, 2**63 + 1]).values.tobytes())
+    assert digest_a == digest_b == expected.hexdigest()
+    # One library, named by its cache key, and no build left behind.
+    cache = tmp_path / "reflectedsde"
+    assert lib_a == lib_b and [str(p) for p in cache.iterdir()] == [lib_a]
+    assert Path(lib_a).suffix == ".so" and len(Path(lib_a).stem) == 64
+
+
+def test_forked_workers_on_native_streams_equal_serial_numpy_streams(native_streams,
+                                                                       monkeypatch):
+    coeffs = rs.trig([[0.5, 0.1], [0.1, 0.4]], [[0.2, 0.0], [0.0, 0.2]], [1.0, -1.0],
+                     drift_matrix=[[-0.3, 0.0], [0.0, -0.3]])
+
+    def stats(workers):
+        s = rs.run_coupling_stats(rs.ball(1.0, dim=2), coeffs, [0.2, 0.1], 1.0, (3, 4), 24, 3,
+                                  4, 5, workers=workers)
+        return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
+
+    parallel = stats(2)
+    monkeypatch.setattr(brownian, "_native", lambda: None)
+    for got, want in zip(parallel, stats(1)):
+        np.testing.assert_array_equal(got, want)
