@@ -5,19 +5,19 @@
  * pool-4 hash of (seed, level), and its normals come from numpy's own
  * ziggurat, random_standard_normal in libnpyrandom.  So every draw equals
  * numpy.random.Generator(numpy.random.Philox(key=...)).standard_normal bit
- * for bit, and the numpy code in brownian.py stays an exact second oracle.
+ * for bit.  Without this library, brownian.py draws the same bits from
+ * numpy's SeedSequence plus one re-keyed numpy Philox: a second oracle.
  *
  * brownian.py builds this file with
  *     cc -O2 -fPIC -shared -ffp-contract=off -I <numpy include> _streams.c \
  *        <numpy>/random/lib/libnpyrandom.a -lm
  * -ffp-contract=off keeps the midpoint formula to the separate roundings of
  * numpy's add, multiply and add; no fused multiply-add may appear.
- * mulhilo needs unsigned __int128 (gcc and clang on 64-bit targets);
- * where a build fails, brownian.py draws through numpy instead.
+ * mulhilo needs unsigned __int128 (gcc and clang on 64-bit targets).
  *
- * A stream's saved state is nine words: the counter (4), the buffer (4) and
- * the buffer position.  A fresh stream has counter zero and position 4.
- * Normal draws never take a 32-bit half, so that half is not saved.
+ * Every stream has a saved state of nine words: the counter (4), the buffer
+ * (4) and the buffer position; a fresh stream has counter zero and position
+ * 4.  Normal draws never take a 32-bit half, so that half is not saved.
  */
 
 #include <stdint.h>
@@ -100,16 +100,16 @@ static double philox_next_double(void *st)
     return (double)(philox_next64(st) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* Stream ``key`` (two words) at ``saved``, or fresh when ``saved`` is NULL. */
+/* Stream ``key`` (two words) at its ``saved`` state. */
 static void philox_load(philox_t *s, const uint64_t *key, const uint64_t *saved)
 {
     s->key[0] = key[0];
     s->key[1] = key[1];
     for (int i = 0; i < 4; i++) {
-        s->counter[i] = saved ? saved[i] : 0;
-        s->buffer[i] = saved ? saved[4 + i] : 0;
+        s->counter[i] = saved[i];
+        s->buffer[i] = saved[4 + i];
     }
-    s->pos = saved ? (int)saved[8] : 4;
+    s->pos = (int)saved[8];
     s->has_uint32 = 0;
     s->uinteger = 0;
 }
@@ -191,18 +191,17 @@ void stream_keys(const uint64_t *seeds, int64_t n_seeds, const uint32_t *levels,
 
 /* ``count`` normals of each of ``n`` streams into ``out``, stream after
  * stream.  Stream ``b`` is keyed ``keys[2b:2b+2]`` and starts at
- * ``saved[9b:9b+9]`` (saved back after), or fresh when ``saved`` is NULL. */
+ * ``saved[9b:9b+9]``, saved back after. */
 void fill_streams(const uint64_t *keys, uint64_t *saved, int64_t n, int64_t count, double *out)
 {
     for (int64_t b = 0; b < n; b++) {
         philox_t s;
-        philox_load(&s, keys + 2 * b, saved ? saved + 9 * b : 0);
+        philox_load(&s, keys + 2 * b, saved + 9 * b);
         bitgen_t g = philox_bitgen(&s);
         double *row = out + b * count;
         for (int64_t i = 0; i < count; i++)
             row[i] = random_standard_normal(&g);
-        if (saved)
-            philox_save(&s, saved + 9 * b);
+        philox_save(&s, saved + 9 * b);
     }
 }
 
@@ -232,7 +231,7 @@ void refine_level(const uint64_t *keys, uint64_t *saved, int64_t n_paths, double
     for (int64_t b0 = 0; b0 < n_paths; b0 += tile) {
         int64_t n = n_paths - b0 < tile ? n_paths - b0 : tile;
         for (int64_t i = 0; i < n; i++)
-            philox_load(&s[i], keys + 2 * (b0 + i), saved ? saved + 9 * (b0 + i) : 0);
+            philox_load(&s[i], keys + 2 * (b0 + i), saved + 9 * (b0 + i));
         for (int64_t k = 0; k < n_mid; k++) {
             for (int64_t i = 0; i < n; i++) {
                 g.state = &s[i];
@@ -245,8 +244,7 @@ void refine_level(const uint64_t *keys, uint64_t *saved, int64_t n_paths, double
                 }
             }
         }
-        if (saved)
-            for (int64_t i = 0; i < n; i++)
-                philox_save(&s[i], saved + 9 * (b0 + i));
+        for (int64_t i = 0; i < n; i++)
+            philox_save(&s[i], saved + 9 * (b0 + i));
     }
 }

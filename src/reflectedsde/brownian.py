@@ -23,9 +23,10 @@ The library is compiled on first use with ``cc -O2 -fPIC -shared
 (``~/.cache`` when ``XDG_CACHE_HOME`` is unset), where the key is the
 SHA-256 of the C source, the numpy version, the operating system and the
 machine type; it is built in a temporary directory and renamed into place.
-When it cannot be compiled or loaded, sampling falls back to numpy code (a
-vectorised key hash and one numpy Philox re-keyed before each stream) that
-draws the same bits; the tests compare the two paths byte for byte.
+When it cannot be compiled or loaded, sampling falls back to numpy: one
+``SeedSequence`` per stream for the keys, and one numpy Philox re-keyed to
+a stream's key and saved state before each of its draws, with the same
+bits; the tests compare the two paths byte for byte.
 ``native_library()`` tells which path runs.
 
 The interpolant is the lagged one: on the knot interval starting at
@@ -63,7 +64,6 @@ _HEADER = struct.Struct("<IIdQ")
 
 
 _SEED_MASK = 2**63 - 1
-_U32 = 0xFFFFFFFF
 # Size of the buffer that midpoint insertion on the numpy path draws normals into.
 _SCRATCH_BYTES = 2**20
 
@@ -139,82 +139,26 @@ def _draws_ptr(out: np.ndarray) -> int:
     return _ptr(out)
 
 
-def _hash_chain(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
-    """Xor and multiply constants of ``calls`` successive ``hashmix`` calls.
-
-    SeedSequence's hash constant starts at ``init`` and is multiplied by
-    ``mult`` inside each call: call ``i`` xors with link ``i`` of that chain
-    and multiplies by link ``i + 1``.  Each result has shape ``(calls, 1, 1)``.
-    """
-    chain = [init]
-    for _ in range(calls):
-        chain.append(chain[-1] * mult & _U32)
-    chain = np.array(chain, np.uint32)[:, None, None]
-    chain.setflags(write=False)
-    return chain[:-1], chain[1:]
-
-
-# numpy's SeedSequence at its default pool size of 4 words.  Filling the
-# pool takes 4 ``hashmix`` calls, mixing takes 12 (each source word hashed
-# once per other word, in source-major order), and ``generate_state`` of
-# two uint64 words hashes the 4 pool words with a second chain.
-_FILL_XOR, _FILL_MUL = _hash_chain(0x43B0D7E5, 0x931E8875, 16)
-_MIX_XOR, _MIX_MUL = _FILL_XOR[4:].reshape(4, 3, 1, 1), _FILL_MUL[4:].reshape(4, 3, 1, 1)
-_OUT_XOR, _OUT_MUL = _hash_chain(0x8B51F9DD, 0x58F38DED, 4)
-_MIX_L = np.uint32(0xCA01F9DD)
-_MIX_R = np.uint32(0x4973F715)
-_MIX_DST = np.array([[d for d in range(4) if d != s] for s in range(4)])
-
-
-def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    h = words ^ xor
-    h *= mul
-    h ^= h >> np.uint32(16)
-    return h
-
-
-def _numpy_stream_keys(masked: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """``stream_keys`` as uint32 array arithmetic over every (level, seed)
-    pair at once; ``masked`` holds the seeds already masked to 63 bits."""
-    lo = masked.astype(np.uint32)
-    hi = (masked >> np.uint64(32)).astype(np.uint32)
-    level = levels[:, None]
-    # SeedSequence's entropy words: [lo, level] when the seed fits 32 bits,
-    # else [lo, hi, level]; the pool pads them with zeros.
-    wide = hi != 0
-    entropy = np.zeros((4, len(level), len(masked)), np.uint32)
-    entropy[0] = lo
-    entropy[1] = np.where(wide, hi, level)
-    entropy[2] = np.where(wide, level, 0)
-    pool = _hashmix(entropy, _FILL_XOR[:4], _FILL_MUL[:4])
-    for src in range(4):
-        hashed = _hashmix(pool[src], _MIX_XOR[src], _MIX_MUL[src])
-        dst = _MIX_DST[src]
-        mixed = _MIX_L * pool[dst]
-        mixed -= _MIX_R * hashed
-        mixed ^= mixed >> np.uint32(16)
-        pool[dst] = mixed
-    words = _hashmix(pool, _OUT_XOR, _OUT_MUL).astype(np.uint64)
-    words[1::2] <<= np.uint64(32)
-    return np.stack([words[0] | words[1], words[2] | words[3]], -1)
-
-
 def stream_keys(seeds, levels) -> np.ndarray:
     """Philox keys of the ``(seed, level)`` streams, shape ``(L, B, 2)``.
 
-    Row ``[j, b]`` equals ``SeedSequence([seeds[b] & (2**63 - 1),
-    levels[j]]).generate_state(2, np.uint64)`` bit for bit: SeedSequence's
-    pool-4 hash runs in the stream library, or as numpy arithmetic without
-    it.  Seeds are masked as Python ints, so negative seeds and seeds of
-    2^63 and above are accepted.
+    Row ``[j, b]`` is ``SeedSequence([seeds[b] & (2**63 - 1),
+    levels[j]]).generate_state(2, np.uint64)``: SeedSequence's pool-4 hash
+    in the stream library, or SeedSequence itself without it.  Seeds are
+    masked as Python ints, so negative seeds and seeds of 2^63 and above
+    are accepted.
     """
-    masked = np.array([int(s) & _SEED_MASK for s in seeds], np.uint64)
-    levels = np.array(levels, np.uint32)
+    masked = [int(s) & _SEED_MASK for s in seeds]
+    levels = [int(n) for n in levels]
+    keys = np.empty((len(levels), len(masked), 2), np.uint64)
     lib = _native()
     if lib is None:
-        return _numpy_stream_keys(masked, levels)
-    keys = np.empty((len(levels), len(masked), 2), np.uint64)
-    lib.stream_keys(_ptr(masked), len(masked), _ptr(levels), len(levels), _ptr(keys))
+        for j, level in enumerate(levels):
+            for b, seed in enumerate(masked):
+                keys[j, b] = np.random.SeedSequence([seed, level]).generate_state(2, np.uint64)
+        return keys
+    seed_words, level_words = np.array(masked, np.uint64), np.array(levels, np.uint32)
+    lib.stream_keys(_ptr(seed_words), len(masked), _ptr(level_words), len(levels), _ptr(keys))
     return keys
 
 
@@ -222,46 +166,36 @@ class _Streams:
     """The standard normal streams of a batch at levels ``first`` to ``last``.
 
     Stream ``(level, b)`` is the Philox stream keyed
-    ``stream_keys(seeds, [level])[0, b]``.  Each draw starts the stream at
-    counter zero with an empty buffer or, with ``resume``, where its
-    previous draw stopped, so a stream drawn in pieces gives the values it
-    gives in one draw.  Draws run in the stream library, or through one
-    numpy Philox re-keyed before each draw, with the same bits.
+    ``stream_keys(seeds, [level])[0, b]``, started at counter zero.  Each
+    stream's state is saved after every draw and its next draw resumes
+    there, so a stream drawn in pieces gives the values it gives in one
+    draw.  Draws run in the stream library, or through one numpy Philox set
+    to the stream's key and saved state before each draw, with the same
+    bits.
     """
 
-    def __init__(self, seeds, first: int, last: int, resume: bool = False):
+    def __init__(self, seeds, first: int, last: int):
         self.first = first
         self.keys = stream_keys(seeds, range(first, last + 1))
-        self.saved = None
-        if resume:
-            # Per stream: counter (4 words), buffer (4 words), buffer position.
-            # Normal draws never leave a spare 32-bit half, so that is all.
-            self.saved = np.zeros(self.keys.shape[:2] + (9,), np.uint64)
-            self.saved[..., 8] = 4
+        # Per stream: counter (4 words), buffer (4 words), buffer position.
+        # Normal draws never leave a spare 32-bit half, so that is all.
+        self.saved = np.zeros(self.keys.shape[:2] + (9,), np.uint64)
+        self.saved[..., 8] = 4
         self.lib = _native()
         if self.lib is not None:
-            self._keys_at = _ptr(self.keys)
-            self._saved_at = None if self.saved is None else _ptr(self.saved)
+            self._keys_at, self._saved_at = _ptr(self.keys), _ptr(self.saved)
             return
         self._bitgen = np.random.Philox(key=0)
         self._normal = np.random.Generator(self._bitgen).standard_normal
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": None},
-            "buffer": np.zeros(4, np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
 
     def addresses(self, level: int, b: int = 0):
-        """Addresses of the key and saved state (``None`` without ``resume``)
-        of stream ``(level, b)``, for the library."""
+        """Addresses of the key and saved state of stream ``(level, b)``, for
+        the library."""
         j = level - self.first
-        keys = self._keys_at + j * self.keys.strides[0] + b * self.keys.strides[1]
-        if self._saved_at is None:
-            return keys, None
-        return keys, self._saved_at + j * self.saved.strides[0] + b * self.saved.strides[1]
+        return (
+            self._keys_at + j * self.keys.strides[0] + b * self.keys.strides[1],
+            self._saved_at + j * self.saved.strides[0] + b * self.saved.strides[1],
+        )
 
     def draw(self, level: int, b: int, out: np.ndarray) -> None:
         """Fill the C-contiguous ``out`` from stream ``(level, b)``."""
@@ -269,20 +203,20 @@ class _Streams:
             self.lib.fill_streams(*self.addresses(level, b), 1, out.size, _draws_ptr(out))
             return
         j = level - self.first
-        state = self._state
-        state["state"]["key"] = self.keys[j, b]
-        if self.saved is not None:
-            row = self.saved[j, b]
-            state["state"]["counter"] = row[:4]
-            state["buffer"] = row[4:8]
-            state["buffer_pos"] = int(row[8])
-        self._bitgen.state = state
+        row = self.saved[j, b]
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": row[:4], "key": self.keys[j, b]},
+            "buffer": row[4:8],
+            "buffer_pos": int(row[8]),
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         self._normal(out=out)
-        if self.saved is not None:
-            after = self._bitgen.state
-            row[:4] = after["state"]["counter"]
-            row[4:8] = after["buffer"]
-            row[8] = after["buffer_pos"]
+        after = self._bitgen.state
+        row[:4] = after["state"]["counter"]
+        row[4:8] = after["buffer"]
+        row[8] = after["buffer_pos"]
 
     def fill(self, level: int, out: np.ndarray) -> None:
         """Fill row ``b`` of the C-contiguous ``out`` from stream ``(level, b)``."""
@@ -322,26 +256,6 @@ class BrownianPath:
     @property
     def n_knots(self) -> int:
         return self.values.shape[-2] - 1
-
-
-@dataclass(frozen=True)
-class DyadicIndex:
-    """Knot interval bookkeeping: interval ``[knot/2^level, (knot+1)/2^level)``."""
-
-    level: int
-    knot: int
-
-    @property
-    def s_minus(self) -> float:
-        return max(self.knot - 1, 0) / 2.0**self.level
-
-    @property
-    def s_n(self) -> float:
-        return self.knot / 2.0**self.level
-
-    @classmethod
-    def from_time(cls, level: int, t: float) -> "DyadicIndex":
-        return cls(level, int(np.floor(t * 2.0**level)))
 
 
 def dyadic_grid(T: float, fine_level: int) -> tuple[int, int]:
@@ -474,7 +388,7 @@ class FineBlocks:
         # Time-major, so that each step of a march reads contiguous rows.
         buffer = np.empty((width * stride + 1, B, m)).transpose(1, 0, 2)
         first = self.coarse.fine_level + 1
-        streams = _Streams(self.coarse.seed, first, self.fine_level, resume=True)
+        streams = _Streams(self.coarse.seed, first, self.fine_level)
         for lo in range(0, n_coarse, width):
             hi = min(lo + width, n_coarse)
             values = buffer[:, : (hi - lo) * stride + 1]

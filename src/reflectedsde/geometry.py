@@ -222,7 +222,7 @@ def skorokhod_step(domain: DomainSpec, x, v) -> SkorokhodStepResult:
     """
     x = np.asarray(x, float)
     v = np.asarray(v, float)
-    if float(domain.boundary_distance(x)) > closure_tol(domain):
+    if not domain.contains(x):
         raise OutOfDomain(f"start point {x} is outside the domain closure")
     state, d_l = _resolver(domain)(x[None, :], v[None, :])
     state, d_l = state[0], d_l[0]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from math import ceil
 from typing import Sequence
 
@@ -90,6 +90,26 @@ def jackknife_se(samples: np.ndarray) -> float:
 # Reports
 # ---------------------------------------------------------------------------
 
+def _json_fields(report) -> dict:
+    """A report's fields by name, with tuples as lists and nested reports
+    (``HolderRow``) as dicts."""
+
+    def plain(value):
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return _json_fields(value) if is_dataclass(value) else value
+
+    return {f.name: plain(getattr(report, f.name)) for f in fields(report)}
+
+
+def _level_csv(column: str, levels, values, stderrs) -> str:
+    """One ``n,<column>,stderr`` row per level."""
+    lines = [f"n,{column},stderr"]
+    for n, v, s in zip(levels, values, stderrs):
+        lines.append(f"{n},{v:.17g},{s:.17g}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class RateReport:
     """Per-level strong errors with fitted dyadic decay slopes.
@@ -116,28 +136,10 @@ class RateReport:
     degenerate: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "errors": list(self.errors),
-            "stderrs": list(self.stderrs),
-            "final_errors": list(self.final_errors),
-            "final_stderrs": list(self.final_stderrs),
-            "p": self.p,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "final_slope": self.final_slope,
-            "final_intercept": self.final_intercept,
-            "n_paths": self.n_paths,
-            "n_failed": self.n_failed,
-            "seed": self.seed,
-            "degenerate": self.degenerate,
-        }
+        return _json_fields(self)
 
     def to_csv_string(self) -> str:
-        lines = ["n,error,stderr"]
-        for n, e, s in zip(self.levels, self.errors, self.stderrs):
-            lines.append(f"{n},{e:.17g},{s:.17g}")
-        return "\n".join(lines) + "\n"
+        return _level_csv("error", self.levels, self.errors, self.stderrs)
 
 
 @dataclass(frozen=True)
@@ -156,24 +158,10 @@ class LyapunovDecayReport:
     degenerate: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "means": list(self.means),
-            "stderrs": list(self.stderrs),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r": self.r,
-            "n_paths": self.n_paths,
-            "n_failed": self.n_failed,
-            "seed": self.seed,
-            "degenerate": self.degenerate,
-        }
+        return _json_fields(self)
 
     def to_csv_string(self) -> str:
-        lines = ["n,mean,stderr"]
-        for n, e, s in zip(self.levels, self.means, self.stderrs):
-            lines.append(f"{n},{e:.17g},{s:.17g}")
-        return "\n".join(lines) + "\n"
+        return _level_csv("mean", self.levels, self.means, self.stderrs)
 
 
 @dataclass(frozen=True)
@@ -211,22 +199,7 @@ class HolderReport:
         return all(row.passed for row in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "process": self.process,
-            "rows": [
-                {
-                    "p": row.p,
-                    "lags": list(row.lags),
-                    "moments": list(row.moments),
-                    "slope": row.slope,
-                    "passed": row.passed,
-                }
-                for row in self.rows
-            ],
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "degenerate": self.degenerate,
-        }
+        return _json_fields(self)
 
     def to_csv_string(self) -> str:
         lines = ["process,p,lag,moment"]
@@ -254,10 +227,31 @@ def fit_rate(levels, errors) -> tuple[float, float]:
     if np.all(errors == errors[0]):
         raise DegenerateFit("errors are all equal")
     y = np.log2(errors)
-    nbar = np.mean(levels)
-    b = float(np.sum((levels - nbar) * (y - np.mean(y))) / np.sum((levels - nbar) ** 2))
-    intercept = float(np.mean(y) + b * (levels[0] - nbar))
+    b = _lsq_slope(levels, y)
+    intercept = float(np.mean(y) + b * (levels[0] - np.mean(levels)))
     return -b, intercept
+
+
+def _lsq_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of ``y`` on ``x``."""
+    xbar = np.mean(x)
+    return float(np.sum((x - xbar) * (y - np.mean(y))) / np.sum((x - xbar) ** 2))
+
+
+def _fit(levels, values):
+    """``fit_rate(levels, values)``, or ``(None, None)`` when it is degenerate."""
+    try:
+        return fit_rate(levels, values)
+    except DegenerateFit:
+        return None, None
+
+
+def _level_moments(samples: np.ndarray) -> tuple[tuple, tuple]:
+    """Per-level (column) means of ``samples`` and their jackknife standard
+    errors, as tuples of floats."""
+    means = np.mean(samples, axis=0)
+    stderrs = [jackknife_se(samples[:, j]) for j in range(samples.shape[1])]
+    return tuple(float(v) for v in means), tuple(float(v) for v in stderrs)
 
 
 # ---------------------------------------------------------------------------
@@ -468,28 +462,18 @@ def rate_report(stats: CouplingStats, p: float, seed: int) -> RateReport:
     held to the theoretical exponent by the acceptance checks.
     """
     valid = stats.valid_mask()
-    sup_p = stats.sup_dist[valid] ** p
-    fin_p = stats.final_dist[valid] ** p
-    errors = np.mean(sup_p, axis=0)
-    stderrs = np.asarray([jackknife_se(sup_p[:, j]) for j in range(len(stats.levels))])
-    final_errors = np.mean(fin_p, axis=0)
-    final_stderrs = np.asarray([jackknife_se(fin_p[:, j]) for j in range(len(stats.levels))])
-
-    degenerate = bool(np.any(errors <= 0.0) or np.any(final_errors <= 0.0))
-    slope = intercept = final_slope = final_intercept = None
-    if not degenerate:
-        try:
-            slope, intercept = fit_rate(stats.levels, errors)
-            final_slope, final_intercept = fit_rate(stats.levels, final_errors)
-        except DegenerateFit:
-            degenerate = True
-            slope = intercept = final_slope = final_intercept = None
+    errors, stderrs = _level_moments(stats.sup_dist[valid] ** p)
+    final_errors, final_stderrs = _level_moments(stats.final_dist[valid] ** p)
+    fits = [_fit(stats.levels, errors), _fit(stats.levels, final_errors)]
+    if (None, None) in fits:
+        fits = [(None, None)] * 2
+    (slope, intercept), (final_slope, final_intercept) = fits
     return RateReport(
         levels=stats.levels,
-        errors=tuple(float(e) for e in errors),
-        stderrs=tuple(float(s) for s in stderrs),
-        final_errors=tuple(float(e) for e in final_errors),
-        final_stderrs=tuple(float(s) for s in final_stderrs),
+        errors=errors,
+        stderrs=stderrs,
+        final_errors=final_errors,
+        final_stderrs=final_stderrs,
         p=float(p),
         slope=slope,
         intercept=intercept,
@@ -498,34 +482,25 @@ def rate_report(stats: CouplingStats, p: float, seed: int) -> RateReport:
         n_paths=len(stats.sup_dist),
         n_failed=stats.n_failed,
         seed=seed,
-        degenerate=degenerate,
+        degenerate=slope is None,
     )
 
 
 def lyapunov_report(stats: CouplingStats, seed: int) -> LyapunovDecayReport:
     """Per-level means of the weighted squared distance at the horizon of one study."""
-    valid = stats.valid_mask()
-    f_vals = stats.f_final[valid]
-    means = np.mean(f_vals, axis=0)
-    stderrs = np.asarray([jackknife_se(f_vals[:, j]) for j in range(len(stats.levels))])
-    degenerate = bool(np.any(means <= 0.0))
-    slope = intercept = None
-    if not degenerate:
-        try:
-            slope, intercept = fit_rate(stats.levels, means)
-        except DegenerateFit:
-            degenerate = True
+    means, stderrs = _level_moments(stats.f_final[stats.valid_mask()])
+    slope, intercept = _fit(stats.levels, means)
     return LyapunovDecayReport(
         levels=stats.levels,
-        means=tuple(float(e) for e in means),
-        stderrs=tuple(float(s) for s in stderrs),
+        means=means,
+        stderrs=stderrs,
         slope=slope,
         intercept=intercept,
         r=stats.r,
         n_paths=len(stats.sup_dist),
         n_failed=stats.n_failed,
         seed=seed,
-        degenerate=degenerate,
+        degenerate=slope is None,
     )
 
 
@@ -638,23 +613,16 @@ def holder_report(
     strides = [2**j for j in range(n_lags) if 2**j < n_grid]
     lags = [s / 2.0**grid_level for s in strides]
     rows = []
-    degenerate = True
     for p in p_list:
         moments = []
         for stride in strides:
             diff = states[:, stride:, :] - states[:, :-stride, :]
             moments.append(float(np.mean(np.sum(diff**2, axis=2) ** (p / 2.0))))
         moments = np.asarray(moments)
+        slope = None
         if np.all(moments > 1e-300):
-            degenerate = False
-            lx = np.log(np.asarray(lags))
-            ly = np.log(moments)
-            slope = float(
-                np.sum((lx - lx.mean()) * (ly - ly.mean())) / np.sum((lx - lx.mean()) ** 2)
-            )
-            rows.append(
-                HolderRow(p, tuple(lags), tuple(moments), slope, bool(slope >= p / 2.0 - 0.2))
-            )
-        else:
-            rows.append(HolderRow(p, tuple(lags), tuple(moments), None, True))
+            slope = _lsq_slope(np.log(np.asarray(lags)), np.log(moments))
+        passed = slope is None or bool(slope >= p / 2.0 - 0.2)
+        rows.append(HolderRow(p, tuple(lags), tuple(moments), slope, passed))
+    degenerate = all(row.slope is None for row in rows)
     return HolderReport(label, tuple(rows), M, seed, degenerate)

@@ -296,7 +296,7 @@ def _check_start(domain: DomainSpec, coeffs: CoefficientSet, x0) -> np.ndarray:
         raise ValueError(f"x0 must have shape ({domain.dim},), got {x0.shape}")
     if coeffs.dim_state != domain.dim:
         raise ValueError("coefficient state dimension does not match the domain")
-    if float(domain.boundary_distance(x0)) > closure_tol(domain):
+    if not domain.contains(x0):
         raise OutOfDomain(f"x0 {x0} is outside the domain closure")
     return x0
 

@@ -1,3 +1,7 @@
+import functools
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -13,17 +17,23 @@ def pytest_addoption(parser):
     )
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _stream_library(request, tmp_path_factory):
+def pytest_configure(config):
     """The session builds the stream library into its own cache directory,
     not the user's; with ``--no-native`` the loader returns ``None``."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        brownian._native.cache_clear()
-        if request.config.getoption("--no-native"):
-            mp.setattr(brownian, "_native", lambda: None)
-        yield
+    cache = tempfile.mkdtemp(prefix="reflectedsde-cache-")
+    mp = pytest.MonkeyPatch()
+    config.add_cleanup(functools.partial(shutil.rmtree, cache, ignore_errors=True))
+    config.add_cleanup(brownian._native.cache_clear)
+    config.add_cleanup(mp.undo)
+    mp.setenv("XDG_CACHE_HOME", cache)
     brownian._native.cache_clear()
+    if config.getoption("--no-native"):
+        mp.setattr(brownian, "_native", lambda: None)
+
+
+def pytest_report_header(config):
+    """Name the stream path the session runs: the library's file, or numpy."""
+    return f"Brownian streams: {brownian.native_library() or 'numpy streams'}"
 
 
 @pytest.fixture

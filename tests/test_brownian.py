@@ -1,5 +1,4 @@
 import io
-from collections import Counter
 from math import ceil
 
 import numpy as np
@@ -168,21 +167,6 @@ def test_stream_keys_match_seedsequence():
             np.testing.assert_array_equal(keys[level, b], expected)
 
 
-def test_batched_sampling_builds_one_philox_and_no_seedsequence(monkeypatch):
-    built = Counter()
-    for name in ("Philox", "SeedSequence"):
-        def counting(*args, _cls=getattr(np.random, name), _name=name, **kwargs):
-            built[_name] += 1
-            return _cls(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, name, counting)
-    batch = rs.sample_path(2, 1.5, 6, list(range(20)))
-    assert built["SeedSequence"] == 0 and built["Philox"] <= 1
-    built.clear()
-    rs.refine(batch)
-    assert built["SeedSequence"] == 0 and built["Philox"] <= 1
-
-
 # ---------------------------------------------------------------------------
 # Fine knots refined block by block from coarse knots
 # ---------------------------------------------------------------------------
@@ -190,7 +174,7 @@ def test_batched_sampling_builds_one_philox_and_no_seedsequence(monkeypatch):
 def test_a_resumed_stream_draws_what_one_draw_gives():
     seeds = [5, -7, 2**63 + 1]
     whole = brownian._Streams(seeds, 3, 4).draw
-    pieces = brownian._Streams(seeds, 3, 4, resume=True).draw
+    pieces = brownian._Streams(seeds, 3, 4).draw
     for b in range(len(seeds)):
         expected = np.empty(1000)
         whole(4, b, expected)
@@ -424,20 +408,8 @@ def test_interpolant_of_a_batch_is_one_row_per_path():
 
 
 # ---------------------------------------------------------------------------
-# Dyadic index and serialization
+# Serialization
 # ---------------------------------------------------------------------------
-
-def test_dyadic_index_invariants():
-    for n in (1, 3, 6):
-        for t in (0.0, 0.24, 0.5, 0.93):
-            idx = rs.DyadicIndex.from_time(n, t)
-            assert idx.s_minus <= idx.s_n < (idx.knot + 1) / 2**n
-            if idx.knot == 0:
-                assert idx.s_minus == 0.0
-    assert rs.DyadicIndex(3, 0).s_minus == 0.0
-    assert rs.DyadicIndex(3, 5).s_minus == pytest.approx(4 / 8)
-    assert rs.DyadicIndex(3, 5).s_n == pytest.approx(5 / 8)
-
 
 def test_binary_dump_round_trip():
     path = rs.sample_path(3, 1.5, 5, seed=77)

@@ -127,8 +127,9 @@ def test_push_direction_in_cone(name, rng):
 
 
 def test_out_of_domain_start(unit_ball):
-    with pytest.raises(OutOfDomain):
-        rs.skorokhod_step(unit_ball, [2.0, 0.0], [0.0, 0.0])
+    for x in ([2.0, 0.0], [np.nan, 0.0]):
+        with pytest.raises(OutOfDomain):
+            rs.skorokhod_step(unit_ball, x, [0.0, 0.0])
 
 
 def test_regulator_nullity_along_trajectory(unit_interval, rng):

@@ -10,10 +10,13 @@ and record why in CHANGES.md.
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 import reflectedsde as rs
+from reflectedsde.cli import main
 
 STUDY = dict(T=1.0, levels=(3, 4, 5), M=64, fine_margin=3, substeps_per_knot=8, seed=97)
 
@@ -117,6 +120,35 @@ def _substep_digest() -> str:
     return _array_digest(*arrays)
 
 
+def _converge_digest() -> str:
+    """The ``converge`` report text of the interval study: the JSON, then
+    the CSV and its ``.lyapunov.csv``, as the command writes them."""
+    config = {
+        "domain": {"name": "interval", "params": {"a": -1.0, "b": 1.0}},
+        "coefficients": {
+            "name": "trig",
+            "params": {
+                "offset": [[0.5]], "amplitude": [[0.2]], "frequency": [1.0],
+                "drift_matrix": [[-0.3]],
+            },
+        },
+        "x0": [0.0],
+        "levels": list(STUDY["levels"]),
+        **{k: STUDY[k] for k in ("T", "M", "fine_margin", "substeps_per_knot", "seed")},
+    }
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.json")
+        path.write_text(json.dumps(config))
+        for fmt in ("json", "csv"):
+            out = Path(tmp, f"report.{fmt}")
+            assert main(["converge", "--config", str(path), "--format", fmt, "--out", str(out)]) == 0
+        for name in ("report.json", "report.csv", "report.csv.lyapunov.csv"):
+            h.update(name.encode())
+            h.update(Path(tmp, name).read_bytes())
+    return h.hexdigest()
+
+
 CASES = {
     "stats_interval_trig": lambda: _stats_digest(_interval_problem),
     "stats_annulus_trig": lambda: _stats_digest(_annulus_problem),
@@ -131,6 +163,7 @@ CASES = {
     "holder_reference": lambda: _holder_digest("reference"),
     "holder_level_4": lambda: _holder_digest(4),
     "substeps_ball_linear": _substep_digest,
+    "converge_interval_trig": _converge_digest,
 }
 
 GOLDEN = {
@@ -143,6 +176,7 @@ GOLDEN = {
     "holder_reference": "a317d719277a95fec161598f2eec323be484cc2e9af24a1fd1b0d4f55c46a747",
     "holder_level_4": "ad446c4436fce4c715b1b4b6a7e8a11ee6f652a20f304b70482c2796c58cf1ae",
     "substeps_ball_linear": "0a8a4ae950c7f60be3d859868222577c1b95ca59e1de60e9fb0acd1b82b2cfeb",
+    "converge_interval_trig": "59526de73dd4fd05084f3592f6edf9b5e27b128ee1b56d2439498e426b61ae54",
 }
 
 

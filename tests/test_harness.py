@@ -455,11 +455,13 @@ def test_modified_domain_is_not_served_an_earlier_study(unit_interval, wavy_coef
 
 
 def test_engine_rejects_a_start_outside_the_domain(unit_interval, wavy_coeffs):
-    # Marching would clip the start to the boundary and study another problem.
-    with pytest.raises(OutOfDomain):
-        rs.run_coupling_stats(unit_interval, wavy_coeffs, [5.0], 1.0, (3, 4), 8, 2, 4, 1)
-    with pytest.raises(OutOfDomain):
-        rs.holder_report(unit_interval, wavy_coeffs, [5.0], 1.0, "reference", [2], 8, seed=1)
+    # Marching would clip the start to the boundary and study another
+    # problem; a NaN start would fail every path or give NaN moments.
+    for x0 in ([5.0], [np.nan]):
+        with pytest.raises(OutOfDomain):
+            rs.run_coupling_stats(unit_interval, wavy_coeffs, x0, 1.0, (3, 4), 8, 2, 4, 1)
+        with pytest.raises(OutOfDomain):
+            rs.holder_report(unit_interval, wavy_coeffs, x0, 1.0, "reference", [2], 8, seed=1)
     with pytest.raises(ValueError, match="shape"):
         rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0, 0.0], 1.0, (3, 4), 8, 2, 4, 1)
     planar = rs.constant(np.eye(2))

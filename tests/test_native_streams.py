@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -152,3 +153,18 @@ def test_forked_workers_on_native_streams_equal_serial_numpy_streams(native_stre
     monkeypatch.setattr(brownian, "_native", lambda: None)
     for got, want in zip(parallel, stats(1)):
         np.testing.assert_array_equal(got, want)
+
+
+def test_batched_sampling_builds_one_philox_and_no_seedsequence(native_streams, monkeypatch):
+    built = Counter()
+    for name in ("Philox", "SeedSequence"):
+        def counting(*args, _cls=getattr(np.random, name), _name=name, **kwargs):
+            built[_name] += 1
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+    batch = rs.sample_path(2, 1.5, 6, list(range(20)))
+    assert built["SeedSequence"] == 0 and built["Philox"] <= 1
+    built.clear()
+    rs.refine(batch)
+    assert built["SeedSequence"] == 0 and built["Philox"] <= 1

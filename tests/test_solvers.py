@@ -171,8 +171,11 @@ def test_non_finite_state_aborts(unit_interval):
 
 def test_start_and_level_validation(unit_interval, wavy_coeffs):
     path = rs.sample_path(1, 1.0, 5, seed=2)
-    with pytest.raises(OutOfDomain):
-        rs.solve_wz(unit_interval, wavy_coeffs, path, 4, 8, [1.5], [1.0])
+    for x0 in ([1.5], [np.nan]):
+        with pytest.raises(OutOfDomain):
+            rs.solve_wz(unit_interval, wavy_coeffs, path, 4, 8, x0, [1.0])
+        with pytest.raises(OutOfDomain):
+            rs.coupled_solve(unit_interval, wavy_coeffs, path, 4, 8, x0, [1.0])
     with pytest.raises(LevelTooFine):
         rs.solve_wz(unit_interval, wavy_coeffs, path, 6, 8, [0.0], [1.0])
     with pytest.raises(ValueError):
