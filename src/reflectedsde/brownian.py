@@ -38,8 +38,8 @@ current-interval interpolation on purpose.
 A path may also be a batch: ``sample_path`` given a sequence of seeds
 returns one ``BrownianPath`` whose ``values`` has a leading path axis,
 ``(B, K + 1, m)``, with row ``b`` equal bit for bit to the path sampled
-alone from seed ``b``.  ``refine``, ``restrict``, ``level_values`` and
-``wz_knot_slopes`` work over that axis.
+alone from seed ``b``.  ``refine``, ``restrict`` and ``wz_knot_slopes`` work
+over that axis.
 """
 
 from __future__ import annotations
@@ -423,11 +423,20 @@ def restrict(path: BrownianPath, level: int) -> BrownianPath:
     )
 
 
-def level_values(path: BrownianPath, n: int) -> np.ndarray:
-    """Path values at the level-``n`` knots that the path's grid contains."""
+def _lagged_knots(path: BrownianPath, n: int, t: float):
+    """Level-``n`` knot values ``k - 1`` and ``k`` (clamped to the path) of the
+    interval ``[k/2^n, (k+1)/2^n)`` holding ``t``, and the fraction ``t 2^n - k``."""
     if n > path.fine_level:
         raise LevelTooFine(f"level {n} exceeds the path's fine level {path.fine_level}")
-    return np.asarray(path.values)[..., :: 2 ** (path.fine_level - n), :]
+    if t < 0 or t > path.horizon + 1e-12:
+        raise ValueError(f"time {t} outside [0, {path.horizon}]")
+    scaled = t * 2.0**n
+    k = int(np.floor(scaled))
+    stride = 2 ** (path.fine_level - n)
+    values = np.asarray(path.values)
+    w_k = values[..., min(k * stride, path.n_knots), :]
+    w_prev = values[..., max(k - 1, 0) * stride, :]
+    return w_prev, w_k, scaled - k
 
 
 def wz_value(path: BrownianPath, n: int, t: float) -> np.ndarray:
@@ -437,32 +446,14 @@ def wz_value(path: BrownianPath, n: int, t: float) -> np.ndarray:
     ``(k-1)/2^n`` to the one at ``k/2^n``; values at negative times are zero.
     A batch of ``B`` paths gives one ``(B, dim_noise)`` row per path.
     """
-    if n > path.fine_level:
-        raise LevelTooFine(f"level {n} exceeds the path's fine level {path.fine_level}")
-    if t < 0 or t > path.horizon + 1e-12:
-        raise ValueError(f"time {t} outside [0, {path.horizon}]")
-    scaled = t * 2.0**n
-    k = int(np.floor(scaled))
-    frac = scaled - k
-    stride = 2 ** (path.fine_level - n)
-    values = np.asarray(path.values)
-    w_k = values[..., min(k * stride, path.n_knots), :]
-    w_prev = values[..., max(k - 1, 0) * stride, :]
+    w_prev, w_k, frac = _lagged_knots(path, n, t)
     return w_prev + frac * (w_k - w_prev)
 
 
 def wz_slope(path: BrownianPath, n: int, t: float) -> np.ndarray:
     """Right-continuous derivative of the lagged interpolant at time ``t``
     (one row per path for a batch, as ``wz_value``)."""
-    if n > path.fine_level:
-        raise LevelTooFine(f"level {n} exceeds the path's fine level {path.fine_level}")
-    if t < 0 or t > path.horizon + 1e-12:
-        raise ValueError(f"time {t} outside [0, {path.horizon}]")
-    k = int(np.floor(t * 2.0**n))
-    stride = 2 ** (path.fine_level - n)
-    values = np.asarray(path.values)
-    w_k = values[..., min(k * stride, path.n_knots), :]
-    w_prev = values[..., max(k - 1, 0) * stride, :]
+    w_prev, w_k, _ = _lagged_knots(path, n, t)
     return 2.0**n * (w_k - w_prev)
 
 
@@ -475,7 +466,7 @@ def wz_knot_slopes(path: BrownianPath, n: int) -> np.ndarray:
     (at least one, even for horizons shorter than a knot).  A batch of
     paths gives ``(B, rows, dim_noise)``.
     """
-    knots = level_values(path, n)
+    knots = restrict(path, n).values
     stride = 2 ** (path.fine_level - n)
     n_int = max(1, -(-path.n_knots // stride))
     slopes = np.zeros(knots.shape[:-2] + (n_int, path.dim_noise))

@@ -288,17 +288,12 @@ def cmd_holder(config: ExperimentConfig) -> int:
     n = int(config.levels[0])
     reports = [
         harness.holder_report(
-            domain, coeffs, config.x0, config.T, "reference", config.p_list,
+            domain, coeffs, config.x0, config.T, process, config.p_list,
             config.M, config.seed, grid_level=config.grid_level,
             fine_margin=config.fine_margin,
-            substeps_per_knot=config.substeps_per_knot,
-        ),
-        harness.holder_report(
-            domain, coeffs, config.x0, config.T, n, config.p_list,
-            config.M, config.seed, grid_level=config.grid_level,
-            fine_margin=config.fine_margin,
-            substeps_per_knot=config.substeps_per_knot,
-        ),
+            substeps_per_knot=config.substeps_per_knot, workers=config.workers,
+        )
+        for process in ("reference", n)
     ]
     if config.format == "csv":
         lines = reports[0].to_csv_string().splitlines()

@@ -1,10 +1,10 @@
 """Bounded domains with reflection directions and discrete constraint resolution.
 
-A domain carries its boundary geometry (membership test, signed distance,
-closest-point projection), a set-valued map of admissible reflection
-directions on the boundary, and the certificate constants used by the
-admissibility checks: the interior-cone constant, the uniform test function
-with its lower gradient bound, and an optional finite cone cover.
+A domain carries its boundary geometry (signed distance, closest-point
+projection), a set-valued map of admissible reflection directions on the
+boundary, and the certificate constants used by the admissibility checks:
+the interior-cone constant, the uniform test function with its lower
+gradient bound, and an optional finite cone cover.
 
 Built-in domains: interval, axis-aligned box, ball, annulus.  The annulus is
 the non-convex representative (its inner sphere forces a positive
@@ -39,17 +39,16 @@ _BISECTION_ITERS = 200
 class DomainSpec:
     """Immutable description of a bounded domain with reflection data.
 
-    ``membership`` tests the open domain; ``boundary_distance`` is a signed
-    distance-like function (negative inside, zero on the boundary, positive
-    outside).  ``nu`` maps a boundary point to the unit generators of the
-    admissible reflection cone.  ``c0`` and ``alpha`` are the certified
-    interior-cone and gradient-bound constants; ``phi`` is the certified
-    test function with gradient and Hessian oracles.
+    ``boundary_distance`` is a signed distance-like function (negative
+    inside, zero on the boundary, positive outside), so the open domain is
+    where it is negative.  ``nu`` maps a boundary point to the unit
+    generators of the admissible reflection cone.  ``c0`` and ``alpha`` are
+    the certified interior-cone and gradient-bound constants; ``phi`` is the
+    certified test function with its gradient oracle ``grad_phi``.
 
-    ``membership``, ``boundary_distance``, and ``phi`` must accept batched
-    points (an extra leading axis); ``nu``, ``grad_phi``, and ``hess_phi``
-    are pointwise.  Instances are immutable and safe to share across
-    concurrent simulations.
+    ``boundary_distance`` and ``phi`` must accept batched points (an extra
+    leading axis); ``nu`` and ``grad_phi`` are pointwise.  Instances are
+    immutable and safe to share across concurrent simulations.
 
     ``resolve_batch(X, V)`` is the domain's one projection: for a batch of
     closure points ``X`` and displacements ``V``, both ``(B, d)``, it returns
@@ -65,11 +64,9 @@ class DomainSpec:
     """
 
     dim: int
-    membership: Callable[[np.ndarray], np.ndarray]
     boundary_distance: Callable[[np.ndarray], np.ndarray]
     phi: Callable[[np.ndarray], np.ndarray]
     grad_phi: Callable[[np.ndarray], np.ndarray]
-    hess_phi: Callable[[np.ndarray], np.ndarray]
     nu: Callable[[np.ndarray], np.ndarray]
     c0: float
     alpha: float
@@ -419,6 +416,13 @@ def _nonneg(seed: int) -> int:
 # Built-in domains
 # ---------------------------------------------------------------------------
 
+def _unit_directions(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` uniformly random unit vectors in ``R^d``: normalised Gaussian rows."""
+    z = rng.standard_normal((n, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
+
+
 def interval(a: float, b: float) -> DomainSpec:
     """Open interval (a, b) with inward normal reflection at the endpoints."""
     if not b > a:
@@ -452,11 +456,9 @@ def interval(a: float, b: float) -> DomainSpec:
 
     return DomainSpec(
         dim=1,
-        membership=lambda x: bdist(x) < 0,
         boundary_distance=bdist,
         phi=lambda x: (np.asarray(x, float)[..., 0] - a) * (b - np.asarray(x, float)[..., 0]),
         grad_phi=lambda x: np.asarray([a + b - 2.0 * float(np.asarray(x, float)[..., 0])]),
-        hess_phi=lambda x: np.asarray([[-2.0]]),
         nu=nu,
         c0=0.0,
         alpha=width,
@@ -521,11 +523,9 @@ def box(lo, hi) -> DomainSpec:
 
     return DomainSpec(
         dim=d,
-        membership=lambda x: bdist(x) < 0,
         boundary_distance=bdist,
         phi=phi,
         grad_phi=lambda x: lo + hi - 2.0 * np.asarray(x, float),
-        hess_phi=lambda x: -2.0 * np.eye(d),
         nu=nu,
         c0=0.0,
         alpha=float(np.min(widths)),
@@ -561,13 +561,10 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
         return (-x / r)[None, :]
 
     def sample_boundary(n, rng):
-        z = rng.standard_normal((n, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        return radius * z
+        return radius * _unit_directions(n, d, rng)
 
     def sample_interior(n, rng):
-        z = rng.standard_normal((n, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z = _unit_directions(n, d, rng)
         r = radius * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / d)
         return r * z
 
@@ -584,11 +581,9 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
 
     return DomainSpec(
         dim=d,
-        membership=lambda x: bdist(x) < 0,
         boundary_distance=bdist,
         phi=lambda x: radius**2 - np.sum(np.asarray(x, float) ** 2, axis=-1),
         grad_phi=lambda x: -2.0 * np.asarray(x, float),
-        hess_phi=lambda x: -2.0 * np.eye(d),
         nu=nu,
         c0=0.0,
         alpha=2.0 * radius,
@@ -629,16 +624,14 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
         raise OutOfDomain(f"{x} is not on either sphere of the annulus")
 
     def sample_boundary(n, rng):
-        z = rng.standard_normal((n, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z = _unit_directions(n, d, rng)
         w_inner = r1 ** (d - 1)
         w_outer = r2 ** (d - 1)
         inner = rng.uniform(0.0, 1.0, n) < w_inner / (w_inner + w_outer)
         return np.where(inner[:, None], r1 * z, r2 * z)
 
     def sample_interior(n, rng):
-        z = rng.standard_normal((n, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z = _unit_directions(n, d, rng)
         u = rng.uniform(0.0, 1.0, (n, 1))
         r = (r1**d + u * (r2**d - r1**d)) ** (1.0 / d)
         return r * z
@@ -651,12 +644,6 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
         x = np.asarray(x, float)
         r = np.linalg.norm(x)
         return -2.0 * (r - rm) * x / r
-
-    def hess_phi(x):
-        x = np.asarray(x, float)
-        r = np.linalg.norm(x)
-        outer = np.outer(x, x) / r**2
-        return -2.0 * outer - 2.0 * (r - rm) * (np.eye(d) - outer) / r
 
     def resolve_batch(X, V):
         y = X + V
@@ -674,11 +661,9 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
 
     return DomainSpec(
         dim=d,
-        membership=lambda x: bdist(x) < 0,
         boundary_distance=bdist,
         phi=phi,
         grad_phi=grad_phi,
-        hess_phi=hess_phi,
         nu=nu,
         c0=1.0 / (2.0 * r1),
         alpha=r2 - r1,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
+from functools import partial
 from math import ceil
 from typing import Sequence
 
@@ -378,17 +379,31 @@ def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, 
     return sup_dist, final_dist, f_final, var_final, ref_var
 
 
-# The study a forked pool worker marches; set only inside pool workers.
-_WORKER_STUDY = None
+# The group march a forked pool worker runs; set only inside pool workers.
+_WORKER_MARCH = None
 
 
-def _adopt_study(study):
-    global _WORKER_STUDY
-    _WORKER_STUDY = study
+def _adopt_march(march):
+    global _WORKER_MARCH
+    _WORKER_MARCH = march
 
 
-def _worker_chunk(indices):
-    return _chunk_stats(*_WORKER_STUDY, indices)
+def _worker_group(indices):
+    return _WORKER_MARCH(indices)
+
+
+def _run_groups(march, chunks, workers: int) -> list:
+    """``march(chunk)`` per group, in order; over forked ``workers`` if any."""
+    if len(chunks) > 1 and workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # Forked workers inherit the march and the study objects it holds
+        # instead of unpickling them, so any domain, modified or custom,
+        # runs as it does serially.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            workers, mp_context=fork, initializer=_adopt_march, initargs=(march,)
+        ) as pool:
+            return list(pool.map(_worker_group, chunks))
+    return [march(chunk) for chunk in chunks]
 
 
 def run_coupling_stats(
@@ -431,17 +446,8 @@ def run_coupling_stats(
     study = (domain, coeffs, x0, T, levels, fine_margin, substeps_per_knot, seed, r)
     horizon = _fine_grid(T, max(levels) + fine_margin)[1]
     chunks = _chunk_ranges(M, horizon, max(levels), coeffs.dim_noise, workers)
-    if len(chunks) > 1 and workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # Forked workers inherit the study's objects instead of unpickling
-        # them, so any domain, modified or custom, runs as it does serially.
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            workers, mp_context=fork, initializer=_adopt_study, initargs=(study,)
-        ) as pool:
-            results = list(pool.map(_worker_chunk, chunks))
-    else:
-        results = [_chunk_stats(*study, chunk) for chunk in chunks]
-
+    # Read at call time, so that a wrapper set on the module is what runs.
+    results = _run_groups(partial(_chunk_stats, *study), chunks, workers)
     sup_dist, final_dist, f_final, var_final, ref_var_final = (
         np.concatenate(parts) for parts in zip(*results)
     )
@@ -578,17 +584,21 @@ def holder_report(
     grid_level: int = 6,
     fine_margin: int = 4,
     substeps_per_knot: int = 8,
-    n_lags: int = 5,
+    workers: int = 1,
 ) -> HolderReport:
     """Empirical moment growth of increments over dyadic lags.
 
     For each even moment order the table holds the mean p-th moment of
-    state increments per dyadic lag (averaged over anchor times and paths)
-    and the fitted log-log slope, which should be at least ``p/2 - 0.2``.
+    state increments per dyadic lag (up to five lags, averaged over anchor
+    times and paths) and the fitted log-log slope, which should be at least
+    ``p/2 - 0.2``; it is ``None`` with fewer than two lags or a zero moment.
+    Paths run in groups over ``workers`` as in ``run_coupling_stats``.
     """
     p_list = [float(p) for p in p_list]
     if any(p not in (2.0, 4.0, 6.0) for p in p_list):
         raise ValueError("p_list entries must be even moments in {2, 4, 6}")
+    if grid_level < 1:
+        raise ValueError(f"grid_level must be at least 1, got {grid_level}")
     x0 = _check_start(domain, coeffs, x0)
     if n_or_reference == "reference":
         process, level = "reference", grid_level
@@ -602,25 +612,26 @@ def holder_report(
     n_fine, horizon = _fine_grid(T, fine_level)
     n_grid = int(np.floor(horizon * 2.0**grid_level + 1e-9))
     grid = np.arange(n_grid + 1) / 2.0**grid_level
-    states = np.empty((M, len(grid), domain.dim))
-    for chunk in _chunk_ranges(M, horizon, level, coeffs.dim_noise):
+
+    def group_states(chunk):
         paths = _chunk_paths(coeffs, horizon, level, seed, chunk)
         if process == "reference":
             paths = FineBlocks(paths, fine_level, n_fine, _CHUNK_BYTES)
         out = _march_chunk(domain, coeffs, x0, paths, process, grid, substeps_per_knot)[0]
-        states[chunk.start : chunk.stop] = np.swapaxes(out, 0, 1)
+        return np.ascontiguousarray(np.swapaxes(out, 0, 1))
 
-    strides = [2**j for j in range(n_lags) if 2**j < n_grid]
+    chunks = _chunk_ranges(M, horizon, level, coeffs.dim_noise, workers)
+    states = np.concatenate(_run_groups(group_states, chunks, workers))
+
+    strides = [2**j for j in range(5) if 2**j < n_grid]
     lags = [s / 2.0**grid_level for s in strides]
+    # Squared increment norms per lag, shared by every moment order.
+    squares = [np.sum((states[:, s:] - states[:, :-s]) ** 2, axis=2) for s in strides]
     rows = []
     for p in p_list:
-        moments = []
-        for stride in strides:
-            diff = states[:, stride:, :] - states[:, :-stride, :]
-            moments.append(float(np.mean(np.sum(diff**2, axis=2) ** (p / 2.0))))
-        moments = np.asarray(moments)
+        moments = np.asarray([float(np.mean(sq ** (p / 2.0))) for sq in squares])
         slope = None
-        if np.all(moments > 1e-300):
+        if len(strides) >= 2 and np.all(moments > 1e-300):
             slope = _lsq_slope(np.log(np.asarray(lags)), np.log(moments))
         passed = slope is None or bool(slope >= p / 2.0 - 0.2)
         rows.append(HolderRow(p, tuple(lags), tuple(moments), slope, passed))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde.brownian import level_values
 from reflectedsde.harness import jackknife_se, path_seed
 
 SEED = 20240817
@@ -96,7 +95,7 @@ def test_criterion_04_additive_noise_exactness():
         path = rs.sample_path(1, T, n + 2, seed=path_seed(SEED, i))
         traj = rs.solve_wz(domain, coeffs, path, n, SUBSTEPS, [0.0], knots,
                            record_substeps=True)
-        lagged = np.concatenate([[np.zeros(1)], level_values(path, n)[:-1]])[:, 0]
+        lagged = np.concatenate([[np.zeros(1)], rs.restrict(path, n).values[:-1]])[:, 0]
         worst = max(worst, float(np.max(np.abs(traj.states[:, 0] - 0.4 * lagged))))
         if np.max(np.abs(traj.substeps.states)) >= 1.0 or traj.variation[-1] != 0.0:
             contact_free = False

@@ -7,7 +7,7 @@ from scipy import stats as sstats
 
 import reflectedsde as rs
 from reflectedsde import brownian
-from reflectedsde.brownian import dyadic_grid, level_values, stream_keys
+from reflectedsde.brownian import dyadic_grid, stream_keys
 from reflectedsde.errors import InvalidHorizon, LevelTooFine
 
 
@@ -85,7 +85,9 @@ def test_batched_sampling_matches_single_paths(m, T):
             np.testing.assert_array_equal(
                 rs.wz_knot_slopes(batch, n)[b], rs.wz_knot_slopes(alone, n)
             )
-            np.testing.assert_array_equal(level_values(batch, n)[b], level_values(alone, n))
+            np.testing.assert_array_equal(
+                rs.restrict(batch, n).values[b], rs.restrict(alone, n).values
+            )
 
 
 def test_batched_refine_then_restrict_returns_the_knots():
@@ -298,7 +300,7 @@ def test_interpolant_zero_on_first_interval():
 def test_interpolant_knot_lag_identity():
     path = rs.sample_path(1, 1.0, 9, seed=8)
     n = 4
-    knots = level_values(path, n)
+    knots = rs.restrict(path, n).values
     for k in range(1, 17):
         np.testing.assert_array_equal(rs.wz_value(path, n, k / 2**n), knots[k - 1])
 
@@ -306,7 +308,7 @@ def test_interpolant_knot_lag_identity():
 def test_interpolant_midpoint_average():
     path = rs.sample_path(1, 1.0, 9, seed=8)
     n = 4
-    knots = level_values(path, n)
+    knots = rs.restrict(path, n).values
     for k in range(1, 16):
         t = (k + 0.5) / 2**n
         expected = 0.5 * knots[k - 1] + 0.5 * knots[k]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
+from reflectedsde import harness
 from reflectedsde.cli import ExperimentConfig, main
 from reflectedsde.errors import ConfigError
 
@@ -267,6 +268,48 @@ def test_holder_degenerate_exits_0(tmp_path):
         coefficients={"name": "constant", "params": {"sigma": [[0.0]]}},
     )
     assert main(["holder", "--config", str(path)]) == 0
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_holder_single_lag_is_degenerate_json(tmp_path, capsys):
+    # grid_level 1 over T = 1 leaves one lag: no slope to fit, and no NaN.
+    path = _write_config(tmp_path, levels=[4], M=20, grid_level=1)
+    assert main(["holder", "--config", str(path)]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert set(out) == {"reference", "wz-4"}
+    for rep in out.values():
+        assert rep["degenerate"]
+        assert all(len(row["lags"]) == 1 and row["slope"] is None for row in rep["rows"])
+
+
+def test_holder_grid_level_below_one_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, levels=[4], M=20, grid_level=0)
+    assert main(["holder", "--config", str(path)]) == 2
+    assert "grid_level" in capsys.readouterr().err
+
+
+def test_holder_workers_print_the_same_bytes(tmp_path, capsys, monkeypatch):
+    run_groups, seen = harness._run_groups, []
+
+    def spy(march, chunks, workers):
+        seen.append((len(chunks), workers))
+        return run_groups(march, chunks, workers)
+
+    monkeypatch.setattr(harness, "_run_groups", spy)
+    path = _write_config(tmp_path, levels=[4], M=24, grid_level=4)
+    outputs = []
+    for workers in ("1", "2"):
+        assert main(["holder", "--config", str(path), "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    # Both processes ran one group serially, then two over two workers.
+    assert seen == [(1, 1), (1, 1), (2, 2), (2, 2)]
 
 
 def test_flag_overrides_win(tmp_path, capsys):

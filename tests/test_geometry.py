@@ -166,6 +166,42 @@ def test_generic_bisection_fallback(unit_ball):
     assert float(stripped.boundary_distance(res.state)) <= 1e-9
 
 
+# The fields README lists for a custom domain: the required ones, then the
+# optional ones (``resolve_batch`` aside).
+_REQUIRED_FIELDS = (
+    "dim", "boundary_distance", "phi", "grad_phi", "nu", "c0", "alpha", "reach_hint",
+    "phi_name", "phi_range", "diameter", "interior_anchor",
+)
+_OPTIONAL_FIELDS = ("name", "params", "sample_boundary", "sample_interior")
+
+
+def test_custom_domain_from_the_documented_fields(unit_ball):
+    required = {
+        f.name for f in dataclasses.fields(rs.DomainSpec)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+    assert required == set(_REQUIRED_FIELDS)
+    custom = rs.DomainSpec(
+        **{key: getattr(unit_ball, key) for key in _REQUIRED_FIELDS + _OPTIONAL_FIELDS}
+    )
+    stripped = dataclasses.replace(unit_ball, resolve_batch=None)
+    coeffs = rs.trig(
+        offset=[[0.6, 0.1], [0.1, 0.6]],
+        amplitude=[[0.3, 0.1], [0.1, 0.3]],
+        frequency=[1.0, 2.0],
+        drift_matrix=[[-0.5, 0.0], [0.0, -0.5]],
+    )
+    args = (coeffs, [0.5, 0.0], 1.0, (3, 4), 8, 3, 4, 5)
+    ours, theirs = rs.run_coupling_stats(custom, *args), rs.run_coupling_stats(stripped, *args)
+    assert np.any(ours.var_final > 0.0)  # the bisection ran
+    for name in ("sup_dist", "final_dist", "f_final", "var_final", "ref_var_final"):
+        np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name))
+    for check, n in ((rs.check_d1, (100, 300)), (rs.check_d2, (100,))):
+        ours, theirs = check(custom, *n, seed=7), check(stripped, *n, seed=7)
+        for f in dataclasses.fields(ours):
+            np.testing.assert_array_equal(getattr(ours, f.name), getattr(theirs, f.name))
+
+
 def test_projection_diverges_at_annulus_center(thick_annulus):
     with pytest.raises(ProjectionDiverged):
         rs.project_to_closure(thick_annulus, np.zeros(2))
@@ -304,17 +340,13 @@ def _builtin(name):
 
 @pytest.mark.parametrize("name", ["interval", "box", "ball", "annulus"])
 def test_membership_is_the_open_domain(name, rng):
+    # The open domain is where the signed distance is negative.
     domain = _builtin(name)
     for x in domain.sample_interior(50, rng):
-        assert bool(domain.membership(x))
         assert float(domain.boundary_distance(x)) < 0.0
     for x in domain.sample_boundary(50, rng):
-        # Samples sit on the boundary up to rounding; membership must agree
-        # with the sign of the distance either way.
-        assert bool(domain.membership(x)) == (float(domain.boundary_distance(x)) < 0.0)
         assert abs(float(domain.boundary_distance(x))) <= 1e-12 * domain.diameter
     far = domain.interior_anchor + 10.0 * domain.diameter
-    assert not bool(domain.membership(far))
     assert float(domain.boundary_distance(far)) > 0.0
 
 

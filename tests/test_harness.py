@@ -238,6 +238,20 @@ def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
         np.testing.assert_array_equal(serial.sup_dist, parallel.sup_dist)
         np.testing.assert_array_equal(serial.f_final, parallel.f_final)
 
+    # holder_report runs its groups through the same loop: two workers (two
+    # groups) give the serial report's bytes, for both processes.
+    annulus, trig, x0 = _annulus_problem()
+    for domain, coeffs, start in ((unit_interval, wavy_coeffs, [0.0]), (annulus, trig, x0)):
+        for process in ("reference", 4):
+            serial, parallel = (
+                json.dumps(rs.holder_report(
+                    domain, coeffs, start, 1.0, process, [2, 4], 24, seed=5, grid_level=4,
+                    fine_margin=3, substeps_per_knot=4, workers=workers,
+                ).to_json_dict())
+                for workers in (1, 2)
+            )
+            assert serial == parallel
+
 
 def _annulus_problem():
     coeffs = rs.trig(
@@ -572,10 +586,23 @@ def test_regularity_slope_for_additive_noise():
     assert row.passed and not report.degenerate
 
 
-def test_regularity_degenerate_flag(unit_interval):
+def test_regularity_degenerate_flag(unit_interval, wavy_coeffs):
     still = rs.constant([[0.0]])
     report = rs.holder_report(unit_interval, still, [0.3], 1.0, "reference", [2], 30, seed=4)
     assert report.degenerate
+    # grid_level 1 over T = 1 leaves one lag, too few to fit a slope.
+    for process in ("reference", 4):
+        report = rs.holder_report(
+            unit_interval, wavy_coeffs, [0.0], 1.0, process, [2, 4], 30, seed=4, grid_level=1
+        )
+        assert report.degenerate
+        for row in report.rows:
+            assert len(row.lags) == 1 and row.slope is None and row.passed
+
+
+def test_regularity_grid_level_validation(unit_interval, wavy_coeffs):
+    with pytest.raises(ValueError, match="grid_level"):
+        rs.holder_report(unit_interval, wavy_coeffs, [0.0], 1.0, 4, [2], 30, seed=4, grid_level=0)
 
 
 def test_regularity_moment_order_validation(unit_interval, wavy_coeffs):

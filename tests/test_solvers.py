@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde.brownian import level_values
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import (
     LevelTooFine,
@@ -48,7 +47,7 @@ def test_additive_noise_exact_at_knots(unit_interval):
     path = rs.sample_path(1, 0.25, n + 3, seed=3)
     knots = np.arange(int(0.25 * 2**n) + 1) / 2.0**n
     traj = rs.solve_wz(unit_interval, coeffs, path, n, 8, [0.0], knots)
-    lagged = np.concatenate([[np.zeros(1)], level_values(path, n)[:-1]])[:, 0]
+    lagged = np.concatenate([[np.zeros(1)], rs.restrict(path, n).values[:-1]])[:, 0]
     np.testing.assert_allclose(traj.states[:, 0], sigma * lagged, atol=1e-12)
     assert np.all(traj.variation == 0.0)
 
