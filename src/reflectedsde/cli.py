@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     DegenerateFit,
     ExperimentFailed,
+    OutOfDomain,
     ReflectedSDEError,
 )
 from .brownian import sample_path
@@ -97,55 +98,34 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items()}
 
-    def build_domain(self) -> DomainSpec:
-        if not isinstance(self.domain, dict) or "name" not in self.domain:
-            raise ConfigError("must be an object with a 'name' key", field="domain")
+    def build(self, key: str, factory):
+        """``factory(name, **params)`` from the ``{"name", "params"}`` object
+        at config key ``key``, with its errors reported under ``key``."""
+        spec = getattr(self, key)
+        if not isinstance(spec, dict) or "name" not in spec:
+            raise ConfigError("must be an object with a 'name' key", field=key)
         try:
-            return make_domain(self.domain["name"], **self.domain.get("params", {}))
+            return factory(spec["name"], **spec.get("params", {}))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc), field="domain")
+            raise ConfigError(str(exc), field=key)
 
-    def build_coefficients(self) -> CoefficientSet:
-        if self.coefficients is None:
-            raise ConfigError("missing required key", field="coefficients")
-        if not isinstance(self.coefficients, dict) or "name" not in self.coefficients:
-            raise ConfigError("must be an object with a 'name' key", field="coefficients")
-        try:
-            return make_coefficients(
-                self.coefficients["name"], **self.coefficients.get("params", {})
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc), field="coefficients")
-
-    def validate(self, need_coefficients: bool = True):
-        domain = self.build_domain()
-        if self.T <= 0:
-            raise ConfigError("horizon must be positive", field="T")
-        if self.M < 1:
-            raise ConfigError("path count must be at least 1", field="M")
-        levels = list(self.levels)
-        if not levels or levels != sorted(set(int(n) for n in levels)):
-            raise ConfigError("must be nonempty and strictly increasing", field="levels")
+    def validate(self) -> tuple[DomainSpec, CoefficientSet]:
+        """The domain and coefficients of a valid study: the CLI's own keys
+        are checked here, the study's inputs by ``harness.check_study``."""
+        # Module globals, read at call time: a replacement set on the module is used.
+        domain = self.build("domain", make_domain)
+        coeffs = self.build("coefficients", make_coefficients)
         if any(int(p) != p or int(p) not in (2, 4, 6) for p in self.p_list):
             raise ConfigError("only even moments 2, 4, 6 are supported", field="p_list")
         if self.format not in ("json", "csv"):
             raise ConfigError("must be 'json' or 'csv'", field="format")
-        if self.substeps_per_knot < 1:
-            raise ConfigError("must be at least 1", field="substeps_per_knot")
-        if self.workers < 1:
-            raise ConfigError("must be at least 1", field="workers")
-        x0 = np.asarray(self.x0, float)
-        if x0.shape != (domain.dim,):
-            raise ConfigError(f"must have dimension {domain.dim}", field="x0")
-        if not domain.contains(x0):
-            raise ConfigError(f"{self.x0} is outside the domain closure", field="x0")
-        coeffs = None
-        if need_coefficients or self.coefficients is not None:
-            coeffs = self.build_coefficients()
-            if coeffs.dim_state != domain.dim:
-                raise ConfigError(
-                    "state dimension does not match the domain", field="coefficients"
-                )
+        try:
+            harness.check_study(
+                domain, coeffs, self.x0, self.T, self.levels, self.M, self.fine_margin,
+                self.substeps_per_knot, self.workers, self.r,
+            )
+        except (ValueError, OutOfDomain) as exc:
+            raise ConfigError(str(exc))
         return domain, coeffs
 
 
@@ -167,7 +147,7 @@ def _json_text(obj) -> str:
 
 def cmd_certify(config: ExperimentConfig) -> int:
     """Run the domain condition checks and compare with declared constants."""
-    domain = config.build_domain()
+    domain = config.build("domain", make_domain)
     if config.n_boundary < 1 or config.n_interior < 1:
         raise ConfigError("sample counts must be positive", field="n_boundary")
     d1 = check_d1(domain, config.n_boundary, config.n_interior, config.seed)

@@ -14,8 +14,9 @@ and the noise-interaction term, run as products of batch columns for a
 planar state with planar noise (d = m = 2) from ``COLUMN_MIN_ROWS`` rows
 on, which reproduces ``np.einsum``'s bits; every other shape and width
 keeps the einsum, on C-ordered operands, since its summation order follows
-their memory layout.  The built-in fields likewise spread their parameters
-over a wide planar batch one column at a time.
+their memory layout.  The affine drift likewise adds its offset to a wide
+planar batch one column at a time; ``trig`` spreads its parameters one
+(i, j) entry at a time over the whole batch, at every shape and width.
 """
 
 from __future__ import annotations
@@ -297,55 +298,37 @@ def trig(
     if phase.shape != (d, m):
         raise ValueError("phase must have shape (d, m)")
     b, lip_b, dm_, doff = _drift_field(drift_matrix, drift_offset, d)
-    # sin and cos run once per distinct phase value (``uphase``) and are then
-    # spread over the (d, m) entries.  Each entry's argument is the same sum
-    # freq . y + phase_ij as in the entrywise spelling, so the values are
-    # identical; one distinct phase (the default) spreads by broadcasting,
-    # several by indexing, and a wide batch at d = m = 2 takes each entry as
-    # one column of its phase's values (``entries``).
+    # sin and cos run once per distinct phase value (``uphase``), then each
+    # (i, j) entry takes ``amp_ij * t`` (and ``offset_ij +`` that) over the
+    # batch: the same argument freq . y + phase_ij and the same two IEEE
+    # operations as the entrywise spelling, C-ordered as it returns them
+    # (einsum's summation order follows its operands' memory layout).
     uphase, spread = np.unique(phase, return_inverse=True)
     spread = spread.reshape(d, m)
-    columns = d == 2 and m == 2
     entries = [
         (i, j, spread[i, j], amplitude[i, j], offset[i, j]) for i in range(d) for j in range(m)
     ]
-    spread = (..., None) if len(uphase) == 1 else (..., spread)
 
-    def phase_values(fn, y):
+    def spread_entries(fn, y, add_offset):
+        y = np.asarray(y, float)
         # np.dot for the same reason as in _drift_field.
-        return fn(np.dot(y, frequency)[..., None] + uphase)
-
-    def scaled(fn, y):
-        """``amplitude * fn(freq . y + phase)``, shape ``(..., d, m)``."""
-        # C order, as the entrywise spelling returns it: einsum's summation
-        # order follows its operands' memory layout, and an indexed spread
-        # is laid out phase axis first.
-        return np.multiply(amplitude, phase_values(fn, y)[spread], order="C")
+        t = fn(np.dot(y, frequency)[..., None] + uphase)
+        out = np.empty(y.shape[:-1] + (d, m))
+        for i, j, p, amp, off in entries:
+            o = out[..., i, j]
+            np.multiply(amp, t[..., p], out=o)
+            if add_offset:
+                np.add(off, o, out=o)
+        return out
 
     def sigma_f(y):
-        y = np.asarray(y, float)
-        if columns and len(y) >= COLUMN_MIN_ROWS:
-            t = phase_values(np.sin, y)
-            out = np.empty((len(y), d, m))
-            for i, j, p, amp, off in entries:
-                o = out[:, i, j]
-                np.multiply(amp, t[:, p], out=o)
-                np.add(off, o, out=o)
-            return out
-        return offset + scaled(np.sin, y)
+        return spread_entries(np.sin, y, True)
 
     def grad_f(y):
-        # scaled(np.cos, y)[..., None] * frequency, one product over the
+        # amp * cos(freq . y + phase) times frequency, one product over the
         # whole batch per state direction instead of one loop of length d
         # per entry.
-        y = np.asarray(y, float)
-        if columns and len(y) >= COLUMN_MIN_ROWS:
-            t = phase_values(np.cos, y)
-            c = np.empty((len(y), d, m))
-            for i, j, p, amp, _ in entries:
-                np.multiply(amp, t[:, p], out=c[:, i, j])
-        else:
-            c = scaled(np.cos, y)
+        c = spread_entries(np.cos, y, False)
         out = np.empty(c.shape + (d,))
         for k in range(d):
             np.multiply(c, frequency[k], out=out[..., k])

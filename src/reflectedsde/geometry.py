@@ -14,7 +14,7 @@ interior-cone constant) while keeping closed-form projections.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -70,13 +70,11 @@ class DomainSpec:
     nu: Callable[[np.ndarray], np.ndarray]
     c0: float
     alpha: float
-    reach_hint: float
     phi_name: str
     phi_range: tuple[float, float]
     diameter: float
     interior_anchor: np.ndarray
     name: str = "custom"
-    params: dict = field(default_factory=dict)
     sample_boundary: Callable[[int, np.random.Generator], np.ndarray] | None = None
     sample_interior: Callable[[int, np.random.Generator], np.ndarray] | None = None
     resolve_batch: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
@@ -462,13 +460,11 @@ def interval(a: float, b: float) -> DomainSpec:
         nu=nu,
         c0=0.0,
         alpha=width,
-        reach_hint=0.5 * width,
         phi_name="endpoint-product",
         phi_range=(0.0, (0.5 * width) ** 2),
         diameter=width,
         interior_anchor=np.asarray([mid]),
         name="interval",
-        params={"a": a, "b": b},
         sample_boundary=lambda n, rng: np.asarray([a, b])[rng.integers(0, 2, n)][:, None],
         sample_interior=lambda n, rng: rng.uniform(a, b, (n, 1)),
         resolve_batch=resolve_batch,
@@ -529,13 +525,11 @@ def box(lo, hi) -> DomainSpec:
         nu=nu,
         c0=0.0,
         alpha=float(np.min(widths)),
-        reach_hint=0.5 * float(np.min(widths)),
         phi_name="face-product-sum",
         phi_range=(0.0, float(np.sum((0.5 * widths) ** 2))),
         diameter=float(np.linalg.norm(widths)),
         interior_anchor=0.5 * (lo + hi),
         name="box",
-        params={"lo": lo.tolist(), "hi": hi.tolist()},
         sample_boundary=sample_boundary,
         sample_interior=lambda n, rng: rng.uniform(lo, hi, (n, d)),
         resolve_batch=resolve_batch,
@@ -587,13 +581,11 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
         nu=nu,
         c0=0.0,
         alpha=2.0 * radius,
-        reach_hint=radius,
         phi_name="radius-squared-gap",
         phi_range=(0.0, radius**2),
         diameter=2.0 * radius,
         interior_anchor=np.zeros(d),
         name="ball",
-        params={"radius": radius, "dim": d},
         sample_boundary=sample_boundary,
         sample_interior=sample_interior,
         resolve_batch=resolve_batch,
@@ -667,13 +659,11 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
         nu=nu,
         c0=1.0 / (2.0 * r1),
         alpha=r2 - r1,
-        reach_hint=0.5 * min(r1, r2 - r1),
         phi_name="midradius-gap-squared",
         phi_range=(-((0.5 * (r2 - r1)) ** 2), 0.0),
         diameter=2.0 * r2,
         interior_anchor=np.concatenate([[rm], np.zeros(d - 1)]),
         name="annulus",
-        params={"r1": r1, "r2": r2, "dim": d},
         sample_boundary=sample_boundary,
         sample_interior=sample_interior,
         resolve_batch=resolve_batch,

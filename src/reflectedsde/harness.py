@@ -270,12 +270,46 @@ class CouplingStats:
     f_final: np.ndarray
     var_final: np.ndarray
     ref_var_final: np.ndarray
-    n_failed: int
 
     def valid_mask(self) -> np.ndarray:
         return np.all(np.isfinite(self.sup_dist), axis=1) & np.all(
             np.isfinite(self.final_dist), axis=1
         )
+
+    @property
+    def n_failed(self) -> int:
+        return int(np.count_nonzero(~self.valid_mask()))
+
+
+def _check_rate_exponent(domain: DomainSpec, r: float):
+    threshold = -2.0 * domain.c0 / domain.alpha
+    if r >= threshold:
+        raise ValueError(f"r={r} must be strictly below -2 c0 / alpha = {threshold}")
+
+
+def check_study(
+    domain: DomainSpec, coeffs: CoefficientSet, x0, T: float, levels: Sequence[int], M: int,
+    fine_margin: int, substeps_per_knot: int, workers: int = 1, r: float | None = None,
+) -> np.ndarray:
+    """``x0`` as a float array, once a study's inputs meet every rule of a
+    valid study.  A violation raises a ``ValueError`` whose message starts
+    with the argument's name, or ``OutOfDomain`` for a start outside the
+    closure.  The engine, ``holder_report`` and the CLI check through this.
+    """
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    levels = list(levels)
+    if not levels or any(int(n) != n or n < 1 for n in levels) or levels != sorted(set(levels)):
+        raise ValueError(f"levels must be strictly increasing integers >= 1, got {levels}")
+    for name, value, least in (
+        ("M", M, 2), ("fine_margin", fine_margin, 2),
+        ("substeps_per_knot", substeps_per_knot, 1), ("workers", workers, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    if r is not None:
+        _check_rate_exponent(domain, r)
+    return _check_start(domain, coeffs, x0)
 
 
 def _chunk_ranges(M: int, T: float, level: int, dim_noise: int, workers: int = 1):
@@ -429,35 +463,20 @@ def run_coupling_stats(
     forked processes where the platform can fork.  The stats are
     bit-identical whatever the group and block layout or worker count.
     """
-    levels = tuple(int(n) for n in levels)
-    if not levels or list(levels) != sorted(set(levels)):
-        raise ValueError("levels must be nonempty and strictly increasing")
-    if M < 2:
-        raise ValueError("M must be at least 2")
-    if fine_margin < 2:
-        raise ValueError("fine_margin must be at least 2")
     if r is None:
         r = default_rate_exponent(domain)
-    threshold = -2.0 * domain.c0 / domain.alpha
-    if r >= threshold:
-        raise ValueError(f"rate exponent r={r} must be strictly below {threshold}")
-    x0 = _check_start(domain, coeffs, x0)
+    x0 = check_study(domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot, workers, r)
+    levels = tuple(int(n) for n in levels)
 
     study = (domain, coeffs, x0, T, levels, fine_margin, substeps_per_knot, seed, r)
     horizon = _fine_grid(T, max(levels) + fine_margin)[1]
     chunks = _chunk_ranges(M, horizon, max(levels), coeffs.dim_noise, workers)
     # Read at call time, so that a wrapper set on the module is what runs.
     results = _run_groups(partial(_chunk_stats, *study), chunks, workers)
-    sup_dist, final_dist, f_final, var_final, ref_var_final = (
-        np.concatenate(parts) for parts in zip(*results)
-    )
-    valid = np.all(np.isfinite(sup_dist), axis=1) & np.all(np.isfinite(final_dist), axis=1)
-    n_failed = int(M - np.sum(valid))
-    if n_failed > 0.01 * M:
-        raise ExperimentFailed(f"{n_failed} of {M} paths failed")
-    return CouplingStats(
-        levels, r, sup_dist, final_dist, f_final, var_final, ref_var_final, n_failed
-    )
+    stats = CouplingStats(levels, r, *(np.concatenate(parts) for parts in zip(*results)))
+    if stats.n_failed > 0.01 * M:
+        raise ExperimentFailed(f"{stats.n_failed} of {M} paths failed")
+    return stats
 
 
 def rate_report(stats: CouplingStats, p: float, seed: int) -> RateReport:
@@ -556,9 +575,7 @@ def lyapunov_trace(domain: DomainSpec, X: ReflectedPath, Xn: ReflectedPath, r: f
     """Weighted squared distance along a coupled pair sharing output times."""
     if X.times.shape != Xn.times.shape or not np.allclose(X.times, Xn.times, atol=1e-12):
         raise MismatchedTimes("trajectories do not share output times")
-    threshold = -2.0 * domain.c0 / domain.alpha
-    if r >= threshold:
-        raise ValueError(f"rate exponent r={r} must be strictly below {threshold}")
+    _check_rate_exponent(domain, r)
     phi_sum = domain.phi(X.states) + domain.phi(Xn.states)
     g = np.exp(r * phi_sum)
     y3 = np.sum((Xn.states - X.states) ** 2, axis=1)
@@ -599,13 +616,14 @@ def holder_report(
         raise ValueError("p_list entries must be even moments in {2, 4, 6}")
     if grid_level < 1:
         raise ValueError(f"grid_level must be at least 1, got {grid_level}")
-    x0 = _check_start(domain, coeffs, x0)
     if n_or_reference == "reference":
         process, level = "reference", grid_level
         label = "reference"
     else:
         process = level = int(n_or_reference)
         label = f"wz-{process}"
+    checked = grid_level if process == "reference" else n_or_reference
+    x0 = check_study(domain, coeffs, x0, T, [checked], M, fine_margin, substeps_per_knot, workers)
     fine_level = level + fine_margin
 
     # Grid knots must sit on the fine grid of the padded horizon.

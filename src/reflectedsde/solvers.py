@@ -295,7 +295,7 @@ def _check_start(domain: DomainSpec, coeffs: CoefficientSet, x0) -> np.ndarray:
     if x0.shape != (domain.dim,):
         raise ValueError(f"x0 must have shape ({domain.dim},), got {x0.shape}")
     if coeffs.dim_state != domain.dim:
-        raise ValueError("coefficient state dimension does not match the domain")
+        raise ValueError(f"coeffs state dimension {coeffs.dim_state} != domain dim {domain.dim}")
     if not domain.contains(x0):
         raise OutOfDomain(f"x0 {x0} is outside the domain closure")
     return x0

@@ -75,6 +75,12 @@ def test_validation_reports_field_names(tmp_path):
     config = ExperimentConfig.from_file(str(_write_config(tmp_path, p_list=[3])))
     with pytest.raises(ConfigError, match="p_list"):
         config.validate()
+    for key, value in (
+        ("T", 0.0), ("M", 1), ("substeps_per_knot", 0), ("fine_margin", 1), ("workers", 0)
+    ):
+        config = ExperimentConfig.from_file(str(_write_config(tmp_path, **{key: value})))
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            config.validate()
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -165,6 +171,12 @@ def test_converge_single_level_exits_2(tmp_path, capsys):
     assert main(["converge", "--config", str(path)]) == 2
 
 
+def test_converge_levels_below_one_exit_2(tmp_path, capsys):
+    path = _write_config(tmp_path, levels=[-1, 0, 1])
+    assert main(["converge", "--config", str(path)]) == 2
+    assert "levels" in capsys.readouterr().err
+
+
 def test_converge_degenerate_exits_0(tmp_path, capsys):
     path = _write_config(
         tmp_path,
@@ -226,6 +238,12 @@ def test_simulate_reflected_drift_reaches_unit_variation(tmp_path):
 def test_simulate_needs_single_level(tmp_path):
     path = _write_config(tmp_path, levels=[4, 5])
     assert main(["simulate", "--config", str(path)]) == 2
+
+
+def test_simulate_negative_fine_margin_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, levels=[4], fine_margin=-1)
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "fine_margin" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

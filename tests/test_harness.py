@@ -509,6 +509,45 @@ def test_levels_and_margin_validation(unit_interval, wavy_coeffs):
         rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 1, 4, 8, 1)
     with pytest.raises(ValueError):
         rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 1, 8, 1)
+    # The engine and holder_report share the study rules, and each error
+    # names the argument it rejects.
+    for substeps in (0, -3):
+        with pytest.raises(ValueError, match="^substeps_per_knot"):
+            rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 4, substeps, 1)
+    for levels in ((-1, 1), (0, 1)):
+        with pytest.raises(ValueError, match="^levels"):
+            rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, levels, 10, 4, 8, 1)
+    with pytest.raises(ValueError, match="^workers"):
+        rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 4, 8, 1, workers=0)
+    for M in (0, 1):
+        with pytest.raises(ValueError, match="^M"):
+            rs.holder_report(unit_interval, wavy_coeffs, [0.0], 1.0, 4, [2], M, seed=4)
+    with pytest.raises(ValueError, match="^fine_margin"):
+        rs.holder_report(
+            unit_interval, wavy_coeffs, [0.0], 1.0, "reference", [2], 10, seed=4, fine_margin=1
+        )
+    with pytest.raises(ValueError, match="^substeps_per_knot"):
+        rs.holder_report(
+            unit_interval, wavy_coeffs, [0.0], 1.0, 4, [2], 10, seed=4, substeps_per_knot=0
+        )
+    for level in (0, 4.5):
+        with pytest.raises(ValueError, match="^levels"):
+            rs.holder_report(unit_interval, wavy_coeffs, [0.0], 1.0, level, [2], 10, seed=4)
+
+
+def test_failed_paths_are_counted_from_the_valid_mask(unit_interval, wavy_coeffs):
+    stats = rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, (3, 4), 8, 2, 4, 1)
+    sup_dist = stats.sup_dist.copy()
+    final_dist = stats.final_dist.copy()
+    sup_dist[1, 0] = np.nan
+    final_dist[5, 1] = np.inf
+    final_dist[6] = np.nan
+    poisoned = dataclasses.replace(stats, sup_dist=sup_dist, final_dist=final_dist)
+    assert stats.n_failed == 0
+    assert poisoned.n_failed == 3
+    np.testing.assert_array_equal(np.flatnonzero(~poisoned.valid_mask()), [1, 5, 6])
+    assert rs.rate_report(poisoned, 2.0, 1).n_failed == 3
+    assert rs.lyapunov_report(poisoned, 1).n_failed == 3
 
 
 def _planar_coeffs():
