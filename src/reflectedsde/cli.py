@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -44,6 +45,25 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+
+# The keys of ``thresholds``: the least rate and decay slopes ``converge`` accepts.
+_THRESHOLD_KEYS = ("rate_slope_min", "lyapunov_slope_min")
+
+# The JSON values each annotated type admits (a float takes an int), named.
+_JSON_TYPES = {
+    float: ((int, float), "a number"), int: ((int,), "an integer"), str: ((str,), "a string"),
+    list: ((list,), "a list"), dict: ((dict,), "an object"), type(None): ((type(None),), "null"),
+}
+
+
+def _check_type(key: str, value, annotation):
+    """``ConfigError`` under ``key`` unless ``value`` is a JSON value of the
+    annotated type (``X | None`` admits null); a boolean is never a number."""
+    types = [_JSON_TYPES[t] for t in get_args(annotation) or (annotation,)]
+    if isinstance(value, bool) or not any(isinstance(value, kinds) for kinds, _ in types):
+        wanted = " or ".join(name for _, name in types)
+        raise ConfigError(f"must be {wanted}, got {value!r}", field=key)
 
 
 @dataclass
@@ -82,7 +102,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown keys {sorted(unknown)}", field="config")
         if "domain" not in data:
             raise ConfigError("missing required key", field="domain")
-        return cls(**{k: data[k] for k in names if k in data})
+        values = {k: data[k] for k in names if k in data}
+        hints = get_type_hints(cls)
+        for key, value in values.items():
+            _check_type(key, value, hints[key])
+        for key, value in values.get("thresholds", {}).items():
+            if key not in _THRESHOLD_KEYS:
+                known = list(_THRESHOLD_KEYS)
+                raise ConfigError(f"unknown key {key!r}; known: {known}", field="thresholds")
+            _check_type(f"thresholds.{key}", value, float)
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -212,8 +241,7 @@ def cmd_converge(config: ExperimentConfig) -> int:
         )
     if rate.degenerate or decay.degenerate:
         return EXIT_OK
-    slope_min = config.thresholds.get("rate_slope_min")
-    lyap_min = config.thresholds.get("lyapunov_slope_min")
+    slope_min, lyap_min = (config.thresholds.get(key) for key in _THRESHOLD_KEYS)
     if slope_min is not None and rate.final_slope < slope_min:
         return EXIT_THRESHOLD
     if lyap_min is not None and decay.slope < lyap_min:
@@ -236,16 +264,8 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     )
     r = config.r if config.r is not None else harness.default_rate_exponent(domain)
     trace = harness.lyapunov_trace(domain, reference, approx, r)
-    d = domain.dim
-    header = (
-        ["t"]
-        + [f"X_{i+1}" for i in range(d)]
-        + [f"Xn_{i+1}" for i in range(d)]
-        + [f"L_{i+1}" for i in range(d)]
-        + [f"Ln_{i+1}" for i in range(d)]
-        + ["|L|", "|Ln|", "f_n"]
-    )
-    lines = [",".join(header)]
+    columns = [f"{name}_{i+1}" for name in ("X", "Xn", "L", "Ln") for i in range(domain.dim)]
+    lines = [",".join(["t", *columns, "|L|", "|Ln|", "f_n"])]
     for i, t in enumerate(reference.times):
         row = (
             [t]
@@ -291,6 +311,19 @@ def cmd_holder(config: ExperimentConfig) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _corner(text: str) -> list:
+    """comma-separated corner"""
+    return [float(v) for v in text.split(",")]
+
+
+# ``certify``'s domain flags and the converters of their text, applied when
+# the domain is built, so a bad value is a config error like any other.
+_DOMAIN_FLAGS = {
+    "radius": float, "dim": int, "r1": float, "r2": float, "a": float, "b": float,
+    "lo": _corner, "hi": _corner,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reflectedsde",
@@ -312,14 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"])
         if name == "certify":
             p.add_argument("--domain", help="built-in domain name")
-            p.add_argument("--radius", type=float)
-            p.add_argument("--dim", type=int)
-            p.add_argument("--r1", type=float)
-            p.add_argument("--r2", type=float)
-            p.add_argument("--a", type=float)
-            p.add_argument("--b", type=float)
-            p.add_argument("--lo", help="comma-separated lower corner")
-            p.add_argument("--hi", help="comma-separated upper corner")
+            for flag, convert in _DOMAIN_FLAGS.items():
+                p.add_argument(f"--{flag}", help=_corner.__doc__ if convert is _corner else None)
             p.add_argument("--cover", help="cone cover certificate JSON file")
     return parser
 
@@ -327,23 +354,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _domain_from_flags(args) -> dict | None:
     if not args.domain:
         return None
-    params = {}
-    if args.radius is not None:
-        params["radius"] = args.radius
-    if args.dim is not None:
-        params["dim"] = args.dim
-    if args.r1 is not None:
-        params["r1"] = args.r1
-    if args.r2 is not None:
-        params["r2"] = args.r2
-    if args.a is not None:
-        params["a"] = args.a
-    if args.b is not None:
-        params["b"] = args.b
-    if args.lo is not None:
-        params["lo"] = [float(v) for v in args.lo.split(",")]
-    if args.hi is not None:
-        params["hi"] = [float(v) for v in args.hi.split(",")]
+    params = {
+        flag: convert(getattr(args, flag))
+        for flag, convert in _DOMAIN_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
     return {"name": args.domain, "params": params}
 
 
@@ -361,14 +376,9 @@ def _load_config(args) -> ExperimentConfig:
             config.domain = flag_domain
         if args.cover is not None:
             config.cover_certificate = args.cover
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.workers is not None:
-        config.workers = args.workers
-    if args.out is not None:
-        config.out = args.out
-    if args.format is not None:
-        config.format = args.format
+    for key in ("seed", "workers", "out", "format"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     return config
 
 

@@ -6,15 +6,15 @@ boundary, and the certificate constants used by the admissibility checks:
 the interior-cone constant, the uniform test function with its lower
 gradient bound, and an optional finite cone cover.
 
-Built-in domains: interval, axis-aligned box, ball, annulus.  The annulus is
-the non-convex representative (its inner sphere forces a positive
-interior-cone constant) while keeping closed-form projections.
+Built-in domains: axis-aligned box (the interval is its d = 1 case), ball,
+annulus.  The annulus is the non-convex representative (its inner sphere
+forces a positive interior-cone constant) while keeping closed-form projections.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -30,7 +30,6 @@ from .errors import (
 # Tolerances, fixed package-wide.
 UNIT_NORM_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-10      # per unit of diameter; see closure_tol
-CONE_ANGLE_TOL = 1e-6       # radians; admissibility of regulator increments
 CHECK_SLACK = 1e-9          # slack for the certificate inequalities
 _BISECTION_ITERS = 200
 
@@ -422,53 +421,10 @@ def _unit_directions(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def interval(a: float, b: float) -> DomainSpec:
-    """Open interval (a, b) with inward normal reflection at the endpoints."""
+    """Open interval (a, b): the one-dimensional ``box``, inward normals at a and b."""
     if not b > a:
         raise ValueError("interval requires b > a")
-    a, b = float(a), float(b)
-    width = b - a
-    mid = 0.5 * (a + b)
-
-    def bdist(x):
-        x = np.asarray(x, float)
-        x0 = x[..., 0]
-        return np.maximum(a - x0, x0 - b)
-
-    def nu(x):
-        x0 = float(np.asarray(x, float)[..., 0])
-        tol = 1e-9 * width
-        gens = []
-        if abs(x0 - a) <= tol:
-            gens.append([1.0])
-        if abs(x0 - b) <= tol:
-            gens.append([-1.0])
-        if not gens:
-            raise OutOfDomain(f"{x0} is not a boundary point of [{a}, {b}]")
-        return np.asarray(gens)
-
-    def resolve_batch(X, V):
-        y = X + V
-        # np.clip(y, a, b) at half its cost, equal bit for bit (NaN too).
-        state = np.minimum(np.maximum(y, a), b)
-        return state, state - y
-
-    return DomainSpec(
-        dim=1,
-        boundary_distance=bdist,
-        phi=lambda x: (np.asarray(x, float)[..., 0] - a) * (b - np.asarray(x, float)[..., 0]),
-        grad_phi=lambda x: np.asarray([a + b - 2.0 * float(np.asarray(x, float)[..., 0])]),
-        nu=nu,
-        c0=0.0,
-        alpha=width,
-        phi_name="endpoint-product",
-        phi_range=(0.0, (0.5 * width) ** 2),
-        diameter=width,
-        interior_anchor=np.asarray([mid]),
-        name="interval",
-        sample_boundary=lambda n, rng: np.asarray([a, b])[rng.integers(0, 2, n)][:, None],
-        sample_interior=lambda n, rng: rng.uniform(a, b, (n, 1)),
-        resolve_batch=resolve_batch,
-    )
+    return replace(box([a], [b]), name="interval", phi_name="endpoint-product")
 
 
 def box(lo, hi) -> DomainSpec:
@@ -508,9 +464,13 @@ def box(lo, hi) -> DomainSpec:
         pts[np.arange(n), faces] = np.where(sides == 0, lo[faces], hi[faces])
         return pts
 
+    # Scalar bounds at d = 1 broadcast at less cost per call.
+    lo_b, hi_b = (float(lo[0]), float(hi[0])) if d == 1 else (lo, hi)
+
     def resolve_batch(X, V):
         y = X + V
-        state = np.clip(y, lo, hi)
+        # np.clip's values at half its cost (NaN too); a tie with a bound takes the bound's bits.
+        state = np.minimum(np.maximum(y, lo_b), hi_b)
         return state, state - y
 
     def phi(x):

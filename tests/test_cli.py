@@ -90,6 +90,43 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("T", "1"), ("levels", 5), ("M", 2.5), ("seed", "x"), ("workers", 1.5),
+        ("thresholds", [1]), ("M", True), ("T", False), ("T", None), ("out", 3),
+        ("x0", {"a": 1}), ("r", "0.5"),
+    ],
+)
+def test_wrong_typed_value_exits_2(tmp_path, capsys, key, value):
+    path = _write_config(tmp_path, **{key: value})
+    assert main(["converge", "--config", str(path)]) == 2
+    assert f"config error: {key}: must be" in capsys.readouterr().err
+
+
+def test_json_types_of_the_fields():
+    # An int where a float is expected, and null where the field allows it.
+    config = ExperimentConfig.from_dict(
+        {"domain": {"name": "ball"}, "T": 1, "r": -2, "out": None, "coefficients": None}
+    )
+    assert (config.T, config.r, config.out, config.coefficients) == (1, -2, None, None)
+
+
+@pytest.mark.parametrize(
+    "thresholds, field",
+    [
+        ({"rate_slope_mn": 9.0}, "thresholds"),
+        ({"rate_slope_min": "9"}, "thresholds.rate_slope_min"),
+        ({"lyapunov_slope_min": None}, "thresholds.lyapunov_slope_min"),
+        ({"lyapunov_slope_min": True}, "thresholds.lyapunov_slope_min"),
+    ],
+)
+def test_bad_threshold_exits_2(tmp_path, capsys, thresholds, field):
+    path = _write_config(tmp_path, thresholds=thresholds)
+    assert main(["converge", "--config", str(path)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
 def test_config_file_not_mutated(tmp_path):
     path = _write_config(tmp_path)
     before = path.read_bytes()
@@ -140,6 +177,15 @@ def test_certify_with_cover_certificate(tmp_path, capsys):
                 "--cover", write(0.7), "--seed", "3"])
     out = json.loads(capsys.readouterr().out)
     assert bad == 1 and not out["d3"]["passed"] and "d3" in out["violations"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["box", "--lo", "x,0", "--hi", "1,1"], ["ball", "--radius", "one"], ["ball", "--dim", "2.5"]],
+)
+def test_certify_bad_domain_flag_exits_2(capsys, flags):
+    assert main(["certify", "--domain", *flags]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_certify_requires_domain_or_config(capsys):

@@ -57,6 +57,65 @@ def test_interval_resolution_equals_clipping(unit_interval, rng):
             assert dl.tobytes() == (clipped - y).tobytes()
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        ([-0.0], [1.0]), ([-1.0], [0.0]), ([0.0], [1.0]), ([-1.0], [-0.0]),
+        ([-0.0, -1.0], [1.0, 0.0]), ([0.0, -1.0], [1.0, -0.0]), ([-1.0, -1.0], [1.0, 1.0]),
+    ],
+)
+def test_box_resolution_equals_clipping(lo, hi, rng):
+    """The box resolves to ``np.clip``'s values, and where a coordinate equals
+    a bound (a zero of either sign against a signed-zero bound) it takes the
+    bound's bits.  ``np.clip`` itself keeps the coordinate's zero at d = 1 and
+    takes the bound's at d = 2, so its bytes are no reference at those ties."""
+    domain = rs.box(lo, hi)
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, 1.0, -1.0 - 1e-16, 1.0 + 1e-16]
+    for B in (1, 2, 7, 64, 667, 2000):
+        y = rng.standard_normal((B, domain.dim)) * 1.5
+        for k in range(domain.dim):
+            column = np.roll(specials, 2 * k)[:B]
+            y[: len(column), k] = column
+        state, dl = domain.resolve_batch(y, np.full_like(y, -0.0))
+        with np.errstate(invalid="ignore"):
+            expected = np.where(y <= lo, lo, np.where(y >= hi, hi, y))
+            assert dl.tobytes() == (expected - y).tobytes()
+        assert state.tobytes() == expected.tobytes()
+        assert np.array_equal(state, np.clip(y, lo, hi), equal_nan=True)
+
+
+def test_interval_is_the_one_dimensional_box():
+    a, b = -0.3, 0.4
+    interval, box = rs.interval(a, b), rs.box([a], [b])
+    grid = np.concatenate([np.linspace(-1.0, 1.0, 201), [a, b, -0.0, np.nan, np.inf, -np.inf]])
+    grid = grid[:, None]
+    with np.errstate(invalid="ignore"):
+        for name in ("boundary_distance", "phi"):
+            assert getattr(interval, name)(grid).tobytes() == getattr(box, name)(grid).tobytes()
+        for x in grid:
+            assert interval.grad_phi(x).tobytes() == box.grad_phi(x).tobytes()
+        steps = np.full_like(grid, 0.25)
+        for got, want in zip(interval.resolve_batch(grid, steps), box.resolve_batch(grid, steps)):
+            assert got.tobytes() == want.tobytes()
+    for x in ([a], [b]):
+        assert interval.nu(x).tobytes() == box.nu(x).tobytes()
+    for domain in (interval, box):
+        with pytest.raises(OutOfDomain, match="the box"):
+            domain.nu([0.0])
+    for name in ("sample_boundary", "sample_interior"):
+        draws = [getattr(d, name)(50, np.random.default_rng(4)) for d in (interval, box)]
+        assert draws[0].tobytes() == draws[1].tobytes()
+    assert interval.interior_anchor.tobytes() == box.interior_anchor.tobytes()
+    assert dataclasses.replace(
+        interval, name="box", phi_name="face-product-sum"
+    ).certificate_dict() == box.certificate_dict()
+    assert (interval.dim, interval.c0, interval.alpha, interval.phi_range, interval.diameter) == (
+        box.dim, box.c0, box.alpha, box.phi_range, box.diameter
+    )
+    assert (interval.name, interval.phi_name) == ("interval", "endpoint-product")
+
+
 def test_box_oracle_dense_grid(unit_box):
     # Exhaustive clip-oracle comparison on a grid of starting points and moves.
     pts = np.linspace(0.0, 1.0, 6)

@@ -149,6 +149,55 @@ def _converge_digest() -> str:
     return h.hexdigest()
 
 
+def _cli_digest(*argv) -> str:
+    """The exit code and report bytes of one CLI command."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "report")
+        code = main([*argv, "--out", str(out)])
+        h.update(f"{code}\n".encode())
+        h.update(out.read_bytes())
+    return h.hexdigest()
+
+
+def _certify_digest(*flags) -> str:
+    return _cli_digest("certify", "--seed", "7", *flags)
+
+
+def _certify_cover_digest() -> str:
+    """``certify`` of an interval with a cone cover of its two endpoints."""
+    cert = rs.ConeCoverCertificate(
+        centers=[[-0.3], [0.4]], radius=0.1, directions=[[1.0], [-1.0]], lam=0.5
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cover.json")
+        path.write_text(cert.to_json())
+        return _certify_digest("--domain", "interval", "--a=-0.3", "--b=0.4", "--cover", str(path))
+
+
+def _simulate_digest() -> str:
+    """The ``simulate`` CSV of the interval problem at level 4."""
+    config = {
+        "domain": {"name": "interval", "params": {"a": -0.3, "b": 0.4}},
+        "coefficients": {
+            "name": "trig",
+            "params": {
+                "offset": [[0.5]], "amplitude": [[0.2]], "frequency": [1.0],
+                "drift_matrix": [[-0.3]],
+            },
+        },
+        "x0": [0.1],
+        "levels": [4],
+        "fine_margin": 3,
+        "substeps_per_knot": 8,
+        "seed": 5,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.json")
+        path.write_text(json.dumps(config))
+        return _cli_digest("simulate", "--config", str(path))
+
+
 CASES = {
     "stats_interval_trig": lambda: _stats_digest(_interval_problem),
     "stats_annulus_trig": lambda: _stats_digest(_annulus_problem),
@@ -164,6 +213,21 @@ CASES = {
     "holder_level_4": lambda: _holder_digest(4),
     "substeps_ball_linear": _substep_digest,
     "converge_interval_trig": _converge_digest,
+    # CLI report bytes: `certify` of each built-in domain (the interval both
+    # as `interval` and as the 1-d `box`), and `simulate`'s CSV.
+    "certify_ball": lambda: _certify_digest("--domain", "ball", "--radius", "1"),
+    "certify_annulus": lambda: _certify_digest(
+        "--domain", "annulus", "--r1", "0.5", "--r2", "1.5"
+    ),
+    "certify_interval": lambda: _certify_digest("--domain", "interval", "--a=-0.3", "--b=0.4"),
+    "certify_box_2d": lambda: _certify_digest("--domain", "box", "--lo=0,0", "--hi=2,1"),
+    "certify_box_1d": lambda: _certify_digest("--domain", "box", "--lo=-0.3", "--hi=0.4"),
+    "certify_ball_3d": lambda: _certify_digest("--domain", "ball", "--radius", "1", "--dim", "3"),
+    "certify_annulus_3d": lambda: _certify_digest(
+        "--domain", "annulus", "--r1", "0.5", "--r2", "1.5", "--dim", "3"
+    ),
+    "certify_interval_cover": _certify_cover_digest,
+    "simulate_interval_trig": _simulate_digest,
 }
 
 GOLDEN = {
@@ -177,6 +241,15 @@ GOLDEN = {
     "holder_level_4": "ad446c4436fce4c715b1b4b6a7e8a11ee6f652a20f304b70482c2796c58cf1ae",
     "substeps_ball_linear": "0a8a4ae950c7f60be3d859868222577c1b95ca59e1de60e9fb0acd1b82b2cfeb",
     "converge_interval_trig": "59526de73dd4fd05084f3592f6edf9b5e27b128ee1b56d2439498e426b61ae54",
+    "certify_ball": "5d2df16ded146e9aa05d8d0aa0d0c5264a7d137dab900e43f0f66287680cad9b",
+    "certify_annulus": "8880af3269d9a969539bb096ec427b3cfd45228bdeefb5f3cd4e09b6555bbdcc",
+    "certify_interval": "dc67acb9617d3a715e01457d65277d6dd3bee881a3a6bbd7581c7e2be53dc9c8",
+    "certify_box_2d": "72dee2611c6f206fe8e33ff639ac2cd1577b7215ab76669e4ccc46dca562cead",
+    "certify_box_1d": "caf4a9b6668455279e12db09ec526ca6a6846b4ac3b3fac8a56da41e3153f365",
+    "certify_ball_3d": "3cd7f851a0b7c3c29968bf98c1a168c5f067e37b4c5ecab022790a43cd1a5df1",
+    "certify_annulus_3d": "3684315b66979d7151957ef362acd2710bd881cf5be2fbe919bf3c701630ec37",
+    "certify_interval_cover": "3f2519c56aaf36ba1df816db114f134add2526c609a70d9137deb1c86fb3833a",
+    "simulate_interval_trig": "73ee0926322c44eb4f58d670942db01d17b9badea7563b4322f3eadf40177aea",
 }
 
 
