@@ -177,8 +177,9 @@ def _json_text(obj) -> str:
 def cmd_certify(config: ExperimentConfig) -> int:
     """Run the domain condition checks and compare with declared constants."""
     domain = config.build("domain", make_domain)
-    if config.n_boundary < 1 or config.n_interior < 1:
-        raise ConfigError("sample counts must be positive", field="n_boundary")
+    for key in ("n_boundary", "n_interior"):
+        if getattr(config, key) < 1:
+            raise ConfigError("sample counts must be positive", field=key)
     d1 = check_d1(domain, config.n_boundary, config.n_interior, config.seed)
     d2 = check_d2(domain, config.n_boundary, config.seed)
     report = {

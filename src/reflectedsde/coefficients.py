@@ -1,7 +1,7 @@
 """Diffusion and drift coefficient fields and the noise-interaction drift term.
 
 A coefficient set bundles the diffusion matrix field, the drift field, and
-the derivative of the diffusion, together with Lipschitz metadata.  All
+the derivative of the diffusion, with the state and noise dimensions.  All
 built-in fields are defined on the whole space and restricted to the domain
 closure by the solvers, which always evaluate at constrained points.
 
@@ -21,7 +21,7 @@ planar batch one column at a time; ``trig`` spreads its parameters one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,11 +32,10 @@ from .geometry import DomainSpec
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Diffusion matrix, drift vector, diffusion derivative, and metadata.
+    """Diffusion matrix, drift vector, diffusion derivative, and dimensions.
 
     ``grad_sigma(y)[i, j, k]`` is the derivative of entry ``(i, j)`` of the
-    diffusion matrix in state direction ``k``.  Lipschitz constants are
-    certified metadata; sampled ratio tests validate them.
+    diffusion matrix in state direction ``k``.
 
     Every callable, built-in or custom, must be batch-aware: given a point
     ``(d,)`` it returns ``(d, m)`` / ``(d,)`` / ``(d, m, d)``, and given a
@@ -49,11 +48,6 @@ class CoefficientSet:
     grad_sigma: Callable[[np.ndarray], np.ndarray]
     dim_state: int
     dim_noise: int
-    lipschitz_sigma: float
-    lipschitz_b: float
-    lipschitz_grad_sigma: float
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
 
 
 def _check_in_domain(domain: DomainSpec | None, y: np.ndarray):
@@ -113,7 +107,7 @@ def noise_term(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # From this many rows on, at d = m = 2, a step's column forms together cost
-# less than the numpy calls they replace (ROADMAP item 3(b)): einsum and
+# less than the numpy calls they replace (README "Speed"): einsum and
 # broadcasting against a (d,) or (d, m) operand run one short loop per row,
 # a column form a fixed number of batch-wide calls.  The noise-interaction
 # term gains from 256 rows on; trig's fields alone break even near 512.
@@ -194,8 +188,7 @@ def _drift_field(drift_matrix, drift_offset, d: int):
             return r
         return r + c
 
-    lip = float(np.linalg.norm(A, 2))
-    return b, lip, A, c
+    return b
 
 
 def constant(sigma, drift_matrix=None, drift_offset=None) -> CoefficientSet:
@@ -204,7 +197,7 @@ def constant(sigma, drift_matrix=None, drift_offset=None) -> CoefficientSet:
     if sig.ndim != 2:
         raise ValueError("sigma must be a (d, m) matrix")
     d, m = sig.shape
-    b, lip_b, A, c = _drift_field(drift_matrix, drift_offset, d)
+    b = _drift_field(drift_matrix, drift_offset, d)
 
     def sigma_f(y):
         y = np.asarray(y, float)
@@ -223,15 +216,6 @@ def constant(sigma, drift_matrix=None, drift_offset=None) -> CoefficientSet:
         grad_sigma=grad_f,
         dim_state=d,
         dim_noise=m,
-        lipschitz_sigma=0.0,
-        lipschitz_b=lip_b,
-        lipschitz_grad_sigma=0.0,
-        name="constant",
-        params={
-            "sigma": sig.tolist(),
-            "drift_matrix": A.tolist(),
-            "drift_offset": c.tolist(),
-        },
     )
 
 
@@ -244,7 +228,7 @@ def linear(A, B=None, drift_matrix=None, drift_offset=None) -> CoefficientSet:
     if d2 != d:
         raise ValueError("A must have shape (d, m, d)")
     B = np.zeros((d, m)) if B is None else np.asarray(B, float)
-    b, lip_b, dm, doff = _drift_field(drift_matrix, drift_offset, d)
+    b = _drift_field(drift_matrix, drift_offset, d)
 
     def sigma_f(y):
         y = np.asarray(y, float)
@@ -256,24 +240,12 @@ def linear(A, B=None, drift_matrix=None, drift_offset=None) -> CoefficientSet:
             return A.copy()
         return A[None].repeat(len(y), 0)
 
-    # Operator norm of the linear map y -> A y as a (d*m, d) matrix.
-    lip_sigma = float(np.linalg.norm(A.reshape(d * m, d), 2))
     return CoefficientSet(
         sigma=sigma_f,
         b=b,
         grad_sigma=grad_f,
         dim_state=d,
         dim_noise=m,
-        lipschitz_sigma=lip_sigma,
-        lipschitz_b=lip_b,
-        lipschitz_grad_sigma=0.0,
-        name="linear",
-        params={
-            "A": A.tolist(),
-            "B": B.tolist(),
-            "drift_matrix": dm.tolist(),
-            "drift_offset": doff.tolist(),
-        },
     )
 
 
@@ -297,7 +269,7 @@ def trig(
     phase = np.zeros((d, m)) if phase is None else np.asarray(phase, float)
     if phase.shape != (d, m):
         raise ValueError("phase must have shape (d, m)")
-    b, lip_b, dm_, doff = _drift_field(drift_matrix, drift_offset, d)
+    b = _drift_field(drift_matrix, drift_offset, d)
     # sin and cos run once per distinct phase value (``uphase``), then each
     # (i, j) entry takes ``amp_ij * t`` (and ``offset_ij +`` that) over the
     # batch: the same argument freq . y + phase_ij and the same two IEEE
@@ -334,25 +306,12 @@ def trig(
             np.multiply(c, frequency[k], out=out[..., k])
         return out
 
-    amp_scale = float(np.linalg.norm(amplitude)) * float(np.linalg.norm(frequency))
     return CoefficientSet(
         sigma=sigma_f,
         b=b,
         grad_sigma=grad_f,
         dim_state=d,
         dim_noise=m,
-        lipschitz_sigma=amp_scale,
-        lipschitz_b=lip_b,
-        lipschitz_grad_sigma=amp_scale * float(np.linalg.norm(frequency)),
-        name="trig",
-        params={
-            "offset": offset.tolist(),
-            "amplitude": amplitude.tolist(),
-            "frequency": frequency.tolist(),
-            "phase": phase.tolist(),
-            "drift_matrix": dm_.tolist(),
-            "drift_offset": doff.tolist(),
-        },
     )
 
 

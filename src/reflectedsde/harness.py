@@ -60,7 +60,7 @@ from .solvers import (
 # finest approximation level, as ``sample_path`` allocates it, and the
 # reference's block of fine knots.  Wider groups spend less Python time per
 # path, larger blocks less per resumed (path, level) stream.  The march
-# outputs come on top; ROADMAP item 3 has the measured peaks.
+# outputs come on top; README "Memory" has the measured peaks.
 _CHUNK_BYTES = 32 * 2**20
 
 
@@ -299,7 +299,10 @@ def check_study(
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
     levels = list(levels)
-    if not levels or any(int(n) != n or n < 1 for n in levels) or levels != sorted(set(levels)):
+    # numpy counts no boolean as a number: True is not level 1.
+    whole = all(np.issubdtype(type(n), np.number) and float(n).is_integer() and n >= 1
+                for n in levels)
+    if not levels or not whole or levels != sorted(set(levels)):
         raise ValueError(f"levels must be strictly increasing integers >= 1, got {levels}")
     for name, value, least in (
         ("M", M, 2), ("fine_margin", fine_margin, 2),

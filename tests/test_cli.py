@@ -192,6 +192,13 @@ def test_certify_requires_domain_or_config(capsys):
     assert main(["certify", "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize("key", ["n_boundary", "n_interior"])
+def test_certify_bad_sample_count_names_its_key(tmp_path, capsys, key):
+    path = _write_config(tmp_path, **{key: 0})
+    assert main(["certify", "--config", str(path)]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # converge
 # ---------------------------------------------------------------------------
@@ -219,6 +226,14 @@ def test_converge_single_level_exits_2(tmp_path, capsys):
 
 def test_converge_levels_below_one_exit_2(tmp_path, capsys):
     path = _write_config(tmp_path, levels=[-1, 0, 1])
+    assert main(["converge", "--config", str(path)]) == 2
+    assert "levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", [[True, 2], [None, 2]])
+def test_converge_non_integer_level_exits_2(tmp_path, capsys, levels):
+    # A boolean is never a number, also as an entry of levels.
+    path = _write_config(tmp_path, levels=levels)
     assert main(["converge", "--config", str(path)]) == 2
     assert "levels" in capsys.readouterr().err
 

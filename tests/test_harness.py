@@ -490,9 +490,6 @@ def test_failed_paths_abort(unit_interval):
         grad_sigma=lambda y: np.zeros(np.shape(y) + (1, 1)),
         dim_state=1,
         dim_noise=1,
-        lipschitz_sigma=0.0,
-        lipschitz_b=0.0,
-        lipschitz_grad_sigma=0.0,
     )
     with pytest.raises(ExperimentFailed):
         rs.run_coupling_stats(
@@ -514,7 +511,8 @@ def test_levels_and_margin_validation(unit_interval, wavy_coeffs):
     for substeps in (0, -3):
         with pytest.raises(ValueError, match="^substeps_per_knot"):
             rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 4, substeps, 1)
-    for levels in ((-1, 1), (0, 1)):
+    # A boolean is never a level, though it compares equal to 0 or 1.
+    for levels in ((-1, 1), (0, 1), (True, 2), (1, np.True_), (None, 2), (np.nan, 2)):
         with pytest.raises(ValueError, match="^levels"):
             rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, levels, 10, 4, 8, 1)
     with pytest.raises(ValueError, match="^workers"):

@@ -159,9 +159,6 @@ def test_non_finite_state_aborts(unit_interval):
         grad_sigma=lambda y: np.zeros(np.shape(y) + (1, 1)),
         dim_state=1,
         dim_noise=1,
-        lipschitz_sigma=0.0,
-        lipschitz_b=0.0,
-        lipschitz_grad_sigma=0.0,
     )
     path = rs.sample_path(1, 1.0, 6, seed=2)
     with pytest.raises(NonFiniteState):
