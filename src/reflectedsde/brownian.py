@@ -258,6 +258,25 @@ class BrownianPath:
         return self.values.shape[-2] - 1
 
 
+def check_whole(name: str, value, least: int) -> int:
+    """``value`` as an int, once it is a whole number of at least ``least``;
+    otherwise a ``ValueError`` whose message starts with ``name``.  numpy
+    counts no boolean as a number, so ``True`` is not 1."""
+    real = any(np.issubdtype(type(value), kind) for kind in (np.integer, np.floating))
+    if not (real and float(value).is_integer() and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_level(path: BrownianPath, n) -> int:
+    """``n`` as an int, once it is a level of ``path``: a whole number from 0,
+    with ``LevelTooFine`` above ``path.fine_level``."""
+    n = check_whole("n", n, 0)
+    if n > path.fine_level:
+        raise LevelTooFine(f"level {n} exceeds the path's fine level {path.fine_level}")
+    return n
+
+
 def dyadic_grid(T: float, fine_level: int) -> tuple[int, int]:
     """``(K, N)`` for a path sampled over ``T`` at ``fine_level``.
 
@@ -281,12 +300,9 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     an int, or a sequence of ints for a batch of paths sampled into one
     ``(B, K + 1, m)`` array.
     """
-    if T <= 0:
-        raise InvalidHorizon(f"horizon must be positive, got {T}")
-    if fine_level < 1:
-        raise ValueError("fine_level must be at least 1")
-    if m < 1:
-        raise ValueError("dim_noise must be at least 1")
+    if not 0 < T < np.inf:
+        raise InvalidHorizon(f"horizon must be positive and finite, got {T}")
+    fine_level, m = check_whole("fine_level", fine_level, 1), check_whole("m", m, 1)
     single = np.ndim(seed) == 0
     seeds = (int(seed),) if single else tuple(int(s) for s in seed)
     n_fine, n_held = dyadic_grid(T, fine_level)
@@ -412,13 +428,12 @@ def refine(path: BrownianPath) -> BrownianPath:
     return BrownianPath(path.dim_noise, path.horizon, path.fine_level + 1, path.seed, values)
 
 
-def restrict(path: BrownianPath, level: int) -> BrownianPath:
-    """Restriction to a coarser dyadic grid (knot values shared byte-exactly)."""
-    if level > path.fine_level:
-        raise LevelTooFine(f"cannot restrict level {path.fine_level} to finer level {level}")
-    stride = 2 ** (path.fine_level - level)
+def restrict(path: BrownianPath, n: int) -> BrownianPath:
+    """Restriction to the coarser level ``n`` (knot values shared byte-exactly)."""
+    n = check_level(path, n)
+    stride = 2 ** (path.fine_level - n)
     return BrownianPath(
-        path.dim_noise, path.horizon, level, path.seed,
+        path.dim_noise, path.horizon, n, path.seed,
         np.asarray(path.values)[..., ::stride, :],
     )
 
@@ -426,8 +441,7 @@ def restrict(path: BrownianPath, level: int) -> BrownianPath:
 def _lagged_knots(path: BrownianPath, n: int, t: float):
     """Level-``n`` knot values ``k - 1`` and ``k`` (clamped to the path) of the
     interval ``[k/2^n, (k+1)/2^n)`` holding ``t``, and the fraction ``t 2^n - k``."""
-    if n > path.fine_level:
-        raise LevelTooFine(f"level {n} exceeds the path's fine level {path.fine_level}")
+    n = check_level(path, n)
     if t < 0 or t > path.horizon + 1e-12:
         raise ValueError(f"time {t} outside [0, {path.horizon}]")
     scaled = t * 2.0**n
@@ -466,6 +480,7 @@ def wz_knot_slopes(path: BrownianPath, n: int) -> np.ndarray:
     (at least one, even for horizons shorter than a knot).  A batch of
     paths gives ``(B, rows, dim_noise)``.
     """
+    n = check_level(path, n)
     knots = restrict(path, n).values
     stride = 2 ** (path.fine_level - n)
     n_int = max(1, -(-path.n_knots // stride))

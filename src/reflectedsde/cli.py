@@ -223,6 +223,8 @@ def cmd_converge(config: ExperimentConfig) -> int:
     domain, coeffs = config.validate()
     if len(config.levels) < 2:
         raise DegenerateFit("rate fitting needs at least two levels")
+    if config.format == "csv" and not config.out:
+        raise ConfigError("csv writes one table per file, so it needs a file", field="out")
     p = float(config.p_list[0]) if config.p_list else 2.0
     stats = harness.run_coupling_stats(
         domain, coeffs, config.x0, config.T, config.levels, config.M,
@@ -233,8 +235,7 @@ def cmd_converge(config: ExperimentConfig) -> int:
     decay = harness.lyapunov_report(stats, config.seed)
     if config.format == "csv":
         _emit(rate.to_csv_string(), config.out)
-        if config.out:
-            _emit(decay.to_csv_string(), config.out + ".lyapunov.csv")
+        _emit(decay.to_csv_string(), config.out + ".lyapunov.csv")
     else:
         _emit(
             _json_text({"rate": rate.to_json_dict(), "lyapunov": decay.to_json_dict()}),

@@ -56,43 +56,33 @@ def _check_in_domain(domain: DomainSpec | None, y: np.ndarray):
 
 
 def stratonovich_correction(
-    coeffs: CoefficientSet, y, domain: DomainSpec | None = None
+    coeffs: CoefficientSet, y, domain: DomainSpec | None = None, sig: np.ndarray | None = None
 ) -> np.ndarray:
     """Noise-interaction drift vector: sum_{j,k} d(sigma_ij)/dy_k * sigma_kj.
 
     This is the vector whose half converts the pathwise (Stratonovich)
-    equation into its Ito form.  Passing a domain enforces that ``y`` lies
-    in its closure.
+    equation into its Ito form, at a point ``(d,)`` or a batch ``(B, d)``.
+    Passing a domain enforces that ``y`` lies in its closure; ``sig`` reuses
+    ``sigma(y)`` if the caller has it.
     """
     y = np.asarray(y, float)
     _check_in_domain(domain, y)
-    return np.einsum("ijk,kj->i", coeffs.grad_sigma(y), coeffs.sigma(y))
-
-
-def stratonovich_correction_batch(
-    coeffs: CoefficientSet, Y: np.ndarray, sig: np.ndarray | None = None
-) -> np.ndarray:
-    """Batched noise-interaction drift; ``sig`` reuses ``sigma(Y)`` if the caller has it."""
-    if sig is None:
-        sig = coeffs.sigma(Y)
-    grad = coeffs.grad_sigma(Y)
-    if len(Y) >= COLUMN_MIN_ROWS and sig.shape[1:] == (2, 2):
-        return _stratonovich_columns(grad, sig)
-    return np.einsum("bijk,bkj->bi", np.ascontiguousarray(grad), np.ascontiguousarray(sig))
+    return _correction(coeffs.grad_sigma(y), coeffs.sigma(y) if sig is None else sig)
 
 
 def ito_drift(coeffs: CoefficientSet, y, domain: DomainSpec | None = None) -> np.ndarray:
-    """Effective Ito drift: ``b(y)`` plus half the noise-interaction term."""
+    """Effective Ito drift at a point or batch: ``b(y)`` plus half the noise-interaction term."""
     y = np.asarray(y, float)
     _check_in_domain(domain, y)
-    return coeffs.b(y) + 0.5 * stratonovich_correction(coeffs, y)
+    return ito_drift_batch(coeffs, y)
 
 
 def ito_drift_batch(
     coeffs: CoefficientSet, Y: np.ndarray, sig: np.ndarray | None = None
 ) -> np.ndarray:
-    """Batched Ito drift; ``sig`` reuses ``sigma(Y)`` if the caller has it."""
-    return coeffs.b(Y) + 0.5 * stratonovich_correction_batch(coeffs, Y, sig)
+    """``ito_drift`` without the domain check; ``sig`` reuses ``sigma(Y)`` if the caller has it."""
+    sig = coeffs.sigma(Y) if sig is None else sig
+    return coeffs.b(Y) + 0.5 * _correction(coeffs.grad_sigma(Y), sig)
 
 
 def noise_term(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -134,6 +124,14 @@ def _noise_columns(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return out
 
 
+def _correction(grad: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """``np.einsum('...ijk,...kj->...i')`` on C-ordered operands, at a point
+    or a batch: the noise-interaction term."""
+    if len(sig) >= COLUMN_MIN_ROWS and sig.shape[1:] == (2, 2):
+        return _stratonovich_columns(grad, sig)
+    return np.einsum("...ijk,...kj->...i", np.ascontiguousarray(grad), np.ascontiguousarray(sig))
+
+
 def _stratonovich_columns(grad: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """``'bijk,bkj->bi'`` at d = m = 2: per-k sums over j, then their sum."""
     out = np.empty((len(sig), 2))
@@ -162,7 +160,7 @@ def finite_difference_correction(
         e = np.zeros(d)
         e[k] = step
         grad[:, :, k] = (coeffs.sigma(y + e) - coeffs.sigma(y - e)) / (2.0 * step)
-    return np.einsum("ijk,kj->i", grad, coeffs.sigma(y))
+    return _correction(grad, coeffs.sigma(y))
 
 
 # ---------------------------------------------------------------------------

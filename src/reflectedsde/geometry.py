@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .brownian import _SEED_MASK
 from .errors import (
     InfeasibleStep,
     NoBoundarySamples,
@@ -84,7 +85,9 @@ class DomainSpec:
         return 1e-9 * self.diameter
 
     def contains(self, x) -> bool:
-        return bool(np.all(self.boundary_distance(np.asarray(x, float)) <= closure_tol(self)))
+        """Whether every point of ``x``, shape ``(dim,)`` or ``(..., dim)``, is in the closure."""
+        x = check_point(self, x, "x", batch=True)
+        return bool(np.all(self.boundary_distance(x) <= closure_tol(self)))
 
     def certificate_dict(self) -> dict:
         return {"c0": self.c0, "alpha": self.alpha, "phi_name": self.phi_name}
@@ -183,6 +186,23 @@ def closure_tol(domain: DomainSpec) -> float:
     return MEMBERSHIP_TOL * max(1.0, domain.diameter)
 
 
+def check_point(domain: DomainSpec, x, name: str, batch: bool = False) -> np.ndarray:
+    """``x`` as a float array of shape ``(dim,)`` (``(..., dim)`` with ``batch``),
+    or a ``ValueError`` whose message starts with ``name``."""
+    x = np.asarray(x, float)
+    if x.shape[-1:] != (domain.dim,) or not (batch or x.ndim == 1):
+        shape = f"(..., {domain.dim})" if batch else f"({domain.dim},)"
+        raise ValueError(f"{name} must have shape {shape}, got {x.shape}")
+    return x
+
+
+def check_feasible(domain: DomainSpec, states, what: str) -> None:
+    """``InfeasibleStep`` naming ``what`` unless all ``states`` are finite closure points."""
+    worst = float(np.max(domain.boundary_distance(states)))
+    if not (np.isfinite(worst) and worst <= closure_tol(domain) and np.all(np.isfinite(states))):
+        raise InfeasibleStep(f"{what} outside the domain closure (distance {worst})")
+
+
 def sum_squares(a: np.ndarray) -> np.ndarray:
     """``np.add.reduce(a * a, axis=-1)``, bit for bit, at batch width.
 
@@ -214,18 +234,12 @@ def skorokhod_step(domain: DomainSpec, x, v) -> SkorokhodStepResult:
     admissible reflection cone at the contact point.  The variation
     increment is the Euclidean norm of ``dL``.
     """
-    x = np.asarray(x, float)
-    v = np.asarray(v, float)
+    x, v = check_point(domain, x, "x"), check_point(domain, v, "v")
     if not domain.contains(x):
         raise OutOfDomain(f"start point {x} is outside the domain closure")
     state, d_l = _resolver(domain)(x[None, :], v[None, :])
     state, d_l = state[0], d_l[0]
-    if not np.all(np.isfinite(state)):
-        raise InfeasibleStep("constraint resolution produced non-finite state")
-    if float(domain.boundary_distance(state)) > closure_tol(domain):
-        raise InfeasibleStep(
-            f"resolved state {state} still violates the domain (displacement {v})"
-        )
+    check_feasible(domain, state, "resolved state")
     return SkorokhodStepResult(state, d_l, float(np.linalg.norm(d_l)))
 
 
@@ -238,7 +252,7 @@ def project_to_closure(domain: DomainSpec, y) -> np.ndarray:
     ``ProjectionDiverged`` where the projection is not finite (the centre
     of an annulus).
     """
-    y = np.asarray(y, float)
+    y = check_point(domain, y, "y")
     state = _resolver(domain)(y[None, :], np.zeros((1, len(y))))[0][0]
     if not np.all(np.isfinite(state)):
         raise ProjectionDiverged(f"no closest point of the closure for {y}")
@@ -323,8 +337,8 @@ def check_d1(domain: DomainSpec, n_boundary: int, n_interior: int, seed: int) ->
     """
     if n_boundary < 1 or n_interior < 1:
         raise NoBoundarySamples("sample counts must be at least 1")
-    rng_b = np.random.default_rng(np.random.SeedSequence([_nonneg(seed), 1]))
-    rng_i = np.random.default_rng(np.random.SeedSequence([_nonneg(seed), 2]))
+    rng_b = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, 1]))
+    rng_i = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, 2]))
     boundary = _boundary_samples(domain, n_boundary, rng_b)
     if domain.sample_interior is None:
         raise NoBoundarySamples(f"domain {domain.name!r} has no interior sampler")
@@ -350,7 +364,7 @@ def check_d2(domain: DomainSpec, n_boundary: int, seed: int) -> D2Report:
     """Estimate the uniform lower bound of ``grad(phi) . nu`` on the boundary."""
     if n_boundary < 1:
         raise NoBoundarySamples("sample count must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence([_nonneg(seed), 3]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, 3]))
     boundary = _boundary_samples(domain, n_boundary, rng)
     alpha_hat = np.inf
     worst = boundary[0]
@@ -379,7 +393,7 @@ def check_d3(
     """
     if n_boundary < 1:
         raise NoBoundarySamples("sample count must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence([_nonneg(seed), 4]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, 4]))
     boundary = _boundary_samples(domain, n_boundary, rng)
 
     worst_cover = 0.0
@@ -403,10 +417,6 @@ def check_d3(
         worst_direction_margin=float(worst_margin),
         n_boundary=n_boundary,
     )
-
-
-def _nonneg(seed: int) -> int:
-    return seed & 0x7FFFFFFFFFFFFFFF
 
 
 # ---------------------------------------------------------------------------

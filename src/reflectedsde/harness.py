@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import FineBlocks, dyadic_grid, sample_path, wz_knot_slopes
+from .brownian import _SEED_MASK, FineBlocks, check_whole, dyadic_grid, sample_path, wz_knot_slopes
 from .coefficients import CoefficientSet
 from .errors import DegenerateFit, ExperimentFailed, MismatchedTimes
 from .geometry import DomainSpec, sum_squares
@@ -66,7 +66,7 @@ _CHUNK_BYTES = 32 * 2**20
 
 def path_seed(seed: int, index: int) -> int:
     """Per-path seed derived from the experiment seed and the path index."""
-    ss = np.random.SeedSequence([seed & 0x7FFFFFFFFFFFFFFF, 0x5EED, index])
+    ss = np.random.SeedSequence([seed & _SEED_MASK, 0x5EED, index])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -290,29 +290,25 @@ def _check_rate_exponent(domain: DomainSpec, r: float):
 def check_study(
     domain: DomainSpec, coeffs: CoefficientSet, x0, T: float, levels: Sequence[int], M: int,
     fine_margin: int, substeps_per_knot: int, workers: int = 1, r: float | None = None,
-) -> np.ndarray:
-    """``x0`` as a float array, once a study's inputs meet every rule of a
-    valid study.  A violation raises a ``ValueError`` whose message starts
-    with the argument's name, or ``OutOfDomain`` for a start outside the
-    closure.  The engine, ``holder_report`` and the CLI check through this.
-    """
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
-    levels = list(levels)
-    # numpy counts no boolean as a number: True is not level 1.
-    whole = all(np.issubdtype(type(n), np.number) and float(n).is_integer() and n >= 1
-                for n in levels)
-    if not levels or not whole or levels != sorted(set(levels)):
-        raise ValueError(f"levels must be strictly increasing integers >= 1, got {levels}")
+) -> tuple[np.ndarray, tuple]:
+    """``(x0, levels)`` as a float array and a tuple of ints, once a study's
+    inputs meet every rule of a valid study.  A violation raises a
+    ``ValueError`` whose message starts with the argument's name, or
+    ``OutOfDomain`` for a start outside the closure.  The engine,
+    ``holder_report`` and the CLI check through this."""
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    levels = tuple(check_whole("levels", n, 1) for n in levels)
+    if not levels or list(levels) != sorted(set(levels)):
+        raise ValueError(f"levels must be nonempty and strictly increasing, got {levels}")
     for name, value, least in (
         ("M", M, 2), ("fine_margin", fine_margin, 2),
         ("substeps_per_knot", substeps_per_knot, 1), ("workers", workers, 1),
     ):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+        check_whole(name, value, least)
     if r is not None:
         _check_rate_exponent(domain, r)
-    return _check_start(domain, coeffs, x0)
+    return _check_start(domain, coeffs, x0), levels
 
 
 def _chunk_ranges(M: int, T: float, level: int, dim_noise: int, workers: int = 1):
@@ -468,8 +464,8 @@ def run_coupling_stats(
     """
     if r is None:
         r = default_rate_exponent(domain)
-    x0 = check_study(domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot, workers, r)
-    levels = tuple(int(n) for n in levels)
+    x0, levels = check_study(domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot,
+                             workers, r)
 
     study = (domain, coeffs, x0, T, levels, fine_margin, substeps_per_knot, seed, r)
     horizon = _fine_grid(T, max(levels) + fine_margin)[1]
@@ -617,16 +613,13 @@ def holder_report(
     p_list = [float(p) for p in p_list]
     if any(p not in (2.0, 4.0, 6.0) for p in p_list):
         raise ValueError("p_list entries must be even moments in {2, 4, 6}")
-    if grid_level < 1:
-        raise ValueError(f"grid_level must be at least 1, got {grid_level}")
-    if n_or_reference == "reference":
-        process, level = "reference", grid_level
-        label = "reference"
-    else:
-        process = level = int(n_or_reference)
-        label = f"wz-{process}"
-    checked = grid_level if process == "reference" else n_or_reference
-    x0 = check_study(domain, coeffs, x0, T, [checked], M, fine_margin, substeps_per_knot, workers)
+    grid_level = check_whole("grid_level", grid_level, 1)
+    reference = n_or_reference == "reference"
+    x0, (level,) = check_study(
+        domain, coeffs, x0, T, [grid_level if reference else n_or_reference], M, fine_margin,
+        substeps_per_knot, workers,
+    )
+    process, label = ("reference", "reference") if reference else (level, f"wz-{level}")
     fine_level = level + fine_margin
 
     # Grid knots must sit on the fine grid of the padded horizon.

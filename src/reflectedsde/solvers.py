@@ -36,16 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import BrownianPath, FineBlocks, wz_knot_slopes
+from .brownian import BrownianPath, FineBlocks, check_level, check_whole, wz_knot_slopes
 from .coefficients import CoefficientSet, ito_drift_batch, noise_term
-from .errors import (
-    InfeasibleStep,
-    LevelTooFine,
-    MismatchedTimes,
-    NonFiniteState,
-    OutOfDomain,
-)
-from .geometry import DomainSpec, _resolver, closure_tol, sum_squares
+from .errors import MismatchedTimes, NonFiniteState, OutOfDomain
+from .geometry import DomainSpec, _resolver, check_feasible, check_point, sum_squares
 
 
 @dataclass(frozen=True)
@@ -291,9 +285,7 @@ def integrate_reference_batch(
 def _check_start(domain: DomainSpec, coeffs: CoefficientSet, x0) -> np.ndarray:
     """``x0`` as a float array, checked to be a closure point of ``domain``'s
     dimension for coefficients of that state dimension."""
-    x0 = np.asarray(x0, float)
-    if x0.shape != (domain.dim,):
-        raise ValueError(f"x0 must have shape ({domain.dim},), got {x0.shape}")
+    x0 = check_point(domain, x0, "x0")
     if coeffs.dim_state != domain.dim:
         raise ValueError(f"coeffs state dimension {coeffs.dim_state} != domain dim {domain.dim}")
     if not domain.contains(x0):
@@ -301,19 +293,18 @@ def _check_start(domain: DomainSpec, coeffs: CoefficientSet, x0) -> np.ndarray:
     return x0
 
 
-def _validate_start(domain: DomainSpec, coeffs: CoefficientSet, path: BrownianPath, x0):
+def _check_path_inputs(domain, coeffs, path: BrownianPath, x0, output_times):
+    """``(x0, output_times)`` as float arrays, the times sorted without
+    repeats, once ``path`` is one path of the coefficients' noise dimension,
+    ``x0`` a valid start and the times a nonempty subset of the horizon."""
     if np.ndim(path.values) != 2:
-        raise ValueError("the per-path solvers take a single path, not a batch")
-    x0 = _check_start(domain, coeffs, x0)
+        raise ValueError("path must be a single path, not a batch")
     if coeffs.dim_noise != path.dim_noise:
-        raise ValueError("coefficient noise dimension does not match the path")
-    return x0
-
-
-def _check_outputs_feasible(domain: DomainSpec, states: np.ndarray):
-    worst = float(np.max(domain.boundary_distance(states)))
-    if not np.isfinite(worst) or worst > closure_tol(domain):
-        raise InfeasibleStep(f"constraint violation at output states (distance {worst})")
+        raise ValueError(f"path has noise dimension {path.dim_noise}, coeffs {coeffs.dim_noise}")
+    times = np.unique(np.asarray(output_times, float))
+    if not (len(times) and 0 <= times[0] and times[-1] <= path.horizon + 1e-12):
+        raise ValueError(f"output_times must be nonempty and lie within [0, {path.horizon}]")
+    return _check_start(domain, coeffs, x0), times
 
 
 def solve_wz(
@@ -327,16 +318,9 @@ def solve_wz(
     record_substeps: bool = False,
 ) -> ReflectedPath:
     """Integrate the piecewise-linear-noise reflected ODE along one path."""
-    x0 = _validate_start(domain, coeffs, path, x0)
-    if n > path.fine_level:
-        raise LevelTooFine(f"level {n} exceeds the path's fine level {path.fine_level}")
-    if substeps_per_knot < 1:
-        raise ValueError("substeps_per_knot must be at least 1")
-    output_times = np.unique(np.asarray(output_times, float))
-    if len(output_times) == 0:
-        raise ValueError("output_times must be nonempty")
-    if output_times[0] < 0 or output_times[-1] > path.horizon + 1e-12:
-        raise ValueError("output_times must lie within [0, horizon]")
+    x0, output_times = _check_path_inputs(domain, coeffs, path, x0, output_times)
+    n = check_level(path, n)
+    substeps_per_knot = check_whole("substeps_per_knot", substeps_per_knot, 1)
 
     slopes = wz_knot_slopes(path, n)[None]
     times, knot_idx, out_pos = wz_schedule(n, substeps_per_knot, output_times, path.horizon)
@@ -344,7 +328,7 @@ def solve_wz(
         domain, coeffs, x0[None], slopes, times, knot_idx, out_pos, record_substeps
     )
     result = ReflectedPath(output_times, states[:, 0], reg[:, 0], var[:, 0], n, sub)
-    _check_outputs_feasible(domain, result.states)
+    check_feasible(domain, result.states, "output states")
     return result
 
 
@@ -357,10 +341,7 @@ def solve_reference(
     record_substeps: bool = False,
 ) -> ReflectedPath:
     """Projected Euler-Maruyama reference solution along one path."""
-    x0 = _validate_start(domain, coeffs, path, x0)
-    output_times = np.unique(np.asarray(output_times, float))
-    if len(output_times) == 0:
-        raise ValueError("output_times must be nonempty")
+    x0, output_times = _check_path_inputs(domain, coeffs, path, x0, output_times)
     out_steps = fine_grid_positions(path, output_times)
     states, reg, var, sub = integrate_reference_batch(
         domain,
@@ -372,7 +353,7 @@ def solve_reference(
         record_substeps,
     )
     result = ReflectedPath(output_times, states[:, 0], reg[:, 0], var[:, 0], path.fine_level, sub)
-    _check_outputs_feasible(domain, result.states)
+    check_feasible(domain, result.states, "output states")
     return result
 
 
@@ -403,6 +384,7 @@ def coupled_solve(
     record_substeps: bool = False,
 ) -> tuple[ReflectedPath, ReflectedPath]:
     """Both processes on one Brownian path, reported on a shared time grid."""
+    n = check_level(path, n)
     grid = coupled_output_grid(n, output_times, path.horizon)
     approx = solve_wz(
         domain, coeffs, path, n, substeps_per_knot, x0, grid, record_substeps

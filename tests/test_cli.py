@@ -261,6 +261,15 @@ def test_converge_csv_output(tmp_path):
     assert (tmp_path / "rate.csv.lyapunov.csv").exists()
 
 
+def test_converge_csv_needs_an_output_file(tmp_path, capsys):
+    # CSV holds one table per file: on stdout the decay table, which the
+    # lyapunov threshold judges, would be lost.
+    path = _write_config(tmp_path, M=20, thresholds={"lyapunov_slope_min": 100.0})
+    assert main(["converge", "--config", str(path), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error: out: " in captured.err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from reflectedsde.coefficients import (
     finite_difference_correction,
     ito_drift_batch,
     noise_term,
-    stratonovich_correction_batch,
+    stratonovich_correction,
 )
 from reflectedsde.errors import OutOfDomain
 
@@ -116,7 +116,7 @@ def test_batch_evaluation_matches_pointwise(name, rng):
     sig = coeffs.sigma(Y)
     bb = coeffs.b(Y)
     grad = coeffs.grad_sigma(Y)
-    corr = stratonovich_correction_batch(coeffs, Y)
+    corr = stratonovich_correction(coeffs, Y)
     drift = ito_drift_batch(coeffs, Y)
     for i, y in enumerate(Y):
         np.testing.assert_array_equal(sig[i], coeffs.sigma(y))
@@ -332,7 +332,7 @@ def test_contractions_are_columns_only_for_wide_planar_batches(d, m, monkeypatch
         calls.clear()
         assert _same_bytes(noise_term(sig, dw), np.einsum("bij,bj->bi", sig, dw))
         assert _same_bytes(
-            stratonovich_correction_batch(coeffs, Y), np.einsum("bijk,bkj->bi", grad, sig)
+            stratonovich_correction(coeffs, Y), np.einsum("bijk,bkj->bi", grad, sig)
         )
         wide = (d, m) == (2, 2) and B >= COLUMN_MIN_ROWS
         assert calls == (["_noise_columns", "_stratonovich_columns"] if wide else [])
