@@ -480,8 +480,8 @@ def wz_knot_slopes(path: BrownianPath, n: int) -> np.ndarray:
     (at least one, even for horizons shorter than a knot).  A batch of
     paths gives ``(B, rows, dim_noise)``.
     """
-    n = check_level(path, n)
-    knots = restrict(path, n).values
+    coarse = restrict(path, n)
+    n, knots = coarse.fine_level, coarse.values
     stride = 2 ** (path.fine_level - n)
     n_int = max(1, -(-path.n_knots // stride))
     slopes = np.zeros(knots.shape[:-2] + (n_int, path.dim_noise))

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfDomain
-from .geometry import DomainSpec
+from .geometry import DomainSpec, check_points
 
 
 @dataclass(frozen=True)
@@ -50,31 +50,28 @@ class CoefficientSet:
     dim_noise: int
 
 
-def _check_in_domain(domain: DomainSpec | None, y: np.ndarray):
-    if domain is not None and not domain.contains(y):
+def _checked(domain: DomainSpec | None, y) -> np.ndarray:
+    y = np.asarray(y, float)
+    if domain is not None and not domain.contains(check_points(domain, y, "y")):
         raise OutOfDomain(f"evaluation point {y} lies outside the domain closure")
+    return y
 
 
-def stratonovich_correction(
-    coeffs: CoefficientSet, y, domain: DomainSpec | None = None, sig: np.ndarray | None = None
-) -> np.ndarray:
+def stratonovich_correction(coeffs: CoefficientSet, y,
+                            domain: DomainSpec | None = None) -> np.ndarray:
     """Noise-interaction drift vector: sum_{j,k} d(sigma_ij)/dy_k * sigma_kj.
 
     This is the vector whose half converts the pathwise (Stratonovich)
     equation into its Ito form, at a point ``(d,)`` or a batch ``(B, d)``.
-    Passing a domain enforces that ``y`` lies in its closure; ``sig`` reuses
-    ``sigma(y)`` if the caller has it.
+    Passing a domain enforces that ``y`` lies in its closure.
     """
-    y = np.asarray(y, float)
-    _check_in_domain(domain, y)
-    return _correction(coeffs.grad_sigma(y), coeffs.sigma(y) if sig is None else sig)
+    y = _checked(domain, y)
+    return _correction(coeffs.grad_sigma(y), coeffs.sigma(y))
 
 
 def ito_drift(coeffs: CoefficientSet, y, domain: DomainSpec | None = None) -> np.ndarray:
     """Effective Ito drift at a point or batch: ``b(y)`` plus half the noise-interaction term."""
-    y = np.asarray(y, float)
-    _check_in_domain(domain, y)
-    return ito_drift_batch(coeffs, y)
+    return ito_drift_batch(coeffs, _checked(domain, y))
 
 
 def ito_drift_batch(

@@ -86,8 +86,7 @@ class DomainSpec:
 
     def contains(self, x) -> bool:
         """Whether every point of ``x``, shape ``(dim,)`` or ``(..., dim)``, is in the closure."""
-        x = check_point(self, x, "x", batch=True)
-        return bool(np.all(self.boundary_distance(x) <= closure_tol(self)))
+        return bool(np.all(self.boundary_distance(check_points(self, x, "x")) <= closure_tol(self)))
 
     def certificate_dict(self) -> dict:
         return {"c0": self.c0, "alpha": self.alpha, "phi_name": self.phi_name}
@@ -186,13 +185,19 @@ def closure_tol(domain: DomainSpec) -> float:
     return MEMBERSHIP_TOL * max(1.0, domain.diameter)
 
 
-def check_point(domain: DomainSpec, x, name: str, batch: bool = False) -> np.ndarray:
-    """``x`` as a float array of shape ``(dim,)`` (``(..., dim)`` with ``batch``),
-    or a ``ValueError`` whose message starts with ``name``."""
+def check_point(domain: DomainSpec, x, name: str) -> np.ndarray:
+    """``x`` as a float array of shape ``(dim,)``, or a ``ValueError`` naming ``name``."""
     x = np.asarray(x, float)
-    if x.shape[-1:] != (domain.dim,) or not (batch or x.ndim == 1):
-        shape = f"(..., {domain.dim})" if batch else f"({domain.dim},)"
-        raise ValueError(f"{name} must have shape {shape}, got {x.shape}")
+    if x.shape != (domain.dim,):
+        raise ValueError(f"{name} must have shape ({domain.dim},), got {x.shape}")
+    return x
+
+
+def check_points(domain: DomainSpec, x, name: str) -> np.ndarray:
+    """``x`` as a float array of shape ``(..., dim)``, or a ``ValueError`` naming ``name``."""
+    x = np.asarray(x, float)
+    if x.shape[-1:] != (domain.dim,):
+        raise ValueError(f"{name} must have shape (..., {domain.dim}), got {x.shape}")
     return x
 
 
@@ -237,8 +242,7 @@ def skorokhod_step(domain: DomainSpec, x, v) -> SkorokhodStepResult:
     x, v = check_point(domain, x, "x"), check_point(domain, v, "v")
     if not domain.contains(x):
         raise OutOfDomain(f"start point {x} is outside the domain closure")
-    state, d_l = _resolver(domain)(x[None, :], v[None, :])
-    state, d_l = state[0], d_l[0]
+    (state,), (d_l,) = _resolver(domain)(x[None, :], v[None, :])
     check_feasible(domain, state, "resolved state")
     return SkorokhodStepResult(state, d_l, float(np.linalg.norm(d_l)))
 

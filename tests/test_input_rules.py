@@ -54,6 +54,9 @@ BAD_INPUTS = {
     "project_to_closure short y": (
         "y", lambda D, C, P: rs.project_to_closure(rs.ball(1.0, dim=2), [0.5])),
     "contains short x": ("x", lambda D, C, P: rs.box([0, 0], [1, 1]).contains([0.5])),
+    "stratonovich_correction long y": (
+        "y", lambda D, C, P: rs.stratonovich_correction(C, [0.1, 0.2], domain=D)),
+    "ito_drift scalar y": ("y", lambda D, C, P: rs.ito_drift(C, 0.5, domain=D)),
     "restrict level -1": ("n", lambda D, C, P: rs.restrict(P, -1)),
     "wz_value level -1": ("n", lambda D, C, P: rs.wz_value(P, -1, 0.5)),
     "wz_slope level -1": ("n", lambda D, C, P: rs.wz_slope(P, -1, 0.5)),
