@@ -138,24 +138,27 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc), field=key)
 
-    def validate(self) -> tuple[DomainSpec, CoefficientSet]:
-        """The domain and coefficients of a valid study: the CLI's own keys
-        are checked here, the study's inputs by ``harness.check_study``."""
+    def validate(self) -> tuple[DomainSpec, CoefficientSet, np.ndarray, tuple]:
+        """``(domain, coeffs, x0, levels)`` of a valid study: the CLI's own
+        keys are checked here, the study's inputs by ``harness.check_study``,
+        which gives the checked start and levels."""
         # Module globals, read at call time: a replacement set on the module is used.
         domain = self.build("domain", make_domain)
         coeffs = self.build("coefficients", make_coefficients)
-        if any(int(p) != p or int(p) not in (2, 4, 6) for p in self.p_list):
-            raise ConfigError("only even moments 2, 4, 6 are supported", field="p_list")
+        try:
+            harness.check_moments(self.p_list)
+        except ValueError as exc:
+            raise ConfigError(str(exc).removeprefix("p_list "), field="p_list")
         if self.format not in ("json", "csv"):
             raise ConfigError("must be 'json' or 'csv'", field="format")
         try:
-            harness.check_study(
+            x0, levels = harness.check_study(
                 domain, coeffs, self.x0, self.T, self.levels, self.M, self.fine_margin,
                 self.substeps_per_knot, self.workers, self.r,
             )
         except (ValueError, OutOfDomain) as exc:
             raise ConfigError(str(exc))
-        return domain, coeffs
+        return domain, coeffs, x0, levels
 
 
 def _emit(text: str, out: str | None):
@@ -220,14 +223,14 @@ def cmd_certify(config: ExperimentConfig) -> int:
 
 def cmd_converge(config: ExperimentConfig) -> int:
     """Coupled rate study: strong-error report plus the decay diagnostic."""
-    domain, coeffs = config.validate()
-    if len(config.levels) < 2:
+    domain, coeffs, x0, levels = config.validate()
+    if len(levels) < 2:
         raise DegenerateFit("rate fitting needs at least two levels")
     if config.format == "csv" and not config.out:
         raise ConfigError("csv writes one table per file, so it needs a file", field="out")
     p = float(config.p_list[0]) if config.p_list else 2.0
     stats = harness.run_coupling_stats(
-        domain, coeffs, config.x0, config.T, config.levels, config.M,
+        domain, coeffs, x0, config.T, levels, config.M,
         config.fine_margin, config.substeps_per_knot, config.seed,
         r=config.r, workers=config.workers,
     )
@@ -253,16 +256,16 @@ def cmd_converge(config: ExperimentConfig) -> int:
 
 def cmd_simulate(config: ExperimentConfig) -> int:
     """One coupled trajectory pair dumped as CSV."""
-    domain, coeffs = config.validate()
-    if len(config.levels) != 1:
+    domain, coeffs, x0, levels = config.validate()
+    if len(levels) != 1:
         raise ConfigError("simulate needs exactly one level", field="levels")
-    n = int(config.levels[0])
+    (n,) = levels
     path = sample_path(
         coeffs.dim_noise, config.T, n + config.fine_margin,
         harness.path_seed(config.seed, 0),
     )
     approx, reference = coupled_solve(
-        domain, coeffs, path, n, config.substeps_per_knot, config.x0, [path.horizon]
+        domain, coeffs, path, n, config.substeps_per_knot, x0, [path.horizon]
     )
     r = config.r if config.r is not None else harness.default_rate_exponent(domain)
     trace = harness.lyapunov_trace(domain, reference, approx, r)
@@ -284,13 +287,13 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 
 def cmd_holder(config: ExperimentConfig) -> int:
     """Time-regularity slopes for the reference and one approximation level."""
-    domain, coeffs = config.validate()
-    if len(config.levels) != 1:
+    domain, coeffs, x0, levels = config.validate()
+    if len(levels) != 1:
         raise ConfigError("holder needs exactly one level", field="levels")
-    n = int(config.levels[0])
+    (n,) = levels
     reports = [
         harness.holder_report(
-            domain, coeffs, config.x0, config.T, process, config.p_list,
+            domain, coeffs, x0, config.T, process, config.p_list,
             config.M, config.seed, grid_level=config.grid_level,
             fine_margin=config.fine_margin,
             substeps_per_knot=config.substeps_per_knot, workers=config.workers,

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian import _SEED_MASK
+from .brownian import _SEED_MASK, check_whole
 from .errors import (
     InfeasibleStep,
     NoBoundarySamples,
@@ -324,12 +324,20 @@ def cone_angle(generators: np.ndarray, vector: np.ndarray) -> float:
 # Certificate checks
 # ---------------------------------------------------------------------------
 
-def _boundary_samples(domain: DomainSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    if domain.sample_boundary is None:
-        raise NoBoundarySamples(f"domain {domain.name!r} has no boundary sampler")
-    pts = domain.sample_boundary(n, rng)
+def _samples(domain: DomainSpec, where: str, n, seed: int, stream: int) -> np.ndarray:
+    """``n`` points of ``domain``'s ``where`` sampler ("boundary" or
+    "interior"), drawn from stream ``stream`` of ``seed``.  ``n`` is a whole
+    number (a ``ValueError`` naming ``n_<where>`` otherwise); fewer than one
+    point, asked for or drawn, is ``NoBoundarySamples``."""
+    n = check_whole(f"n_{where}", n, 0)
+    if n < 1:
+        raise NoBoundarySamples(f"n_{where} must be at least 1")
+    sampler = {"boundary": domain.sample_boundary, "interior": domain.sample_interior}[where]
+    if sampler is None:
+        raise NoBoundarySamples(f"domain {domain.name!r} has no {where} sampler")
+    pts = sampler(n, np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, stream])))
     if len(pts) == 0:
-        raise NoBoundarySamples("boundary sampler returned no points")
+        raise NoBoundarySamples(f"{where} sampler returned no points")
     return pts
 
 
@@ -339,14 +347,8 @@ def check_d1(domain: DomainSpec, n_boundary: int, n_interior: int, seed: int) ->
     Maximizes ``-(x' - x) . nu / |x - x'|^2`` over sampled boundary points
     (with every admissible direction) and interior points; clamped at zero.
     """
-    if n_boundary < 1 or n_interior < 1:
-        raise NoBoundarySamples("sample counts must be at least 1")
-    rng_b = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, 1]))
-    rng_i = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, 2]))
-    boundary = _boundary_samples(domain, n_boundary, rng_b)
-    if domain.sample_interior is None:
-        raise NoBoundarySamples(f"domain {domain.name!r} has no interior sampler")
-    interior = domain.sample_interior(n_interior, rng_i)
+    boundary = _samples(domain, "boundary", n_boundary, seed, 1)
+    interior = _samples(domain, "interior", n_interior, seed, 2)
 
     best = 0.0
     worst_b = boundary[0]
@@ -366,10 +368,7 @@ def check_d1(domain: DomainSpec, n_boundary: int, n_interior: int, seed: int) ->
 
 def check_d2(domain: DomainSpec, n_boundary: int, seed: int) -> D2Report:
     """Estimate the uniform lower bound of ``grad(phi) . nu`` on the boundary."""
-    if n_boundary < 1:
-        raise NoBoundarySamples("sample count must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, 3]))
-    boundary = _boundary_samples(domain, n_boundary, rng)
+    boundary = _samples(domain, "boundary", n_boundary, seed, 3)
     alpha_hat = np.inf
     worst = boundary[0]
     for x in boundary:
@@ -395,10 +394,7 @@ def check_d3(
     admissible direction has inner product at least lambda with that
     center's cone direction.
     """
-    if n_boundary < 1:
-        raise NoBoundarySamples("sample count must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, 4]))
-    boundary = _boundary_samples(domain, n_boundary, rng)
+    boundary = _samples(domain, "boundary", n_boundary, seed, 4)
 
     worst_cover = 0.0
     worst_margin = np.inf

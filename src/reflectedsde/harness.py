@@ -283,8 +283,19 @@ class CouplingStats:
 
 def _check_rate_exponent(domain: DomainSpec, r: float):
     threshold = -2.0 * domain.c0 / domain.alpha
-    if r >= threshold:
-        raise ValueError(f"r={r} must be strictly below -2 c0 / alpha = {threshold}")
+    if not -np.inf < r < threshold:
+        raise ValueError(f"r must be finite and strictly below -2 c0 / alpha = {threshold}, "
+                         f"got {r}")
+
+
+def check_moments(p_list: Sequence[float]) -> list[float]:
+    """``p_list`` as floats, once each is an even moment order 2, 4 or 6 (a
+    whole number, never a boolean); otherwise a ``ValueError`` whose message
+    starts with ``p_list``.  ``holder_report`` and the CLI check through this."""
+    moments = [check_whole("p_list", p, 2) for p in p_list]
+    if any(p not in (2, 4, 6) for p in moments):
+        raise ValueError(f"p_list entries must be even moments in {{2, 4, 6}}, got {list(p_list)}")
+    return [float(p) for p in moments]
 
 
 def check_study(
@@ -348,22 +359,19 @@ def _march_chunk(domain, coeffs, x0, paths, process, grid, substeps):
 
     ``process="reference"`` marches the reference over ``paths``, a
     ``FineBlocks``; a level ``process`` marches that level's approximation
-    over ``paths``, a batch at that level or finer, up to ``grid[-1]``.  The
-    regulator is not recorded, and the variation only where the march ends.
+    over ``paths``, a batch at that level or finer, up to ``grid[-1]``.
+    Returns as ``solvers._march``, without a step log.
     """
     if process == "reference":
         x0_batch = np.broadcast_to(x0, (len(paths.coarse.values), domain.dim)).copy()
         out_steps = fine_grid_positions(paths, grid)
         return integrate_reference_batch(
-            domain, coeffs, x0_batch, paths, paths.fine_level, out_steps,
-            record_history=False,
+            domain, coeffs, x0_batch, paths.blocks(), paths.fine_level, out_steps
         )
     x0_batch = np.broadcast_to(x0, (len(paths.values), domain.dim)).copy()
     slopes = wz_knot_slopes(paths, process)
     times, knot_idx, out_pos = wz_schedule(process, substeps, grid, grid[-1])
-    return integrate_wz_batch(
-        domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos, record_history=False
-    )
+    return integrate_wz_batch(domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos)
 
 
 def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, indices):
@@ -382,7 +390,7 @@ def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, 
     B = len(indices)
     grid = coupled_output_grid(level, [horizon], horizon)
     fine = FineBlocks(paths, fine_level, n_fine, _CHUNK_BYTES)
-    ref_states, _, ref_var, _ = _march_chunk(
+    ref_states, ref_var, _ = _march_chunk(
         domain, coeffs, x0, fine, "reference", grid, substeps
     )
 
@@ -394,7 +402,7 @@ def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, 
     phi_ref_final = domain.phi(ref_states[-1])
 
     for j, n in enumerate(levels):
-        wz_states, _, wz_var, _ = _march_chunk(domain, coeffs, x0, paths, n, grid, substeps)
+        wz_states, wz_var, _ = _march_chunk(domain, coeffs, x0, paths, n, grid, substeps)
         with np.errstate(invalid="ignore"):
             weight = np.exp(r * (phi_ref_final + domain.phi(wz_states[-1])))
             # np.linalg.norm(wz_states - ref_states, axis=2), bit for bit:
@@ -610,9 +618,7 @@ def holder_report(
     ``p/2 - 0.2``; it is ``None`` with fewer than two lags or a zero moment.
     Paths run in groups over ``workers`` as in ``run_coupling_stats``.
     """
-    p_list = [float(p) for p in p_list]
-    if any(p not in (2.0, 4.0, 6.0) for p in p_list):
-        raise ValueError("p_list entries must be even moments in {2, 4, 6}")
+    p_list = check_moments(p_list)
     grid_level = check_whole("grid_level", grid_level, 1)
     reference = n_or_reference == "reference"
     x0, (level,) = check_study(

@@ -11,15 +11,18 @@ with the Ito-corrected drift, the strong-order-half reference.
 Both are one scheme, an unconstrained step followed by the discrete
 Skorokhod map, and share one march kernel; they differ only in the
 displacement rule and the step grid.  The march operates on a batch of
-paths in lockstep; the public per-path operations call it with batch size
-one, and the Monte Carlo harness calls it with groups of at least two
-paths.  For a state dimension of one every array operation is elementwise
-across the batch, so a row's result does not depend on the batch.  For
-d >= 2 the built-in coefficients' contractions (``np.dot`` of ``(B, d)``
-states) go through BLAS from two rows on, which fuses a multiply into an
-add, while a single row is summed plainly; so batches of two or more
-paths agree row for row whatever their width, but a path marched alone
-can differ from its row in a batch at rounding level.
+paths in lockstep and does the same work for every caller: it keeps the
+states at the outputs and the variation after the last step.  The public
+per-path operations call it with batch size one and a step log, whose
+running sums give the regulator and variation at each output; the Monte
+Carlo harness calls it with groups of at least two paths.  For a state
+dimension of one every array operation is elementwise across the batch,
+so a row's result does not depend on the batch.  For d >= 2 the built-in
+coefficients' contractions (``np.dot`` of ``(B, d)`` states) go through
+BLAS from two rows on, which fuses a multiply into an add, while a single
+row is summed plainly; so batches of two or more paths agree row for row
+whatever their width, but a path marched alone can differ from its row in
+a batch at rounding level.
 
 The noise term ``sigma @ dW`` is ``coefficients.noise_term``: a wide march
 with d = m = 2 sums batch columns, every other march calls ``np.einsum``,
@@ -36,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import BrownianPath, FineBlocks, check_level, check_whole, wz_knot_slopes
+from .brownian import BrownianPath, check_level, check_whole, wz_knot_slopes
 from .coefficients import CoefficientSet, ito_drift_batch, noise_term
 from .errors import MismatchedTimes, NonFiniteState, OutOfDomain
 from .geometry import DomainSpec, _resolver, check_feasible, check_point, sum_squares
@@ -129,38 +132,30 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
 # Kernels (batched over paths)
 # ---------------------------------------------------------------------------
 
-def _march(
-    domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, record_substeps,
-    record_history,
-):
+def _march(domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, log_steps):
     """The discrete Skorokhod march both solvers share.
 
     Step ``i`` (from ``times[i]`` to ``times[i + 1]``) adds
     ``displacement(i, X)`` to the batch state ``X``, resolves the result
-    against the closure, and accumulates the regulator and its variation.
-    Returns states, cumulative regulator and cumulative variation at the
-    ascending step positions ``out_pos``, each with a leading output axis,
-    plus an optional substep log (batch size one only).  Without
-    ``record_history`` the regulator is ``None`` and the variation is only
-    its final value, shape ``(B,)``.
+    against the closure, and accumulates the variation of the regulator.
+    Returns the states at the ascending step positions ``out_pos``, with a
+    leading output axis, the variation after the last step, shape ``(B,)``,
+    and the step log: with ``log_steps`` (batch size one) each step's end
+    time, state, regulator increment and its norm, otherwise ``None``.
     """
     B, d = x0.shape
     X = np.array(x0, float)
-    L = np.zeros((B, d)) if record_history else None
     var = np.zeros(B)
     resolve = _resolver(domain)
 
     n_out = len(out_pos)
     out_states = np.empty((n_out, B, d))
-    out_reg = np.empty((n_out, B, d)) if record_history else None
-    out_var = np.empty((n_out, B)) if record_history else None
 
     n_steps = len(times) - 1
-    if record_substeps:
-        sub_states = np.empty((n_steps, d))
-        sub_dl = np.empty((n_steps, d))
-        sub_dvar = np.empty(n_steps)
-    abort_check = B == 1
+    if log_steps:
+        log_states = np.empty((n_steps, d))
+        log_dl = np.empty((n_steps, d))
+        log_dvar = np.empty(n_steps)
 
     # Outputs are recorded in order: output ``j`` is due at step position
     # ``next_pos``, a Python int, so that a step compares no numpy scalar.
@@ -170,9 +165,6 @@ def _march(
         nonlocal j, next_pos
         while next_pos == pos:
             out_states[j] = X
-            if record_history:
-                out_reg[j] = L
-                out_var[j] = var
             j += 1
             next_pos = int(out_pos[j]) if j < n_out else -1
 
@@ -181,23 +173,16 @@ def _march(
         X, d_l = resolve(X, displacement(i, X))
         # np.linalg.norm(d_l, axis=1), bit for bit, without its dispatch.
         d_var = np.sqrt(sum_squares(d_l))
-        if record_history:
-            L += d_l
         var += d_var
         if i + 1 == next_pos:
-            if abort_check and not np.all(np.isfinite(X)):
-                raise NonFiniteState(f"non-finite state at t={times[i + 1]}")
             record(i + 1)
-        if record_substeps:
-            sub_states[i] = X[0]
-            sub_dl[i] = d_l[0]
-            sub_dvar[i] = d_var[0]
+        if log_steps:
+            log_states[i] = X[0]
+            log_dl[i] = d_l[0]
+            log_dvar[i] = d_var[0]
 
-    substeps = None
-    if record_substeps:
-        sub_bd = np.asarray(domain.boundary_distance(sub_states), float)
-        substeps = SubstepLog(np.array(times[1:]), sub_states, sub_dl, sub_dvar, sub_bd)
-    return out_states, out_reg, (out_var if record_history else var), substeps
+    log = (np.array(times[1:]), log_states, log_dl, log_dvar) if log_steps else None
+    return out_states, var, log
 
 
 def integrate_wz_batch(
@@ -208,18 +193,12 @@ def integrate_wz_batch(
     times: np.ndarray,
     knot_idx: np.ndarray,
     out_pos: np.ndarray,
-    record_substeps: bool = False,
-    *,
-    record_history: bool = True,
+    log_steps: bool = False,
 ):
     """Drive the constrained ODE for a batch of paths over one schedule.
 
     ``slopes`` has shape ``(B, K_n, m)``; each step moves along the
-    interpolant's slope on its knot interval.  Returns as ``_march``;
-    ``record_history=False`` skips the ``(n_out, B, d)`` regulator record
-    and keeps only the final variation, for callers that read states at
-    every output and the variation at the last one, where the schedule
-    ends.
+    interpolant's slope on its knot interval.  Returns as ``_march``.
     """
     dts = np.diff(times)
     knot, s = -1, None
@@ -234,32 +213,32 @@ def integrate_wz_batch(
             s = np.ascontiguousarray(slopes[:, knot, :])
         return (noise_term(coeffs.sigma(X), s) + coeffs.b(X)) * dts[i]
 
-    return _march(domain, x0, times, out_pos, displacement, record_substeps, record_history)
+    return _march(domain, x0, times, out_pos, displacement, log_steps)
 
 
 def integrate_reference_batch(
     domain: DomainSpec,
     coeffs: CoefficientSet,
     x0: np.ndarray,
-    values: np.ndarray,
+    blocks,
     fine_level: int,
     out_steps: np.ndarray,
-    record_substeps: bool = False,
-    *,
-    record_history: bool = True,
+    log_steps: bool = False,
 ):
     """Projected Euler-Maruyama over the fine grid for a batch of paths.
 
-    ``values`` are the Brownian knot values, shape ``(B, K + 1, m)``, or a
-    ``brownian.FineBlocks`` whose blocks are drawn as the march reaches
-    them; each step forms its own increment, so no increments array is
-    held.  ``out_steps`` are fine-knot indices at which to record, and the
-    march stops at the last of them.  ``sigma`` is evaluated once per step.
-    ``record_history`` is as for ``integrate_wz_batch``.
+    ``blocks`` yields ``(start, values)`` in time order: ``values`` are the
+    Brownian knot values from fine knot ``start`` on, shape ``(B, k + 1, m)``,
+    and each block starts at the last knot of the one before, as
+    ``brownian.FineBlocks.blocks()`` draws them; a single array of knot
+    values is the block ``(0, values)``.  Each step forms its own
+    increment, so no increments array is held.  ``out_steps`` are fine-knot
+    indices at which to record, and the march stops at the last of them.
+    ``sigma`` is evaluated once per step.  Returns as ``_march``.
     """
     h = 2.0 ** (-fine_level)
     last = int(np.max(out_steps)) if len(out_steps) else 0
-    blocks = values.blocks() if isinstance(values, FineBlocks) else iter([(0, values)])
+    blocks = iter(blocks)
     start = stop = 0
     block = None
 
@@ -272,10 +251,7 @@ def integrate_reference_batch(
         dw = block[:, k + 1 - start] - block[:, k - start]
         return noise_term(sig, dw) + ito_drift_batch(coeffs, X, sig) * h
 
-    return _march(
-        domain, x0, np.arange(last + 1) * h, out_steps, displacement, record_substeps,
-        record_history,
-    )
+    return _march(domain, x0, np.arange(last + 1) * h, out_steps, displacement, log_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +283,30 @@ def _check_path_inputs(domain, coeffs, path: BrownianPath, x0, output_times):
     return _check_start(domain, coeffs, x0), times
 
 
+def _reflected_path(domain, output_times, level, out_pos, march, record_substeps):
+    """The ``ReflectedPath`` of ``march``, the kernel's ``(states, variation,
+    step log)`` for one path with outputs at step positions ``out_pos``.
+
+    The regulator and variation at each output are running sums of the
+    step log, added in the kernel's order.  ``NonFiniteState`` names the
+    first output whose state is not finite; ``InfeasibleStep`` follows for
+    an output outside the closure.
+    """
+    states, _, (times, log_states, d_l, d_var) = march
+    states = states[:, 0]
+    finite = np.all(np.isfinite(states), axis=1)
+    if not np.all(finite):
+        raise NonFiniteState(f"non-finite state at t={times[out_pos[np.argmin(finite)] - 1]}")
+    check_feasible(domain, states, "output states")
+    regulator = np.cumsum(np.concatenate([np.zeros((1, domain.dim)), d_l]), axis=0)[out_pos]
+    variation = np.cumsum(np.concatenate([[0.0], d_var]))[out_pos]
+    substeps = None
+    if record_substeps:
+        distances = np.asarray(domain.boundary_distance(log_states), float)
+        substeps = SubstepLog(times, log_states, d_l, d_var, distances)
+    return ReflectedPath(output_times, states, regulator, variation, level, substeps)
+
+
 def solve_wz(
     domain: DomainSpec,
     coeffs: CoefficientSet,
@@ -324,12 +324,8 @@ def solve_wz(
 
     slopes = wz_knot_slopes(path, n)[None]
     times, knot_idx, out_pos = wz_schedule(n, substeps_per_knot, output_times, path.horizon)
-    states, reg, var, sub = integrate_wz_batch(
-        domain, coeffs, x0[None], slopes, times, knot_idx, out_pos, record_substeps
-    )
-    result = ReflectedPath(output_times, states[:, 0], reg[:, 0], var[:, 0], n, sub)
-    check_feasible(domain, result.states, "output states")
-    return result
+    march = integrate_wz_batch(domain, coeffs, x0[None], slopes, times, knot_idx, out_pos, True)
+    return _reflected_path(domain, output_times, n, out_pos, march, record_substeps)
 
 
 def solve_reference(
@@ -343,18 +339,11 @@ def solve_reference(
     """Projected Euler-Maruyama reference solution along one path."""
     x0, output_times = _check_path_inputs(domain, coeffs, path, x0, output_times)
     out_steps = fine_grid_positions(path, output_times)
-    states, reg, var, sub = integrate_reference_batch(
-        domain,
-        coeffs,
-        x0[None],
-        np.asarray(path.values)[None],
-        path.fine_level,
-        out_steps,
-        record_substeps,
+    blocks = [(0, np.asarray(path.values)[None])]
+    march = integrate_reference_batch(
+        domain, coeffs, x0[None], blocks, path.fine_level, out_steps, True
     )
-    result = ReflectedPath(output_times, states[:, 0], reg[:, 0], var[:, 0], path.fine_level, sub)
-    check_feasible(domain, result.states, "output states")
-    return result
+    return _reflected_path(domain, output_times, path.fine_level, out_steps, march, record_substeps)
 
 
 def fine_grid_positions(path: BrownianPath, output_times: np.ndarray) -> np.ndarray:

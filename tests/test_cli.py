@@ -336,6 +336,17 @@ def test_holder_rejects_odd_moment(tmp_path, capsys):
     assert main(["holder", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("p_list", [float("inf")]), ("p_list", [float("nan")]),
+    ("r", float("nan")), ("r", -float("inf")),
+])
+def test_non_finite_value_exits_2_naming_its_key(tmp_path, capsys, key, value):
+    # JSON's Infinity and NaN reach the study rules, which name the key.
+    path = _write_config(tmp_path, **{key: value})
+    assert main(["converge", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+
+
 def test_holder_csv_output(tmp_path):
     path = _write_config(tmp_path, levels=[4], M=40, grid_level=4)
     out_file = tmp_path / "holder.csv"

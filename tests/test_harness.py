@@ -444,10 +444,10 @@ def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interva
     grid = harness.coupled_output_grid(3, [1.0], 1.0)
     for process in ("reference", 3):
         paths = brownian.FineBlocks(coarse, 7, 128, 1) if process == "reference" else coarse
-        states, reg, var, _ = harness._march_chunk(
+        states, var, log = harness._march_chunk(
             unit_interval, wavy_coeffs, np.array([0.0]), paths, process, grid, 4
         )
-        assert reg is None
+        assert log is None
         assert var.shape == (len(seeds),)
         for b, seed in enumerate(seeds):
             path = rs.sample_path(1, 1.0, 7, seed)

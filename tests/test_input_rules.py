@@ -15,6 +15,16 @@ from reflectedsde.errors import InvalidHorizon, LevelTooFine
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "reflectedsde"
 
+def _pair(D, C, P):
+    """A coupled pair on path ``P``, for ``lyapunov_trace``."""
+    return rs.coupled_solve(D, C, P, 3, 2, [0.0], [1.0])
+
+
+# A cone cover of the unit ball's boundary (2-d), for ``check_d3``.
+_COVER = rs.ConeCoverCertificate(
+    centers=[[1.0, 0.0]], radius=0.5, directions=[[-1.0, 0.0]], lam=0.5
+)
+
 # (argument name, call); each call gets the unit interval, the standard 1-d
 # coefficients and a path at fine level 5 over T = 1.
 BAD_INPUTS = {
@@ -64,6 +74,33 @@ BAD_INPUTS = {
     "sample_path fine_level True": (
         "fine_level", lambda D, C, P: rs.sample_path(1, 1.0, True, 0)),
     "sample_path m True": ("m", lambda D, C, P: rs.sample_path(True, 1.0, 4, 0)),
+    "run_coupling_stats r NaN": (
+        "r",
+        lambda D, C, P: rs.run_coupling_stats(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, 1, r=float("nan")),
+    ),
+    "run_coupling_stats r -inf": (
+        "r",
+        lambda D, C, P: rs.run_coupling_stats(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, 1, r=-float("inf")),
+    ),
+    "lyapunov_trace r NaN": (
+        "r", lambda D, C, P: rs.lyapunov_trace(D, *_pair(D, C, P), r=float("nan"))),
+    "lyapunov_trace r -inf": (
+        "r", lambda D, C, P: rs.lyapunov_trace(D, *_pair(D, C, P), r=-float("inf"))),
+    "holder_report p_list inf": (
+        "p_list",
+        lambda D, C, P: rs.holder_report(D, C, [0.0], 1.0, "reference", [float("inf")], 8, 1),
+    ),
+    "holder_report p_list 3": (
+        "p_list", lambda D, C, P: rs.holder_report(D, C, [0.0], 1.0, "reference", [3], 8, 1)),
+    "check_d1 n_interior 2.5": (
+        "n_interior", lambda D, C, P: rs.check_d1(rs.ball(1.0), 10, 2.5, 0)),
+    "check_d1 n_boundary True": (
+        "n_boundary", lambda D, C, P: rs.check_d1(rs.ball(1.0), True, 10, 0)),
+    "check_d2 n_boundary 2.5": ("n_boundary", lambda D, C, P: rs.check_d2(rs.ball(1.0), 2.5, 0)),
+    "check_d2 n_boundary True": (
+        "n_boundary", lambda D, C, P: rs.check_d2(rs.ball(1.0), True, 0)),
+    "check_d3 n_boundary 2.5": (
+        "n_boundary", lambda D, C, P: rs.check_d3(rs.ball(1.0), _COVER, 2.5, 0)),
 }
 
 
@@ -122,6 +159,7 @@ def _raising_functions(error: str) -> set:
 @pytest.mark.parametrize("error, owner", [
     ("LevelTooFine", "brownian.check_level"),
     ("InfeasibleStep", "geometry.check_feasible"),
+    ("NonFiniteState", "solvers._reflected_path"),
 ])
 def test_each_rule_error_is_raised_from_one_function(error, owner):
     assert _raising_functions(error) == {owner}

@@ -161,8 +161,16 @@ def test_non_finite_state_aborts(unit_interval):
         dim_noise=1,
     )
     path = rs.sample_path(1, 1.0, 6, seed=2)
-    with pytest.raises(NonFiniteState):
-        rs.solve_wz(unit_interval, poisoned, path, 4, 2, [0.0], np.linspace(0, 1, 5))
+    out = np.linspace(0, 1, 5)
+    # Each error names the first output after the start; coupled_solve
+    # reports on the level-4 knots as well.
+    for solve, t in (
+        (lambda: rs.solve_wz(unit_interval, poisoned, path, 4, 2, [0.0], out), "0.25"),
+        (lambda: rs.solve_reference(unit_interval, poisoned, path, [0.0], out), "0.25"),
+        (lambda: rs.coupled_solve(unit_interval, poisoned, path, 4, 2, [0.0], out), "0.0625"),
+    ):
+        with pytest.raises(NonFiniteState, match=f"^non-finite state at t={t}$"):
+            solve()
 
 
 def test_start_and_level_validation(unit_interval, wavy_coeffs):
@@ -218,14 +226,14 @@ def test_batched_kernel_matches_per_path_solver(unit_interval, wavy_coeffs):
     slopes = np.stack([rs.wz_knot_slopes(p, n) for p in paths])
     times, knot_idx, out_pos = wz_schedule(n, S, grid, 1.0)
     x0 = np.zeros((3, 1))
-    states, reg, var, _ = integrate_wz_batch(
+    states, var, log = integrate_wz_batch(
         unit_interval, wavy_coeffs, x0, slopes, times, knot_idx, out_pos
     )
+    assert log is None
     for i, p in enumerate(paths):
         single = rs.solve_wz(unit_interval, wavy_coeffs, p, n, S, [0.0], grid)
         np.testing.assert_array_equal(states[:, i], single.states)
-        np.testing.assert_array_equal(reg[:, i], single.regulator)
-        np.testing.assert_array_equal(var[:, i], single.variation)
+        np.testing.assert_array_equal(var[i], single.variation[-1])
 
 
 def test_horizon_shorter_than_one_knot(unit_interval, wavy_coeffs):
