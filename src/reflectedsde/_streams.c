@@ -8,8 +8,8 @@
  * for bit.  Without this library, brownian.py draws the same bits from
  * numpy's SeedSequence plus one re-keyed numpy Philox: a second oracle.
  *
- * brownian.py builds this file with
- *     cc -O2 -fPIC -shared -ffp-contract=off -I <numpy include> _streams.c \
+ * brownian.py builds this file, with _march.c, into one library:
+ *     cc <_CFLAGS> -I <numpy include> _streams.c _march.c \
  *        <numpy>/random/lib/libnpyrandom.a -lm
  * -ffp-contract=off keeps the midpoint formula to the separate roundings of
  * numpy's add, multiply and add; no fused multiply-add may appear.

@@ -18,15 +18,17 @@ own ziggurat (``random_standard_normal`` from numpy's ``libnpyrandom.a``)
 for the normals, one call per level (or per level and time block) for a
 whole batch.
 
-The library is compiled on first use with ``cc -O2 -fPIC -shared
--ffp-contract=off`` into ``$XDG_CACHE_HOME/reflectedsde/<key>.so``
-(``~/.cache`` when ``XDG_CACHE_HOME`` is unset), where the key is the
-SHA-256 of the C source, the numpy version, the operating system and the
-machine type; it is built in a temporary directory and renamed into place.
-When it cannot be compiled or loaded, sampling falls back to numpy: one
-``SeedSequence`` per stream for the keys, and one numpy Philox re-keyed to
-a stream's key and saved state before each of its draws, with the same
-bits; the tests compare the two paths byte for byte.
+The same library holds the native march of ``solvers`` (``_march.c``),
+which marches one-dimensional studies of the built-in families.  It is
+compiled on first use with ``cc`` and ``_CFLAGS`` into
+``$XDG_CACHE_HOME/reflectedsde/<key>.so`` (``~/.cache`` when
+``XDG_CACHE_HOME`` is unset), where the key is the SHA-256 of both C
+sources, the flags, the numpy version, the operating system and the
+machine type; it is built in a temporary directory and renamed into place.  When it cannot
+be compiled or loaded, sampling falls back to numpy: one ``SeedSequence``
+per stream for the keys, and one numpy Philox re-keyed to a stream's key
+and saved state before each of its draws, with the same bits; the march
+falls back to its numpy loop.  The tests compare both paths byte for byte.
 ``native_library()`` tells which path runs.
 
 The interpolant is the lagged one: on the knot interval starting at
@@ -67,36 +69,41 @@ _SEED_MASK = 2**63 - 1
 # Size of the buffer that midpoint insertion on the numpy path draws normals into.
 _SCRATCH_BYTES = 2**20
 
-_SOURCE = Path(__file__).with_name("_streams.c")
+_SOURCES = [Path(__file__).with_name(name) for name in ("_streams.c", "_march.c")]
+# -ffp-contract=off: no multiply and add may fuse, so every rounding is
+# numpy's.  -fno-math-errno: errno is never read, and without it the march's
+# sqrt and its loops around libm calls compile to slower code (same values).
+_CFLAGS = ["-O3", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared"]
 
 
 def _library_path() -> Path:
-    """Cache path of the stream library for this C source, numpy and platform."""
+    """Cache path of the native library for these C sources and flags, numpy
+    and platform."""
     # Imported here: the engine's import path does not load it otherwise.
     import hashlib
 
-    tag = hashlib.sha256(_SOURCE.read_bytes())
-    tag.update(f"{np.__version__} {sys.platform} {platform.machine()}".encode())
+    tag = hashlib.sha256(b"".join(source.read_bytes() for source in _SOURCES))
+    tag.update(f"{_CFLAGS} {np.__version__} {sys.platform} {platform.machine()}".encode())
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     return Path(cache, "reflectedsde", tag.hexdigest() + ".so")
 
 
 def _compile(target: Path) -> None:
-    """Build the stream library at ``target`` with the system C compiler,
+    """Build the native library at ``target`` with the system C compiler,
     linking numpy's own sampler (``libnpyrandom.a``)."""
     include = Path(np.get_include())
     library = include.parent.parent / "random" / "lib" / "libnpyrandom.a"
     subprocess.run(
-        ["cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-I", str(include),
-         str(_SOURCE), str(library), "-lm", "-o", str(target)],
+        ["cc", *_CFLAGS, "-I", str(include), *map(str, _SOURCES), str(library), "-lm",
+         "-o", str(target)],
         check=True, capture_output=True,
     )
 
 
 @functools.cache
 def _native():
-    """The stream library, built on first use; ``None`` when it cannot be
-    built or loaded, so that the numpy path runs instead."""
+    """The native library, built on first use; ``None`` when it cannot be
+    built or loaded, so that the numpy paths run instead."""
     try:
         target = _library_path()
         if not target.exists():
@@ -108,22 +115,32 @@ def _native():
                 _compile(built)
                 os.replace(built, target)
         lib = ctypes.CDLL(str(target))
-        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-        for name, args in (
-            ("stream_keys", [ptr, i64, ptr, i64, ptr]),
-            ("fill_streams", [ptr, ptr, i64, i64, ptr]),
-            ("refine_level", [ptr, ptr, i64, ptr, i64, i64, i64, i64, i64, ctypes.c_double]),
+        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+        for name, args, result in (
+            ("stream_keys", [ptr, i64, ptr, i64, ptr], None),
+            ("fill_streams", [ptr, ptr, i64, i64, ptr], None),
+            ("refine_level", [ptr, ptr, i64, ptr, i64, i64, i64, i64, i64, f64], None),
+            ("march_reference",
+             [i64, ptr, i64, ptr, ptr, ptr, i64, i64, i64, i64, i64, f64, ptr, i64, i64, ptr,
+              ptr, ptr, ptr], i64),
+            ("march_wz", [i64, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr,
+                          ptr, ptr], None),
         ):
             fn = getattr(lib, name)
-            fn.argtypes, fn.restype = args, None
+            fn.argtypes, fn.restype = args, result
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     return lib
 
 
 def native_library() -> str | None:
-    """Path of the stream library that sampling uses, or ``None`` when the
-    numpy path runs."""
+    """Path of the native library, or ``None`` when the numpy paths run.
+
+    The library draws every Brownian stream and marches the studies it
+    covers (``solvers``: a one-dimensional box with a built-in family at
+    d = m = 1); without it, sampling and every march run numpy, with the
+    same bits.
+    """
     lib = _native()
     return None if lib is None else lib._name
 

@@ -164,7 +164,25 @@ def finite_difference_correction(
 # Built-in coefficient families
 # ---------------------------------------------------------------------------
 
+def _built_in(coeffs: CoefficientSet, family: str, *params) -> CoefficientSet:
+    """``coeffs``, with its three callables tagged for the native march when
+    d = m = 1.
+
+    The tag, ``(family, values)``, is one object set on ``sigma``, ``b`` and
+    ``grad_sigma``: ``values`` holds the drift's matrix and offset, then the
+    family's ``params``, each a one-element array.  ``solvers`` marches a
+    set natively only while all three callables carry that same tag, so a
+    set with any callable replaced or wrapped runs the numpy march.
+    """
+    if (coeffs.dim_state, coeffs.dim_noise) == (1, 1):
+        tag = (family, tuple(float(np.ravel(p)[0]) for p in params))
+        for fn in (coeffs.sigma, coeffs.b, coeffs.grad_sigma):
+            fn.native = tag
+    return coeffs
+
+
 def _drift_field(drift_matrix, drift_offset, d: int):
+    """The affine drift ``b(y) = A y + c``, then ``A`` and ``c``."""
     A = np.zeros((d, d)) if drift_matrix is None else np.asarray(drift_matrix, float)
     c = np.zeros(d) if drift_offset is None else np.asarray(drift_offset, float)
     if A.shape != (d, d) or c.shape != (d,):
@@ -183,7 +201,7 @@ def _drift_field(drift_matrix, drift_offset, d: int):
             return r
         return r + c
 
-    return b
+    return b, A, c
 
 
 def constant(sigma, drift_matrix=None, drift_offset=None) -> CoefficientSet:
@@ -192,7 +210,7 @@ def constant(sigma, drift_matrix=None, drift_offset=None) -> CoefficientSet:
     if sig.ndim != 2:
         raise ValueError("sigma must be a (d, m) matrix")
     d, m = sig.shape
-    b = _drift_field(drift_matrix, drift_offset, d)
+    b, drift_a, drift_c = _drift_field(drift_matrix, drift_offset, d)
 
     def sigma_f(y):
         y = np.asarray(y, float)
@@ -205,13 +223,7 @@ def constant(sigma, drift_matrix=None, drift_offset=None) -> CoefficientSet:
         shape = (d, m, d) if y.ndim == 1 else (len(y), d, m, d)
         return np.zeros(shape)
 
-    return CoefficientSet(
-        sigma=sigma_f,
-        b=b,
-        grad_sigma=grad_f,
-        dim_state=d,
-        dim_noise=m,
-    )
+    return _built_in(CoefficientSet(sigma_f, b, grad_f, d, m), "constant", drift_a, drift_c, sig)
 
 
 def linear(A, B=None, drift_matrix=None, drift_offset=None) -> CoefficientSet:
@@ -223,7 +235,7 @@ def linear(A, B=None, drift_matrix=None, drift_offset=None) -> CoefficientSet:
     if d2 != d:
         raise ValueError("A must have shape (d, m, d)")
     B = np.zeros((d, m)) if B is None else np.asarray(B, float)
-    b = _drift_field(drift_matrix, drift_offset, d)
+    b, drift_a, drift_c = _drift_field(drift_matrix, drift_offset, d)
 
     def sigma_f(y):
         y = np.asarray(y, float)
@@ -235,13 +247,7 @@ def linear(A, B=None, drift_matrix=None, drift_offset=None) -> CoefficientSet:
             return A.copy()
         return A[None].repeat(len(y), 0)
 
-    return CoefficientSet(
-        sigma=sigma_f,
-        b=b,
-        grad_sigma=grad_f,
-        dim_state=d,
-        dim_noise=m,
-    )
+    return _built_in(CoefficientSet(sigma_f, b, grad_f, d, m), "linear", drift_a, drift_c, A, B)
 
 
 def trig(
@@ -264,7 +270,7 @@ def trig(
     phase = np.zeros((d, m)) if phase is None else np.asarray(phase, float)
     if phase.shape != (d, m):
         raise ValueError("phase must have shape (d, m)")
-    b = _drift_field(drift_matrix, drift_offset, d)
+    b, drift_a, drift_c = _drift_field(drift_matrix, drift_offset, d)
     # sin and cos run once per distinct phase value (``uphase``), then each
     # (i, j) entry takes ``amp_ij * t`` (and ``offset_ij +`` that) over the
     # batch: the same argument freq . y + phase_ij and the same two IEEE
@@ -301,13 +307,8 @@ def trig(
             np.multiply(c, frequency[k], out=out[..., k])
         return out
 
-    return CoefficientSet(
-        sigma=sigma_f,
-        b=b,
-        grad_sigma=grad_f,
-        dim_state=d,
-        dim_noise=m,
-    )
+    coeffs = CoefficientSet(sigma_f, b, grad_f, d, m)
+    return _built_in(coeffs, "trig", drift_a, drift_c, offset, amplitude, frequency, uphase)
 
 
 _COEFF_FACTORIES = {

@@ -483,6 +483,10 @@ def box(lo, hi) -> DomainSpec:
         state = np.minimum(np.maximum(y, lo_b), hi_b)
         return state, state - y
 
+    if d == 1:
+        # The bounds the native march clips to (solvers._native_march).
+        resolve_batch.clip = (lo_b, hi_b)
+
     def phi(x):
         x = np.asarray(x, float)
         return np.sum((x - lo) * (hi - x), axis=-1)

@@ -17,7 +17,10 @@ per-path operations call it with batch size one and a step log, whose
 running sums give the regulator and variation at each output; the Monte
 Carlo harness calls it with groups of at least two paths.  For a state
 dimension of one every array operation is elementwise across the batch,
-so a row's result does not depend on the batch.  For d >= 2 the built-in
+so a finite row's result does not depend on the batch (for a row that is
+not finite it may: numpy's ``np.dot`` skips a zero factor from two rows
+on, so a zero drift matrix times an infinite state is 0 there and NaN in
+a row alone).  For d >= 2 the built-in
 coefficients' contractions (``np.dot`` of ``(B, d)`` states) go through
 BLAS from two rows on, which fuses a multiply into an add, while a single
 row is summed plainly; so batches of two or more paths agree row for row
@@ -27,6 +30,12 @@ a batch at rounding level.
 The noise term ``sigma @ dW`` is ``coefficients.noise_term``: a wide march
 with d = m = 2 sums batch columns, every other march calls ``np.einsum``,
 with the same bits either way.
+
+A one-dimensional box with a built-in family at d = m = 1 marches in the
+native library instead (``_march.c``, see ``_native_march``): one C call
+per reference block and one per Wong-Zakai level, with the numpy march's
+bits.  Every other study, and every study when the library does not load,
+runs the numpy march.
 """
 
 from __future__ import annotations
@@ -39,7 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import BrownianPath, check_level, check_whole, wz_knot_slopes
+from . import brownian
+from .brownian import BrownianPath, _ptr, check_level, check_whole, wz_knot_slopes
 from .coefficients import CoefficientSet, ito_drift_batch, noise_term
 from .errors import MismatchedTimes, NonFiniteState, OutOfDomain
 from .geometry import DomainSpec, _resolver, check_feasible, check_point, sum_squares
@@ -100,12 +110,16 @@ class ReflectedPath:
 # Schedules
 # ---------------------------------------------------------------------------
 
+# Times closer than this to the time before them are one time.
+_COLLAPSE_TOL = 1e-13
+
+
 def _union_times(parts: list[np.ndarray]) -> np.ndarray:
     merged = np.unique(np.concatenate(parts))
     # Collapse float near-duplicates produced by non-dyadic substep counts.
     if len(merged) > 1:
         keep = np.ones(len(merged), bool)
-        keep[1:] = np.diff(merged) > 1e-13
+        keep[1:] = np.diff(merged) > _COLLAPSE_TOL
         merged = merged[keep]
     return merged
 
@@ -115,7 +129,9 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
 
     The step grid is the union of the regular substep grid and the requested
     output times, so outputs are hit exactly; knot boundaries are always step
-    boundaries, keeping the driver slope constant within each step.
+    boundaries, keeping the driver slope constant within each step.  Times
+    within ``_COLLAPSE_TOL`` of each other are one step time, the smallest:
+    an output or a knot start just after it is that step time.
     """
     n_knots = ceil(horizon * 2.0**n - 1e-9)
     knot_starts = np.arange(n_knots) / 2.0**n
@@ -123,8 +139,8 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
     base = (knot_starts[:, None] + sub[None, :]).ravel()
     times = _union_times([base, np.asarray(output_times, float), np.asarray([0.0, horizon])])
     times = times[(times >= 0.0) & (times <= horizon + 1e-12)]
-    knot_idx = np.searchsorted(knot_starts, times[:-1], side="right") - 1
-    out_pos = np.searchsorted(times, np.asarray(output_times, float))
+    knot_idx = np.searchsorted(knot_starts, times[:-1] + _COLLAPSE_TOL, "right") - 1
+    out_pos = np.searchsorted(times, np.asarray(output_times, float) + _COLLAPSE_TOL, "right") - 1
     return times, knot_idx.astype(np.intp), out_pos.astype(np.intp)
 
 
@@ -185,6 +201,119 @@ def _march(domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, log
     return out_states, var, log
 
 
+_FAMILIES = ("constant", "linear", "trig")
+
+
+def _native_march(domain: DomainSpec, coeffs: CoefficientSet):
+    """``(library, family, parameters)`` of the native march when it covers
+    the study, else ``None``.
+
+    It covers a one-dimensional box (the interval) with a built-in family
+    at d = m = 1, marched through that domain's and that set's own
+    callables: the box tags its ``resolve_batch`` with its bounds, and each
+    family factory tags ``sigma``, ``b`` and ``grad_sigma`` with one shared
+    ``(family, values)`` (``coefficients._built_in``).  A replaced, wrapped
+    or custom callable, any other dimension, or no library (see
+    ``brownian.native_library``) runs the numpy march, with the same bits.
+    """
+    clip = getattr(domain.resolve_batch, "clip", None)
+    tag = getattr(coeffs.sigma, "native", None)
+    fields = (domain.resolve_batch, coeffs.sigma, coeffs.b, coeffs.grad_sigma)
+    if (
+        clip is None
+        or tag is None
+        or (domain.dim, coeffs.dim_state, coeffs.dim_noise) != (1, 1, 1)
+        or any(getattr(fn, "native", None) is not tag for fn in fields[2:])
+        or any(hasattr(fn, "__wrapped__") for fn in fields)
+    ):
+        return None
+    lib = brownian._native()
+    if lib is None:
+        return None
+    family, values = tag
+    par = np.zeros(8)
+    par[:2], par[2 : 2 + len(values)] = clip, values
+    return lib, _FAMILIES.index(family), par
+
+
+def _native_arrays(x0, out_pos, times, log_steps):
+    """What a native march fills, as ``_march`` returns it, with the outputs'
+    positions as the library reads them and the step log's addresses.
+
+    Returns the state ``(B, 1)``, the variation, the outputs, the step log
+    (``None`` without ``log_steps``), ``out_pos`` as C int64 and the
+    addresses of the log's states, increments and their norms (three
+    ``None`` without a log).
+    """
+    X = np.array(x0, float, order="C")
+    if X.ndim != 2 or X.shape[1] != 1:
+        raise ValueError(f"x0 must have shape (B, 1), got {X.shape}")
+    out = np.empty((len(out_pos), len(X), 1))
+    n_steps = len(times) - 1
+    log, log_at = None, (None, None, None)
+    if log_steps:
+        log = (np.array(times[1:]), np.empty((n_steps, 1)), np.empty((n_steps, 1)),
+               np.empty(n_steps))
+        log_at = tuple(_ptr(a) for a in log[1:])
+    return X, np.zeros(len(X)), out, log, np.ascontiguousarray(out_pos, np.int64), log_at
+
+
+def _native_wz(native, x0, slopes, times, knot_idx, out_pos, log_steps):
+    """``integrate_wz_batch`` in one call of the native march."""
+    lib, family, par = native
+    dts = np.diff(np.asarray(times, float))
+    slopes = np.ascontiguousarray(slopes, float)
+    knot_idx = np.ascontiguousarray(knot_idx[: len(dts)], np.int64)
+    X, var, out, log, out_pos, log_at = _native_arrays(x0, out_pos, times, log_steps)
+    if slopes.shape[::2] != (len(X), 1) or len(knot_idx) != len(dts) or (
+        len(dts) and not 0 <= knot_idx.min() <= knot_idx.max() < slopes.shape[1]
+    ):
+        raise ValueError("slopes and knot_idx must give every row a knot interval per step")
+    lib.march_wz(
+        family, _ptr(par), len(X), _ptr(X), _ptr(var), _ptr(slopes), slopes.shape[1],
+        _ptr(dts), _ptr(knot_idx), len(dts), _ptr(out_pos), len(out_pos), _ptr(out), *log_at,
+    )
+    return out, var, log
+
+
+_BLOCK_RULE = "each block must hold every row's knots from the march's position on"
+
+
+def _native_reference(native, x0, blocks, h, last, out_steps, log_steps):
+    """``integrate_reference_batch`` in one call of the native march per block.
+
+    Each call marches from knot ``pos`` to the end of its block, or to
+    ``last``, reading the block in place; the state, variation and next
+    output index carry over to the next call.  The first call, of no steps,
+    records the outputs at knot 0.
+    """
+    lib, family, par = native
+    X, var, out, log, out_pos, log_at = _native_arrays(
+        x0, out_steps, np.arange(last + 1) * h, log_steps
+    )
+
+    def march(values, offset, n, j):
+        block = (None, 0, 0) if values is None else (
+            _ptr(values), *(step // values.itemsize for step in values.strides[:2])
+        )
+        return lib.march_reference(
+            family, _ptr(par), len(X), _ptr(X), _ptr(var), *block, offset, pos, n, h,
+            _ptr(out_pos), len(out_pos), j, _ptr(out), *log_at,
+        )
+
+    pos = 0
+    j = march(None, 0, 0, 0)
+    while pos < last:
+        start, values = next(blocks)
+        values = np.asarray(values, float)
+        n = min(start + values.shape[1] - 1, last) - pos
+        if values.shape[::2] != (len(X), 1) or not (start <= pos and n > 0):
+            raise ValueError(_BLOCK_RULE)
+        j = march(values, pos - start, n, j)
+        pos += n
+    return out, var, log
+
+
 def integrate_wz_batch(
     domain: DomainSpec,
     coeffs: CoefficientSet,
@@ -198,8 +327,12 @@ def integrate_wz_batch(
     """Drive the constrained ODE for a batch of paths over one schedule.
 
     ``slopes`` has shape ``(B, K_n, m)``; each step moves along the
-    interpolant's slope on its knot interval.  Returns as ``_march``.
+    interpolant's slope on its knot interval.  Returns as ``_march``, from
+    one native call where ``_native_march`` covers the study.
     """
+    native = _native_march(domain, coeffs)
+    if native is not None:
+        return _native_wz(native, x0, slopes, times, knot_idx, out_pos, log_steps)
     dts = np.diff(times)
     knot, s = -1, None
 
@@ -234,11 +367,15 @@ def integrate_reference_batch(
     values is the block ``(0, values)``.  Each step forms its own
     increment, so no increments array is held.  ``out_steps`` are fine-knot
     indices at which to record, and the march stops at the last of them.
-    ``sigma`` is evaluated once per step.  Returns as ``_march``.
+    ``sigma`` is evaluated once per step.  Returns as ``_march``, from one
+    native call per block where ``_native_march`` covers the study.
     """
     h = 2.0 ** (-fine_level)
     last = int(np.max(out_steps)) if len(out_steps) else 0
     blocks = iter(blocks)
+    native = _native_march(domain, coeffs)
+    if native is not None:
+        return _native_reference(native, x0, blocks, h, last, out_steps, log_steps)
     start = stop = 0
     block = None
 
@@ -247,6 +384,8 @@ def integrate_reference_batch(
         if k == stop:
             start, block = next(blocks)
             stop = start + block.shape[1] - 1
+            if not start <= k < stop:
+                raise ValueError(_BLOCK_RULE)
         sig = coeffs.sigma(X)
         dw = block[:, k + 1 - start] - block[:, k - start]
         return noise_term(sig, dw) + ito_drift_batch(coeffs, X, sig) * h

@@ -13,13 +13,15 @@ def pytest_addoption(parser):
     parser.addoption(
         "--no-native",
         action="store_true",
-        help="draw Brownian streams on the numpy path: the stream library is never loaded",
+        help="run numpy only: the native library (Brownian streams and the d = 1 march) "
+        "is never loaded",
     )
 
 
 def pytest_configure(config):
-    """The session builds the stream library into its own cache directory,
-    not the user's; with ``--no-native`` the loader returns ``None``."""
+    """The session builds the native library into its own cache directory,
+    not the user's; with ``--no-native`` the loader returns ``None``, so
+    sampling and every march run numpy."""
     cache = tempfile.mkdtemp(prefix="reflectedsde-cache-")
     mp = pytest.MonkeyPatch()
     config.add_cleanup(functools.partial(shutil.rmtree, cache, ignore_errors=True))
@@ -32,8 +34,25 @@ def pytest_configure(config):
 
 
 def pytest_report_header(config):
-    """Name the stream path the session runs: the library's file, or numpy."""
-    return f"Brownian streams: {brownian.native_library() or 'numpy streams'}"
+    """Name the native library the session runs and what it serves, or numpy."""
+    lib = brownian.native_library()
+    if lib is None:
+        return "native library: none (numpy streams and numpy march)"
+    return f"native library: {lib} (Brownian streams; the march of d = 1 built-in studies)"
+
+
+@pytest.fixture
+def native(request):
+    """The native library.  Skips under ``--no-native`` or without a C
+    compiler; fails when a compiler is there but the library did not load."""
+    if request.config.getoption("--no-native"):
+        pytest.skip("--no-native: numpy runs")
+    lib = brownian._native()
+    if lib is None:
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler, so numpy runs")
+        pytest.fail("a C compiler is present but the native library did not build or load")
+    return lib
 
 
 @pytest.fixture

@@ -70,6 +70,26 @@ def _ball_constant_negative_problem():
     return rs.ball(1.0, dim=2), coeffs, [0.5, -0.3]
 
 
+def _interval_constant_negative_problem():
+    # d = 1 with negative sigma: the zero derivative times sigma, and sigma
+    # times the first knot interval's zero slope, are -0.0 products.
+    coeffs = rs.constant([[-0.4]], drift_matrix=[[-0.5]], drift_offset=[0.05])
+    return rs.interval(-0.6, 0.6), coeffs, [0.3]
+
+
+def _interval_linear_problem():
+    coeffs = rs.linear(A=[[[0.3]]], B=[[0.4]], drift_matrix=[[-0.2]], drift_offset=[-0.1])
+    return rs.interval(-0.5, 0.7), coeffs, [-0.2]
+
+
+def _box1_trig_phase_problem():
+    # A 1-d box built as a box, with a nonzero phase and a drift offset.
+    coeffs = rs.trig(
+        [[-0.5]], [[0.3]], [1.5], phase=[[0.7]], drift_matrix=[[-0.4]], drift_offset=[0.2]
+    )
+    return rs.box([-0.4], [0.3]), coeffs, [0.1]
+
+
 def _array_digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -209,6 +229,10 @@ CASES = {
     # ball runs the column forms, the (2, 3) annulus keeps the einsums.
     "stats_annulus_trig_2x3": lambda: _stats_digest(_planar_trig_2x3_problem, M=512),
     "stats_ball_constant_neg": lambda: _stats_digest(_ball_constant_negative_problem, M=512),
+    # d = 1 studies of each built-in family, as the interval and as a box.
+    "stats_interval_constant_neg": lambda: _stats_digest(_interval_constant_negative_problem),
+    "stats_interval_linear": lambda: _stats_digest(_interval_linear_problem),
+    "stats_box1_trig_phase": lambda: _stats_digest(_box1_trig_phase_problem),
     "holder_reference": lambda: _holder_digest("reference"),
     "holder_level_4": lambda: _holder_digest(4),
     "substeps_ball_linear": _substep_digest,
@@ -237,6 +261,9 @@ GOLDEN = {
     "stats_interval_trig_T0.3": "41f9dbdf3caaab1685dc381f893547e910ff3e9acb32a19ce186e7636acf66bf",
     "stats_annulus_trig_2x3": "50464267bd56313047cb37a74bcfc2afd2669270820a2c1791bec2ce3e21907b",
     "stats_ball_constant_neg": "b451106655e58bc0e52fcedc7550184af2011d634ee5e1706142986475437636",
+    "stats_interval_constant_neg": "4050b7f1b5223536aee76245ad715421c4186b94814bb211963a8c947071416e",
+    "stats_interval_linear": "f291870f548836bca7ca8cf4d4b9461ddb173471c08dc69154bddb340fb31e6c",
+    "stats_box1_trig_phase": "573cc2243d9f51960a59aab5daf7c7d217eb4328d7210c99b4d7a85e3defe189",
     "holder_reference": "a317d719277a95fec161598f2eec323be484cc2e9af24a1fd1b0d4f55c46a747",
     "holder_level_4": "ad446c4436fce4c715b1b4b6a7e8a11ee6f652a20f304b70482c2796c58cf1ae",
     "substeps_ball_linear": "0a8a4ae950c7f60be3d859868222577c1b95ca59e1de60e9fb0acd1b82b2cfeb",

@@ -7,7 +7,6 @@ or load leaves the numpy path running with the same bits.
 
 import hashlib
 import os
-import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -17,25 +16,12 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian
+from reflectedsde import brownian, solvers
 from reflectedsde.brownian import FineBlocks, dyadic_grid, stream_keys
 from reflectedsde.harness import path_seed
 
 _STUDY_SEEDS = [path_seed(97, i) for i in range(64)]
 _HOLDER_SEEDS = [path_seed(11, i) for i in range(64)]
-
-@pytest.fixture
-def native_streams(request):
-    """The stream library.  Skips under ``--no-native`` or without a C
-    compiler; fails when a compiler is there but the library did not load."""
-    if request.config.getoption("--no-native"):
-        pytest.skip("--no-native: the numpy streams run")
-    lib = brownian._native()
-    if lib is None:
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler, so the numpy streams run")
-        pytest.fail("a C compiler is present but the stream library did not build or load")
-    return lib
 
 
 # (m, T, seeds, coarse level, fine level, FineBlocks budget in bytes).
@@ -72,10 +58,10 @@ def _stream_digest(m, T, seeds, coarse_level, fine_level, budget) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_native_streams_draw_the_numpy_bytes(native_streams, monkeypatch, case):
-    native = _stream_digest(*CASES[case])
+def test_native_streams_draw_the_numpy_bytes(native, monkeypatch, case):
+    drawn = _stream_digest(*CASES[case])
     monkeypatch.setattr(brownian, "_native", lambda: None)
-    assert _stream_digest(*CASES[case]) == native
+    assert _stream_digest(*CASES[case]) == drawn
 
 
 def _fail_compile(error):
@@ -86,8 +72,7 @@ def _fail_compile(error):
 
 
 @pytest.mark.parametrize("failure", ["compiler error", "no compiler", "corrupt cache"])
-def test_a_failed_build_or_load_runs_the_numpy_path(native_streams, monkeypatch, tmp_path,
-                                                     failure):
+def test_a_failed_build_or_load_runs_the_numpy_path(native, monkeypatch, tmp_path, failure):
     case = CASES["wide_seeds_T0.3"]
     expected = _stream_digest(*case)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -103,6 +88,7 @@ def test_a_failed_build_or_load_runs_the_numpy_path(native_streams, monkeypatch,
     brownian._native.cache_clear()
     try:
         assert brownian.native_library() is None
+        assert solvers._native_march(rs.interval(-1.0, 1.0), rs.constant([[0.5]])) is None
         assert _stream_digest(*case) == expected
     finally:
         brownian._native.cache_clear()
@@ -117,7 +103,7 @@ print(hashlib.sha256(path.values.tobytes()).hexdigest())
 """
 
 
-def test_two_processes_building_into_one_empty_cache_agree(native_streams, tmp_path):
+def test_two_processes_building_into_one_empty_cache_agree(native, tmp_path):
     package_root = Path(rs.__file__).resolve().parents[1]
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(package_root))
     children = [
@@ -139,8 +125,7 @@ def test_two_processes_building_into_one_empty_cache_agree(native_streams, tmp_p
     assert Path(lib_a).suffix == ".so" and len(Path(lib_a).stem) == 64
 
 
-def test_forked_workers_on_native_streams_equal_serial_numpy_streams(native_streams,
-                                                                       monkeypatch):
+def test_forked_workers_on_native_streams_equal_serial_numpy_streams(native, monkeypatch):
     coeffs = rs.trig([[0.5, 0.1], [0.1, 0.4]], [[0.2, 0.0], [0.0, 0.2]], [1.0, -1.0],
                      drift_matrix=[[-0.3, 0.0], [0.0, -0.3]])
 
@@ -155,7 +140,7 @@ def test_forked_workers_on_native_streams_equal_serial_numpy_streams(native_stre
         np.testing.assert_array_equal(got, want)
 
 
-def test_batched_sampling_builds_one_philox_and_no_seedsequence(native_streams, monkeypatch):
+def test_batched_sampling_builds_one_philox_and_no_seedsequence(native, monkeypatch):
     built = Counter()
     for name in ("Philox", "SeedSequence"):
         def counting(*args, _cls=getattr(np.random, name), _name=name, **kwargs):

@@ -275,3 +275,34 @@ def test_per_path_solvers_reject_a_batch(unit_interval, wavy_coeffs):
     for call in calls:
         with pytest.raises(ValueError, match="single path"):
             call()
+
+
+def test_schedule_outputs_land_on_their_step_times(unit_interval, wavy_coeffs):
+    # With substeps that are not a power of two, an output such as 5/12
+    # and the substep time it equals differ in their last bit; the union
+    # keeps one of them, and the output is that step, not the next one.
+    for n in (2, 3, 4):
+        for s in (3, 6, 7):
+            outputs = np.arange(1, 2**n * s + 1) / (2**n * s)
+            times, knot_idx, out_pos = wz_schedule(n, s, outputs, 1.0)
+            assert np.all(np.abs(times[out_pos] - outputs) <= 1e-13)
+            # Each step moves along the slope of the knot interval it starts in.
+            assert np.array_equal(knot_idx, np.floor((times[:-1] + 1e-13) * 2**n).astype(int))
+    path = rs.sample_path(1, 1.0, 8, 5)
+    for outputs in ([5 / 12], [0.25 - 5e-14, 5 / 12, 0.5]):
+        traj = rs.solve_wz(unit_interval, wavy_coeffs, path, 2, 3, [0.0], outputs,
+                           record_substeps=True)
+        log = traj.substeps
+        at = [np.argmin(np.abs(log.times - t)) for t in outputs]
+        assert np.all(np.abs(log.times[at] - outputs) <= 1e-13)
+        np.testing.assert_array_equal(traj.states, log.states[at])
+
+
+def test_an_output_just_before_a_knot_keeps_the_knot_slope(unit_interval, wavy_coeffs):
+    # 0.25 - 5e-14 takes the place of the knot time 0.25 in the step grid;
+    # the step from it still moves along the second knot interval's slope,
+    # so the state at the horizon moves only by rounding.
+    path = rs.sample_path(1, 1.0, 8, 5)
+    near = rs.solve_wz(unit_interval, wavy_coeffs, path, 2, 4, [0.0], [0.25 - 5e-14, 1.0])
+    exact = rs.solve_wz(unit_interval, wavy_coeffs, path, 2, 4, [0.0], [0.25, 1.0])
+    np.testing.assert_allclose(near.states, exact.states, rtol=0, atol=1e-12)
