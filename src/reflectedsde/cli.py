@@ -368,19 +368,16 @@ def _domain_from_flags(args) -> dict | None:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        domain = _domain_from_flags(args) if hasattr(args, "domain") else None
-        if domain is None:
-            raise ConfigError("either --config or --domain is required", field="config")
+    config = ExperimentConfig.from_file(args.config) if args.config else None
+    domain = _domain_from_flags(args) if hasattr(args, "domain") else None
+    if config is None and domain is None:
+        raise ConfigError("either --config or --domain is required", field="config")
+    if config is None:
         config = ExperimentConfig(domain=domain)
-    if hasattr(args, "domain"):
-        flag_domain = _domain_from_flags(args)
-        if flag_domain is not None:
-            config.domain = flag_domain
-        if args.cover is not None:
-            config.cover_certificate = args.cover
+    elif domain is not None:
+        config.domain = domain
+    if hasattr(args, "domain") and args.cover is not None:
+        config.cover_certificate = args.cover
     for key in ("seed", "workers", "out", "format"):
         if getattr(args, key) is not None:
             setattr(config, key, getattr(args, key))

@@ -44,11 +44,12 @@ import numpy as np
 
 from .brownian import _SEED_MASK, FineBlocks, check_whole, dyadic_grid, sample_path, wz_knot_slopes
 from .coefficients import CoefficientSet
-from .errors import DegenerateFit, ExperimentFailed, MismatchedTimes
+from .errors import DegenerateFit, ExperimentFailed
 from .geometry import DomainSpec, sum_squares
 from .solvers import (
     ReflectedPath,
     _check_start,
+    check_shared_times,
     coupled_output_grid,
     fine_grid_positions,
     integrate_reference_batch,
@@ -360,15 +361,15 @@ def _march_chunk(domain, coeffs, x0, paths, process, grid, substeps):
     ``process="reference"`` marches the reference over ``paths``, a
     ``FineBlocks``; a level ``process`` marches that level's approximation
     over ``paths``, a batch at that level or finer, up to ``grid[-1]``.
-    Returns as ``solvers._march``, without a step log.
+    Returns as ``solvers.integrate_wz_batch``, without a step log.
     """
     if process == "reference":
-        x0_batch = np.broadcast_to(x0, (len(paths.coarse.values), domain.dim)).copy()
+        x0_batch = np.broadcast_to(x0, (len(paths.coarse.values), domain.dim))
         out_steps = fine_grid_positions(paths, grid)
         return integrate_reference_batch(
             domain, coeffs, x0_batch, paths.blocks(), paths.fine_level, out_steps
         )
-    x0_batch = np.broadcast_to(x0, (len(paths.values), domain.dim)).copy()
+    x0_batch = np.broadcast_to(x0, (len(paths.values), domain.dim))
     slopes = wz_knot_slopes(paths, process)
     times, knot_idx, out_pos = wz_schedule(process, substeps, grid, grid[-1])
     return integrate_wz_batch(domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos)
@@ -580,8 +581,7 @@ def lyapunov_decay_check(
 
 def lyapunov_trace(domain: DomainSpec, X: ReflectedPath, Xn: ReflectedPath, r: float) -> LyapunovTrace:
     """Weighted squared distance along a coupled pair sharing output times."""
-    if X.times.shape != Xn.times.shape or not np.allclose(X.times, Xn.times, atol=1e-12):
-        raise MismatchedTimes("trajectories do not share output times")
+    check_shared_times(X, Xn, "trajectories")
     _check_rate_exponent(domain, r)
     phi_sum = domain.phi(X.states) + domain.phi(Xn.states)
     g = np.exp(r * phi_sum)

@@ -9,18 +9,24 @@ The second is the projected Euler-Maruyama scheme at the path's fine level
 with the Ito-corrected drift, the strong-order-half reference.
 
 Both are one scheme, an unconstrained step followed by the discrete
-Skorokhod map, and share one march kernel; they differ only in the
-displacement rule and the step grid.  The march operates on a batch of
-paths in lockstep and does the same work for every caller: it keeps the
-states at the outputs and the variation after the last step.  The public
-per-path operations call it with batch size one and a step log, whose
-running sums give the regulator and variation at each output; the Monte
-Carlo harness calls it with groups of at least two paths.  For a state
-dimension of one every array operation is elementwise across the batch,
-so a finite row's result does not depend on the batch (for a row that is
-not finite it may: numpy's ``np.dot`` skips a zero factor from two rows
-on, so a zero drift matrix times an infinite state is 0 there and NaN in
-a row alone).  For d >= 2 the built-in
+Skorokhod map; they differ only in the displacement rule and the step
+grid.  Each has one driver, which checks the inputs, allocates what the
+march fills, walks the reference's blocks and assembles the result; the
+backend only runs a span of steps.  That is the native march (``_march.c``)
+for a one-dimensional box with a built-in family at d = m = 1 when the
+library loads (``_native_march``), else the numpy ``_march``, on the same
+contract and with the same bits.
+
+The march operates on a batch of paths in lockstep and does the same work
+for every caller: it keeps the states at the outputs and the variation
+after the last step.  The public per-path operations call it with batch
+size one and a step log, whose running sums give the regulator and
+variation at each output; the Monte Carlo harness calls it with groups of
+at least two paths.  For a state dimension of one every array operation is
+elementwise across the batch, so a finite row's result does not depend on
+the batch (for a row that is not finite it may: numpy's ``np.dot`` skips a
+zero factor from two rows on, so a zero drift matrix times an infinite
+state is 0 there and NaN in a row alone).  For d >= 2 the built-in
 coefficients' contractions (``np.dot`` of ``(B, d)`` states) go through
 BLAS from two rows on, which fuses a multiply into an add, while a single
 row is summed plainly; so batches of two or more paths agree row for row
@@ -30,12 +36,6 @@ a batch at rounding level.
 The noise term ``sigma @ dW`` is ``coefficients.noise_term``: a wide march
 with d = m = 2 sums batch columns, every other march calls ``np.einsum``,
 with the same bits either way.
-
-A one-dimensional box with a built-in family at d = m = 1 marches in the
-native library instead (``_march.c``, see ``_native_march``): one C call
-per reference block and one per Wong-Zakai level, with the numpy march's
-bits.  Every other study, and every study when the library does not load,
-runs the numpy march.
 """
 
 from __future__ import annotations
@@ -148,57 +148,76 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
 # Kernels (batched over paths)
 # ---------------------------------------------------------------------------
 
-def _march(domain: DomainSpec, x0: np.ndarray, times, out_pos, displacement, log_steps):
-    """The discrete Skorokhod march both solvers share.
+def _march_arrays(domain: DomainSpec, x0, out_pos, n_steps: int, log_steps: bool):
+    """What a march fills in place on either backend: the state ``(B, d)``
+    from ``x0``, the variation, the outputs ``(n_out, B, d)`` and, with
+    ``log_steps`` (batch size one), each step's state, ``dL`` and ``|dL|``."""
+    X = np.array(x0, float, order="C")
+    if X.ndim != 2 or X.shape[1] != domain.dim:
+        raise ValueError(f"x0 must have shape (B, {domain.dim}), got {X.shape}")
+    B, d = X.shape
+    log = (np.empty((n_steps, d)), np.empty((n_steps, d)), np.empty(n_steps)) if log_steps else None
+    return X, np.zeros(B), np.empty((len(out_pos), B, d)), log
 
-    Step ``i`` (from ``times[i]`` to ``times[i + 1]``) adds
-    ``displacement(i, X)`` to the batch state ``X``, resolves the result
-    against the closure, and accumulates the variation of the regulator.
-    Returns the states at the ascending step positions ``out_pos``, with a
-    leading output axis, the variation after the last step, shape ``(B,)``,
-    and the step log: with ``log_steps`` (batch size one) each step's end
-    time, state, regulator increment and its norm, otherwise ``None``.
+
+def _march_result(times, arrays):
+    """The drivers' states at the outputs (leading output axis), variation
+    after the last step, and step log with each step's end time first."""
+    _, var, out, log = arrays
+    return out, var, None if log is None else (np.array(times[1:]), *log)
+
+
+def _native_arguments(arrays, out_pos):
+    """A march's arrays as the native march reads them: ``(B, state,
+    variation)``, ``out_pos`` as int64, the outputs and the step log's
+    three addresses (``None`` without a log)."""
+    X, var, out, log = arrays
+    log_at = (None, None, None) if log is None else tuple(_ptr(a) for a in log)
+    return (len(X), _ptr(X), _ptr(var)), np.ascontiguousarray(out_pos, np.int64), _ptr(out), log_at
+
+
+def _noise_batch(X: np.ndarray, coeffs: CoefficientSet, noise) -> np.ndarray:
+    """Brownian knot values or slopes as floats, once they have one row per
+    state row and the coefficients' noise dimension."""
+    noise = np.asarray(noise, float)
+    if noise.ndim != 3 or noise.shape[::2] != (len(X), coeffs.dim_noise):
+        raise ValueError(f"Brownian values must have shape ({len(X)}, k, {coeffs.dim_noise}), "
+                         f"one row per state row, got {noise.shape}")
+    return noise
+
+
+def _march(resolve, arrays, out_pos, j, first, n, displacement):
+    """Steps ``first .. first + n - 1`` of the discrete Skorokhod march, in
+    numpy, over ``_march_arrays`` and on the native march's contract.
+
+    Step ``i`` adds ``displacement(i, state)`` to the batch state, resolves
+    it against the closure and adds ``|dL|`` to the variation.  Outputs
+    from ``j`` are recorded at their step positions ``out_pos`` (ascending),
+    at ``first`` and after each step; returns the next output's index.
     """
-    B, d = x0.shape
-    X = np.array(x0, float)
-    var = np.zeros(B)
-    resolve = _resolver(domain)
+    X, var, out, log = arrays
+    state, n_out = X, len(out_pos)
 
-    n_out = len(out_pos)
-    out_states = np.empty((n_out, B, d))
-
-    n_steps = len(times) - 1
-    if log_steps:
-        log_states = np.empty((n_steps, d))
-        log_dl = np.empty((n_steps, d))
-        log_dvar = np.empty(n_steps)
-
-    # Outputs are recorded in order: output ``j`` is due at step position
-    # ``next_pos``, a Python int, so that a step compares no numpy scalar.
-    j, next_pos = 0, int(out_pos[0]) if n_out else -1
-
-    def record(pos):
-        nonlocal j, next_pos
-        while next_pos == pos:
-            out_states[j] = X
+    # Output ``j`` is due at step position ``next_pos``, a Python int, so
+    # that a step compares no numpy scalar.
+    def record(pos, j):
+        while j < n_out and out_pos[j] == pos:
+            out[j] = state
             j += 1
-            next_pos = int(out_pos[j]) if j < n_out else -1
+        return j, int(out_pos[j]) if j < n_out else -1
 
-    record(0)
-    for i in range(n_steps):
-        X, d_l = resolve(X, displacement(i, X))
+    j, next_pos = record(first, j)
+    for i in range(first, first + n):
+        state, d_l = resolve(state, displacement(i, state))
         # np.linalg.norm(d_l, axis=1), bit for bit, without its dispatch.
         d_var = np.sqrt(sum_squares(d_l))
         var += d_var
         if i + 1 == next_pos:
-            record(i + 1)
-        if log_steps:
-            log_states[i] = X[0]
-            log_dl[i] = d_l[0]
-            log_dvar[i] = d_var[0]
-
-    log = (np.array(times[1:]), log_states, log_dl, log_dvar) if log_steps else None
-    return out_states, var, log
+            j, next_pos = record(i + 1, j)
+        if log is not None:
+            log[0][i], log[1][i], log[2][i] = state[0], d_l[0], d_var[0]
+    X[...] = state
+    return j
 
 
 _FAMILIES = ("constant", "linear", "trig")
@@ -236,84 +255,6 @@ def _native_march(domain: DomainSpec, coeffs: CoefficientSet):
     return lib, _FAMILIES.index(family), par
 
 
-def _native_arrays(x0, out_pos, times, log_steps):
-    """What a native march fills, as ``_march`` returns it, with the outputs'
-    positions as the library reads them and the step log's addresses.
-
-    Returns the state ``(B, 1)``, the variation, the outputs, the step log
-    (``None`` without ``log_steps``), ``out_pos`` as C int64 and the
-    addresses of the log's states, increments and their norms (three
-    ``None`` without a log).
-    """
-    X = np.array(x0, float, order="C")
-    if X.ndim != 2 or X.shape[1] != 1:
-        raise ValueError(f"x0 must have shape (B, 1), got {X.shape}")
-    out = np.empty((len(out_pos), len(X), 1))
-    n_steps = len(times) - 1
-    log, log_at = None, (None, None, None)
-    if log_steps:
-        log = (np.array(times[1:]), np.empty((n_steps, 1)), np.empty((n_steps, 1)),
-               np.empty(n_steps))
-        log_at = tuple(_ptr(a) for a in log[1:])
-    return X, np.zeros(len(X)), out, log, np.ascontiguousarray(out_pos, np.int64), log_at
-
-
-def _native_wz(native, x0, slopes, times, knot_idx, out_pos, log_steps):
-    """``integrate_wz_batch`` in one call of the native march."""
-    lib, family, par = native
-    dts = np.diff(np.asarray(times, float))
-    slopes = np.ascontiguousarray(slopes, float)
-    knot_idx = np.ascontiguousarray(knot_idx[: len(dts)], np.int64)
-    X, var, out, log, out_pos, log_at = _native_arrays(x0, out_pos, times, log_steps)
-    if slopes.shape[::2] != (len(X), 1) or len(knot_idx) != len(dts) or (
-        len(dts) and not 0 <= knot_idx.min() <= knot_idx.max() < slopes.shape[1]
-    ):
-        raise ValueError("slopes and knot_idx must give every row a knot interval per step")
-    lib.march_wz(
-        family, _ptr(par), len(X), _ptr(X), _ptr(var), _ptr(slopes), slopes.shape[1],
-        _ptr(dts), _ptr(knot_idx), len(dts), _ptr(out_pos), len(out_pos), _ptr(out), *log_at,
-    )
-    return out, var, log
-
-
-_BLOCK_RULE = "each block must hold every row's knots from the march's position on"
-
-
-def _native_reference(native, x0, blocks, h, last, out_steps, log_steps):
-    """``integrate_reference_batch`` in one call of the native march per block.
-
-    Each call marches from knot ``pos`` to the end of its block, or to
-    ``last``, reading the block in place; the state, variation and next
-    output index carry over to the next call.  The first call, of no steps,
-    records the outputs at knot 0.
-    """
-    lib, family, par = native
-    X, var, out, log, out_pos, log_at = _native_arrays(
-        x0, out_steps, np.arange(last + 1) * h, log_steps
-    )
-
-    def march(values, offset, n, j):
-        block = (None, 0, 0) if values is None else (
-            _ptr(values), *(step // values.itemsize for step in values.strides[:2])
-        )
-        return lib.march_reference(
-            family, _ptr(par), len(X), _ptr(X), _ptr(var), *block, offset, pos, n, h,
-            _ptr(out_pos), len(out_pos), j, _ptr(out), *log_at,
-        )
-
-    pos = 0
-    j = march(None, 0, 0, 0)
-    while pos < last:
-        start, values = next(blocks)
-        values = np.asarray(values, float)
-        n = min(start + values.shape[1] - 1, last) - pos
-        if values.shape[::2] != (len(X), 1) or not (start <= pos and n > 0):
-            raise ValueError(_BLOCK_RULE)
-        j = march(values, pos - start, n, j)
-        pos += n
-    return out, var, log
-
-
 def integrate_wz_batch(
     domain: DomainSpec,
     coeffs: CoefficientSet,
@@ -327,26 +268,42 @@ def integrate_wz_batch(
     """Drive the constrained ODE for a batch of paths over one schedule.
 
     ``slopes`` has shape ``(B, K_n, m)``; each step moves along the
-    interpolant's slope on its knot interval.  Returns as ``_march``, from
-    one native call where ``_native_march`` covers the study.
+    interpolant's slope on its knot interval.  Returns as ``_march_result``
+    at the step positions ``out_pos``, from one native call where
+    ``_native_march`` covers the study.
     """
+    dts = np.diff(np.asarray(times, float))
+    arrays = _march_arrays(domain, x0, out_pos, len(dts), log_steps)
+    slopes = _noise_batch(arrays[0], coeffs, np.ascontiguousarray(slopes, float))
+    knot_idx = np.ascontiguousarray(knot_idx[: len(dts)], np.int64)
+    if len(knot_idx) != len(dts) or np.any((knot_idx < 0) | (knot_idx >= slopes.shape[1])):
+        raise ValueError("knot_idx must give every step a knot interval of slopes")
     native = _native_march(domain, coeffs)
     if native is not None:
-        return _native_wz(native, x0, slopes, times, knot_idx, out_pos, log_steps)
-    dts = np.diff(times)
-    knot, s = -1, None
+        lib, family, par = native
+        batch, out_pos, out, log_at = _native_arguments(arrays, out_pos)
+        lib.march_wz(
+            family, _ptr(par), *batch, _ptr(slopes), slopes.shape[1], _ptr(dts), _ptr(knot_idx),
+            len(dts), _ptr(out_pos), len(out_pos), out, *log_at,
+        )
+    else:
+        knot, s = -1, None
 
-    def displacement(i, X):
-        nonlocal knot, s
-        if knot_idx[i] != knot:
-            # One contiguous (B, m) copy per knot: the column noise term
-            # reads a strided (B, K_n, m) slice about three times slower,
-            # and einsum's bits do not depend on this layout.
-            knot = knot_idx[i]
-            s = np.ascontiguousarray(slopes[:, knot, :])
-        return (noise_term(coeffs.sigma(X), s) + coeffs.b(X)) * dts[i]
+        def displacement(i, X):
+            nonlocal knot, s
+            if knot_idx[i] != knot:
+                # One contiguous (B, m) copy per knot: the column noise term
+                # reads a strided (B, K_n, m) slice about three times slower,
+                # and einsum's bits do not depend on this layout.
+                knot = knot_idx[i]
+                s = np.ascontiguousarray(slopes[:, knot, :])
+            return (noise_term(coeffs.sigma(X), s) + coeffs.b(X)) * dts[i]
 
-    return _march(domain, x0, times, out_pos, displacement, log_steps)
+        _march(_resolver(domain), arrays, out_pos, 0, 0, len(dts), displacement)
+    return _march_result(times, arrays)
+
+
+_BLOCK_RULE = "each block must hold every row's knots from the march's position on"
 
 
 def integrate_reference_batch(
@@ -367,30 +324,48 @@ def integrate_reference_batch(
     values is the block ``(0, values)``.  Each step forms its own
     increment, so no increments array is held.  ``out_steps`` are fine-knot
     indices at which to record, and the march stops at the last of them.
-    ``sigma`` is evaluated once per step.  Returns as ``_march``, from one
-    native call per block where ``_native_march`` covers the study.
+    ``sigma`` is evaluated once per step.  Returns as ``_march_result``, from
+    one native call per block where ``_native_march`` covers the study.
     """
     h = 2.0 ** (-fine_level)
     last = int(np.max(out_steps)) if len(out_steps) else 0
-    blocks = iter(blocks)
+    arrays = _march_arrays(domain, x0, out_steps, last, log_steps)
     native = _native_march(domain, coeffs)
     if native is not None:
-        return _native_reference(native, x0, blocks, h, last, out_steps, log_steps)
-    start = stop = 0
-    block = None
+        lib, family, par = native
+        batch, out_pos, out, log_at = _native_arguments(arrays, out_steps)
 
-    def displacement(k, X):
-        nonlocal start, stop, block
-        if k == stop:
-            start, block = next(blocks)
-            stop = start + block.shape[1] - 1
-            if not start <= k < stop:
-                raise ValueError(_BLOCK_RULE)
-        sig = coeffs.sigma(X)
-        dw = block[:, k + 1 - start] - block[:, k - start]
-        return noise_term(sig, dw) + ito_drift_batch(coeffs, X, sig) * h
+        def march(start, values, pos, n, j):
+            block = (None, 0, 0) if values is None else (
+                _ptr(values), *(step // values.itemsize for step in values.strides[:2])
+            )
+            return lib.march_reference(
+                family, _ptr(par), *batch, *block, pos - start, pos, n, h, _ptr(out_pos),
+                len(out_pos), j, out, *log_at,
+            )
+    else:
+        resolve = _resolver(domain)
 
-    return _march(domain, x0, np.arange(last + 1) * h, out_steps, displacement, log_steps)
+        def march(start, values, pos, n, j):
+            def displacement(k, X):
+                sig = coeffs.sigma(X)
+                dw = values[:, k + 1 - start] - values[:, k - start]
+                return noise_term(sig, dw) + ito_drift_batch(coeffs, X, sig) * h
+
+            return _march(resolve, arrays, out_steps, j, pos, n, displacement)
+
+    # A first span of no steps records the outputs at knot 0.
+    pos, j, blocks = 0, march(0, None, 0, 0, 0), iter(blocks)
+    while pos < last:
+        start, values = next(blocks, (None, None))
+        if values is not None:
+            values = _noise_batch(arrays[0], coeffs, values)
+            n = min(start + values.shape[1] - 1, last) - pos
+        if values is None or not (start <= pos and n > 0):
+            raise ValueError(_BLOCK_RULE)
+        j = march(start, values, pos, n, j)
+        pos += n
+    return _march_result(np.arange(last + 1) * h, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +496,13 @@ def coupled_solve(
     return approx, reference
 
 
+def check_shared_times(a: ReflectedPath, b: ReflectedPath, what: str) -> None:
+    """``MismatchedTimes`` naming ``what`` unless ``a`` and ``b`` share output times."""
+    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times, atol=1e-12):
+        raise MismatchedTimes(f"{what} do not share output times")
+
+
 def sup_distance(a: ReflectedPath, b: ReflectedPath) -> float:
     """Largest pointwise state distance over the shared output grid."""
-    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times, atol=1e-12):
-        raise MismatchedTimes("paths do not share output times")
+    check_shared_times(a, b, "paths")
     return float(np.max(np.linalg.norm(a.states - b.states, axis=1)))

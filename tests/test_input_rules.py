@@ -160,6 +160,7 @@ def _raising_functions(error: str) -> set:
     ("LevelTooFine", "brownian.check_level"),
     ("InfeasibleStep", "geometry.check_feasible"),
     ("NonFiniteState", "solvers._reflected_path"),
+    ("MismatchedTimes", "solvers.check_shared_times"),
 ])
 def test_each_rule_error_is_raised_from_one_function(error, owner):
     assert _raising_functions(error) == {owner}

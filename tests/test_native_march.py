@@ -287,3 +287,55 @@ def test_both_marches_reject_a_block_that_skips_knots(monkeypatch, family):
         monkeypatch.setattr(brownian, "_native", library)
         with pytest.raises(ValueError, match="^each block must hold"):
             integrate_reference_batch(domain, coeffs, np.zeros((2, 1)), blocks, 4, [16])
+
+
+def test_every_library_source_is_package_data():
+    # An installed package without one of the sources cannot build the
+    # library, and every stream and march would fall back to numpy.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]["reflectedsde"]
+    assert {source.name for source in brownian._SOURCES} <= set(package_data)
+
+
+# One study each side of the native march's cover: the interval marches in
+# the library where it loads, the 2-d ball always in numpy.
+RULE_STUDIES = {
+    "interval": lambda: (DOMAINS["interval"](), FAMILIES["trig"]()),
+    "ball": lambda: (rs.ball(1.0, dim=2), rs.trig(
+        [[0.5, 0.0], [0.0, 0.5]], [[0.2, 0.0], [0.0, 0.2]], [1.0, 0.5])),
+}
+
+
+def _backends(monkeypatch):
+    """Runs the loop body with the library as the session has it, then
+    switched off."""
+    for library in (brownian._native, lambda: None):
+        monkeypatch.setattr(brownian, "_native", library)
+        yield
+
+
+@pytest.mark.parametrize("study", sorted(RULE_STUDIES))
+def test_both_marches_reject_too_few_blocks(monkeypatch, study):
+    # The only block ends at knot 4, and the last output is at knot 16.
+    domain, coeffs = RULE_STUDIES[study]()
+    values = rs.sample_path(coeffs.dim_noise, 1.0, 4, [1, 2]).values
+    x0 = np.zeros((2, domain.dim))
+    for _ in _backends(monkeypatch):
+        with pytest.raises(ValueError, match="^each block must hold"):
+            integrate_reference_batch(domain, coeffs, x0, [(0, values[:, :5])], 4, [0, 16])
+
+
+@pytest.mark.parametrize("study", sorted(RULE_STUDIES))
+def test_both_marches_reject_a_narrower_brownian_batch(monkeypatch, study):
+    # Three states and one Brownian row: no march broadcasts the row.
+    domain, coeffs = RULE_STUDIES[study]()
+    path = rs.sample_path(coeffs.dim_noise, 1.0, 4, 3)
+    x0 = np.zeros((3, domain.dim))
+    times, knot_idx, out_pos = wz_schedule(2, 2, [1.0], 1.0)
+    slopes = rs.wz_knot_slopes(path, 2)[None]
+    for _ in _backends(monkeypatch):
+        with pytest.raises(ValueError, match="one row per state row"):
+            integrate_wz_batch(domain, coeffs, x0, slopes, times, knot_idx, out_pos)
+        with pytest.raises(ValueError, match="one row per state row"):
+            integrate_reference_batch(domain, coeffs, x0, [(0, path.values[None])], 4, [16])
