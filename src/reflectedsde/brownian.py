@@ -19,7 +19,8 @@ for the normals, one call per level (or per level and time block) for a
 whole batch.
 
 The same library holds the native march of ``solvers`` (``_march.c``),
-which marches one-dimensional studies of the built-in families.  It is
+which marches the built-in families' studies at d = m = 1 and, on the
+built-in domains, at d = m = 2.  It is
 compiled on first use with ``cc`` and ``_CFLAGS`` into
 ``$XDG_CACHE_HOME/reflectedsde/<key>.so`` (``~/.cache`` when
 ``XDG_CACHE_HOME`` is unset), where the key is the SHA-256 of both C
@@ -121,10 +122,11 @@ def _native():
             ("fill_streams", [ptr, ptr, i64, i64, ptr], None),
             ("refine_level", [ptr, ptr, i64, ptr, i64, i64, i64, i64, i64, f64], None),
             ("march_reference",
-             [i64, ptr, i64, ptr, ptr, ptr, i64, i64, i64, i64, i64, f64, ptr, i64, i64, ptr,
-              ptr, ptr, ptr], i64),
-            ("march_wz", [i64, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr,
+             [ptr, ptr, i64, ptr, ptr, ptr, i64, i64, i64, i64, i64, i64, f64, ptr, i64, i64,
+              ptr, ptr, ptr, ptr], i64),
+            ("march_wz", [ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr,
                           ptr, ptr], None),
+            ("planar_dots", [i64, ptr, ptr, ptr, ptr, ptr], None),
         ):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = args, result
@@ -137,9 +139,10 @@ def native_library() -> str | None:
     """Path of the native library, or ``None`` when the numpy paths run.
 
     The library draws every Brownian stream and marches the studies it
-    covers (``solvers``: a one-dimensional box with a built-in family at
-    d = m = 1); without it, sampling and every march run numpy, with the
-    same bits.
+    covers (``solvers._native_march``: a built-in family on a
+    one-dimensional box at d = m = 1, or on a box, ball or annulus at
+    d = m = 2 from two rows on); without it, sampling and every march run
+    numpy, with the same bits.
     """
     lib = _native()
     return None if lib is None else lib._name

@@ -108,6 +108,7 @@ COLUMN_MIN_ROWS = 512
 # follows its vector kernel and the batch width, so there the column form
 # gives the same bits up to the sign of a NaN.  Other shapes sum in other
 # orders (the noise term at m = 3, the noise-interaction term at d = 3).
+# The native planar march (_march.c) takes the column forms at every width.
 
 
 def _noise_columns(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -166,16 +167,17 @@ def finite_difference_correction(
 
 def _built_in(coeffs: CoefficientSet, family: str, *params) -> CoefficientSet:
     """``coeffs``, with its three callables tagged for the native march when
-    d = m = 1.
+    d = m = 1 or d = m = 2.
 
-    The tag, ``(family, values)``, is one object set on ``sigma``, ``b`` and
-    ``grad_sigma``: ``values`` holds the drift's matrix and offset, then the
-    family's ``params``, each a one-element array.  ``solvers`` marches a
-    set natively only while all three callables carry that same tag, so a
+    The tag, ``(d, family, values)``, is one object set on ``sigma``, ``b``
+    and ``grad_sigma``: ``values`` holds the drift's matrix and offset, then
+    the family's ``params``, each raveled in C order.  ``solvers`` marches
+    a set natively only while all three callables carry that same tag, so a
     set with any callable replaced or wrapped runs the numpy march.
     """
-    if (coeffs.dim_state, coeffs.dim_noise) == (1, 1):
-        tag = (family, tuple(float(np.ravel(p)[0]) for p in params))
+    d, m = coeffs.dim_state, coeffs.dim_noise
+    if d == m and d <= 2:
+        tag = (d, family, tuple(float(v) for p in params for v in np.ravel(p)))
         for fn in (coeffs.sigma, coeffs.b, coeffs.grad_sigma):
             fn.native = tag
     return coeffs
@@ -308,7 +310,12 @@ def trig(
         return out
 
     coeffs = CoefficientSet(sigma_f, b, grad_f, d, m)
-    return _built_in(coeffs, "trig", drift_a, drift_c, offset, amplitude, frequency, uphase)
+    # The native march reads the distinct phases from d * m slots.
+    phases = np.zeros(d * m)
+    phases[: len(uphase)] = uphase
+    return _built_in(
+        coeffs, "trig", drift_a, drift_c, offset, amplitude, frequency, phases, spread
+    )
 
 
 _COEFF_FACTORIES = {

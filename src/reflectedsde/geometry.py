@@ -483,9 +483,9 @@ def box(lo, hi) -> DomainSpec:
         state = np.minimum(np.maximum(y, lo_b), hi_b)
         return state, state - y
 
-    if d == 1:
+    if d <= 2:
         # The bounds the native march clips to (solvers._native_march).
-        resolve_batch.clip = (lo_b, hi_b)
+        resolve_batch.native = (d, "box", (*lo.tolist(), *hi.tolist()))
 
     def phi(x):
         x = np.asarray(x, float)
@@ -546,6 +546,10 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
         if len(out):
             state[out] = y[out] * (radius / r[out])[:, None]
         return state, state - y
+
+    if d == 2:
+        # The radius the native march pushes to (solvers._native_march).
+        resolve_batch.native = (d, "ball", (radius,))
 
     return DomainSpec(
         dim=d,
@@ -624,6 +628,10 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
             scale = np.where(ro < r1, r1, r2) / np.where(ro == 0.0, np.nan, ro)
             state[out] = y[out] * scale[:, None]
         return state, state - y
+
+    if d == 2:
+        # The radii the native march pushes to (solvers._native_march).
+        resolve_batch.native = (d, "annulus", (r1, r2))
 
     return DomainSpec(
         dim=d,

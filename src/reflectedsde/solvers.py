@@ -13,9 +13,10 @@ Skorokhod map; they differ only in the displacement rule and the step
 grid.  Each has one driver, which checks the inputs, allocates what the
 march fills, walks the reference's blocks and assembles the result; the
 backend only runs a span of steps.  That is the native march (``_march.c``)
-for a one-dimensional box with a built-in family at d = m = 1 when the
-library loads (``_native_march``), else the numpy ``_march``, on the same
-contract and with the same bits.
+when the library loads and ``_native_march`` covers the study: a built-in
+family on a one-dimensional box at d = m = 1, or on a box, ball or annulus
+at d = m = 2 from two rows on.  Otherwise it is the numpy ``_march``, on
+the same contract and with the same bits.
 
 The march operates on a batch of paths in lockstep and does the same work
 for every caller: it keeps the states at the outputs and the variation
@@ -35,12 +36,16 @@ a batch at rounding level.
 
 The noise term ``sigma @ dW`` is ``coefficients.noise_term``: a wide march
 with d = m = 2 sums batch columns, every other march calls ``np.einsum``,
-with the same bits either way.
+with the same bits either way.  The native planar march forms both
+contractions in the column order at every width, and ``np.dot``'s two
+planar products in the order of the BLAS that numpy runs here, which it
+checks once per process (``_planar_dots_agree``).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from math import ceil
@@ -156,8 +161,27 @@ def _march_arrays(domain: DomainSpec, x0, out_pos, n_steps: int, log_steps: bool
     if X.ndim != 2 or X.shape[1] != domain.dim:
         raise ValueError(f"x0 must have shape (B, {domain.dim}), got {X.shape}")
     B, d = X.shape
+    if log_steps and B != 1:
+        raise ValueError(f"a step log is of one path, so x0 must have one row, got {B}")
     log = (np.empty((n_steps, d)), np.empty((n_steps, d)), np.empty(n_steps)) if log_steps else None
     return X, np.zeros(B), np.empty((len(out_pos), B, d)), log
+
+
+def _output_positions(out_pos, n_steps: int | None = None) -> np.ndarray:
+    """``out_pos`` as int64 once it holds ascending whole step positions
+    from 0 (to ``n_steps`` when given): the march records each output when
+    it passes the output's position, so any other position would leave the
+    output unwritten."""
+    pos = np.asarray(out_pos)
+    if pos.ndim != 1 or (len(pos) and not (
+        np.issubdtype(pos.dtype, np.integer)
+        and pos[0] >= 0
+        and (n_steps is None or pos[-1] <= n_steps)
+        and np.all(pos[1:] >= pos[:-1])
+    )):
+        within = "from 0" if n_steps is None else f"within 0..{n_steps}"
+        raise ValueError(f"output positions must be ascending step positions {within}")
+    return pos.astype(np.int64)
 
 
 def _march_result(times, arrays):
@@ -167,13 +191,13 @@ def _march_result(times, arrays):
     return out, var, None if log is None else (np.array(times[1:]), *log)
 
 
-def _native_arguments(arrays, out_pos):
+def _native_arguments(arrays):
     """A march's arrays as the native march reads them: ``(B, state,
-    variation)``, ``out_pos`` as int64, the outputs and the step log's
-    three addresses (``None`` without a log)."""
+    variation)``, the outputs and the step log's three addresses (``None``
+    without a log)."""
     X, var, out, log = arrays
     log_at = (None, None, None) if log is None else tuple(_ptr(a) for a in log)
-    return (len(X), _ptr(X), _ptr(var)), np.ascontiguousarray(out_pos, np.int64), _ptr(out), log_at
+    return (len(X), _ptr(X), _ptr(var)), _ptr(out), log_at
 
 
 def _noise_batch(X: np.ndarray, coeffs: CoefficientSet, noise) -> np.ndarray:
@@ -220,39 +244,75 @@ def _march(resolve, arrays, out_pos, j, first, n, displacement):
     return j
 
 
+_DOMAINS = ("box", "ball", "annulus")
 _FAMILIES = ("constant", "linear", "trig")
 
 
-def _native_march(domain: DomainSpec, coeffs: CoefficientSet):
-    """``(library, family, parameters)`` of the native march when it covers
-    the study, else ``None``.
+def _native_march(domain: DomainSpec, coeffs: CoefficientSet, width: int):
+    """``(library, kind, parameters)`` of the native march when it covers
+    the study at batch width ``width``, else ``None``.
 
-    It covers a one-dimensional box (the interval) with a built-in family
-    at d = m = 1, marched through that domain's and that set's own
-    callables: the box tags its ``resolve_batch`` with its bounds, and each
+    It covers a built-in domain with a built-in family at d = m = 1 (the
+    one-dimensional box, at any width) and at d = m = 2 (the box, the ball
+    or the annulus, from two rows on, where numpy's ``np.dot`` is BLAS's),
+    marched through that domain's and that set's own callables: the domain
+    factories tag ``resolve_batch`` with their bounds or radii, and each
     family factory tags ``sigma``, ``b`` and ``grad_sigma`` with one shared
-    ``(family, values)`` (``coefficients._built_in``).  A replaced, wrapped
-    or custom callable, any other dimension, or no library (see
-    ``brownian.native_library``) runs the numpy march, with the same bits.
+    ``(d, family, values)`` (``coefficients._built_in``).  A replaced,
+    wrapped or custom callable, any other dimension, no library (see
+    ``brownian.native_library``), or at d = 2 a BLAS whose ``np.dot`` the
+    library does not repeat (``_planar_dots_agree``) runs the numpy march,
+    with the same bits.
     """
-    clip = getattr(domain.resolve_batch, "clip", None)
+    shape = getattr(domain.resolve_batch, "native", None)
     tag = getattr(coeffs.sigma, "native", None)
     fields = (domain.resolve_batch, coeffs.sigma, coeffs.b, coeffs.grad_sigma)
+    d = domain.dim
     if (
-        clip is None
+        shape is None
         or tag is None
-        or (domain.dim, coeffs.dim_state, coeffs.dim_noise) != (1, 1, 1)
+        or (shape[0], tag[0], coeffs.dim_state, coeffs.dim_noise) != (d,) * 4
+        or (d == 2 and width < 2)
         or any(getattr(fn, "native", None) is not tag for fn in fields[2:])
         or any(hasattr(fn, "__wrapped__") for fn in fields)
     ):
         return None
     lib = brownian._native()
-    if lib is None:
+    if lib is None or (d == 2 and not _planar_dots_agree()):
         return None
-    family, values = tag
-    par = np.zeros(8)
-    par[:2], par[2 : 2 + len(values)] = clip, values
-    return lib, _FAMILIES.index(family), par
+    (_, name, bounds), (_, family, values) = shape, tag
+    kind = np.array([d, _DOMAINS.index(name), _FAMILIES.index(family)], np.int64)
+    par = np.zeros(4 + len(values))
+    par[: len(bounds)], par[4:] = bounds, values
+    return lib, kind, par
+
+
+# Batch widths at which _planar_dots_agree compares the library with np.dot.
+_PROBE_WIDTHS = (2, 7, 67, 515)
+
+
+@functools.cache
+def _planar_dots_agree() -> bool:
+    """Whether the library's two spellings of a planar ``np.dot`` from two
+    rows on (``planar_dots``: OpenBLAS's gemv and gemm as one fused
+    multiply-add each) give numpy's bits on a fixed batch, zeros of both
+    signs and values that are not finite included.  OpenBLAS picks its
+    kernels by processor at run time, so this is asked once per process;
+    where they differ, planar studies run the numpy march."""
+    lib = brownian._native()
+    y = np.random.default_rng(21).normal(0.0, 2.0, (max(_PROBE_WIDTHS), 2))
+    y[:5] = [[-0.0, 0.0], [-0.0, 1.5], [np.inf, 0.5], [np.nan, -np.inf], [1e308, -1e308]]
+    f, A = np.array([0.7, -1.3]), np.array([[-0.0, 0.4], [1.1, -0.9]])
+    for width in _PROBE_WIDTHS:
+        rows = y[:width]
+        v, mat = np.empty(width), np.empty((width, 2))
+        lib.planar_dots(width, _ptr(rows), _ptr(f), _ptr(A), _ptr(v), _ptr(mat))
+        with np.errstate(all="ignore"):
+            if v.tobytes() != np.dot(rows, f).tobytes() or (
+                mat.tobytes() != np.dot(rows, A.T).tobytes()
+            ):
+                return False
+    return True
 
 
 def integrate_wz_batch(
@@ -273,18 +333,19 @@ def integrate_wz_batch(
     ``_native_march`` covers the study.
     """
     dts = np.diff(np.asarray(times, float))
+    out_pos = _output_positions(out_pos, len(dts))
     arrays = _march_arrays(domain, x0, out_pos, len(dts), log_steps)
     slopes = _noise_batch(arrays[0], coeffs, np.ascontiguousarray(slopes, float))
     knot_idx = np.ascontiguousarray(knot_idx[: len(dts)], np.int64)
     if len(knot_idx) != len(dts) or np.any((knot_idx < 0) | (knot_idx >= slopes.shape[1])):
         raise ValueError("knot_idx must give every step a knot interval of slopes")
-    native = _native_march(domain, coeffs)
+    native = _native_march(domain, coeffs, len(arrays[0]))
     if native is not None:
-        lib, family, par = native
-        batch, out_pos, out, log_at = _native_arguments(arrays, out_pos)
+        lib, kind, par = native
+        batch, out, log_at = _native_arguments(arrays)
         lib.march_wz(
-            family, _ptr(par), *batch, _ptr(slopes), slopes.shape[1], _ptr(dts), _ptr(knot_idx),
-            len(dts), _ptr(out_pos), len(out_pos), out, *log_at,
+            _ptr(kind), _ptr(par), *batch, _ptr(slopes), slopes.shape[1], _ptr(dts),
+            _ptr(knot_idx), len(dts), _ptr(out_pos), len(out_pos), out, *log_at,
         )
     else:
         knot, s = -1, None
@@ -328,20 +389,21 @@ def integrate_reference_batch(
     one native call per block where ``_native_march`` covers the study.
     """
     h = 2.0 ** (-fine_level)
-    last = int(np.max(out_steps)) if len(out_steps) else 0
+    out_steps = _output_positions(out_steps)
+    last = int(out_steps[-1]) if len(out_steps) else 0
     arrays = _march_arrays(domain, x0, out_steps, last, log_steps)
-    native = _native_march(domain, coeffs)
+    native = _native_march(domain, coeffs, len(arrays[0]))
     if native is not None:
-        lib, family, par = native
-        batch, out_pos, out, log_at = _native_arguments(arrays, out_steps)
+        lib, kind, par = native
+        batch, out, log_at = _native_arguments(arrays)
 
         def march(start, values, pos, n, j):
-            block = (None, 0, 0) if values is None else (
-                _ptr(values), *(step // values.itemsize for step in values.strides[:2])
+            block = (None, 0, 0, 0) if values is None else (
+                _ptr(values), *(step // values.itemsize for step in values.strides)
             )
             return lib.march_reference(
-                family, _ptr(par), *batch, *block, pos - start, pos, n, h, _ptr(out_pos),
-                len(out_pos), j, out, *log_at,
+                _ptr(kind), _ptr(par), *batch, *block, pos - start, pos, n, h, _ptr(out_steps),
+                len(out_steps), j, out, *log_at,
             )
     else:
         resolve = _resolver(domain)

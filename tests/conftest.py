@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian
+from reflectedsde import brownian, solvers
 
 
 def pytest_addoption(parser):
     parser.addoption(
         "--no-native",
         action="store_true",
-        help="run numpy only: the native library (Brownian streams and the d = 1 march) "
-        "is never loaded",
+        help="run numpy only: the native library (Brownian streams and the march of "
+        "d = m = 1 and d = m = 2 built-in studies) is never loaded",
     )
 
 
@@ -38,7 +38,9 @@ def pytest_report_header(config):
     lib = brownian.native_library()
     if lib is None:
         return "native library: none (numpy streams and numpy march)"
-    return f"native library: {lib} (Brownian streams; the march of d = 1 built-in studies)"
+    planar = "" if solvers._planar_dots_agree() else ", but not at d = 2: np.dot's BLAS differs"
+    return (f"native library: {lib} (Brownian streams; the march of d = m = 1 and "
+            f"d = m = 2 built-in studies{planar})")
 
 
 @pytest.fixture

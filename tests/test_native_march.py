@@ -1,25 +1,29 @@
 """The native march against the numpy march, and which studies it covers.
 
-The native march (``_march.c``) runs a one-dimensional box with a built-in
-family at d = m = 1 when the native library loads; every other study, and
-every study under ``--no-native``, runs the numpy march.  The byte tests
-run each march both ways, the second time with the library switched off,
-and compare every array they return, NaNs and signed zeros included.
+The native march (``_march.c``) runs a built-in family on a
+one-dimensional box at d = m = 1, and on a box, ball or annulus at
+d = m = 2 from two rows on, when the native library loads; every other
+study, and every study under ``--no-native``, runs the numpy march.  The
+byte tests run each march both ways, the second time with the library
+switched off, and compare every array they return, NaNs and signed zeros
+included.
 """
 
+import ctypes
 import dataclasses
 import functools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian, solvers
+from reflectedsde import brownian, coefficients, solvers
 from reflectedsde.brownian import FineBlocks
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.solvers import integrate_reference_batch, integrate_wz_batch, wz_schedule
@@ -54,7 +58,7 @@ DOMAINS = {
 
 def _starts(domain):
     """Starts at both bounds, at signed zeros, inside, and not finite."""
-    lo, hi = domain.resolve_batch.clip
+    _, _, (lo, hi) = domain.resolve_batch.native
     rows = [lo, hi, 0.0, -0.0, 0.5 * (lo + hi), np.nan, np.inf, -np.inf]
     return np.array(rows)[:, None]
 
@@ -143,7 +147,7 @@ def test_single_path_solves_give_the_numpy_bytes(native, monkeypatch, family):
     coeffs = FAMILIES[family]()
     for domain_name, make in sorted(DOMAINS.items()):
         domain = make()
-        x0 = domain.resolve_batch.clip[0]
+        x0 = domain.resolve_batch.native[2][0]
         path = rs.sample_path(1, 1.0, 8, 21)
         for solve in (
             lambda: rs.solve_wz(domain, coeffs, path, 4, 3, [x0], [0.3, 5 / 12, 1.0], True),
@@ -168,7 +172,8 @@ def test_the_march_covers_each_built_in_family_on_a_1d_box(native):
         for domain in [make() for make in DOMAINS.values()] + [
             dataclasses.replace(rs.interval(-1.0, 1.0), name="renamed", c0=0.5)
         ]:
-            assert solvers._native_march(domain, family()) is not None
+            for width in (1, 2, 67):
+                assert solvers._native_march(domain, family(), width) is not None
 
 
 def _wrapped(fn):
@@ -202,8 +207,6 @@ def _uncovered():
             interval, dataclasses.replace(trig, sigma=FAMILIES["trig"]().sigma), None),
         "m = 2": (interval, rs.trig([[0.5, 0.1]], [[0.2, 0.1]], [1.0], drift_matrix=[[-0.3]]),
                   None),
-        "2-d box": (rs.box([0.0, 0.0], [1.0, 1.0]), rs.trig(
-            [[0.5, 0.0], [0.0, 0.5]], [[0.2, 0.0], [0.0, 0.2]], [1.0, 0.5]), None),
     }
 
 
@@ -213,7 +216,7 @@ UNCOVERED = _uncovered()
 @pytest.mark.parametrize("case", sorted(UNCOVERED))
 def test_uncovered_studies_run_the_numpy_march(monkeypatch, case):
     domain, coeffs, twin = UNCOVERED[case]
-    assert solvers._native_march(domain, coeffs) is None
+    assert solvers._native_march(domain, coeffs, 5) is None
 
     def stats(domain, coeffs):
         x0 = np.full(domain.dim, 0.25)
@@ -230,7 +233,8 @@ def test_no_native_runs_the_numpy_march(request):
     if not request.config.getoption("--no-native"):
         pytest.skip("the library may run; this checks the --no-native session")
     assert brownian.native_library() is None
-    assert solvers._native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"]()) is None
+    assert solvers._native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"](), 2) is None
+    assert solvers._native_march(*_planar_study(), 2) is None
 
 
 def test_the_library_key_covers_both_sources(monkeypatch, tmp_path):
@@ -298,8 +302,8 @@ def test_every_library_source_is_package_data():
     assert {source.name for source in brownian._SOURCES} <= set(package_data)
 
 
-# One study each side of the native march's cover: the interval marches in
-# the library where it loads, the 2-d ball always in numpy.
+# One study of each dimension the native march covers; each rule test runs
+# both backends.
 RULE_STUDIES = {
     "interval": lambda: (DOMAINS["interval"](), FAMILIES["trig"]()),
     "ball": lambda: (rs.ball(1.0, dim=2), rs.trig(
@@ -339,3 +343,305 @@ def test_both_marches_reject_a_narrower_brownian_batch(monkeypatch, study):
             integrate_wz_batch(domain, coeffs, x0, slopes, times, knot_idx, out_pos)
         with pytest.raises(ValueError, match="one row per state row"):
             integrate_reference_batch(domain, coeffs, x0, [(0, path.values[None])], 4, [16])
+
+
+@pytest.mark.parametrize("study", sorted(RULE_STUDIES))
+@pytest.mark.parametrize("positions", [[5, 2], [3, 99], [-1, 2], [[0, 1]], [0.0, 2.0]],
+                         ids=["descending", "past_the_end", "negative", "nested", "floats"])
+def test_both_marches_reject_output_positions_out_of_order_or_range(
+    monkeypatch, study, positions
+):
+    # A position the march never passes, or passes before an earlier
+    # output's, would leave that output unwritten.  The reference marches
+    # to its last output, so there a position past the path's end is too
+    # few blocks.
+    reference_rule = "^each block must hold" if positions == [3, 99] else "^output positions"
+    domain, coeffs = RULE_STUDIES[study]()
+    path = rs.sample_path(coeffs.dim_noise, 1.0, 4, [1, 2])
+    x0 = np.zeros((2, domain.dim))
+    times, knot_idx, _ = wz_schedule(2, 2, [1.0], 1.0)
+    slopes = rs.wz_knot_slopes(path, 2)
+    for _ in _backends(monkeypatch):
+        with pytest.raises(ValueError, match="^output positions must be ascending"):
+            integrate_wz_batch(domain, coeffs, x0, slopes, times, knot_idx, positions)
+        with pytest.raises(ValueError, match=reference_rule):
+            integrate_reference_batch(domain, coeffs, x0, [(0, path.values)], 4, positions)
+
+
+@pytest.mark.parametrize("study", sorted(RULE_STUDIES))
+def test_both_marches_reject_a_step_log_of_a_wider_batch(monkeypatch, study):
+    # A step log is of one path: a wider batch has no one row to log.
+    domain, coeffs = RULE_STUDIES[study]()
+    path = rs.sample_path(coeffs.dim_noise, 1.0, 4, [1, 2, 3])
+    x0 = np.zeros((3, domain.dim))
+    times, knot_idx, out_pos = wz_schedule(3, 2, [0.5, 1.0], 1.0)
+    slopes = rs.wz_knot_slopes(path, 3)
+    for _ in _backends(monkeypatch):
+        with pytest.raises(ValueError, match="^a step log is of one path"):
+            integrate_wz_batch(domain, coeffs, x0, slopes, times, knot_idx, out_pos, True)
+        with pytest.raises(ValueError, match="^a step log is of one path"):
+            integrate_reference_batch(domain, coeffs, x0, [(0, path.values)], 4, [8, 16], True)
+
+
+# ---------------------------------------------------------------------------
+# The planar march: d = m = 2
+# ---------------------------------------------------------------------------
+
+_SIGMA = [[0.6, 0.1], [0.1, 0.6]]
+_DRIFT = [[-0.5, 0.2], [-0.1, -0.4]]
+
+PLANAR_FAMILIES = {
+    # Negative entries: the zero derivative times sigma is a -0.0 product.
+    "constant_negative": lambda: rs.constant(
+        [[-0.4, -0.1], [-0.1, -0.3]], drift_matrix=_DRIFT, drift_offset=[0.05, -0.0]
+    ),
+    # No drift matrix: BLAS's gemm of a zero matrix, and -0.0 offsets.
+    "constant_no_drift": lambda: rs.constant(_SIGMA, drift_offset=[-0.0, -0.0]),
+    "linear": lambda: rs.linear(
+        [[[0.3, -0.2], [0.1, 0.0]], [[-0.0, 0.1], [0.25, -0.3]]], [[0.4, 0.0], [-0.1, 0.5]],
+        drift_matrix=_DRIFT, drift_offset=[-0.1, 0.2],
+    ),
+    "trig": lambda: rs.trig(_SIGMA, [[0.3, 0.1], [0.1, 0.3]], [1.0, 2.0], drift_matrix=_DRIFT),
+    "trig_two_phases": lambda: rs.trig(
+        [[-0.5, 0.1], [0.2, 0.6]], [[0.3, -0.2], [0.1, 0.3]], [1.5, -0.5],
+        phase=[[0.7, 0.0], [0.0, 0.7]], drift_matrix=_DRIFT, drift_offset=[0.2, -0.1],
+    ),
+    # Four distinct phases, a zero frequency and no drift.
+    "trig_four_phases": lambda: rs.trig(
+        _SIGMA, [[0.3, 0.1], [-0.1, 0.3]], [0.0, 2.0], phase=[[0.3, -0.0], [1.1, -0.6]]
+    ),
+}
+
+PLANAR_DOMAINS = {
+    # Bounds at -0.0, so that a state reaching one at +0.0 takes its sign.
+    "box": lambda: rs.box([-0.0, -0.5], [1.0, -0.0]),
+    "ball": lambda: rs.ball(1.0, dim=2),
+    "annulus": lambda: rs.annulus(0.5, 1.0, dim=2),
+}
+
+# Widths either side of geometry.sum_squares's column switch (64 rows) and
+# coefficients.COLUMN_MIN_ROWS (512), and one that is no multiple of the
+# native march's 64-row tile.
+PLANAR_WIDTHS = (2, 63, 64, 65, 200, 511, 512, 513)
+
+# Starts on both annulus spheres (on the ball's sphere and inside the box
+# too), at the centre, at -0.0, outside every domain and not finite.
+_PLANAR_STARTS = [
+    [0.5, 0.0], [0.0, -0.5], [0.6, 0.8], [-1.0, 0.0], [0.0, 0.0], [-0.0, -0.0],
+    [-0.0, 0.75], [1.0, -0.0], [0.5, -0.25], [2.0, -3.0], [np.nan, 0.3], [0.3, np.nan],
+    [np.inf, 0.0], [0.0, -np.inf], [np.inf, -np.inf], [np.nan, np.inf],
+]
+
+
+def _planar_starts(width):
+    """``width`` starts: the special ones (spread over them when fewer),
+    then random points in and around the domains."""
+    rows = np.random.default_rng(width).uniform(-1.2, 1.2, (width, 2))
+    n = min(width, len(_PLANAR_STARTS))
+    pick = np.linspace(0, len(_PLANAR_STARTS) - 1, n).round().astype(int)
+    rows[:n] = np.array(_PLANAR_STARTS)[pick]
+    return rows
+
+
+def _fma(a, b, c):
+    """``a * b + c`` rounded once, for finite floats."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+def _numpy_dot_fuses():
+    """Whether numpy's planar ``np.dot`` rounds as the library spells it
+    (gemv ``fma(y0, f0, y1 * f1)``, gemm ``fma(y1, A[i, 1], y0 * A[i, 0])``)
+    on finite nonzero rows, each fused multiply-add formed exactly here."""
+    rng = np.random.default_rng(5)
+    f, A = rng.normal(size=2), rng.normal(size=(2, 2))
+    for width in (2, 67):
+        y = rng.normal(size=(width, 2))
+        gemv = [_fma(y0, f[0], y1 * f[1]) for y0, y1 in y]
+        gemm = [[_fma(y1, a1, y0 * a0) for a0, a1 in A] for y0, y1 in y]
+        if np.dot(y, f).tolist() != gemv or np.dot(y, A.T).tolist() != gemm:
+            return False
+    return True
+
+
+@pytest.fixture
+def planar(native):
+    """The native library, where its planar ``np.dot`` spellings agree with
+    numpy's BLAS; elsewhere planar studies march in numpy, so this skips.
+    Where numpy's BLAS rounds as the library spells it, a probe that
+    disagrees is the library's fault, and fails."""
+    if not solvers._planar_dots_agree():
+        if _numpy_dot_fuses():
+            pytest.fail("np.dot fuses as the library spells it, yet the probe disagrees")
+        pytest.skip("np.dot's BLAS rounds otherwise here, so planar studies march in numpy")
+    return native
+
+
+def _without_nan_signs(arrays):
+    """``_arrays`` output with every NaN's sign cleared."""
+    cleared = []
+    for dtype, shape, data in arrays:
+        a = np.frombuffer(data, dtype).copy()
+        a[np.isnan(a)] = np.nan
+        cleared.append((dtype, shape, a.tobytes()))
+    return cleared
+
+
+def _check_planar_bytes(monkeypatch, width, run):
+    """The native march gives the numpy march's bytes.  Below
+    ``COLUMN_MIN_ROWS`` numpy forms the noise-interaction term with einsum,
+    whose choice between two NaNs of different sign follows its vector
+    kernel and the batch width (README "Speed"); there alone a NaN's sign
+    may differ, and the native bytes must equal numpy's with that term in
+    its column form."""
+    native_arrays, numpy_arrays = _both(monkeypatch, run)
+    if native_arrays == numpy_arrays:
+        return
+    assert width < coefficients.COLUMN_MIN_ROWS
+    assert _without_nan_signs(native_arrays) == _without_nan_signs(numpy_arrays)
+    with monkeypatch.context() as m:
+        m.setattr(coefficients, "_correction", coefficients._stratonovich_columns)
+        assert _both(monkeypatch, run)[1] == native_arrays
+
+
+@pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
+@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
+def test_planar_wz_march_gives_the_numpy_bytes(planar, monkeypatch, family, domain_name):
+    domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family]()
+    # An output after the first step, which a zero slope leaves on a bound
+    # for a start there.
+    times, knot_idx, out_pos = wz_schedule(3, 3, [0.0, 1 / 24, 0.3, 5 / 12, 1.0], 1.0)
+    for width in PLANAR_WIDTHS:
+        assert solvers._native_march(domain, coeffs, width) is not None
+        x0 = _planar_starts(width)
+        slopes = np.random.default_rng(7).normal(0.0, 4.0, (width, 8, 2))
+        slopes[:, 0] = 0.0
+        slopes[::3, 4] = 1e308
+        slopes[1::4, 2, 1] = -1e308
+        _check_planar_bytes(monkeypatch, width, lambda: integrate_wz_batch(
+            domain, coeffs, x0, slopes, times, knot_idx, out_pos))
+
+
+@pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
+@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
+def test_planar_reference_march_gives_the_numpy_bytes(planar, monkeypatch, family, domain_name):
+    domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family]()
+    fine_level = 6
+    out_steps = np.array([0, 0, 1, 5, 8, 8, 37])
+    for width in PLANAR_WIDTHS:
+        x0 = _planar_starts(width)
+        coarse = rs.sample_path(2, 1.0, 3, list(range(width)))
+
+        def blocks():
+            # One coarse interval per block, with a zero first increment,
+            # a huge knot that overflows, and a block whose noise axis is
+            # not contiguous.
+            for start, values in FineBlocks(coarse, fine_level, 64, 1).blocks():
+                values = values.copy()
+                if start == 0:
+                    values[:, 1] = values[:, 0]
+                if start == 8:
+                    values = np.asfortranarray(values)
+                if start == 16:
+                    values[::2, 3, 0] = 1e308
+                yield start, values
+
+        _check_planar_bytes(monkeypatch, width, lambda: integrate_reference_batch(
+            domain, coeffs, x0, blocks(), fine_level, out_steps))
+
+
+@pytest.mark.parametrize("M", [2, 3, 67, 515])
+@pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
+def test_planar_engine_stats_give_the_numpy_bytes(planar, monkeypatch, domain_name, M):
+    domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES["trig_two_phases"]()
+    x0 = {"box": [0.5, -0.25], "ball": [0.3, 0.2], "annulus": [0.75, 0.0]}[domain_name]
+    native_arrays, numpy_arrays = _both(monkeypatch, lambda: rs.run_coupling_stats(
+        domain, coeffs, x0, 1.0, (2, 3), M, 2, 3, seed=8))
+    assert native_arrays == numpy_arrays
+
+
+def _planar_study():
+    return PLANAR_DOMAINS["annulus"](), PLANAR_FAMILIES["trig"]()
+
+
+def test_the_march_covers_each_planar_built_in_from_two_rows(planar):
+    for make_domain in PLANAR_DOMAINS.values():
+        for family in PLANAR_FAMILIES.values():
+            domain, coeffs = make_domain(), family()
+            assert solvers._native_march(domain, coeffs, 1) is None
+            for width in (2, 3, 2000):
+                assert solvers._native_march(domain, coeffs, width) is not None
+
+
+def _planar_uncovered():
+    """Planar and spatial studies the native march leaves to numpy."""
+    annulus, trig = _planar_study()
+    return {
+        "(2, 3) trig": (annulus, rs.trig(
+            [[0.5, 0.1, 0.0], [0.1, 0.5, 0.1]], [[0.2, 0.1, 0.1], [0.1, 0.2, 0.1]], [1.0, 0.5])),
+        "d = 3 ball": (rs.ball(1.0, dim=3), rs.trig(
+            np.eye(3) * 0.5, np.eye(3) * 0.2, [1.0, 0.5, -0.5])),
+        "d = 3 box": (rs.box([0.0] * 3, [1.0] * 3), rs.constant(np.eye(3) * 0.3)),
+        "replaced sigma": (annulus, dataclasses.replace(trig, sigma=lambda y: trig.sigma(y))),
+        "wrapped grad_sigma": (annulus, dataclasses.replace(
+            trig, grad_sigma=_wrapped(trig.grad_sigma))),
+        "wrapped resolve_batch": (dataclasses.replace(
+            annulus, resolve_batch=_wrapped(annulus.resolve_batch)), trig),
+        "custom set": (annulus, CoefficientSet(
+            lambda y: trig.sigma(y), lambda y: trig.b(y), lambda y: trig.grad_sigma(y), 2, 2)),
+        "custom domain": (dataclasses.replace(annulus, resolve_batch=None), trig),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_planar_uncovered()))
+def test_uncovered_planar_studies_run_the_numpy_march(native, case):
+    domain, coeffs = _planar_uncovered()[case]
+    assert solvers._native_march(domain, coeffs, 67) is None
+
+
+def test_a_disagreeing_blas_runs_the_numpy_march_with_the_same_bits(planar, monkeypatch):
+    from test_golden import CASES, GOLDEN
+
+    assert solvers._native_march(*_planar_study(), 2) is not None
+    monkeypatch.setattr(solvers, "_planar_dots_agree", lambda: False)
+    assert solvers._native_march(*_planar_study(), 2) is None
+    assert solvers._native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"](), 2) is not None
+    assert CASES["stats_annulus_trig"]() == GOLDEN["stats_annulus_trig"]
+
+
+def test_the_planar_dots_give_numpy_bits(planar):
+    # The library's gemv and gemm spellings against np.dot at every width
+    # the byte tests march, with zeros of both signs and values that are
+    # not finite; the march's later sums from +0.0 hide a zero's sign.
+    zeros = [-0.0, 0.0]
+    for width in PLANAR_WIDTHS:
+        y = np.random.default_rng(width).normal(0.0, 2.0, (width, 2))
+        y[: min(width, 6)] = [[-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [np.inf, 0.5],
+                              [np.nan, -np.inf], [1e308, -1e308]][: min(width, 6)]
+        for f, A in [([0.7, -1.3], [[-0.0, 0.4], [1.1, -0.9]]),
+                     (zeros, [zeros, zeros]), ([2.0, 0.0], [[0.0, 1.0], [-1.0, 0.0]])]:
+            f, A = np.array(f), np.array(A)
+            v, mat = np.empty(width), np.empty((width, 2))
+            planar.planar_dots(width, y.ctypes.data, f.ctypes.data, A.ctypes.data,
+                               v.ctypes.data, mat.ctypes.data)
+            with np.errstate(all="ignore"):
+                assert v.tobytes() == np.dot(y, f).tobytes()
+                assert mat.tobytes() == np.dot(y, A.T).tobytes()
+
+
+def test_the_blas_probe_compares_each_spelling_with_numpy(planar, monkeypatch):
+    # The probe fails as soon as either spelling's bits differ from np.dot.
+    native = planar
+    for spelling in ("gemv", "gemm"):
+        calls = []
+
+        def planar_dots(width, y, f, A, v, mat, spelling=spelling):
+            native.planar_dots(width, y, f, A, v, mat)
+            calls.append(width)
+            target = v if spelling == "gemv" else mat
+            (ctypes.c_double * width).from_address(target)[width - 1] += 1e-12
+
+        fake = type("Library", (), {"planar_dots": staticmethod(planar_dots)})
+        monkeypatch.setattr(brownian, "_native", lambda: fake)
+        assert not solvers._planar_dots_agree.__wrapped__()
+        assert calls == [solvers._PROBE_WIDTHS[0]]
+        monkeypatch.undo()
