@@ -4,7 +4,7 @@
  * scheme, with a built-in coefficient family (constant, linear or trig)
  * and an affine drift b(y) = A y + c, on
  *   - an interval [lo, hi] at d = m = 1, for any B;
- *   - a box, a ball or an annulus at d = m = 2, for B >= 2 (solvers.py
+ *   - a box, a ball or an annulus at d = m = 2, for B >= 2 (cover.py
  *     sends no narrower batch: numpy's contractions of a single row round
  *     otherwise).
  * Every step repeats the numpy march's operations one row at a time, in
@@ -16,7 +16,7 @@
  *   - np.dot of a (B, 2) batch, from two rows on, is OpenBLAS's gemv (a
  *     vector operand) or gemm (a matrix), each of which adds one fused
  *     multiply-add into a zeroed output (gemv2, gemm2).  OpenBLAS picks
- *     its kernels by processor at run time, so solvers.py compares these
+ *     its kernels by processor at run time, so cover.py compares these
  *     two spellings with np.dot once (planar_dots) and marches planar
  *     studies here only if they agree;
  *   - the noise term and the noise-interaction term take numpy's column
@@ -43,15 +43,16 @@
  * non-NULL log pointers (a batch of one, so at d = 1 only) step i also
  * stores its state, regulator increment and variation increment at [i].
  *
- * kind = {d, domain, family}.  par, as solvers.py packs it:
+ * kind = {d, domain, family}.  par, as cover.py packs it:
  *   par[0..3]  the domain: interval lo, hi; box lo0, lo1, hi0, hi1;
  *              ball radius; annulus r1, r2;
  *   par[4..]   the drift A (d * d, row-major) and c (d), then the family:
  *     constant: sigma (d * m);
  *     linear:   A (d * m * d), B (d * m)     (sigma_ij = A_ijk y_k + B_ij);
- *     trig:     offset (d * m), amplitude (d * m), frequency (d), the
- *               distinct phases (d * m slots, the first n used) and each
- *               entry's index among them (d * m).
+ *     trig:     offset (d * m), amplitude (d * m), frequency (d), each
+ *               entry's index among the distinct phases (d * m), then
+ *               those phases (one more than the largest index).
+ * A kernel reads only the slots its domain and family have.
  */
 
 #include <math.h>
@@ -82,10 +83,12 @@ static int64_t record(int64_t pos, int64_t d, int64_t lo, int64_t hi, int64_t B,
  * d = m = 1: the interval
  * ---------------------------------------------------------------------- */
 
-/* par[4..9] = {a, c, p0, p1, p2, p3} with the family's parameters
+/* par[4..] = {a, c, ...} and the family's parameters p0..p3:
  *   constant: p0 = sigma;
  *   linear:   p0 = A, p1 = B         (sigma = A y + B);
- *   trig:     p0 = offset, p1 = amplitude, p2 = frequency, p3 = phase. */
+ *   trig:     p0 = offset, p1 = amplitude, p2 = frequency, p3 = phase
+ *             (par[9], the spread index, is 0).
+ * Only the slots the family has are read. */
 typedef struct {
     int64_t family;
     int one_row;
@@ -94,8 +97,11 @@ typedef struct {
 
 static kernel_t kernel(int64_t family, const double *par, int64_t B)
 {
-    kernel_t k = {family, B == 1, par[0], par[1], par[4], par[5],
-                par[6], par[7], par[8], par[9]};
+    kernel_t k = {family, B == 1, par[0], par[1], par[4], par[5], par[6]};
+    if (family == LINEAR)
+        k.p1 = par[7];
+    if (family == TRIG)
+        k.p1 = par[7], k.p2 = par[8], k.p3 = par[10];
     return k;
 }
 
@@ -262,11 +268,12 @@ static plane_t plane(int64_t domain, int64_t family, const double *par)
         k.f[0] = p[8], k.f[1] = p[9];
         for (int e = 0; e < 4; e++) {
             k.amp[e] = p[4 + e];
-            k.phase[e] = p[10 + e];
-            k.spread[e] = (int)p[14 + e];
+            k.spread[e] = (int)p[10 + e];
             if (k.spread[e] + 1 > k.n_phase)
                 k.n_phase = k.spread[e] + 1;
         }
+        for (int q = 0; q < k.n_phase; q++)
+            k.phase[q] = p[14 + q];
     }
     return k;
 }
@@ -484,7 +491,7 @@ void march_wz(const int64_t *kind, const double *par, int64_t B, double *x, doub
 }
 
 /* The two planar np.dot spellings over B rows y: gemv2 with f into v and
- * gemm2 with each row of A into mat (B, 2), for solvers.py to compare
+ * gemm2 with each row of A into mat (B, 2), for cover.py to compare
  * with np.dot before it marches a planar study here. */
 void planar_dots(int64_t B, const double *y, const double *f, const double *A, double *v,
                  double *mat)

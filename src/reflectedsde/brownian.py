@@ -139,7 +139,7 @@ def native_library() -> str | None:
     """Path of the native library, or ``None`` when the numpy paths run.
 
     The library draws every Brownian stream and marches the studies it
-    covers (``solvers._native_march``: a built-in family on a
+    covers (``cover.native_march``: a built-in family on a
     one-dimensional box at d = m = 1, or on a box, ball or annulus at
     d = m = 2 from two rows on); without it, sampling and every march run
     numpy, with the same bits.

@@ -171,7 +171,7 @@ def _built_in(coeffs: CoefficientSet, family: str, *params) -> CoefficientSet:
 
     The tag, ``(d, family, values)``, is one object set on ``sigma``, ``b``
     and ``grad_sigma``: ``values`` holds the drift's matrix and offset, then
-    the family's ``params``, each raveled in C order.  ``solvers`` marches
+    the family's ``params``, each raveled in C order.  ``cover`` marches
     a set natively only while all three callables carry that same tag, so a
     set with any callable replaced or wrapped runs the numpy march.
     """
@@ -310,11 +310,8 @@ def trig(
         return out
 
     coeffs = CoefficientSet(sigma_f, b, grad_f, d, m)
-    # The native march reads the distinct phases from d * m slots.
-    phases = np.zeros(d * m)
-    phases[: len(uphase)] = uphase
     return _built_in(
-        coeffs, "trig", drift_a, drift_c, offset, amplitude, frequency, phases, spread
+        coeffs, "trig", drift_a, drift_c, offset, amplitude, frequency, spread, uphase
     )
 
 

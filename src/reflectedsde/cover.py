@@ -1,0 +1,102 @@
+"""Which studies the native march (``_march.c``) covers, and what it reads.
+
+``native_march`` is the one place that decides whether a study marches in
+C and that packs the parameters the C kernels read; ``_march.c``'s header
+gives their layout.  It covers a built-in family on a one-dimensional box
+at d = m = 1, and on a box, ball or annulus at d = m = 2 from two rows on,
+where ``planar_dots_agree`` has found that the library repeats numpy's
+``np.dot``.  ``solvers`` runs every other study with the numpy march, with
+the same bits.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from . import brownian
+from .brownian import _ptr
+from .coefficients import CoefficientSet
+from .geometry import DomainSpec
+
+DOMAINS = ("box", "ball", "annulus")
+FAMILIES = ("constant", "linear", "trig")
+
+
+def native_march(domain: DomainSpec, coeffs: CoefficientSet, width: int):
+    """``(library, kind, parameters)`` of the native march when it covers
+    the study at batch width ``width``, else ``None``.
+
+    It covers a built-in domain with a built-in family at d = m = 1 (the
+    one-dimensional box, at any width) and at d = m = 2 (the box, the ball
+    or the annulus, from two rows on, where numpy's ``np.dot`` is BLAS's),
+    marched through that domain's and that set's own callables: the domain
+    factories tag ``resolve_batch`` with their bounds or radii, and each
+    family factory tags ``sigma``, ``b`` and ``grad_sigma`` with one shared
+    ``(d, family, values)`` (``coefficients._built_in``).  A replaced,
+    wrapped or custom callable, any other dimension, no library (see
+    ``brownian.native_library``), or at d = 2 a BLAS whose ``np.dot`` the
+    library does not repeat (``planar_dots_agree``) runs the numpy march,
+    with the same bits.  The parameters are four slots of the domain's
+    bounds or radii, then the family's values.
+    """
+    shape = getattr(domain.resolve_batch, "native", None)
+    tag = getattr(coeffs.sigma, "native", None)
+    fields = (domain.resolve_batch, coeffs.sigma, coeffs.b, coeffs.grad_sigma)
+    d = domain.dim
+    if (
+        shape is None
+        or tag is None
+        or (shape[0], tag[0], coeffs.dim_state, coeffs.dim_noise) != (d,) * 4
+        or (d == 2 and width < 2)
+        or any(getattr(fn, "native", None) is not tag for fn in fields[2:])
+        or any(hasattr(fn, "__wrapped__") for fn in fields)
+    ):
+        return None
+    lib = brownian._native()
+    if lib is None or (d == 2 and not planar_dots_agree()):
+        return None
+    (_, name, bounds), (_, family, values) = shape, tag
+    kind = np.array([d, DOMAINS.index(name), FAMILIES.index(family)], np.int64)
+    par = np.zeros(4 + len(values))
+    par[: len(bounds)], par[4:] = bounds, values
+    return lib, kind, par
+
+
+# Batch widths at which planar_dots_agree compares the library with np.dot:
+# every residue modulo 8 and 16, where BLAS kernels split a batch into
+# blocks and a tail, from a few rows, a tile (64), COLUMN_MIN_ROWS (512)
+# and an engine group (2000) on.
+PROBE_WIDTHS = (*range(2, 18), *range(64, 72), *range(512, 520), *range(2000, 2008))
+
+# Rows of zeros of both signs and values that are not finite, which the
+# probe puts at the head and the tail of every batch it compares.
+PROBE_ROWS = ((-0.0, 0.0), (-0.0, 1.5), (np.inf, 0.5), (np.nan, -np.inf), (1e308, -1e308))
+
+
+@functools.cache
+def planar_dots_agree() -> bool:
+    """Whether the library's two spellings of a planar ``np.dot`` from two
+    rows on (``planar_dots``: OpenBLAS's gemv and gemm as one fused
+    multiply-add each) give numpy's bits on a fixed batch at each of
+    ``PROBE_WIDTHS``, zeros of both signs and values that are not finite
+    included.  OpenBLAS picks its kernels by processor at run time, so this
+    is asked once per process; where they differ, planar studies run the
+    numpy march."""
+    lib = brownian._native()
+    y = np.random.default_rng(21).normal(0.0, 2.0, (max(PROBE_WIDTHS), 2))
+    special = np.array(PROBE_ROWS)
+    f, A = np.array([0.7, -1.3]), np.array([[-0.0, 0.4], [1.1, -0.9]])
+    for width in PROBE_WIDTHS:
+        rows = y[:width].copy()
+        n = min(width, len(special))
+        rows[:n], rows[width - n :] = special[:n], special[::-1][:n]
+        v, mat = np.empty(width), np.empty((width, 2))
+        lib.planar_dots(width, _ptr(rows), _ptr(f), _ptr(A), _ptr(v), _ptr(mat))
+        with np.errstate(all="ignore"):
+            if v.tobytes() != np.dot(rows, f).tobytes() or (
+                mat.tobytes() != np.dot(rows, A.T).tobytes()
+            ):
+                return False
+    return True

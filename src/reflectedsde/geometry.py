@@ -484,7 +484,7 @@ def box(lo, hi) -> DomainSpec:
         return state, state - y
 
     if d <= 2:
-        # The bounds the native march clips to (solvers._native_march).
+        # The bounds the native march clips to (cover.native_march).
         resolve_batch.native = (d, "box", (*lo.tolist(), *hi.tolist()))
 
     def phi(x):
@@ -548,7 +548,7 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
         return state, state - y
 
     if d == 2:
-        # The radius the native march pushes to (solvers._native_march).
+        # The radius the native march pushes to (cover.native_march).
         resolve_batch.native = (d, "ball", (radius,))
 
     return DomainSpec(
@@ -630,7 +630,7 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
         return state, state - y
 
     if d == 2:
-        # The radii the native march pushes to (solvers._native_march).
+        # The radii the native march pushes to (cover.native_march).
         resolve_batch.native = (d, "annulus", (r1, r2))
 
     return DomainSpec(

@@ -13,7 +13,7 @@ Skorokhod map; they differ only in the displacement rule and the step
 grid.  Each has one driver, which checks the inputs, allocates what the
 march fills, walks the reference's blocks and assembles the result; the
 backend only runs a span of steps.  That is the native march (``_march.c``)
-when the library loads and ``_native_march`` covers the study: a built-in
+when the library loads and ``cover.native_march`` covers the study: a built-in
 family on a one-dimensional box at d = m = 1, or on a box, ball or annulus
 at d = m = 2 from two rows on.  Otherwise it is the numpy ``_march``, on
 the same contract and with the same bits.
@@ -39,13 +39,12 @@ with d = m = 2 sums batch columns, every other march calls ``np.einsum``,
 with the same bits either way.  The native planar march forms both
 contractions in the column order at every width, and ``np.dot``'s two
 planar products in the order of the BLAS that numpy runs here, which it
-checks once per process (``_planar_dots_agree``).
+checks once per process (``cover.planar_dots_agree``).
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from dataclasses import dataclass
 from math import ceil
@@ -53,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import brownian
+from . import cover
 from .brownian import BrownianPath, _ptr, check_level, check_whole, wz_knot_slopes
 from .coefficients import CoefficientSet, ito_drift_batch, noise_term
 from .errors import MismatchedTimes, NonFiniteState, OutOfDomain
@@ -244,77 +243,6 @@ def _march(resolve, arrays, out_pos, j, first, n, displacement):
     return j
 
 
-_DOMAINS = ("box", "ball", "annulus")
-_FAMILIES = ("constant", "linear", "trig")
-
-
-def _native_march(domain: DomainSpec, coeffs: CoefficientSet, width: int):
-    """``(library, kind, parameters)`` of the native march when it covers
-    the study at batch width ``width``, else ``None``.
-
-    It covers a built-in domain with a built-in family at d = m = 1 (the
-    one-dimensional box, at any width) and at d = m = 2 (the box, the ball
-    or the annulus, from two rows on, where numpy's ``np.dot`` is BLAS's),
-    marched through that domain's and that set's own callables: the domain
-    factories tag ``resolve_batch`` with their bounds or radii, and each
-    family factory tags ``sigma``, ``b`` and ``grad_sigma`` with one shared
-    ``(d, family, values)`` (``coefficients._built_in``).  A replaced,
-    wrapped or custom callable, any other dimension, no library (see
-    ``brownian.native_library``), or at d = 2 a BLAS whose ``np.dot`` the
-    library does not repeat (``_planar_dots_agree``) runs the numpy march,
-    with the same bits.
-    """
-    shape = getattr(domain.resolve_batch, "native", None)
-    tag = getattr(coeffs.sigma, "native", None)
-    fields = (domain.resolve_batch, coeffs.sigma, coeffs.b, coeffs.grad_sigma)
-    d = domain.dim
-    if (
-        shape is None
-        or tag is None
-        or (shape[0], tag[0], coeffs.dim_state, coeffs.dim_noise) != (d,) * 4
-        or (d == 2 and width < 2)
-        or any(getattr(fn, "native", None) is not tag for fn in fields[2:])
-        or any(hasattr(fn, "__wrapped__") for fn in fields)
-    ):
-        return None
-    lib = brownian._native()
-    if lib is None or (d == 2 and not _planar_dots_agree()):
-        return None
-    (_, name, bounds), (_, family, values) = shape, tag
-    kind = np.array([d, _DOMAINS.index(name), _FAMILIES.index(family)], np.int64)
-    par = np.zeros(4 + len(values))
-    par[: len(bounds)], par[4:] = bounds, values
-    return lib, kind, par
-
-
-# Batch widths at which _planar_dots_agree compares the library with np.dot.
-_PROBE_WIDTHS = (2, 7, 67, 515)
-
-
-@functools.cache
-def _planar_dots_agree() -> bool:
-    """Whether the library's two spellings of a planar ``np.dot`` from two
-    rows on (``planar_dots``: OpenBLAS's gemv and gemm as one fused
-    multiply-add each) give numpy's bits on a fixed batch, zeros of both
-    signs and values that are not finite included.  OpenBLAS picks its
-    kernels by processor at run time, so this is asked once per process;
-    where they differ, planar studies run the numpy march."""
-    lib = brownian._native()
-    y = np.random.default_rng(21).normal(0.0, 2.0, (max(_PROBE_WIDTHS), 2))
-    y[:5] = [[-0.0, 0.0], [-0.0, 1.5], [np.inf, 0.5], [np.nan, -np.inf], [1e308, -1e308]]
-    f, A = np.array([0.7, -1.3]), np.array([[-0.0, 0.4], [1.1, -0.9]])
-    for width in _PROBE_WIDTHS:
-        rows = y[:width]
-        v, mat = np.empty(width), np.empty((width, 2))
-        lib.planar_dots(width, _ptr(rows), _ptr(f), _ptr(A), _ptr(v), _ptr(mat))
-        with np.errstate(all="ignore"):
-            if v.tobytes() != np.dot(rows, f).tobytes() or (
-                mat.tobytes() != np.dot(rows, A.T).tobytes()
-            ):
-                return False
-    return True
-
-
 def integrate_wz_batch(
     domain: DomainSpec,
     coeffs: CoefficientSet,
@@ -330,7 +258,7 @@ def integrate_wz_batch(
     ``slopes`` has shape ``(B, K_n, m)``; each step moves along the
     interpolant's slope on its knot interval.  Returns as ``_march_result``
     at the step positions ``out_pos``, from one native call where
-    ``_native_march`` covers the study.
+    ``cover.native_march`` covers the study.
     """
     dts = np.diff(np.asarray(times, float))
     out_pos = _output_positions(out_pos, len(dts))
@@ -339,7 +267,7 @@ def integrate_wz_batch(
     knot_idx = np.ascontiguousarray(knot_idx[: len(dts)], np.int64)
     if len(knot_idx) != len(dts) or np.any((knot_idx < 0) | (knot_idx >= slopes.shape[1])):
         raise ValueError("knot_idx must give every step a knot interval of slopes")
-    native = _native_march(domain, coeffs, len(arrays[0]))
+    native = cover.native_march(domain, coeffs, len(arrays[0]))
     if native is not None:
         lib, kind, par = native
         batch, out, log_at = _native_arguments(arrays)
@@ -386,13 +314,14 @@ def integrate_reference_batch(
     increment, so no increments array is held.  ``out_steps`` are fine-knot
     indices at which to record, and the march stops at the last of them.
     ``sigma`` is evaluated once per step.  Returns as ``_march_result``, from
-    one native call per block where ``_native_march`` covers the study.
+    one native call per block where ``cover.native_march`` covers the
+    study.
     """
     h = 2.0 ** (-fine_level)
     out_steps = _output_positions(out_steps)
     last = int(out_steps[-1]) if len(out_steps) else 0
     arrays = _march_arrays(domain, x0, out_steps, last, log_steps)
-    native = _native_march(domain, coeffs, len(arrays[0]))
+    native = cover.native_march(domain, coeffs, len(arrays[0]))
     if native is not None:
         lib, kind, par = native
         batch, out, log_at = _native_arguments(arrays)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian, solvers
+from reflectedsde import brownian, cover
 
 
 def pytest_addoption(parser):
@@ -38,7 +38,7 @@ def pytest_report_header(config):
     lib = brownian.native_library()
     if lib is None:
         return "native library: none (numpy streams and numpy march)"
-    planar = "" if solvers._planar_dots_agree() else ", but not at d = 2: np.dot's BLAS differs"
+    planar = "" if cover.planar_dots_agree() else ", but not at d = 2: np.dot's BLAS differs"
     return (f"native library: {lib} (Brownian streams; the march of d = m = 1 and "
             f"d = m = 2 built-in studies{planar})")
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian, coefficients, solvers
+from reflectedsde import brownian, coefficients, cover
 from reflectedsde.brownian import FineBlocks
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.solvers import integrate_reference_batch, integrate_wz_batch, wz_schedule
@@ -173,7 +173,7 @@ def test_the_march_covers_each_built_in_family_on_a_1d_box(native):
             dataclasses.replace(rs.interval(-1.0, 1.0), name="renamed", c0=0.5)
         ]:
             for width in (1, 2, 67):
-                assert solvers._native_march(domain, family(), width) is not None
+                assert cover.native_march(domain, family(), width) is not None
 
 
 def _wrapped(fn):
@@ -216,7 +216,7 @@ UNCOVERED = _uncovered()
 @pytest.mark.parametrize("case", sorted(UNCOVERED))
 def test_uncovered_studies_run_the_numpy_march(monkeypatch, case):
     domain, coeffs, twin = UNCOVERED[case]
-    assert solvers._native_march(domain, coeffs, 5) is None
+    assert cover.native_march(domain, coeffs, 5) is None
 
     def stats(domain, coeffs):
         x0 = np.full(domain.dim, 0.25)
@@ -233,8 +233,8 @@ def test_no_native_runs_the_numpy_march(request):
     if not request.config.getoption("--no-native"):
         pytest.skip("the library may run; this checks the --no-native session")
     assert brownian.native_library() is None
-    assert solvers._native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"](), 2) is None
-    assert solvers._native_march(*_planar_study(), 2) is None
+    assert cover.native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"](), 2) is None
+    assert cover.native_march(*_planar_study(), 2) is None
 
 
 def test_the_library_key_covers_both_sources(monkeypatch, tmp_path):
@@ -469,7 +469,7 @@ def planar(native):
     numpy's BLAS; elsewhere planar studies march in numpy, so this skips.
     Where numpy's BLAS rounds as the library spells it, a probe that
     disagrees is the library's fault, and fails."""
-    if not solvers._planar_dots_agree():
+    if not cover.planar_dots_agree():
         if _numpy_dot_fuses():
             pytest.fail("np.dot fuses as the library spells it, yet the probe disagrees")
         pytest.skip("np.dot's BLAS rounds otherwise here, so planar studies march in numpy")
@@ -511,7 +511,7 @@ def test_planar_wz_march_gives_the_numpy_bytes(planar, monkeypatch, family, doma
     # for a start there.
     times, knot_idx, out_pos = wz_schedule(3, 3, [0.0, 1 / 24, 0.3, 5 / 12, 1.0], 1.0)
     for width in PLANAR_WIDTHS:
-        assert solvers._native_march(domain, coeffs, width) is not None
+        assert cover.native_march(domain, coeffs, width) is not None
         x0 = _planar_starts(width)
         slopes = np.random.default_rng(7).normal(0.0, 4.0, (width, 8, 2))
         slopes[:, 0] = 0.0
@@ -567,9 +567,9 @@ def test_the_march_covers_each_planar_built_in_from_two_rows(planar):
     for make_domain in PLANAR_DOMAINS.values():
         for family in PLANAR_FAMILIES.values():
             domain, coeffs = make_domain(), family()
-            assert solvers._native_march(domain, coeffs, 1) is None
+            assert cover.native_march(domain, coeffs, 1) is None
             for width in (2, 3, 2000):
-                assert solvers._native_march(domain, coeffs, width) is not None
+                assert cover.native_march(domain, coeffs, width) is not None
 
 
 def _planar_uncovered():
@@ -595,25 +595,26 @@ def _planar_uncovered():
 @pytest.mark.parametrize("case", sorted(_planar_uncovered()))
 def test_uncovered_planar_studies_run_the_numpy_march(native, case):
     domain, coeffs = _planar_uncovered()[case]
-    assert solvers._native_march(domain, coeffs, 67) is None
+    assert cover.native_march(domain, coeffs, 67) is None
 
 
 def test_a_disagreeing_blas_runs_the_numpy_march_with_the_same_bits(planar, monkeypatch):
     from test_golden import CASES, GOLDEN
 
-    assert solvers._native_march(*_planar_study(), 2) is not None
-    monkeypatch.setattr(solvers, "_planar_dots_agree", lambda: False)
-    assert solvers._native_march(*_planar_study(), 2) is None
-    assert solvers._native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"](), 2) is not None
+    assert cover.native_march(*_planar_study(), 2) is not None
+    monkeypatch.setattr(cover, "planar_dots_agree", lambda: False)
+    assert cover.native_march(*_planar_study(), 2) is None
+    assert cover.native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"](), 2) is not None
     assert CASES["stats_annulus_trig"]() == GOLDEN["stats_annulus_trig"]
 
 
 def test_the_planar_dots_give_numpy_bits(planar):
     # The library's gemv and gemm spellings against np.dot at every width
-    # the byte tests march, with zeros of both signs and values that are
-    # not finite; the march's later sums from +0.0 hide a zero's sign.
+    # the byte tests march and the probe compares, with zeros of both signs
+    # and values that are not finite; the march's later sums from +0.0 hide
+    # a zero's sign.
     zeros = [-0.0, 0.0]
-    for width in PLANAR_WIDTHS:
+    for width in sorted({*PLANAR_WIDTHS, *cover.PROBE_WIDTHS}):
         y = np.random.default_rng(width).normal(0.0, 2.0, (width, 2))
         y[: min(width, 6)] = [[-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [np.inf, 0.5],
                               [np.nan, -np.inf], [1e308, -1e308]][: min(width, 6)]
@@ -630,6 +631,9 @@ def test_the_planar_dots_give_numpy_bits(planar):
 
 def test_the_blas_probe_compares_each_spelling_with_numpy(planar, monkeypatch):
     # The probe fails as soon as either spelling's bits differ from np.dot.
+    # It compares every batch width's residue modulo 16, where BLAS kernels
+    # split blocks and tails.
+    assert {width % 16 for width in cover.PROBE_WIDTHS} == set(range(16))
     native = planar
     for spelling in ("gemv", "gemm"):
         calls = []
@@ -638,10 +642,74 @@ def test_the_blas_probe_compares_each_spelling_with_numpy(planar, monkeypatch):
             native.planar_dots(width, y, f, A, v, mat)
             calls.append(width)
             target = v if spelling == "gemv" else mat
-            (ctypes.c_double * width).from_address(target)[width - 1] += 1e-12
+            # Flip the last entry's lowest bit, whatever value it holds.
+            (ctypes.c_uint64 * width).from_address(target)[width - 1] ^= 1
 
         fake = type("Library", (), {"planar_dots": staticmethod(planar_dots)})
         monkeypatch.setattr(brownian, "_native", lambda: fake)
-        assert not solvers._planar_dots_agree.__wrapped__()
-        assert calls == [solvers._PROBE_WIDTHS[0]]
+        assert not cover.planar_dots_agree.__wrapped__()
+        assert calls == [cover.PROBE_WIDTHS[0]]
         monkeypatch.undo()
+
+
+_GUARDED = """
+import ctypes
+import mmap
+import sys
+
+import numpy as np
+
+import reflectedsde as rs
+from reflectedsde import cover
+from test_native_march import DOMAINS, FAMILIES, PLANAR_DOMAINS, PLANAR_FAMILIES, _arrays
+
+libc = ctypes.CDLL(None)
+libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+page, pages = mmap.PAGESIZE, []
+covered = cover.native_march
+
+
+def guarded(domain, coeffs, width):
+    # The parameters end where an unreadable page begins, so a kernel that
+    # reads past them faults.
+    lib, kind, par = covered(domain, coeffs, width)
+    buf = mmap.mmap(-1, 2 * page)
+    end = ctypes.addressof(ctypes.c_char.from_buffer(buf)) + page
+    if libc.mprotect(end, page, 0) != 0:
+        sys.exit("mprotect failed")
+    ctypes.memmove(end - par.nbytes, par.ctypes.data, par.nbytes)
+    pages.append(buf)
+    return lib, kind, np.ctypeslib.as_array((ctypes.c_double * par.size).from_address(
+        end - par.nbytes))
+
+
+studies = [(make(), family(), [0.0]) for make in DOMAINS.values() for family in FAMILIES.values()]
+if cover.planar_dots_agree():
+    studies += [(make(), family(), [0.75, -0.25]) for make in PLANAR_DOMAINS.values()
+                for family in PLANAR_FAMILIES.values()]
+for domain, coeffs, x0 in studies:
+    def stats():
+        return _arrays(rs.run_coupling_stats(domain, coeffs, x0, 1.0, (2, 3), 3, 2, 3, seed=2))
+
+    expected = stats()
+    cover.native_march = guarded
+    assert stats() == expected
+    cover.native_march = covered
+print(len(studies))
+"""
+
+
+def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
+    # Each covered study marches with its packed parameters at the end of a
+    # readable page, in a child process that a read past them kills.  The
+    # planar studies run where the BLAS probe agrees.
+    if not sys.platform.startswith("linux"):
+        pytest.skip("the guard page is set with Linux's mprotect")
+    tests_dir = Path(__file__).resolve().parent
+    package_root = Path(rs.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(package_root), str(tests_dir)]))
+    proc = subprocess.run([sys.executable, "-c", _GUARDED], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    planar = len(PLANAR_DOMAINS) * len(PLANAR_FAMILIES) if cover.planar_dots_agree() else 0
+    assert int(proc.stdout) == len(DOMAINS) * len(FAMILIES) + planar

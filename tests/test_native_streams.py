@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian, solvers
+from reflectedsde import brownian, cover
 from reflectedsde.brownian import FineBlocks, dyadic_grid, stream_keys
 from reflectedsde.harness import path_seed
 
@@ -88,7 +88,7 @@ def test_a_failed_build_or_load_runs_the_numpy_path(native, monkeypatch, tmp_pat
     brownian._native.cache_clear()
     try:
         assert brownian.native_library() is None
-        assert solvers._native_march(rs.interval(-1.0, 1.0), rs.constant([[0.5]]), 2) is None
+        assert cover.native_march(rs.interval(-1.0, 1.0), rs.constant([[0.5]]), 2) is None
         assert _stream_digest(*case) == expected
     finally:
         brownian._native.cache_clear()
