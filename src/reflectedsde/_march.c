@@ -3,24 +3,25 @@
  * One call marches a batch of B paths through a run of steps of either
  * scheme, with a built-in coefficient family (constant, linear or trig)
  * and an affine drift b(y) = A y + c, on
- *   - an interval [lo, hi] at d = m = 1, for any B;
- *   - a box, a ball or an annulus at d = m = 2, for B >= 2 (cover.py
- *     sends no narrower batch: numpy's contractions of a single row round
- *     otherwise).
+ *   - an interval [lo, hi] at d = m = 1;
+ *   - a box, a ball or an annulus at d = m = 2.
  * Every step repeats the numpy march's operations one row at a time, in
  * its order and with its roundings, so both give the same bits:
  *   - each einsum sum starts from +0.0, so a lone -0.0 product gives +0.0;
  *   - np.dot of a (B, 1) batch with a length-one operand w is one product
  *     for a batch of one, and otherwise BLAS's axpy into zeros, which
  *     skips a zero w altogether (dot1);
- *   - np.dot of a (B, 2) batch, from two rows on, is OpenBLAS's gemv (a
- *     vector operand) or gemm (a matrix), each of which adds one fused
- *     multiply-add into a zeroed output (gemv2, gemm2).  OpenBLAS picks
- *     its kernels by processor at run time, so cover.py compares these
- *     two spellings with np.dot once (planar_dots) and marches planar
- *     studies here only if they agree;
+ *   - np.dot of a (B, 2) batch is OpenBLAS's gemv (a vector operand) or
+ *     gemm (a matrix), each of which adds one fused multiply-add into a
+ *     zeroed output, with the products in mirrored order for a single row
+ *     (gemv2, gemm2).  OpenBLAS picks its kernels by processor at run
+ *     time, so cover.py compares the spelling of the batch's width with
+ *     np.dot once (planar_dots) and marches planar studies here only if
+ *     they agree;
  *   - the noise term and the noise-interaction term take numpy's column
- *     forms (coefficients._noise_columns, _stratonovich_columns);
+ *     forms (coefficients._noise_columns, _stratonovich_columns), which
+ *     are einsum's too but for a single row's noise-interaction term,
+ *     summed per j over k (correction2);
  *   - the clip is np.minimum(np.maximum(y, lo), hi): NaN propagates and a
  *     tie takes the bound;
  *   - radii and variation increments are sqrt(a0 * a0 + a1 * a1), as
@@ -40,8 +41,8 @@
  * to be ascending within the march: a call records the outputs due at its
  * first position and after each of its steps.  The reference march
  * returns the index of the next output, where its next call resumes.  With
- * non-NULL log pointers (a batch of one, so at d = 1 only) step i also
- * stores its state, regulator increment and variation increment at [i].
+ * non-NULL log pointers (a batch of one) step i also stores its state and
+ * regulator increment at [i * d] and its variation increment at [i].
  *
  * kind = {d, domain, family}.  par, as cover.py packs it:
  *   par[0..3]  the domain: interval lo, hi; box lo0, lo1, hi0, hi1;
@@ -65,6 +66,12 @@ enum { BOX = 0, BALL = 1, ANNULUS = 2 };
 /* Rows per tile: the family's fields are evaluated a tile at a time, and
  * march_wz marches a tile through all its steps. */
 #define TILE_ROWS 64
+
+/* The planar loops, built twice: the entry points pass one_row (B == 1)
+ * and, for a wide batch, NULL log pointers as constants, so that a wide
+ * batch's loops test no flag and carry no log (read at run time, the flag
+ * cost the wide reference loop about 5%). */
+#define SPECIALISED static inline __attribute__((always_inline))
 
 /* Record rows lo .. hi - 1 of the outputs due at step position pos. */
 static int64_t record(int64_t pos, int64_t d, int64_t lo, int64_t hi, int64_t B,
@@ -166,8 +173,8 @@ static inline double resolve(const kernel_t *k, double x, double v, double *dl, 
 }
 
 static int64_t reference1(int64_t family, const double *par, int64_t B, double *x, double *var,
-                          const double *w, int64_t row_step, int64_t knot_step, int64_t offset,
-                          int64_t first, int64_t n_steps, double h, const int64_t *out_pos,
+                          const double *w, int64_t row_step, int64_t knot_step, int64_t first,
+                          int64_t n_steps, double h, const int64_t *out_pos,
                           int64_t n_out, int64_t j, double *out, double *log_x, double *log_dl,
                           double *log_dvar)
 {
@@ -175,7 +182,7 @@ static int64_t reference1(int64_t family, const double *par, int64_t B, double *
     double sig[TILE_ROWS], grad[TILE_ROWS];
     j = record(first, 1, 0, B, B, x, out_pos, n_out, j, out);
     for (int64_t s = 0; s < n_steps; s++) {
-        const double *w0 = w + (s + offset) * knot_step;
+        const double *w0 = w + s * knot_step;
         for (int64_t lo = 0; lo < B; lo += TILE_ROWS) {
             int64_t n = lo + TILE_ROWS < B ? TILE_ROWS : B - lo;
             sigma_rows(&k, x + lo, n, sig, grad);
@@ -278,16 +285,22 @@ static plane_t plane(int64_t domain, int64_t family, const double *par)
     return k;
 }
 
-/* np.dot(y, f) of a (B, 2) batch with a (2,) vector from two rows on:
- * OpenBLAS's gemv, one fused multiply-add into a zeroed output. */
-static inline double gemv2(const double *y, const double *f)
+/* np.dot(y, f) of a (B, 2) batch with a (2,) vector: OpenBLAS's gemv,
+ * one fused multiply-add into a zeroed output, which fuses the other
+ * product on a single row. */
+static inline double gemv2(int one_row, const double *y, const double *f)
 {
+    if (one_row)
+        return 0.0 + fma(y[1], f[1], y[0] * f[0]);
     return 0.0 + fma(y[0], f[0], y[1] * f[1]);
 }
 
-/* Entry i of np.dot(y, A.T) from two rows on, a_i = A[i]: OpenBLAS's gemm. */
-static inline double gemm2(const double *y, const double *a_i)
+/* Entry i of np.dot(y, A.T), a_i = A[i]: OpenBLAS's gemm, likewise
+ * mirrored on a single row. */
+static inline double gemm2(int one_row, const double *y, const double *a_i)
 {
+    if (one_row)
+        return 0.0 + fma(y[0], a_i[0], y[1] * a_i[1]);
     return 0.0 + fma(y[1], a_i[1], y[0] * a_i[0]);
 }
 
@@ -296,8 +309,8 @@ static inline double gemm2(const double *y, const double *a_i)
  * do not depend on the state, so *grad points at one shared copy.  trig
  * takes sin (and cos) once per distinct phase per row, then each entry
  * amp * t and offset + that, as coefficients.trig spreads them. */
-static void sigma2(const plane_t *k, const double *x, int64_t n, double *sig, double **grad,
-                   double *grad_rows)
+SPECIALISED void sigma2(const plane_t *k, const int one_row, const double *x, int64_t n,
+                        double *sig, double **grad, double *grad_rows)
 {
     static const double zeros[8];
     switch (k->family) {
@@ -312,7 +325,7 @@ static void sigma2(const plane_t *k, const double *x, int64_t n, double *sig, do
     case TRIG: {
         double sn[4][TILE_ROWS], cs[4][TILE_ROWS];
         for (int64_t r = 0; r < n; r++) {
-            double u = gemv2(x + r * 2, k->f);
+            double u = gemv2(one_row, x + r * 2, k->f);
             for (int p = 0; p < k->n_phase; p++) {
                 sn[p][r] = sin(u + k->phase[p]);
                 if (grad)
@@ -351,21 +364,25 @@ static inline void noise2(const double *sig, const double *dw, double *v)
 
 /* The noise-interaction term sum_{j,k} grad_ijk sig_kj, as
  * coefficients._stratonovich_columns forms it: per-k sums over j, then
- * their sum. */
-static inline double correction2(const double *sig, const double *g, int i)
+ * their sum.  einsum sums a single row per j over k instead. */
+static inline double correction2(int one_row, const double *sig, const double *g, int i)
 {
     const double *gi = g + i * 4;
+    if (one_row) {
+        double j0 = (sig[0] * gi[0]) + (sig[2] * gi[1]);
+        double j1 = (sig[1] * gi[2]) + (sig[3] * gi[3]);
+        return (j0 + j1) + 0.0;
+    }
     double k0 = (sig[0] * gi[0]) + (sig[1] * gi[2]);
     double k1 = (sig[2] * gi[1]) + (sig[3] * gi[3]);
     return (k0 + k1) + 0.0;
 }
 
-/* Resolve y = x + v against the domain: x becomes the new state, and the
- * variation increment, the length of the regulator increment dl, is
+/* Resolve y = x + v against the domain: x becomes the new state, dl the
+ * regulator increment, and its length, the variation increment, is
  * returned. */
-static inline double resolve2(const plane_t *k, double *x, const double *v)
+static inline double resolve2(const plane_t *k, double *x, const double *v, double *dl)
 {
-    double dl[2];
     double y[2] = {x[0] + v[0], x[1] + v[1]};
     double s[2] = {y[0], y[1]};
     if (k->domain == BOX) {
@@ -390,24 +407,36 @@ static inline double resolve2(const plane_t *k, double *x, const double *v)
     return sqrt(dl[0] * dl[0] + dl[1] * dl[1]);
 }
 
-static int64_t reference2(const int64_t *kind, const double *par, int64_t B, double *x,
-                          double *var, const double *w, int64_t row_step, int64_t knot_step,
-                          int64_t col_step, int64_t offset, int64_t first, int64_t n_steps,
-                          double h, const int64_t *out_pos, int64_t n_out, int64_t j,
-                          double *out)
+/* Step i's entry of a one-row march's step log. */
+static inline void log_step(int64_t i, const double *x, const double *dl, double dvar,
+                            double *log_x, double *log_dl, double *log_dvar)
+{
+    for (int c = 0; c < 2; c++) {
+        log_x[i * 2 + c] = x[c];
+        log_dl[i * 2 + c] = dl[c];
+    }
+    log_dvar[i] = dvar;
+}
+
+SPECIALISED int64_t reference2(const int64_t *kind, const double *par, int64_t B, double *x,
+                               double *var, const double *w, int64_t row_step, int64_t knot_step,
+                               int64_t col_step, int64_t first, int64_t n_steps,
+                               double h, const int64_t *out_pos, int64_t n_out, int64_t j,
+                               double *out, double *log_x, double *log_dl, double *log_dvar,
+                               const int one_row)
 {
     plane_t k = plane(kind[1], kind[2], par);
     double sig[TILE_ROWS * 4], grad_rows[TILE_ROWS * 8], *grad;
     int shared = k.family != TRIG;
     j = record(first, 2, 0, B, B, x, out_pos, n_out, j, out);
     for (int64_t s = 0; s < n_steps; s++) {
-        const double *w0 = w + (s + offset) * knot_step;
+        const double *w0 = w + s * knot_step;
         for (int64_t lo = 0; lo < B; lo += TILE_ROWS) {
             int64_t n = lo + TILE_ROWS < B ? TILE_ROWS : B - lo;
-            sigma2(&k, x + lo * 2, n, sig, &grad, grad_rows);
+            sigma2(&k, one_row, x + lo * 2, n, sig, &grad, grad_rows);
             for (int64_t r = 0; r < n; r++) {
                 int64_t b = lo + r;
-                double *xb = x + b * 2, *sb = sig + r * 4, dw[2], v[2];
+                double *xb = x + b * 2, *sb = sig + r * 4, dw[2], v[2], dl[2];
                 const double *gb = shared ? grad : grad + r * 8;
                 for (int i = 0; i < 2; i++) {
                     const double *wi = w0 + b * row_step + i * col_step;
@@ -415,10 +444,14 @@ static int64_t reference2(const int64_t *kind, const double *par, int64_t B, dou
                 }
                 noise2(sb, dw, v);
                 for (int i = 0; i < 2; i++) {
-                    double ito = (gemm2(xb, k.a + i * 2) + k.c[i]) + 0.5 * correction2(sb, gb, i);
+                    double ito = (gemm2(one_row, xb, k.a + i * 2) + k.c[i])
+                                 + 0.5 * correction2(one_row, sb, gb, i);
                     v[i] = v[i] + ito * h;
                 }
-                var[b] += resolve2(&k, xb, v);
+                double dvar = resolve2(&k, xb, v, dl);
+                var[b] += dvar;
+                if (log_x)
+                    log_step(first + s, xb, dl, dvar, log_x, log_dl, log_dvar);
             }
         }
         j = record(first + s + 1, 2, 0, B, B, x, out_pos, n_out, j, out);
@@ -426,10 +459,11 @@ static int64_t reference2(const int64_t *kind, const double *par, int64_t B, dou
     return j;
 }
 
-static void wz2(const int64_t *kind, const double *par, int64_t B, double *x, double *var,
-                const double *slopes, int64_t n_knots, const double *dts,
-                const int64_t *knot_idx, int64_t n_steps, const int64_t *out_pos, int64_t n_out,
-                double *out)
+SPECIALISED void wz2(const int64_t *kind, const double *par, int64_t B, double *x, double *var,
+                     const double *slopes, int64_t n_knots, const double *dts,
+                     const int64_t *knot_idx, int64_t n_steps, const int64_t *out_pos,
+                     int64_t n_out, double *out, double *log_x, double *log_dl,
+                     double *log_dvar, const int one_row)
 {
     plane_t k = plane(kind[1], kind[2], par);
     double sig[TILE_ROWS * 4];
@@ -438,14 +472,17 @@ static void wz2(const int64_t *kind, const double *par, int64_t B, double *x, do
         int64_t j = record(0, 2, lo, lo + n, B, x, out_pos, n_out, 0, out);
         for (int64_t i = 0; i < n_steps; i++) {
             const double *slope = slopes + knot_idx[i] * 2;
-            sigma2(&k, x + lo * 2, n, sig, NULL, NULL);
+            sigma2(&k, one_row, x + lo * 2, n, sig, NULL, NULL);
             for (int64_t r = 0; r < n; r++) {
                 int64_t b = lo + r;
-                double *xb = x + b * 2, v[2];
+                double *xb = x + b * 2, v[2], dl[2];
                 noise2(sig + r * 4, slope + b * n_knots * 2, v);
                 for (int c = 0; c < 2; c++)
-                    v[c] = (v[c] + (gemm2(xb, k.a + c * 2) + k.c[c])) * dts[i];
-                var[b] += resolve2(&k, xb, v);
+                    v[c] = (v[c] + (gemm2(one_row, xb, k.a + c * 2) + k.c[c])) * dts[i];
+                double dvar = resolve2(&k, xb, v, dl);
+                var[b] += dvar;
+                if (log_x)
+                    log_step(i, xb, dl, dvar, log_x, log_dl, log_dvar);
             }
             j = record(i + 1, 2, lo, lo + n, B, x, out_pos, n_out, j, out);
         }
@@ -458,19 +495,22 @@ static void wz2(const int64_t *kind, const double *par, int64_t B, double *x, do
 
 /* Steps first .. first + n_steps - 1 of the projected Euler-Maruyama
  * reference with fine step h.  Step i reads the Brownian knots
- * w[(i - first + offset) * knot_step + b * row_step + k * col_step] and
- * the next ones. */
+ * w[(i - first) * knot_step + b * row_step + k * col_step] and the next
+ * ones. */
 int64_t march_reference(const int64_t *kind, const double *par, int64_t B, double *x,
                         double *var, const double *w, int64_t row_step, int64_t knot_step,
-                        int64_t col_step, int64_t offset, int64_t first, int64_t n_steps,
-                        double h, const int64_t *out_pos, int64_t n_out, int64_t j, double *out,
+                        int64_t col_step, int64_t first, int64_t n_steps, double h,
+                        const int64_t *out_pos, int64_t n_out, int64_t j, double *out,
                         double *log_x, double *log_dl, double *log_dvar)
 {
     if (kind[0] == 1)
-        return reference1(kind[2], par, B, x, var, w, row_step, knot_step, offset, first,
-                          n_steps, h, out_pos, n_out, j, out, log_x, log_dl, log_dvar);
-    return reference2(kind, par, B, x, var, w, row_step, knot_step, col_step, offset, first,
-                      n_steps, h, out_pos, n_out, j, out);
+        return reference1(kind[2], par, B, x, var, w, row_step, knot_step, first, n_steps, h,
+                          out_pos, n_out, j, out, log_x, log_dl, log_dvar);
+    if (B == 1)
+        return reference2(kind, par, B, x, var, w, row_step, knot_step, col_step, first,
+                          n_steps, h, out_pos, n_out, j, out, log_x, log_dl, log_dvar, 1);
+    return reference2(kind, par, B, x, var, w, row_step, knot_step, col_step, first, n_steps,
+                      h, out_pos, n_out, j, out, NULL, NULL, NULL, 0);
 }
 
 /* All steps of one Wong-Zakai level: step i lasts dts[i] and moves along
@@ -486,19 +526,24 @@ void march_wz(const int64_t *kind, const double *par, int64_t B, double *x, doub
     if (kind[0] == 1)
         wz1(kind[2], par, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out,
             out, log_x, log_dl, log_dvar);
+    else if (B == 1)
+        wz2(kind, par, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out, out,
+            log_x, log_dl, log_dvar, 1);
     else
-        wz2(kind, par, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out, out);
+        wz2(kind, par, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out, out,
+            NULL, NULL, NULL, 0);
 }
 
-/* The two planar np.dot spellings over B rows y: gemv2 with f into v and
- * gemm2 with each row of A into mat (B, 2), for cover.py to compare
- * with np.dot before it marches a planar study here. */
+/* The two planar np.dot spellings over B rows y, those of a single row
+ * when B is 1: gemv2 with f into v and gemm2 with each row of A into mat
+ * (B, 2), for cover.py to compare with np.dot before it marches a planar
+ * study here. */
 void planar_dots(int64_t B, const double *y, const double *f, const double *A, double *v,
                  double *mat)
 {
     for (int64_t b = 0; b < B; b++) {
-        v[b] = gemv2(y + b * 2, f);
+        v[b] = gemv2(B == 1, y + b * 2, f);
         for (int i = 0; i < 2; i++)
-            mat[b * 2 + i] = gemm2(y + b * 2, A + i * 2);
+            mat[b * 2 + i] = gemm2(B == 1, y + b * 2, A + i * 2);
     }
 }

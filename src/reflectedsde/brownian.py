@@ -121,8 +121,11 @@ def _native():
             ("stream_keys", [ptr, i64, ptr, i64, ptr], None),
             ("fill_streams", [ptr, ptr, i64, i64, ptr], None),
             ("refine_level", [ptr, ptr, i64, ptr, i64, i64, i64, i64, i64, f64], None),
+            # Not 20 arguments: CPython 3.11 caches every freed 20-tuple and
+            # reuses none, so each call with 20 would keep its argument
+            # tuple, up to 2000 of them (0.4 MB).
             ("march_reference",
-             [ptr, ptr, i64, ptr, ptr, ptr, i64, i64, i64, i64, i64, i64, f64, ptr, i64, i64,
+             [ptr, ptr, i64, ptr, ptr, ptr, i64, i64, i64, i64, i64, f64, ptr, i64, i64,
               ptr, ptr, ptr, ptr], i64),
             ("march_wz", [ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr,
                           ptr, ptr], None),
@@ -141,8 +144,8 @@ def native_library() -> str | None:
     The library draws every Brownian stream and marches the studies it
     covers (``cover.native_march``: a built-in family on a
     one-dimensional box at d = m = 1, or on a box, ball or annulus at
-    d = m = 2 from two rows on); without it, sampling and every march run
-    numpy, with the same bits.
+    d = m = 2, a single path included); without it, sampling and every
+    march run numpy, with the same bits.
     """
     lib = _native()
     return None if lib is None else lib._name

@@ -102,13 +102,16 @@ COLUMN_MIN_ROWS = 512
 
 # At d = m = 2 (numpy 2.4, B >= 2) 'bij,bj->bi' adds its two products in
 # order, and 'bijk,bkj->bi' adds per-k sums over j, then the two partial
-# sums; both start from +0.0, so a sum of -0.0 products is +0.0.  Where two
-# NaNs of different sign meet, the noise term keeps the earlier term's and
-# dw's, which the column form follows; the noise-interaction term's choice
-# follows its vector kernel and the batch width, so there the column form
-# gives the same bits up to the sign of a NaN.  Other shapes sum in other
-# orders (the noise term at m = 3, the noise-interaction term at d = 3).
-# The native planar march (_march.c) takes the column forms at every width.
+# sums; both start from +0.0, so a sum of -0.0 products is +0.0.  On a
+# single row 'bij,bj->bi' adds as on a batch, but 'bijk,bkj->bi' adds
+# per-j sums over k, (P00 + P01) + (P10 + P11) with P_jk = sig[k, j] *
+# grad[i, j, k].  Where two NaNs of different sign meet, the noise term
+# keeps the earlier term's and dw's, which the column form follows; the
+# noise-interaction term's choice follows its vector kernel and the batch
+# width, so there the column form gives the same bits up to the sign of a
+# NaN.  Other shapes sum in other orders (the noise term at m = 3, the
+# noise-interaction term at d = 3).  The native planar march (_march.c)
+# takes the column forms from two rows on and the one-row order on one.
 
 
 def _noise_columns(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:

@@ -209,7 +209,8 @@ def check_feasible(domain: DomainSpec, states, what: str) -> None:
 
 
 def sum_squares(a: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(a * a, axis=-1)``, bit for bit, at batch width.
+    """``np.add.reduce(a * a, axis=-1)``, bit for bit up to the sign of a
+    NaN, at batch width.
 
     numpy reduces a short last axis with one inner loop per row, so a
     ``(B, 2)`` batch costs ``B`` loops of length two.  Up to seven terms
@@ -217,7 +218,9 @@ def sum_squares(a: np.ndarray) -> np.ndarray:
     reproduces with a handful of operations over the whole batch.  From
     eight terms numpy's loop adds in pairs, and below 64 rows one reduction
     call costs less than the column operations, so there the reduction is
-    used as is.
+    used as is.  On a row holding two NaNs of different sign the reduction
+    and the column sum may keep different ones: numpy's vector loops pick
+    their operands in different orders.
     """
     d = a.shape[-1]
     if d >= 8 or a.size < 64 * d:

@@ -15,7 +15,7 @@ march fills, walks the reference's blocks and assembles the result; the
 backend only runs a span of steps.  That is the native march (``_march.c``)
 when the library loads and ``cover.native_march`` covers the study: a built-in
 family on a one-dimensional box at d = m = 1, or on a box, ball or annulus
-at d = m = 2 from two rows on.  Otherwise it is the numpy ``_march``, on
+at d = m = 2, at any batch width.  Otherwise it is the numpy ``_march``, on
 the same contract and with the same bits.
 
 The march operates on a batch of paths in lockstep and does the same work
@@ -28,18 +28,20 @@ elementwise across the batch, so a finite row's result does not depend on
 the batch (for a row that is not finite it may: numpy's ``np.dot`` skips a
 zero factor from two rows on, so a zero drift matrix times an infinite
 state is 0 there and NaN in a row alone).  For d >= 2 the built-in
-coefficients' contractions (``np.dot`` of ``(B, d)`` states) go through
-BLAS from two rows on, which fuses a multiply into an add, while a single
-row is summed plainly; so batches of two or more paths agree row for row
+coefficients' contractions add in another order on a single row: BLAS's
+``np.dot`` of ``(B, d)`` states fuses a multiply into an add at every
+width, but on one row it fuses the other product, and einsum sums the
+noise-interaction term of one row per ``j`` over ``k`` rather than per
+``k`` over ``j``.  So batches of two or more paths agree row for row
 whatever their width, but a path marched alone can differ from its row in
 a batch at rounding level.
 
 The noise term ``sigma @ dW`` is ``coefficients.noise_term``: a wide march
 with d = m = 2 sums batch columns, every other march calls ``np.einsum``,
 with the same bits either way.  The native planar march forms both
-contractions in the column order at every width, and ``np.dot``'s two
-planar products in the order of the BLAS that numpy runs here, which it
-checks once per process (``cover.planar_dots_agree``).
+contractions in einsum's order for the batch's width, and ``np.dot``'s
+two planar products in the order of the BLAS that numpy runs here for
+that width, which it checks once per process (``cover.planar_dots_agree``).
 """
 
 from __future__ import annotations
@@ -327,11 +329,13 @@ def integrate_reference_batch(
         batch, out, log_at = _native_arguments(arrays)
 
         def march(start, values, pos, n, j):
+            # The block from knot pos on, and its row, knot and noise steps.
             block = (None, 0, 0, 0) if values is None else (
-                _ptr(values), *(step // values.itemsize for step in values.strides)
+                _ptr(values) + (pos - start) * values.strides[1],
+                *(step // values.itemsize for step in values.strides),
             )
             return lib.march_reference(
-                _ptr(kind), _ptr(par), *batch, *block, pos - start, pos, n, h, _ptr(out_steps),
+                _ptr(kind), _ptr(par), *batch, *block, pos, n, h, _ptr(out_steps),
                 len(out_steps), j, out, *log_at,
             )
     else:

@@ -14,7 +14,7 @@ def pytest_addoption(parser):
         "--no-native",
         action="store_true",
         help="run numpy only: the native library (Brownian streams and the march of "
-        "d = m = 1 and d = m = 2 built-in studies) is never loaded",
+        "d = m = 1 and d = m = 2 built-in studies, single paths included) is never loaded",
     )
 
 
@@ -38,9 +38,12 @@ def pytest_report_header(config):
     lib = brownian.native_library()
     if lib is None:
         return "native library: none (numpy streams and numpy march)"
-    planar = "" if cover.planar_dots_agree() else ", but not at d = 2: np.dot's BLAS differs"
+    declined = [width for width, one_row in (("a single row", True), ("wider batches", False))
+                if not cover.planar_dots_agree(one_row)]
+    planar = (f", but not {' or '.join(declined)} at d = 2: np.dot's BLAS differs"
+              if declined else "")
     return (f"native library: {lib} (Brownian streams; the march of d = m = 1 and "
-            f"d = m = 2 built-in studies{planar})")
+            f"d = m = 2 built-in studies, single paths included{planar})")
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 The native march (``_march.c``) runs a built-in family on a
 one-dimensional box at d = m = 1, and on a box, ball or annulus at
-d = m = 2 from two rows on, when the native library loads; every other
+d = m = 2, a single path included, when the native library loads; every other
 study, and every study under ``--no-native``, runs the numpy march.  The
 byte tests run each march both ways, the second time with the library
 switched off, and compare every array they return, NaNs and signed zeros
@@ -12,6 +12,7 @@ included.
 import ctypes
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -448,32 +449,48 @@ def _fma(a, b, c):
     return float(Fraction(a) * Fraction(b) + Fraction(c))
 
 
-def _numpy_dot_fuses():
-    """Whether numpy's planar ``np.dot`` rounds as the library spells it
-    (gemv ``fma(y0, f0, y1 * f1)``, gemm ``fma(y1, A[i, 1], y0 * A[i, 0])``)
-    on finite nonzero rows, each fused multiply-add formed exactly here."""
+def _numpy_dot_fuses(one_row):
+    """Whether numpy's planar ``np.dot`` rounds as the library spells it on
+    finite nonzero rows, each fused multiply-add formed exactly here: from
+    two rows on gemv ``fma(y0, f0, y1 * f1)`` and gemm ``fma(y1, A[i, 1],
+    y0 * A[i, 0])``, and on a single row (``one_row``) each mirrored."""
     rng = np.random.default_rng(5)
     f, A = rng.normal(size=2), rng.normal(size=(2, 2))
-    for width in (2, 67):
+    for width in (1,) * 20 if one_row else (2, 67):
         y = rng.normal(size=(width, 2))
-        gemv = [_fma(y0, f[0], y1 * f[1]) for y0, y1 in y]
-        gemm = [[_fma(y1, a1, y0 * a0) for a0, a1 in A] for y0, y1 in y]
+        if one_row:
+            gemv = [_fma(y1, f[1], y0 * f[0]) for y0, y1 in y]
+            gemm = [[_fma(y0, a0, y1 * a1) for a0, a1 in A] for y0, y1 in y]
+        else:
+            gemv = [_fma(y0, f[0], y1 * f[1]) for y0, y1 in y]
+            gemm = [[_fma(y1, a1, y0 * a0) for a0, a1 in A] for y0, y1 in y]
         if np.dot(y, f).tolist() != gemv or np.dot(y, A.T).tolist() != gemm:
             return False
     return True
 
 
+def _planar_library(native, one_row):
+    """The native library, where its planar ``np.dot`` spellings at that
+    width agree with numpy's BLAS; elsewhere such studies march in numpy,
+    so this skips.  Where numpy's BLAS rounds as the library spells it, a
+    probe that disagrees is the library's fault, and fails."""
+    if not cover.planar_dots_agree(one_row):
+        if _numpy_dot_fuses(one_row):
+            pytest.fail("np.dot fuses as the library spells it, yet the probe disagrees")
+        pytest.skip("np.dot's BLAS rounds otherwise here, so these planar studies march in numpy")
+    return native
+
+
 @pytest.fixture
 def planar(native):
-    """The native library, where its planar ``np.dot`` spellings agree with
-    numpy's BLAS; elsewhere planar studies march in numpy, so this skips.
-    Where numpy's BLAS rounds as the library spells it, a probe that
-    disagrees is the library's fault, and fails."""
-    if not cover.planar_dots_agree():
-        if _numpy_dot_fuses():
-            pytest.fail("np.dot fuses as the library spells it, yet the probe disagrees")
-        pytest.skip("np.dot's BLAS rounds otherwise here, so planar studies march in numpy")
-    return native
+    """The native library for planar batches of two or more rows."""
+    return _planar_library(native, False)
+
+
+@pytest.fixture
+def planar_row(native):
+    """The native library for a single planar row."""
+    return _planar_library(native, True)
 
 
 def _without_nan_signs(arrays):
@@ -559,16 +576,82 @@ def test_planar_engine_stats_give_the_numpy_bytes(planar, monkeypatch, domain_na
     assert native_arrays == numpy_arrays
 
 
+@pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
+@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
+def test_planar_single_row_marches_give_the_numpy_bytes(
+    planar_row, monkeypatch, family, domain_name
+):
+    # Each special start alone, with its step log, through both schemes:
+    # states, variation and the log's states, dL and |dL|, byte for byte.
+    domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family]()
+    assert cover.native_march(domain, coeffs, 1) is not None
+    starts = np.array(_PLANAR_STARTS)
+    times, knot_idx, out_pos = wz_schedule(3, 3, [0.0, 1 / 24, 0.3, 5 / 12, 1.0], 1.0)
+    slopes = np.random.default_rng(7).normal(0.0, 4.0, (len(starts), 8, 2))
+    slopes[:, 0] = 0.0
+    slopes[::3, 4] = 1e308
+    slopes[1::4, 2, 1] = -1e308
+    fine_level, out_steps = 6, np.array([0, 0, 1, 5, 8, 8, 37])
+    coarse = rs.sample_path(2, 1.0, 3, list(range(len(starts))))
+
+    def blocks(row):
+        # As the wide reference test's, one row at a time.
+        for start, values in FineBlocks(coarse, fine_level, 64, 1).blocks():
+            values = values[row : row + 1].copy()
+            if start == 0:
+                values[:, 1] = values[:, 0]
+            if start == 8:
+                values = np.asfortranarray(values)
+            if start == 16 and row % 2 == 0:
+                values[:, 3, 0] = 1e308
+            yield start, values
+
+    for row in range(len(starts)):
+        x0 = starts[row : row + 1]
+        for run in (
+            lambda: integrate_wz_batch(domain, coeffs, x0, slopes[row : row + 1], times,
+                                       knot_idx, out_pos, True),
+            lambda: integrate_reference_batch(domain, coeffs, x0, blocks(row), fine_level,
+                                              out_steps, True),
+        ):
+            native_arrays, numpy_arrays = _both(monkeypatch, run)
+            assert len(native_arrays) == 6
+            assert native_arrays == numpy_arrays
+
+
+# A start inside each planar domain and one on its boundary.
+_PLANAR_PATH_STARTS = {
+    "box": ([0.5, -0.25], [1.0, -0.0]),
+    "ball": ([0.3, 0.2], [0.6, 0.8]),
+    "annulus": ([0.75, 0.0], [0.0, -0.5]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
+def test_planar_single_path_solves_give_the_numpy_bytes(planar_row, monkeypatch, family):
+    coeffs = PLANAR_FAMILIES[family]()
+    path = rs.sample_path(2, 1.0, 8, 21)
+    for domain_name, make in sorted(PLANAR_DOMAINS.items()):
+        domain = make()
+        for x0 in _PLANAR_PATH_STARTS[domain_name]:
+            for solve in (
+                lambda: rs.solve_wz(domain, coeffs, path, 4, 3, x0, [0.3, 5 / 12, 1.0], True),
+                lambda: rs.solve_reference(domain, coeffs, path, x0, [0.25, 1.0], True),
+                lambda: rs.coupled_solve(domain, coeffs, path, 5, 8, x0, [1.0], True),
+            ):
+                native_arrays, numpy_arrays = _both(monkeypatch, solve)
+                assert native_arrays == numpy_arrays
+
+
 def _planar_study():
     return PLANAR_DOMAINS["annulus"](), PLANAR_FAMILIES["trig"]()
 
 
-def test_the_march_covers_each_planar_built_in_from_two_rows(planar):
+def test_the_march_covers_each_planar_built_in_at_every_width(planar, planar_row):
     for make_domain in PLANAR_DOMAINS.values():
         for family in PLANAR_FAMILIES.values():
             domain, coeffs = make_domain(), family()
-            assert cover.native_march(domain, coeffs, 1) is None
-            for width in (2, 3, 2000):
+            for width in (1, 2, 3, 2000):
                 assert cover.native_march(domain, coeffs, width) is not None
 
 
@@ -598,44 +681,96 @@ def test_uncovered_planar_studies_run_the_numpy_march(native, case):
     assert cover.native_march(domain, coeffs, 67) is None
 
 
-def test_a_disagreeing_blas_runs_the_numpy_march_with_the_same_bits(planar, monkeypatch):
+def test_a_disagreeing_blas_runs_the_numpy_march_with_the_same_bits(
+    planar, planar_row, monkeypatch
+):
     from test_golden import CASES, GOLDEN
 
-    assert cover.native_march(*_planar_study(), 2) is not None
-    monkeypatch.setattr(cover, "planar_dots_agree", lambda: False)
-    assert cover.native_march(*_planar_study(), 2) is None
-    assert cover.native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"](), 2) is not None
-    assert CASES["stats_annulus_trig"]() == GOLDEN["stats_annulus_trig"]
+    for width in (1, 2):
+        assert cover.native_march(*_planar_study(), width) is not None
+    monkeypatch.setattr(cover, "planar_dots_agree", lambda one_row: False)
+    for width in (1, 2):
+        assert cover.native_march(*_planar_study(), width) is None
+        assert cover.native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"](), width) is not None
+    # An engine study and a single path's substep logs.
+    for case in ("stats_annulus_trig", "substeps_ball_linear"):
+        assert CASES[case]() == GOLDEN[case]
 
 
-def test_the_planar_dots_give_numpy_bits(planar):
-    # The library's gemv and gemm spellings against np.dot at every width
-    # the byte tests march and the probe compares, with zeros of both signs
-    # and values that are not finite; the march's later sums from +0.0 hide
-    # a zero's sign.
+@pytest.mark.parametrize("spelling", ["gemv", "gemm"])
+@pytest.mark.parametrize("flipped", ["one_row", "wider"])
+def test_each_width_asks_only_its_own_probe(planar, planar_row, monkeypatch, spelling, flipped):
+    # A spelling that differs from np.dot on a single row sends a single
+    # path to numpy and keeps wider batches native, and the reverse; a
+    # march asks only the probe of its own width.
+    native, calls = planar, []
+
+    def planar_dots(width, y, f, A, v, mat):
+        native.planar_dots(width, y, f, A, v, mat)
+        calls.append(width)
+        if (width == 1) == (flipped == "one_row"):
+            target = v if spelling == "gemv" else mat
+            (ctypes.c_uint64 * width).from_address(target)[width - 1] ^= 1
+
+    fake = type("Library", (), {"planar_dots": staticmethod(planar_dots)})
+    monkeypatch.setattr(brownian, "_native", lambda: fake)
+    monkeypatch.setattr(cover, "planar_dots_agree",
+                        functools.cache(cover.planar_dots_agree.__wrapped__))
+    assert (cover.native_march(*_planar_study(), 1) is None) == (flipped == "one_row")
+    assert set(calls) == {1}
+    calls.clear()
+    assert (cover.native_march(*_planar_study(), 2) is None) == (flipped == "wider")
+    assert calls and min(calls) >= 2
+
+
+def _check_planar_dots(lib, batches):
+    """The library's gemv and gemm spellings against np.dot on each batch,
+    with factors holding zeros of both signs."""
     zeros = [-0.0, 0.0]
-    for width in sorted({*PLANAR_WIDTHS, *cover.PROBE_WIDTHS}):
-        y = np.random.default_rng(width).normal(0.0, 2.0, (width, 2))
-        y[: min(width, 6)] = [[-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [np.inf, 0.5],
-                              [np.nan, -np.inf], [1e308, -1e308]][: min(width, 6)]
+    for y in batches:
+        width = len(y)
         for f, A in [([0.7, -1.3], [[-0.0, 0.4], [1.1, -0.9]]),
                      (zeros, [zeros, zeros]), ([2.0, 0.0], [[0.0, 1.0], [-1.0, 0.0]])]:
             f, A = np.array(f), np.array(A)
             v, mat = np.empty(width), np.empty((width, 2))
-            planar.planar_dots(width, y.ctypes.data, f.ctypes.data, A.ctypes.data,
-                               v.ctypes.data, mat.ctypes.data)
+            lib.planar_dots(width, y.ctypes.data, f.ctypes.data, A.ctypes.data,
+                            v.ctypes.data, mat.ctypes.data)
             with np.errstate(all="ignore"):
                 assert v.tobytes() == np.dot(y, f).tobytes()
                 assert mat.tobytes() == np.dot(y, A.T).tobytes()
 
 
-def test_the_blas_probe_compares_each_spelling_with_numpy(planar, monkeypatch):
+# Rows of zeros of both signs and values that are not finite; the march's
+# later sums from +0.0 hide a zero's sign.
+_DOT_ROWS = [[-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [np.inf, 0.5], [np.nan, -np.inf],
+             [1e308, -1e308]]
+
+
+def test_the_planar_dots_give_numpy_bits(planar):
+    # At every width the byte tests march and the probe compares.
+    def batches():
+        for width in sorted({*PLANAR_WIDTHS, *cover.PROBE_WIDTHS}):
+            y = np.random.default_rng(width).normal(0.0, 2.0, (width, 2))
+            y[: min(width, 6)] = _DOT_ROWS[: min(width, 6)]
+            yield y
+
+    _check_planar_dots(planar, batches())
+
+
+def test_the_planar_dots_give_numpy_bits_on_a_single_row(planar_row):
+    rows = np.concatenate([_DOT_ROWS, _PLANAR_STARTS,
+                           np.random.default_rng(1).normal(0.0, 2.0, (500, 2))])
+    _check_planar_dots(planar_row, rows[:, None])
+
+
+def test_the_blas_probe_compares_each_spelling_with_numpy(planar, planar_row, monkeypatch):
     # The probe fails as soon as either spelling's bits differ from np.dot.
-    # It compares every batch width's residue modulo 16, where BLAS kernels
-    # split blocks and tails.
+    # From two rows on it compares every batch width's residue modulo 16,
+    # where BLAS kernels split blocks and tails; the single-row probe
+    # compares batches of one.
     assert {width % 16 for width in cover.PROBE_WIDTHS} == set(range(16))
     native = planar
-    for spelling in ("gemv", "gemm"):
+    for one_row, spelling in itertools.product((False, True), ("gemv", "gemm")):
         calls = []
 
         def planar_dots(width, y, f, A, v, mat, spelling=spelling):
@@ -647,8 +782,8 @@ def test_the_blas_probe_compares_each_spelling_with_numpy(planar, monkeypatch):
 
         fake = type("Library", (), {"planar_dots": staticmethod(planar_dots)})
         monkeypatch.setattr(brownian, "_native", lambda: fake)
-        assert not cover.planar_dots_agree.__wrapped__()
-        assert calls == [cover.PROBE_WIDTHS[0]]
+        assert not cover.planar_dots_agree.__wrapped__(one_row)
+        assert calls == [1 if one_row else cover.PROBE_WIDTHS[0]]
         monkeypatch.undo()
 
 
@@ -660,49 +795,69 @@ import sys
 import numpy as np
 
 import reflectedsde as rs
-from reflectedsde import cover
-from test_native_march import DOMAINS, FAMILIES, PLANAR_DOMAINS, PLANAR_FAMILIES, _arrays
+from reflectedsde import cover, solvers
+from test_native_march import (DOMAINS, FAMILIES, PLANAR_DOMAINS, PLANAR_FAMILIES,
+                               _PLANAR_PATH_STARTS, _arrays)
 
 libc = ctypes.CDLL(None)
 libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
 page, pages = mmap.PAGESIZE, []
-covered = cover.native_march
+covered, march_arrays = cover.native_march, solvers._march_arrays
+
+
+def at_page_end(a):
+    # A copy of a that ends where an unreadable page begins, so a kernel
+    # that reads or writes past it faults.
+    n = -(-a.nbytes // page) * page
+    buf = mmap.mmap(-1, n + page)
+    end = ctypes.addressof(ctypes.c_char.from_buffer(buf)) + n
+    if libc.mprotect(end, page, 0) != 0:
+        sys.exit("mprotect failed")
+    pages.append(buf)
+    copy = np.ctypeslib.as_array((ctypes.c_double * a.size).from_address(end - a.nbytes))
+    copy[:] = a.ravel()
+    return copy.reshape(a.shape)
 
 
 def guarded(domain, coeffs, width):
-    # The parameters end where an unreadable page begins, so a kernel that
-    # reads past them faults.
     lib, kind, par = covered(domain, coeffs, width)
-    buf = mmap.mmap(-1, 2 * page)
-    end = ctypes.addressof(ctypes.c_char.from_buffer(buf)) + page
-    if libc.mprotect(end, page, 0) != 0:
-        sys.exit("mprotect failed")
-    ctypes.memmove(end - par.nbytes, par.ctypes.data, par.nbytes)
-    pages.append(buf)
-    return lib, kind, np.ctypeslib.as_array((ctypes.c_double * par.size).from_address(
-        end - par.nbytes))
+    return lib, kind, at_page_end(par)
 
 
-studies = [(make(), family(), [0.0]) for make in DOMAINS.values() for family in FAMILIES.values()]
-if cover.planar_dots_agree():
-    studies += [(make(), family(), [0.75, -0.25]) for make in PLANAR_DOMAINS.values()
-                for family in PLANAR_FAMILIES.values()]
-for domain, coeffs, x0 in studies:
-    def stats():
-        return _arrays(rs.run_coupling_stats(domain, coeffs, x0, 1.0, (2, 3), 3, 2, 3, seed=2))
+def guarded_arrays(*args):
+    X, var, out, log = march_arrays(*args)
+    return X, var, out, None if log is None else tuple(at_page_end(a) for a in log)
 
-    expected = stats()
-    cover.native_march = guarded
-    assert stats() == expected
-    cover.native_march = covered
-print(len(studies))
+
+def stats(domain, coeffs, x0):
+    return _arrays(rs.run_coupling_stats(domain, coeffs, x0, 1.0, (2, 3), 3, 2, 3, seed=2))
+
+
+def single_path(domain, coeffs, x0):
+    path = rs.sample_path(coeffs.dim_noise, 1.0, 6, 3)
+    return _arrays(rs.coupled_solve(domain, coeffs, path, 3, 2, x0, [0.5, 1.0], True))
+
+
+lines = [(make(), family(), [0.0]) for make in DOMAINS.values() for family in FAMILIES.values()]
+planes = [(PLANAR_DOMAINS[name](), family(), _PLANAR_PATH_STARTS[name][0])
+          for name in PLANAR_DOMAINS for family in PLANAR_FAMILIES.values()]
+runs = [(run, study) for run in (stats, single_path) for study in lines]
+runs += [(stats, study) for study in planes if cover.planar_dots_agree(False)]
+runs += [(single_path, study) for study in planes if cover.planar_dots_agree(True)]
+for run, study in runs:
+    expected = run(*study)
+    cover.native_march, solvers._march_arrays = guarded, guarded_arrays
+    assert run(*study) == expected
+    cover.native_march, solvers._march_arrays = covered, march_arrays
+print(len(runs))
 """
 
 
 def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
-    # Each covered study marches with its packed parameters at the end of a
-    # readable page, in a child process that a read past them kills.  The
-    # planar studies run where the BLAS probe agrees.
+    # Each covered study marches with its packed parameters, and a single
+    # path with each of its step log's arrays, at the end of a readable
+    # page, in a child process that a read or write past them kills.  The
+    # planar studies run at the widths whose BLAS probe agrees.
     if not sys.platform.startswith("linux"):
         pytest.skip("the guard page is set with Linux's mprotect")
     tests_dir = Path(__file__).resolve().parent
@@ -711,5 +866,6 @@ def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
     proc = subprocess.run([sys.executable, "-c", _GUARDED], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    planar = len(PLANAR_DOMAINS) * len(PLANAR_FAMILIES) if cover.planar_dots_agree() else 0
-    assert int(proc.stdout) == len(DOMAINS) * len(FAMILIES) + planar
+    planes = len(PLANAR_DOMAINS) * len(PLANAR_FAMILIES)
+    widths = cover.planar_dots_agree(False) + cover.planar_dots_agree(True)
+    assert int(proc.stdout) == 2 * len(DOMAINS) * len(FAMILIES) + widths * planes
