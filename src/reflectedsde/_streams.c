@@ -2,10 +2,16 @@
  *
  * Every stream is Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel
  * random numbers: as easy as 1, 2, 3", SC 2011) keyed by SeedSequence's
- * pool-4 hash of (seed, level), and its normals come from numpy's own
- * ziggurat, random_standard_normal in libnpyrandom.  So every draw equals
+ * pool-4 hash of (seed, level), and its normals are numpy's ziggurat
+ * (Marsaglia and Tsang, 2000).  So every draw equals
  * numpy.random.Generator(numpy.random.Philox(key=...)).standard_normal bit
- * for bit.  Without this library, brownian.py draws the same bits from
+ * for bit.  The ziggurat's one-word fast path, about 99% of the draws, runs
+ * inline (normal() below) with numpy's tables; every other word goes to
+ * numpy's own random_standard_normal in libnpyrandom, which runs the wedge
+ * and the tail.  numpy does not export its tables, so the library reads
+ * them back from that function when it is loaded and checks the inline
+ * path against it; if the check fails, every draw calls numpy's function.
+ * Without this library, brownian.py draws the same bits from
  * numpy's SeedSequence plus one re-keyed numpy Philox: a second oracle.
  *
  * brownian.py builds this file, with _march.c, into one library:
@@ -21,6 +27,7 @@
  */
 
 #include <stdint.h>
+#include <string.h>
 
 #include "numpy/random/bitgen.h"
 
@@ -129,6 +136,154 @@ static bitgen_t philox_bitgen(philox_t *s)
     return g;
 }
 
+/* numpy's ziggurat reads a word as idx = r & 0xff, sign = bit 8 and rabs =
+ * the 52 bits from bit 9, and returns +-rabs * wi[idx] from that word alone
+ * when rabs < ki[idx].  zig_k and zig_w are ki and wi as read back at load;
+ * every zig_k is 0 when the inline path is off. */
+#define RABS_MASK 0x000FFFFFFFFFFFFFULL
+static uint64_t zig_k[256];
+static double zig_w[256];
+static int zig_on;
+
+/* The fast path's value of word ``r``.  numpy's ``-x`` flips the sign bit,
+ * so bit 8 flips it here, with no branch (-0.0 included). */
+static inline double zig_fast(uint64_t r)
+{
+    double x = (double)((r >> 9) & RABS_MASK) * zig_w[r & 0xff];
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    bits ^= (r & 0x100) << 55;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/* The next standard normal of stream ``s``, whose bitgen is ``g``.  A word
+ * off the fast path is put back (it is still in the block buffer) for
+ * numpy's function to draw again. */
+static inline double normal(philox_t *s, bitgen_t *g)
+{
+    uint64_t r = philox_next64(s);
+    if (((r >> 9) & RABS_MASK) < zig_k[r & 0xff])
+        return zig_fast(r);
+    s->pos--;
+    return random_standard_normal(g);
+}
+
+/* A bitgen that serves ``word``, then 0 (idx 0 and rabs 0, taken at once)
+ * and 0.5 for every double (accepted in the wedge and the tail), so that
+ * numpy's function returns after a few calls whatever its tables hold. */
+typedef struct {
+    uint64_t word;
+    int words, doubles;
+} probe_t;
+
+static uint64_t probe_next64(void *st)
+{
+    probe_t *p = st;
+    return p->words++ ? 0 : p->word;
+}
+
+static uint32_t probe_next32(void *st)
+{
+    return (uint32_t)probe_next64(st);
+}
+
+static double probe_next_double(void *st)
+{
+    ((probe_t *)st)->doubles++;
+    return 0.5;
+}
+
+/* numpy's normal of ``word``; ``*fast`` says whether it took that word alone. */
+static double probe(uint64_t word, int *fast)
+{
+    probe_t p = {word, 0, 0};
+    bitgen_t g = {&p, probe_next64, probe_next32, probe_next_double, probe_next64};
+    double x = random_standard_normal(&g);
+    *fast = p.words == 1 && p.doubles == 0;
+    return x;
+}
+
+/* ki[i] is the least rabs at which numpy takes more than the word with
+ * index i, found by bisection (numpy takes the word alone exactly below
+ * ki), or 2^52 when there is none; numpy's ki[1] is 0.  wi[i] is numpy's
+ * normal of the word with index i and rabs 1 when that word is fast; else
+ * the fast path takes at most rabs 0 and wi[i] does not matter. */
+static void zig_read_back(void)
+{
+    for (uint64_t i = 0; i < 256; i++) {
+        int fast;
+        uint64_t lo = 0, hi = RABS_MASK + 1;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            probe(mid << 9 | i, &fast);
+            if (fast)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        zig_k[i] = lo;
+        zig_w[i] = lo > 1 ? probe(1ULL << 9 | i, &fast) : 0.0;
+    }
+}
+
+/* Normals of the check stream: enough to meet numpy's wedge and tail. */
+#define CHECK_DRAWS 65536
+
+/* Every index at rabs 0, 1, ki - 1, ki and 2^52 - 1 with both signs: where
+ * the inline path is fast, numpy takes the word alone and returns the same
+ * bytes, and elsewhere numpy takes more.  Then one Philox stream gives the
+ * same bytes and ends in the same state drawn inline and by numpy. */
+static int zig_check(void)
+{
+    for (uint64_t i = 0; i < 256; i++) {
+        uint64_t k = zig_k[i], at[5] = {0, 1, k - 1, k, RABS_MASK};
+        for (int a = 0; a < 5; a++) {
+            if (at[a] > RABS_MASK)
+                continue;
+            for (uint64_t sign = 0; sign < 2; sign++) {
+                uint64_t word = at[a] << 9 | sign << 8 | i;
+                int fast;
+                double x = probe(word, &fast), y = zig_fast(word);
+                if (fast != (at[a] < k) || (fast && memcmp(&x, &y, sizeof x)))
+                    return 0;
+            }
+        }
+    }
+    const uint64_t key[2] = {0x243F6A8885A308D3ULL, 0x13198A2E03707344ULL};
+    const uint64_t fresh[9] = {0, 0, 0, 0, 0, 0, 0, 0, 4};
+    philox_t ours, theirs;
+    philox_load(&ours, key, fresh);
+    philox_load(&theirs, key, fresh);
+    bitgen_t our_g = philox_bitgen(&ours), their_g = philox_bitgen(&theirs);
+    for (int n = 0; n < CHECK_DRAWS; n++) {
+        double x = normal(&ours, &our_g), y = random_standard_normal(&their_g);
+        if (memcmp(&x, &y, sizeof x))
+            return 0;
+    }
+    uint64_t our_saved[9], their_saved[9];
+    philox_save(&ours, our_saved);
+    philox_save(&theirs, their_saved);
+    return !memcmp(our_saved, their_saved, sizeof our_saved);
+}
+
+/* At load, before any entry point can run: read the tables back and check
+ * them, or leave every draw to numpy's function. */
+__attribute__((constructor)) static void zig_init(void)
+{
+    zig_read_back();
+    zig_on = zig_check();
+    if (!zig_on)
+        memset(zig_k, 0, sizeof zig_k);
+}
+
+/* 1 when the inline fast path passed its check at load; 0 when numpy's
+ * function draws every normal. */
+int inline_ziggurat(void)
+{
+    return zig_on;
+}
+
 /* numpy's SeedSequence at pool size 4 (numpy/random/bit_generator.pyx). */
 #define INIT_A 0x43B0D7E5u
 #define MULT_A 0x931E8875u
@@ -200,7 +355,7 @@ void fill_streams(const uint64_t *keys, uint64_t *saved, int64_t n, int64_t coun
         bitgen_t g = philox_bitgen(&s);
         double *row = out + b * count;
         for (int64_t i = 0; i < count; i++)
-            row[i] = random_standard_normal(&g);
+            row[i] = normal(&s, &g);
         philox_save(&s, saved + 9 * b);
     }
 }
@@ -238,7 +393,7 @@ void refine_level(const uint64_t *keys, uint64_t *saved, int64_t n_paths, double
                 double *left = values + (b0 + i) * path_step + 2 * k * knot_step;
                 double *mid = left + knot_step, *right = mid + knot_step;
                 for (int64_t c = 0; c < m; c++) {
-                    double z = random_standard_normal(&g);
+                    double z = normal(&s[i], &g);
                     mid[c * comp_step] = ((left[c * comp_step] + right[c * comp_step]) * 0.5)
                                          + (z * scale);
                 }

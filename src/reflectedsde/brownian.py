@@ -13,10 +13,13 @@ keys (the seed masked to 63 bits), started at counter zero; the draws are
 exactly those of ``Generator(Philox(SeedSequence([seed, level])))``.  A
 sampling call computes the whole ``(levels, paths)`` key table at once
 (``stream_keys``) and draws the streams through the stream library,
-``_streams.c``: Philox4x64-10 and SeedSequence's hash in C, with numpy's
-own ziggurat (``random_standard_normal`` from numpy's ``libnpyrandom.a``)
-for the normals, one call per level (or per level and time block) for a
-whole batch.
+``_streams.c``: Philox4x64-10 and SeedSequence's hash in C, and numpy's
+ziggurat for the normals, one call per level (or per level and time block)
+for a whole batch.  The ziggurat's one-word fast path runs inline with
+numpy's tables, which the library reads back from numpy's own
+``random_standard_normal`` (in numpy's ``libnpyrandom.a``) when it loads
+and checks against it; the wedge and the tail call that function.  If the
+check fails, that function draws every normal.
 
 The same library holds the native march of ``solvers`` (``_march.c``),
 which marches the built-in families' studies at d = m = 1 and, on the
@@ -130,6 +133,7 @@ def _native():
             ("march_wz", [ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr,
                           ptr, ptr], None),
             ("planar_dots", [i64, ptr, ptr, ptr, ptr, ptr], None),
+            ("inline_ziggurat", [], ctypes.c_int),
         ):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = args, result

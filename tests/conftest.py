@@ -42,8 +42,11 @@ def pytest_report_header(config):
                 if not cover.planar_dots_agree(one_row)]
     planar = (f", but not {' or '.join(declined)} at d = 2: np.dot's BLAS differs"
               if declined else "")
+    ziggurat = ("" if brownian._native().inline_ziggurat() else
+                "; the inline ziggurat failed its check at load, so numpy's "
+                "random_standard_normal draws every normal")
     return (f"native library: {lib} (Brownian streams; the march of d = m = 1 and "
-            f"d = m = 2 built-in studies, single paths included{planar})")
+            f"d = m = 2 built-in studies, single paths included{planar}){ziggurat}")
 
 
 @pytest.fixture

@@ -153,3 +153,47 @@ def test_batched_sampling_builds_one_philox_and_no_seedsequence(native, monkeypa
     built.clear()
     rs.refine(batch)
     assert built["SeedSequence"] == 0 and built["Philox"] <= 1
+
+
+# numpy's ziggurat_nor_r: a draw beyond it in absolute value comes from the
+# ziggurat's tail, which numpy's function draws, never the inline path.
+_TAIL = 3.6541528853610088
+# Uneven pieces, so that draws resume at every position of a Philox block.
+_PIECES = [1, 2, 3, 5, 17, 4093, 65539, 262147]
+
+
+def test_the_inline_ziggurat_passes_its_check(native):
+    assert native.inline_ziggurat() == 1
+
+
+def test_long_streams_drawn_in_pieces_give_numpys_bytes_tail_included(native):
+    """More than ten million normals from eight ``(seed, level)`` streams,
+    drawn through ``_Streams.fill`` (every stream of a level at once) and
+    ``_Streams.draw`` (one stream) in uneven pieces, against each stream's
+    own numpy generator.  About 1% of the words leave the inline fast path
+    for numpy's wedge and tail, the path that every word takes when the
+    inline check fails."""
+    seeds, first, last = [0, 41, -7, 2**63 + 5], 3, 4
+    streams = brownian._Streams(seeds, first, last)
+    numpy_normal = {
+        (level, b): np.random.Generator(
+            np.random.Philox(key=streams.keys[level - first, b])).standard_normal
+        for level in range(first, last + 1) for b in range(len(seeds))
+    }
+    drawn, tail = Counter(), Counter()
+    for turn in range(5):
+        for count in _PIECES:
+            for level in range(first, last + 1):
+                out = np.empty((len(seeds), count))
+                if turn % 2 == 0:
+                    streams.fill(level, out)
+                else:
+                    for b in range(len(seeds)):
+                        streams.draw(level, b, out[b])
+                for b in range(len(seeds)):
+                    want = numpy_normal[level, b](count)
+                    assert out[b].tobytes() == want.tobytes(), (level, b, turn, count)
+                    drawn[level, b] += count
+                    tail[level, b] += int(np.count_nonzero(np.abs(want) > _TAIL))
+    assert sum(drawn.values()) >= 10_000_000
+    assert all(tail[stream] > 0 for stream in numpy_normal), tail
