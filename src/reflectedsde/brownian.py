@@ -285,13 +285,17 @@ class BrownianPath:
         return self.values.shape[-2] - 1
 
 
-def check_whole(name: str, value, least: int) -> int:
-    """``value`` as an int, once it is a whole number of at least ``least``;
-    otherwise a ``ValueError`` whose message starts with ``name``.  numpy
-    counts no boolean as a number, so ``True`` is not 1."""
-    real = any(np.issubdtype(type(value), kind) for kind in (np.integer, np.floating))
-    if not (real and float(value).is_integer() and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def check_whole(name: str, value, least: int | None) -> int:
+    """``value`` as an int, once it is a whole number of at least ``least``
+    (of any size with ``least=None``); otherwise a ``ValueError`` whose
+    message starts with ``name``.  numpy counts no boolean as a number, so
+    ``True`` is not 1."""
+    whole = np.issubdtype(type(value), np.integer) or (
+        np.issubdtype(type(value), np.floating) and float(value).is_integer()
+    )
+    if not (whole and (least is None or value >= least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
@@ -324,14 +328,14 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
 
     Deterministic given ``(seed, m, T, fine_level)``.  The horizon is padded
     up to the next multiple of the grid spacing when needed.  ``seed`` is
-    an int, or a sequence of ints for a batch of paths sampled into one
-    ``(B, K + 1, m)`` array.
+    a whole number of any sign (never a boolean), or a sequence of them for
+    a batch of paths sampled into one ``(B, K + 1, m)`` array.
     """
     if not 0 < T < np.inf:
         raise InvalidHorizon(f"horizon must be positive and finite, got {T}")
     fine_level, m = check_whole("fine_level", fine_level, 1), check_whole("m", m, 1)
     single = np.ndim(seed) == 0
-    seeds = (int(seed),) if single else tuple(int(s) for s in seed)
+    seeds = tuple(check_whole("seed", s, None) for s in ([seed] if single else seed))
     n_fine, n_held = dyadic_grid(T, fine_level)
 
     # The final array is allocated once; level 0 fills every 2^fine_level-th

@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import harness
-from .coefficients import CoefficientSet, make_coefficients
+from .coefficients import make_coefficients
 from .errors import (
     ConfigError,
     DegenerateFit,
@@ -33,7 +33,6 @@ from .errors import (
 from .brownian import sample_path
 from .geometry import (
     ConeCoverCertificate,
-    DomainSpec,
     check_d1,
     check_d2,
     check_d3,
@@ -138,10 +137,9 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc), field=key)
 
-    def validate(self) -> tuple[DomainSpec, CoefficientSet, np.ndarray, tuple]:
-        """``(domain, coeffs, x0, levels)`` of a valid study: the CLI's own
-        keys are checked here, the study's inputs by ``harness.check_study``,
-        which gives the checked start and levels."""
+    def validate(self) -> harness.Study:
+        """The study this config describes: the CLI's own keys are checked
+        here, the study's inputs by constructing ``harness.Study``."""
         # Module globals, read at call time: a replacement set on the module is used.
         domain = self.build("domain", make_domain)
         coeffs = self.build("coefficients", make_coefficients)
@@ -152,13 +150,12 @@ class ExperimentConfig:
         if self.format not in ("json", "csv"):
             raise ConfigError("must be 'json' or 'csv'", field="format")
         try:
-            x0, levels = harness.check_study(
+            return harness.Study(
                 domain, coeffs, self.x0, self.T, self.levels, self.M, self.fine_margin,
-                self.substeps_per_knot, self.workers, self.r,
+                self.substeps_per_knot, self.seed, self.r, self.workers,
             )
         except (ValueError, OutOfDomain) as exc:
             raise ConfigError(str(exc))
-        return domain, coeffs, x0, levels
 
 
 def _emit(text: str, out: str | None):
@@ -223,19 +220,15 @@ def cmd_certify(config: ExperimentConfig) -> int:
 
 def cmd_converge(config: ExperimentConfig) -> int:
     """Coupled rate study: strong-error report plus the decay diagnostic."""
-    domain, coeffs, x0, levels = config.validate()
-    if len(levels) < 2:
+    study = config.validate()
+    if len(study.levels) < 2:
         raise DegenerateFit("rate fitting needs at least two levels")
     if config.format == "csv" and not config.out:
         raise ConfigError("csv writes one table per file, so it needs a file", field="out")
     p = float(config.p_list[0]) if config.p_list else 2.0
-    stats = harness.run_coupling_stats(
-        domain, coeffs, x0, config.T, levels, config.M,
-        config.fine_margin, config.substeps_per_knot, config.seed,
-        r=config.r, workers=config.workers,
-    )
-    rate = harness.rate_report(stats, p, config.seed)
-    decay = harness.lyapunov_report(stats, config.seed)
+    stats = harness.run_coupling_stats(study)
+    rate = harness.rate_report(stats, p, study.seed)
+    decay = harness.lyapunov_report(stats, study.seed)
     if config.format == "csv":
         _emit(rate.to_csv_string(), config.out)
         _emit(decay.to_csv_string(), config.out + ".lyapunov.csv")
@@ -256,20 +249,20 @@ def cmd_converge(config: ExperimentConfig) -> int:
 
 def cmd_simulate(config: ExperimentConfig) -> int:
     """One coupled trajectory pair dumped as CSV."""
-    domain, coeffs, x0, levels = config.validate()
-    if len(levels) != 1:
+    study = config.validate()
+    if len(study.levels) != 1:
         raise ConfigError("simulate needs exactly one level", field="levels")
-    (n,) = levels
+    (n,) = study.levels
     path = sample_path(
-        coeffs.dim_noise, config.T, n + config.fine_margin,
-        harness.path_seed(config.seed, 0),
+        study.coeffs.dim_noise, study.T, n + study.fine_margin, harness.path_seed(study.seed, 0)
     )
     approx, reference = coupled_solve(
-        domain, coeffs, path, n, config.substeps_per_knot, x0, [path.horizon]
+        study.domain, study.coeffs, path, n, study.substeps_per_knot, study.x0, [path.horizon]
     )
-    r = config.r if config.r is not None else harness.default_rate_exponent(domain)
-    trace = harness.lyapunov_trace(domain, reference, approx, r)
-    columns = [f"{name}_{i+1}" for name in ("X", "Xn", "L", "Ln") for i in range(domain.dim)]
+    trace = harness.lyapunov_trace(study.domain, reference, approx, study.r)
+    columns = [
+        f"{name}_{i+1}" for name in ("X", "Xn", "L", "Ln") for i in range(study.domain.dim)
+    ]
     lines = [",".join(["t", *columns, "|L|", "|Ln|", "f_n"])]
     for i, t in enumerate(reference.times):
         row = (
@@ -287,18 +280,10 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 
 def cmd_holder(config: ExperimentConfig) -> int:
     """Time-regularity slopes for the reference and one approximation level."""
-    domain, coeffs, x0, levels = config.validate()
-    if len(levels) != 1:
-        raise ConfigError("holder needs exactly one level", field="levels")
-    (n,) = levels
+    study = config.validate()
     reports = [
-        harness.holder_report(
-            domain, coeffs, x0, config.T, process, config.p_list,
-            config.M, config.seed, grid_level=config.grid_level,
-            fine_margin=config.fine_margin,
-            substeps_per_knot=config.substeps_per_knot, workers=config.workers,
-        )
-        for process in ("reference", n)
+        harness.holder_report(study, config.p_list, config.grid_level, reference)
+        for reference in (True, False)
     ]
     if config.format == "csv":
         lines = reports[0].to_csv_string().splitlines()

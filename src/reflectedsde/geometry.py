@@ -338,7 +338,8 @@ def _samples(domain: DomainSpec, where: str, n, seed: int, stream: int) -> np.nd
     sampler = {"boundary": domain.sample_boundary, "interior": domain.sample_interior}[where]
     if sampler is None:
         raise NoBoundarySamples(f"domain {domain.name!r} has no {where} sampler")
-    pts = sampler(n, np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, stream])))
+    seed = check_whole("seed", seed, None) & _SEED_MASK
+    pts = sampler(n, np.random.default_rng(np.random.SeedSequence([seed, stream])))
     if len(pts) == 0:
         raise NoBoundarySamples(f"{where} sampler returned no points")
     return pts
@@ -433,8 +434,17 @@ def _unit_directions(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return z
 
 
+def _check_finite(**sizes) -> None:
+    """A ``ValueError`` naming the first of ``sizes`` with an entry that is
+    not finite."""
+    for name, value in sizes.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
+
+
 def interval(a: float, b: float) -> DomainSpec:
     """Open interval (a, b): the one-dimensional ``box``, inward normals at a and b."""
+    _check_finite(a=a, b=b)
     if not b > a:
         raise ValueError("interval requires b > a")
     return replace(box([a], [b]), name="interval", phi_name="endpoint-product")
@@ -444,6 +454,7 @@ def box(lo, hi) -> DomainSpec:
     """Axis-aligned open box with normal-cone reflection on faces and corners."""
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
+    _check_finite(lo=lo, hi=hi)
     if lo.ndim != 1 or lo.shape != hi.shape or not np.all(hi > lo):
         raise ValueError("box requires 1-d lo < hi componentwise")
     d = len(lo)
@@ -515,10 +526,11 @@ def box(lo, hi) -> DomainSpec:
 
 def ball(radius: float, dim: int = 2) -> DomainSpec:
     """Open ball of given radius centered at the origin, inward normals."""
+    _check_finite(radius=radius)
     if radius <= 0:
         raise ValueError("ball requires a positive radius")
     radius = float(radius)
-    d = int(dim)
+    d = check_whole("dim", dim, 1)
 
     def bdist(x):
         x = np.asarray(x, float)
@@ -575,10 +587,11 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
 
 def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
     """Open annulus r1 < |x| < r2; non-convex, inner sphere pushes outward."""
+    _check_finite(r1=r1, r2=r2)
     if not 0 < r1 < r2:
         raise ValueError("annulus requires 0 < r1 < r2")
     r1, r2 = float(r1), float(r2)
-    d = int(dim)
+    d = check_whole("dim", dim, 1)
     rm = 0.5 * (r1 + r2)
 
     def bdist(x):

@@ -2,9 +2,10 @@
 
 One Brownian path per Monte Carlo draw drives the fine-level reference once
 and the piecewise-linear-noise approximation at every requested level, so
-per-level errors are coupled through common increments.
-``run_coupling_stats`` is the one engine call: a study runs once, and
-``rate_report`` and ``lyapunov_report`` reduce its ``CouplingStats``.
+per-level errors are coupled through common increments.  A study is one
+checked ``Study`` record; ``run_coupling_stats`` is the one engine call: a
+study runs once, and ``rate_report`` and ``lyapunov_report`` reduce its
+``CouplingStats``.
 
 Paths are marched in groups of lockstep batches, usually one group per
 study.  A group's Brownian paths are sampled once, as one ``(B, K + 1, m)``
@@ -299,28 +300,47 @@ def check_moments(p_list: Sequence[float]) -> list[float]:
     return [float(p) for p in moments]
 
 
-def check_study(
-    domain: DomainSpec, coeffs: CoefficientSet, x0, T: float, levels: Sequence[int], M: int,
-    fine_margin: int, substeps_per_knot: int, workers: int = 1, r: float | None = None,
-) -> tuple[np.ndarray, tuple]:
-    """``(x0, levels)`` as a float array and a tuple of ints, once a study's
-    inputs meet every rule of a valid study.  A violation raises a
-    ``ValueError`` whose message starts with the argument's name, or
-    ``OutOfDomain`` for a start outside the closure.  The engine,
-    ``holder_report`` and the CLI check through this."""
-    if not 0 < T < np.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
-    levels = tuple(check_whole("levels", n, 1) for n in levels)
-    if not levels or list(levels) != sorted(set(levels)):
-        raise ValueError(f"levels must be nonempty and strictly increasing, got {levels}")
-    for name, value, least in (
-        ("M", M, 2), ("fine_margin", fine_margin, 2),
-        ("substeps_per_knot", substeps_per_knot, 1), ("workers", workers, 1),
-    ):
-        check_whole(name, value, least)
-    if r is not None:
-        _check_rate_exponent(domain, r)
-    return _check_start(domain, coeffs, x0), levels
+@dataclass(frozen=True, eq=False)
+class Study:
+    """One coupled study, checked: constructing it applies every rule of a
+    valid study.  A violation raises a ``ValueError`` whose message starts
+    with the field's name, or ``OutOfDomain`` for a start outside the
+    closure.  ``x0`` is kept as a float array, the counts, ``levels`` (a
+    tuple) and ``seed`` as ints, and ``r=None`` as
+    ``default_rate_exponent(domain)``.  A seed is a whole number of any sign
+    and never a boolean; it is masked to 63 bits where streams are keyed.
+    The engine, ``holder_report`` and the CLI take this record.
+    ``dataclasses.replace`` keeps the stored ``r``: give ``r=None`` with a
+    new domain to get that domain's default."""
+
+    domain: DomainSpec
+    coeffs: CoefficientSet
+    x0: np.ndarray
+    T: float
+    levels: tuple
+    M: int
+    fine_margin: int
+    substeps_per_knot: int
+    seed: int
+    r: float | None = None
+    workers: int = 1
+
+    def __post_init__(self):
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
+        levels = tuple(check_whole("levels", n, 1) for n in self.levels)
+        if not levels or list(levels) != sorted(set(levels)):
+            raise ValueError(f"levels must be nonempty and strictly increasing, got {levels}")
+        checked = {"levels": levels}
+        for name, least in (
+            ("M", 2), ("fine_margin", 2), ("substeps_per_knot", 1), ("workers", 1), ("seed", None),
+        ):
+            checked[name] = check_whole(name, getattr(self, name), least)
+        checked["r"] = default_rate_exponent(self.domain) if self.r is None else self.r
+        _check_rate_exponent(self.domain, checked["r"])
+        checked["x0"] = _check_start(self.domain, self.coeffs, self.x0)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 def _chunk_ranges(M: int, T: float, level: int, dim_noise: int, workers: int = 1):
@@ -348,14 +368,14 @@ def _fine_grid(T: float, fine_level: int) -> tuple[int, float]:
     return n_fine, n_fine / 2.0**fine_level
 
 
-def _chunk_paths(coeffs, horizon, level, seed, indices):
+def _chunk_paths(study: Study, horizon, level, indices):
     """The group's Brownian paths at ``level`` over ``horizon``, sampled as
     one batch."""
-    seeds = [path_seed(seed, i) for i in indices]
-    return sample_path(coeffs.dim_noise, horizon, level, seeds)
+    seeds = [path_seed(study.seed, i) for i in indices]
+    return sample_path(study.coeffs.dim_noise, horizon, level, seeds)
 
 
-def _march_chunk(domain, coeffs, x0, paths, process, grid, substeps):
+def _march_chunk(study: Study, paths, process, grid):
     """States at ``grid`` and the variation at ``grid[-1]`` over one group of paths.
 
     ``process="reference"`` marches the reference over ``paths``, a
@@ -363,37 +383,37 @@ def _march_chunk(domain, coeffs, x0, paths, process, grid, substeps):
     over ``paths``, a batch at that level or finer, up to ``grid[-1]``.
     Returns as ``solvers.integrate_wz_batch``, without a step log.
     """
+    domain, coeffs = study.domain, study.coeffs
     if process == "reference":
-        x0_batch = np.broadcast_to(x0, (len(paths.coarse.values), domain.dim))
+        x0_batch = np.broadcast_to(study.x0, (len(paths.coarse.values), domain.dim))
         out_steps = fine_grid_positions(paths, grid)
         return integrate_reference_batch(
             domain, coeffs, x0_batch, paths.blocks(), paths.fine_level, out_steps
         )
-    x0_batch = np.broadcast_to(x0, (len(paths.values), domain.dim))
+    x0_batch = np.broadcast_to(study.x0, (len(paths.values), domain.dim))
     slopes = wz_knot_slopes(paths, process)
-    times, knot_idx, out_pos = wz_schedule(process, substeps, grid, grid[-1])
+    times, knot_idx, out_pos = wz_schedule(process, study.substeps_per_knot, grid, grid[-1])
     return integrate_wz_batch(domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos)
 
 
-def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, indices):
+def _chunk_stats(study: Study, indices):
     """Coupled stats for one group of path indices (arrays ordered by index).
 
     The group's paths are sampled once at the finest approximation level;
     the reference refines them block by block to the fine level, and every
     level marches from them.
     """
+    domain, levels = study.domain, study.levels
     level = max(levels)
-    fine_level = level + fine_margin
+    fine_level = level + study.fine_margin
     # Stats at the fine grid's padded horizon keep every output on that
     # grid even when the requested horizon is not dyadic.
-    n_fine, horizon = _fine_grid(T, fine_level)
-    paths = _chunk_paths(coeffs, horizon, level, seed, indices)
+    n_fine, horizon = _fine_grid(study.T, fine_level)
+    paths = _chunk_paths(study, horizon, level, indices)
     B = len(indices)
     grid = coupled_output_grid(level, [horizon], horizon)
     fine = FineBlocks(paths, fine_level, n_fine, _CHUNK_BYTES)
-    ref_states, ref_var, _ = _march_chunk(
-        domain, coeffs, x0, fine, "reference", grid, substeps
-    )
+    ref_states, ref_var, _ = _march_chunk(study, fine, "reference", grid)
 
     n_lev = len(levels)
     sup_dist = np.empty((B, n_lev))
@@ -403,9 +423,9 @@ def _chunk_stats(domain, coeffs, x0, T, levels, fine_margin, substeps, seed, r, 
     phi_ref_final = domain.phi(ref_states[-1])
 
     for j, n in enumerate(levels):
-        wz_states, wz_var, _ = _march_chunk(domain, coeffs, x0, paths, n, grid, substeps)
+        wz_states, wz_var, _ = _march_chunk(study, paths, n, grid)
         with np.errstate(invalid="ignore"):
-            weight = np.exp(r * (phi_ref_final + domain.phi(wz_states[-1])))
+            weight = np.exp(study.r * (phi_ref_final + domain.phi(wz_states[-1])))
             # np.linalg.norm(wz_states - ref_states, axis=2), bit for bit:
             # the difference is formed in the march's output, and its
             # squares are summed over the state axis at batch width.
@@ -448,19 +468,7 @@ def _run_groups(march, chunks, workers: int) -> list:
     return [march(chunk) for chunk in chunks]
 
 
-def run_coupling_stats(
-    domain: DomainSpec,
-    coeffs: CoefficientSet,
-    x0,
-    T: float,
-    levels: Sequence[int],
-    M: int,
-    fine_margin: int,
-    substeps_per_knot: int,
-    seed: int,
-    r: float | None = None,
-    workers: int = 1,
-) -> CouplingStats:
+def run_coupling_stats(study: Study) -> CouplingStats:
     """Coupled per-path statistics for all levels on common Brownian paths.
 
     Paths are marched in balanced groups sized by ``_CHUNK_BYTES``, the
@@ -471,19 +479,14 @@ def run_coupling_stats(
     forked processes where the platform can fork.  The stats are
     bit-identical whatever the group and block layout or worker count.
     """
-    if r is None:
-        r = default_rate_exponent(domain)
-    x0, levels = check_study(domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot,
-                             workers, r)
-
-    study = (domain, coeffs, x0, T, levels, fine_margin, substeps_per_knot, seed, r)
-    horizon = _fine_grid(T, max(levels) + fine_margin)[1]
-    chunks = _chunk_ranges(M, horizon, max(levels), coeffs.dim_noise, workers)
+    level = max(study.levels)
+    horizon = _fine_grid(study.T, level + study.fine_margin)[1]
+    chunks = _chunk_ranges(study.M, horizon, level, study.coeffs.dim_noise, study.workers)
     # Read at call time, so that a wrapper set on the module is what runs.
-    results = _run_groups(partial(_chunk_stats, *study), chunks, workers)
-    stats = CouplingStats(levels, r, *(np.concatenate(parts) for parts in zip(*results)))
-    if stats.n_failed > 0.01 * M:
-        raise ExperimentFailed(f"{stats.n_failed} of {M} paths failed")
+    results = _run_groups(partial(_chunk_stats, study), chunks, study.workers)
+    stats = CouplingStats(study.levels, study.r, *(np.concatenate(p) for p in zip(*results)))
+    if stats.n_failed > 0.01 * study.M:
+        raise ExperimentFailed(f"{stats.n_failed} of {study.M} paths failed")
     return stats
 
 
@@ -537,46 +540,14 @@ def lyapunov_report(stats: CouplingStats, seed: int) -> LyapunovDecayReport:
     )
 
 
-def estimate_strong_error(
-    domain: DomainSpec,
-    coeffs: CoefficientSet,
-    x0,
-    T: float,
-    levels: Sequence[int],
-    p: float,
-    M: int,
-    fine_margin: int,
-    substeps_per_knot: int,
-    seed: int,
-    workers: int = 1,
-) -> RateReport:
+def estimate_strong_error(study: Study, p: float) -> RateReport:
     """Run one coupled study and reduce it with ``rate_report``."""
-    stats = run_coupling_stats(
-        domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot, seed,
-        workers=workers,
-    )
-    return rate_report(stats, p, seed)
+    return rate_report(run_coupling_stats(study), p, study.seed)
 
 
-def lyapunov_decay_check(
-    domain: DomainSpec,
-    coeffs: CoefficientSet,
-    x0,
-    T: float,
-    levels: Sequence[int],
-    M: int,
-    seed: int,
-    r: float | None = None,
-    fine_margin: int = 4,
-    substeps_per_knot: int = 8,
-    workers: int = 1,
-) -> LyapunovDecayReport:
+def lyapunov_decay_check(study: Study) -> LyapunovDecayReport:
     """Run one coupled study and reduce it with ``lyapunov_report``."""
-    stats = run_coupling_stats(
-        domain, coeffs, x0, T, levels, M, fine_margin, substeps_per_knot, seed,
-        r=r, workers=workers,
-    )
-    return lyapunov_report(stats, seed)
+    return lyapunov_report(run_coupling_stats(study), study.seed)
 
 
 def lyapunov_trace(domain: DomainSpec, X: ReflectedPath, Xn: ReflectedPath, r: float) -> LyapunovTrace:
@@ -597,51 +568,40 @@ def lyapunov_trace(domain: DomainSpec, X: ReflectedPath, Xn: ReflectedPath, r: f
 # ---------------------------------------------------------------------------
 
 def holder_report(
-    domain: DomainSpec,
-    coeffs: CoefficientSet,
-    x0,
-    T: float,
-    n_or_reference,
-    p_list: Sequence[float],
-    M: int,
-    seed: int,
-    grid_level: int = 6,
-    fine_margin: int = 4,
-    substeps_per_knot: int = 8,
-    workers: int = 1,
+    study: Study, p_list: Sequence[float], grid_level: int = 6, reference: bool = False
 ) -> HolderReport:
     """Empirical moment growth of increments over dyadic lags.
 
-    For each even moment order the table holds the mean p-th moment of
-    state increments per dyadic lag (up to five lags, averaged over anchor
-    times and paths) and the fitted log-log slope, which should be at least
-    ``p/2 - 0.2``; it is ``None`` with fewer than two lags or a zero moment.
-    Paths run in groups over ``workers`` as in ``run_coupling_stats``.
+    Marches the study's one level, or with ``reference`` the reference at
+    fine level ``grid_level + fine_margin``.  For each even moment order
+    the table holds the mean p-th moment of state increments per dyadic
+    lag (up to five lags, averaged over anchor times and paths) and the
+    fitted log-log slope, which should be at least ``p/2 - 0.2``; it is
+    ``None`` with fewer than two lags or a zero moment.  Paths run in
+    groups over ``workers`` as in ``run_coupling_stats``.
     """
     p_list = check_moments(p_list)
     grid_level = check_whole("grid_level", grid_level, 1)
-    reference = n_or_reference == "reference"
-    x0, (level,) = check_study(
-        domain, coeffs, x0, T, [grid_level if reference else n_or_reference], M, fine_margin,
-        substeps_per_knot, workers,
-    )
+    if len(study.levels) != 1:
+        raise ValueError(f"levels must hold one level for a Holder table, got {study.levels}")
+    level = grid_level if reference else study.levels[0]
     process, label = ("reference", "reference") if reference else (level, f"wz-{level}")
-    fine_level = level + fine_margin
+    fine_level = level + study.fine_margin
 
     # Grid knots must sit on the fine grid of the padded horizon.
-    n_fine, horizon = _fine_grid(T, fine_level)
+    n_fine, horizon = _fine_grid(study.T, fine_level)
     n_grid = int(np.floor(horizon * 2.0**grid_level + 1e-9))
     grid = np.arange(n_grid + 1) / 2.0**grid_level
 
     def group_states(chunk):
-        paths = _chunk_paths(coeffs, horizon, level, seed, chunk)
-        if process == "reference":
+        paths = _chunk_paths(study, horizon, level, chunk)
+        if reference:
             paths = FineBlocks(paths, fine_level, n_fine, _CHUNK_BYTES)
-        out = _march_chunk(domain, coeffs, x0, paths, process, grid, substeps_per_knot)[0]
+        out = _march_chunk(study, paths, process, grid)[0]
         return np.ascontiguousarray(np.swapaxes(out, 0, 1))
 
-    chunks = _chunk_ranges(M, horizon, level, coeffs.dim_noise, workers)
-    states = np.concatenate(_run_groups(group_states, chunks, workers))
+    chunks = _chunk_ranges(study.M, horizon, level, study.coeffs.dim_noise, study.workers)
+    states = np.concatenate(_run_groups(group_states, chunks, study.workers))
 
     strides = [2**j for j in range(5) if 2**j < n_grid]
     lags = [s / 2.0**grid_level for s in strides]
@@ -656,4 +616,4 @@ def holder_report(
         passed = slope is None or bool(slope >= p / 2.0 - 0.2)
         rows.append(HolderRow(p, tuple(lags), tuple(moments), slope, passed))
     degenerate = all(row.slope is None for row in rows)
-    return HolderReport(label, tuple(rows), M, seed, degenerate)
+    return HolderReport(label, tuple(rows), study.M, study.seed, degenerate)

@@ -39,7 +39,7 @@ def problem():
 def coupling_stats(problem):
     domain, coeffs = problem
     return rs.run_coupling_stats(
-        domain, coeffs, [0.0], 1.0, LEVELS, M_PATHS, FINE_MARGIN, SUBSTEPS, SEED
+        rs.Study(domain, coeffs, [0.0], 1.0, LEVELS, M_PATHS, FINE_MARGIN, SUBSTEPS, SEED)
     )
 
 
@@ -73,10 +73,9 @@ def test_criterion_02_strong_error_decay(rate_report):
 def test_criterion_03_time_regularity_exponents(problem):
     domain, coeffs = problem
     results = []
-    for process in ("reference", 6):
-        report = rs.holder_report(
-            domain, coeffs, [0.0], 1.0, process, [2, 4], M_PATHS, SEED, grid_level=6
-        )
+    study = rs.Study(domain, coeffs, [0.0], 1.0, [6], M_PATHS, FINE_MARGIN, SUBSTEPS, SEED)
+    for reference in (True, False):
+        report = rs.holder_report(study, [2, 4], grid_level=6, reference=reference)
         for row in report.rows:
             results.append((report.process, row.p, row.slope, row.slope >= row.p / 2 - 0.2))
     ok = all(item[3] for item in results)
@@ -210,7 +209,7 @@ def test_criterion_08_regulator_invariants(problem):
     # increases toward that limit, so a no-increase reading would be wrong;
     # the cited bound is finiteness of the supremum.)
     stats = rs.run_coupling_stats(
-        domain, coeffs, [0.0], 1.0, (3, 4, 5, 6, 7, 8), 500, FINE_MARGIN, SUBSTEPS, SEED
+        rs.Study(domain, coeffs, [0.0], 1.0, (3, 4, 5, 6, 7, 8), 500, FINE_MARGIN, SUBSTEPS, SEED)
     )
     ref_sq = stats.ref_var_final**2
     bounded = True
@@ -250,8 +249,7 @@ def test_criterion_10_byte_identical_reports(problem):
 
     def run() -> bytes:
         report = rs.estimate_strong_error(
-            domain, coeffs, [0.0], 1.0, [4, 5, 6], 2.0, 50, 3, SUBSTEPS, SEED,
-            workers=1,
+            rs.Study(domain, coeffs, [0.0], 1.0, [4, 5, 6], 50, 3, SUBSTEPS, SEED, workers=1), 2.0
         )
         return json.dumps(report.to_json_dict(), sort_keys=True).encode()
 

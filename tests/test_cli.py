@@ -188,6 +188,19 @@ def test_certify_bad_domain_flag_exits_2(capsys, flags):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["interval", "--a=-inf", "--b", "1"],
+    ["ball", "--radius", "nan"],
+    ["annulus", "--r1", "0.5", "--r2", "inf"],
+    ["ball", "--radius", "1", "--dim", "0"],
+])
+def test_certify_domain_size_not_finite_exits_2(capsys, flags):
+    # Such a domain would print NaN constants, which are not JSON, or fail
+    # deep inside a check with a traceback.
+    assert main(["certify", "--domain", *flags]) == 2
+    assert "config error: domain: " in capsys.readouterr().err
+
+
 def test_certify_requires_domain_or_config(capsys):
     assert main(["certify", "--seed", "1"]) == 2
 

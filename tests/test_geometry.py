@@ -253,7 +253,8 @@ def test_custom_domain_from_the_documented_fields(unit_ball):
         drift_matrix=[[-0.5, 0.0], [0.0, -0.5]],
     )
     args = (coeffs, [0.5, 0.0], 1.0, (3, 4), 8, 3, 4, 5)
-    ours, theirs = rs.run_coupling_stats(custom, *args), rs.run_coupling_stats(stripped, *args)
+    ours = rs.run_coupling_stats(rs.Study(custom, *args))
+    theirs = rs.run_coupling_stats(rs.Study(stripped, *args))
     assert np.any(ours.var_final > 0.0)  # the bisection ran
     for name in ("sup_dist", "final_dist", "f_final", "var_final", "ref_var_final"):
         np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name))
@@ -584,16 +585,39 @@ def test_make_domain_registry():
         rs.make_domain("polygon")
 
 
+# (parameter named in the error, build); every size must be finite, and a
+# dimension a whole number from 1.
+BAD_SIZES = {
+    "interval a -inf": ("a", lambda: rs.interval(-np.inf, 1.0)),
+    "interval b nan": ("b", lambda: rs.interval(0.0, np.nan)),
+    "box lo -inf": ("lo", lambda: rs.box([0.0, -np.inf], [1.0, 1.0])),
+    "box hi inf": ("hi", lambda: rs.box([0.0, 0.0], [1.0, np.inf])),
+    "ball radius nan": ("radius", lambda: rs.ball(np.nan)),
+    "ball radius inf": ("radius", lambda: rs.ball(np.inf)),
+    "ball dim 0": ("dim", lambda: rs.ball(1.0, dim=0)),
+    "annulus r1 nan": ("r1", lambda: rs.annulus(np.nan, 1.0)),
+    "annulus r2 inf": ("r2", lambda: rs.annulus(0.5, np.inf)),
+    "annulus dim 0": ("dim", lambda: rs.annulus(0.5, 1.0, dim=0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIZES))
+def test_domain_factories_reject_sizes_that_are_not_finite(case):
+    name, build = BAD_SIZES[case]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        build()
+
+
 def test_one_closure_tolerance_at_every_entry_point(wavy_coeffs):
     # The tolerance scales with the diameter: 2e-7 on an interval of width 2000.
     wide = rs.interval(-1000.0, 1000.0)
     assert closure_tol(wide) == pytest.approx(2e-7)
     near, far = [1000.0 + 1e-8], [1000.0 + 1e-6]
     assert wide.contains(near) and not wide.contains(far)
-    stats = rs.run_coupling_stats(wide, wavy_coeffs, near, 1.0, (2, 3), 4, 2, 4, 1)
+    stats = rs.run_coupling_stats(rs.Study(wide, wavy_coeffs, near, 1.0, (2, 3), 4, 2, 4, 1))
     assert stats.n_failed == 0
     with pytest.raises(OutOfDomain):
-        rs.run_coupling_stats(wide, wavy_coeffs, far, 1.0, (2, 3), 4, 2, 4, 1)
+        rs.Study(wide, wavy_coeffs, far, 1.0, (2, 3), 4, 2, 4, 1)
     rs.skorokhod_step(wide, near, [0.0])
     with pytest.raises(OutOfDomain):
         rs.skorokhod_step(wide, far, [0.0])

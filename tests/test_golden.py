@@ -102,19 +102,20 @@ def _array_digest(*arrays) -> str:
 def _stats_digest(problem, **changes) -> str:
     domain, coeffs, x0 = problem()
     s = dict(STUDY, **changes)
-    stats = rs.run_coupling_stats(
+    stats = rs.run_coupling_stats(rs.Study(
         domain, coeffs, x0, s["T"], s["levels"], s["M"], s["fine_margin"],
         s["substeps_per_knot"], s["seed"],
-    )
+    ))
     return _array_digest(
         stats.sup_dist, stats.final_dist, stats.f_final, stats.var_final, stats.ref_var_final
     )
 
 
-def _holder_digest(process) -> str:
+def _holder_digest(reference: bool) -> str:
     domain, coeffs, x0 = _interval_problem()
     report = rs.holder_report(
-        domain, coeffs, x0, 1.0, process, [2, 4], 64, seed=11, grid_level=5, fine_margin=3
+        rs.Study(domain, coeffs, x0, 1.0, [4], 64, 3, 8, seed=11), [2, 4], grid_level=5,
+        reference=reference,
     )
     return hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
 
@@ -233,8 +234,8 @@ CASES = {
     "stats_interval_constant_neg": lambda: _stats_digest(_interval_constant_negative_problem),
     "stats_interval_linear": lambda: _stats_digest(_interval_linear_problem),
     "stats_box1_trig_phase": lambda: _stats_digest(_box1_trig_phase_problem),
-    "holder_reference": lambda: _holder_digest("reference"),
-    "holder_level_4": lambda: _holder_digest(4),
+    "holder_reference": lambda: _holder_digest(True),
+    "holder_level_4": lambda: _holder_digest(False),
     "substeps_ball_linear": _substep_digest,
     "converge_interval_trig": _converge_digest,
     # CLI report bytes: `certify` of each built-in domain (the interval both

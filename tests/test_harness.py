@@ -131,7 +131,7 @@ def test_no_noise_report_is_degenerate(unit_interval):
     # exactly, so every per-path error vanishes.
     still = rs.constant([[0.0]], drift_offset=[0.5])
     report = rs.estimate_strong_error(
-        unit_interval, still, [0.3], 1.0, [3, 4, 5], 2.0, 20, 3, 4, seed=1
+        rs.Study(unit_interval, still, [0.3], 1.0, [3, 4, 5], 20, 3, 4, seed=1), 2.0
     )
     assert report.degenerate
     assert report.slope is None
@@ -146,7 +146,8 @@ def test_additive_noise_errors_match_interpolation_oracle():
     coeffs = rs.constant([[sigma]])
     levels = [3, 4, 5, 6]
     M, margin, seed = 200, 3, 99
-    report = rs.estimate_strong_error(wide, coeffs, [0.0], 1.0, levels, 2.0, M, margin, 4, seed)
+    study = rs.Study(wide, coeffs, [0.0], 1.0, levels, M, margin, 4, seed)
+    report = rs.estimate_strong_error(study, 2.0)
     assert report.slope is not None and report.slope > 0.7
 
     fine = max(levels) + margin
@@ -169,7 +170,7 @@ def test_additive_noise_errors_match_interpolation_oracle():
 
 def test_error_monotone_in_level(unit_interval, wavy_coeffs):
     report = rs.estimate_strong_error(
-        unit_interval, wavy_coeffs, [0.0], 1.0, [3, 4, 5, 6, 7], 2.0, 300, 4, 8, seed=12
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [3, 4, 5, 6, 7], 300, 4, 8, seed=12), 2.0
     )
     for j in range(len(report.levels) - 1):
         slack = 2.0 * float(np.hypot(report.stderrs[j], report.stderrs[j + 1]))
@@ -179,10 +180,10 @@ def test_error_monotone_in_level(unit_interval, wavy_coeffs):
 def test_reference_bias_under_control(unit_interval, wavy_coeffs):
     # Two extra levels of reference resolution move the errors by < 10%.
     base = rs.estimate_strong_error(
-        unit_interval, wavy_coeffs, [0.0], 1.0, [4, 5, 6], 2.0, 300, 4, 8, seed=31
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4, 5, 6], 300, 4, 8, seed=31), 2.0
     )
     finer = rs.estimate_strong_error(
-        unit_interval, wavy_coeffs, [0.0], 1.0, [4, 5, 6], 2.0, 300, 6, 8, seed=31
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4, 5, 6], 300, 6, 8, seed=31), 2.0
     )
     for a, b in zip(base.errors, finer.errors):
         assert abs(a - b) / a < 0.10
@@ -190,7 +191,7 @@ def test_reference_bias_under_control(unit_interval, wavy_coeffs):
 
 def test_report_round_trips_and_recomputable_slope(unit_interval, wavy_coeffs):
     report = rs.estimate_strong_error(
-        unit_interval, wavy_coeffs, [0.0], 1.0, [3, 4, 5], 2.0, 50, 3, 4, seed=3
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [3, 4, 5], 50, 3, 4, seed=3), 2.0
     )
     blob = json.dumps(report.to_json_dict())
     data = json.loads(blob)
@@ -204,7 +205,7 @@ def test_report_round_trips_and_recomputable_slope(unit_interval, wavy_coeffs):
 def test_determinism_byte_identical(unit_interval, wavy_coeffs):
     def run():
         report = rs.estimate_strong_error(
-            unit_interval, wavy_coeffs, [0.0], 1.0, [3, 4, 5], 2.0, 60, 3, 8, seed=2718
+            rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [3, 4, 5], 60, 3, 8, seed=2718), 2.0
         )
         return json.dumps(report.to_json_dict(), sort_keys=True).encode()
 
@@ -226,15 +227,14 @@ def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
     # The clipped study spans three groups, so group order is checked too.
     for domain, M in ((unit_interval, 24), (clipped, 520), (custom, 24)):
         parallel = rs.run_coupling_stats(
-            domain, wavy_coeffs, [0.0], 1.0, (3, 4), M, 3, 4, 5,
-            workers=2,
+            rs.Study(domain, wavy_coeffs, [0.0], 1.0, (3, 4), M, 3, 4, 5, workers=2)
         )
         # The serial run gets a copy named "custom", so nothing keyed by the
         # domain's name can stand in for either run.
-        serial = rs.run_coupling_stats(
+        serial = rs.run_coupling_stats(rs.Study(
             dataclasses.replace(domain, name="custom"), wavy_coeffs, [0.0], 1.0, (3, 4), M,
             3, 4, 5, workers=1,
-        )
+        ))
         np.testing.assert_array_equal(serial.sup_dist, parallel.sup_dist)
         np.testing.assert_array_equal(serial.f_final, parallel.f_final)
 
@@ -242,11 +242,11 @@ def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
     # groups) give the serial report's bytes, for both processes.
     annulus, trig, x0 = _annulus_problem()
     for domain, coeffs, start in ((unit_interval, wavy_coeffs, [0.0]), (annulus, trig, x0)):
-        for process in ("reference", 4):
+        for reference in (True, False):
             serial, parallel = (
                 json.dumps(rs.holder_report(
-                    domain, coeffs, start, 1.0, process, [2, 4], 24, seed=5, grid_level=4,
-                    fine_margin=3, substeps_per_knot=4, workers=workers,
+                    rs.Study(domain, coeffs, start, 1.0, [4], 24, 3, 4, 5, workers=workers),
+                    [2, 4], grid_level=4, reference=reference,
                 ).to_json_dict())
                 for workers in (1, 2)
             )
@@ -264,14 +264,15 @@ def _annulus_problem():
 
 
 def _layout_outputs(domain, coeffs, x0):
-    stats = rs.run_coupling_stats(domain, coeffs, x0, 1.0, (3, 4), 12, 3, 4, 5)
+    stats = rs.run_coupling_stats(rs.Study(domain, coeffs, x0, 1.0, (3, 4), 12, 3, 4, 5))
     arrays = [stats.sup_dist, stats.final_dist, stats.f_final, stats.var_final,
               stats.ref_var_final]
     holder = [
         json.dumps(rs.holder_report(
-            domain, coeffs, x0, 1.0, process, [2], 12, seed=3, grid_level=4, fine_margin=3,
+            rs.Study(domain, coeffs, x0, 1.0, [4], 12, 3, 8, 3), [2], grid_level=4,
+            reference=reference,
         ).to_json_dict(), sort_keys=True)
-        for process in ("reference", 4)
+        for reference in (True, False)
     ]
     return arrays, holder
 
@@ -333,8 +334,8 @@ def test_layout_of_a_planar_study_never_leaves_a_path_alone(monkeypatch):
     def stats(workers):
         # Seed 3: a path marched alone here differs by up to 4.4e-16 in
         # sup_dist and ref_var_final from its row in the batch of three.
-        s = rs.run_coupling_stats(domain, coeffs, x0, 1.0, (3, 4), 3, 3, 4, 3,
-                                  workers=workers)
+        s = rs.run_coupling_stats(rs.Study(domain, coeffs, x0, 1.0, (3, 4), 3, 3, 4, 3,
+                                           workers=workers))
         return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
 
     expected = stats(1)
@@ -368,7 +369,7 @@ def test_stats_do_not_depend_on_the_layout_of_coefficient_outputs(problem, M):
         )
 
     def stats(c):
-        s = rs.run_coupling_stats(domain, c, x0, 0.5, (2, 3), M, 3, 4, 5)
+        s = rs.run_coupling_stats(rs.Study(domain, c, x0, 0.5, (2, 3), M, 3, 4, 5))
         return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
 
     expected = stats(coeffs)
@@ -422,11 +423,11 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
 
     monkeypatch.setattr(harness, "sample_path", recording_sample_path)
     calls = _recording_blocks(monkeypatch)
-    rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 0.3, (3, 4), 24, 3, 4, 5)
-    for process in (4, "reference"):
+    rs.run_coupling_stats(rs.Study(unit_interval, wavy_coeffs, [0.0], 0.3, (3, 4), 24, 3, 4, 5))
+    for reference in (False, True):
         rs.holder_report(
-            unit_interval, wavy_coeffs, [0.0], 0.3, process, [2], 24, seed=3, grid_level=4,
-            fine_margin=3,
+            rs.Study(unit_interval, wavy_coeffs, [0.0], 0.3, [4], 24, 3, 8, 3), [2],
+            grid_level=4, reference=reference,
         )
     # Three groups of 8 paths per run; each reference refines its group in
     # blocks of two coarse intervals (8 x 17 knots): three blocks for five,
@@ -442,11 +443,11 @@ def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interva
     seeds = [21, 22, 23]
     coarse = rs.sample_path(1, 1.0, 3, seeds)
     grid = harness.coupled_output_grid(3, [1.0], 1.0)
+    # The march reads the start, the coefficients and the substeps of the study.
+    study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [3], 3, 4, 4, 0)
     for process in ("reference", 3):
         paths = brownian.FineBlocks(coarse, 7, 128, 1) if process == "reference" else coarse
-        states, var, log = harness._march_chunk(
-            unit_interval, wavy_coeffs, np.array([0.0]), paths, process, grid, 4
-        )
+        states, var, log = harness._march_chunk(study, paths, process, grid)
         assert log is None
         assert var.shape == (len(seeds),)
         for b, seed in enumerate(seeds):
@@ -461,26 +462,25 @@ def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interva
 
 def test_modified_domain_is_not_served_an_earlier_study(unit_interval, wavy_coeffs):
     args = (wavy_coeffs, [0.0], 1.0, (3, 4), 24, 3, 4, 5)
-    rs.run_coupling_stats(unit_interval, *args)
+    rs.run_coupling_stats(rs.Study(unit_interval, *args))
     doubled = dataclasses.replace(unit_interval, phi=lambda x: 2.0 * unit_interval.phi(x))
-    after = rs.run_coupling_stats(doubled, *args)
-    alone = rs.run_coupling_stats(dataclasses.replace(doubled, name="custom"), *args)
+    after = rs.run_coupling_stats(rs.Study(doubled, *args))
+    alone = rs.run_coupling_stats(rs.Study(dataclasses.replace(doubled, name="custom"), *args))
     np.testing.assert_array_equal(after.f_final, alone.f_final)
 
 
 def test_engine_rejects_a_start_outside_the_domain(unit_interval, wavy_coeffs):
     # Marching would clip the start to the boundary and study another
     # problem; a NaN start would fail every path or give NaN moments.
+    # The study record is the one place the engine and holder_report check it.
     for x0 in ([5.0], [np.nan]):
         with pytest.raises(OutOfDomain):
-            rs.run_coupling_stats(unit_interval, wavy_coeffs, x0, 1.0, (3, 4), 8, 2, 4, 1)
-        with pytest.raises(OutOfDomain):
-            rs.holder_report(unit_interval, wavy_coeffs, x0, 1.0, "reference", [2], 8, seed=1)
+            rs.Study(unit_interval, wavy_coeffs, x0, 1.0, (3, 4), 8, 2, 4, 1)
     with pytest.raises(ValueError, match="shape"):
-        rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0, 0.0], 1.0, (3, 4), 8, 2, 4, 1)
+        rs.Study(unit_interval, wavy_coeffs, [0.0, 0.0], 1.0, (3, 4), 8, 2, 4, 1)
     planar = rs.constant(np.eye(2))
     with pytest.raises(ValueError, match="state dimension"):
-        rs.holder_report(unit_interval, planar, [0.0], 1.0, "reference", [2], 8, seed=1)
+        rs.Study(unit_interval, planar, [0.0], 1.0, [2], 8, 4, 8, 1)
 
 
 def test_failed_paths_abort(unit_interval):
@@ -492,49 +492,60 @@ def test_failed_paths_abort(unit_interval):
         dim_noise=1,
     )
     with pytest.raises(ExperimentFailed):
-        rs.run_coupling_stats(
-            unit_interval, poisoned, [0.0], 1.0, [3], 10, 2, 2, seed=1
-        )
+        rs.run_coupling_stats(rs.Study(unit_interval, poisoned, [0.0], 1.0, [3], 10, 2, 2, seed=1))
 
 
 def test_levels_and_margin_validation(unit_interval, wavy_coeffs):
     with pytest.raises(ValueError):
-        rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [4, 4], 10, 4, 8, 1)
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4, 4], 10, 4, 8, 1)
     with pytest.raises(ValueError):
-        rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [], 10, 4, 8, 1)
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [], 10, 4, 8, 1)
     with pytest.raises(ValueError):
-        rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 1, 4, 8, 1)
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 1, 4, 8, 1)
     with pytest.raises(ValueError):
-        rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 1, 8, 1)
-    # The engine and holder_report share the study rules, and each error
-    # names the argument it rejects.
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 1, 8, 1)
+    # The engine and holder_report take one checked record, and each error
+    # names the field it rejects.
     for substeps in (0, -3):
         with pytest.raises(ValueError, match="^substeps_per_knot"):
-            rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 4, substeps, 1)
+            rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 4, substeps, 1)
     # A boolean is never a level, though it compares equal to 0 or 1.
     for levels in ((-1, 1), (0, 1), (True, 2), (1, np.True_), (None, 2), (np.nan, 2)):
         with pytest.raises(ValueError, match="^levels"):
-            rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, levels, 10, 4, 8, 1)
+            rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, levels, 10, 4, 8, 1)
     with pytest.raises(ValueError, match="^workers"):
-        rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 4, 8, 1, workers=0)
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 4, 8, 1, workers=0)
     for M in (0, 1):
         with pytest.raises(ValueError, match="^M"):
-            rs.holder_report(unit_interval, wavy_coeffs, [0.0], 1.0, 4, [2], M, seed=4)
+            rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], M, 4, 8, 4)
     with pytest.raises(ValueError, match="^fine_margin"):
-        rs.holder_report(
-            unit_interval, wavy_coeffs, [0.0], 1.0, "reference", [2], 10, seed=4, fine_margin=1
-        )
-    with pytest.raises(ValueError, match="^substeps_per_knot"):
-        rs.holder_report(
-            unit_interval, wavy_coeffs, [0.0], 1.0, 4, [2], 10, seed=4, substeps_per_knot=0
-        )
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 1, 8, 4)
     for level in (0, 4.5):
         with pytest.raises(ValueError, match="^levels"):
-            rs.holder_report(unit_interval, wavy_coeffs, [0.0], 1.0, level, [2], 10, seed=4)
+            rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [level], 10, 4, 8, 4)
+    # A Holder table marches the study's one level.
+    two_levels = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [3, 4], 10, 4, 8, 4)
+    for reference in (True, False):
+        with pytest.raises(ValueError, match="^levels"):
+            rs.holder_report(two_levels, [2], reference=reference)
+
+
+def test_study_record_holds_the_checked_values(unit_interval, thick_annulus, wavy_coeffs):
+    study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [3.0, 4], 10.0, 4, 8, 7.0)
+    assert isinstance(study.x0, np.ndarray) and study.x0.dtype == float
+    assert study.levels == (3, 4) and all(type(n) is int for n in study.levels)
+    for name in ("M", "fine_margin", "substeps_per_knot", "seed", "workers"):
+        assert type(getattr(study, name)) is int
+    assert study.r == default_rate_exponent(unit_interval)
+    planar = rs.constant(np.eye(2))
+    assert rs.Study(thick_annulus, planar, [1.0, 0.0], 1.0, [3], 2, 2, 1, 0).r == -2.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        study.M = 20
 
 
 def test_failed_paths_are_counted_from_the_valid_mask(unit_interval, wavy_coeffs):
-    stats = rs.run_coupling_stats(unit_interval, wavy_coeffs, [0.0], 1.0, (3, 4), 8, 2, 4, 1)
+    study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, (3, 4), 8, 2, 4, 1)
+    stats = rs.run_coupling_stats(study)
     sup_dist = stats.sup_dist.copy()
     final_dist = stats.final_dist.copy()
     sup_dist[1, 0] = np.nan
@@ -559,7 +570,7 @@ def _planar_coeffs():
 
 def test_planar_ball_gap_decays(unit_ball):
     stats = rs.run_coupling_stats(
-        unit_ball, _planar_coeffs(), [0.0, 0.0], 1.0, [3, 5, 7], 200, 3, 8, seed=41,
+        rs.Study(unit_ball, _planar_coeffs(), [0.0, 0.0], 1.0, [3, 5, 7], 200, 3, 8, seed=41)
     )
     errors = np.mean(stats.sup_dist**2, axis=0)
     assert stats.n_failed == 0
@@ -569,7 +580,7 @@ def test_planar_ball_gap_decays(unit_ball):
 
 def test_nonconvex_ring_gap_decays(thick_annulus):
     stats = rs.run_coupling_stats(
-        thick_annulus, _planar_coeffs(), [1.0, 0.0], 1.0, [3, 5, 7], 200, 3, 8, seed=42,
+        rs.Study(thick_annulus, _planar_coeffs(), [1.0, 0.0], 1.0, [3, 5, 7], 200, 3, 8, seed=42)
     )
     errors = np.mean(stats.sup_dist**2, axis=0)
     assert stats.n_failed == 0
@@ -582,16 +593,41 @@ def test_nonconvex_ring_gap_decays(thick_annulus):
 
 
 # ---------------------------------------------------------------------------
+# Calibration on a case with an exact answer
+# ---------------------------------------------------------------------------
+
+def test_rate_estimators_on_a_case_with_an_exact_answer():
+    # Constant sigma, no drift, and a start that no path carries to the
+    # boundary: X = sigma W and X^n = sigma W^n, the lagged interpolant, so
+    # final_dist = sigma |W(1 - 2^-n) - W(1)| and E[final_dist^2] = sigma^2 2^-n.
+    sigma, levels, seed = 0.5, (4, 5, 6, 7, 8, 9), 11
+    study = rs.Study(rs.interval(-20.0, 20.0), rs.constant([[sigma]]), [0.0], 1.0, levels,
+                     2000, 4, 8, seed)
+    stats = rs.run_coupling_stats(study)
+    assert not np.any(stats.ref_var_final) and not np.any(stats.var_final)
+    knots = np.arange(2**9 + 1) / 2**9
+    for i in range(4):
+        path = rs.sample_path(1, 1.0, 9, path_seed(seed, i))
+        w = path.values[:, 0]
+        for j, n in enumerate(levels):
+            w_n = np.array([rs.wz_value(path, n, t)[0] for t in knots])
+            assert abs(stats.final_dist[i, j] - sigma * abs(w_n[-1] - w[-1])) <= 1e-12
+            assert abs(stats.sup_dist[i, j] - sigma * np.max(np.abs(w_n - w))) <= 1e-12
+    report = rs.rate_report(stats, 2, seed)
+    for n, error, se in zip(levels, report.final_errors, report.final_stderrs):
+        exact = sigma**2 * 2.0**-n
+        assert abs(error / exact - 1.0) <= 3.0 * se / exact
+
+
+# ---------------------------------------------------------------------------
 # Decay diagnostic
 # ---------------------------------------------------------------------------
 
 def test_decay_check_sandwich_against_moment_report(unit_interval, wavy_coeffs):
     levels = [3, 4, 5]
-    args = (unit_interval, wavy_coeffs, [0.0], 1.0, levels)
-    decay = rs.lyapunov_decay_check(*args, 200, seed=8, fine_margin=3)
-    moments = rs.estimate_strong_error(
-        unit_interval, wavy_coeffs, [0.0], 1.0, levels, 2.0, 200, 3, 8, seed=8
-    )
+    study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, levels, 200, 3, 8, seed=8)
+    decay = rs.lyapunov_decay_check(study)
+    moments = rs.estimate_strong_error(study, 2.0)
     c1, c2 = np.exp(-2.0), 1.0
     for f_mean, m2 in zip(decay.means, moments.final_errors):
         assert c1 * m2 <= f_mean <= c2 * m2
@@ -600,7 +636,7 @@ def test_decay_check_sandwich_against_moment_report(unit_interval, wavy_coeffs):
 
 def test_decay_check_degenerate_without_noise(unit_interval):
     still = rs.constant([[0.0]])
-    decay = rs.lyapunov_decay_check(unit_interval, still, [0.0], 1.0, [3, 4], 20, seed=2)
+    decay = rs.lyapunov_decay_check(rs.Study(unit_interval, still, [0.0], 1.0, [3, 4], 20, 4, 8, 2))
     assert decay.degenerate and decay.slope is None
     assert all(m == 0.0 for m in decay.means)
 
@@ -615,7 +651,9 @@ def test_regularity_slope_for_additive_noise():
     wide = rs.interval(-8.0, 8.0)
     sigma = 0.5
     coeffs = rs.constant([[sigma]])
-    report = rs.holder_report(wide, coeffs, [0.0], 1.0, "reference", [2], 400, seed=4)
+    report = rs.holder_report(
+        rs.Study(wide, coeffs, [0.0], 1.0, [4], 400, 4, 8, seed=4), [2], reference=True
+    )
     row = report.rows[0]
     assert row.slope == pytest.approx(1.0, abs=0.1)
     for lag, moment in zip(row.lags, row.moments):
@@ -625,13 +663,14 @@ def test_regularity_slope_for_additive_noise():
 
 def test_regularity_degenerate_flag(unit_interval, wavy_coeffs):
     still = rs.constant([[0.0]])
-    report = rs.holder_report(unit_interval, still, [0.3], 1.0, "reference", [2], 30, seed=4)
+    report = rs.holder_report(
+        rs.Study(unit_interval, still, [0.3], 1.0, [4], 30, 4, 8, seed=4), [2], reference=True
+    )
     assert report.degenerate
     # grid_level 1 over T = 1 leaves one lag, too few to fit a slope.
-    for process in ("reference", 4):
-        report = rs.holder_report(
-            unit_interval, wavy_coeffs, [0.0], 1.0, process, [2, 4], 30, seed=4, grid_level=1
-        )
+    study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 30, 4, 8, seed=4)
+    for reference in (True, False):
+        report = rs.holder_report(study, [2, 4], grid_level=1, reference=reference)
         assert report.degenerate
         for row in report.rows:
             assert len(row.lags) == 1 and row.slope is None and row.passed
@@ -639,20 +678,21 @@ def test_regularity_degenerate_flag(unit_interval, wavy_coeffs):
 
 def test_regularity_grid_level_validation(unit_interval, wavy_coeffs):
     with pytest.raises(ValueError, match="grid_level"):
-        rs.holder_report(unit_interval, wavy_coeffs, [0.0], 1.0, 4, [2], 30, seed=4, grid_level=0)
+        rs.holder_report(
+            rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 30, 4, 8, seed=4), [2],
+            grid_level=0,
+        )
 
 
 def test_regularity_moment_order_validation(unit_interval, wavy_coeffs):
     with pytest.raises(ValueError):
-        rs.holder_report(unit_interval, wavy_coeffs, [0.0], 1.0, 4, [3], 30, seed=4)
+        rs.holder_report(rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 30, 4, 8, 4), [3])
 
 
 def test_regularity_reflected_smoke(unit_interval, wavy_coeffs):
-    for process in ("reference", 5):
-        report = rs.holder_report(
-            unit_interval, wavy_coeffs, [0.0], 1.0, process, [2, 4], 300, seed=6,
-            grid_level=5,
-        )
+    study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [5], 300, 4, 8, seed=6)
+    for reference in (True, False):
+        report = rs.holder_report(study, [2, 4], grid_level=5, reference=reference)
         assert not report.degenerate
         for row in report.rows:
             assert row.slope >= row.p / 2.0 - 0.2

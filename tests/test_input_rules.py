@@ -1,13 +1,15 @@
 """Each input rule has one definition, and every entry point applies it.
 
-A count is a whole number and never a boolean; a per-path level lies in
-``0..fine_level``; a point has the domain's dimension.  A bad input raises a
+A count is a whole number and never a boolean; a seed is a whole number of
+any sign and never a boolean; a per-path level lies in ``0..fine_level``; a
+point has the domain's dimension.  A bad input raises a
 ``ValueError`` whose message starts with the argument's name.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reflectedsde as rs
@@ -44,19 +46,33 @@ BAD_INPUTS = {
         "substeps_per_knot", lambda D, C, P: rs.coupled_solve(D, C, P, 3, True, [0.0], [1.0])),
     "run_coupling_stats substeps 2.5": (
         "substeps_per_knot",
-        lambda D, C, P: rs.run_coupling_stats(D, C, [0.0], 1.0, [2, 3], 8, 2, 2.5, 1)),
+        lambda D, C, P: rs.run_coupling_stats(rs.Study(D, C, [0.0], 1.0, [2, 3], 8, 2, 2.5, 1))),
     "run_coupling_stats M 20.5": (
-        "M", lambda D, C, P: rs.run_coupling_stats(D, C, [0.0], 1.0, [2, 3], 20.5, 2, 4, 1)),
+        "M",
+        lambda D, C, P: rs.run_coupling_stats(rs.Study(D, C, [0.0], 1.0, [2, 3], 20.5, 2, 4, 1))),
     "run_coupling_stats workers 1.5": (
         "workers",
-        lambda D, C, P: rs.run_coupling_stats(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, 1, workers=1.5),
+        lambda D, C, P: rs.run_coupling_stats(
+            rs.Study(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, 1, workers=1.5)),
     ),
     "run_coupling_stats T inf": (
-        "T", lambda D, C, P: rs.run_coupling_stats(D, C, [0.0], float("inf"), [2, 3], 8, 2, 4, 1)),
+        "T",
+        lambda D, C, P: rs.run_coupling_stats(
+            rs.Study(D, C, [0.0], float("inf"), [2, 3], 8, 2, 4, 1))),
     "holder_report grid_level 2.5": (
         "grid_level",
-        lambda D, C, P: rs.holder_report(D, C, [0.0], 1.0, "reference", [2], 8, 1, grid_level=2.5),
+        lambda D, C, P: rs.holder_report(
+            rs.Study(D, C, [0.0], 1.0, [2], 8, 4, 8, 1), [2], grid_level=2.5, reference=True),
     ),
+    # A seed is a whole number of any sign, and never a boolean.
+    "sample_path seed 1.9": ("seed", lambda D, C, P: rs.sample_path(1, 1.0, 5, 1.9)),
+    "sample_path seed True": ("seed", lambda D, C, P: rs.sample_path(1, 1.0, 5, True)),
+    "sample_path batch seed True": ("seed", lambda D, C, P: rs.sample_path(1, 1.0, 5, [1, True])),
+    "sample_path batch seed None": ("seed", lambda D, C, P: rs.sample_path(1, 1.0, 5, [None, 1])),
+    "Study seed 1.5": ("seed", lambda D, C, P: rs.Study(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, 1.5)),
+    "Study seed '3'": ("seed", lambda D, C, P: rs.Study(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, "3")),
+    "Study seed None": ("seed", lambda D, C, P: rs.Study(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, None)),
+    "Study seed True": ("seed", lambda D, C, P: rs.Study(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, True)),
     "skorokhod_step short v": (
         "v", lambda D, C, P: rs.skorokhod_step(rs.ball(1.0, dim=2), [0.0, 0.0], [0.5])),
     "skorokhod_step short x": (
@@ -76,11 +92,13 @@ BAD_INPUTS = {
     "sample_path m True": ("m", lambda D, C, P: rs.sample_path(True, 1.0, 4, 0)),
     "run_coupling_stats r NaN": (
         "r",
-        lambda D, C, P: rs.run_coupling_stats(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, 1, r=float("nan")),
+        lambda D, C, P: rs.run_coupling_stats(
+            rs.Study(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, 1, r=float("nan"))),
     ),
     "run_coupling_stats r -inf": (
         "r",
-        lambda D, C, P: rs.run_coupling_stats(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, 1, r=-float("inf")),
+        lambda D, C, P: rs.run_coupling_stats(
+            rs.Study(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, 1, r=-float("inf"))),
     ),
     "lyapunov_trace r NaN": (
         "r", lambda D, C, P: rs.lyapunov_trace(D, *_pair(D, C, P), r=float("nan"))),
@@ -88,10 +106,13 @@ BAD_INPUTS = {
         "r", lambda D, C, P: rs.lyapunov_trace(D, *_pair(D, C, P), r=-float("inf"))),
     "holder_report p_list inf": (
         "p_list",
-        lambda D, C, P: rs.holder_report(D, C, [0.0], 1.0, "reference", [float("inf")], 8, 1),
+        lambda D, C, P: rs.holder_report(
+            rs.Study(D, C, [0.0], 1.0, [2], 8, 4, 8, 1), [float("inf")], reference=True),
     ),
     "holder_report p_list 3": (
-        "p_list", lambda D, C, P: rs.holder_report(D, C, [0.0], 1.0, "reference", [3], 8, 1)),
+        "p_list",
+        lambda D, C, P: rs.holder_report(
+            rs.Study(D, C, [0.0], 1.0, [2], 8, 4, 8, 1), [3], reference=True)),
     "check_d1 n_interior 2.5": (
         "n_interior", lambda D, C, P: rs.check_d1(rs.ball(1.0), 10, 2.5, 0)),
     "check_d1 n_boundary True": (
@@ -99,6 +120,8 @@ BAD_INPUTS = {
     "check_d2 n_boundary 2.5": ("n_boundary", lambda D, C, P: rs.check_d2(rs.ball(1.0), 2.5, 0)),
     "check_d2 n_boundary True": (
         "n_boundary", lambda D, C, P: rs.check_d2(rs.ball(1.0), True, 0)),
+    "check_d1 seed True": ("seed", lambda D, C, P: rs.check_d1(rs.ball(1.0), 10, 10, True)),
+    "check_d2 seed 1.5": ("seed", lambda D, C, P: rs.check_d2(rs.ball(1.0), 10, 1.5)),
     "check_d3 n_boundary 2.5": (
         "n_boundary", lambda D, C, P: rs.check_d3(rs.ball(1.0), _COVER, 2.5, 0)),
 }
@@ -128,6 +151,16 @@ def test_level_rule_admits_zero_and_rejects_above_the_path(unit_interval, wavy_c
     ):
         with pytest.raises(LevelTooFine):
             call()
+
+
+def test_seed_rule_admits_any_whole_number(unit_interval, wavy_coeffs):
+    # Seeds below zero or from 2^63 stay valid; streams mask them to 63 bits.
+    for seed in (-1, 2**64 + 3, np.int64(-5), 3.0):
+        study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [2], 2, 2, 1, seed)
+        assert type(study.seed) is int and study.seed == seed
+    np.testing.assert_array_equal(
+        rs.sample_path(1, 1.0, 3, 3.0).values, rs.sample_path(1, 1.0, 3, 3).values
+    )
 
 
 @pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf")])
@@ -164,3 +197,17 @@ def _raising_functions(error: str) -> set:
 ])
 def test_each_rule_error_is_raised_from_one_function(error, owner):
     assert _raising_functions(error) == {owner}
+
+
+def test_no_function_takes_the_study_values_one_by_one():
+    # ``fine_margin`` belongs to ``harness.Study`` alone: a function that
+    # needs the study's values takes the record.
+    takers = set()
+    for source in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if "fine_margin" in {p.arg for p in params if p is not None}:
+                    takers.add(f"{source.stem}.{node.name}")
+    assert takers == set()

@@ -164,7 +164,7 @@ def test_single_path_solves_give_the_numpy_bytes(native, monkeypatch, family):
 def test_engine_stats_give_the_numpy_bytes(native, monkeypatch, family, M):
     domain, coeffs = DOMAINS["box_from_zero"](), FAMILIES[family]()
     native_arrays, numpy_arrays = _both(monkeypatch, lambda: rs.run_coupling_stats(
-        domain, coeffs, [0.0], 0.7, (2, 4), M, 3, 3, seed=8))
+        rs.Study(domain, coeffs, [0.0], 0.7, (2, 4), M, 3, 3, seed=8)))
     assert native_arrays == numpy_arrays
 
 
@@ -221,7 +221,7 @@ def test_uncovered_studies_run_the_numpy_march(monkeypatch, case):
 
     def stats(domain, coeffs):
         x0 = np.full(domain.dim, 0.25)
-        return rs.run_coupling_stats(domain, coeffs, x0, 1.0, (2, 3), 5, 2, 3, seed=4)
+        return rs.run_coupling_stats(rs.Study(domain, coeffs, x0, 1.0, (2, 3), 5, 2, 3, seed=4))
 
     native_arrays, numpy_arrays = _both(monkeypatch, lambda: stats(domain, coeffs))
     assert native_arrays == numpy_arrays
@@ -572,7 +572,7 @@ def test_planar_engine_stats_give_the_numpy_bytes(planar, monkeypatch, domain_na
     domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES["trig_two_phases"]()
     x0 = {"box": [0.5, -0.25], "ball": [0.3, 0.2], "annulus": [0.75, 0.0]}[domain_name]
     native_arrays, numpy_arrays = _both(monkeypatch, lambda: rs.run_coupling_stats(
-        domain, coeffs, x0, 1.0, (2, 3), M, 2, 3, seed=8))
+        rs.Study(domain, coeffs, x0, 1.0, (2, 3), M, 2, 3, seed=8)))
     assert native_arrays == numpy_arrays
 
 
@@ -830,7 +830,7 @@ def guarded_arrays(*args):
 
 
 def stats(domain, coeffs, x0):
-    return _arrays(rs.run_coupling_stats(domain, coeffs, x0, 1.0, (2, 3), 3, 2, 3, seed=2))
+    return _arrays(rs.run_coupling_stats(rs.Study(domain, coeffs, x0, 1.0, (2, 3), 3, 2, 3, 2)))
 
 
 def single_path(domain, coeffs, x0):

@@ -130,8 +130,9 @@ def test_forked_workers_on_native_streams_equal_serial_numpy_streams(native, mon
                      drift_matrix=[[-0.3, 0.0], [0.0, -0.3]])
 
     def stats(workers):
-        s = rs.run_coupling_stats(rs.ball(1.0, dim=2), coeffs, [0.2, 0.1], 1.0, (3, 4), 24, 3,
-                                  4, 5, workers=workers)
+        s = rs.run_coupling_stats(rs.Study(
+            rs.ball(1.0, dim=2), coeffs, [0.2, 0.1], 1.0, (3, 4), 24, 3, 4, 5, workers=workers
+        ))
         return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
 
     parallel = stats(2)

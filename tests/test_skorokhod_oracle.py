@@ -77,7 +77,7 @@ def test_engine_matches_skorokhod_map(case, substeps):
     sigma = np.asarray(sigma)
     levels, M, fine_margin = (2, 3, 4), 6, 3
     stats = rs.run_coupling_stats(
-        domain, rs.constant(sigma), x0, T, levels, M, fine_margin, substeps, SEED
+        rs.Study(domain, rs.constant(sigma), x0, T, levels, M, fine_margin, substeps, SEED)
     )
     sup_dist, final_dist = _oracle(
         np.asarray(lo), np.asarray(hi), sigma, np.asarray(x0), levels, M, fine_margin
@@ -94,6 +94,6 @@ def test_exact_level_is_free_of_the_level_set():
     # over the knots of max(levels), so only final_dist is compared.
     domain, _, _, sigma, x0 = CASES["box"]
     coeffs = rs.constant(sigma)
-    few = rs.run_coupling_stats(domain, coeffs, x0, T, (4, 5), 4, 8, 8, SEED)
-    many = rs.run_coupling_stats(domain, coeffs, x0, T, (4, 9), 4, 4, 8, SEED)
+    few = rs.run_coupling_stats(rs.Study(domain, coeffs, x0, T, (4, 5), 4, 8, 8, SEED))
+    many = rs.run_coupling_stats(rs.Study(domain, coeffs, x0, T, (4, 9), 4, 4, 8, SEED))
     np.testing.assert_allclose(few.final_dist[:, 0], many.final_dist[:, 0], rtol=0, atol=1e-12)

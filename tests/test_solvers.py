@@ -97,7 +97,7 @@ def test_coupled_identical_without_noise(unit_interval):
 
 def test_gap_shrinks_with_level(unit_interval, wavy_coeffs):
     stats = rs.run_coupling_stats(
-        unit_interval, wavy_coeffs, [0.0], 1.0, [3, 8], 100, 4, 8, seed=771,
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [3, 8], 100, 4, 8, seed=771)
     )
     means = np.mean(stats.sup_dist, axis=0)
     assert means[1] < 0.5 * means[0]
@@ -247,12 +247,12 @@ def test_horizon_shorter_than_one_knot(unit_interval, wavy_coeffs):
 
 def test_non_dyadic_horizon_is_padded(unit_interval, wavy_coeffs):
     stats = rs.run_coupling_stats(
-        unit_interval, wavy_coeffs, [0.0], 0.7, [3, 4], 30, 3, 4, seed=62,
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 0.7, [3, 4], 30, 3, 4, seed=62)
     )
     assert np.all(np.isfinite(stats.sup_dist))
     report = rs.holder_report(
-        unit_interval, wavy_coeffs, [0.0], 0.7, "reference", [2], 30, seed=62,
-        grid_level=4,
+        rs.Study(unit_interval, wavy_coeffs, [0.0], 0.7, [4], 30, 4, 8, seed=62), [2],
+        grid_level=4, reference=True,
     )
     assert not report.degenerate
 
