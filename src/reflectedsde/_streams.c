@@ -14,6 +14,13 @@
  * Without this library, brownian.py draws the same bits from
  * numpy's SeedSequence plus one re-keyed numpy Philox: a second oracle.
  *
+ * SeedSequence's hash (seed_sequence) also gives the per-path seeds of a
+ * range of path indices (path_seeds), so that keying needs no numpy.random.
+ * refine_levels inserts every midpoint level of a batch in one call: path
+ * by path for path-major knots, and for time-major knots a tile of paths at
+ * a time, each stream first drawing a short run of normals into a scratch
+ * with its state held locally.
+ *
  * brownian.py builds this file, with _march.c, into one library:
  *     cc <_CFLAGS> -I <numpy include> _streams.c _march.c \
  *        <numpy>/random/lib/libnpyrandom.a -lm
@@ -306,33 +313,63 @@ static uint32_t mix(uint32_t x, uint32_t y)
     return result ^ (result >> 16);
 }
 
-/* SeedSequence([seed, level]).generate_state(2, uint64), seed below 2^63. */
-static void seed_key(uint64_t seed, uint32_t level, uint64_t *key)
+/* SeedSequence(entropy).generate_state(n_out / 2, uint64) as n_out 32-bit
+ * words, little-endian pairs, for the n entropy words of the sequence's
+ * integers (each one word below 2^32, else two).  The pool pads the first
+ * four words with zeros; words past them are mixed into every pool word. */
+static void seed_sequence(const uint32_t *entropy, int n, uint32_t *out, int n_out)
 {
-    /* The entropy words are [lo, level] when the seed fits 32 bits, else
-     * [lo, hi, level]; the pool pads them with zeros. */
-    uint32_t pool[4] = {(uint32_t)seed, level, 0, 0};
-    if (seed >> 32) {
-        pool[1] = (uint32_t)(seed >> 32);
-        pool[2] = level;
-    }
-    uint32_t hash_const = INIT_A;
+    uint32_t pool[4], hash_const = INIT_A;
     for (int i = 0; i < 4; i++)
-        pool[i] = hashmix(pool[i], &hash_const);
+        pool[i] = hashmix(i < n ? entropy[i] : 0, &hash_const);
     for (int src = 0; src < 4; src++)
         for (int dst = 0; dst < 4; dst++)
             if (src != dst)
                 pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
-    uint32_t words[4];
+    for (int src = 4; src < n; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash_const));
     hash_const = INIT_B;
-    for (int i = 0; i < 4; i++) {
-        uint32_t value = pool[i] ^ hash_const;
+    for (int i = 0; i < n_out; i++) {
+        uint32_t value = pool[i % 4] ^ hash_const;
         hash_const *= MULT_B;
         value *= hash_const;
-        words[i] = value ^ (value >> 16);
+        out[i] = value ^ (value >> 16);
     }
+}
+
+/* Appends the entropy words of ``value`` at ``words[n]``; returns the new n. */
+static int entropy_words(uint64_t value, uint32_t *words, int n)
+{
+    words[n++] = (uint32_t)value;
+    if (value >> 32)
+        words[n++] = (uint32_t)(value >> 32);
+    return n;
+}
+
+/* SeedSequence([seed, level]).generate_state(2, uint64), seed below 2^63. */
+static void seed_key(uint64_t seed, uint32_t level, uint64_t *key)
+{
+    uint32_t entropy[3], words[4];
+    int n = entropy_words(seed, entropy, 0);
+    entropy[n++] = level;
+    seed_sequence(entropy, n, words, 4);
     key[0] = words[0] | (uint64_t)words[1] << 32;
     key[1] = words[2] | (uint64_t)words[3] << 32;
+}
+
+/* The seeds of paths first .. first + n - 1 into ``out``: path i's is
+ * SeedSequence([seed, 0x5EED, i]).generate_state(1, uint64), seed below
+ * 2^63 and every index below 2^64. */
+void path_seeds(uint64_t seed, uint64_t first, int64_t n, uint64_t *out)
+{
+    uint32_t entropy[5], words[2];
+    int head = entropy_words(seed, entropy, 0);
+    entropy[head++] = 0x5EED;
+    for (int64_t i = 0; i < n; i++) {
+        seed_sequence(entropy, entropy_words(first + (uint64_t)i, entropy, head), words, 2);
+        out[i] = words[0] | (uint64_t)words[1] << 32;
+    }
 }
 
 /* Keys of every (level, seed) pair into ``out``, shape (n_levels, n_seeds, 2). */
@@ -344,24 +381,51 @@ void stream_keys(const uint64_t *seeds, int64_t n_seeds, const uint32_t *levels,
             seed_key(seeds[b], levels[j], out + 2 * (j * n_seeds + b));
 }
 
+/* ``count`` normals of stream ``key`` from its ``saved`` state into ``out``,
+ * the state kept locally while drawing and saved back after. */
+static void draw_run(const uint64_t *key, uint64_t *saved, int64_t count, double *out)
+{
+    philox_t s;
+    philox_load(&s, key, saved);
+    bitgen_t g = philox_bitgen(&s);
+    for (int64_t i = 0; i < count; i++)
+        out[i] = normal(&s, &g);
+    philox_save(&s, saved);
+}
+
 /* ``count`` normals of each of ``n`` streams into ``out``, stream after
  * stream.  Stream ``b`` is keyed ``keys[2b:2b+2]`` and starts at
  * ``saved[9b:9b+9]``, saved back after. */
 void fill_streams(const uint64_t *keys, uint64_t *saved, int64_t n, int64_t count, double *out)
 {
-    for (int64_t b = 0; b < n; b++) {
-        philox_t s;
-        philox_load(&s, keys + 2 * b, saved + 9 * b);
-        bitgen_t g = philox_bitgen(&s);
-        double *row = out + b * count;
-        for (int64_t i = 0; i < count; i++)
-            row[i] = normal(&s, &g);
-        philox_save(&s, saved + 9 * b);
-    }
+    for (int64_t b = 0; b < n; b++)
+        draw_run(keys + 2 * b, saved + 9 * b, count, out + b * count);
 }
 
 /* Paths refined together when knots are stored time-major. */
 #define TILE 256
+/* Most normals each stream of a tile draws at a time, in whole knots. */
+#define RUN 64
+
+/* Path-major refinement of one path, its stream's state held locally:
+ * refine_level's midpoints of the path whose knots start at ``values``. */
+static void refine_path(const uint64_t *key, uint64_t *saved, double *values, int64_t knot_step,
+                        int64_t comp_step, int64_t n_mid, int64_t m, double scale)
+{
+    philox_t s;
+    philox_load(&s, key, saved);
+    bitgen_t g = philox_bitgen(&s);
+    for (int64_t k = 0; k < n_mid; k++) {
+        double *left = values + 2 * k * knot_step;
+        double *mid = left + knot_step, *right = mid + knot_step;
+        for (int64_t c = 0; c < m; c++) {
+            double z = normal(&s, &g);
+            mid[c * comp_step] = ((left[c * comp_step] + right[c * comp_step]) * 0.5)
+                                 + (z * scale);
+        }
+    }
+    philox_save(&s, saved);
+}
 
 /* One level of midpoints for ``n_paths`` paths, in place.
  *
@@ -372,34 +436,65 @@ void fill_streams(const uint64_t *keys, uint64_t *saved, int64_t n, int64_t coun
  * ``b`` (keys and saved state as for fill_streams) in knot-major,
  * component-minor order.
  *
- * Time-major knots (path_step < knot_step) are refined a tile of paths at
- * a time, knot by knot, so that memory is walked in order; path-major
- * knots one path at a time.  Each stream draws in its own order either way.
+ * Path-major knots (no scratch ``z``) are refined one path at a time, its
+ * stream's state held locally.  Time-major knots are refined a tile of
+ * TILE paths and a run of ``run`` knots at a time: each stream of the tile
+ * first draws the run's normals into the scratch ``z`` (run * m <= RUN
+ * doubles per path), its state held locally, and then the midpoints are formed
+ * knot by knot and path by path, so that memory is walked in order and no
+ * state is loaded and saved per draw.  Each stream draws in its own order
+ * either way, so the bits do not depend on the layout, tile or run.
  */
-void refine_level(const uint64_t *keys, uint64_t *saved, int64_t n_paths, double *values,
-                  int64_t path_step, int64_t knot_step, int64_t comp_step, int64_t n_mid,
-                  int64_t m, double scale)
+static void refine_level(const uint64_t *keys, uint64_t *saved, int64_t n_paths, double *values,
+                         int64_t path_step, int64_t knot_step, int64_t comp_step, int64_t n_mid,
+                         int64_t m, double scale, double *z, int64_t run)
 {
-    int64_t tile = path_step < knot_step ? TILE : 1;
-    philox_t s[TILE];
-    bitgen_t g = philox_bitgen(s);
-    for (int64_t b0 = 0; b0 < n_paths; b0 += tile) {
-        int64_t n = n_paths - b0 < tile ? n_paths - b0 : tile;
-        for (int64_t i = 0; i < n; i++)
-            philox_load(&s[i], keys + 2 * (b0 + i), saved + 9 * (b0 + i));
-        for (int64_t k = 0; k < n_mid; k++) {
-            for (int64_t i = 0; i < n; i++) {
-                g.state = &s[i];
-                double *left = values + (b0 + i) * path_step + 2 * k * knot_step;
-                double *mid = left + knot_step, *right = mid + knot_step;
-                for (int64_t c = 0; c < m; c++) {
-                    double z = normal(&s[i], &g);
-                    mid[c * comp_step] = ((left[c * comp_step] + right[c * comp_step]) * 0.5)
-                                         + (z * scale);
+    if (z == NULL) {
+        for (int64_t b = 0; b < n_paths; b++)
+            refine_path(keys + 2 * b, saved + 9 * b, values + b * path_step, knot_step, comp_step,
+                        n_mid, m, scale);
+        return;
+    }
+    for (int64_t b0 = 0; b0 < n_paths; b0 += TILE) {
+        int64_t n = n_paths - b0 < TILE ? n_paths - b0 : TILE;
+        for (int64_t k0 = 0; k0 < n_mid; k0 += run) {
+            int64_t r = n_mid - k0 < run ? n_mid - k0 : run;
+            for (int64_t i = 0; i < n; i++)
+                draw_run(keys + 2 * (b0 + i), saved + 9 * (b0 + i), r * m, z + i * run * m);
+            for (int64_t k = k0; k < k0 + r; k++) {
+                for (int64_t i = 0; i < n; i++) {
+                    double *left = values + (b0 + i) * path_step + 2 * k * knot_step;
+                    double *mid = left + knot_step, *right = mid + knot_step;
+                    const double *zk = z + (i * run + k - k0) * m;
+                    for (int64_t c = 0; c < m; c++)
+                        mid[c * comp_step] = ((left[c * comp_step] + right[c * comp_step]) * 0.5)
+                                             + (zk[c] * scale);
                 }
             }
         }
-        for (int64_t i = 0; i < n; i++)
-            philox_save(&s[i], saved + 9 * (b0 + i));
+    }
+}
+
+/* The time-major scratch, one per thread: ctypes releases the GIL. */
+static _Thread_local double scratch[TILE * RUN];
+
+/* ``n_levels`` levels of midpoints, in place: the first as refine_level's,
+ * with ``knot_step`` the step from a knot to its midpoint, and each next
+ * level between the knots filled before it, at half the step and with
+ * twice the midpoints.  Level ``l`` draws from the streams at ``keys + 2 *
+ * l * n_paths`` and ``saved + 9 * l * n_paths`` and scales by
+ * ``scales[l]``.  Time-major knots (path_step < knot_step) of at most RUN
+ * components are refined TILE paths and RUN / m knots at a time, all
+ * other knots one path at a time. */
+void refine_levels(const uint64_t *keys, uint64_t *saved, int64_t n_paths, double *values,
+                   int64_t path_step, int64_t knot_step, int64_t comp_step, int64_t n_mid,
+                   int64_t m, const double *scales, int64_t n_levels)
+{
+    double *z = path_step < knot_step && m <= RUN ? scratch : NULL;
+    for (int64_t l = 0; l < n_levels; l++) {
+        refine_level(keys + 2 * l * n_paths, saved + 9 * l * n_paths, n_paths, values, path_step,
+                     knot_step, comp_step, n_mid, m, scales[l], z, z ? RUN / m : 0);
+        knot_step /= 2;
+        n_mid *= 2;
     }
 }

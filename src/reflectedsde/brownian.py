@@ -10,12 +10,12 @@ repeated refinement of a coarser path.
 
 Each stream is the Philox generator that ``SeedSequence([seed, level])``
 keys (the seed masked to 63 bits), started at counter zero; the draws are
-exactly those of ``Generator(Philox(SeedSequence([seed, level])))``.  A
-sampling call computes the whole ``(levels, paths)`` key table at once
-(``stream_keys``) and draws the streams through the stream library,
-``_streams.c``: Philox4x64-10 and SeedSequence's hash in C, and numpy's
-ziggurat for the normals, one call per level (or per level and time block)
-for a whole batch.  The ziggurat's one-word fast path runs inline with
+exactly those of ``Generator(Philox(SeedSequence([seed, level])))``.  The
+stream library, ``_streams.c``, holds SeedSequence's hash (for the
+``(levels, paths)`` key table of a sampling call, ``stream_keys``, and the
+per-path seeds of a range of path indices, ``path_seeds``), Philox4x64-10
+and numpy's ziggurat.  It refines every level of a batch, or of a time
+block, in one call.  The ziggurat's one-word fast path runs inline with
 numpy's tables, which the library reads back from numpy's own
 ``random_standard_normal`` (in numpy's ``libnpyrandom.a``) when it loads
 and checks against it; the wedge and the tail call that function.  If the
@@ -28,12 +28,13 @@ compiled on first use with ``cc`` and ``_CFLAGS`` into
 ``$XDG_CACHE_HOME/reflectedsde/<key>.so`` (``~/.cache`` when
 ``XDG_CACHE_HOME`` is unset), where the key is the SHA-256 of both C
 sources, the flags, the numpy version, the operating system and the
-machine type; it is built in a temporary directory and renamed into place.  When it cannot
-be compiled or loaded, sampling falls back to numpy: one ``SeedSequence``
-per stream for the keys, and one numpy Philox re-keyed to a stream's key
-and saved state before each of its draws, with the same bits; the march
-falls back to its numpy loop.  The tests compare both paths byte for byte.
-``native_library()`` tells which path runs.
+machine type; it is built in a temporary directory and renamed into place.
+When it cannot be compiled or loaded, sampling falls back to numpy, level
+by level: SeedSequence itself for keys and seeds, and one numpy Philox
+re-keyed to a stream's key and saved state before each of its draws, with
+the same bits; the march falls back to its numpy loop.  With the library,
+nothing here imports ``numpy.random``.  The tests compare both paths byte
+for byte.  ``native_library()`` tells which path runs.
 
 The interpolant is the lagged one: on the knot interval starting at
 ``k / 2^n`` it interpolates the path over the PREVIOUS knot interval, which
@@ -119,11 +120,12 @@ def _native():
                 _compile(built)
                 os.replace(built, target)
         lib = ctypes.CDLL(str(target))
-        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+        ptr, i64, u64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
         for name, args, result in (
             ("stream_keys", [ptr, i64, ptr, i64, ptr], None),
+            ("path_seeds", [u64, u64, i64, ptr], None),
             ("fill_streams", [ptr, ptr, i64, i64, ptr], None),
-            ("refine_level", [ptr, ptr, i64, ptr, i64, i64, i64, i64, i64, f64], None),
+            ("refine_levels", [ptr, ptr, i64, ptr, i64, i64, i64, i64, i64, ptr, i64], None),
             # Not 20 arguments: CPython 3.11 caches every freed 20-tuple and
             # reuses none, so each call with 20 would keep its argument
             # tuple, up to 2000 of them (0.4 MB).
@@ -189,6 +191,20 @@ def stream_keys(seeds, levels) -> np.ndarray:
     return keys
 
 
+def path_seeds(seed: int, first: int, n: int) -> list[int]:
+    """``SeedSequence([seed & (2**63 - 1), 0x5EED, i]).generate_state(1,
+    np.uint64)[0]`` for the ``n`` path indices ``i`` from ``first`` on: in
+    one library call, or by SeedSequence itself without the library or for
+    an index outside ``0 .. 2**64 - 1`` (a negative one raises)."""
+    seed, lib, indices = int(seed & _SEED_MASK), _native(), range(first, first + n)
+    if lib is None or indices.start < 0 or indices.stop > 2**64:
+        return [int(np.random.SeedSequence([seed, 0x5EED, i]).generate_state(1, np.uint64)[0])
+                for i in indices]
+    out = np.empty(len(indices), np.uint64)
+    lib.path_seeds(seed, indices.start, len(out), _ptr(out))
+    return out.tolist()
+
+
 class _Streams:
     """The standard normal streams of a batch at levels ``first`` to ``last``.
 
@@ -202,7 +218,7 @@ class _Streams:
     """
 
     def __init__(self, seeds, first: int, last: int):
-        self.first = first
+        self.first, self.last = first, last
         self.keys = stream_keys(seeds, range(first, last + 1))
         # Per stream: counter (4 words), buffer (4 words), buffer position.
         # Normal draws never leave a spare 32-bit half, so that is all.
@@ -347,9 +363,7 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     streams = _Streams(seeds, 0, fine_level)
     streams.fill(0, draws)
     np.cumsum(draws, axis=1, out=values[:, stride::stride])
-    for level in range(1, fine_level + 1):
-        _insert_midpoints(values, stride, streams, level)
-        stride //= 2
+    _refine(values, stride, streams, 1)
     values = values[:, : n_fine + 1]
     return BrownianPath(
         m, n_fine / 2.0**fine_level, fine_level, seeds[0] if single else seeds,
@@ -357,38 +371,44 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     )
 
 
-def _insert_midpoints(values: np.ndarray, stride: int, streams: _Streams, level: int) -> None:
-    """Fill, in place, the level-``level`` midpoints of knots ``stride`` apart.
+def _refine(values: np.ndarray, gap: int, streams: _Streams, first: int) -> None:
+    """Fill, in place, the midpoints of levels ``first`` to ``streams.last``,
+    the first level's between knots ``gap`` apart, each next level's between
+    the knots the last one left.
 
-    ``values`` is ``(B, N, m)`` with ``N - 1`` a multiple of ``stride``; row
+    ``values`` is ``(B, N, m)`` with ``N - 1`` a multiple of ``gap``; row
     ``b`` draws from stream ``(level, b)`` in knot-major, component-minor
     order.  Each midpoint is ``((left + right) * 0.5) + (z * scale)``,
-    rounded in that order, in one library call for the whole batch or in
-    numpy calls a scratch of rows at a time.
+    rounded in that order: every level in one library call for the whole
+    batch, or level by level in numpy calls a scratch of rows at a time.
     """
-    scale = 2.0 ** (-0.5 * (level + 1))
+    levels = range(first, streams.last + 1)
+    # Held here, so that the array outlives the library call that reads it.
+    scales = np.array([2.0 ** (-0.5 * (level + 1)) for level in levels])
+    B, N, m = values.shape
     if streams.lib is not None:
-        B, N, m = values.shape
         path_step, knot_step, comp_step = (s // values.itemsize for s in values.strides)
-        streams.lib.refine_level(
-            *streams.addresses(level), B, _ptr(values), path_step, knot_step * (stride // 2),
-            comp_step, (N - 1) // stride, m, scale,
+        streams.lib.refine_levels(
+            *streams.addresses(first), B, _ptr(values), path_step, knot_step * (gap // 2),
+            comp_step, (N - 1) // gap, m, _ptr(scales), len(scales),
         )
         return
-    mid = values[:, stride // 2 :: stride]
-    np.add(values[:, 0:-1:stride], values[:, stride::stride], out=mid)
-    mid *= 0.5
-    # Rows are drawn into a scratch of about _SCRATCH_BYTES, then scaled and
-    # added a scratch at a time, with two numpy calls per scratch, not per row.
-    B, n, m = mid.shape
-    rows = min(B, max(1, _SCRATCH_BYTES // mid[0].nbytes))
-    xi = np.empty((rows, n, m))
-    for lo in range(0, B, rows):
-        part = xi[: B - lo]
-        for j in range(len(part)):
-            streams.draw(level, lo + j, part[j])
-        part *= scale
-        mid[lo : lo + rows] += part
+    for level, scale in zip(levels, scales):
+        mid = values[:, gap // 2 :: gap]
+        np.add(values[:, 0:-1:gap], values[:, gap::gap], out=mid)
+        mid *= 0.5
+        # Rows are drawn into a scratch of about _SCRATCH_BYTES, then scaled
+        # and added a scratch at a time, with two numpy calls per scratch,
+        # not per row.
+        rows = min(B, max(1, _SCRATCH_BYTES // mid[0].nbytes))
+        xi = np.empty((rows,) + mid.shape[1:])
+        for lo in range(0, B, rows):
+            part = xi[: B - lo]
+            for j in range(len(part)):
+                streams.draw(level, lo + j, part[j])
+            part *= scale
+            mid[lo : lo + rows] += part
+        gap //= 2
 
 
 @dataclass(frozen=True)
@@ -440,10 +460,7 @@ class FineBlocks:
             hi = min(lo + width, n_coarse)
             values = buffer[:, : (hi - lo) * stride + 1]
             values[:, ::stride] = coarse[:, lo : hi + 1]
-            gap = stride
-            for level in range(first, self.fine_level + 1):
-                _insert_midpoints(values, gap, streams, level)
-                gap //= 2
+            _refine(values, stride, streams, first)
             yield lo * stride, values
 
 
@@ -455,7 +472,7 @@ def refine(path: BrownianPath) -> BrownianPath:
     level = path.fine_level + 1
     seeds = path.seed if values.ndim == 3 else (path.seed,)
     streams = _Streams(seeds, level, level)
-    _insert_midpoints(values.reshape((len(seeds),) + values.shape[-2:]), 2, streams, level)
+    _refine(values.reshape((len(seeds),) + values.shape[-2:]), 2, streams, level)
     return BrownianPath(path.dim_noise, path.horizon, path.fine_level + 1, path.seed, values)
 
 

@@ -58,9 +58,7 @@ def native_march(domain: DomainSpec, coeffs: CoefficientSet, width: int):
         return None
     (_, name, bounds), (_, family, values) = shape, tag
     kind = np.array([d, DOMAINS.index(name), FAMILIES.index(family)], np.int64)
-    par = np.zeros(4 + len(values))
-    par[: len(bounds)], par[4:] = bounds, values
-    return lib, kind, par
+    return lib, kind, np.array((*bounds, *(0.0,) * (4 - len(bounds)), *values))
 
 
 # Batch widths at which planar_dots_agree compares the library with np.dot

@@ -34,8 +34,6 @@ multiples of the squared distance, so its decay certifies the strong rate.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from math import ceil
@@ -43,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import _SEED_MASK, FineBlocks, check_whole, dyadic_grid, sample_path, wz_knot_slopes
+from .brownian import FineBlocks, check_whole, dyadic_grid, path_seeds, sample_path, wz_knot_slopes
 from .coefficients import CoefficientSet
 from .errors import DegenerateFit, ExperimentFailed
 from .geometry import DomainSpec, sum_squares
@@ -67,9 +65,8 @@ _CHUNK_BYTES = 32 * 2**20
 
 
 def path_seed(seed: int, index: int) -> int:
-    """Per-path seed derived from the experiment seed and the path index."""
-    ss = np.random.SeedSequence([seed & _SEED_MASK, 0x5EED, index])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Per-path seed derived from the experiment seed and the path index (``path_seeds``)."""
+    return path_seeds(seed, index, 1)[0]
 
 
 def default_rate_exponent(domain: DomainSpec) -> float:
@@ -371,7 +368,7 @@ def _fine_grid(T: float, fine_level: int) -> tuple[int, float]:
 def _chunk_paths(study: Study, horizon, level, indices):
     """The group's Brownian paths at ``level`` over ``horizon``, sampled as
     one batch."""
-    seeds = [path_seed(study.seed, i) for i in indices]
+    seeds = path_seeds(study.seed, indices.start, len(indices))
     return sample_path(study.coeffs.dim_noise, horizon, level, seeds)
 
 
@@ -456,15 +453,18 @@ def _worker_group(indices):
 
 def _run_groups(march, chunks, workers: int) -> list:
     """``march(chunk)`` per group, in order; over forked ``workers`` if any."""
-    if len(chunks) > 1 and workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # Forked workers inherit the march and the study objects it holds
-        # instead of unpickling them, so any domain, modified or custom,
-        # runs as it does serially.
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            workers, mp_context=fork, initializer=_adopt_march, initargs=(march,)
-        ) as pool:
-            return list(pool.map(_worker_group, chunks))
+    if len(chunks) > 1 and workers > 1:
+        import multiprocessing  # here, so that a serial study does not load it
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Forked workers inherit the march and the study objects it
+            # holds instead of unpickling them, so any domain, modified or
+            # custom, runs as it does serially.
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(
+                workers, mp_context=fork, initializer=_adopt_march, initargs=(march,)
+            ) as pool:
+                return list(pool.map(_worker_group, chunks))
     return [march(chunk) for chunk in chunks]
 
 

@@ -10,13 +10,15 @@ with the Ito-corrected drift, the strong-order-half reference.
 
 Both are one scheme, an unconstrained step followed by the discrete
 Skorokhod map; they differ only in the displacement rule and the step
-grid.  Each has one driver, which checks the inputs, allocates what the
-march fills, walks the reference's blocks and assembles the result; the
-backend only runs a span of steps.  That is the native march (``_march.c``)
-when the library loads and ``cover.native_march`` covers the study: a built-in
-family on a one-dimensional box at d = m = 1, or on a box, ball or annulus
-at d = m = 2, at any batch width.  Otherwise it is the numpy ``_march``, on
-the same contract and with the same bits.
+grid.  Each has one driver, which checks the inputs, lays out what the
+march fills as views of one buffer, walks the reference's blocks and
+assembles the result; the backend only runs a span of steps.  That is the
+native march (``_march.c``) when the library loads and
+``cover.native_march`` covers the study: a built-in family on a
+one-dimensional box at d = m = 1, or on a box, ball or annulus at d = m =
+2, at any batch width.  Otherwise it is the numpy ``_march``, on the same
+contract and with the same bits.  ``coupled_solve`` checks its inputs once
+and then runs both drivers.
 
 The march operates on a batch of paths in lockstep and does the same work
 for every caller: it keeps the states at the outputs and the variation
@@ -49,7 +51,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from math import ceil
+from itertools import accumulate
+from math import ceil, prod
 from typing import Sequence
 
 import numpy as np
@@ -121,13 +124,11 @@ _COLLAPSE_TOL = 1e-13
 
 
 def _union_times(parts: list[np.ndarray]) -> np.ndarray:
-    merged = np.unique(np.concatenate(parts))
-    # Collapse float near-duplicates produced by non-dyadic substep counts.
-    if len(merged) > 1:
-        keep = np.ones(len(merged), bool)
-        keep[1:] = np.diff(merged) > _COLLAPSE_TOL
-        merged = merged[keep]
-    return merged
+    """The sorted times of ``parts`` but those within ``_COLLAPSE_TOL`` of the
+    time before them: repeats, and near-repeats of non-dyadic substeps."""
+    merged = np.sort(np.concatenate(parts))
+    with np.errstate(invalid="ignore"):  # a repeated infinity
+        return merged[np.concatenate(([True], merged[1:] - merged[:-1] > _COLLAPSE_TOL))]
 
 
 def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizon: float):
@@ -143,46 +144,56 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
     knot_starts = np.arange(n_knots) / 2.0**n
     sub = (np.arange(substeps_per_knot) / substeps_per_knot) / 2.0**n
     base = (knot_starts[:, None] + sub[None, :]).ravel()
-    times = _union_times([base, np.asarray(output_times, float), np.asarray([0.0, horizon])])
+    output_times = np.asarray(output_times, float)
+    times = _union_times([base, output_times, np.asarray([0.0, horizon])])
     times = times[(times >= 0.0) & (times <= horizon + 1e-12)]
     knot_idx = np.searchsorted(knot_starts, times[:-1] + _COLLAPSE_TOL, "right") - 1
-    out_pos = np.searchsorted(times, np.asarray(output_times, float) + _COLLAPSE_TOL, "right") - 1
-    return times, knot_idx.astype(np.intp), out_pos.astype(np.intp)
+    out_pos = np.searchsorted(times, output_times + _COLLAPSE_TOL, "right") - 1
+    return times, knot_idx, out_pos
 
 
 # ---------------------------------------------------------------------------
 # Kernels (batched over paths)
 # ---------------------------------------------------------------------------
 
-def _march_arrays(domain: DomainSpec, x0, out_pos, n_steps: int, log_steps: bool):
-    """What a march fills in place on either backend: the state ``(B, d)``
-    from ``x0``, the variation, the outputs ``(n_out, B, d)`` and, with
-    ``log_steps`` (batch size one), each step's state, ``dL`` and ``|dL|``."""
-    X = np.array(x0, float, order="C")
-    if X.ndim != 2 or X.shape[1] != domain.dim:
-        raise ValueError(f"x0 must have shape (B, {domain.dim}), got {X.shape}")
-    B, d = X.shape
+def _march_arrays(domain: DomainSpec, x0, n_out: int, n_steps: int, log_steps: bool):
+    """What a march fills in place on either backend, as views of one
+    buffer: the state ``(B, d)`` from ``x0``, the variation, the outputs
+    ``(n_out, B, d)`` and, with ``log_steps`` (batch size one), a log of
+    each step's state, ``dL`` and ``|dL|`` (else ``None``); then their six
+    addresses for the native march, the buffer's plus offsets."""
+    x0 = np.asarray(x0, float)
+    if x0.ndim != 2 or x0.shape[1] != domain.dim:
+        raise ValueError(f"x0 must have shape (B, {domain.dim}), got {x0.shape}")
+    B, d = x0.shape
     if log_steps and B != 1:
         raise ValueError(f"a step log is of one path, so x0 must have one row, got {B}")
-    log = (np.empty((n_steps, d)), np.empty((n_steps, d)), np.empty(n_steps)) if log_steps else None
-    return X, np.zeros(B), np.empty((len(out_pos), B, d)), log
+    shapes = [(B, d), (B,), (n_out, B, d)]
+    shapes += [(n_steps, d), (n_steps, d), (n_steps,)] if log_steps else []
+    ends = list(accumulate(map(prod, shapes), initial=0))
+    buffer = np.empty(ends[-1])
+    views = [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+    views[0][...], views[1][...] = x0, 0.0
+    at = _ptr(buffer)
+    addresses = [at + 8 * lo for lo in ends[:-1]] + (6 - len(shapes)) * [None]
+    return (*views[:3], tuple(views[3:]) or None), addresses
 
 
 def _output_positions(out_pos, n_steps: int | None = None) -> np.ndarray:
-    """``out_pos`` as int64 once it holds ascending whole step positions
-    from 0 (to ``n_steps`` when given): the march records each output when
-    it passes the output's position, so any other position would leave the
-    output unwritten."""
+    """``out_pos`` as contiguous int64 once it holds ascending whole step
+    positions from 0 (to ``n_steps`` when given): the march records each
+    output when it passes the output's position, so any other position
+    would leave the output unwritten."""
     pos = np.asarray(out_pos)
     if pos.ndim != 1 or (len(pos) and not (
-        np.issubdtype(pos.dtype, np.integer)
+        pos.dtype.kind in "iu"
         and pos[0] >= 0
         and (n_steps is None or pos[-1] <= n_steps)
-        and np.all(pos[1:] >= pos[:-1])
+        and (pos[1:] >= pos[:-1]).all()
     )):
         within = "from 0" if n_steps is None else f"within 0..{n_steps}"
         raise ValueError(f"output positions must be ascending step positions {within}")
-    return pos.astype(np.int64)
+    return np.ascontiguousarray(pos, np.int64)
 
 
 def _march_result(times, arrays):
@@ -190,15 +201,6 @@ def _march_result(times, arrays):
     after the last step, and step log with each step's end time first."""
     _, var, out, log = arrays
     return out, var, None if log is None else (np.array(times[1:]), *log)
-
-
-def _native_arguments(arrays):
-    """A march's arrays as the native march reads them: ``(B, state,
-    variation)``, the outputs and the step log's three addresses (``None``
-    without a log)."""
-    X, var, out, log = arrays
-    log_at = (None, None, None) if log is None else tuple(_ptr(a) for a in log)
-    return (len(X), _ptr(X), _ptr(var)), _ptr(out), log_at
 
 
 def _noise_batch(X: np.ndarray, coeffs: CoefficientSet, noise) -> np.ndarray:
@@ -264,18 +266,18 @@ def integrate_wz_batch(
     """
     dts = np.diff(np.asarray(times, float))
     out_pos = _output_positions(out_pos, len(dts))
-    arrays = _march_arrays(domain, x0, out_pos, len(dts), log_steps)
+    arrays, at = _march_arrays(domain, x0, len(out_pos), len(dts), log_steps)
     slopes = _noise_batch(arrays[0], coeffs, np.ascontiguousarray(slopes, float))
     knot_idx = np.ascontiguousarray(knot_idx[: len(dts)], np.int64)
-    if len(knot_idx) != len(dts) or np.any((knot_idx < 0) | (knot_idx >= slopes.shape[1])):
+    # A negative index, read as unsigned, lies past every knot interval.
+    if len(knot_idx) != len(dts) or (knot_idx.view(np.uint64) >= slopes.shape[1]).any():
         raise ValueError("knot_idx must give every step a knot interval of slopes")
     native = cover.native_march(domain, coeffs, len(arrays[0]))
     if native is not None:
         lib, kind, par = native
-        batch, out, log_at = _native_arguments(arrays)
         lib.march_wz(
-            _ptr(kind), _ptr(par), *batch, _ptr(slopes), slopes.shape[1], _ptr(dts),
-            _ptr(knot_idx), len(dts), _ptr(out_pos), len(out_pos), out, *log_at,
+            _ptr(kind), _ptr(par), len(arrays[0]), *at[:2], _ptr(slopes), slopes.shape[1],
+            _ptr(dts), _ptr(knot_idx), len(dts), _ptr(out_pos), len(out_pos), *at[2:],
         )
     else:
         knot, s = -1, None
@@ -322,11 +324,12 @@ def integrate_reference_batch(
     h = 2.0 ** (-fine_level)
     out_steps = _output_positions(out_steps)
     last = int(out_steps[-1]) if len(out_steps) else 0
-    arrays = _march_arrays(domain, x0, out_steps, last, log_steps)
+    arrays, at = _march_arrays(domain, x0, len(out_steps), last, log_steps)
     native = cover.native_march(domain, coeffs, len(arrays[0]))
     if native is not None:
         lib, kind, par = native
-        batch, out, log_at = _native_arguments(arrays)
+        # The arguments every block's call shares, each address taken once.
+        head, outputs = (_ptr(kind), _ptr(par), len(arrays[0]), *at[:2]), _ptr(out_steps)
 
         def march(start, values, pos, n, j):
             # The block from knot pos on, and its row, knot and noise steps.
@@ -335,8 +338,7 @@ def integrate_reference_batch(
                 *(step // values.itemsize for step in values.strides),
             )
             return lib.march_reference(
-                _ptr(kind), _ptr(par), *batch, *block, pos, n, h, _ptr(out_steps),
-                len(out_steps), j, out, *log_at,
+                *head, *block, pos, n, h, outputs, len(out_steps), j, *at[2:],
             )
     else:
         resolve = _resolver(domain)
@@ -349,8 +351,9 @@ def integrate_reference_batch(
 
             return _march(resolve, arrays, out_steps, j, pos, n, displacement)
 
-    # A first span of no steps records the outputs at knot 0.
-    pos, j, blocks = 0, march(0, None, 0, 0, 0), iter(blocks)
+    # Each span records the outputs due at its first knot, so only a march
+    # of no steps needs a span of no steps for the outputs at knot 0.
+    pos, j, blocks = 0, 0 if last else march(0, None, 0, 0, 0), iter(blocks)
     while pos < last:
         start, values = next(blocks, (None, None))
         if values is not None:
@@ -403,8 +406,8 @@ def _reflected_path(domain, output_times, level, out_pos, march, record_substeps
     """
     states, _, (times, log_states, d_l, d_var) = march
     states = states[:, 0]
-    finite = np.all(np.isfinite(states), axis=1)
-    if not np.all(finite):
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
         raise NonFiniteState(f"non-finite state at t={times[out_pos[np.argmin(finite)] - 1]}")
     check_feasible(domain, states, "output states")
     regulator = np.cumsum(np.concatenate([np.zeros((1, domain.dim)), d_l]), axis=0)[out_pos]
@@ -430,7 +433,11 @@ def solve_wz(
     x0, output_times = _check_path_inputs(domain, coeffs, path, x0, output_times)
     n = check_level(path, n)
     substeps_per_knot = check_whole("substeps_per_knot", substeps_per_knot, 1)
+    return _solve_wz(domain, coeffs, path, n, substeps_per_knot, x0, output_times, record_substeps)
 
+
+def _solve_wz(domain, coeffs, path, n, substeps_per_knot, x0, output_times, record_substeps):
+    """``solve_wz`` on checked inputs."""
     slopes = wz_knot_slopes(path, n)[None]
     times, knot_idx, out_pos = wz_schedule(n, substeps_per_knot, output_times, path.horizon)
     march = integrate_wz_batch(domain, coeffs, x0[None], slopes, times, knot_idx, out_pos, True)
@@ -447,8 +454,13 @@ def solve_reference(
 ) -> ReflectedPath:
     """Projected Euler-Maruyama reference solution along one path."""
     x0, output_times = _check_path_inputs(domain, coeffs, path, x0, output_times)
+    return _solve_reference(domain, coeffs, path, x0, output_times, record_substeps)
+
+
+def _solve_reference(domain, coeffs, path, x0, output_times, record_substeps):
+    """``solve_reference`` on checked inputs, but for the fine grid's."""
     out_steps = fine_grid_positions(path, output_times)
-    blocks = [(0, np.asarray(path.values)[None])]
+    blocks = [(0, path.values[None])]
     march = integrate_reference_batch(
         domain, coeffs, x0[None], blocks, path.fine_level, out_steps, True
     )
@@ -459,7 +471,8 @@ def fine_grid_positions(path: BrownianPath, output_times: np.ndarray) -> np.ndar
     """Fine-knot indices of output times; they must sit on the fine grid."""
     scaled = np.asarray(output_times, float) * 2.0**path.fine_level
     pos = np.rint(scaled).astype(np.intp)
-    if np.any(np.abs(scaled - pos) > 1e-9) or np.any(pos < 0) or np.any(pos > path.n_knots):
+    if (np.abs(scaled - pos) > 1e-9).any() or not (
+            0 <= pos.min(initial=0) and pos.max(initial=0) <= path.n_knots):
         raise ValueError("output times must lie on the path's fine dyadic grid")
     return pos
 
@@ -481,14 +494,15 @@ def coupled_solve(
     output_times: Sequence[float],
     record_substeps: bool = False,
 ) -> tuple[ReflectedPath, ReflectedPath]:
-    """Both processes on one Brownian path, reported on a shared time grid."""
+    """Both processes on one Brownian path, reported on a shared time grid;
+    the inputs are checked once, in the order of ``solve_wz`` then
+    ``solve_reference``."""
     n = check_level(path, n)
     grid = coupled_output_grid(n, output_times, path.horizon)
-    approx = solve_wz(
-        domain, coeffs, path, n, substeps_per_knot, x0, grid, record_substeps
-    )
-    reference = solve_reference(domain, coeffs, path, x0, grid, record_substeps)
-    return approx, reference
+    x0, grid = _check_path_inputs(domain, coeffs, path, x0, grid)
+    substeps_per_knot = check_whole("substeps_per_knot", substeps_per_knot, 1)
+    approx = _solve_wz(domain, coeffs, path, n, substeps_per_knot, x0, grid, record_substeps)
+    return approx, _solve_reference(domain, coeffs, path, x0, grid, record_substeps)
 
 
 def check_shared_times(a: ReflectedPath, b: ReflectedPath, what: str) -> None:

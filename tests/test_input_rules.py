@@ -211,3 +211,73 @@ def test_no_function_takes_the_study_values_one_by_one():
                 if "fine_margin" in {p.arg for p in params if p is not None}:
                     takers.add(f"{source.stem}.{node.name}")
     assert takers == set()
+
+
+# Bad ``coupled_solve`` inputs, each with the error type and message the
+# solver gave when ``solve_wz`` and ``solve_reference`` each checked the
+# inputs again; the last few hold two faults and pin which is named first.
+# Each overrides the good call below: the unit ball, a planar linear family
+# and one path at fine level 6 over T = 1.
+COUPLED_SOLVE_ERRORS = [
+    ("level_above_fine", {"n": 7}, "LevelTooFine", "level 7 exceeds the path's fine level 6"),
+    ("negative_level", {"n": -1}, "ValueError", "n must be an integer >= 0, got -1"),
+    ("fractional_level", {"n": 2.5}, "ValueError", "n must be an integer >= 0, got 2.5"),
+    ("boolean_level", {"n": True}, "ValueError", "n must be an integer >= 0, got True"),
+    ("string_times", {"output_times": ["a"]}, "ValueError",
+     "could not convert string to float: 'a'"),
+    ("batch_path", {"path": "batch"}, "ValueError", "path must be a single path, not a batch"),
+    ("noise_dimension", {"path": "one_noise_path"}, "ValueError",
+     "path has noise dimension 1, coeffs 2"),
+    ("time_after_horizon", {"output_times": [2.0]}, "ValueError",
+     "output_times must be nonempty and lie within [0, 1.0]"),
+    ("negative_time", {"output_times": [-0.5]}, "ValueError",
+     "output_times must be nonempty and lie within [0, 1.0]"),
+    ("infinite_time", {"output_times": [np.inf]}, "ValueError",
+     "output_times must be nonempty and lie within [0, 1.0]"),
+    ("x0_shape", {"x0": [0.5]}, "ValueError", "x0 must have shape (2,), got (1,)"),
+    ("x0_outside", {"x0": [2.0, 0.0]}, "OutOfDomain", "x0 [2. 0.] is outside the domain closure"),
+    ("x0_nan", {"x0": [np.nan, 0.0]}, "OutOfDomain",
+     "x0 [nan  0.] is outside the domain closure"),
+    ("x0_string", {"x0": "a"}, "ValueError", "could not convert string to float: 'a'"),
+    ("state_dimension", {"domain": "interval", "x0": [0.0]}, "ValueError",
+     "coeffs state dimension 2 != domain dim 1"),
+    ("zero_substeps", {"substeps_per_knot": 0}, "ValueError",
+     "substeps_per_knot must be an integer >= 1, got 0"),
+    ("fractional_substeps", {"substeps_per_knot": 1.5}, "ValueError",
+     "substeps_per_knot must be an integer >= 1, got 1.5"),
+    ("off_fine_grid", {"output_times": [0.3]}, "ValueError",
+     "output times must lie on the path's fine dyadic grid"),
+    ("level_before_x0", {"n": 7, "x0": [2.0, 0.0]}, "LevelTooFine",
+     "level 7 exceeds the path's fine level 6"),
+    ("batch_before_x0", {"path": "batch", "x0": [2.0, 0.0]}, "ValueError",
+     "path must be a single path, not a batch"),
+    ("times_before_x0", {"output_times": [2.0], "x0": [2.0, 0.0]}, "ValueError",
+     "output_times must be nonempty and lie within [0, 1.0]"),
+    ("x0_before_substeps", {"x0": [2.0, 0.0], "substeps_per_knot": 0}, "OutOfDomain",
+     "x0 [2. 0.] is outside the domain closure"),
+    ("substeps_before_grid", {"substeps_per_knot": 0, "output_times": [0.3]}, "ValueError",
+     "substeps_per_knot must be an integer >= 1, got 0"),
+    ("coeffs_before_outside",
+     {"coeffs": "one_noise_coeffs", "path": "one_noise_path", "x0": [2.0, 0.0]},
+     "ValueError", "coeffs state dimension 1 != domain dim 2"),
+]
+
+
+@pytest.mark.parametrize("name, bad, error, message", COUPLED_SOLVE_ERRORS,
+                         ids=[case[0] for case in COUPLED_SOLVE_ERRORS])
+def test_coupled_solve_names_the_first_bad_input_as_before(name, bad, error, message):
+    planar = rs.linear([[[0.1, 0.0], [0.0, 0.1]], [[0.0, -0.1], [0.1, 0.0]]],
+                       [[0.4, 0.0], [0.0, 0.4]], drift_matrix=[[-0.5, 0.0], [0.0, -0.5]])
+    named = {
+        "batch": rs.sample_path(2, 1.0, 6, [3, 4]),
+        "one_noise_path": rs.sample_path(1, 1.0, 6, 3),
+        "one_noise_coeffs": rs.constant([[0.5]]),
+        "interval": rs.interval(-1.0, 1.0),
+    }
+    args = {"domain": rs.ball(1.0, dim=2), "coeffs": planar, "path": rs.sample_path(2, 1.0, 6, 3),
+            "n": 3, "substeps_per_knot": 2, "x0": [0.5, 0.0], "output_times": [0.5, 1.0]}
+    # A string names one of the objects above; "a" stays a string.
+    args.update({key: named.get(v, v) if isinstance(v, str) else v for key, v in bad.items()})
+    with pytest.raises(Exception) as raised:
+        rs.coupled_solve(**args)
+    assert (type(raised.value).__name__, str(raised.value)) == (error, message)

@@ -825,8 +825,13 @@ def guarded(domain, coeffs, width):
 
 
 def guarded_arrays(*args):
-    X, var, out, log = march_arrays(*args)
-    return X, var, out, None if log is None else tuple(at_page_end(a) for a in log)
+    # Each step log array moved to the end of its own readable page, and
+    # the native march pointed at the moved copies.
+    (X, var, out, log), at = march_arrays(*args)
+    if log is None:
+        return (X, var, out, log), at
+    log = tuple(at_page_end(a) for a in log)
+    return (X, var, out, log), at[:3] + [a.ctypes.data for a in log]
 
 
 def stats(domain, coeffs, x0):

@@ -9,7 +9,9 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 
 import reflectedsde as rs
 from reflectedsde import brownian, cover
-from reflectedsde.brownian import FineBlocks, dyadic_grid, stream_keys
+from reflectedsde.brownian import FineBlocks, dyadic_grid, path_seeds, stream_keys
 from reflectedsde.harness import path_seed
 
 _STUDY_SEEDS = [path_seed(97, i) for i in range(64)]
@@ -62,6 +64,101 @@ def test_native_streams_draw_the_numpy_bytes(native, monkeypatch, case):
     drawn = _stream_digest(*CASES[case])
     monkeypatch.setattr(brownian, "_native", lambda: None)
     assert _stream_digest(*CASES[case]) == drawn
+
+
+# Seeds and path indices at the edges of SeedSequence's word counts: one
+# entropy word below 2^32, two from there, so that seed and index together
+# give up to five words, more than the pool's four.
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, -5, 2**64 + 3]
+_EDGE_INDICES = [0, 2**32 - 1, 2**32, 2**40 + 7]
+
+
+@pytest.mark.parametrize("backend", ["session", "numpy"])
+def test_path_seeds_are_seedsequence_states(monkeypatch, backend):
+    if backend == "numpy":
+        monkeypatch.setattr(brownian, "_native", lambda: None)
+    for seed in _EDGE_SEEDS:
+        for index in _EDGE_INDICES:
+            entropy = [seed & (2**63 - 1), 0x5EED, index]
+            expected = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+            assert path_seed(seed, index) == expected, (seed, index)
+        # Indices across the word boundary in one call, as the engine draws them.
+        first = 2**32 - 3
+        assert path_seeds(seed, first, 6) == [path_seed(seed, first + i) for i in range(6)]
+    assert path_seeds(7, 5, 0) == []
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        path_seed(5, -1)
+
+
+# Refinement bytes taken with numpy's per-level refinement before the
+# library refined every level in one call: (m, T, B, coarse level, fine
+# level, block width in coarse intervals).  The blocks refine time-major
+# knots with midpoint counts that the library's runs (64 normals per path)
+# do not divide, and the batches straddle its tiles of 256 paths.
+REFINEMENT_CASES = {
+    "B1_m1": (1, 1.0, 1, 3, 7, 3),
+    "B255_m2_T1.3": (2, 1.3, 255, 1, 7, 3),
+    "B256_m3_T0.7": (3, 0.7, 256, 1, 6, 2),
+    "B257_m1_T2.6": (1, 2.6, 257, 2, 9, 5),
+    "B2001_m2_T1.3": (2, 1.3, 2001, 1, 6, 3),
+}
+REFINEMENT_DIGESTS = {
+    "B1_m1": "ec261e6726d348409aed47b93c16d5b90c4e90b8621df94c9e213f9de19f8324",
+    "B255_m2_T1.3": "918537e0a56d35e687bda445fbbe9a4012ffdead7e26b9f097f8b45f64fff7f0",
+    "B256_m3_T0.7": "13dbf6c909a2eba53235c92fae1ef83a3f8b1d777de7741fe92d8f2e11a89bd5",
+    "B257_m1_T2.6": "0476070f2a78c08cf08dc365198006d29147b619c96e9402007eba0ef7af8c49",
+    "B2001_m2_T1.3": "ab5d7dd4402d0a3d5880b397849fbdc7826bf41e296bb4a16125498e9ce665e9",
+}
+
+
+def _refinement_digest(m, T, B, coarse_level, fine_level, width) -> str:
+    """SHA-256 of a batch sampled at the coarse and the fine level, the
+    batch and its last path refined once, and the blocks of fine knots
+    refined from the batch ``width`` coarse intervals at a time."""
+    seeds = [7 * i - 300 for i in range(B)]
+    h = hashlib.sha256()
+    coarse = rs.sample_path(m, T, coarse_level, seeds)
+    last = rs.sample_path(m, T, coarse_level, seeds[-1])
+    for a in (coarse.values, rs.sample_path(m, T, fine_level, seeds).values,
+              rs.refine(coarse).values, rs.refine(last).values):
+        h.update(np.ascontiguousarray(a).tobytes())
+    budget = B * m * 8 * (width * 2 ** (fine_level - coarse_level) + 1)
+    n_fine = dyadic_grid(T, fine_level)[0]
+    for start, values in FineBlocks(coarse, fine_level, n_fine, budget).blocks():
+        h.update(np.int64(start).tobytes() + np.ascontiguousarray(values).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("backend", ["session", "numpy"])
+@pytest.mark.parametrize("case", sorted(REFINEMENT_CASES))
+def test_refining_every_level_at_once_gives_the_per_level_bytes(monkeypatch, backend, case):
+    if backend == "numpy":
+        monkeypatch.setattr(brownian, "_native", lambda: None)
+    assert _refinement_digest(*REFINEMENT_CASES[case]) == REFINEMENT_DIGESTS[case]
+
+
+def test_threads_refining_at_once_give_the_serial_bytes(native):
+    # ctypes lets go of the GIL for each library call, so other threads run
+    # numpy meanwhile; the churning thread takes every small block numpy
+    # frees and overwrites it, so an array the library still reads but that
+    # nothing holds would change the bytes.
+    cases = ["B1_m1", "B255_m2_T1.3", "B257_m1_T2.6"] * 3
+    stop = threading.Event()
+
+    def churn():
+        while not stop.is_set():
+            for k in range(1, 33):
+                np.full(k, np.nan)
+
+    churner = threading.Thread(target=churn)
+    churner.start()
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            digests = list(pool.map(lambda c: _refinement_digest(*REFINEMENT_CASES[c]), cases))
+    finally:
+        stop.set()
+        churner.join()
+    assert digests == [REFINEMENT_DIGESTS[c] for c in cases]
 
 
 def _fail_compile(error):
