@@ -5,23 +5,15 @@
  * and an affine drift b(y) = A y + c, on
  *   - an interval [lo, hi] at d = m = 1;
  *   - a box, a ball or an annulus at d = m = 2.
- * Every step repeats the numpy march's operations one row at a time, in
- * its order and with its roundings, so both give the same bits:
- *   - each einsum sum starts from +0.0, so a lone -0.0 product gives +0.0;
- *   - np.dot of a (B, 1) batch with a length-one operand w is one product
- *     for a batch of one, and otherwise BLAS's axpy into zeros, which
- *     skips a zero w altogether (dot1);
- *   - np.dot of a (B, 2) batch is OpenBLAS's gemv (a vector operand) or
- *     gemm (a matrix), each of which adds one fused multiply-add into a
- *     zeroed output, with the products in mirrored order for a single row
- *     (gemv2, gemm2).  OpenBLAS picks its kernels by processor at run
- *     time, so cover.py compares the spelling of the batch's width with
- *     np.dot once (planar_dots) and marches planar studies here only if
- *     they agree;
- *   - the noise term and the noise-interaction term take numpy's column
- *     forms (coefficients._noise_columns, _stratonovich_columns), which
- *     are einsum's too but for a single row's noise-interaction term,
- *     summed per j over k (correction2);
+ * Every step makes the numpy march's operations one row at a time, in
+ * its order and with its roundings, so both give the same bits at every
+ * batch width (up to the sign of a NaN: where two NaNs of different sign
+ * meet, the compiler picks which one a sum keeps here, and numpy's loops
+ * there):
+ *   - every contraction (the drift A y + c, linear's sigma, trig's
+ *     argument f . y, the noise term sigma dw and the noise-interaction
+ *     term) is a column sum in ascending index order that starts from its
+ *     first product, as coefficients.py forms it over the batch;
  *   - the clip is np.minimum(np.maximum(y, lo), hi): NaN propagates and a
  *     tie takes the bound;
  *   - radii and variation increments are sqrt(a0 * a0 + a1 * a1), as
@@ -31,9 +23,8 @@
  *   - sin and cos are libm's, which numpy's float64 ufuncs call too (the
  *     compiler may fetch both through sincos, which gives the same bits).
  * brownian.py builds this file with _streams.c into one library, with
- * -ffp-contract=off, so that no multiply and add fuse into an FMA other
- * than the fma() calls that stand for BLAS (its _CFLAGS give the whole
- * command).
+ * -ffp-contract=off, so that no multiply and add fuse into an FMA (its
+ * _CFLAGS give the whole command).
  *
  * States and outputs hold d doubles per row: x[b * d + k] and
  * out[(j * B + b) * d + k]; the variation is var[b].  Output j is recorded
@@ -67,12 +58,6 @@ enum { BOX = 0, BALL = 1, ANNULUS = 2 };
  * march_wz marches a tile through all its steps. */
 #define TILE_ROWS 64
 
-/* The planar loops, built twice: the entry points pass one_row (B == 1)
- * and, for a wide batch, NULL log pointers as constants, so that a wide
- * batch's loops test no flag and carry no log (read at run time, the flag
- * cost the wide reference loop about 5%). */
-#define SPECIALISED static inline __attribute__((always_inline))
-
 /* Record rows lo .. hi - 1 of the outputs due at step position pos. */
 static int64_t record(int64_t pos, int64_t d, int64_t lo, int64_t hi, int64_t B,
                       const double *x, const int64_t *out_pos, int64_t n_out, int64_t j,
@@ -98,13 +83,12 @@ static int64_t record(int64_t pos, int64_t d, int64_t lo, int64_t hi, int64_t B,
  * Only the slots the family has are read. */
 typedef struct {
     int64_t family;
-    int one_row;
     double lo, hi, a, c, p0, p1, p2, p3;
 } kernel_t;
 
-static kernel_t kernel(int64_t family, const double *par, int64_t B)
+static kernel_t kernel(int64_t family, const double *par)
 {
-    kernel_t k = {family, B == 1, par[0], par[1], par[4], par[5], par[6]};
+    kernel_t k = {family, par[0], par[1], par[4], par[5], par[6]};
     if (family == LINEAR)
         k.p1 = par[7];
     if (family == TRIG)
@@ -112,17 +96,9 @@ static kernel_t kernel(int64_t family, const double *par, int64_t B)
     return k;
 }
 
-/* numpy's np.dot(y, w) for a (B, 1) batch y and a one-element w. */
-static inline double dot1(const kernel_t *k, double y, double w)
-{
-    if (k->one_row)
-        return y * w;
-    return w == 0.0 ? 0.0 : 0.0 + w * y;
-}
-
 static inline double drift(const kernel_t *k, double y)
 {
-    return dot1(k, y, k->a) + k->c;
+    return y * k->a + k->c;
 }
 
 /* sigma at the n states x, into sig, and with grad its derivative too.
@@ -133,7 +109,7 @@ static void sigma_rows(const kernel_t *k, const double *x, int64_t n, double *si
     switch (k->family) {
     case LINEAR:
         for (int64_t b = 0; b < n; b++)
-            sig[b] = (0.0 + k->p0 * x[b]) + k->p1;
+            sig[b] = x[b] * k->p0 + k->p1;
         if (grad)
             for (int64_t b = 0; b < n; b++)
                 grad[b] = k->p0;
@@ -141,11 +117,11 @@ static void sigma_rows(const kernel_t *k, const double *x, int64_t n, double *si
     case TRIG:
         if (!grad) {
             for (int64_t b = 0; b < n; b++)
-                sig[b] = k->p0 + k->p1 * sin(dot1(k, x[b], k->p2) + k->p3);
+                sig[b] = k->p0 + k->p1 * sin(x[b] * k->p2 + k->p3);
             return;
         }
         for (int64_t b = 0; b < n; b++) {
-            double t = dot1(k, x[b], k->p2) + k->p3;
+            double t = x[b] * k->p2 + k->p3;
             grad[b] = (k->p1 * cos(t)) * k->p2;
             sig[b] = k->p0 + k->p1 * sin(t);
         }
@@ -178,7 +154,7 @@ static int64_t reference1(int64_t family, const double *par, int64_t B, double *
                           int64_t n_out, int64_t j, double *out, double *log_x, double *log_dl,
                           double *log_dvar)
 {
-    kernel_t k = kernel(family, par, B);
+    kernel_t k = kernel(family, par);
     double sig[TILE_ROWS], grad[TILE_ROWS];
     j = record(first, 1, 0, B, B, x, out_pos, n_out, j, out);
     for (int64_t s = 0; s < n_steps; s++) {
@@ -190,8 +166,8 @@ static int64_t reference1(int64_t family, const double *par, int64_t B, double *
                 int64_t b = lo + r;
                 double dl, dvar;
                 double dw = w0[knot_step + b * row_step] - w0[b * row_step];
-                double ito = drift(&k, x[b]) + 0.5 * (0.0 + grad[r] * sig[r]);
-                x[b] = resolve(&k, x[b], (0.0 + sig[r] * dw) + ito * h, &dl, &dvar);
+                double ito = drift(&k, x[b]) + 0.5 * (grad[r] * sig[r]);
+                x[b] = resolve(&k, x[b], sig[r] * dw + ito * h, &dl, &dvar);
                 var[b] += dvar;
                 if (log_x) {
                     log_x[first + s] = x[b];
@@ -210,7 +186,7 @@ static void wz1(int64_t family, const double *par, int64_t B, double *x, double 
                 const int64_t *knot_idx, int64_t n_steps, const int64_t *out_pos, int64_t n_out,
                 double *out, double *log_x, double *log_dl, double *log_dvar)
 {
-    kernel_t k = kernel(family, par, B);
+    kernel_t k = kernel(family, par);
     double sig[TILE_ROWS];
     for (int64_t lo = 0; lo < B; lo += TILE_ROWS) {
         int64_t n = lo + TILE_ROWS < B ? TILE_ROWS : B - lo;
@@ -221,7 +197,7 @@ static void wz1(int64_t family, const double *par, int64_t B, double *x, double 
             for (int64_t r = 0; r < n; r++) {
                 int64_t b = lo + r;
                 double dl, dvar;
-                double v = ((0.0 + sig[r] * slope[b * n_knots]) + drift(&k, x[b])) * dts[i];
+                double v = (sig[r] * slope[b * n_knots] + drift(&k, x[b])) * dts[i];
                 x[b] = resolve(&k, x[b], v, &dl, &dvar);
                 var[b] += dvar;
                 if (log_x) {
@@ -285,23 +261,12 @@ static plane_t plane(int64_t domain, int64_t family, const double *par)
     return k;
 }
 
-/* np.dot(y, f) of a (B, 2) batch with a (2,) vector: OpenBLAS's gemv,
- * one fused multiply-add into a zeroed output, which fuses the other
- * product on a single row. */
-static inline double gemv2(int one_row, const double *y, const double *f)
+/* Entry i of y @ M.T for a planar state y and a row m_i = M[i] of M:
+ * y0 * m_i0 + y1 * m_i1.  It forms trig's argument f . y, linear's sigma
+ * and the drift's A y. */
+static inline double dot2(const double *y, const double *m_i)
 {
-    if (one_row)
-        return 0.0 + fma(y[1], f[1], y[0] * f[0]);
-    return 0.0 + fma(y[0], f[0], y[1] * f[1]);
-}
-
-/* Entry i of np.dot(y, A.T), a_i = A[i]: OpenBLAS's gemm, likewise
- * mirrored on a single row. */
-static inline double gemm2(int one_row, const double *y, const double *a_i)
-{
-    if (one_row)
-        return 0.0 + fma(y[0], a_i[0], y[1] * a_i[1]);
-    return 0.0 + fma(y[1], a_i[1], y[0] * a_i[0]);
+    return y[0] * m_i[0] + y[1] * m_i[1];
 }
 
 /* sigma (row-major (2, 2) per row) at the n states x, and with grad its
@@ -309,23 +274,22 @@ static inline double gemm2(int one_row, const double *y, const double *a_i)
  * do not depend on the state, so *grad points at one shared copy.  trig
  * takes sin (and cos) once per distinct phase per row, then each entry
  * amp * t and offset + that, as coefficients.trig spreads them. */
-SPECIALISED void sigma2(const plane_t *k, const int one_row, const double *x, int64_t n,
-                        double *sig, double **grad, double *grad_rows)
+static void sigma2(const plane_t *k, const double *x, int64_t n, double *sig, double **grad,
+                   double *grad_rows)
 {
     static const double zeros[8];
     switch (k->family) {
     case LINEAR:
         for (int64_t r = 0; r < n; r++)
             for (int e = 0; e < 4; e++)
-                sig[r * 4 + e] = ((0.0 + x[r * 2] * k->l[e * 2]) + x[r * 2 + 1] * k->l[e * 2 + 1])
-                                 + k->s[e];
+                sig[r * 4 + e] = dot2(x + r * 2, k->l + e * 2) + k->s[e];
         if (grad)
             *grad = (double *)k->l;
         return;
     case TRIG: {
         double sn[4][TILE_ROWS], cs[4][TILE_ROWS];
         for (int64_t r = 0; r < n; r++) {
-            double u = gemv2(one_row, x + r * 2, k->f);
+            double u = dot2(x + r * 2, k->f);
             for (int p = 0; p < k->n_phase; p++) {
                 sn[p][r] = sin(u + k->phase[p]);
                 if (grad)
@@ -355,27 +319,19 @@ SPECIALISED void sigma2(const plane_t *k, const int one_row, const double *x, in
     }
 }
 
-/* The noise term sigma @ dw, as coefficients._noise_columns forms it. */
+/* The noise term sum_j sig_ij dw_j, in ascending j. */
 static inline void noise2(const double *sig, const double *dw, double *v)
 {
     for (int i = 0; i < 2; i++)
-        v[i] = ((dw[0] * sig[i * 2]) + (dw[1] * sig[i * 2 + 1])) + 0.0;
+        v[i] = sig[i * 2] * dw[0] + sig[i * 2 + 1] * dw[1];
 }
 
-/* The noise-interaction term sum_{j,k} grad_ijk sig_kj, as
- * coefficients._stratonovich_columns forms it: per-k sums over j, then
- * their sum.  einsum sums a single row per j over k instead. */
-static inline double correction2(int one_row, const double *sig, const double *g, int i)
+/* The noise-interaction term sum_{j,k} grad_ijk sig_kj, in ascending j,
+ * and within it ascending k. */
+static inline double correction2(const double *sig, const double *g, int i)
 {
     const double *gi = g + i * 4;
-    if (one_row) {
-        double j0 = (sig[0] * gi[0]) + (sig[2] * gi[1]);
-        double j1 = (sig[1] * gi[2]) + (sig[3] * gi[3]);
-        return (j0 + j1) + 0.0;
-    }
-    double k0 = (sig[0] * gi[0]) + (sig[1] * gi[2]);
-    double k1 = (sig[2] * gi[1]) + (sig[3] * gi[3]);
-    return (k0 + k1) + 0.0;
+    return ((gi[0] * sig[0] + gi[1] * sig[2]) + gi[2] * sig[1]) + gi[3] * sig[3];
 }
 
 /* Resolve y = x + v against the domain: x becomes the new state, dl the
@@ -418,12 +374,11 @@ static inline void log_step(int64_t i, const double *x, const double *dl, double
     log_dvar[i] = dvar;
 }
 
-SPECIALISED int64_t reference2(const int64_t *kind, const double *par, int64_t B, double *x,
-                               double *var, const double *w, int64_t row_step, int64_t knot_step,
-                               int64_t col_step, int64_t first, int64_t n_steps,
-                               double h, const int64_t *out_pos, int64_t n_out, int64_t j,
-                               double *out, double *log_x, double *log_dl, double *log_dvar,
-                               const int one_row)
+static int64_t reference2(const int64_t *kind, const double *par, int64_t B, double *x,
+                          double *var, const double *w, int64_t row_step, int64_t knot_step,
+                          int64_t col_step, int64_t first, int64_t n_steps, double h,
+                          const int64_t *out_pos, int64_t n_out, int64_t j, double *out,
+                          double *log_x, double *log_dl, double *log_dvar)
 {
     plane_t k = plane(kind[1], kind[2], par);
     double sig[TILE_ROWS * 4], grad_rows[TILE_ROWS * 8], *grad;
@@ -433,7 +388,7 @@ SPECIALISED int64_t reference2(const int64_t *kind, const double *par, int64_t B
         const double *w0 = w + s * knot_step;
         for (int64_t lo = 0; lo < B; lo += TILE_ROWS) {
             int64_t n = lo + TILE_ROWS < B ? TILE_ROWS : B - lo;
-            sigma2(&k, one_row, x + lo * 2, n, sig, &grad, grad_rows);
+            sigma2(&k, x + lo * 2, n, sig, &grad, grad_rows);
             for (int64_t r = 0; r < n; r++) {
                 int64_t b = lo + r;
                 double *xb = x + b * 2, *sb = sig + r * 4, dw[2], v[2], dl[2];
@@ -444,8 +399,7 @@ SPECIALISED int64_t reference2(const int64_t *kind, const double *par, int64_t B
                 }
                 noise2(sb, dw, v);
                 for (int i = 0; i < 2; i++) {
-                    double ito = (gemm2(one_row, xb, k.a + i * 2) + k.c[i])
-                                 + 0.5 * correction2(one_row, sb, gb, i);
+                    double ito = (dot2(xb, k.a + i * 2) + k.c[i]) + 0.5 * correction2(sb, gb, i);
                     v[i] = v[i] + ito * h;
                 }
                 double dvar = resolve2(&k, xb, v, dl);
@@ -459,11 +413,10 @@ SPECIALISED int64_t reference2(const int64_t *kind, const double *par, int64_t B
     return j;
 }
 
-SPECIALISED void wz2(const int64_t *kind, const double *par, int64_t B, double *x, double *var,
-                     const double *slopes, int64_t n_knots, const double *dts,
-                     const int64_t *knot_idx, int64_t n_steps, const int64_t *out_pos,
-                     int64_t n_out, double *out, double *log_x, double *log_dl,
-                     double *log_dvar, const int one_row)
+static void wz2(const int64_t *kind, const double *par, int64_t B, double *x, double *var,
+                const double *slopes, int64_t n_knots, const double *dts, const int64_t *knot_idx,
+                int64_t n_steps, const int64_t *out_pos, int64_t n_out, double *out,
+                double *log_x, double *log_dl, double *log_dvar)
 {
     plane_t k = plane(kind[1], kind[2], par);
     double sig[TILE_ROWS * 4];
@@ -472,13 +425,13 @@ SPECIALISED void wz2(const int64_t *kind, const double *par, int64_t B, double *
         int64_t j = record(0, 2, lo, lo + n, B, x, out_pos, n_out, 0, out);
         for (int64_t i = 0; i < n_steps; i++) {
             const double *slope = slopes + knot_idx[i] * 2;
-            sigma2(&k, one_row, x + lo * 2, n, sig, NULL, NULL);
+            sigma2(&k, x + lo * 2, n, sig, NULL, NULL);
             for (int64_t r = 0; r < n; r++) {
                 int64_t b = lo + r;
                 double *xb = x + b * 2, v[2], dl[2];
                 noise2(sig + r * 4, slope + b * n_knots * 2, v);
                 for (int c = 0; c < 2; c++)
-                    v[c] = (v[c] + (gemm2(one_row, xb, k.a + c * 2) + k.c[c])) * dts[i];
+                    v[c] = (v[c] + (dot2(xb, k.a + c * 2) + k.c[c])) * dts[i];
                 double dvar = resolve2(&k, xb, v, dl);
                 var[b] += dvar;
                 if (log_x)
@@ -506,11 +459,8 @@ int64_t march_reference(const int64_t *kind, const double *par, int64_t B, doubl
     if (kind[0] == 1)
         return reference1(kind[2], par, B, x, var, w, row_step, knot_step, first, n_steps, h,
                           out_pos, n_out, j, out, log_x, log_dl, log_dvar);
-    if (B == 1)
-        return reference2(kind, par, B, x, var, w, row_step, knot_step, col_step, first,
-                          n_steps, h, out_pos, n_out, j, out, log_x, log_dl, log_dvar, 1);
     return reference2(kind, par, B, x, var, w, row_step, knot_step, col_step, first, n_steps,
-                      h, out_pos, n_out, j, out, NULL, NULL, NULL, 0);
+                      h, out_pos, n_out, j, out, log_x, log_dl, log_dvar);
 }
 
 /* All steps of one Wong-Zakai level: step i lasts dts[i] and moves along
@@ -526,24 +476,7 @@ void march_wz(const int64_t *kind, const double *par, int64_t B, double *x, doub
     if (kind[0] == 1)
         wz1(kind[2], par, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out,
             out, log_x, log_dl, log_dvar);
-    else if (B == 1)
-        wz2(kind, par, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out, out,
-            log_x, log_dl, log_dvar, 1);
     else
         wz2(kind, par, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out, out,
-            NULL, NULL, NULL, 0);
-}
-
-/* The two planar np.dot spellings over B rows y, those of a single row
- * when B is 1: gemv2 with f into v and gemm2 with each row of A into mat
- * (B, 2), for cover.py to compare with np.dot before it marches a planar
- * study here. */
-void planar_dots(int64_t B, const double *y, const double *f, const double *A, double *v,
-                 double *mat)
-{
-    for (int64_t b = 0; b < B; b++) {
-        v[b] = gemv2(B == 1, y + b * 2, f);
-        for (int i = 0; i < 2; i++)
-            mat[b * 2 + i] = gemm2(B == 1, y + b * 2, A + i * 2);
-    }
+            log_x, log_dl, log_dvar);
 }

@@ -134,7 +134,6 @@ def _native():
               ptr, ptr, ptr, ptr], i64),
             ("march_wz", [ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr,
                           ptr, ptr], None),
-            ("planar_dots", [i64, ptr, ptr, ptr, ptr, ptr], None),
             ("inline_ziggurat", [], ctypes.c_int),
         ):
             fn = getattr(lib, name)

@@ -9,14 +9,14 @@ Every coefficient callable, built-in or custom, is batch-aware: it accepts
 a single point of shape ``(d,)`` or a batch ``(B, d)`` and returns
 ``(d, m)`` / ``(B, d, m)`` accordingly (one extra leading axis everywhere).
 
-The march's two contractions, the noise term ``sigma @ dW`` (``noise_term``)
-and the noise-interaction term, run as products of batch columns for a
-planar state with planar noise (d = m = 2) from ``COLUMN_MIN_ROWS`` rows
-on, which reproduces ``np.einsum``'s bits; every other shape and width
-keeps the einsum, on C-ordered operands, since its summation order follows
-their memory layout.  The affine drift likewise adds its offset to a wide
-planar batch one column at a time; ``trig`` spreads its parameters one
-(i, j) entry at a time over the whole batch, at every shape and width.
+Every contraction the march makes is a column sum in ascending index
+order, one elementwise operation over the batch per term: the affine drift
+``A y + c``, ``linear``'s ``sigma``, ``trig``'s argument ``f . y``, the
+noise term ``sigma dW`` (``noise_term``) and the noise-interaction term
+(``stratonovich_correction``).  A sum starts from its first product and
+adds the others in ascending index order, so a row's bits do not depend
+on the batch's width or memory layout, and the native march (``_march.c``)
+runs the same additions with the same roundings.
 """
 
 from __future__ import annotations
@@ -82,68 +82,32 @@ def ito_drift_batch(
     return coeffs.b(Y) + 0.5 * _correction(coeffs.grad_sigma(Y), sig)
 
 
+def _column_sums(y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``y @ M.T`` for states ``y`` of shape ``(..., n)`` and a matrix ``M``
+    ``(r, n)``: entry ``i`` is ``y_0 M[i, 0] + y_1 M[i, 1] + ...``, added in
+    ascending order, one product and one sum over the batch per term."""
+    out = y[..., 0, None] * M[:, 0]
+    for k in range(1, M.shape[1]):
+        out += y[..., k, None] * M[:, k]
+    return out
+
+
 def noise_term(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """The march's noise term ``np.einsum('bij,bj->bi', sig, dw)``."""
-    if len(sig) >= COLUMN_MIN_ROWS and sig.shape[1:] == (2, 2):
-        return _noise_columns(sig, dw)
-    return np.einsum("bij,bj->bi", np.ascontiguousarray(sig), dw)
-
-
-# ---------------------------------------------------------------------------
-# The planar contractions along the batch axis
-# ---------------------------------------------------------------------------
-
-# From this many rows on, at d = m = 2, a step's column forms together cost
-# less than the numpy calls they replace (README "Speed"): einsum and
-# broadcasting against a (d,) or (d, m) operand run one short loop per row,
-# a column form a fixed number of batch-wide calls.  The noise-interaction
-# term gains from 256 rows on; trig's fields alone break even near 512.
-COLUMN_MIN_ROWS = 512
-
-# At d = m = 2 (numpy 2.4, B >= 2) 'bij,bj->bi' adds its two products in
-# order, and 'bijk,bkj->bi' adds per-k sums over j, then the two partial
-# sums; both start from +0.0, so a sum of -0.0 products is +0.0.  On a
-# single row 'bij,bj->bi' adds as on a batch, but 'bijk,bkj->bi' adds
-# per-j sums over k, (P00 + P01) + (P10 + P11) with P_jk = sig[k, j] *
-# grad[i, j, k].  Where two NaNs of different sign meet, the noise term
-# keeps the earlier term's and dw's, which the column form follows; the
-# noise-interaction term's choice follows its vector kernel and the batch
-# width, so there the column form gives the same bits up to the sign of a
-# NaN.  Other shapes sum in other orders (the noise term at m = 3, the
-# noise-interaction term at d = 3).  The native planar march (_march.c)
-# takes the column forms from two rows on and the one-row order on one.
-
-
-def _noise_columns(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """``'bij,bj->bi'`` at d = m = 2, one product per ``(i, j)`` over the batch."""
-    out = np.empty((len(sig), 2))
-    for i in range(2):
-        o = out[:, i]
-        np.multiply(dw[:, 0], sig[:, i, 0], out=o)
-        o += dw[:, 1] * sig[:, i, 1]
-    out += 0.0  # einsum's sums start from +0.0
+    """The march's noise term ``sum_j sigma_ij dW_j``, in ascending ``j``."""
+    out = sig[..., 0] * dw[..., 0, None]
+    for j in range(1, sig.shape[-1]):
+        out += sig[..., j] * dw[..., j, None]
     return out
 
 
 def _correction(grad: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """``np.einsum('...ijk,...kj->...i')`` on C-ordered operands, at a point
-    or a batch: the noise-interaction term."""
-    if len(sig) >= COLUMN_MIN_ROWS and sig.shape[1:] == (2, 2):
-        return _stratonovich_columns(grad, sig)
-    return np.einsum("...ijk,...kj->...i", np.ascontiguousarray(grad), np.ascontiguousarray(sig))
-
-
-def _stratonovich_columns(grad: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """``'bijk,bkj->bi'`` at d = m = 2: per-k sums over j, then their sum."""
-    out = np.empty((len(sig), 2))
-    part = np.empty(len(sig))
-    for i in range(2):
-        o = out[:, i]
-        for k, acc in ((0, o), (1, part)):
-            np.multiply(sig[:, k, 0], grad[:, i, 0, k], out=acc)
-            acc += sig[:, k, 1] * grad[:, i, 1, k]
-        o += part
-    out += 0.0  # einsum's sums start from +0.0
+    """The noise-interaction term ``sum_{j,k} grad_ijk sigma_kj`` at a point
+    or a batch, in ascending ``j``, and within it ascending ``k``."""
+    d, m = sig.shape[-2:]
+    out = grad[..., 0, 0] * sig[..., 0, 0, None]
+    for j, k in np.ndindex(m, d):
+        if j or k:
+            out += grad[..., j, k] * sig[..., k, j, None]
     return out
 
 
@@ -193,18 +157,10 @@ def _drift_field(drift_matrix, drift_offset, d: int):
     if A.shape != (d, d) or c.shape != (d,):
         raise ValueError("drift parameters must have shapes (d, d) and (d,)")
 
-    columns = d == 2
-
     def b(y):
-        y = np.asarray(y, float)
-        # np.dot, not @: bit-identical here, without @'s dispatch overhead
-        # on narrow operands (6 us against 1.5 us for a (667, 1) batch).
-        r = np.dot(y, A.T)
-        if columns and len(y) >= COLUMN_MIN_ROWS:
-            for k in range(d):
-                r[:, k] += c[k]
-            return r
-        return r + c
+        r = _column_sums(np.asarray(y, float), A)
+        r += c
+        return r
 
     return b, A, c
 
@@ -241,10 +197,11 @@ def linear(A, B=None, drift_matrix=None, drift_offset=None) -> CoefficientSet:
         raise ValueError("A must have shape (d, m, d)")
     B = np.zeros((d, m)) if B is None else np.asarray(B, float)
     b, drift_a, drift_c = _drift_field(drift_matrix, drift_offset, d)
+    rows, flat_B = A.reshape(d * m, d), B.ravel()
 
     def sigma_f(y):
         y = np.asarray(y, float)
-        return np.einsum("ijk,...k->...ij", A, y) + B
+        return (_column_sums(y, rows) + flat_B).reshape(y.shape[:-1] + (d, m))
 
     def grad_f(y):
         y = np.asarray(y, float)
@@ -279,8 +236,7 @@ def trig(
     # sin and cos run once per distinct phase value (``uphase``), then each
     # (i, j) entry takes ``amp_ij * t`` (and ``offset_ij +`` that) over the
     # batch: the same argument freq . y + phase_ij and the same two IEEE
-    # operations as the entrywise spelling, C-ordered as it returns them
-    # (einsum's summation order follows its operands' memory layout).
+    # operations as the entrywise spelling.
     uphase, spread = np.unique(phase, return_inverse=True)
     spread = spread.reshape(d, m)
     entries = [
@@ -289,8 +245,7 @@ def trig(
 
     def spread_entries(fn, y, add_offset):
         y = np.asarray(y, float)
-        # np.dot for the same reason as in _drift_field.
-        t = fn(np.dot(y, frequency)[..., None] + uphase)
+        t = fn(_column_sums(y, frequency[None]) + uphase)
         out = np.empty(y.shape[:-1] + (d, m))
         for i, j, p, amp, off in entries:
             o = out[..., i, j]

@@ -210,27 +210,23 @@ def check_feasible(domain: DomainSpec, states, what: str) -> None:
 
 def sum_squares(a: np.ndarray) -> np.ndarray:
     """``np.add.reduce(a * a, axis=-1)``, bit for bit up to the sign of a
-    NaN, at batch width.
+    NaN, in one order at every batch width.
 
     numpy reduces a short last axis with one inner loop per row, so a
     ``(B, 2)`` batch costs ``B`` loops of length two.  Up to seven terms
     that loop adds sequentially, which the column sum ``a0*a0 + a1*a1 + ...``
-    reproduces with a handful of operations over the whole batch.  From
-    eight terms numpy's loop adds in pairs, and below 64 rows one reduction
-    call costs less than the column operations, so there the reduction is
-    used as is.  On a row holding two NaNs of different sign the reduction
-    and the column sum may keep different ones: numpy's vector loops pick
-    their operands in different orders.
+    reproduces with a handful of operations over the whole batch, as the
+    native march adds them.  From eight terms numpy's loop adds in pairs,
+    so there the reduction is used as is.  On a row holding two NaNs of
+    different sign the reduction and the column sum may keep different
+    ones: numpy's vector loops pick their operands in different orders.
     """
     d = a.shape[-1]
-    if d >= 8 or a.size < 64 * d:
+    if d >= 8:
         return np.add.reduce(a * a, axis=-1)
     total = a[..., 0] * a[..., 0]
-    if d > 1:
-        term = np.empty_like(total)
-        for k in range(1, d):
-            np.multiply(a[..., k], a[..., k], out=term)
-            total += term
+    for k in range(1, d):
+        total += a[..., k] * a[..., k]
     return total
 
 

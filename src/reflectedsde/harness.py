@@ -346,15 +346,12 @@ def _chunk_ranges(M: int, T: float, level: int, dim_noise: int, workers: int = 1
     The fewest groups whose path arrays at ``level``, as ``sample_path``
     allocates them over ``T`` (``dyadic_grid`` knots per path), each fit in
     ``_CHUNK_BYTES``, at least ``workers`` of them, with widths that differ
-    by at most one path.  Balanced widths leave no small trailing group.  No
-    group is narrower than two paths (unless ``M`` is one): the batched
-    contractions of a single row round differently for d >= 2 (see
-    ``solvers``), so a group of one would make the stats depend on the
-    layout.
+    by at most one path, and no more groups than paths.  Balanced widths
+    leave no small trailing group.
     """
     path_bytes = dyadic_grid(T, level)[1] * dim_noise * 8
-    width = max(_CHUNK_BYTES // path_bytes, 2)
-    n_chunks = max(min(max(ceil(M / width), workers), M // 2), 1)
+    width = max(_CHUNK_BYTES // path_bytes, 1)
+    n_chunks = min(max(ceil(M / width), workers), M)
     bounds = [M * i // n_chunks for i in range(n_chunks + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 

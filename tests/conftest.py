@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian, cover
+from reflectedsde import brownian
 
 
 def pytest_addoption(parser):
@@ -14,7 +14,7 @@ def pytest_addoption(parser):
         "--no-native",
         action="store_true",
         help="run numpy only: the native library (Brownian streams and the march of "
-        "d = m = 1 and d = m = 2 built-in studies, single paths included) is never loaded",
+        "d = m = 1 and d = m = 2 built-in studies at every batch width) is never loaded",
     )
 
 
@@ -38,15 +38,11 @@ def pytest_report_header(config):
     lib = brownian.native_library()
     if lib is None:
         return "native library: none (numpy streams and numpy march)"
-    declined = [width for width, one_row in (("a single row", True), ("wider batches", False))
-                if not cover.planar_dots_agree(one_row)]
-    planar = (f", but not {' or '.join(declined)} at d = 2: np.dot's BLAS differs"
-              if declined else "")
     ziggurat = ("" if brownian._native().inline_ziggurat() else
                 "; the inline ziggurat failed its check at load, so numpy's "
                 "random_standard_normal draws every normal")
     return (f"native library: {lib} (Brownian streams; the march of d = m = 1 and "
-            f"d = m = 2 built-in studies, single paths included{planar}){ziggurat}")
+            f"d = m = 2 built-in studies at every batch width){ziggurat}")
 
 
 @pytest.fixture

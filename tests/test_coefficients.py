@@ -1,10 +1,11 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import coefficients
 from reflectedsde.coefficients import (
-    COLUMN_MIN_ROWS,
     finite_difference_correction,
     ito_drift_batch,
     noise_term,
@@ -120,10 +121,10 @@ def test_batch_evaluation_matches_pointwise(name, rng):
     drift = ito_drift_batch(coeffs, Y)
     for i, y in enumerate(Y):
         np.testing.assert_array_equal(sig[i], coeffs.sigma(y))
-        np.testing.assert_allclose(bb[i], coeffs.b(y), rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(bb[i], coeffs.b(y))
         np.testing.assert_array_equal(grad[i], coeffs.grad_sigma(y))
-        np.testing.assert_allclose(corr[i], rs.stratonovich_correction(coeffs, y), atol=1e-14)
-        np.testing.assert_allclose(drift[i], rs.ito_drift(coeffs, y), atol=1e-14)
+        np.testing.assert_array_equal(corr[i], rs.stratonovich_correction(coeffs, y))
+        np.testing.assert_array_equal(drift[i], rs.ito_drift(coeffs, y))
 
 
 def test_registry_round_trip():
@@ -152,34 +153,15 @@ def test_shape_validation():
         rs.trig(offset=[[0.5]], amplitude=[[0.2, 0.1]], frequency=[1.0])
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_built_in_fields_equal_their_matmul_spelling(d):
-    # The fields contract with np.dot; it must agree bit for bit with the
-    # @ spelling, which goes through the same BLAS kernels for two or more
-    # rows and through a plain loop for one.
-    rng = np.random.default_rng(d)
-    A, c = rng.standard_normal((d, d)), rng.standard_normal(d)
-    offset, amplitude = rng.standard_normal((d, 2)), rng.standard_normal((d, 2))
-    frequency, phase = rng.standard_normal(d), rng.standard_normal((d, 2))
-    fields = [
-        (rs.trig(offset, amplitude, frequency, phase, A, c), A, c),
-        (rs.linear(rng.standard_normal((d, 2, d)), drift_matrix=A, drift_offset=c), A, c),
-        (rs.constant(offset, drift_matrix=A, drift_offset=c), A, c),
-    ]
-    for B in (1, 2, 7, 667, 1000, 2000):
-        for _ in range(5):
-            Y = rng.standard_normal((B, d))
-            for y in (Y, Y[0]):
-                arg = (y @ frequency)[..., None, None] + phase
-                trig = fields[0][0]
-                np.testing.assert_array_equal(
-                    trig.sigma(y), offset + amplitude * np.sin(arg)
-                )
-                np.testing.assert_array_equal(
-                    trig.grad_sigma(y), (amplitude * np.cos(arg))[..., None] * frequency
-                )
-                for coeffs, A_, c_ in fields:
-                    np.testing.assert_array_equal(coeffs.b(y), y @ A_.T + c_)
+def _ascending(terms):
+    """The sum of ``terms`` added in their order: the order of every
+    contraction of the fields and the march."""
+    return reduce(add, terms)
+
+
+def _argument(y, frequency):
+    """``trig``'s argument ``f . y``, spelled as the fields add it."""
+    return _ascending([y[..., k] * frequency[k] for k in range(len(frequency))])
 
 
 def _phases(kind, d, m):
@@ -197,8 +179,7 @@ def _phases(kind, d, m):
 def test_trig_per_phase_evaluation_equals_the_entrywise_spelling(d, m, kind):
     # trig takes sin and cos once per distinct phase and spreads them over
     # the entries; every entry must equal the entrywise spelling bit for bit,
-    # and the arrays must stay C-ordered, since einsum's summation order
-    # follows its operands' layout.
+    # in C-ordered arrays.
     rng = np.random.default_rng(10 * d + m)
     offset, amplitude = rng.standard_normal((d, m)), rng.standard_normal((d, m))
     frequency, phase = rng.standard_normal(d), _phases(kind, d, m)
@@ -206,7 +187,7 @@ def test_trig_per_phase_evaluation_equals_the_entrywise_spelling(d, m, kind):
     for B in (1, 2, 7, 2000):
         Y = rng.uniform(-3.0, 3.0, (B, d))
         for y in (Y, Y[0]):
-            arg = np.dot(y, frequency)[..., None, None] + phase
+            arg = _argument(y, frequency)[..., None, None] + phase
             sig, grad = coeffs.sigma(y), coeffs.grad_sigma(y)
             assert sig.flags.c_contiguous and grad.flags.c_contiguous
             assert sig.shape == y.shape[:-1] + (d, m)
@@ -232,13 +213,8 @@ def test_constant_fields_are_fresh_writable_batches():
 
 
 # ---------------------------------------------------------------------------
-# Column forms of the planar march: byte-equal to the spellings they replace
+# The contractions: one summation order at every batch width
 # ---------------------------------------------------------------------------
-
-# Around the crossover and at the benchmark's width; the column functions
-# themselves are exact from two rows on, whatever the crossover.
-WIDTHS = (63, 64, 65, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS, COLUMN_MIN_ROWS + 1, 2000)
-
 
 def _draw(rng, shape, special):
     """Standard normals; with ``special``, a fifth of them +-NaN, +-inf or +-0.0."""
@@ -250,114 +226,78 @@ def _draw(rng, shape, special):
     return a
 
 
-def _increments(rng, B, m, special):
-    """``(B, m)`` increments in the layouts the marches pass them in."""
-    slopes = _draw(rng, (B, 5, m), special)
-    block = _draw(rng, (4, B, m), special).transpose(1, 0, 2)  # time-major fine knots
-    return [
-        slopes[:, 2, :],  # a strided knot row of the WZ slopes
-        np.ascontiguousarray(slopes[:, 2, :]),  # the copy the WZ march takes per knot
-        block[:, 1],  # a time-major block row
-        block[:, 2] - block[:, 1],  # the reference's increment
-    ]
-
-
 def _same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _same_bytes_but_nan_signs(a, b):
-    # Which of two NaNs a product or sum keeps is left open by IEEE 754;
-    # einsum's choice in the noise-interaction term follows its vector
-    # kernel and the batch width.
+    # Which of two NaNs a sum keeps is left open by IEEE 754, and numpy's
+    # loops choose by width and position.
     return _same_bytes(np.where(np.isnan(a), np.nan, a), np.where(np.isnan(b), np.nan, b))
 
 
-def test_noise_columns_equal_einsum_bytes():
-    rng = np.random.default_rng(122)
-    with np.errstate(invalid="ignore"):
-        for B in WIDTHS:
-            for special in (False, True):
-                sig = _draw(rng, (B, 2, 2), special)
-                for dw in _increments(rng, B, 2, special):
-                    expected = np.einsum("bij,bj->bi", sig, dw)
-                    assert _same_bytes(coefficients._noise_columns(sig, dw), expected)
-                    assert _same_bytes(noise_term(sig, dw), expected)
-
-
-def test_stratonovich_columns_equal_einsum_bytes():
-    rng = np.random.default_rng(222)
-    with np.errstate(invalid="ignore"):
-        for B in WIDTHS:
-            for special in (False, True):
-                grad, sig = _draw(rng, (B, 2, 2, 2), special), _draw(rng, (B, 2, 2), special)
-                expected = np.einsum("bijk,bkj->bi", grad, sig)
-                got = coefficients._stratonovich_columns(grad, sig)
-                assert _same_bytes_but_nan_signs(got, expected)
-                if not special:
-                    assert _same_bytes(got, expected)
-
-
-def test_sums_of_negative_zero_products_are_positive_zero():
-    # einsum starts each sum from +0.0; a plain column sum of -0.0 products
-    # would be -0.0.
-    B = COLUMN_MIN_ROWS
-    sig = -np.abs(np.random.default_rng(4).standard_normal((B, 2, 2))) - 0.5
-    for out in (
-        coefficients._stratonovich_columns(np.zeros((B, 2, 2, 2)), sig),
-        coefficients._noise_columns(sig, np.zeros((B, 2))),
-    ):
-        assert out.shape == (B, 2)
-        assert not np.any(np.signbit(out)) and not np.any(out)
-
-
 @pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)])
-def test_contractions_are_columns_only_for_wide_planar_batches(d, m, monkeypatch):
-    # Every shape gives einsum's bytes; only d = m = 2 from COLUMN_MIN_ROWS
-    # rows on reaches the column forms, so d = 3 and m = 3 keep the einsum.
-    calls = []
-    for name in ("_noise_columns", "_stratonovich_columns"):
-        form = getattr(coefficients, name)
-        monkeypatch.setattr(
-            coefficients, name, lambda a, b, form=form, name=name: calls.append(name) or form(a, b)
-        )
+def test_contractions_are_near_einsum_and_the_same_bytes_at_every_width(d, m):
+    # Each contraction is a column sum in ascending index order: within the
+    # rounding bound of a sum of n products, 2 n eps times the sum of their
+    # magnitudes, of einsum's (or BLAS's) order, and each row's bytes do
+    # not depend on how many rows share the call.
     rng = np.random.default_rng(500 + 10 * d + m)
-    coeffs = rs.trig(
-        rng.standard_normal((d, m)), rng.standard_normal((d, m)), rng.standard_normal(d),
-        rng.standard_normal((d, m)), rng.standard_normal((d, d)),
-    )
-    for B in (1, 2) + WIDTHS:
-        Y, dw = rng.standard_normal((B, d)), rng.standard_normal((B, m))
-        sig, grad = coeffs.sigma(Y), coeffs.grad_sigma(Y)
-        calls.clear()
-        assert _same_bytes(noise_term(sig, dw), np.einsum("bij,bj->bi", sig, dw))
-        assert _same_bytes(
-            stratonovich_correction(coeffs, Y), np.einsum("bijk,bkj->bi", grad, sig)
-        )
-        wide = (d, m) == (2, 2) and B >= COLUMN_MIN_ROWS
-        assert calls == (["_noise_columns", "_stratonovich_columns"] if wide else [])
+    A, c, frequency = rng.standard_normal((d, d)), rng.standard_normal(d), rng.standard_normal(d)
+    L, LB = rng.standard_normal((d, m, d)), rng.standard_normal((d, m))
+    trig = rs.trig(rng.standard_normal((d, m)), rng.standard_normal((d, m)), frequency,
+                   rng.standard_normal((d, m)), A, c)
+    linear = rs.linear(L, LB, A, c)
+    Y, dW = rng.standard_normal((2000, d)), rng.standard_normal((2000, m))
+    sig, grad = trig.sigma(Y), trig.grad_sigma(Y)
+    # (contraction of rows, einsum's value, the magnitudes' einsum, terms)
+    contractions = [
+        (lambda r: trig.b(Y[r]), np.einsum("ik,bk->bi", A, Y) + c,
+         np.einsum("ik,bk->bi", abs(A), abs(Y)) + abs(c), d + 1),
+        (lambda r: linear.sigma(Y[r]), np.einsum("ijk,bk->bij", L, Y) + LB,
+         np.einsum("ijk,bk->bij", abs(L), abs(Y)) + abs(LB), d + 1),
+        (lambda r: _argument(Y[r], frequency), Y @ frequency, abs(Y) @ abs(frequency), d),
+        (lambda r: noise_term(sig[r], dW[r]), np.einsum("bij,bj->bi", sig, dW),
+         np.einsum("bij,bj->bi", abs(sig), abs(dW)), m),
+        (lambda r: stratonovich_correction(trig, Y[r]), np.einsum("bijk,bkj->bi", grad, sig),
+         np.einsum("bijk,bkj->bi", abs(grad), abs(sig)), d * m),
+    ]
+    eps = np.finfo(float).eps
+    for contract, expected, magnitude, n in contractions:
+        full = contract(slice(None))
+        assert np.all(abs(full - expected) <= 2 * n * eps * magnitude)
+        for width in range(1, 2001):
+            assert _same_bytes(contract(slice(0, width)), full[:width])
+        assert _same_bytes(np.concatenate([contract([b]) for b in range(0, 2000, 97)]),
+                           full[::97])
 
 
-@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)])
-def test_einsum_bits_do_not_depend_on_the_slope_row_layout(d, m):
-    # The WZ march hands the noise contraction a contiguous copy of each
-    # knot's slopes instead of the strided (B, K, m) slice.
-    rng = np.random.default_rng(300 + 10 * d + m)
-    for B in (1, 2, 7, 64, COLUMN_MIN_ROWS, 2000):
-        sig, slopes = rng.standard_normal((B, d, m)), rng.standard_normal((B, 9, m))
+def test_the_noise_term_does_not_depend_on_the_slope_row_layout():
+    # The WZ march hands the noise term a contiguous copy of each knot's
+    # slopes instead of the strided (B, K, m) slice.
+    rng = np.random.default_rng(300)
+    for d, m in ((1, 1), (2, 2), (3, 2)):
+        sig, slopes = rng.standard_normal((64, d, m)), rng.standard_normal((64, 9, m))
         for k in (0, 4, 8):
             row = slopes[:, k, :]
-            assert _same_bytes(
-                np.einsum("bij,bj->bi", sig, np.ascontiguousarray(row)),
-                np.einsum("bij,bj->bi", sig, row),
-            )
+            assert _same_bytes(noise_term(sig, np.ascontiguousarray(row)), noise_term(sig, row))
+
+
+def test_sums_of_negative_zero_products_are_negative_zero():
+    # A sum starts from its first product, not from +0.0, so -0.0 products
+    # sum to -0.0, in numpy as in the native march.
+    sig = -np.abs(np.random.default_rng(4).standard_normal((5, 2, 2))) - 0.5
+    for out in (rs.stratonovich_correction(rs.constant(sig[0]), np.ones((5, 2))),
+                noise_term(sig, np.zeros((5, 2)))):
+        assert out.shape == (5, 2)
+        assert np.all(np.signbit(out)) and not np.any(out)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_planar_fields_equal_their_broadcast_spelling_on_special_values(m):
-    # The wide planar forms of b and trig's sigma and grad_sigma against the
-    # one-call spellings, with NaN, inf and signed zeros in the state and
-    # signed zeros in the parameters.
+    # b and trig's sigma and grad_sigma against their broadcast spellings,
+    # each term over the whole batch in ascending order, with NaN, inf and
+    # signed zeros in the state and signed zeros in the parameters.
     rng = np.random.default_rng(400 + m)
     d = 2
     A, c = rng.standard_normal((d, d)), np.array([-0.0, 0.3])
@@ -366,14 +306,16 @@ def test_planar_fields_equal_their_broadcast_spelling_on_special_values(m):
     frequency, phase = rng.standard_normal(d), _phases("partly-equal", d, m)
     trig = rs.trig(offset, amplitude, frequency, phase, A, c)
     with np.errstate(invalid="ignore"):
-        for B in (2, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS, 2000):
+        for B in (1, 2, 7, 2000):
             for special in (False, True):
                 y = _draw(rng, (B, d), special)
                 if not special:
                     y[: B // 4] = 0.0
                     y[B // 4 : B // 2] = -0.0
-                arg = np.dot(y, frequency)[..., None, None] + phase
-                assert _same_bytes(trig.b(y), np.dot(y, A.T) + c)
-                assert _same_bytes(trig.sigma(y), offset + amplitude * np.sin(arg))
+                arg = _argument(y, frequency)[..., None, None] + phase
+                drift = _ascending([y[:, k, None] * A[:, k] for k in range(d)]) + c
+                assert _same_bytes_but_nan_signs(trig.b(y), drift)
+                sig = offset + amplitude * np.sin(arg)
+                assert _same_bytes_but_nan_signs(trig.sigma(y), sig)
                 grad = (amplitude * np.cos(arg))[..., None] * frequency
-                assert _same_bytes(trig.grad_sigma(y), grad)
+                assert _same_bytes_but_nan_signs(trig.grad_sigma(y), grad)

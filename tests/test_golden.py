@@ -38,7 +38,8 @@ def _annulus_problem():
 
 def _ball3_problem():
     # Three distinct phases shared unevenly over the nine entries: the
-    # batch-axis sine and the three-term row sums both meet their d = 3 case.
+    # batch-axis sine and the three-term column sums both meet their d = 3
+    # case.
     coeffs = rs.trig(
         offset=[[0.5, 0.1, 0.0], [0.1, 0.5, 0.1], [0.0, 0.1, 0.5]],
         amplitude=[[0.2, 0.1, 0.1], [0.1, 0.2, 0.1], [0.1, 0.1, 0.2]],
@@ -50,8 +51,8 @@ def _ball3_problem():
 
 
 def _planar_trig_2x3_problem():
-    # d = 2, m = 3: in groups of any width both contractions stay einsums,
-    # whose order the column forms (d = m = 2) do not reproduce here.
+    # d = 2, m = 3: the noise term sums three columns, and the noise-
+    # interaction term six, which the native march (d = m = 2) does not run.
     coeffs = rs.trig(
         offset=[[0.5, 0.1, -0.1], [0.0, 0.4, 0.2]],
         amplitude=[[0.2, 0.1, 0.1], [0.1, 0.2, 0.1]],
@@ -65,7 +66,7 @@ def _planar_trig_2x3_problem():
 def _ball_constant_negative_problem():
     # Every sigma entry negative: the zero derivative times sigma, and sigma
     # times the first knot interval's zero slope, are -0.0 products, whose
-    # einsum sums are +0.0.
+    # sums are -0.0.
     coeffs = rs.constant([[-0.4, -0.1], [-0.1, -0.3]], drift_matrix=[[-0.5, 0.0], [0.0, -0.5]])
     return rs.ball(1.0, dim=2), coeffs, [0.5, -0.3]
 
@@ -226,8 +227,8 @@ CASES = {
     # A horizon off the dyadic grid: the fine grid (level 8) pads T=0.3 to
     # 0.30078, the level-5 grid to 0.3125; outputs keep the fine padding.
     "stats_interval_trig_T0.3": lambda: _stats_digest(_interval_problem, T=0.3),
-    # Groups at least as wide as coefficients.COLUMN_MIN_ROWS: the d = m = 2
-    # ball runs the column forms, the (2, 3) annulus keeps the einsums.
+    # Groups of 512 paths: the d = m = 2 ball marches natively where the
+    # library loads, the (2, 3) annulus in numpy.
     "stats_annulus_trig_2x3": lambda: _stats_digest(_planar_trig_2x3_problem, M=512),
     "stats_ball_constant_neg": lambda: _stats_digest(_ball_constant_negative_problem, M=512),
     # d = 1 studies of each built-in family, as the interval and as a box.
@@ -257,10 +258,10 @@ CASES = {
 
 GOLDEN = {
     "stats_interval_trig": "bc81bd3143ce9cc286c76403080031982065f79cbbc3e98369bc2b9b52abdf17",
-    "stats_annulus_trig": "c44d76c3d6c2bc92e4ed2277267d3364265c93b1e0b4948b09630269b0e40fc2",
-    "stats_ball3_trig_phases": "f9d720c49b9baa93944b5ae94e69d25a5484cd95e7df9bc78a7d766df9f325b5",
+    "stats_annulus_trig": "7da61789f5436ad9af8d3e0e7a4a22def10c20da63c7b23f49f1123901ce63d4",
+    "stats_ball3_trig_phases": "d6ba7169b7031b12d85399c6db8f8ac3acd81b0127bc8d110c3568e7d4bc7568",
     "stats_interval_trig_T0.3": "41f9dbdf3caaab1685dc381f893547e910ff3e9acb32a19ce186e7636acf66bf",
-    "stats_annulus_trig_2x3": "50464267bd56313047cb37a74bcfc2afd2669270820a2c1791bec2ce3e21907b",
+    "stats_annulus_trig_2x3": "3702df90114c5ca9d4d97134eaaf98376bb5b53735824dc836b90e44eb7bee44",
     "stats_ball_constant_neg": "b451106655e58bc0e52fcedc7550184af2011d634ee5e1706142986475437636",
     "stats_interval_constant_neg": "4050b7f1b5223536aee76245ad715421c4186b94814bb211963a8c947071416e",
     "stats_interval_linear": "f291870f548836bca7ca8cf4d4b9461ddb173471c08dc69154bddb340fb31e6c",

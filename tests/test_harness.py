@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian, coefficients, harness
+from reflectedsde import brownian, harness
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import DegenerateFit, ExperimentFailed, MismatchedTimes, OutOfDomain
 from reflectedsde.harness import (
@@ -308,7 +308,7 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
         assert len(_chunk_ranges(12, 1.0, 4, m)) == 1
         # (budget, groups of the M=12 study, reference blocks per group)
         layouts = [
-            (1, 6, 16),                         # two-path groups, one-interval blocks
+            (1, 12, 16),                        # one-path groups, one-interval blocks
             (4 * path_bytes, 3, 8),             # four-path groups, two-interval blocks
             (12 * path_bytes, 1, 8),            # one group, two-interval blocks
             (12 * m * 8 * (4 * 8 + 1), 1, 4),   # one group, four-interval blocks
@@ -326,24 +326,25 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
             assert holder == expected[1]
 
 
-def test_layout_of_a_planar_study_never_leaves_a_path_alone(monkeypatch):
-    # At d=2 a batch of one row rounds its contractions differently from a
-    # batch of two or more, so no group may hold a single path.
+def test_a_planar_study_gives_the_same_stats_in_groups_of_one_path(monkeypatch):
+    # At d=2 a path marched alone gives the bytes of its row in a wider
+    # group, so groups of a single path leave the stats as they are.
     domain, coeffs, x0 = _annulus_problem()
 
     def stats(workers):
-        # Seed 3: a path marched alone here differs by up to 4.4e-16 in
-        # sup_dist and ref_var_final from its row in the batch of three.
+        # Seed 3: before every contraction had one summation order, a path
+        # marched alone here differed by up to 4.4e-16 in sup_dist and
+        # ref_var_final from its row in the group of three.
         s = rs.run_coupling_stats(rs.Study(domain, coeffs, x0, 1.0, (3, 4), 3, 3, 4, 3,
                                            workers=workers))
         return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
 
     expected = stats(1)
-    assert [len(c) for c in _chunk_ranges(3, 1.0, 4, 2, 2)] == [3]
+    assert [len(c) for c in _chunk_ranges(3, 1.0, 4, 2, 2)] == [1, 2]
     got = [stats(2)]
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
-    assert [len(c) for c in _chunk_ranges(3, 1.0, 4, 2)] == [3]
-    assert [len(c) for c in _chunk_ranges(5, 1.0, 4, 2)] == [2, 3]
+    assert [len(c) for c in _chunk_ranges(3, 1.0, 4, 2)] == [1, 1, 1]
+    assert [len(c) for c in _chunk_ranges(5, 1.0, 4, 2)] == [1] * 5
     got.append(stats(1))
     for arrays in got:
         for a, b in zip(arrays, expected):
@@ -353,11 +354,9 @@ def test_layout_of_a_planar_study_never_leaves_a_path_alone(monkeypatch):
 @pytest.mark.parametrize("problem", [_annulus_problem, _ball3_problem])
 @pytest.mark.parametrize("M", [16, 600])
 def test_stats_do_not_depend_on_the_layout_of_coefficient_outputs(problem, M):
-    # einsum's summation order follows its operands' memory layout, so the
-    # march hands it C-ordered coefficient outputs: a custom set returning
+    # The march's contractions are elementwise, so a custom set returning
     # the same values Fortran-ordered or with reversed axes gets the same
-    # bits, in groups narrower and wider than the column crossover.
-    assert 16 < coefficients.COLUMN_MIN_ROWS <= 600
+    # bits, in narrow and wide groups.
     domain, coeffs, x0 = problem()
 
     def relaid(layout):
@@ -387,13 +386,13 @@ def test_chunk_ranges_are_ordered_balanced_and_cover_the_study(budget, monkeypat
             chunks = _chunk_ranges(M, 1.0, 6, 2, workers)
             assert [i for chunk in chunks for i in chunk] == list(range(M))
             widths = [len(chunk) for chunk in chunks]
-            assert min(widths) >= 2 and max(widths) - min(widths) <= 1
-            assert len(chunks) >= min(workers, M // 2)
-            # The fewest groups that each fit in the budget, or hold two paths.
-            width = max(budget // path_bytes, 2)
-            if width > 2:
+            assert min(widths) >= 1 and max(widths) - min(widths) <= 1
+            assert len(chunks) >= min(workers, M)
+            # The fewest groups that each fit in the budget, or hold one path.
+            width = max(budget // path_bytes, 1)
+            if width > 1:
                 assert max(widths) * path_bytes <= budget
-            if workers < len(chunks) < M // 2:
+            if workers < len(chunks) < M:
                 assert M > (len(chunks) - 1) * width
 
 

@@ -42,7 +42,7 @@ for domain, coeffs, x0 in ((interval, wavy, [0.0]), (rs.ball(1.0, dim=2), planar
     path = rs.sample_path(coeffs.dim_noise, 1.0, 8, harness.path_seed(3, 0))
     refinements.append(len(calls))
     rs.coupled_solve(domain, coeffs, path, 4, 8, x0, [1.0], record_substeps=True)
-covered = cover.native_march(interval, wavy, 1) is not None
+covered = cover.native_march(interval, wavy) is not None
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["converge", "--config", sys.argv[1]])
 loaded = [name for name in ("numpy.random", "multiprocessing", "concurrent.futures")

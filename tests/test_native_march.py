@@ -6,25 +6,25 @@ d = m = 2, a single path included, when the native library loads; every other
 study, and every study under ``--no-native``, runs the numpy march.  The
 byte tests run each march both ways, the second time with the library
 switched off, and compare every array they return, NaNs and signed zeros
-included.
+included; the planar ones, and a path alone against its row in a group,
+compare up to the sign of a NaN (``_without_nan_signs``).
 """
 
-import ctypes
 import dataclasses
 import functools
-import itertools
 import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reflectedsde as rs
-from reflectedsde import brownian, coefficients, cover
+from reflectedsde import brownian, cover
 from reflectedsde.brownian import FineBlocks
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.solvers import integrate_reference_batch, integrate_wz_batch, wz_schedule
@@ -34,7 +34,7 @@ FAMILIES = {
     "constant_negative": lambda: rs.constant(
         [[-0.4]], drift_matrix=[[-0.5]], drift_offset=[0.05]
     ),
-    # No drift matrix: numpy's dot skips a zero factor for two or more rows.
+    # No drift matrix: a zero drift times an infinite state is NaN.
     "constant_no_drift": lambda: rs.constant([[0.3]]),
     # A -0.0 drift offset keeps a -0.0 drift, so each sign of zero shows.
     "constant_signed_zeros": lambda: rs.constant([[-0.4]], drift_offset=[-0.0]),
@@ -86,6 +86,22 @@ def _arrays(result):
     if isinstance(result, (list, tuple)):
         return [a for item in result for a in _arrays(item)]
     return [result]
+
+
+def _without_nan_signs(arrays):
+    """``_arrays`` output with every NaN made one NaN.  Where two NaNs of
+    different sign meet, IEEE 754 leaves open which one a sum keeps, and
+    numpy's own loops choose by width and position: with numpy 2.4, ``a +=
+    b`` keeps ``b``'s NaN in a one-element array and ``a``'s from two on,
+    and ``a + b`` keeps ``b``'s in the tail of a 100-element array and
+    ``a``'s before it.  The C compiler likewise orders a sum's operands as
+    it likes."""
+    cleared = []
+    for dtype, shape, data in arrays:
+        a = np.frombuffer(data, dtype).copy()
+        a[np.isnan(a)] = np.nan
+        cleared.append((dtype, shape, a.tobytes()))
+    return cleared
 
 
 def _both(monkeypatch, run):
@@ -173,8 +189,7 @@ def test_the_march_covers_each_built_in_family_on_a_1d_box(native):
         for domain in [make() for make in DOMAINS.values()] + [
             dataclasses.replace(rs.interval(-1.0, 1.0), name="renamed", c0=0.5)
         ]:
-            for width in (1, 2, 67):
-                assert cover.native_march(domain, family(), width) is not None
+            assert cover.native_march(domain, family()) is not None
 
 
 def _wrapped(fn):
@@ -217,7 +232,7 @@ UNCOVERED = _uncovered()
 @pytest.mark.parametrize("case", sorted(UNCOVERED))
 def test_uncovered_studies_run_the_numpy_march(monkeypatch, case):
     domain, coeffs, twin = UNCOVERED[case]
-    assert cover.native_march(domain, coeffs, 5) is None
+    assert cover.native_march(domain, coeffs) is None
 
     def stats(domain, coeffs):
         x0 = np.full(domain.dim, 0.25)
@@ -234,8 +249,8 @@ def test_no_native_runs_the_numpy_march(request):
     if not request.config.getoption("--no-native"):
         pytest.skip("the library may run; this checks the --no-native session")
     assert brownian.native_library() is None
-    assert cover.native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"](), 2) is None
-    assert cover.native_march(*_planar_study(), 2) is None
+    assert cover.native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"]()) is None
+    assert cover.native_march(*_planar_study()) is None
 
 
 def test_the_library_key_covers_both_sources(monkeypatch, tmp_path):
@@ -396,7 +411,7 @@ PLANAR_FAMILIES = {
     "constant_negative": lambda: rs.constant(
         [[-0.4, -0.1], [-0.1, -0.3]], drift_matrix=_DRIFT, drift_offset=[0.05, -0.0]
     ),
-    # No drift matrix: BLAS's gemm of a zero matrix, and -0.0 offsets.
+    # No drift matrix, and -0.0 offsets.
     "constant_no_drift": lambda: rs.constant(_SIGMA, drift_offset=[-0.0, -0.0]),
     "linear": lambda: rs.linear(
         [[[0.3, -0.2], [0.1, 0.0]], [[-0.0, 0.1], [0.25, -0.3]]], [[0.4, 0.0], [-0.1, 0.5]],
@@ -420,10 +435,9 @@ PLANAR_DOMAINS = {
     "annulus": lambda: rs.annulus(0.5, 1.0, dim=2),
 }
 
-# Widths either side of geometry.sum_squares's column switch (64 rows) and
-# coefficients.COLUMN_MIN_ROWS (512), and one that is no multiple of the
-# native march's 64-row tile.
-PLANAR_WIDTHS = (2, 63, 64, 65, 200, 511, 512, 513)
+# Widths either side of the native march's 64-row tile, and one that is no
+# multiple of it.
+PLANAR_WIDTHS = (2, 63, 64, 65, 200)
 
 # Starts on both annulus spheres (on the ball's sphere and inside the box
 # too), at the centre, at -0.0, outside every domain and not finite.
@@ -444,103 +458,27 @@ def _planar_starts(width):
     return rows
 
 
-def _fma(a, b, c):
-    """``a * b + c`` rounded once, for finite floats."""
-    return float(Fraction(a) * Fraction(b) + Fraction(c))
-
-
-def _numpy_dot_fuses(one_row):
-    """Whether numpy's planar ``np.dot`` rounds as the library spells it on
-    finite nonzero rows, each fused multiply-add formed exactly here: from
-    two rows on gemv ``fma(y0, f0, y1 * f1)`` and gemm ``fma(y1, A[i, 1],
-    y0 * A[i, 0])``, and on a single row (``one_row``) each mirrored."""
-    rng = np.random.default_rng(5)
-    f, A = rng.normal(size=2), rng.normal(size=(2, 2))
-    for width in (1,) * 20 if one_row else (2, 67):
-        y = rng.normal(size=(width, 2))
-        if one_row:
-            gemv = [_fma(y1, f[1], y0 * f[0]) for y0, y1 in y]
-            gemm = [[_fma(y0, a0, y1 * a1) for a0, a1 in A] for y0, y1 in y]
-        else:
-            gemv = [_fma(y0, f[0], y1 * f[1]) for y0, y1 in y]
-            gemm = [[_fma(y1, a1, y0 * a0) for a0, a1 in A] for y0, y1 in y]
-        if np.dot(y, f).tolist() != gemv or np.dot(y, A.T).tolist() != gemm:
-            return False
-    return True
-
-
-def _planar_library(native, one_row):
-    """The native library, where its planar ``np.dot`` spellings at that
-    width agree with numpy's BLAS; elsewhere such studies march in numpy,
-    so this skips.  Where numpy's BLAS rounds as the library spells it, a
-    probe that disagrees is the library's fault, and fails."""
-    if not cover.planar_dots_agree(one_row):
-        if _numpy_dot_fuses(one_row):
-            pytest.fail("np.dot fuses as the library spells it, yet the probe disagrees")
-        pytest.skip("np.dot's BLAS rounds otherwise here, so these planar studies march in numpy")
-    return native
-
-
-@pytest.fixture
-def planar(native):
-    """The native library for planar batches of two or more rows."""
-    return _planar_library(native, False)
-
-
-@pytest.fixture
-def planar_row(native):
-    """The native library for a single planar row."""
-    return _planar_library(native, True)
-
-
-def _without_nan_signs(arrays):
-    """``_arrays`` output with every NaN's sign cleared."""
-    cleared = []
-    for dtype, shape, data in arrays:
-        a = np.frombuffer(data, dtype).copy()
-        a[np.isnan(a)] = np.nan
-        cleared.append((dtype, shape, a.tobytes()))
-    return cleared
-
-
-def _check_planar_bytes(monkeypatch, width, run):
-    """The native march gives the numpy march's bytes.  Below
-    ``COLUMN_MIN_ROWS`` numpy forms the noise-interaction term with einsum,
-    whose choice between two NaNs of different sign follows its vector
-    kernel and the batch width (README "Speed"); there alone a NaN's sign
-    may differ, and the native bytes must equal numpy's with that term in
-    its column form."""
-    native_arrays, numpy_arrays = _both(monkeypatch, run)
-    if native_arrays == numpy_arrays:
-        return
-    assert width < coefficients.COLUMN_MIN_ROWS
-    assert _without_nan_signs(native_arrays) == _without_nan_signs(numpy_arrays)
-    with monkeypatch.context() as m:
-        m.setattr(coefficients, "_correction", coefficients._stratonovich_columns)
-        assert _both(monkeypatch, run)[1] == native_arrays
-
-
 @pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
 @pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
-def test_planar_wz_march_gives_the_numpy_bytes(planar, monkeypatch, family, domain_name):
+def test_planar_wz_march_gives_the_numpy_bytes(native, monkeypatch, family, domain_name):
     domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family]()
     # An output after the first step, which a zero slope leaves on a bound
     # for a start there.
     times, knot_idx, out_pos = wz_schedule(3, 3, [0.0, 1 / 24, 0.3, 5 / 12, 1.0], 1.0)
     for width in PLANAR_WIDTHS:
-        assert cover.native_march(domain, coeffs, width) is not None
         x0 = _planar_starts(width)
         slopes = np.random.default_rng(7).normal(0.0, 4.0, (width, 8, 2))
         slopes[:, 0] = 0.0
         slopes[::3, 4] = 1e308
         slopes[1::4, 2, 1] = -1e308
-        _check_planar_bytes(monkeypatch, width, lambda: integrate_wz_batch(
+        native_arrays, numpy_arrays = _both(monkeypatch, lambda: integrate_wz_batch(
             domain, coeffs, x0, slopes, times, knot_idx, out_pos))
+        assert _without_nan_signs(native_arrays) == _without_nan_signs(numpy_arrays)
 
 
 @pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
 @pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
-def test_planar_reference_march_gives_the_numpy_bytes(planar, monkeypatch, family, domain_name):
+def test_planar_reference_march_gives_the_numpy_bytes(native, monkeypatch, family, domain_name):
     domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family]()
     fine_level = 6
     out_steps = np.array([0, 0, 1, 5, 8, 8, 37])
@@ -562,13 +500,14 @@ def test_planar_reference_march_gives_the_numpy_bytes(planar, monkeypatch, famil
                     values[::2, 3, 0] = 1e308
                 yield start, values
 
-        _check_planar_bytes(monkeypatch, width, lambda: integrate_reference_batch(
+        native_arrays, numpy_arrays = _both(monkeypatch, lambda: integrate_reference_batch(
             domain, coeffs, x0, blocks(), fine_level, out_steps))
+        assert _without_nan_signs(native_arrays) == _without_nan_signs(numpy_arrays)
 
 
 @pytest.mark.parametrize("M", [2, 3, 67, 515])
 @pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
-def test_planar_engine_stats_give_the_numpy_bytes(planar, monkeypatch, domain_name, M):
+def test_planar_engine_stats_give_the_numpy_bytes(native, monkeypatch, domain_name, M):
     domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES["trig_two_phases"]()
     x0 = {"box": [0.5, -0.25], "ball": [0.3, 0.2], "annulus": [0.75, 0.0]}[domain_name]
     native_arrays, numpy_arrays = _both(monkeypatch, lambda: rs.run_coupling_stats(
@@ -579,12 +518,12 @@ def test_planar_engine_stats_give_the_numpy_bytes(planar, monkeypatch, domain_na
 @pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
 @pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
 def test_planar_single_row_marches_give_the_numpy_bytes(
-    planar_row, monkeypatch, family, domain_name
+    native, monkeypatch, family, domain_name
 ):
     # Each special start alone, with its step log, through both schemes:
     # states, variation and the log's states, dL and |dL|, byte for byte.
     domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family]()
-    assert cover.native_march(domain, coeffs, 1) is not None
+    assert cover.native_march(domain, coeffs) is not None
     starts = np.array(_PLANAR_STARTS)
     times, knot_idx, out_pos = wz_schedule(3, 3, [0.0, 1 / 24, 0.3, 5 / 12, 1.0], 1.0)
     slopes = np.random.default_rng(7).normal(0.0, 4.0, (len(starts), 8, 2))
@@ -616,7 +555,7 @@ def test_planar_single_row_marches_give_the_numpy_bytes(
         ):
             native_arrays, numpy_arrays = _both(monkeypatch, run)
             assert len(native_arrays) == 6
-            assert native_arrays == numpy_arrays
+            assert _without_nan_signs(native_arrays) == _without_nan_signs(numpy_arrays)
 
 
 # A start inside each planar domain and one on its boundary.
@@ -628,7 +567,7 @@ _PLANAR_PATH_STARTS = {
 
 
 @pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
-def test_planar_single_path_solves_give_the_numpy_bytes(planar_row, monkeypatch, family):
+def test_planar_single_path_solves_give_the_numpy_bytes(native, monkeypatch, family):
     coeffs = PLANAR_FAMILIES[family]()
     path = rs.sample_path(2, 1.0, 8, 21)
     for domain_name, make in sorted(PLANAR_DOMAINS.items()):
@@ -647,12 +586,11 @@ def _planar_study():
     return PLANAR_DOMAINS["annulus"](), PLANAR_FAMILIES["trig"]()
 
 
-def test_the_march_covers_each_planar_built_in_at_every_width(planar, planar_row):
+def test_the_march_covers_each_planar_built_in_at_every_width(native):
+    # Coverage does not depend on the batch width, which it is not given.
     for make_domain in PLANAR_DOMAINS.values():
         for family in PLANAR_FAMILIES.values():
-            domain, coeffs = make_domain(), family()
-            for width in (1, 2, 3, 2000):
-                assert cover.native_march(domain, coeffs, width) is not None
+            assert cover.native_march(make_domain(), family()) is not None
 
 
 def _planar_uncovered():
@@ -678,113 +616,88 @@ def _planar_uncovered():
 @pytest.mark.parametrize("case", sorted(_planar_uncovered()))
 def test_uncovered_planar_studies_run_the_numpy_march(native, case):
     domain, coeffs = _planar_uncovered()[case]
-    assert cover.native_march(domain, coeffs, 67) is None
+    assert cover.native_march(domain, coeffs) is None
 
 
-def test_a_disagreeing_blas_runs_the_numpy_march_with_the_same_bits(
-    planar, planar_row, monkeypatch
-):
-    from test_golden import CASES, GOLDEN
+# ---------------------------------------------------------------------------
+# A path marched alone and its row in a group
+# ---------------------------------------------------------------------------
 
-    for width in (1, 2):
-        assert cover.native_march(*_planar_study(), width) is not None
-    monkeypatch.setattr(cover, "planar_dots_agree", lambda one_row: False)
-    for width in (1, 2):
-        assert cover.native_march(*_planar_study(), width) is None
-        assert cover.native_march(rs.interval(-1.0, 1.0), FAMILIES["trig"](), width) is not None
-    # An engine study and a single path's substep logs.
-    for case in ("stats_annulus_trig", "substeps_ball_linear"):
-        assert CASES[case]() == GOLDEN[case]
+# d = 3 studies, which march in numpy.
+SPATIAL_STUDIES = {
+    "ball_trig": lambda: (rs.ball(1.0, dim=3), rs.trig(
+        np.full((3, 3), 0.1) + 0.4 * np.eye(3), np.full((3, 3), 0.2), [1.0, -2.0, 0.5],
+        phase=[[0.0, 0.0, 0.5], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]],
+        drift_matrix=[[-0.5, 0.1, 0.0], [0.0, -0.5, 0.1], [0.1, 0.0, -0.5]])),
+    "box_linear": lambda: (rs.box([-0.5, 0.0, -1.0], [0.5, 1.0, -0.0]), rs.linear(
+        np.arange(27.0).reshape(3, 3, 3) / 40.0 - 0.3, np.eye(3) * 0.4,
+        drift_offset=[0.1, -0.0, 0.2])),
+    "annulus_constant": lambda: (rs.annulus(0.5, 1.0, dim=3), rs.constant(
+        [[-0.4, -0.1, 0.0], [-0.1, -0.3, 0.1], [0.0, 0.2, -0.5]])),
+}
 
+# Every study the property test draws, as (domain, coeffs), by dimension
+# and name.
+GROUP_STUDIES = {
+    **{f"1 {d} {f}": lambda d=d, f=f: (DOMAINS[d](), FAMILIES[f]())
+       for d in DOMAINS for f in FAMILIES},
+    **{f"2 {d} {f}": lambda d=d, f=f: (PLANAR_DOMAINS[d](), PLANAR_FAMILIES[f]())
+       for d in PLANAR_DOMAINS for f in PLANAR_FAMILIES},
+    **{f"3 {name}": make for name, make in SPATIAL_STUDIES.items()},
+}
 
-@pytest.mark.parametrize("spelling", ["gemv", "gemm"])
-@pytest.mark.parametrize("flipped", ["one_row", "wider"])
-def test_each_width_asks_only_its_own_probe(planar, planar_row, monkeypatch, spelling, flipped):
-    # A spelling that differs from np.dot on a single row sends a single
-    # path to numpy and keeps wider batches native, and the reverse; a
-    # march asks only the probe of its own width.
-    native, calls = planar, []
-
-    def planar_dots(width, y, f, A, v, mat):
-        native.planar_dots(width, y, f, A, v, mat)
-        calls.append(width)
-        if (width == 1) == (flipped == "one_row"):
-            target = v if spelling == "gemv" else mat
-            (ctypes.c_uint64 * width).from_address(target)[width - 1] ^= 1
-
-    fake = type("Library", (), {"planar_dots": staticmethod(planar_dots)})
-    monkeypatch.setattr(brownian, "_native", lambda: fake)
-    monkeypatch.setattr(cover, "planar_dots_agree",
-                        functools.cache(cover.planar_dots_agree.__wrapped__))
-    assert (cover.native_march(*_planar_study(), 1) is None) == (flipped == "one_row")
-    assert set(calls) == {1}
-    calls.clear()
-    assert (cover.native_march(*_planar_study(), 2) is None) == (flipped == "wider")
-    assert calls and min(calls) >= 2
+_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -1.0, np.inf, -np.inf, np.nan]), st.floats(-1.5, 1.5)
+)
 
 
-def _check_planar_dots(lib, batches):
-    """The library's gemv and gemm spellings against np.dot on each batch,
-    with factors holding zeros of both signs."""
-    zeros = [-0.0, 0.0]
-    for y in batches:
-        width = len(y)
-        for f, A in [([0.7, -1.3], [[-0.0, 0.4], [1.1, -0.9]]),
-                     (zeros, [zeros, zeros]), ([2.0, 0.0], [[0.0, 1.0], [-1.0, 0.0]])]:
-            f, A = np.array(f), np.array(A)
-            v, mat = np.empty(width), np.empty((width, 2))
-            lib.planar_dots(width, y.ctypes.data, f.ctypes.data, A.ctypes.data,
-                            v.ctypes.data, mat.ctypes.data)
-            with np.errstate(all="ignore"):
-                assert v.tobytes() == np.dot(y, f).tobytes()
-                assert mat.tobytes() == np.dot(y, A.T).tobytes()
+@st.composite
+def _groups(draw):
+    """A study, the starts of a group of paths, the rows to march alone,
+    the group's first path seed and a scale for its Brownian increments
+    (a huge one overflows the march)."""
+    name = draw(st.sampled_from(sorted(GROUP_STUDIES)))
+    d, width = int(name[0]), draw(st.integers(2, 70))
+    starts = draw(st.lists(st.lists(_COORDINATES, min_size=d, max_size=d),
+                           min_size=width, max_size=width))
+    rows = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=4, unique=True))
+    return name, starts, rows, draw(st.integers(0, 2**32)), draw(st.sampled_from([1.0, 1e300]))
 
 
-# Rows of zeros of both signs and values that are not finite; the march's
-# later sums from +0.0 hide a zero's sign.
-_DOT_ROWS = [[-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [np.inf, 0.5], [np.nan, -np.inf],
-             [1e308, -1e308]]
+def _march_both(domain, coeffs, x0, slopes, values, log):
+    """States at the outputs and variation of the WZ march at level 3 and
+    of the reference at fine level 5."""
+    times, knot_idx, out_pos = wz_schedule(3, 2, [0.25, 0.5, 1.0], 1.0)
+    wz = integrate_wz_batch(domain, coeffs, x0, slopes, times, knot_idx, out_pos, log)
+    ref = integrate_reference_batch(domain, coeffs, x0, [(0, values)], 5, [8, 16, 32], log)
+    return [*wz[:2], *ref[:2]]
 
 
-def test_the_planar_dots_give_numpy_bits(planar):
-    # At every width the byte tests march and the probe compares.
-    def batches():
-        for width in sorted({*PLANAR_WIDTHS, *cover.PROBE_WIDTHS}):
-            y = np.random.default_rng(width).normal(0.0, 2.0, (width, 2))
-            y[: min(width, 6)] = _DOT_ROWS[: min(width, 6)]
-            yield y
-
-    _check_planar_dots(planar, batches())
-
-
-def test_the_planar_dots_give_numpy_bits_on_a_single_row(planar_row):
-    rows = np.concatenate([_DOT_ROWS, _PLANAR_STARTS,
-                           np.random.default_rng(1).normal(0.0, 2.0, (500, 2))])
-    _check_planar_dots(planar_row, rows[:, None])
-
-
-def test_the_blas_probe_compares_each_spelling_with_numpy(planar, planar_row, monkeypatch):
-    # The probe fails as soon as either spelling's bits differ from np.dot.
-    # From two rows on it compares every batch width's residue modulo 16,
-    # where BLAS kernels split blocks and tails; the single-row probe
-    # compares batches of one.
-    assert {width % 16 for width in cover.PROBE_WIDTHS} == set(range(16))
-    native = planar
-    for one_row, spelling in itertools.product((False, True), ("gemv", "gemm")):
-        calls = []
-
-        def planar_dots(width, y, f, A, v, mat, spelling=spelling):
-            native.planar_dots(width, y, f, A, v, mat)
-            calls.append(width)
-            target = v if spelling == "gemv" else mat
-            # Flip the last entry's lowest bit, whatever value it holds.
-            (ctypes.c_uint64 * width).from_address(target)[width - 1] ^= 1
-
-        fake = type("Library", (), {"planar_dots": staticmethod(planar_dots)})
-        monkeypatch.setattr(brownian, "_native", lambda: fake)
-        assert not cover.planar_dots_agree.__wrapped__(one_row)
-        assert calls == [1 if one_row else cover.PROBE_WIDTHS[0]]
-        monkeypatch.undo()
+@settings(max_examples=60, deadline=None)
+@given(group=_groups())
+# A zero drift matrix times an infinite state is NaN, alone and in a group.
+@example(group=("1 interval constant_no_drift", [[np.inf], [0.0]], [0], 0, 1.0))
+def test_a_path_marched_alone_gives_its_rows_bytes_in_a_group(group):
+    # Both schemes, on both backends: each drawn row of a group marched
+    # alone with its step log, as a single path is, gives the bytes of its
+    # row in the group's march (up to the sign of a NaN), at d = 1 and
+    # d = 2 natively where the library loads and at d = 3 in numpy.
+    name, starts, rows, seed, scale = group
+    (domain, coeffs), x0 = GROUP_STUDIES[name](), np.array(starts)
+    paths = rs.sample_path(coeffs.dim_noise, 1.0, 5, list(range(seed, seed + len(x0))))
+    slopes, values = rs.wz_knot_slopes(paths, 3) * scale, paths.values * scale
+    with np.errstate(all="ignore"):
+        for library in (brownian._native, lambda: None):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(brownian, "_native", library)
+                out, var, ref_out, ref_var = _march_both(domain, coeffs, x0, slopes, values,
+                                                         False)
+                for b in rows:
+                    alone = _march_both(domain, coeffs, x0[b : b + 1], slopes[b : b + 1],
+                                        values[b : b + 1], True)
+                    row = [out[:, b : b + 1], var[b : b + 1], ref_out[:, b : b + 1],
+                           ref_var[b : b + 1]]
+                    assert _without_nan_signs(_arrays(alone)) == _without_nan_signs(_arrays(row))
 
 
 _GUARDED = """
@@ -819,8 +732,8 @@ def at_page_end(a):
     return copy.reshape(a.shape)
 
 
-def guarded(domain, coeffs, width):
-    lib, kind, par = covered(domain, coeffs, width)
+def guarded(domain, coeffs):
+    lib, kind, par = covered(domain, coeffs)
     return lib, kind, at_page_end(par)
 
 
@@ -846,9 +759,7 @@ def single_path(domain, coeffs, x0):
 lines = [(make(), family(), [0.0]) for make in DOMAINS.values() for family in FAMILIES.values()]
 planes = [(PLANAR_DOMAINS[name](), family(), _PLANAR_PATH_STARTS[name][0])
           for name in PLANAR_DOMAINS for family in PLANAR_FAMILIES.values()]
-runs = [(run, study) for run in (stats, single_path) for study in lines]
-runs += [(stats, study) for study in planes if cover.planar_dots_agree(False)]
-runs += [(single_path, study) for study in planes if cover.planar_dots_agree(True)]
+runs = [(run, study) for run in (stats, single_path) for study in lines + planes]
 for run, study in runs:
     expected = run(*study)
     cover.native_march, solvers._march_arrays = guarded, guarded_arrays
@@ -861,8 +772,7 @@ print(len(runs))
 def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
     # Each covered study marches with its packed parameters, and a single
     # path with each of its step log's arrays, at the end of a readable
-    # page, in a child process that a read or write past them kills.  The
-    # planar studies run at the widths whose BLAS probe agrees.
+    # page, in a child process that a read or write past them kills.
     if not sys.platform.startswith("linux"):
         pytest.skip("the guard page is set with Linux's mprotect")
     tests_dir = Path(__file__).resolve().parent
@@ -872,5 +782,4 @@ def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     planes = len(PLANAR_DOMAINS) * len(PLANAR_FAMILIES)
-    widths = cover.planar_dots_agree(False) + cover.planar_dots_agree(True)
-    assert int(proc.stdout) == 2 * len(DOMAINS) * len(FAMILIES) + widths * planes
+    assert int(proc.stdout) == 2 * (len(DOMAINS) * len(FAMILIES) + planes)
