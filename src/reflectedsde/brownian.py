@@ -59,6 +59,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
@@ -410,6 +411,31 @@ def _refine(values: np.ndarray, gap: int, streams: _Streams, first: int) -> None
         gap //= 2
 
 
+class _Ahead:
+    """``fn(*args)`` run on a helper thread.  ``result()`` joins it and
+    returns its value, or raises its exception; ``join()`` only waits."""
+
+    def __init__(self, fn, *args):
+        self._value = self._error = None
+        self._thread = threading.Thread(target=self._run, args=(fn, *args))
+        self._thread.start()
+
+    def _run(self, fn, *args):
+        try:
+            self._value = fn(*args)
+        except BaseException as error:  # re-raised on the caller's thread by result()
+            self._error = error
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self):
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 @dataclass(frozen=True)
 class FineBlocks:
     """Fine knots of a batch of paths, refined from its coarse knots one
@@ -423,8 +449,18 @@ class FineBlocks:
     spans whole coarse intervals, as many as fit in ``max_bytes`` (at least
     one); consecutive blocks share their boundary knot, and the last ends at
     the coarse knot at or after the horizon.  Each (path, level) stream
-    resumes where the previous block stopped.  Every block is a view of one
-    buffer, valid until the next is drawn.
+    resumes where the previous block stopped.
+
+    The blocks alternate between two buffers of at most ``max_bytes`` each.
+    While the caller holds block ``k``, one helper thread refines block
+    ``k + 1`` into the other buffer.  The library's refinement releases the
+    GIL, so it runs beside a march that releases it too, such as the native
+    march; numpy refinement and a numpy march take turns.  Asking for block
+    ``k + 1`` starts the helper on ``k + 2`` in ``k``'s buffer, so a block
+    is valid until the next is drawn.  The blocks are refined one after the
+    other, in order, so every stream draws what it draws serially.  An
+    exception in the helper is raised where its block would be yielded;
+    closing the generator waits for the helper.
     """
 
     coarse: BrownianPath
@@ -451,16 +487,32 @@ class FineBlocks:
         n_coarse = -(-self.n_knots // stride)
         width = max(1, (self.max_bytes // (B * m * 8) - 1) // stride)
         width = min(width, n_coarse)
+        starts = range(0, n_coarse, width)
         # Time-major, so that each step of a march reads contiguous rows.
-        buffer = np.empty((width * stride + 1, B, m)).transpose(1, 0, 2)
+        buffers = [np.empty((width * stride + 1, B, m)).transpose(1, 0, 2)
+                   for _ in range(min(2, len(starts)))]
         first = self.coarse.fine_level + 1
         streams = _Streams(self.coarse.seed, first, self.fine_level)
-        for lo in range(0, n_coarse, width):
+
+        def refined(k):
+            lo = starts[k]
             hi = min(lo + width, n_coarse)
-            values = buffer[:, : (hi - lo) * stride + 1]
+            values = buffers[k % 2][:, : (hi - lo) * stride + 1]
             values[:, ::stride] = coarse[:, lo : hi + 1]
             _refine(values, stride, streams, first)
-            yield lo * stride, values
+            return values
+
+        ahead = None
+        try:
+            values = refined(0)
+            for k, lo in enumerate(starts):
+                ahead = _Ahead(refined, k + 1) if k + 1 < len(starts) else None
+                yield lo * stride, values
+                if ahead is not None:
+                    values = ahead.result()
+        finally:
+            if ahead is not None:
+                ahead.join()
 
 
 def refine(path: BrownianPath) -> BrownianPath:

@@ -12,14 +12,15 @@ study.  A group's Brownian paths are sampled once, as one ``(B, K + 1, m)``
 array of knot values at the finest approximation level; every level's
 march reads its slopes from that array.  The reference march needs the
 fine grid, which it reads in time order: ``brownian.FineBlocks`` refines
-the next time block of fine knots from the group's knots as the march
-reaches it, with each (path, level) stream resuming where the previous
-block stopped, so the fine grid is never held whole.  Groups are sized by
-bytes: the study is split into the fewest balanced groups whose path
-arrays, as ``sample_path`` allocates them, each stay within
-``_CHUNK_BYTES``, never into fewer groups than workers, and never into
-groups of one path.  A block spans as many whole coarse intervals as fit
-in the same budget.  With several workers the groups run in forked
+the fine knots from the group's knots one time block at a time, with each
+(path, level) stream resuming where the previous block stopped, so the
+fine grid is never held whole.  A helper thread refines the next block
+into a second buffer while the march runs through the current one.
+Groups are sized by bytes: the study is split into the fewest balanced
+groups whose path arrays, as ``sample_path`` allocates them, each stay
+within ``_CHUNK_BYTES``, never into fewer groups than workers, and never
+into groups of one path.  A block spans as many whole coarse intervals
+as fit in the same budget.  With several workers the groups run in forked
 processes that inherit the domain and coefficient objects themselves, so
 any domain, built-in, modified or custom, runs in parallel.  Per-path
 stats are reduced in path-index order, which makes every report
@@ -56,12 +57,13 @@ from .solvers import (
     wz_schedule,
 )
 
-# Budget for each of a group's two Brownian arrays: its path array at the
+# Budget for each of a group's three Brownian arrays: its path array at the
 # finest approximation level, as ``sample_path`` allocates it, and the
-# reference's block of fine knots.  Wider groups spend less Python time per
-# path, larger blocks less per resumed (path, level) stream.  The march
-# outputs come on top; README "Memory" has the measured peaks.
-_CHUNK_BYTES = 32 * 2**20
+# reference's two buffers of fine knots (the block the march reads and the
+# one refined ahead).  Wider groups spend less Python time per path, larger
+# blocks less per resumed (path, level) stream.  The march outputs come on
+# top; README "Memory" has the measured peaks.
+_CHUNK_BYTES = 16 * 2**20
 
 
 def path_seed(seed: int, index: int) -> int:
@@ -471,10 +473,12 @@ def run_coupling_stats(study: Study) -> CouplingStats:
     Paths are marched in balanced groups sized by ``_CHUNK_BYTES``, the
     memory budget of a group's Brownian path array at level ``max(levels)``
     (``8 N m`` bytes per path, ``N`` from ``brownian.dyadic_grid``) and of
-    each block of fine knots the reference refines; with ``workers > 1``
-    there are at least ``workers`` groups of two or more paths, spread over
-    forked processes where the platform can fork.  The stats are
-    bit-identical whatever the group and block layout or worker count.
+    each of the two buffers of fine knots the reference refines into; with
+    ``workers > 1`` there are at least ``workers`` groups of two or more
+    paths, spread over forked processes where the platform can fork.  Each
+    process runs up to two threads during a reference march: the march and
+    the helper refining its next block.  The stats are bit-identical
+    whatever the group and block layout or worker count.
     """
     level = max(study.levels)
     horizon = _fine_grid(study.T, level + study.fine_margin)[1]

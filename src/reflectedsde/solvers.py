@@ -312,7 +312,9 @@ def integrate_reference_batch(
     indices at which to record, and the march stops at the last of them.
     ``sigma`` is evaluated once per step.  Returns as ``_march_result``, from
     one native call per block where ``cover.native_march`` covers the
-    study.
+    study.  However the march ends, it closes ``blocks`` if it has a
+    ``close``: ``FineBlocks.blocks()`` then joins the helper thread that
+    refines ahead, even when the march stops before the last block.
     """
     h = 2.0 ** (-fine_level)
     out_steps = _output_positions(out_steps)
@@ -347,15 +349,20 @@ def integrate_reference_batch(
     # Each span records the outputs due at its first knot, so only a march
     # of no steps needs a span of no steps for the outputs at knot 0.
     pos, j, blocks = 0, 0 if last else march(0, None, 0, 0, 0), iter(blocks)
-    while pos < last:
-        start, values = next(blocks, (None, None))
-        if values is not None:
-            values = _noise_batch(arrays[0], coeffs, values)
-            n = min(start + values.shape[1] - 1, last) - pos
-        if values is None or not (start <= pos and n > 0):
-            raise ValueError(_BLOCK_RULE)
-        j = march(start, values, pos, n, j)
-        pos += n
+    try:
+        while pos < last:
+            start, values = next(blocks, (None, None))
+            if values is not None:
+                values = _noise_batch(arrays[0], coeffs, values)
+                n = min(start + values.shape[1] - 1, last) - pos
+            if values is None or not (start <= pos and n > 0):
+                raise ValueError(_BLOCK_RULE)
+            j = march(start, values, pos, n, j)
+            pos += n
+    finally:
+        # A generator stopped early is closed now, not when it is collected,
+        # so that FineBlocks' helper thread is joined as the march ends.
+        getattr(blocks, "close", lambda: None)()
     return _march_result(np.arange(last + 1) * h, arrays)
 
 

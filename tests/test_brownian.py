@@ -1,4 +1,7 @@
 import io
+import sys
+import threading
+import time
 from math import ceil
 
 import numpy as np
@@ -239,6 +242,99 @@ def test_fine_blocks_reject_a_horizon_beyond_the_coarse_path():
         brownian.FineBlocks(coarse, 2, 2, 2**20)
     with pytest.raises(ValueError):
         brownian.FineBlocks(rs.sample_path(1, 0.5, 3, 1), 6, 32, 2**20)
+
+
+def _one_interval_blocks(m=2, seeds=(3, -4, 2**63 + 5)):
+    """``FineBlocks`` refining a batch from level 3 to 6 over T=1 in eight
+    blocks of one coarse interval, and the batch sampled at level 6."""
+    coarse = rs.sample_path(m, 1.0, 3, list(seeds))
+    expected = np.asarray(rs.sample_path(m, 1.0, 6, list(seeds)).values)
+    return brownian.FineBlocks(coarse, 6, 64, 1), expected
+
+
+def _slow_ahead(monkeypatch, seconds):
+    """Make every refinement off the main thread take ``seconds`` longer,
+    so that the helper is still at work when the caller moves on."""
+    refine = brownian._refine
+
+    def slow(*args):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(seconds)
+        refine(*args)
+
+    monkeypatch.setattr(brownian, "_refine", slow)
+
+
+def test_fine_blocks_stopped_after_the_first_block_leave_no_thread(monkeypatch):
+    source, expected = _one_interval_blocks()
+    _slow_ahead(monkeypatch, 0.05)
+    before = threading.active_count()
+    blocks = source.blocks()
+    start, values = next(blocks)
+    assert start == 0
+    np.testing.assert_array_equal(values, expected[:, :9])
+    # The helper refining block 1 is joined when the consumer closes.
+    blocks.close()
+    assert threading.active_count() == before
+
+
+def test_a_failed_refinement_ahead_reaches_the_caller_at_its_block(monkeypatch):
+    source, expected = _one_interval_blocks()
+    refine, threads = brownian._refine, []
+
+    def failing_second(*args):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise RuntimeError("refinement of block 1 failed")
+        refine(*args)
+
+    monkeypatch.setattr(brownian, "_refine", failing_second)
+    before = threading.active_count()
+    blocks = source.blocks()
+    start, values = next(blocks)
+    np.testing.assert_array_equal(values, expected[:, :9])
+    with pytest.raises(RuntimeError, match="block 1 failed"):
+        next(blocks)
+    assert threading.active_count() == before
+    # Block 0 is refined on the caller's thread, block 1 on the helper.
+    assert threads[0] is threading.current_thread()
+    assert threads[1] is not threading.current_thread()
+    with pytest.raises(StopIteration):
+        next(blocks)
+
+
+def test_fine_blocks_read_by_more_consumers_than_cores_stay_intact(monkeypatch):
+    # Each consumer holds every block a while as the helper refines the
+    # next one into the other buffer, then checks the block again: a helper
+    # that wrote into the held buffer, or streams drawn out of block order,
+    # would change it.  Under a short switch interval the GIL passes between
+    # the consumers, their helpers and the numpy refinement often.
+    results = {}
+
+    def consume(k):
+        source, expected = _one_interval_blocks(m=1 + k % 2, seeds=(k, 7 * k + 1))
+        for start, values in source.blocks():
+            held = values.copy()
+            time.sleep(1e-3)
+            results[k, start] = np.array_equal(values, held) and np.array_equal(
+                values, expected[:, start : start + 9])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for backend in ("session", "numpy"):
+            if backend == "numpy":
+                monkeypatch.setattr(brownian, "_native", lambda: None)
+            results.clear()
+            consumers = [threading.Thread(target=consume, args=(k,)) for k in range(5)]
+            for consumer in consumers:
+                consumer.start()
+            for consumer in consumers:
+                consumer.join(timeout=60)
+                assert not consumer.is_alive()
+            assert len(results) == 5 * 8 and all(results.values())
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_restriction_to_finer_level_rejected():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from reflectedsde.harness import (
     jackknife_se,
     path_seed,
 )
+from test_brownian import _slow_ahead
 from test_golden import _ball3_problem
 
 
@@ -434,6 +436,59 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
     assert len(allocated) == 9
     assert [n for n, _ in calls] == [3] * 3 + [2] * 3
     assert max(allocated + [nbytes for _, nbytes in calls]) <= budget
+
+
+def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkeypatch):
+    # Groups of 8 paths at level 4 over T=0.3, refined to level 7 in three
+    # blocks of two coarse intervals, as in the test above.
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 10 * 17 * 8)
+    calls = _recording_blocks(monkeypatch)
+    # The helper is still refining when each march below ends.
+    refine = brownian._refine
+    _slow_ahead(monkeypatch, 0.01)
+    before = threading.active_count()
+    study = rs.Study(unit_interval, wavy_coeffs, [0.0], 0.3, (3, 4), 24, 3, 4, 5)
+    expected = rs.run_coupling_stats(study)
+    assert threading.active_count() == before
+    # The Holder grid ends at 0.25, inside the second block: each march
+    # stops there, while the helper refines the third.
+    calls.clear()
+    rs.holder_report(dataclasses.replace(study, levels=(4,)), [2], 4, reference=True)
+    assert [n for n, _ in calls] == [2] * 3
+    assert threading.active_count() == before
+
+    # A march that raises while the helper refines its next block: a custom
+    # coefficient set marches in numpy and fails in its second block.
+    counted = []
+
+    def failing_sigma(y):
+        counted.append(1)
+        if len(counted) == 20:
+            raise RuntimeError("sigma failed")
+        return wavy_coeffs.sigma(y)
+
+    with pytest.raises(RuntimeError, match="sigma failed") as failure:
+        rs.run_coupling_stats(
+            dataclasses.replace(study, coeffs=dataclasses.replace(wavy_coeffs, sigma=failing_sigma))
+        )
+    # The traceback held here keeps the march's frame, and its blocks, alive.
+    assert failure.traceback and threading.active_count() == before
+
+    # A refinement that fails on the helper's thread reaches the march at
+    # the block it would have produced.
+    def failing_ahead(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("refinement ahead failed")
+        refine(*args)
+
+    monkeypatch.setattr(brownian, "_refine", failing_ahead)
+    calls.clear()
+    with pytest.raises(RuntimeError, match="refinement ahead failed"):
+        rs.run_coupling_stats(study)
+    assert [n for n, _ in calls] == [1]
+    assert threading.active_count() == before
+    monkeypatch.setattr(brownian, "_refine", refine)
+    np.testing.assert_array_equal(rs.run_coupling_stats(study).sup_dist, expected.sup_dist)
 
 
 def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interval, wavy_coeffs):
