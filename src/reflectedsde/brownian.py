@@ -175,34 +175,42 @@ def stream_keys(seeds, levels) -> np.ndarray:
     levels[j]]).generate_state(2, np.uint64)``: SeedSequence's pool-4 hash
     in the stream library, or SeedSequence itself without it.  Seeds are
     masked as Python ints, so negative seeds and seeds of 2^63 and above
-    are accepted.
+    are accepted; an integer array is masked as one array, to the same
+    words.
     """
-    masked = [int(s) & _SEED_MASK for s in seeds]
+    if isinstance(seeds, np.ndarray):
+        # An integer array is masked in one operation: the cast to uint64
+        # keeps a negative seed's two's complement, as ``&`` on an int does.
+        seed_words = seeds.astype(np.uint64) & np.uint64(_SEED_MASK)
+    else:
+        seed_words = np.array([int(s) & _SEED_MASK for s in seeds], np.uint64)
     levels = [int(n) for n in levels]
-    keys = np.empty((len(levels), len(masked), 2), np.uint64)
+    keys = np.empty((len(levels), len(seed_words), 2), np.uint64)
     lib = _native()
     if lib is None:
         for j, level in enumerate(levels):
-            for b, seed in enumerate(masked):
+            for b, seed in enumerate(seed_words.tolist()):
                 keys[j, b] = np.random.SeedSequence([seed, level]).generate_state(2, np.uint64)
         return keys
-    seed_words, level_words = np.array(masked, np.uint64), np.array(levels, np.uint32)
-    lib.stream_keys(_ptr(seed_words), len(masked), _ptr(level_words), len(levels), _ptr(keys))
+    level_words = np.array(levels, np.uint32)
+    lib.stream_keys(_ptr(seed_words), len(seed_words), _ptr(level_words), len(levels), _ptr(keys))
     return keys
 
 
-def path_seeds(seed: int, first: int, n: int) -> list[int]:
+def path_seeds(seed: int, first: int, n: int) -> np.ndarray:
     """``SeedSequence([seed & (2**63 - 1), 0x5EED, i]).generate_state(1,
-    np.uint64)[0]`` for the ``n`` path indices ``i`` from ``first`` on: in
-    one library call, or by SeedSequence itself without the library or for
-    an index outside ``0 .. 2**64 - 1`` (a negative one raises)."""
+    np.uint64)[0]`` for the ``n`` path indices ``i`` from ``first`` on, as a
+    uint64 array (which ``sample_path`` checks once): in one library call,
+    or by SeedSequence itself without the library or for an index outside
+    ``0 .. 2**64 - 1`` (a negative one raises)."""
     seed, lib, indices = int(seed & _SEED_MASK), _native(), range(first, first + n)
     if lib is None or indices.start < 0 or indices.stop > 2**64:
-        return [int(np.random.SeedSequence([seed, 0x5EED, i]).generate_state(1, np.uint64)[0])
-                for i in indices]
+        return np.array(
+            [np.random.SeedSequence([seed, 0x5EED, i]).generate_state(1, np.uint64)[0]
+             for i in indices], np.uint64)
     out = np.empty(len(indices), np.uint64)
     lib.path_seeds(seed, indices.start, len(out), _ptr(out))
-    return out.tolist()
+    return out
 
 
 class _Streams:
@@ -278,7 +286,8 @@ class BrownianPath:
     ``values`` has shape ``(K + 1, dim_noise)`` with ``values[0] = 0``; the
     horizon is ``K / 2^fine_level`` (the requested horizon padded up to a
     dyadic multiple).  A batch of ``B`` paths has ``values`` of shape
-    ``(B, K + 1, dim_noise)`` and a tuple of ``B`` seeds.  Immutable;
+    ``(B, K + 1, dim_noise)`` and a tuple of ``B`` seeds, or a read-only
+    copy of the integer array they were sampled from.  Immutable;
     ``refine`` returns a new path.
     """
 
@@ -345,13 +354,19 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     Deterministic given ``(seed, m, T, fine_level)``.  The horizon is padded
     up to the next multiple of the grid spacing when needed.  ``seed`` is
     a whole number of any sign (never a boolean), or a sequence of them for
-    a batch of paths sampled into one ``(B, K + 1, m)`` array.
+    a batch of paths sampled into one ``(B, K + 1, m)`` array.  A
+    one-dimensional array of an integer dtype is whole by its dtype, so it
+    is checked once, not seed by seed, and the batch keeps a read-only copy.
     """
     if not 0 < T < np.inf:
         raise InvalidHorizon(f"horizon must be positive and finite, got {T}")
     fine_level, m = check_whole("fine_level", fine_level, 1), check_whole("m", m, 1)
     single = np.ndim(seed) == 0
-    seeds = tuple(check_whole("seed", s, None) for s in ([seed] if single else seed))
+    if isinstance(seed, np.ndarray) and seed.ndim == 1 and np.issubdtype(seed.dtype, np.integer):
+        seeds = seed.copy()
+        seeds.setflags(write=False)
+    else:
+        seeds = tuple(check_whole("seed", s, None) for s in ([seed] if single else seed))
     n_fine, n_held = dyadic_grid(T, fine_level)
 
     # The final array is allocated once; level 0 fills every 2^fine_level-th
@@ -452,15 +467,17 @@ class FineBlocks:
     resumes where the previous block stopped.
 
     The blocks alternate between two buffers of at most ``max_bytes`` each.
-    While the caller holds block ``k``, one helper thread refines block
-    ``k + 1`` into the other buffer.  The library's refinement releases the
-    GIL, so it runs beside a march that releases it too, such as the native
-    march; numpy refinement and a numpy march take turns.  Asking for block
-    ``k + 1`` starts the helper on ``k + 2`` in ``k``'s buffer, so a block
-    is valid until the next is drawn.  The blocks are refined one after the
-    other, in order, so every stream draws what it draws serially.  An
-    exception in the helper is raised where its block would be yielded;
-    closing the generator waits for the helper.
+    With the library, while the caller holds block ``k``, one helper thread
+    refines block ``k + 1`` into the other buffer.  The library's
+    refinement releases the GIL, so it runs beside a march that releases it
+    too, such as the native march.  Asking for block ``k + 1`` starts the
+    helper on ``k + 2`` in ``k``'s buffer, so a block is valid until the
+    next is drawn.  Without the library, numpy refinement would only take
+    turns with the march, so each block is refined on the caller's thread
+    when it is asked for.  The blocks are refined one after the other, in
+    order, so every stream draws what it draws serially.  An exception in
+    the helper is raised where its block would be yielded; closing the
+    generator waits for the helper.
     """
 
     coarse: BrownianPath
@@ -502,14 +519,19 @@ class FineBlocks:
             _refine(values, stride, streams, first)
             return values
 
-        ahead = None
+        # Ahead only with the library: numpy's refinement holds the GIL, so a
+        # helper would trade it with the march instead of overlapping it.
+        ahead, helper = None, streams.lib is not None
         try:
             values = refined(0)
             for k, lo in enumerate(starts):
-                ahead = _Ahead(refined, k + 1) if k + 1 < len(starts) else None
+                last = k + 1 == len(starts)
+                ahead = _Ahead(refined, k + 1) if helper and not last else None
                 yield lo * stride, values
                 if ahead is not None:
                     values = ahead.result()
+                elif not last:
+                    values = refined(k + 1)
         finally:
             if ahead is not None:
                 ahead.join()

@@ -14,18 +14,24 @@ march reads its slopes from that array.  The reference march needs the
 fine grid, which it reads in time order: ``brownian.FineBlocks`` refines
 the fine knots from the group's knots one time block at a time, with each
 (path, level) stream resuming where the previous block stopped, so the
-fine grid is never held whole.  A helper thread refines the next block
-into a second buffer while the march runs through the current one.
+fine grid is never held whole.  With the native library, a helper thread
+refines the next block into a second buffer while the march runs through
+the current one.
 Groups are sized by bytes: the study is split into the fewest balanced
 groups whose path arrays, as ``sample_path`` allocates them, each stay
 within ``_CHUNK_BYTES``, never into fewer groups than workers, and never
 into groups of one path.  A block spans as many whole coarse intervals
 as fit in the same budget.  With several workers the groups run in forked
 processes that inherit the domain and coefficient objects themselves, so
-any domain, built-in, modified or custom, runs in parallel.  Per-path
-stats are reduced in path-index order, which makes every report
-bit-reproducible for a fixed configuration regardless of group and block
-layout or worker count.
+any domain, built-in, modified or custom, runs in parallel.  Where the
+native march covers the study, each group is cut into balanced slices,
+one per CPU of the process's share, of at least ``_SLICE_ROWS`` paths;
+every slice samples, refines, marches and reduces its own paths on its
+own thread, with its share of the block budget, and the group joins
+their arrays in path order.  Per-path stats are reduced in path-index
+order, which makes every report bit-reproducible for a fixed
+configuration regardless of group, slice and block layout or worker
+count.
 
 The decay diagnostic uses the weighted squared distance
 ``exp(r (phi(X) + phi(X^n))) |X^n - X|^2`` with ``r`` strictly below
@@ -35,6 +41,7 @@ multiples of the squared distance, so its decay certifies the strong rate.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from math import ceil
@@ -42,7 +49,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .brownian import FineBlocks, check_whole, dyadic_grid, path_seeds, sample_path, wz_knot_slopes
+from . import cover
+from .brownian import (
+    FineBlocks,
+    _Ahead,
+    check_whole,
+    dyadic_grid,
+    path_seeds,
+    sample_path,
+    wz_knot_slopes,
+)
 from .coefficients import CoefficientSet
 from .errors import DegenerateFit, ExperimentFailed
 from .geometry import DomainSpec, sum_squares
@@ -62,13 +78,16 @@ from .solvers import (
 # reference's two buffers of fine knots (the block the march reads and the
 # one refined ahead).  Wider groups spend less Python time per path, larger
 # blocks less per resumed (path, level) stream.  The march outputs come on
-# top; README "Memory" has the measured peaks.
+# top; README "Memory" has the measured peaks.  A group marched in slices
+# gives each slice an equal share of the block budget.
 _CHUNK_BYTES = 16 * 2**20
+# Fewest paths per slice of a group: the native march's tile.
+_SLICE_ROWS = 64
 
 
 def path_seed(seed: int, index: int) -> int:
     """Per-path seed derived from the experiment seed and the path index (``path_seeds``)."""
-    return path_seeds(seed, index, 1)[0]
+    return int(path_seeds(seed, index, 1)[0])
 
 
 def default_rate_exponent(domain: DomainSpec) -> float:
@@ -365,10 +384,66 @@ def _fine_grid(T: float, fine_level: int) -> tuple[int, float]:
 
 
 def _chunk_paths(study: Study, horizon, level, indices):
-    """The group's Brownian paths at ``level`` over ``horizon``, sampled as
-    one batch."""
+    """The Brownian paths of ``indices`` at ``level`` over ``horizon``,
+    sampled as one batch."""
     seeds = path_seeds(study.seed, indices.start, len(indices))
     return sample_path(study.coeffs.dim_noise, horizon, level, seeds)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on, read at each call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _slice_count(study: Study, rows: int) -> int:
+    """One slice per CPU of the process's share among ``study.workers``, of
+    at least ``_SLICE_ROWS`` paths each; one where the numpy march, which
+    holds the GIL, runs the study."""
+    if cover.native_march(study.domain, study.coeffs) is None:
+        return 1
+    return max(1, min(_cpus() // study.workers, rows // _SLICE_ROWS))
+
+
+def _slice(march, errors: dict, indices, max_bytes):
+    """``march(indices, max_bytes)`` under the numpy error handling
+    ``errors``: a thread starts with numpy's default, not its caller's."""
+    with np.errstate(**errors):
+        return march(indices, max_bytes)
+
+
+def _in_slices(study: Study, indices, march) -> tuple:
+    """``march(rows, max_bytes)`` over balanced slices of a group's path
+    indices, each with an equal share of ``_CHUNK_BYTES``; the tuples of
+    path-major arrays it returns are joined in path order.
+
+    The first slice runs on the caller's thread, each other one on its own
+    under the caller's numpy error handling.  Per-path numbers do not
+    depend on the batch width, and the native march and refinement release
+    the GIL, so the slices run side by side with the bits of one march.
+    All are joined before this returns or raises; the lowest-index failed
+    slice's error is raised.
+    """
+    # _slice_count asks cover.native_march, which loads the library on
+    # this thread before any slice starts: functools.cache has no lock, so
+    # two slices loading it at once could both build it.
+    n = _slice_count(study, len(indices))
+    if n == 1:
+        return march(indices, _CHUNK_BYTES)
+    bounds = [indices.start + len(indices) * i // n for i in range(n + 1)]
+    rows = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    errors, budget, runs = np.geterr(), _CHUNK_BYTES // n, []
+    try:
+        for later in rows[1:]:
+            runs.append(_Ahead(_slice, march, errors, later, budget))
+        first = march(rows[0], budget)
+    finally:
+        for run in runs:
+            run.join()
+    parts = [first] + [run.result() for run in runs]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _march_chunk(study: Study, paths, process, grid):
@@ -393,11 +468,17 @@ def _march_chunk(study: Study, paths, process, grid):
 
 
 def _chunk_stats(study: Study, indices):
-    """Coupled stats for one group of path indices (arrays ordered by index).
+    """Coupled stats for one group of path indices (arrays ordered by index),
+    marched in slices (``_in_slices``)."""
+    return _in_slices(study, indices, partial(_slice_stats, study))
 
-    The group's paths are sampled once at the finest approximation level;
-    the reference refines them block by block to the fine level, and every
-    level marches from them.
+
+def _slice_stats(study: Study, indices, max_bytes):
+    """Coupled stats for one slice of path indices (arrays ordered by index).
+
+    The slice's paths are sampled once at the finest approximation level;
+    the reference refines them block by block to the fine level, within
+    ``max_bytes`` per buffer, and every level marches from them.
     """
     domain, levels = study.domain, study.levels
     level = max(levels)
@@ -408,7 +489,7 @@ def _chunk_stats(study: Study, indices):
     paths = _chunk_paths(study, horizon, level, indices)
     B = len(indices)
     grid = coupled_output_grid(level, [horizon], horizon)
-    fine = FineBlocks(paths, fine_level, n_fine, _CHUNK_BYTES)
+    fine = FineBlocks(paths, fine_level, n_fine, max_bytes)
     ref_states, ref_var, _ = _march_chunk(study, fine, "reference", grid)
 
     n_lev = len(levels)
@@ -476,9 +557,9 @@ def run_coupling_stats(study: Study) -> CouplingStats:
     each of the two buffers of fine knots the reference refines into; with
     ``workers > 1`` there are at least ``workers`` groups of two or more
     paths, spread over forked processes where the platform can fork.  Each
-    process runs up to two threads during a reference march: the march and
-    the helper refining its next block.  The stats are bit-identical
-    whatever the group and block layout or worker count.
+    group runs in slices, one thread each (``_in_slices``).  The stats are
+    bit-identical whatever the group, slice and block layout or worker
+    count.
     """
     level = max(study.levels)
     horizon = _fine_grid(study.T, level + study.fine_margin)[1]
@@ -579,7 +660,8 @@ def holder_report(
     lag (up to five lags, averaged over anchor times and paths) and the
     fitted log-log slope, which should be at least ``p/2 - 0.2``; it is
     ``None`` with fewer than two lags or a zero moment.  Paths run in
-    groups over ``workers`` as in ``run_coupling_stats``.
+    groups over ``workers``, and each group in slices, as in
+    ``run_coupling_stats``.
     """
     p_list = check_moments(p_list)
     grid_level = check_whole("grid_level", grid_level, 1)
@@ -594,12 +676,15 @@ def holder_report(
     n_grid = int(np.floor(horizon * 2.0**grid_level + 1e-9))
     grid = np.arange(n_grid + 1) / 2.0**grid_level
 
-    def group_states(chunk):
-        paths = _chunk_paths(study, horizon, level, chunk)
+    def slice_states(indices, max_bytes):
+        paths = _chunk_paths(study, horizon, level, indices)
         if reference:
-            paths = FineBlocks(paths, fine_level, n_fine, _CHUNK_BYTES)
+            paths = FineBlocks(paths, fine_level, n_fine, max_bytes)
         out = _march_chunk(study, paths, process, grid)[0]
-        return np.ascontiguousarray(np.swapaxes(out, 0, 1))
+        return (np.ascontiguousarray(np.swapaxes(out, 0, 1)),)
+
+    def group_states(chunk):
+        return _in_slices(study, chunk, slice_states)[0]
 
     chunks = _chunk_ranges(study.M, horizon, level, study.coeffs.dim_noise, study.workers)
     states = np.concatenate(_run_groups(group_states, chunks, study.workers))

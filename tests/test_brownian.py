@@ -170,6 +170,31 @@ def test_stream_keys_match_seedsequence():
         for b, seed in enumerate(seeds):
             expected = np.random.SeedSequence([seed & _MASK, level]).generate_state(2, np.uint64)
             np.testing.assert_array_equal(keys[level, b], expected)
+    # An integer array is masked as one array, to the same words.
+    np.testing.assert_array_equal(stream_keys(drawn, range(21)), keys[:, len(_ORACLE_SEEDS):])
+    signed = np.array([-1, -(2**40), 0, 2**63 - 1], np.int64)
+    np.testing.assert_array_equal(stream_keys(signed, [3]), stream_keys(signed.tolist(), [3]))
+
+
+def test_an_integer_seed_array_is_checked_once(monkeypatch):
+    seeds = [3, -4, 2**63 + 5, 0]
+    expected = rs.sample_path(2, 1.0, 5, seeds)
+    checked, check = [], brownian.check_whole
+    monkeypatch.setattr(
+        brownian, "check_whole", lambda name, *args: checked.append(name) or check(name, *args)
+    )
+    # A negative seed's two's complement as uint64 keys the same streams.
+    for array in (np.array(seeds[:2] + [5, 0], np.int64),
+                  np.array([s % 2**64 for s in seeds], np.uint64)):
+        checked.clear()
+        batch = rs.sample_path(2, 1.0, 5, array)
+        assert checked == ["fine_level", "m"]
+        # The batch keeps its own read-only copy of the seeds.
+        array[0] = 99
+        assert batch.seed[0] != 99 and not batch.seed.flags.writeable
+        n = 2 if array.dtype == np.int64 else 4
+        np.testing.assert_array_equal(batch.values[:n], expected.values[:n])
+        np.testing.assert_array_equal(rs.refine(batch).values[:n], rs.refine(expected).values[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +321,31 @@ def test_a_failed_refinement_ahead_reaches_the_caller_at_its_block(monkeypatch):
     with pytest.raises(RuntimeError, match="block 1 failed"):
         next(blocks)
     assert threading.active_count() == before
-    # Block 0 is refined on the caller's thread, block 1 on the helper.
+    # Block 0 is refined on the caller's thread, block 1 on the helper with
+    # the library and on the caller's thread without it.
     assert threads[0] is threading.current_thread()
-    assert threads[1] is not threading.current_thread()
+    assert (threads[1] is not threading.current_thread()) == (brownian._native() is not None)
     with pytest.raises(StopIteration):
         next(blocks)
+
+
+def test_without_the_library_every_block_is_refined_on_the_callers_thread(monkeypatch):
+    # numpy's refinement holds the GIL, so a helper would only take turns
+    # with the march; the blocks keep their bits.
+    monkeypatch.setattr(brownian, "_native", lambda: None)
+    source, expected = _one_interval_blocks()
+    refine, threads = brownian._refine, []
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        refine(*args)
+
+    monkeypatch.setattr(brownian, "_refine", recording)
+    before = threading.active_count()
+    for start, values in source.blocks():
+        assert threading.active_count() == before
+        np.testing.assert_array_equal(values, expected[:, start : start + 9])
+    assert threads == [threading.current_thread()] * 8
 
 
 def test_fine_blocks_read_by_more_consumers_than_cores_stay_intact(monkeypatch):

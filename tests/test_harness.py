@@ -441,6 +441,7 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
 def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkeypatch):
     # Groups of 8 paths at level 4 over T=0.3, refined to level 7 in three
     # blocks of two coarse intervals, as in the test above.
+    default = harness._CHUNK_BYTES
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 10 * 17 * 8)
     calls = _recording_blocks(monkeypatch)
     # The helper is still refining when each march below ends.
@@ -474,21 +475,54 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
     # The traceback held here keeps the march's frame, and its blocks, alive.
     assert failure.traceback and threading.active_count() == before
 
-    # A refinement that fails on the helper's thread reaches the march at
-    # the block it would have produced.
+    # With the library, a refinement that fails on the helper's thread
+    # reaches the march at the block it would have produced.  Without it,
+    # every block is refined on the march's thread.
     def failing_ahead(*args):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("refinement ahead failed")
         refine(*args)
 
-    monkeypatch.setattr(brownian, "_refine", failing_ahead)
-    calls.clear()
-    with pytest.raises(RuntimeError, match="refinement ahead failed"):
-        rs.run_coupling_stats(study)
-    assert [n for n, _ in calls] == [1]
-    assert threading.active_count() == before
-    monkeypatch.setattr(brownian, "_refine", refine)
+    if brownian._native() is not None:
+        monkeypatch.setattr(brownian, "_refine", failing_ahead)
+        calls.clear()
+        with pytest.raises(RuntimeError, match="refinement ahead failed"):
+            rs.run_coupling_stats(study)
+        assert [n for n, _ in calls] == [1]
+        assert threading.active_count() == before
+        monkeypatch.setattr(brownian, "_refine", refine)
     np.testing.assert_array_equal(rs.run_coupling_stats(study).sup_dist, expected.sup_dist)
+
+    # One group of 200 paths in three slices on three CPUs (one slice
+    # without the library): each slice's thread, and its reference's
+    # helper, is joined when the engine call returns or raises.
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
+    monkeypatch.setattr(harness, "_cpus", lambda: 3)
+    _slow_ahead(monkeypatch, 0.01)
+    sliced = dataclasses.replace(study, M=200)
+    march, marching = harness._march_chunk, set()
+
+    def recording(study, paths, process, grid):
+        marching.add(threading.current_thread())
+        return march(study, paths, process, grid)
+
+    monkeypatch.setattr(harness, "_march_chunk", recording)
+    sliced_expected = rs.run_coupling_stats(sliced)
+    assert len(marching) == (3 if brownian._native() is not None else 1)
+    assert threading.active_count() == before
+
+    # The first slice fails at level 4 while the others march.
+    def failing_first(study, paths, process, grid):
+        if process == 4 and paths.seed[0] == path_seed(study.seed, 0):
+            raise RuntimeError("first slice failed")
+        return march(study, paths, process, grid)
+
+    monkeypatch.setattr(harness, "_march_chunk", failing_first)
+    with pytest.raises(RuntimeError, match="first slice failed"):
+        rs.run_coupling_stats(sliced)
+    assert threading.active_count() == before
+    monkeypatch.setattr(harness, "_march_chunk", march)
+    np.testing.assert_array_equal(rs.run_coupling_stats(sliced).sup_dist, sliced_expected.sup_dist)
 
 
 def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interval, wavy_coeffs):

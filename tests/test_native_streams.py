@@ -84,8 +84,10 @@ def test_path_seeds_are_seedsequence_states(monkeypatch, backend):
             assert path_seed(seed, index) == expected, (seed, index)
         # Indices across the word boundary in one call, as the engine draws them.
         first = 2**32 - 3
-        assert path_seeds(seed, first, 6) == [path_seed(seed, first + i) for i in range(6)]
-    assert path_seeds(7, 5, 0) == []
+        seeds = path_seeds(seed, first, 6)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [path_seed(seed, first + i) for i in range(6)]
+    assert path_seeds(7, 5, 0).tolist() == []
     with pytest.raises(ValueError, match="expected non-negative integer"):
         path_seed(5, -1)
 
