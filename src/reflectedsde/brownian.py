@@ -294,7 +294,7 @@ class BrownianPath:
     dim_noise: int
     horizon: float
     fine_level: int
-    seed: int | tuple
+    seed: int | tuple | np.ndarray
     values: np.ndarray
 
     def __post_init__(self):

@@ -8,6 +8,7 @@ The slice count follows the CPUs the process may run on
 import dataclasses
 import json
 import os
+import sys
 import threading
 import time
 
@@ -224,3 +225,27 @@ def test_the_library_is_loaded_on_the_calling_thread_before_any_slice(monkeypatc
     monkeypatch.setattr(harness, "_cpus", lambda: 4)
     harness.run_coupling_stats(_study("interval"))
     assert first == [threading.main_thread()]
+
+
+def test_more_slices_than_cores_under_a_short_switch_interval_keep_the_bits(monkeypatch):
+    # Eight slices of the annulus study on the host's cores, with the GIL
+    # passed between the slices, their helpers and numpy as often as it can
+    # be: the library's thread-local scratch and the shared study objects
+    # must give every slice the bits of one march.
+    study = _study("annulus", M=520)
+    expected = _arrays(harness.run_coupling_stats(study))
+    counts = _counting_slices(monkeypatch, 8)
+    results = []
+    engine = threading.Thread(
+        target=lambda: results.append(_arrays(harness.run_coupling_stats(study))))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        engine.start()
+        engine.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not engine.is_alive()
+    assert counts == [8 if brownian._native() is not None else 1]
+    for want, got in zip(expected, results[0]):
+        np.testing.assert_array_equal(want, got)
