@@ -59,7 +59,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import threading
 from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
@@ -426,31 +425,6 @@ def _refine(values: np.ndarray, gap: int, streams: _Streams, first: int) -> None
         gap //= 2
 
 
-class _Ahead:
-    """``fn(*args)`` run on a helper thread.  ``result()`` joins it and
-    returns its value, or raises its exception; ``join()`` only waits."""
-
-    def __init__(self, fn, *args):
-        self._value = self._error = None
-        self._thread = threading.Thread(target=self._run, args=(fn, *args))
-        self._thread.start()
-
-    def _run(self, fn, *args):
-        try:
-            self._value = fn(*args)
-        except BaseException as error:  # re-raised on the caller's thread by result()
-            self._error = error
-
-    def join(self) -> None:
-        self._thread.join()
-
-    def result(self):
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 @dataclass(frozen=True)
 class FineBlocks:
     """Fine knots of a batch of paths, refined from its coarse knots one
@@ -466,18 +440,10 @@ class FineBlocks:
     the coarse knot at or after the horizon.  Each (path, level) stream
     resumes where the previous block stopped.
 
-    The blocks alternate between two buffers of at most ``max_bytes`` each.
-    With the library, while the caller holds block ``k``, one helper thread
-    refines block ``k + 1`` into the other buffer.  The library's
-    refinement releases the GIL, so it runs beside a march that releases it
-    too, such as the native march.  Asking for block ``k + 1`` starts the
-    helper on ``k + 2`` in ``k``'s buffer, so a block is valid until the
-    next is drawn.  Without the library, numpy refinement would only take
-    turns with the march, so each block is refined on the caller's thread
-    when it is asked for.  The blocks are refined one after the other, in
-    order, so every stream draws what it draws serially.  An exception in
-    the helper is raised where its block would be yielded; closing the
-    generator waits for the helper.
+    Every block is refined into one buffer of at most ``max_bytes``, on
+    the caller's thread when it is asked for, so a block is valid until the
+    next is drawn.  The blocks are refined in order, so every stream draws
+    what it draws serially.
     """
 
     coarse: BrownianPath
@@ -504,37 +470,16 @@ class FineBlocks:
         n_coarse = -(-self.n_knots // stride)
         width = max(1, (self.max_bytes // (B * m * 8) - 1) // stride)
         width = min(width, n_coarse)
-        starts = range(0, n_coarse, width)
         # Time-major, so that each step of a march reads contiguous rows.
-        buffers = [np.empty((width * stride + 1, B, m)).transpose(1, 0, 2)
-                   for _ in range(min(2, len(starts)))]
+        buffer = np.empty((width * stride + 1, B, m)).transpose(1, 0, 2)
         first = self.coarse.fine_level + 1
         streams = _Streams(self.coarse.seed, first, self.fine_level)
-
-        def refined(k):
-            lo = starts[k]
+        for lo in range(0, n_coarse, width):
             hi = min(lo + width, n_coarse)
-            values = buffers[k % 2][:, : (hi - lo) * stride + 1]
+            values = buffer[:, : (hi - lo) * stride + 1]
             values[:, ::stride] = coarse[:, lo : hi + 1]
             _refine(values, stride, streams, first)
-            return values
-
-        # Ahead only with the library: numpy's refinement holds the GIL, so a
-        # helper would trade it with the march instead of overlapping it.
-        ahead, helper = None, streams.lib is not None
-        try:
-            values = refined(0)
-            for k, lo in enumerate(starts):
-                last = k + 1 == len(starts)
-                ahead = _Ahead(refined, k + 1) if helper and not last else None
-                yield lo * stride, values
-                if ahead is not None:
-                    values = ahead.result()
-                elif not last:
-                    values = refined(k + 1)
-        finally:
-            if ahead is not None:
-                ahead.join()
+            yield lo * stride, values
 
 
 def refine(path: BrownianPath) -> BrownianPath:

@@ -14,9 +14,8 @@ march reads its slopes from that array.  The reference march needs the
 fine grid, which it reads in time order: ``brownian.FineBlocks`` refines
 the fine knots from the group's knots one time block at a time, with each
 (path, level) stream resuming where the previous block stopped, so the
-fine grid is never held whole.  With the native library, a helper thread
-refines the next block into a second buffer while the march runs through
-the current one.
+fine grid is never held whole: each block is refined into one buffer
+when the march asks for it.
 Groups are sized by bytes: the study is split into the fewest balanced
 groups whose path arrays, as ``sample_path`` allocates them, each stay
 within ``_CHUNK_BYTES``, never into fewer groups than workers, and never
@@ -42,6 +41,7 @@ multiples of the squared distance, so its decay certifies the strong rate.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from math import ceil
@@ -52,7 +52,6 @@ import numpy as np
 from . import cover
 from .brownian import (
     FineBlocks,
-    _Ahead,
     check_whole,
     dyadic_grid,
     path_seeds,
@@ -73,13 +72,13 @@ from .solvers import (
     wz_schedule,
 )
 
-# Budget for each of a group's three Brownian arrays: its path array at the
-# finest approximation level, as ``sample_path`` allocates it, and the
-# reference's two buffers of fine knots (the block the march reads and the
-# one refined ahead).  Wider groups spend less Python time per path, larger
-# blocks less per resumed (path, level) stream.  The march outputs come on
-# top; README "Memory" has the measured peaks.  A group marched in slices
-# gives each slice an equal share of the block budget.
+# Budget for each of a group's two Brownian arrays: its path array at the
+# finest approximation level, as ``sample_path`` allocates it, and the one
+# buffer the reference refines each block of fine knots into.  Wider
+# groups spend less Python time per path, larger blocks less per resumed
+# (path, level) stream.  The march outputs come on top; README "Memory"
+# has the measured peaks.  A group marched in slices gives each slice an
+# equal share of the block budget.
 _CHUNK_BYTES = 16 * 2**20
 # Fewest paths per slice of a group: the native march's tile.
 _SLICE_ROWS = 64
@@ -407,6 +406,31 @@ def _slice_count(study: Study, rows: int) -> int:
     return max(1, min(_cpus() // study.workers, rows // _SLICE_ROWS))
 
 
+class _Ahead:
+    """``fn(*args)`` run on a helper thread.  ``result()`` joins it and
+    returns its value, or raises its exception; ``join()`` only waits."""
+
+    def __init__(self, fn, *args):
+        self._value = self._error = None
+        self._thread = threading.Thread(target=self._run, args=(fn, *args))
+        self._thread.start()
+
+    def _run(self, fn, *args):
+        try:
+            self._value = fn(*args)
+        except BaseException as error:  # re-raised on the caller's thread by result()
+            self._error = error
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self):
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def _slice(march, errors: dict, indices, max_bytes):
     """``march(indices, max_bytes)`` under the numpy error handling
     ``errors``: a thread starts with numpy's default, not its caller's."""
@@ -478,7 +502,7 @@ def _slice_stats(study: Study, indices, max_bytes):
 
     The slice's paths are sampled once at the finest approximation level;
     the reference refines them block by block to the fine level, within
-    ``max_bytes`` per buffer, and every level marches from them.
+    ``max_bytes`` for its one buffer, and every level marches from them.
     """
     domain, levels = study.domain, study.levels
     level = max(levels)
@@ -554,7 +578,7 @@ def run_coupling_stats(study: Study) -> CouplingStats:
     Paths are marched in balanced groups sized by ``_CHUNK_BYTES``, the
     memory budget of a group's Brownian path array at level ``max(levels)``
     (``8 N m`` bytes per path, ``N`` from ``brownian.dyadic_grid``) and of
-    each of the two buffers of fine knots the reference refines into; with
+    the one buffer of fine knots the reference refines into; with
     ``workers > 1`` there are at least ``workers`` groups of two or more
     paths, spread over forked processes where the platform can fork.  Each
     group runs in slices, one thread each (``_in_slices``).  The stats are

@@ -277,83 +277,68 @@ def _one_interval_blocks(m=2, seeds=(3, -4, 2**63 + 5)):
     return brownian.FineBlocks(coarse, 6, 64, 1), expected
 
 
-def _slow_ahead(monkeypatch, seconds):
-    """Make every refinement off the main thread take ``seconds`` longer,
-    so that the helper is still at work when the caller moves on."""
-    refine = brownian._refine
-
-    def slow(*args):
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(seconds)
-        refine(*args)
-
-    monkeypatch.setattr(brownian, "_refine", slow)
-
-
-def test_fine_blocks_stopped_after_the_first_block_leave_no_thread(monkeypatch):
-    source, expected = _one_interval_blocks()
-    _slow_ahead(monkeypatch, 0.05)
-    before = threading.active_count()
-    blocks = source.blocks()
-    start, values = next(blocks)
-    assert start == 0
-    np.testing.assert_array_equal(values, expected[:, :9])
-    # The helper refining block 1 is joined when the consumer closes.
-    blocks.close()
-    assert threading.active_count() == before
-
-
-def test_a_failed_refinement_ahead_reaches_the_caller_at_its_block(monkeypatch):
-    source, expected = _one_interval_blocks()
-    refine, threads = brownian._refine, []
-
-    def failing_second(*args):
-        threads.append(threading.current_thread())
-        if len(threads) == 2:
-            raise RuntimeError("refinement of block 1 failed")
-        refine(*args)
-
-    monkeypatch.setattr(brownian, "_refine", failing_second)
-    before = threading.active_count()
-    blocks = source.blocks()
-    start, values = next(blocks)
-    np.testing.assert_array_equal(values, expected[:, :9])
-    with pytest.raises(RuntimeError, match="block 1 failed"):
-        next(blocks)
-    assert threading.active_count() == before
-    # Block 0 is refined on the caller's thread, block 1 on the helper with
-    # the library and on the caller's thread without it.
-    assert threads[0] is threading.current_thread()
-    assert (threads[1] is not threading.current_thread()) == (brownian._native() is not None)
-    with pytest.raises(StopIteration):
-        next(blocks)
-
-
-def test_without_the_library_every_block_is_refined_on_the_callers_thread(monkeypatch):
-    # numpy's refinement holds the GIL, so a helper would only take turns
-    # with the march; the blocks keep their bits.
-    monkeypatch.setattr(brownian, "_native", lambda: None)
-    source, expected = _one_interval_blocks()
+def _recording_refinements(monkeypatch, fail_at=None):
+    """Record the thread of each refinement from here on; the one numbered
+    ``fail_at`` (from 0) raises instead."""
     refine, threads = brownian._refine, []
 
     def recording(*args):
         threads.append(threading.current_thread())
+        if len(threads) - 1 == fail_at:
+            raise RuntimeError(f"refinement of block {fail_at} failed")
         refine(*args)
 
     monkeypatch.setattr(brownian, "_refine", recording)
+    return threads
+
+
+def test_every_block_is_refined_on_the_callers_thread_into_one_buffer(monkeypatch):
+    # On both backends each block is refined on the caller's thread when it
+    # is asked for, into the buffer that held the block before it, and the
+    # blocks keep their bits.
+    source, expected = _one_interval_blocks()
+    threads = _recording_refinements(monkeypatch)
     before = threading.active_count()
-    for start, values in source.blocks():
+    for backend in ("session", "numpy"):
+        if backend == "numpy":
+            monkeypatch.setattr(brownian, "_native", lambda: None)
+        threads.clear()
+        first = None
+        for start, values in source.blocks():
+            first = values if first is None else first
+            assert len(threads) == start // 8 + 1
+            assert threading.active_count() == before
+            assert np.shares_memory(values, first)
+            np.testing.assert_array_equal(values, expected[:, start : start + 9])
+        assert threads == [threading.current_thread()] * 8
+
+
+def test_a_failed_block_refinement_reaches_the_caller_at_its_block(monkeypatch):
+    source, expected = _one_interval_blocks()
+    threads = _recording_refinements(monkeypatch, fail_at=1)
+    before = threading.active_count()
+    for backend in ("session", "numpy"):
+        if backend == "numpy":
+            monkeypatch.setattr(brownian, "_native", lambda: None)
+        threads.clear()
+        blocks = source.blocks()
+        start, values = next(blocks)
+        np.testing.assert_array_equal(values, expected[:, :9])
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            next(blocks)
         assert threading.active_count() == before
-        np.testing.assert_array_equal(values, expected[:, start : start + 9])
-    assert threads == [threading.current_thread()] * 8
+        # Blocks 0 and 1 are both refined on the caller's thread.
+        assert threads == [threading.current_thread()] * 2
+        with pytest.raises(StopIteration):
+            next(blocks)
 
 
 def test_fine_blocks_read_by_more_consumers_than_cores_stay_intact(monkeypatch):
-    # Each consumer holds every block a while as the helper refines the
-    # next one into the other buffer, then checks the block again: a helper
-    # that wrote into the held buffer, or streams drawn out of block order,
-    # would change it.  Under a short switch interval the GIL passes between
-    # the consumers, their helpers and the numpy refinement often.
+    # Each consumer holds every block a while, then checks it again: a
+    # refinement that wrote into the held buffer before the next block was
+    # asked for, or streams drawn out of block order, would change it.
+    # Under a short switch interval the GIL passes between the consumers
+    # and their refinements, in the library or in numpy, often.
     results = {}
 
     def consume(k):

@@ -15,7 +15,6 @@ from reflectedsde.harness import (
     jackknife_se,
     path_seed,
 )
-from test_brownian import _slow_ahead
 from test_golden import _ball3_problem
 
 
@@ -281,15 +280,16 @@ def _layout_outputs(domain, coeffs, x0):
 
 def _recording_blocks(monkeypatch):
     """Patch ``FineBlocks.blocks`` to record each call's block count and
-    the bytes its block buffer allocates."""
+    the bytes its block buffer allocates, from any thread."""
     calls = []
     blocks = brownian.FineBlocks.blocks
 
     def recording(self):
-        calls.append([0, 0])
+        call = [0, 0]
+        calls.append(call)
         for start, values in blocks(self):
-            calls[-1][0] += 1
-            calls[-1][1] = max(calls[-1][1], _allocated_bytes(values))
+            call[0] += 1
+            call[1] = max(call[1], _allocated_bytes(values))
             yield start, values
 
     monkeypatch.setattr(brownian.FineBlocks, "blocks", recording)
@@ -444,22 +444,19 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
     default = harness._CHUNK_BYTES
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 10 * 17 * 8)
     calls = _recording_blocks(monkeypatch)
-    # The helper is still refining when each march below ends.
-    refine = brownian._refine
-    _slow_ahead(monkeypatch, 0.01)
     before = threading.active_count()
     study = rs.Study(unit_interval, wavy_coeffs, [0.0], 0.3, (3, 4), 24, 3, 4, 5)
     expected = rs.run_coupling_stats(study)
     assert threading.active_count() == before
     # The Holder grid ends at 0.25, inside the second block: each march
-    # stops there, while the helper refines the third.
+    # stops there, before the third is refined.
     calls.clear()
     rs.holder_report(dataclasses.replace(study, levels=(4,)), [2], 4, reference=True)
     assert [n for n, _ in calls] == [2] * 3
     assert threading.active_count() == before
 
-    # A march that raises while the helper refines its next block: a custom
-    # coefficient set marches in numpy and fails in its second block.
+    # A march that raises: a custom coefficient set marches in numpy and
+    # fails in its second block.
     counted = []
 
     def failing_sigma(y):
@@ -474,31 +471,13 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
         )
     # The traceback held here keeps the march's frame, and its blocks, alive.
     assert failure.traceback and threading.active_count() == before
-
-    # With the library, a refinement that fails on the helper's thread
-    # reaches the march at the block it would have produced.  Without it,
-    # every block is refined on the march's thread.
-    def failing_ahead(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("refinement ahead failed")
-        refine(*args)
-
-    if brownian._native() is not None:
-        monkeypatch.setattr(brownian, "_refine", failing_ahead)
-        calls.clear()
-        with pytest.raises(RuntimeError, match="refinement ahead failed"):
-            rs.run_coupling_stats(study)
-        assert [n for n, _ in calls] == [1]
-        assert threading.active_count() == before
-        monkeypatch.setattr(brownian, "_refine", refine)
     np.testing.assert_array_equal(rs.run_coupling_stats(study).sup_dist, expected.sup_dist)
 
     # One group of 200 paths in three slices on three CPUs (one slice
-    # without the library): each slice's thread, and its reference's
-    # helper, is joined when the engine call returns or raises.
+    # without the library): each slice's thread is joined when the engine
+    # call returns or raises.
     monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
     monkeypatch.setattr(harness, "_cpus", lambda: 3)
-    _slow_ahead(monkeypatch, 0.01)
     sliced = dataclasses.replace(study, M=200)
     march, marching = harness._march_chunk, set()
 

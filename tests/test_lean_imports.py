@@ -6,8 +6,8 @@ about 2 MB and a study's by more, and ``multiprocessing`` and
 ``concurrent.futures`` serve only forked workers.  With the library
 loaded, path seeds and streams are keyed in C, so a single path, a
 coupled solve and a serial ``converge`` import none of them, also when
-its reference refines the fine grid in several blocks, each after the
-first on a helper thread.  Sampling a path refines all its levels in one
+its reference refines the fine grid in several blocks, each on the
+thread that marches it.  Sampling a path refines all its levels in one
 library call.  Each check runs in a fresh interpreter, since imports are
 process-wide.
 """
@@ -88,7 +88,7 @@ def test_single_paths_and_a_serial_converge_leave_numpy_random_unloaded(native, 
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    # The converge samples its group and refines block 0 on its own thread,
-    # and blocks 1 to 3 on the helper.
+    # The converge samples its group and refines blocks 0 to 3, all on its
+    # own thread: one slice of 8 paths, and no thread per block.
     assert result == {"refinements": [1, 1], "covered": True, "code": 0,
-                      "converge_refinements": [True, True, False, False, False], "loaded": []}
+                      "converge_refinements": [True] * 5, "loaded": []}

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from reflectedsde import brownian, cli, harness
+from test_harness import _recording_blocks
 
 TRIG_1D = {"name": "trig", "params": {"offset": [[0.5]], "amplitude": [[0.2]],
                                       "frequency": [1.0], "drift_matrix": [[-0.3]]}}
@@ -229,12 +230,19 @@ def test_the_library_is_loaded_on_the_calling_thread_before_any_slice(monkeypatc
 
 def test_more_slices_than_cores_under_a_short_switch_interval_keep_the_bits(monkeypatch):
     # Eight slices of the annulus study on the host's cores, with the GIL
-    # passed between the slices, their helpers and numpy as often as it can
-    # be: the library's thread-local scratch and the shared study objects
-    # must give every slice the bits of one march.
+    # passed between the slices and numpy as often as it can be: the
+    # library's thread-local scratch, the shared study objects and each
+    # slice's one block buffer, refined again for every block, must give
+    # every slice the bits of one march.
     study = _study("annulus", M=520)
     expected = _arrays(harness.run_coupling_stats(study))
     counts = _counting_slices(monkeypatch, 8)
+    # A budget of the group's path array (520 paths x 17 knots x m = 2)
+    # keeps one group and gives each slice of 65 paths blocks of two coarse
+    # intervals (65 x 17 knots x 2): eight blocks through one buffer.
+    budget = 520 * 17 * 2 * 8
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+    blocks = _recording_blocks(monkeypatch)
     results = []
     engine = threading.Thread(
         target=lambda: results.append(_arrays(harness.run_coupling_stats(study))))
@@ -246,6 +254,8 @@ def test_more_slices_than_cores_under_a_short_switch_interval_keep_the_bits(monk
     finally:
         sys.setswitchinterval(interval)
     assert not engine.is_alive()
-    assert counts == [8 if brownian._native() is not None else 1]
+    slices = 8 if brownian._native() is not None else 1
+    assert counts == [slices]
+    assert blocks == [[8, budget // slices]] * slices
     for want, got in zip(expected, results[0]):
         np.testing.assert_array_equal(want, got)
