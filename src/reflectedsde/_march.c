@@ -35,15 +35,16 @@
  * non-NULL log pointers (a batch of one) step i also stores its state and
  * regulator increment at [i * d] and its variation increment at [i].
  *
- * kind = {d, domain, family}.  par, as cover.py packs it:
- *   par[0..3]  the domain: interval lo, hi; box lo0, lo1, hi0, hi1;
- *              ball radius; annulus r1, r2;
- *   par[4..]   the drift A (d * d, row-major) and c (d), then the family:
+ * dom and fam are the tags cover.native_tag packs, as doubles:
+ *   dom = {d, domain, then four slots: interval lo, hi; box lo0, lo1,
+ *          hi0, hi1; ball radius; annulus r1, r2};
+ *   fam = {family, then the drift A (d * d, row-major) and c (d), then
+ *          the family's values:
  *     constant: sigma (d * m);
  *     linear:   A (d * m * d), B (d * m)     (sigma_ij = A_ijk y_k + B_ij);
  *     trig:     offset (d * m), amplitude (d * m), frequency (d), each
  *               entry's index among the distinct phases (d * m), then
- *               those phases (one more than the largest index).
+ *               those phases (one more than the largest index)}.
  * A kernel reads only the slots its domain and family have.
  */
 
@@ -75,24 +76,25 @@ static int64_t record(int64_t pos, int64_t d, int64_t lo, int64_t hi, int64_t B,
  * d = m = 1: the interval
  * ---------------------------------------------------------------------- */
 
-/* par[4..] = {a, c, ...} and the family's parameters p0..p3:
+/* fam[1..] = {a, c, ...} and the family's parameters p0..p3:
  *   constant: p0 = sigma;
  *   linear:   p0 = A, p1 = B         (sigma = A y + B);
  *   trig:     p0 = offset, p1 = amplitude, p2 = frequency, p3 = phase
- *             (par[9], the spread index, is 0).
+ *             (fam[6], the spread index, is 0).
  * Only the slots the family has are read. */
 typedef struct {
     int64_t family;
     double lo, hi, a, c, p0, p1, p2, p3;
 } kernel_t;
 
-static kernel_t kernel(int64_t family, const double *par)
+static kernel_t kernel(const double *dom, const double *fam)
 {
-    kernel_t k = {family, par[0], par[1], par[4], par[5], par[6]};
-    if (family == LINEAR)
-        k.p1 = par[7];
-    if (family == TRIG)
-        k.p1 = par[7], k.p2 = par[8], k.p3 = par[10];
+    const double *v = fam + 1;
+    kernel_t k = {(int64_t)fam[0], dom[2], dom[3], v[0], v[1], v[2]};
+    if (k.family == LINEAR)
+        k.p1 = v[3];
+    if (k.family == TRIG)
+        k.p1 = v[3], k.p2 = v[4], k.p3 = v[6];
     return k;
 }
 
@@ -148,13 +150,13 @@ static inline double resolve(const kernel_t *k, double x, double v, double *dl, 
     return s;
 }
 
-static int64_t reference1(int64_t family, const double *par, int64_t B, double *x, double *var,
+static int64_t reference1(const double *dom, const double *fam, int64_t B, double *x, double *var,
                           const double *w, int64_t row_step, int64_t knot_step, int64_t first,
                           int64_t n_steps, double h, const int64_t *out_pos,
                           int64_t n_out, int64_t j, double *out, double *log_x, double *log_dl,
                           double *log_dvar)
 {
-    kernel_t k = kernel(family, par);
+    kernel_t k = kernel(dom, fam);
     double sig[TILE_ROWS], grad[TILE_ROWS];
     j = record(first, 1, 0, B, B, x, out_pos, n_out, j, out);
     for (int64_t s = 0; s < n_steps; s++) {
@@ -181,12 +183,12 @@ static int64_t reference1(int64_t family, const double *par, int64_t B, double *
     return j;
 }
 
-static void wz1(int64_t family, const double *par, int64_t B, double *x, double *var,
+static void wz1(const double *dom, const double *fam, int64_t B, double *x, double *var,
                 const double *slopes, int64_t n_knots, const double *dts,
                 const int64_t *knot_idx, int64_t n_steps, const int64_t *out_pos, int64_t n_out,
                 double *out, double *log_x, double *log_dl, double *log_dvar)
 {
-    kernel_t k = kernel(family, par);
+    kernel_t k = kernel(dom, fam);
     double sig[TILE_ROWS];
     for (int64_t lo = 0; lo < B; lo += TILE_ROWS) {
         int64_t n = lo + TILE_ROWS < B ? TILE_ROWS : B - lo;
@@ -226,28 +228,28 @@ typedef struct {
     int spread[4], n_phase;
 } plane_t;
 
-static plane_t plane(int64_t domain, int64_t family, const double *par)
+static plane_t plane(const double *dom, const double *fam)
 {
-    plane_t k = {.domain = domain, .family = family};
-    const double *p = par + 10;
-    if (domain == BOX) {
-        k.lo[0] = par[0], k.lo[1] = par[1], k.hi[0] = par[2], k.hi[1] = par[3];
+    plane_t k = {.domain = (int64_t)dom[1], .family = (int64_t)fam[0]};
+    const double *bounds = dom + 2, *v = fam + 1, *p = v + 6;
+    if (k.domain == BOX) {
+        k.lo[0] = bounds[0], k.lo[1] = bounds[1], k.hi[0] = bounds[2], k.hi[1] = bounds[3];
     } else {
-        k.r1 = domain == BALL ? 0.0 : par[0];
-        k.r2 = domain == BALL ? par[0] : par[1];
+        k.r1 = k.domain == BALL ? 0.0 : bounds[0];
+        k.r2 = k.domain == BALL ? bounds[0] : bounds[1];
     }
     for (int e = 0; e < 4; e++) {
-        k.a[e] = par[4 + e];
+        k.a[e] = v[e];
         k.s[e] = p[e];
     }
-    k.c[0] = par[8], k.c[1] = par[9];
-    if (family == LINEAR) {
+    k.c[0] = v[4], k.c[1] = v[5];
+    if (k.family == LINEAR) {
         for (int e = 0; e < 8; e++)
             k.l[e] = p[e];
         for (int e = 0; e < 4; e++)
             k.s[e] = p[8 + e];
     }
-    if (family == TRIG) {
+    if (k.family == TRIG) {
         k.f[0] = p[8], k.f[1] = p[9];
         for (int e = 0; e < 4; e++) {
             k.amp[e] = p[4 + e];
@@ -374,13 +376,13 @@ static inline void log_step(int64_t i, const double *x, const double *dl, double
     log_dvar[i] = dvar;
 }
 
-static int64_t reference2(const int64_t *kind, const double *par, int64_t B, double *x,
+static int64_t reference2(const double *dom, const double *fam, int64_t B, double *x,
                           double *var, const double *w, int64_t row_step, int64_t knot_step,
                           int64_t col_step, int64_t first, int64_t n_steps, double h,
                           const int64_t *out_pos, int64_t n_out, int64_t j, double *out,
                           double *log_x, double *log_dl, double *log_dvar)
 {
-    plane_t k = plane(kind[1], kind[2], par);
+    plane_t k = plane(dom, fam);
     double sig[TILE_ROWS * 4], grad_rows[TILE_ROWS * 8], *grad;
     int shared = k.family != TRIG;
     j = record(first, 2, 0, B, B, x, out_pos, n_out, j, out);
@@ -413,12 +415,12 @@ static int64_t reference2(const int64_t *kind, const double *par, int64_t B, dou
     return j;
 }
 
-static void wz2(const int64_t *kind, const double *par, int64_t B, double *x, double *var,
+static void wz2(const double *dom, const double *fam, int64_t B, double *x, double *var,
                 const double *slopes, int64_t n_knots, const double *dts, const int64_t *knot_idx,
                 int64_t n_steps, const int64_t *out_pos, int64_t n_out, double *out,
                 double *log_x, double *log_dl, double *log_dvar)
 {
-    plane_t k = plane(kind[1], kind[2], par);
+    plane_t k = plane(dom, fam);
     double sig[TILE_ROWS * 4];
     for (int64_t lo = 0; lo < B; lo += TILE_ROWS) {
         int64_t n = lo + TILE_ROWS < B ? TILE_ROWS : B - lo;
@@ -450,16 +452,16 @@ static void wz2(const int64_t *kind, const double *par, int64_t B, double *x, do
  * reference with fine step h.  Step i reads the Brownian knots
  * w[(i - first) * knot_step + b * row_step + k * col_step] and the next
  * ones. */
-int64_t march_reference(const int64_t *kind, const double *par, int64_t B, double *x,
+int64_t march_reference(const double *dom, const double *fam, int64_t B, double *x,
                         double *var, const double *w, int64_t row_step, int64_t knot_step,
                         int64_t col_step, int64_t first, int64_t n_steps, double h,
                         const int64_t *out_pos, int64_t n_out, int64_t j, double *out,
                         double *log_x, double *log_dl, double *log_dvar)
 {
-    if (kind[0] == 1)
-        return reference1(kind[2], par, B, x, var, w, row_step, knot_step, first, n_steps, h,
+    if (dom[0] == 1.0)
+        return reference1(dom, fam, B, x, var, w, row_step, knot_step, first, n_steps, h,
                           out_pos, n_out, j, out, log_x, log_dl, log_dvar);
-    return reference2(kind, par, B, x, var, w, row_step, knot_step, col_step, first, n_steps,
+    return reference2(dom, fam, B, x, var, w, row_step, knot_step, col_step, first, n_steps,
                       h, out_pos, n_out, j, out, log_x, log_dl, log_dvar);
 }
 
@@ -468,15 +470,15 @@ int64_t march_reference(const int64_t *kind, const double *par, int64_t B, doubl
  * knot_idx[i]) * d + k].  Rows march in tiles of TILE_ROWS, all steps of a
  * tile at a time: a tile's slopes stay in cache over the substeps and
  * knots that share their lines. */
-void march_wz(const int64_t *kind, const double *par, int64_t B, double *x, double *var,
+void march_wz(const double *dom, const double *fam, int64_t B, double *x, double *var,
               const double *slopes, int64_t n_knots, const double *dts, const int64_t *knot_idx,
               int64_t n_steps, const int64_t *out_pos, int64_t n_out, double *out,
               double *log_x, double *log_dl, double *log_dvar)
 {
-    if (kind[0] == 1)
-        wz1(kind[2], par, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out,
+    if (dom[0] == 1.0)
+        wz1(dom, fam, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out,
             out, log_x, log_dl, log_dvar);
     else
-        wz2(kind, par, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out, out,
+        wz2(dom, fam, B, x, var, slopes, n_knots, dts, knot_idx, n_steps, out_pos, n_out, out,
             log_x, log_dl, log_dvar);
 }

@@ -157,7 +157,13 @@ def native_library() -> str | None:
 
 
 def _ptr(a: np.ndarray) -> int:
-    return a.ctypes.data
+    """Address of ``a``'s first element.  A ctypes view of the buffer of a
+    writeable C-contiguous array takes it at a third of ``a.ctypes.data``'s
+    cost; any other array (read-only, strided or empty) takes that."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
 
 
 def _draws_ptr(out: np.ndarray) -> int:
@@ -313,8 +319,9 @@ def check_whole(name: str, value, least: int | None) -> int:
     """``value`` as an int, once it is a whole number of at least ``least``
     (of any size with ``least=None``); otherwise a ``ValueError`` whose
     message starts with ``name``.  numpy counts no boolean as a number, so
-    ``True`` is not 1."""
-    whole = np.issubdtype(type(value), np.integer) or (
+    ``True`` is not 1.  A plain int, the common case, skips numpy's type
+    lookup."""
+    whole = type(value) is int or np.issubdtype(type(value), np.integer) or (
         np.issubdtype(type(value), np.floating) and float(value).is_integer()
     )
     if not (whole and (least is None or value >= least)):
@@ -376,7 +383,7 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     draws = np.empty((len(seeds), (n_held - 1) // stride, m))
     streams = _Streams(seeds, 0, fine_level)
     streams.fill(0, draws)
-    np.cumsum(draws, axis=1, out=values[:, stride::stride])
+    draws.cumsum(axis=1, out=values[:, stride::stride])
     _refine(values, stride, streams, 1)
     values = values[:, : n_fine + 1]
     return BrownianPath(
@@ -546,14 +553,15 @@ def wz_knot_slopes(path: BrownianPath, n: int) -> np.ndarray:
     (at least one, even for horizons shorter than a knot).  A batch of
     paths gives ``(B, rows, dim_noise)``.
     """
-    coarse = restrict(path, n)
-    n, knots = coarse.fine_level, coarse.values
+    n = check_level(path, n)
     stride = 2 ** (path.fine_level - n)
+    knots = path.values[..., ::stride, :]
     n_int = max(1, -(-path.n_knots // stride))
     slopes = np.zeros(knots.shape[:-2] + (n_int, path.dim_noise))
-    lagged = 2.0**n * np.diff(knots, axis=-2)
-    take = min(lagged.shape[-2], n_int - 1)
-    slopes[..., 1 : 1 + take, :] = lagged[..., :take, :]
+    take = min(knots.shape[-2] - 1, n_int - 1)
+    lagged = slopes[..., 1 : 1 + take, :]
+    np.subtract(knots[..., 1 : 1 + take, :], knots[..., :take, :], out=lagged)
+    lagged *= 2.0**n
     return slopes
 
 

@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cover import native_tag
 from .errors import OutOfDomain
 from .geometry import DomainSpec, check_points
 
@@ -136,15 +137,15 @@ def _built_in(coeffs: CoefficientSet, family: str, *params) -> CoefficientSet:
     """``coeffs``, with its three callables tagged for the native march when
     d = m = 1 or d = m = 2.
 
-    The tag, ``(d, family, values)``, is one object set on ``sigma``, ``b``
-    and ``grad_sigma``: ``values`` holds the drift's matrix and offset, then
-    the family's ``params``, each raveled in C order.  ``cover`` marches
+    The tag, ``cover.native_tag(d, family, values)``, is one object set on
+    ``sigma``, ``b`` and ``grad_sigma``: ``values`` holds the drift's matrix
+    and offset, then the family's ``params``, each raveled in C order.  ``cover`` marches
     a set natively only while all three callables carry that same tag, so a
     set with any callable replaced or wrapped runs the numpy march.
     """
     d, m = coeffs.dim_state, coeffs.dim_noise
     if d == m and d <= 2:
-        tag = (d, family, tuple(float(v) for p in params for v in np.ravel(p)))
+        tag = native_tag(d, family, tuple(float(v) for p in params for v in np.ravel(p)))
         for fn in (coeffs.sigma, coeffs.b, coeffs.grad_sigma):
             fn.native = tag
     return coeffs

@@ -14,6 +14,7 @@ forces a positive interior-cone constant) while keeping closed-form projections.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -21,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .brownian import _SEED_MASK, check_whole
+from .cover import native_tag
 from .errors import (
     InfeasibleStep,
     NoBoundarySamples,
@@ -86,7 +88,8 @@ class DomainSpec:
 
     def contains(self, x) -> bool:
         """Whether every point of ``x``, shape ``(dim,)`` or ``(..., dim)``, is in the closure."""
-        return bool(np.all(self.boundary_distance(check_points(self, x, "x")) <= closure_tol(self)))
+        distances = np.asarray(self.boundary_distance(check_points(self, x, "x")))
+        return bool((distances <= closure_tol(self)).all())
 
     def certificate_dict(self) -> dict:
         return {"c0": self.c0, "alpha": self.alpha, "phi_name": self.phi_name}
@@ -203,8 +206,8 @@ def check_points(domain: DomainSpec, x, name: str) -> np.ndarray:
 
 def check_feasible(domain: DomainSpec, states, what: str) -> None:
     """``InfeasibleStep`` naming ``what`` unless all ``states`` are finite closure points."""
-    worst = float(np.max(domain.boundary_distance(states)))
-    if not (np.isfinite(worst) and worst <= closure_tol(domain) and np.all(np.isfinite(states))):
+    worst = float(np.asarray(domain.boundary_distance(states)).max())
+    if not (-math.inf < worst <= closure_tol(domain) and np.isfinite(states).all()):
         raise InfeasibleStep(f"{what} outside the domain closure (distance {worst})")
 
 
@@ -495,7 +498,7 @@ def box(lo, hi) -> DomainSpec:
 
     if d <= 2:
         # The bounds the native march clips to (cover.native_march).
-        resolve_batch.native = (d, "box", (*lo.tolist(), *hi.tolist()))
+        resolve_batch.native = native_tag(d, "box", (*lo.tolist(), *hi.tolist()))
 
     def phi(x):
         x = np.asarray(x, float)
@@ -529,8 +532,8 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
     d = check_whole("dim", dim, 1)
 
     def bdist(x):
-        x = np.asarray(x, float)
-        return np.linalg.norm(x, axis=-1) - radius
+        # np.linalg.norm(x, axis=-1), bit for bit.
+        return np.sqrt(sum_squares(np.asarray(x, float))) - radius
 
     def nu(x):
         x = np.asarray(x, float)
@@ -560,7 +563,7 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
 
     if d == 2:
         # The radius the native march pushes to (cover.native_march).
-        resolve_batch.native = (d, "ball", (radius,))
+        resolve_batch.native = native_tag(d, "ball", (radius,))
 
     return DomainSpec(
         dim=d,
@@ -591,8 +594,8 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
     rm = 0.5 * (r1 + r2)
 
     def bdist(x):
-        x = np.asarray(x, float)
-        r = np.linalg.norm(x, axis=-1)
+        # np.linalg.norm(x, axis=-1), bit for bit.
+        r = np.sqrt(sum_squares(np.asarray(x, float)))
         return np.maximum(r1 - r, r - r2)
 
     def nu(x):
@@ -643,7 +646,7 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
 
     if d == 2:
         # The radii the native march pushes to (cover.native_march).
-        resolve_batch.native = (d, "annulus", (r1, r2))
+        resolve_batch.native = native_tag(d, "annulus", (r1, r2))
 
     return DomainSpec(
         dim=d,

@@ -119,7 +119,8 @@ _COLLAPSE_TOL = 1e-13
 def _union_times(parts: list[np.ndarray]) -> np.ndarray:
     """The sorted times of ``parts`` but those within ``_COLLAPSE_TOL`` of the
     time before them: repeats, and near-repeats of non-dyadic substeps."""
-    merged = np.sort(np.concatenate(parts))
+    merged = np.concatenate(parts)
+    merged.sort()
     with np.errstate(invalid="ignore"):  # a repeated infinity
         return merged[np.concatenate(([True], merged[1:] - merged[:-1] > _COLLAPSE_TOL))]
 
@@ -136,12 +137,13 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
     n_knots = ceil(horizon * 2.0**n - 1e-9)
     knot_starts = np.arange(n_knots) / 2.0**n
     sub = (np.arange(substeps_per_knot) / substeps_per_knot) / 2.0**n
-    base = (knot_starts[:, None] + sub[None, :]).ravel()
+    base = (knot_starts[:, None] + sub).ravel()
     output_times = np.asarray(output_times, float)
-    times = _union_times([base, output_times, np.asarray([0.0, horizon])])
-    times = times[(times >= 0.0) & (times <= horizon + 1e-12)]
-    knot_idx = np.searchsorted(knot_starts, times[:-1] + _COLLAPSE_TOL, "right") - 1
-    out_pos = np.searchsorted(times, output_times + _COLLAPSE_TOL, "right") - 1
+    times = _union_times([base, output_times, np.array([0.0, horizon])])
+    # Sorted, so the times within [0, horizon] are one slice.
+    times = times[times.searchsorted(0.0) : times.searchsorted(horizon + 1e-12, "right")]
+    knot_idx = knot_starts.searchsorted(times[:-1] + _COLLAPSE_TOL, "right") - 1
+    out_pos = times.searchsorted(output_times + _COLLAPSE_TOL, "right") - 1
     return times, knot_idx, out_pos
 
 
@@ -151,25 +153,31 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
 
 def _march_arrays(domain: DomainSpec, x0, n_out: int, n_steps: int, log_steps: bool):
     """What a march fills in place on either backend, as views of one
-    buffer: the state ``(B, d)`` from ``x0``, the variation, the outputs
-    ``(n_out, B, d)`` and, with ``log_steps`` (batch size one), a log of
-    each step's state, ``dL`` and ``|dL|`` (else ``None``); then their six
-    addresses for the native march, the buffer's plus offsets."""
+    zeroed buffer: the state ``(B, d)`` from ``x0``, the variation, the
+    outputs ``(n_out, B, d)`` and, with ``log_steps`` (batch size one), a
+    log of the state, ``dL`` and ``|dL|`` (else ``None``) whose row 0 is
+    the start, with no ``dL``, and row ``i + 1`` step ``i``'s; then the six
+    addresses the native march writes at, the buffer's plus offsets (the
+    log's from its row 1)."""
     x0 = np.asarray(x0, float)
     if x0.ndim != 2 or x0.shape[1] != domain.dim:
         raise ValueError(f"x0 must have shape (B, {domain.dim}), got {x0.shape}")
     B, d = x0.shape
     if log_steps and B != 1:
         raise ValueError(f"a step log is of one path, so x0 must have one row, got {B}")
-    shapes = [(B, d), (B,), (n_out, B, d)]
-    shapes += [(n_steps, d), (n_steps, d), (n_steps,)] if log_steps else []
+    rows = n_steps + 1 if log_steps else 0
+    shapes = [(B, d), (B,), (n_out, B, d), (rows, d), (rows, d), (rows,)]
     ends = list(accumulate(map(prod, shapes), initial=0))
-    buffer = np.empty(ends[-1])
-    views = [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
-    views[0][...], views[1][...] = x0, 0.0
+    buffer = np.zeros(ends[-1])
+    X, var, out, *log = [buffer[lo:hi].reshape(s) for lo, hi, s in zip(ends, ends[1:], shapes)]
+    X[...] = x0
     at = _ptr(buffer)
-    addresses = [at + 8 * lo for lo in ends[:-1]] + (6 - len(shapes)) * [None]
-    return (*views[:3], tuple(views[3:]) or None), addresses
+    if not log_steps:
+        return (X, var, out, None), [at + 8 * lo for lo in ends[:3]] + [None] * 3
+    log[0][0] = x0[0]
+    # Step i logs at row i + 1, so the log's addresses are of its row 1.
+    starts = (*ends[:3], ends[3] + d, ends[4] + d, ends[5] + 1)
+    return (X, var, out, tuple(log)), [at + 8 * lo for lo in starts]
 
 
 def _output_positions(out_pos, n_steps: int | None = None) -> np.ndarray:
@@ -178,22 +186,22 @@ def _output_positions(out_pos, n_steps: int | None = None) -> np.ndarray:
     output when it passes the output's position, so any other position
     would leave the output unwritten."""
     pos = np.asarray(out_pos)
-    if pos.ndim != 1 or (len(pos) and not (
-        pos.dtype.kind in "iu"
-        and pos[0] >= 0
-        and (n_steps is None or pos[-1] <= n_steps)
-        and (pos[1:] >= pos[:-1]).all()
-    )):
-        within = "from 0" if n_steps is None else f"within 0..{n_steps}"
-        raise ValueError(f"output positions must be ascending step positions {within}")
-    return np.ascontiguousarray(pos, np.int64)
+    if pos.ndim == 1 and (not len(pos) or pos.dtype.kind in "iu"):
+        pos = np.ascontiguousarray(pos, np.int64)
+        if not len(pos) or (
+            pos[0] >= 0 and (n_steps is None or pos[-1] <= n_steps) and (pos[1:] >= pos[:-1]).all()
+        ):
+            return pos
+    within = "from 0" if n_steps is None else f"within 0..{n_steps}"
+    raise ValueError(f"output positions must be ascending step positions {within}")
 
 
 def _march_result(times, arrays):
     """The drivers' states at the outputs (leading output axis), variation
-    after the last step, and step log with each step's end time first."""
+    after the last step, and step log with the step times first (row 0 at
+    the start, as ``_march_arrays`` lays it out)."""
     _, var, out, log = arrays
-    return out, var, None if log is None else (np.array(times[1:]), *log)
+    return out, var, None if log is None else (np.array(times), *log)
 
 
 def _noise_batch(X: np.ndarray, coeffs: CoefficientSet, noise) -> np.ndarray:
@@ -235,7 +243,7 @@ def _march(resolve, arrays, out_pos, j, first, n, displacement):
         if i + 1 == next_pos:
             j, next_pos = record(i + 1, j)
         if log is not None:
-            log[0][i], log[1][i], log[2][i] = state[0], d_l[0], d_var[0]
+            log[0][i + 1], log[1][i + 1], log[2][i + 1] = state[0], d_l[0], d_var[0]
     X[...] = state
     return j
 
@@ -257,7 +265,8 @@ def integrate_wz_batch(
     at the step positions ``out_pos``, from one native call where
     ``cover.native_march`` covers the study.
     """
-    dts = np.diff(np.asarray(times, float))
+    times = np.asarray(times, float)
+    dts = times[1:] - times[:-1]
     out_pos = _output_positions(out_pos, len(dts))
     arrays, at = _march_arrays(domain, x0, len(out_pos), len(dts), log_steps)
     slopes = _noise_batch(arrays[0], coeffs, np.ascontiguousarray(slopes, float))
@@ -267,9 +276,9 @@ def integrate_wz_batch(
         raise ValueError("knot_idx must give every step a knot interval of slopes")
     native = cover.native_march(domain, coeffs)
     if native is not None:
-        lib, kind, par = native
+        lib, *tags = native
         lib.march_wz(
-            _ptr(kind), _ptr(par), len(arrays[0]), *at[:2], _ptr(slopes), slopes.shape[1],
+            *tags, len(arrays[0]), *at[:2], _ptr(slopes), slopes.shape[1],
             _ptr(dts), _ptr(knot_idx), len(dts), _ptr(out_pos), len(out_pos), *at[2:],
         )
     else:
@@ -320,9 +329,9 @@ def integrate_reference_batch(
     arrays, at = _march_arrays(domain, x0, len(out_steps), last, log_steps)
     native = cover.native_march(domain, coeffs)
     if native is not None:
-        lib, kind, par = native
+        lib, *tags = native
         # The arguments every block's call shares, each address taken once.
-        head, outputs = (_ptr(kind), _ptr(par), len(arrays[0]), *at[:2]), _ptr(out_steps)
+        head, outputs = (*tags, len(arrays[0]), *at[:2]), _ptr(out_steps)
 
         def march(start, values, pos, n, j):
             # The block from knot pos on, and its row, knot and noise steps.
@@ -375,15 +384,15 @@ def _check_start(domain: DomainSpec, coeffs: CoefficientSet, x0) -> np.ndarray:
 
 
 def _check_path_inputs(domain, coeffs, path: BrownianPath, x0, output_times):
-    """``(x0, output_times)`` as float arrays, the times sorted without
-    repeats, once ``path`` is one path of the coefficients' noise dimension,
-    ``x0`` a valid start and the times a nonempty subset of the horizon."""
-    if np.ndim(path.values) != 2:
+    """``(x0, output_times)`` as float arrays, once ``path`` is one path of
+    the coefficients' noise dimension, ``x0`` a valid start and the times a
+    nonempty subset of the horizon (so none is NaN)."""
+    if path.values.ndim != 2:
         raise ValueError("path must be a single path, not a batch")
     if coeffs.dim_noise != path.dim_noise:
         raise ValueError(f"path has noise dimension {path.dim_noise}, coeffs {coeffs.dim_noise}")
-    times = np.unique(np.asarray(output_times, float))
-    if not (len(times) and 0 <= times[0] and times[-1] <= path.horizon + 1e-12):
+    times = np.asarray(output_times, float)
+    if not (times.size and 0 <= times.min() and times.max() <= path.horizon + 1e-12):
         raise ValueError(f"output_times must be nonempty and lie within [0, {path.horizon}]")
     return _check_start(domain, coeffs, x0), times
 
@@ -393,22 +402,21 @@ def _reflected_path(domain, output_times, level, out_pos, march, record_substeps
     step log)`` for one path with outputs at step positions ``out_pos``.
 
     The regulator and variation at each output are running sums of the
-    step log, added in the kernel's order.  ``NonFiniteState`` names the
-    first output whose state is not finite; ``InfeasibleStep`` follows for
-    an output outside the closure.
+    step log, added in the kernel's order from its row 0, the start.
+    ``NonFiniteState`` names the first output whose state is not finite;
+    ``InfeasibleStep`` follows for an output outside the closure.
     """
     states, _, (times, log_states, d_l, d_var) = march
     states = states[:, 0]
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        raise NonFiniteState(f"non-finite state at t={times[out_pos[np.argmin(finite)] - 1]}")
+    if not np.isfinite(states).all():
+        first = np.argmin(np.isfinite(states).all(axis=1))
+        raise NonFiniteState(f"non-finite state at t={times[out_pos[first]]}")
     check_feasible(domain, states, "output states")
-    regulator = np.cumsum(np.concatenate([np.zeros((1, domain.dim)), d_l]), axis=0)[out_pos]
-    variation = np.cumsum(np.concatenate([[0.0], d_var]))[out_pos]
+    regulator, variation = d_l.cumsum(axis=0)[out_pos], d_var.cumsum()[out_pos]
     substeps = None
     if record_substeps:
-        distances = np.asarray(domain.boundary_distance(log_states), float)
-        substeps = SubstepLog(times, log_states, d_l, d_var, distances)
+        distances = np.asarray(domain.boundary_distance(log_states[1:]), float)
+        substeps = SubstepLog(times[1:], log_states[1:], d_l[1:], d_var[1:], distances)
     return ReflectedPath(output_times, states, regulator, variation, level, substeps)
 
 
@@ -426,11 +434,13 @@ def solve_wz(
     x0, output_times = _check_path_inputs(domain, coeffs, path, x0, output_times)
     n = check_level(path, n)
     substeps_per_knot = check_whole("substeps_per_knot", substeps_per_knot, 1)
-    return _solve_wz(domain, coeffs, path, n, substeps_per_knot, x0, output_times, record_substeps)
+    return _solve_wz(
+        domain, coeffs, path, n, substeps_per_knot, x0, np.unique(output_times), record_substeps
+    )
 
 
 def _solve_wz(domain, coeffs, path, n, substeps_per_knot, x0, output_times, record_substeps):
-    """``solve_wz`` on checked inputs."""
+    """``solve_wz`` on checked inputs, the times sorted without repeats."""
     slopes = wz_knot_slopes(path, n)[None]
     times, knot_idx, out_pos = wz_schedule(n, substeps_per_knot, output_times, path.horizon)
     march = integrate_wz_batch(domain, coeffs, x0[None], slopes, times, knot_idx, out_pos, True)
@@ -447,11 +457,12 @@ def solve_reference(
 ) -> ReflectedPath:
     """Projected Euler-Maruyama reference solution along one path."""
     x0, output_times = _check_path_inputs(domain, coeffs, path, x0, output_times)
-    return _solve_reference(domain, coeffs, path, x0, output_times, record_substeps)
+    return _solve_reference(domain, coeffs, path, x0, np.unique(output_times), record_substeps)
 
 
 def _solve_reference(domain, coeffs, path, x0, output_times, record_substeps):
-    """``solve_reference`` on checked inputs, but for the fine grid's."""
+    """``solve_reference`` on checked inputs, the times sorted without
+    repeats, but for the fine grid's."""
     out_steps = fine_grid_positions(path, output_times)
     blocks = [(0, path.values[None])]
     march = integrate_reference_batch(
@@ -473,8 +484,8 @@ def fine_grid_positions(path: BrownianPath, output_times: np.ndarray) -> np.ndar
 def coupled_output_grid(n: int, output_times, horizon: float) -> np.ndarray:
     """Level-``n`` knots joined with the requested output times."""
     knots = np.arange(ceil(horizon * 2.0**n - 1e-9) + 1) / 2.0**n
-    knots = knots[knots <= horizon + 1e-12]
-    return _union_times([knots, np.asarray(output_times, float)])
+    return _union_times([knots[: knots.searchsorted(horizon + 1e-12, "right")],
+                         np.asarray(output_times, float)])
 
 
 def coupled_solve(
@@ -487,13 +498,14 @@ def coupled_solve(
     output_times: Sequence[float],
     record_substeps: bool = False,
 ) -> tuple[ReflectedPath, ReflectedPath]:
-    """Both processes on one Brownian path, reported on a shared time grid;
-    the inputs are checked once, in the order of ``solve_wz`` then
-    ``solve_reference``."""
+    """Both processes on one Brownian path, reported on a shared time grid,
+    the level-``n`` knots joined with ``output_times``; the inputs are
+    checked once, in the order of ``solve_wz`` then ``solve_reference``,
+    the caller's times by ``solve_wz``'s rule before they are joined."""
     n = check_level(path, n)
-    grid = coupled_output_grid(n, output_times, path.horizon)
-    x0, grid = _check_path_inputs(domain, coeffs, path, x0, grid)
+    x0, times = _check_path_inputs(domain, coeffs, path, x0, np.asarray(output_times, float))
     substeps_per_knot = check_whole("substeps_per_knot", substeps_per_knot, 1)
+    grid = coupled_output_grid(n, times, path.horizon)
     approx = _solve_wz(domain, coeffs, path, n, substeps_per_knot, x0, grid, record_substeps)
     return approx, _solve_reference(domain, coeffs, path, x0, grid, record_substeps)
 

@@ -12,11 +12,18 @@ from hypothesis import strategies as st
 
 import reflectedsde as rs
 from reflectedsde.errors import (
+    InfeasibleStep,
     NoBoundarySamples,
     OutOfDomain,
     ProjectionDiverged,
 )
-from reflectedsde.geometry import MEMBERSHIP_TOL, _resolver, closure_tol, sum_squares
+from reflectedsde.geometry import (
+    MEMBERSHIP_TOL,
+    _resolver,
+    check_feasible,
+    closure_tol,
+    sum_squares,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +381,60 @@ def test_pushed_row_projection_equals_the_where_spelling(name, dim, rng):
         assert _same_bits(d_l, old_d_l)
     state, d_l = domain.resolve_batch(np.zeros_like(inside), inside)
     assert np.array_equal(state, inside) and not np.any(d_l)
+
+
+def _norm_checks(domain, radii):
+    """The ball's or the annulus's distance, membership and feasibility
+    check spelled with np.linalg.norm: the reference."""
+
+    def distance(x):
+        r = np.linalg.norm(np.asarray(x, float), axis=-1)
+        return r - radii[0] if len(radii) == 1 else np.maximum(radii[0] - r, r - radii[1])
+
+    def contains(x):
+        return bool(np.all(distance(x) <= closure_tol(domain)))
+
+    def feasible(states):
+        worst = float(np.max(distance(states)))
+        ok = np.isfinite(worst) and worst <= closure_tol(domain) and np.all(np.isfinite(states))
+        return None if ok else f"states outside the domain closure (distance {worst})"
+
+    return distance, contains, feasible
+
+
+def _feasible(domain, states):
+    try:
+        check_feasible(domain, states, "states")
+    except InfeasibleStep as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", ["ball", "annulus"])
+def test_distances_and_closure_checks_equal_the_norm_spelling(name, dim, rng):
+    # boundary_distance, contains and check_feasible give np.linalg.norm's
+    # bits (up to the sign of a NaN) on random rows, rows on the spheres
+    # and rows that hold infinities, NaNs or values whose squares overflow,
+    # one row at a time and in batches of one and two leading axes.
+    radii = [1.3] if name == "ball" else [0.5, 1.5]
+    domain = rs.ball(1.3, dim=dim) if name == "ball" else rs.annulus(0.5, 1.5, dim=dim)
+    distance, contains, feasible = _norm_checks(domain, radii)
+    e, pad = np.eye(dim), np.zeros(dim - 2)
+    special = [np.zeros(dim), -0.0 * e[0], np.full(dim, np.nan), np.r_[np.nan, 1.0, pad],
+               np.r_[np.inf, 0.0, pad], np.r_[-np.inf, np.nan, pad], np.r_[np.inf, -np.inf, pad],
+               np.full(dim, 1e200), np.r_[1e200, -1e-200, pad], 1e154 * e[-1]]
+    special += [s * r * e[k] for r in radii for k in range(dim) for s in (1.0, -1.0)]
+    on_spheres = rng.standard_normal((16, dim))
+    on_spheres *= (np.resize(radii, 16) / np.linalg.norm(on_spheres, axis=1))[:, None]
+    inside = domain.sample_interior(50, rng)
+    rows = np.vstack([special, on_spheres, inside, rng.uniform(-2.0, 2.0, (200, dim))])
+    batches = [rows, rows.reshape(-1, 2, dim), inside, on_spheres, *rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in batches:
+            assert _same_bits(domain.boundary_distance(x), distance(x))
+            assert domain.contains(x) == contains(x)
+            assert _feasible(domain, x) == feasible(x)
 
 
 def test_bisection_agrees_with_closed_form_on_the_ball(unit_ball, rng):

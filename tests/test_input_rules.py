@@ -234,6 +234,14 @@ COUPLED_SOLVE_ERRORS = [
      "output_times must be nonempty and lie within [0, 1.0]"),
     ("infinite_time", {"output_times": [np.inf]}, "ValueError",
      "output_times must be nonempty and lie within [0, 1.0]"),
+    # The caller's times are checked before they join the knots, which
+    # would hide an empty list and drop a NaN.
+    ("empty_times", {"output_times": []}, "ValueError",
+     "output_times must be nonempty and lie within [0, 1.0]"),
+    ("nan_time", {"output_times": [np.nan]}, "ValueError",
+     "output_times must be nonempty and lie within [0, 1.0]"),
+    ("nan_among_times", {"output_times": [0.5, np.nan, 1.0]}, "ValueError",
+     "output_times must be nonempty and lie within [0, 1.0]"),
     ("x0_shape", {"x0": [0.5]}, "ValueError", "x0 must have shape (2,), got (1,)"),
     ("x0_outside", {"x0": [2.0, 0.0]}, "OutOfDomain", "x0 [2. 0.] is outside the domain closure"),
     ("x0_nan", {"x0": [np.nan, 0.0]}, "OutOfDomain",

@@ -59,7 +59,7 @@ DOMAINS = {
 
 def _starts(domain):
     """Starts at both bounds, at signed zeros, inside, and not finite."""
-    _, _, (lo, hi) = domain.resolve_batch.native
+    lo, hi = domain.resolve_batch.native[2]
     rows = [lo, hi, 0.0, -0.0, 0.5 * (lo + hi), np.nan, np.inf, -np.inf]
     return np.array(rows)[:, None]
 
@@ -733,18 +733,20 @@ def at_page_end(a):
 
 
 def guarded(domain, coeffs):
-    lib, kind, par = covered(domain, coeffs)
-    return lib, kind, at_page_end(par)
+    # Each packed tag moved to the end of its own readable page.
+    lib, *tags = covered(domain, coeffs)
+    return lib, *(at_page_end(np.frombuffer(tag)).ctypes.data for tag in tags)
 
 
 def guarded_arrays(*args):
     # Each step log array moved to the end of its own readable page, and
-    # the native march pointed at the moved copies.
+    # the native march pointed at the moved copies' row 1, where step 0
+    # logs.
     (X, var, out, log), at = march_arrays(*args)
     if log is None:
         return (X, var, out, log), at
     log = tuple(at_page_end(a) for a in log)
-    return (X, var, out, log), at[:3] + [a.ctypes.data for a in log]
+    return (X, var, out, log), at[:3] + [a[1:].ctypes.data for a in log]
 
 
 def stats(domain, coeffs, x0):
@@ -770,9 +772,10 @@ print(len(runs))
 
 
 def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
-    # Each covered study marches with its packed parameters, and a single
-    # path with each of its step log's arrays, at the end of a readable
-    # page, in a child process that a read or write past them kills.
+    # Each covered study marches with each of its two packed tags, and a
+    # single path with each of its step log's arrays, zero row included,
+    # at the end of a readable page, in a child process that a read or
+    # write past them kills.
     if not sys.platform.startswith("linux"):
         pytest.skip("the guard page is set with Linux's mprotect")
     tests_dir = Path(__file__).resolve().parent

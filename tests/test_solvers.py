@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
+from reflectedsde import brownian
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import (
     LevelTooFine,
@@ -135,6 +136,47 @@ def test_substep_log_supports_regulator_checks(unit_interval):
     # Interior substeps leave the regulator untouched.
     interior = log.boundary_distances < -unit_interval.epsilon_b
     assert np.all(log.var_increments[interior] == 0.0)
+
+
+def _running_sums(traj):
+    """The regulator and variation at ``traj``'s outputs, recomputed from its
+    step log: cumulative sums from a zero row, taken at each output's step
+    position (the steps are even and the outputs on or within 1e-13 of a
+    step time)."""
+    log = traj.substeps
+    positions = np.rint(np.asarray(traj.times) / log.times[0]).astype(int)
+    zero = np.zeros((1, traj.dim))
+    regulator = np.cumsum(np.concatenate([zero, log.reg_increments]), axis=0)[positions]
+    variation = np.cumsum(np.concatenate([[0.0], log.var_increments]))[positions]
+    return regulator, variation
+
+
+@pytest.mark.parametrize("library", ["native", "numpy"])
+def test_regulator_and_variation_are_running_sums_of_the_step_log(monkeypatch, library):
+    # A first increment of -0.0 (pressed on the bound -0.0 of the interval
+    # at the first step, where the lagged slope is zero), an output at t = 0,
+    # and two outputs within 1e-13 of each other, which share a step
+    # position; on both backends.
+    if library == "numpy":
+        monkeypatch.setattr(brownian, "_native", lambda: None)
+    domain, coeffs = rs.interval(-0.0, 1.0), rs.constant([[0.5]])
+    path = rs.sample_path(1, 1.0, 6, seed=3)
+    approx, reference = rs.coupled_solve(
+        domain, coeffs, path, 3, 2, [0.0], [0.0, 0.5, 1.0], record_substeps=True
+    )
+    assert np.signbit(approx.substeps.reg_increments[0, 0])
+    near = [0.0, 0.5, 0.5 + 1e-14, 1.0]
+    alone = [
+        rs.solve_wz(domain, coeffs, path, 3, 2, [0.0], near, record_substeps=True),
+        rs.solve_reference(domain, coeffs, path, [0.0], near, record_substeps=True),
+    ]
+    for traj in [approx, reference, *alone]:
+        assert traj.times[0] == 0.0
+        regulator, variation = _running_sums(traj)
+        assert traj.regulator.tobytes() == regulator.tobytes()
+        assert traj.variation.tobytes() == variation.tobytes()
+    for traj in alone:
+        assert len(traj.times) == 4 and traj.states[1].tobytes() == traj.states[2].tobytes()
 
 
 def test_substep_refinement_stability(unit_interval, wavy_coeffs):
