@@ -1,12 +1,13 @@
 """Which studies the native march (``_march.c``) covers, and what it reads.
 
 ``native_march`` is the one place that decides whether a study marches in
-C, and ``native_tag`` the one place that packs the parameters the C
-kernels read; ``_march.c``'s header gives their layout.  It covers a
-built-in family on a one-dimensional box at d = m = 1, and on a box, ball
-or annulus at d = m = 2, at every batch width, a single path included.
-``solvers`` runs every other study with the numpy march, with the same
-bits.
+C, and ``native_tag`` the one place that packs the parameters the C march
+reads; ``_march.c``'s header gives their layout once, in terms of d.  The
+C file holds one march per scheme, written over d and inlined for d = 1
+and d = 2.  It covers a built-in family on a one-dimensional box at
+d = m = 1, and on a box, ball or annulus at d = m = 2, at every batch
+width, a single path included.  ``solvers`` runs every other study with
+the numpy march, with the same bits.
 """
 
 from __future__ import annotations

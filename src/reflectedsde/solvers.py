@@ -501,9 +501,11 @@ def coupled_solve(
     """Both processes on one Brownian path, reported on a shared time grid,
     the level-``n`` knots joined with ``output_times``; the inputs are
     checked once, in the order of ``solve_wz`` then ``solve_reference``,
-    the caller's times by ``solve_wz``'s rule before they are joined."""
+    the caller's times by ``solve_wz``'s rule before they are joined; a
+    scalar time is one output, as there."""
     n = check_level(path, n)
-    x0, times = _check_path_inputs(domain, coeffs, path, x0, np.asarray(output_times, float))
+    x0, times = _check_path_inputs(
+        domain, coeffs, path, x0, np.array(output_times, float, ndmin=1))
     substeps_per_knot = check_whole("substeps_per_knot", substeps_per_knot, 1)
     grid = coupled_output_grid(n, times, path.horizon)
     approx = _solve_wz(domain, coeffs, path, n, substeps_per_knot, x0, grid, record_substeps)

@@ -289,3 +289,19 @@ def test_coupled_solve_names_the_first_bad_input_as_before(name, bad, error, mes
     with pytest.raises(Exception) as raised:
         rs.coupled_solve(**args)
     assert (type(raised.value).__name__, str(raised.value)) == (error, message)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda D, C, P, t: rs.coupled_solve(D, C, P, 4, 8, [0.5, 0.0], t, True),
+    lambda D, C, P, t: (rs.solve_wz(D, C, P, 4, 8, [0.5, 0.0], t, True),),
+    lambda D, C, P, t: (rs.solve_reference(D, C, P, [0.5, 0.0], t, True),),
+], ids=["coupled_solve", "solve_wz", "solve_reference"])
+def test_a_scalar_output_time_is_one_output(solve):
+    D, C = rs.ball(1.0, dim=2), rs.constant([[0.4, 0.0], [0.0, 0.4]])
+    P = rs.sample_path(2, 1.0, 8, 3)
+
+    def arrays(paths):
+        return [(f, np.asarray(getattr(p, f)).tobytes()) for p in paths
+                for f in ("times", "states", "regulator", "variation")]
+
+    assert arrays(solve(D, C, P, 1.0)) == arrays(solve(D, C, P, [1.0]))

@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +224,10 @@ def _uncovered():
             interval, dataclasses.replace(trig, sigma=FAMILIES["trig"]().sigma), None),
         "m = 2": (interval, rs.trig([[0.5, 0.1]], [[0.2, 0.1]], [1.0], drift_matrix=[[-0.3]]),
                   None),
+        # The box is the one domain marched at d = 1, so the march folds
+        # its domain test there.
+        "1-d ball": (rs.ball(1.0, dim=1), FAMILIES["trig"](), None),
+        "1-d annulus": (rs.annulus(0.5, 1.0, dim=1), FAMILIES["linear"](), None),
     }
 
 
@@ -235,7 +240,9 @@ def test_uncovered_studies_run_the_numpy_march(monkeypatch, case):
     assert cover.native_march(domain, coeffs) is None
 
     def stats(domain, coeffs):
-        x0 = np.full(domain.dim, 0.25)
+        # 0.25 on the interval and the 1-d ball, 1.0 (the outer end) on the
+        # 1-d annulus.
+        x0 = domain.interior_anchor + 0.25
         return rs.run_coupling_stats(rs.Study(domain, coeffs, x0, 1.0, (2, 3), 5, 2, 3, seed=4))
 
     native_arrays, numpy_arrays = _both(monkeypatch, lambda: stats(domain, coeffs))
@@ -266,6 +273,18 @@ def test_the_library_key_covers_both_sources(monkeypatch, tmp_path):
         assert brownian._library_path() != key
         monkeypatch.undo()
     assert brownian._library_path() == key
+
+
+def test_both_sources_compile_without_a_warning():
+    # The library's own flags, with every warning of -Wall -Wextra an error.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    proc = subprocess.run(
+        ["cc", *brownian._CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         "-I", np.get_include(), *map(str, brownian._SOURCES)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 _SETUP = """
