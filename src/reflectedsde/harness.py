@@ -7,29 +7,39 @@ checked ``Study`` record; ``run_coupling_stats`` is the one engine call: a
 study runs once, and ``rate_report`` and ``lyapunov_report`` reduce its
 ``CouplingStats``.
 
-Paths are marched in groups of lockstep batches, usually one group per
-study.  A group's Brownian paths are sampled once, as one ``(B, K + 1, m)``
-array of knot values at the finest approximation level; every level's
-march reads its slopes from that array.  The reference march needs the
-fine grid, which it reads in time order: ``brownian.FineBlocks`` refines
-the fine knots from the group's knots one time block at a time, with each
-(path, level) stream resuming where the previous block stopped, so the
-fine grid is never held whole: each block is refined into one buffer
-when the march asks for it.
+Paths are marched in lockstep batches, the tiles below.  A tile's
+Brownian paths are sampled once, as one ``(B, K + 1, m)`` array of knot
+values at the finest approximation level; every level's march reads its
+slopes from that array.  The reference march needs the fine grid, which
+it reads in time order: ``brownian.FineBlocks`` refines the fine knots
+from the tile's knots one time block at a time, with each (path, level)
+stream resuming where the previous block stopped, so the fine grid is
+never held whole: each block is refined into one buffer when the march
+asks for it.
+
 Groups are sized by bytes: the study is split into the fewest balanced
 groups whose path arrays, as ``sample_path`` allocates them, each stay
-within ``_CHUNK_BYTES``, never into fewer groups than workers, and never
-into groups of one path.  A block spans as many whole coarse intervals
-as fit in the same budget.  With several workers the groups run in forked
-processes that inherit the domain and coefficient objects themselves, so
-any domain, built-in, modified or custom, runs in parallel.  Where the
-native march covers the study, each group is cut into balanced slices,
-one per CPU of the process's share, of at least ``_SLICE_ROWS`` paths;
-every slice samples, refines, marches and reduces its own paths on its
-own thread, with its share of the block budget, and the group joins
-their arrays in path order.  Per-path stats are reduced in path-index
+within ``_CHUNK_BYTES``, and into no fewer groups than workers unless it
+has fewer paths, so a group may hold a single path.  With several workers
+the groups run in forked processes that inherit the domain and
+coefficient objects themselves, so any domain, built-in, modified or
+custom, runs in parallel.  Where the native march covers the study, each
+group is cut into balanced slices, one per CPU of the process's share,
+of at least ``_SLICE_ROWS`` paths; every slice runs on its own thread
+within an equal share of the budget, and the group joins their arrays in
+path order.  A native slice marches its paths tile after tile: the
+fewest balanced runs whose arrays fit half the slice's share, the
+reference's block buffer taking the other half, but never more runs than
+tiles of ``_SLICE_ROWS`` paths would make.  Each tile samples, refines,
+marches and reduces its own paths.  The numpy march, whose cost is per
+numpy call and not per path, runs a group as one slice of one tile, and a
+Holder table's slice is one tile too; the block buffer of such a tile
+takes the whole share.  A block spans as many whole coarse intervals as
+fit in its buffer's budget.  The output grid, each level's schedule and
+the reference's output positions depend only on the study, and are built
+once per engine or Holder call.  Per-path stats are reduced in path-index
 order, which makes every report bit-reproducible for a fixed
-configuration regardless of group, slice and block layout or worker
+configuration regardless of group, slice, tile and block layout or worker
 count.
 
 The decay diagnostic uses the weighted squared distance
@@ -44,7 +54,7 @@ import os
 import threading
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
-from math import ceil
+from math import ceil, floor
 from typing import Sequence
 
 import numpy as np
@@ -72,15 +82,21 @@ from .solvers import (
     wz_schedule,
 )
 
-# Budget for each of a group's two Brownian arrays: its path array at the
-# finest approximation level, as ``sample_path`` allocates it, and the one
-# buffer the reference refines each block of fine knots into.  Wider
-# groups spend less Python time per path, larger blocks less per resumed
-# (path, level) stream.  The march outputs come on top; README "Memory"
-# has the measured peaks.  A group marched in slices gives each slice an
-# equal share of the block budget.
+# The memory budget.  A group's path array at the finest approximation
+# level, as ``sample_path`` allocates it, fits in it; a group marched in
+# slices gives each slice an equal share.  A native slice marches tiles
+# whose arrays fit that share: half for the one buffer the reference
+# refines each block of fine knots into, and half for the tile's path
+# array, the reference's outputs and one level's outputs, slopes and
+# distances (``_tile_bytes``), unless that takes more tiles than runs of
+# ``_SLICE_ROWS`` paths (``_tiles``).  A slice that is one tile of no
+# budget, in the numpy march or a Holder table, gives its block buffer the
+# whole share, and its outputs come on top.  Wider tiles spend less Python
+# time per path, larger blocks less per resumed (path, level) stream;
+# README "Memory" has the measured peaks.
 _CHUNK_BYTES = 16 * 2**20
-# Fewest paths per slice of a group: the native march's tile.
+# Fewest paths per slice of a group; a slice is cut into no more tiles
+# than runs of this many paths.
 _SLICE_ROWS = 64
 
 
@@ -360,6 +376,13 @@ class Study:
             object.__setattr__(self, name, value)
 
 
+def _balanced(indices: range, n: int) -> list[range]:
+    """``indices`` cut into ``n`` runs of consecutive indices, in order,
+    with widths that differ by at most one."""
+    bounds = [indices.start + len(indices) * i // n for i in range(n + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _chunk_ranges(M: int, T: float, level: int, dim_noise: int, workers: int = 1):
     """Path-index ranges of the groups of an ``M``-path study, in order.
 
@@ -371,22 +394,57 @@ def _chunk_ranges(M: int, T: float, level: int, dim_noise: int, workers: int = 1
     """
     path_bytes = dyadic_grid(T, level)[1] * dim_noise * 8
     width = max(_CHUNK_BYTES // path_bytes, 1)
-    n_chunks = min(max(ceil(M / width), workers), M)
-    bounds = [M * i // n_chunks for i in range(n_chunks + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return _balanced(range(M), min(max(ceil(M / width), workers), M))
 
 
-def _fine_grid(T: float, fine_level: int) -> tuple[int, float]:
-    """Knot intervals and padded horizon of the fine grid covering ``T``."""
-    n_fine = dyadic_grid(T, fine_level)[0]
-    return n_fine, n_fine / 2.0**fine_level
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What every slice of one engine or Holder call marches on besides its
+    paths, which depends only on the study, so it is built once per call.
+
+    Paths are sampled at ``level`` over ``horizon``, the padded horizon of
+    the fine grid (``n_fine`` intervals at ``fine_level``).  ``grid`` holds
+    the output times, and ``schedules`` maps each process to what its march
+    takes: ``"reference"`` to the outputs' fine-knot indices, a level to
+    its ``wz_schedule`` up to ``grid[-1]``.
+    """
+
+    level: int
+    fine_level: int
+    n_fine: int
+    horizon: float
+    grid: np.ndarray
+    schedules: dict
 
 
-def _chunk_paths(study: Study, horizon, level, indices):
-    """The Brownian paths of ``indices`` at ``level`` over ``horizon``,
-    sampled as one batch."""
+def _plan(study: Study, level: int, processes, grid_level: int | None = None) -> _Plan:
+    """The ``_Plan`` of ``processes`` on paths sampled at ``level``: its
+    outputs are the level-``level`` knots and the horizon, or with
+    ``grid_level`` that level's knots within the horizon."""
+    fine_level = level + study.fine_margin
+    # The fine grid's knot intervals covering T, and its padded horizon.
+    n_fine = dyadic_grid(study.T, fine_level)[0]
+    horizon = n_fine / 2.0**fine_level
+    if grid_level is None:
+        # Stats at the fine grid's padded horizon keep every output on that
+        # grid even when the requested horizon is not dyadic.
+        grid = coupled_output_grid(level, [horizon], horizon)
+    else:
+        # Grid knots must sit on the fine grid of the padded horizon.
+        grid = np.arange(floor(horizon * 2.0**grid_level + 1e-9) + 1) / 2.0**grid_level
+    schedules = {
+        process: fine_grid_positions(fine_level, n_fine, grid) if process == "reference"
+        else wz_schedule(process, study.substeps_per_knot, grid, grid[-1])
+        for process in processes
+    }
+    return _Plan(level, fine_level, n_fine, horizon, grid, schedules)
+
+
+def _chunk_paths(study: Study, plan: _Plan, indices):
+    """The Brownian paths of ``indices`` at ``plan.level`` over
+    ``plan.horizon``, sampled as one batch."""
     seeds = path_seeds(study.seed, indices.start, len(indices))
-    return sample_path(study.coeffs.dim_noise, horizon, level, seeds)
+    return sample_path(study.coeffs.dim_noise, plan.horizon, plan.level, seeds)
 
 
 def _cpus() -> int:
@@ -404,6 +462,26 @@ def _slice_count(study: Study, rows: int) -> int:
     if cover.native_march(study.domain, study.coeffs) is None:
         return 1
     return max(1, min(_cpus() // study.workers, rows // _SLICE_ROWS))
+
+
+def _tile_bytes(study: Study, plan: _Plan) -> int:
+    """Bytes per path of a tile's arrays but its block buffer: the path
+    array as ``sample_path`` allocates it, the top level's slopes, the
+    reference's and one level's march arrays (state, variation and
+    outputs) and that level's distances at the outputs."""
+    m, d, n_out = study.coeffs.dim_noise, study.domain.dim, len(plan.grid)
+    n_knots, n_held = dyadic_grid(plan.horizon, plan.level)
+    return 8 * ((n_held + n_knots) * m + 2 * ((n_out + 1) * d + 1) + n_out)
+
+
+def _tiles(study: Study, plan: _Plan, indices, max_bytes: int) -> list[range]:
+    """The tiles of a native slice's path indices: ``ceil(L / w)`` balanced
+    runs of its ``L`` paths, ``w`` the most paths whose arrays but the
+    block buffer (``_tile_bytes``) fit in half of ``max_bytes``, but at
+    least ``_SLICE_ROWS``: the budget never cuts a slice into more tiles
+    than runs of ``_SLICE_ROWS`` paths would make."""
+    width = max((max_bytes - max_bytes // 2) // _tile_bytes(study, plan), _SLICE_ROWS)
+    return _balanced(indices, ceil(len(indices) / width))
 
 
 class _Ahead:
@@ -438,6 +516,14 @@ def _slice(march, errors: dict, indices, max_bytes):
         return march(indices, max_bytes)
 
 
+def _joined(parts: list) -> tuple:
+    """Tuples of path-major arrays, one per run of paths in path order,
+    joined into one tuple."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def _in_slices(study: Study, indices, march) -> tuple:
     """``march(rows, max_bytes)`` over balanced slices of a group's path
     indices, each with an equal share of ``_CHUNK_BYTES``; the tuples of
@@ -456,8 +542,7 @@ def _in_slices(study: Study, indices, march) -> tuple:
     n = _slice_count(study, len(indices))
     if n == 1:
         return march(indices, _CHUNK_BYTES)
-    bounds = [indices.start + len(indices) * i // n for i in range(n + 1)]
-    rows = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    rows = _balanced(indices, n)
     errors, budget, runs = np.geterr(), _CHUNK_BYTES // n, []
     try:
         for later in rows[1:]:
@@ -466,55 +551,64 @@ def _in_slices(study: Study, indices, march) -> tuple:
     finally:
         for run in runs:
             run.join()
-    parts = [first] + [run.result() for run in runs]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    return _joined([first] + [run.result() for run in runs])
 
 
-def _march_chunk(study: Study, paths, process, grid):
-    """States at ``grid`` and the variation at ``grid[-1]`` over one group of paths.
+def _march_chunk(study: Study, paths, process, plan: _Plan):
+    """States at ``plan.grid`` and the variation at its last time over one
+    group of paths.
 
     ``process="reference"`` marches the reference over ``paths``, a
     ``FineBlocks``; a level ``process`` marches that level's approximation
-    over ``paths``, a batch at that level or finer, up to ``grid[-1]``.
-    Returns as ``solvers.integrate_wz_batch``, without a step log.
+    over ``paths``, a batch at that level or finer.  Each takes its
+    schedule from ``plan``.  Returns as ``solvers.integrate_wz_batch``,
+    without a step log.
     """
-    domain, coeffs = study.domain, study.coeffs
+    domain, coeffs, schedule = study.domain, study.coeffs, plan.schedules[process]
     if process == "reference":
         x0_batch = np.broadcast_to(study.x0, (len(paths.coarse.values), domain.dim))
-        out_steps = fine_grid_positions(paths, grid)
         return integrate_reference_batch(
-            domain, coeffs, x0_batch, paths.blocks(), paths.fine_level, out_steps
+            domain, coeffs, x0_batch, paths.blocks(), paths.fine_level, schedule
         )
     x0_batch = np.broadcast_to(study.x0, (len(paths.values), domain.dim))
     slopes = wz_knot_slopes(paths, process)
-    times, knot_idx, out_pos = wz_schedule(process, study.substeps_per_knot, grid, grid[-1])
-    return integrate_wz_batch(domain, coeffs, x0_batch, slopes, times, knot_idx, out_pos)
+    return integrate_wz_batch(domain, coeffs, x0_batch, slopes, *schedule)
 
 
-def _chunk_stats(study: Study, indices):
+def _chunk_stats(study: Study, plan: _Plan, indices):
     """Coupled stats for one group of path indices (arrays ordered by index),
     marched in slices (``_in_slices``)."""
-    return _in_slices(study, indices, partial(_slice_stats, study))
+    return _in_slices(study, indices, partial(_slice_stats, study, plan))
 
 
-def _slice_stats(study: Study, indices, max_bytes):
+def _slice_stats(study: Study, plan: _Plan, indices, max_bytes):
     """Coupled stats for one slice of path indices (arrays ordered by index).
 
-    The slice's paths are sampled once at the finest approximation level;
+    A native slice marches tile after tile (``_tiles``) within
+    ``max_bytes``: each tile's block buffer gets half of it, and its other
+    arrays the rest, unless ``_SLICE_ROWS`` paths' arrays need more.  The
+    numpy march's cost is per numpy call, not per path, so a numpy slice is
+    one tile, whose block buffer gets all of ``max_bytes`` and whose
+    outputs come on top.
+    """
+    if cover.native_march(study.domain, study.coeffs) is None:
+        return _tile_stats(study, plan, indices, max_bytes)
+    tiles = _tiles(study, plan, indices, max_bytes)
+    return _joined([_tile_stats(study, plan, tile, max_bytes // 2) for tile in tiles])
+
+
+def _tile_stats(study: Study, plan: _Plan, indices, block_bytes):
+    """Coupled stats for one tile of path indices (arrays ordered by index).
+
+    The tile's paths are sampled once at the finest approximation level;
     the reference refines them block by block to the fine level, within
-    ``max_bytes`` for its one buffer, and every level marches from them.
+    ``block_bytes`` for its one buffer, and every level marches from them.
     """
     domain, levels = study.domain, study.levels
-    level = max(levels)
-    fine_level = level + study.fine_margin
-    # Stats at the fine grid's padded horizon keep every output on that
-    # grid even when the requested horizon is not dyadic.
-    n_fine, horizon = _fine_grid(study.T, fine_level)
-    paths = _chunk_paths(study, horizon, level, indices)
+    paths = _chunk_paths(study, plan, indices)
     B = len(indices)
-    grid = coupled_output_grid(level, [horizon], horizon)
-    fine = FineBlocks(paths, fine_level, n_fine, max_bytes)
-    ref_states, ref_var, _ = _march_chunk(study, fine, "reference", grid)
+    fine = FineBlocks(paths, plan.fine_level, plan.n_fine, block_bytes)
+    ref_states, ref_var, _ = _march_chunk(study, fine, "reference", plan)
 
     n_lev = len(levels)
     sup_dist = np.empty((B, n_lev))
@@ -524,7 +618,7 @@ def _slice_stats(study: Study, indices, max_bytes):
     phi_ref_final = domain.phi(ref_states[-1])
 
     for j, n in enumerate(levels):
-        wz_states, wz_var, _ = _march_chunk(study, paths, n, grid)
+        wz_states, wz_var, _ = _march_chunk(study, paths, n, plan)
         with np.errstate(invalid="ignore"):
             weight = np.exp(study.r * (phi_ref_final + domain.phi(wz_states[-1])))
             # np.linalg.norm(wz_states - ref_states, axis=2), bit for bit:
@@ -577,19 +671,21 @@ def run_coupling_stats(study: Study) -> CouplingStats:
 
     Paths are marched in balanced groups sized by ``_CHUNK_BYTES``, the
     memory budget of a group's Brownian path array at level ``max(levels)``
-    (``8 N m`` bytes per path, ``N`` from ``brownian.dyadic_grid``) and of
-    the one buffer of fine knots the reference refines into; with
-    ``workers > 1`` there are at least ``workers`` groups of two or more
-    paths, spread over forked processes where the platform can fork.  Each
-    group runs in slices, one thread each (``_in_slices``).  The stats are
-    bit-identical whatever the group, slice and block layout or worker
-    count.
+    (``8 N m`` bytes per path, ``N`` from ``brownian.dyadic_grid``); with
+    ``workers > 1`` there are at least ``workers`` groups, one path wide
+    where the study has too few paths for more, spread over forked
+    processes where the platform can fork.  Each group runs in slices, one
+    thread each (``_in_slices``), and each slice in tiles within its share
+    of the budget (``_slice_stats``).  The output grid and every march's
+    schedule are built once, here.  The stats are bit-identical whatever
+    the group, slice, tile and block layout or worker count.
     """
-    level = max(study.levels)
-    horizon = _fine_grid(study.T, level + study.fine_margin)[1]
-    chunks = _chunk_ranges(study.M, horizon, level, study.coeffs.dim_noise, study.workers)
+    plan = _plan(study, max(study.levels), ("reference", *study.levels))
+    chunks = _chunk_ranges(
+        study.M, plan.horizon, plan.level, study.coeffs.dim_noise, study.workers
+    )
     # Read at call time, so that a wrapper set on the module is what runs.
-    results = _run_groups(partial(_chunk_stats, study), chunks, study.workers)
+    results = _run_groups(partial(_chunk_stats, study, plan), chunks, study.workers)
     stats = CouplingStats(study.levels, study.r, *(np.concatenate(p) for p in zip(*results)))
     if stats.n_failed > 0.01 * study.M:
         raise ExperimentFailed(f"{stats.n_failed} of {study.M} paths failed")
@@ -685,7 +781,9 @@ def holder_report(
     fitted log-log slope, which should be at least ``p/2 - 0.2``; it is
     ``None`` with fewer than two lags or a zero moment.  Paths run in
     groups over ``workers``, and each group in slices, as in
-    ``run_coupling_stats``.
+    ``run_coupling_stats``; a slice is one tile, whose block buffer gets
+    the slice's whole share, since the table holds every path's states at
+    the grid.
     """
     p_list = check_moments(p_list)
     grid_level = check_whole("grid_level", grid_level, 1)
@@ -693,26 +791,22 @@ def holder_report(
         raise ValueError(f"levels must hold one level for a Holder table, got {study.levels}")
     level = grid_level if reference else study.levels[0]
     process, label = ("reference", "reference") if reference else (level, f"wz-{level}")
-    fine_level = level + study.fine_margin
-
-    # Grid knots must sit on the fine grid of the padded horizon.
-    n_fine, horizon = _fine_grid(study.T, fine_level)
-    n_grid = int(np.floor(horizon * 2.0**grid_level + 1e-9))
-    grid = np.arange(n_grid + 1) / 2.0**grid_level
+    plan = _plan(study, level, (process,), grid_level)
 
     def slice_states(indices, max_bytes):
-        paths = _chunk_paths(study, horizon, level, indices)
+        paths = _chunk_paths(study, plan, indices)
         if reference:
-            paths = FineBlocks(paths, fine_level, n_fine, max_bytes)
-        out = _march_chunk(study, paths, process, grid)[0]
+            paths = FineBlocks(paths, plan.fine_level, plan.n_fine, max_bytes)
+        out = _march_chunk(study, paths, process, plan)[0]
         return (np.ascontiguousarray(np.swapaxes(out, 0, 1)),)
 
     def group_states(chunk):
         return _in_slices(study, chunk, slice_states)[0]
 
-    chunks = _chunk_ranges(study.M, horizon, level, study.coeffs.dim_noise, study.workers)
+    chunks = _chunk_ranges(study.M, plan.horizon, level, study.coeffs.dim_noise, study.workers)
     states = np.concatenate(_run_groups(group_states, chunks, study.workers))
 
+    n_grid = len(plan.grid) - 1
     strides = [2**j for j in range(5) if 2**j < n_grid]
     lags = [s / 2.0**grid_level for s in strides]
     # Squared increment norms per lag, shared by every moment order.

@@ -463,7 +463,7 @@ def solve_reference(
 def _solve_reference(domain, coeffs, path, x0, output_times, record_substeps):
     """``solve_reference`` on checked inputs, the times sorted without
     repeats, but for the fine grid's."""
-    out_steps = fine_grid_positions(path, output_times)
+    out_steps = fine_grid_positions(path.fine_level, path.n_knots, output_times)
     blocks = [(0, path.values[None])]
     march = integrate_reference_batch(
         domain, coeffs, x0[None], blocks, path.fine_level, out_steps, True
@@ -471,12 +471,13 @@ def _solve_reference(domain, coeffs, path, x0, output_times, record_substeps):
     return _reflected_path(domain, output_times, path.fine_level, out_steps, march, record_substeps)
 
 
-def fine_grid_positions(path: BrownianPath, output_times: np.ndarray) -> np.ndarray:
-    """Fine-knot indices of output times; they must sit on the fine grid."""
-    scaled = np.asarray(output_times, float) * 2.0**path.fine_level
+def fine_grid_positions(fine_level: int, n_knots: int, output_times: np.ndarray) -> np.ndarray:
+    """Fine-knot indices of output times on a path of ``n_knots`` intervals
+    at ``fine_level``; they must sit on that fine grid."""
+    scaled = np.asarray(output_times, float) * 2.0**fine_level
     pos = np.rint(scaled).astype(np.intp)
     if (np.abs(scaled - pos) > 1e-9).any() or not (
-            0 <= pos.min(initial=0) and pos.max(initial=0) <= path.n_knots):
+            0 <= pos.min(initial=0) and pos.max(initial=0) <= n_knots):
         raise ValueError("output times must lie on the path's fine dyadic grid")
     return pos
 

@@ -308,24 +308,77 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
         monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
         expected = _layout_outputs(domain, coeffs, x0)
         assert len(_chunk_ranges(12, 1.0, 4, m)) == 1
-        # (budget, groups of the M=12 study, reference blocks per group)
+        # (budget, groups of the M=12 study, reference blocks per group, and
+        # per group of the study's native tile).  Each group is one slice of
+        # one tile, as twelve paths are fewer than _SLICE_ROWS; a native tile
+        # of the study refines in half the budget, and the numpy march's
+        # tile and the Holder table's in all of it.
         layouts = [
-            (1, 12, 16),                        # one-path groups, one-interval blocks
-            (4 * path_bytes, 3, 8),             # four-path groups, two-interval blocks
-            (12 * path_bytes, 1, 8),            # one group, two-interval blocks
-            (12 * m * 8 * (4 * 8 + 1), 1, 4),   # one group, four-interval blocks
-            (12 * m * 8 * (16 * 8 + 1), 1, 1),  # one group, one block
+            (1, 12, 16, 16),                        # one-path groups, one-interval blocks
+            (4 * path_bytes, 3, 8, 16),             # four-path groups, two-interval blocks
+            (12 * path_bytes, 1, 8, 16),            # one group, two-interval blocks
+            (24 * path_bytes, 1, 4, 8),             # one group, four-interval blocks
+            (12 * m * 8 * (4 * 8 + 1), 1, 4, 16),   # one group, four-interval blocks
+            (12 * m * 8 * (16 * 8 + 1), 1, 1, 3),   # one group, one block
         ]
-        for budget, n_groups, n_blocks in layouts:
+        native = brownian._native() is not None
+        for budget, n_groups, n_blocks, tile_blocks in layouts:
             monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
             assert len(_chunk_ranges(12, 1.0, 4, m)) == n_groups
             calls.clear()
             arrays, holder = _layout_outputs(domain, coeffs, x0)
             # The study's and the reference table's groups, each in its blocks.
-            assert [n for n, _ in calls] == [n_blocks] * (2 * n_groups)
+            study_blocks = tile_blocks if native else n_blocks
+            assert [n for n, _ in calls] == [study_blocks] * n_groups + [n_blocks] * n_groups
             for got, want in zip(arrays, expected[0]):
                 np.testing.assert_array_equal(got, want)
             assert holder == expected[1]
+
+        # Tiles: one group of 200 paths in one slice.  A tile's arrays but its
+        # block buffer take 8 bytes per path for each of the 17 knots sampled
+        # and 16 slopes per noise dimension, the reference's and one level's
+        # 17 outputs, state and variation, and 17 distances.
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)
+        d = domain.dim
+        tile_bytes = 8 * ((17 + 16) * m + 2 * (18 * d + 1) + 17)
+        study = rs.Study(domain, coeffs, x0, 1.0, (3, 4), 200, 3, 4, 5)
+        assert harness._tile_bytes(study, harness._plan(study, 4, ())) == tile_bytes
+        tiles = _recording_tiles(monkeypatch)
+        wide = _arrays(rs.run_coupling_stats(study))
+        # (budget, tile widths of the native march): half the budget holds
+        # all 200, 100 or 40 paths' arrays; the last takes no more tiles than
+        # runs of 64 paths, four, not five.
+        for budget, widths in (
+            (default, [200]),                       # one tile
+            (2 * 100 * tile_bytes, [100, 100]),     # several tiles
+            (2 * 40 * tile_bytes, [50] * 4),        # the 64-path floor
+        ):
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+            assert len(_chunk_ranges(200, 1.0, 4, m)) == 1
+            tiles.clear()
+            for got, want in zip(_arrays(rs.run_coupling_stats(study)), wide):
+                np.testing.assert_array_equal(got, want)
+            assert tiles == (widths if native else [200])
+
+
+def _arrays(stats):
+    """The per-path arrays of a ``CouplingStats``."""
+    return [stats.sup_dist, stats.final_dist, stats.f_final, stats.var_final,
+            stats.ref_var_final]
+
+
+def _recording_tiles(monkeypatch):
+    """Patch ``harness._tile_stats`` to record the width of each tile
+    marched, from any thread."""
+    widths, tile_stats = [], harness._tile_stats
+
+    def recording(study, plan, indices, block_bytes):
+        widths.append(len(indices))
+        return tile_stats(study, plan, indices, block_bytes)
+
+    monkeypatch.setattr(harness, "_tile_stats", recording)
+    return widths
 
 
 def test_a_planar_study_gives_the_same_stats_in_groups_of_one_path(monkeypatch):
@@ -432,15 +485,85 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
         )
     # Three groups of 8 paths per run; each reference refines its group in
     # blocks of two coarse intervals (8 x 17 knots): three blocks for five,
-    # but the Holder grid ends at 0.25, so that march stops after two.
+    # but the Holder grid ends at 0.25, so that march stops after two.  A
+    # native tile refines in half the budget, in blocks of one coarse
+    # interval (8 x 9 knots): five blocks.
     assert len(allocated) == 9
-    assert [n for n, _ in calls] == [3] * 3 + [2] * 3
+    assert [n for n, _ in calls] == [5 if brownian._native() is not None else 3] * 3 + [2] * 3
     assert max(allocated + [nbytes for _, nbytes in calls]) <= budget
 
 
+@pytest.mark.parametrize("planar", [False, True])
+def test_every_array_of_a_native_tile_fits_its_share(planar, native, monkeypatch):
+    # T=0.3 as above, with the fine grid at level 9: 154 intervals, ending
+    # at 0.3008.  Paths at level 4 keep 17 knots and 5 slopes per noise
+    # dimension, and the outputs are the level-4 knots to 0.25 and the
+    # horizon, 6 in all.  A tile's arrays but its block buffer take 8 bytes
+    # per path for each of those knots and slopes, the reference's and one
+    # level's 6 outputs, state and variation, and 6 distances.
+    domain, coeffs, x0 = _annulus_problem() if planar else (
+        rs.interval(-1.0, 1.0), rs.trig([[0.5]], [[0.2]], [1.0]), [0.0])
+    m = d = domain.dim
+    tile_bytes = 8 * ((17 + 5) * m + 2 * (7 * d + 1) + 6)
+    # One group of 142 paths in two slices of 71 on two CPUs.  Half of a
+    # slice's share holds exactly 70 paths' arrays, so each slice marches
+    # two tiles, of 35 and 36 paths.  The other half holds a tile's block
+    # buffer, two of its five coarse intervals.
+    share = 2 * 70 * tile_bytes
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * share)
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    assert len(_chunk_ranges(142, 154 / 512, 4, m)) == 1
+
+    # Each tile's arrays, by name, recorded on its slice's thread from the
+    # sampling of its paths on.
+    tiles, current = [], threading.local()
+
+    def record(name, array):
+        current.tile.setdefault(name, []).append(_allocated_bytes(array))
+
+    def recording(name, fn, array=lambda out: out):
+        def wrapper(*args):
+            if name == "paths":
+                current.tile = {"width": len(args[3])}
+                tiles.append(current.tile)
+            out = fn(*args)
+            record(name, array(out))
+            return out
+
+        return wrapper
+
+    blocks = brownian.FineBlocks.blocks
+
+    def recording_blocks(self):
+        for start, values in blocks(self):
+            record("block", values)
+            yield start, values
+
+    monkeypatch.setattr(brownian.FineBlocks, "blocks", recording_blocks)
+    for name, attr, array in (
+        ("paths", "sample_path", lambda out: out.values),
+        ("reference", "integrate_reference_batch", lambda out: out[0]),
+        ("level", "integrate_wz_batch", lambda out: out[0]),
+        ("slopes", "wz_knot_slopes", lambda out: out),
+        ("distances", "sum_squares", lambda out: out),
+    ):
+        monkeypatch.setattr(harness, attr, recording(name, getattr(harness, attr), array))
+    rs.run_coupling_stats(rs.Study(domain, coeffs, x0, 0.3, (3, 4), 142, 5, 4, 5))
+
+    assert sorted(tile.pop("width") for tile in tiles) == [35, 35, 36, 36]
+    for tile in tiles:
+        # Three reference blocks, one reference march, and two levels that
+        # each march, take slopes and measure distances.
+        assert [len(tile[name]) for name in ("block", "paths", "reference", "level", "slopes",
+                                             "distances")] == [3, 1, 1, 2, 2, 2]
+        arrays = sum(max(sizes) for name, sizes in tile.items() if name != "block")
+        assert arrays <= share - share // 2 and max(tile["block"]) <= share // 2
+        assert arrays + max(tile["block"]) <= share
+
+
 def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkeypatch):
-    # Groups of 8 paths at level 4 over T=0.3, refined to level 7 in three
-    # blocks of two coarse intervals, as in the test above.
+    # Groups of 8 paths at level 4 over T=0.3, refined to level 7 in blocks
+    # as in the test above.
     default = harness._CHUNK_BYTES
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 10 * 17 * 8)
     calls = _recording_blocks(monkeypatch)
@@ -510,11 +633,14 @@ def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interva
     seeds = [21, 22, 23]
     coarse = rs.sample_path(1, 1.0, 3, seeds)
     grid = harness.coupled_output_grid(3, [1.0], 1.0)
-    # The march reads the start, the coefficients and the substeps of the study.
+    # The march reads the start, the coefficients and the substeps of the
+    # study, and its schedule from the study's plan, whose outputs are the grid.
     study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [3], 3, 4, 4, 0)
+    plan = harness._plan(study, 3, ("reference", 3))
+    np.testing.assert_array_equal(plan.grid, grid)
     for process in ("reference", 3):
         paths = brownian.FineBlocks(coarse, 7, 128, 1) if process == "reference" else coarse
-        states, var, log = harness._march_chunk(study, paths, process, grid)
+        states, var, log = harness._march_chunk(study, paths, process, plan)
         assert log is None
         assert var.shape == (len(seeds),)
         for b, seed in enumerate(seeds):

@@ -48,10 +48,10 @@ for domain, coeffs, x0 in ((interval, wavy, [0.0]), (rs.ball(1.0, dim=2), planar
     refinements.append(len(calls))
     rs.coupled_solve(domain, coeffs, path, 4, 8, x0, [1.0], record_substeps=True)
 covered = cover.native_march(interval, wavy) is not None
-# The config's 8 paths at level 3 (72 bytes each) stay one group, and its
-# reference refines them to level 5 in blocks of two coarse intervals: four
-# blocks over T=1.
-harness._CHUNK_BYTES = 8 * 8 * (2 * 4 + 1)
+# The config's 8 paths at level 3 (72 bytes each) stay one group of one
+# tile, and its reference refines them to level 5 in half the budget, in
+# blocks of two coarse intervals: four blocks over T=1.
+harness._CHUNK_BYTES = 2 * 8 * 8 * (2 * 4 + 1)
 calls.clear()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["converge", "--config", sys.argv[1]])

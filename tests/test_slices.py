@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from reflectedsde import brownian, cli, harness
-from test_harness import _recording_blocks
+from test_harness import _arrays, _recording_blocks, _recording_tiles
 
 TRIG_1D = {"name": "trig", "params": {"offset": [[0.5]], "amplitude": [[0.2]],
                                       "frequency": [1.0], "drift_matrix": [[-0.3]]}}
@@ -58,11 +58,6 @@ def _counting_slices(monkeypatch, cpus):
 
     monkeypatch.setattr(harness, "_slice_count", recording)
     return counts
-
-
-def _arrays(stats):
-    return [stats.sup_dist, stats.final_dist, stats.f_final, stats.var_final,
-            stats.ref_var_final]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -126,11 +121,14 @@ def test_each_forked_worker_marches_its_share_of_the_cpus(monkeypatch, tmp_path)
 
 def test_the_numpy_backend_marches_one_slice(monkeypatch):
     # Without the library both marches hold the GIL, so slices could only
-    # take turns.
+    # take turns; and the numpy march's cost is per call, so the slice is
+    # one tile, however small the budget.
     monkeypatch.setattr(brownian, "_native", lambda: None)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 259 * 17 * 8)
     counts = _counting_slices(monkeypatch, 4)
+    tiles = _recording_tiles(monkeypatch)
     stats = harness.run_coupling_stats(_study("interval"))
-    assert counts == [1] and stats.sup_dist.shape == (259, 2)
+    assert counts == [1] and tiles == [259] and stats.sup_dist.shape == (259, 2)
 
 
 def test_slices_keep_at_least_one_tile_of_paths(monkeypatch, native):
@@ -237,10 +235,14 @@ def test_more_slices_than_cores_under_a_short_switch_interval_keep_the_bits(monk
     study = _study("annulus", M=520)
     expected = _arrays(harness.run_coupling_stats(study))
     counts = _counting_slices(monkeypatch, 8)
-    # A budget of the group's path array (520 paths x 17 knots x m = 2)
-    # keeps one group and gives each slice of 65 paths blocks of two coarse
-    # intervals (65 x 17 knots x 2): eight blocks through one buffer.
-    budget = 520 * 17 * 2 * 8
+    # A budget of twice the group's path array (520 paths x 17 knots x
+    # m = 2) keeps one group of eight slices of 65 paths.  Each slice
+    # marches two tiles, of 32 and 33 paths, and each tile's reference four
+    # blocks of four coarse intervals (33 knots per path) through one
+    # buffer, in half the slice's share.  One slice of one tile without the
+    # library, refined in the whole budget: four blocks of four coarse
+    # intervals (33 knots per path).
+    budget = 2 * 520 * 17 * 2 * 8
     monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
     blocks = _recording_blocks(monkeypatch)
     results = []
@@ -254,8 +256,9 @@ def test_more_slices_than_cores_under_a_short_switch_interval_keep_the_bits(monk
     finally:
         sys.setswitchinterval(interval)
     assert not engine.is_alive()
-    slices = 8 if brownian._native() is not None else 1
-    assert counts == [slices]
-    assert blocks == [[8, budget // slices]] * slices
+    native = brownian._native() is not None
+    assert counts == [8 if native else 1]
+    tiles = [[4, 33 * width * 2 * 8] for width in (32, 33)] * 8
+    assert sorted(blocks) == sorted(tiles if native else [[4, 33 * 520 * 2 * 8]])
     for want, got in zip(expected, results[0]):
         np.testing.assert_array_equal(want, got)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian
+from reflectedsde import brownian, harness
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import (
     LevelTooFine,
@@ -348,3 +348,36 @@ def test_an_output_just_before_a_knot_keeps_the_knot_slope(unit_interval, wavy_c
     near = rs.solve_wz(unit_interval, wavy_coeffs, path, 2, 4, [0.0], [0.25 - 5e-14, 1.0])
     exact = rs.solve_wz(unit_interval, wavy_coeffs, path, 2, 4, [0.0], [0.25, 1.0])
     np.testing.assert_allclose(near.states, exact.states, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_euler_substeps_miss_a_share_of_the_stratonovich_term_at_every_level(n):
+    # The substep deficit of the module docstring, on dX = 0.5 X dW from 1
+    # far from the walls: the ODE's exact flow along the lagged interpolant
+    # is exp(0.5 W^n(t)).  k Euler substeps per knot give the product of
+    # k factors (1 + 0.5 s 2^-n / k) per knot slope s, whose error does not
+    # shrink with the level and falls about as 1/k.
+    domain, coeffs = rs.interval(-50.0, 50.0), rs.linear([[[0.5]]])
+    seeds = [harness.path_seed(11, i) for i in range(400)]
+    paths = rs.sample_path(1, 1.0, n, seeds)
+    slopes = rs.wz_knot_slopes(paths, n)[:, :, 0]
+    exact = np.exp(0.5 * rs.wz_value(paths, n, 1.0)[:, 0])
+    # Every path alone with the library; a few without it, where a path's
+    # march takes a numpy call per step (its rows equal the batch's bits).
+    alone = range(400) if brownian._native() is not None else (0, 199, 399)
+    rms = {}
+    for k in (8, 64):
+        product, d = np.ones(400), 2.0**-n / k
+        for s in slopes.T:
+            for _ in range(k):
+                product = product + (0.5 * product * s + 0.0) * d
+        times, knot_idx, out_pos = wz_schedule(n, k, [1.0], 1.0)
+        batch = integrate_wz_batch(domain, coeffs, np.ones((400, 1)), slopes[:, :, None],
+                                   times, knot_idx, out_pos)[0][-1, :, 0]
+        assert batch.tobytes() == product.tobytes()
+        for i in alone:
+            path = rs.sample_path(1, 1.0, n, seeds[i])
+            assert rs.solve_wz(domain, coeffs, path, n, k, [1.0], [1.0]).states[-1, 0] == batch[i]
+        rms[k] = float(np.sqrt(np.mean((batch - exact) ** 2)))
+    assert 1.5e-2 <= rms[8] <= 2.5e-2
+    assert 6.0 <= rms[8] / rms[64] <= 10.0
