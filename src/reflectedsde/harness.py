@@ -17,30 +17,28 @@ stream resuming where the previous block stopped, so the fine grid is
 never held whole: each block is refined into one buffer when the march
 asks for it.
 
-Groups are sized by bytes: the study is split into the fewest balanced
-groups whose path arrays, as ``sample_path`` allocates them, each stay
-within ``_CHUNK_BYTES``, and into no fewer groups than workers unless it
-has fewer paths, so a group may hold a single path.  With several workers
-the groups run in forked processes that inherit the domain and
-coefficient objects themselves, so any domain, built-in, modified or
-custom, runs in parallel.  Where the native march covers the study, each
-group is cut into balanced slices, one per CPU of the process's share,
-of at least ``_SLICE_ROWS`` paths; every slice runs on its own thread
-within an equal share of the budget, and the group joins their arrays in
-path order.  A native slice marches its paths tile after tile: the
-fewest balanced runs whose arrays fit half the slice's share, the
-reference's block buffer taking the other half, but never more runs than
-tiles of ``_SLICE_ROWS`` paths would make.  Each tile samples, refines,
-marches and reduces its own paths.  The numpy march, whose cost is per
-numpy call and not per path, runs a group as one slice of one tile, and a
-Holder table's slice is one tile too; the block buffer of such a tile
-takes the whole share.  A block spans as many whole coarse intervals as
-fit in its buffer's budget.  The output grid, each level's schedule and
-the reference's output positions depend only on the study, and are built
-once per engine or Holder call.  Per-path stats are reduced in path-index
-order, which makes every report bit-reproducible for a fixed
-configuration regardless of group, slice, tile and block layout or worker
-count.
+A study's paths are cut once.  Each worker gets one balanced group of
+consecutive paths, ``_balanced(range(M), min(workers, M))``; with several
+workers each group runs in a forked process of its own, which inherits the
+domain and coefficient objects themselves, so any domain, built-in,
+modified or custom, runs in parallel.  A group is cut into tiles
+(``_tiles``) that the process's threads march, each thread a contiguous
+run of them, the first run on the caller's thread; the tiles' arrays are
+joined in path order.  Where the native march covers the study, a process
+has one thread per CPU of its share, but no more than runs of
+``_SLICE_ROWS`` paths, and each thread an equal share of ``_CHUNK_BYTES``:
+the group is cut into the fewest balanced tiles, as many for each thread,
+whose arrays fit half a thread's share, or of ``_SLICE_ROWS`` paths, and
+the reference's block buffer takes the other half.  The numpy march, whose cost is per numpy call and not per path,
+runs on one thread, in tiles whose path arrays fit the whole budget, and
+their block buffer takes all of it.  Each tile samples, refines, marches
+and reduces its own paths, and a block spans as many whole coarse
+intervals as fit in its buffer's budget.  A Holder table is cut and
+marched the same way.  The output grid, each level's schedule and the
+reference's output positions depend only on the study, and are built once
+per engine or Holder call.  Per-path stats are reduced in path-index
+order, which makes every report bit-reproducible for a fixed configuration
+regardless of group, tile, thread and block layout or worker count.
 
 The decay diagnostic uses the weighted squared distance
 ``exp(r (phi(X) + phi(X^n))) |X^n - X|^2`` with ``r`` strictly below
@@ -82,21 +80,18 @@ from .solvers import (
     wz_schedule,
 )
 
-# The memory budget.  A group's path array at the finest approximation
-# level, as ``sample_path`` allocates it, fits in it; a group marched in
-# slices gives each slice an equal share.  A native slice marches tiles
-# whose arrays fit that share: half for the one buffer the reference
-# refines each block of fine knots into, and half for the tile's path
-# array, the reference's outputs and one level's outputs, slopes and
-# distances (``_tile_bytes``), unless that takes more tiles than runs of
-# ``_SLICE_ROWS`` paths (``_tiles``).  A slice that is one tile of no
-# budget, in the numpy march or a Holder table, gives its block buffer the
-# whole share, and its outputs come on top.  Wider tiles spend less Python
-# time per path, larger blocks less per resumed (path, level) stream;
-# README "Memory" has the measured peaks.
+# The memory budget of a process's tiles in flight, one per thread.  A
+# native thread's equal share goes half to its tile's block buffer, the
+# one buffer the reference refines each block of fine knots into, and half
+# to the tile's path array, the reference's outputs and one level's
+# outputs, slopes and distances (``_tile_bytes``), unless ``_SLICE_ROWS``
+# paths' arrays need more.  A numpy tile's path array, as ``sample_path``
+# allocates it, fits the whole budget, and so does its block buffer; its
+# outputs come on top.  Wider tiles spend less Python time per path, larger
+# blocks less per resumed (path, level) stream; README "Memory" has the
+# measured peaks.
 _CHUNK_BYTES = 16 * 2**20
-# Fewest paths per slice of a group; a slice is cut into no more tiles
-# than runs of this many paths.
+# Fewest paths per native tile, and per thread of a group.
 _SLICE_ROWS = 64
 
 
@@ -383,23 +378,9 @@ def _balanced(indices: range, n: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _chunk_ranges(M: int, T: float, level: int, dim_noise: int, workers: int = 1):
-    """Path-index ranges of the groups of an ``M``-path study, in order.
-
-    The fewest groups whose path arrays at ``level``, as ``sample_path``
-    allocates them over ``T`` (``dyadic_grid`` knots per path), each fit in
-    ``_CHUNK_BYTES``, at least ``workers`` of them, with widths that differ
-    by at most one path, and no more groups than paths.  Balanced widths
-    leave no small trailing group.
-    """
-    path_bytes = dyadic_grid(T, level)[1] * dim_noise * 8
-    width = max(_CHUNK_BYTES // path_bytes, 1)
-    return _balanced(range(M), min(max(ceil(M / width), workers), M))
-
-
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """What every slice of one engine or Holder call marches on besides its
+    """What every tile of one engine or Holder call marches on besides its
     paths, which depends only on the study, so it is built once per call.
 
     Paths are sampled at ``level`` over ``horizon``, the padded horizon of
@@ -455,13 +436,14 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _slice_count(study: Study, rows: int) -> int:
-    """One slice per CPU of the process's share among ``study.workers``, of
-    at least ``_SLICE_ROWS`` paths each; one where the numpy march, which
-    holds the GIL, runs the study."""
+def _thread_count(study: Study, rows: int) -> int:
+    """Threads of a group of ``rows`` paths: one per CPU of the process's
+    share among the study's ``min(workers, M)`` groups, but no more than
+    runs of ``_SLICE_ROWS`` paths; one where the numpy march, which holds
+    the GIL, runs the study."""
     if cover.native_march(study.domain, study.coeffs) is None:
         return 1
-    return max(1, min(_cpus() // study.workers, rows // _SLICE_ROWS))
+    return max(1, min(_cpus() // min(study.workers, study.M), rows // _SLICE_ROWS))
 
 
 def _tile_bytes(study: Study, plan: _Plan) -> int:
@@ -474,46 +456,25 @@ def _tile_bytes(study: Study, plan: _Plan) -> int:
     return 8 * ((n_held + n_knots) * m + 2 * ((n_out + 1) * d + 1) + n_out)
 
 
-def _tiles(study: Study, plan: _Plan, indices, max_bytes: int) -> list[range]:
-    """The tiles of a native slice's path indices: ``ceil(L / w)`` balanced
-    runs of its ``L`` paths, ``w`` the most paths whose arrays but the
-    block buffer (``_tile_bytes``) fit in half of ``max_bytes``, but at
-    least ``_SLICE_ROWS``: the budget never cuts a slice into more tiles
-    than runs of ``_SLICE_ROWS`` paths would make."""
-    width = max((max_bytes - max_bytes // 2) // _tile_bytes(study, plan), _SLICE_ROWS)
-    return _balanced(indices, ceil(len(indices) / width))
+def _tiles(study: Study, plan: _Plan, indices, n: int) -> tuple[list[range], int]:
+    """The tiles of a group's path indices on ``n`` threads, in path order,
+    and the bytes of each tile's block buffer.
 
-
-class _Ahead:
-    """``fn(*args)`` run on a helper thread.  ``result()`` joins it and
-    returns its value, or raises its exception; ``join()`` only waits."""
-
-    def __init__(self, fn, *args):
-        self._value = self._error = None
-        self._thread = threading.Thread(target=self._run, args=(fn, *args))
-        self._thread.start()
-
-    def _run(self, fn, *args):
-        try:
-            self._value = fn(*args)
-        except BaseException as error:  # re-raised on the caller's thread by result()
-            self._error = error
-
-    def join(self) -> None:
-        self._thread.join()
-
-    def result(self):
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-def _slice(march, errors: dict, indices, max_bytes):
-    """``march(indices, max_bytes)`` under the numpy error handling
-    ``errors``: a thread starts with numpy's default, not its caller's."""
-    with np.errstate(**errors):
-        return march(indices, max_bytes)
+    Native: ``n ceil(L / (n w))`` balanced runs of the group's ``L`` paths,
+    ``w`` the most paths whose arrays but the block buffer (``_tile_bytes``)
+    fit in half of a thread's share of ``_CHUNK_BYTES``, but at least
+    ``_SLICE_ROWS``; the block buffer gets the other half.  Numpy: the
+    fewest balanced runs whose path arrays, as ``sample_path`` allocates
+    them, fit in ``_CHUNK_BYTES``, or of one path; the block buffer gets all
+    of it.
+    """
+    if cover.native_march(study.domain, study.coeffs) is None:
+        path_bytes = dyadic_grid(plan.horizon, plan.level)[1] * study.coeffs.dim_noise * 8
+        width = max(_CHUNK_BYTES // path_bytes, 1)
+        return _balanced(indices, ceil(len(indices) / width)), _CHUNK_BYTES
+    share = _CHUNK_BYTES // n
+    width = max((share - share // 2) // _tile_bytes(study, plan), _SLICE_ROWS)
+    return _balanced(indices, n * ceil(len(indices) / (n * width))), share // 2
 
 
 def _joined(parts: list) -> tuple:
@@ -524,39 +485,52 @@ def _joined(parts: list) -> tuple:
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _in_slices(study: Study, indices, march) -> tuple:
-    """``march(rows, max_bytes)`` over balanced slices of a group's path
-    indices, each with an equal share of ``_CHUNK_BYTES``; the tuples of
-    path-major arrays it returns are joined in path order.
+def _in_tiles(study: Study, plan: _Plan, indices, march) -> tuple:
+    """``march(tile, block_bytes)`` over the tiles of a group's path indices
+    (``_tiles``); the tuples of path-major arrays it returns are joined in
+    path order.
 
-    The first slice runs on the caller's thread, each other one on its own
-    under the caller's numpy error handling.  Per-path numbers do not
-    depend on the batch width, and the native march and refinement release
-    the GIL, so the slices run side by side with the bits of one march.
-    All are joined before this returns or raises; the lowest-index failed
-    slice's error is raised.
+    Each of ``_thread_count`` threads marches a contiguous run of tiles, one
+    after another: the first run on the caller's thread, each other one on
+    its own under the caller's numpy error handling, since a thread starts
+    with numpy's default.  Per-path numbers do not depend on the batch
+    width, and the native march and refinement release the GIL, so the
+    threads run side by side with the bits of one march.  All are joined
+    before this returns or raises; the lowest-index failed run's error is
+    raised.
     """
-    # _slice_count asks cover.native_march, which loads the library on
-    # this thread before any slice starts: functools.cache has no lock, so
-    # two slices loading it at once could both build it.
-    n = _slice_count(study, len(indices))
-    if n == 1:
-        return march(indices, _CHUNK_BYTES)
-    rows = _balanced(indices, n)
-    errors, budget, runs = np.geterr(), _CHUNK_BYTES // n, []
+    # _thread_count asks cover.native_march, which loads the library on
+    # this thread before any other starts: functools.cache has no lock, so
+    # two threads loading it at once could both build it.
+    n = _thread_count(study, len(indices))
+    tiles, block_bytes = _tiles(study, plan, indices, n)
+    runs, errors = _balanced(range(len(tiles)), n), np.geterr()
+    results, threads = [None] * n, []
+
+    def run(i):
+        try:
+            with np.errstate(**errors):
+                results[i] = [march(tiles[t], block_bytes) for t in runs[i]]
+        except BaseException as error:  # re-raised on the caller's thread below
+            results[i] = error
+
     try:
-        for later in rows[1:]:
-            runs.append(_Ahead(_slice, march, errors, later, budget))
-        first = march(rows[0], budget)
+        for i in range(1, n):
+            threads.append(threading.Thread(target=run, args=(i,)))
+            threads[-1].start()
+        run(0)
     finally:
-        for run in runs:
-            run.join()
-    return _joined([first] + [run.result() for run in runs])
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return _joined([part for result in results for part in result])
 
 
 def _march_chunk(study: Study, paths, process, plan: _Plan):
     """States at ``plan.grid`` and the variation at its last time over one
-    group of paths.
+    tile of paths.
 
     ``process="reference"`` marches the reference over ``paths``, a
     ``FineBlocks``; a level ``process`` marches that level's approximation
@@ -577,24 +551,8 @@ def _march_chunk(study: Study, paths, process, plan: _Plan):
 
 def _chunk_stats(study: Study, plan: _Plan, indices):
     """Coupled stats for one group of path indices (arrays ordered by index),
-    marched in slices (``_in_slices``)."""
-    return _in_slices(study, indices, partial(_slice_stats, study, plan))
-
-
-def _slice_stats(study: Study, plan: _Plan, indices, max_bytes):
-    """Coupled stats for one slice of path indices (arrays ordered by index).
-
-    A native slice marches tile after tile (``_tiles``) within
-    ``max_bytes``: each tile's block buffer gets half of it, and its other
-    arrays the rest, unless ``_SLICE_ROWS`` paths' arrays need more.  The
-    numpy march's cost is per numpy call, not per path, so a numpy slice is
-    one tile, whose block buffer gets all of ``max_bytes`` and whose
-    outputs come on top.
-    """
-    if cover.native_march(study.domain, study.coeffs) is None:
-        return _tile_stats(study, plan, indices, max_bytes)
-    tiles = _tiles(study, plan, indices, max_bytes)
-    return _joined([_tile_stats(study, plan, tile, max_bytes // 2) for tile in tiles])
+    marched in tiles (``_in_tiles``)."""
+    return _in_tiles(study, plan, indices, partial(_tile_stats, study, plan))
 
 
 def _tile_stats(study: Study, plan: _Plan, indices, block_bytes):
@@ -649,43 +607,40 @@ def _worker_group(indices):
     return _WORKER_MARCH(indices)
 
 
-def _run_groups(march, chunks, workers: int) -> list:
-    """``march(chunk)`` per group, in order; over forked ``workers`` if any."""
-    if len(chunks) > 1 and workers > 1:
+def _run_groups(march, groups) -> list:
+    """``march(group)`` per group, in order; each in a forked process of its
+    own where there are several groups and the platform can fork."""
+    if len(groups) > 1:
         import multiprocessing  # here, so that a serial study does not load it
         from concurrent.futures import ProcessPoolExecutor
         if "fork" in multiprocessing.get_all_start_methods():
             # Forked workers inherit the march and the study objects it
             # holds instead of unpickling them, so any domain, modified or
-            # custom, runs as it does serially.
+            # custom, runs as it does serially.  A forking pool starts all
+            # its workers at once: one per group.
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(
-                workers, mp_context=fork, initializer=_adopt_march, initargs=(march,)
+                len(groups), mp_context=fork, initializer=_adopt_march, initargs=(march,)
             ) as pool:
-                return list(pool.map(_worker_group, chunks))
-    return [march(chunk) for chunk in chunks]
+                return list(pool.map(_worker_group, groups))
+    return [march(group) for group in groups]
 
 
 def run_coupling_stats(study: Study) -> CouplingStats:
     """Coupled per-path statistics for all levels on common Brownian paths.
 
-    Paths are marched in balanced groups sized by ``_CHUNK_BYTES``, the
-    memory budget of a group's Brownian path array at level ``max(levels)``
-    (``8 N m`` bytes per path, ``N`` from ``brownian.dyadic_grid``); with
-    ``workers > 1`` there are at least ``workers`` groups, one path wide
-    where the study has too few paths for more, spread over forked
-    processes where the platform can fork.  Each group runs in slices, one
-    thread each (``_in_slices``), and each slice in tiles within its share
-    of the budget (``_slice_stats``).  The output grid and every march's
-    schedule are built once, here.  The stats are bit-identical whatever
-    the group, slice, tile and block layout or worker count.
+    The paths are cut into ``min(workers, M)`` balanced groups, one per
+    worker, each run in a forked process of its own where the platform can
+    fork.  A group is cut into tiles once, which the process's threads
+    march, each within its thread's share of ``_CHUNK_BYTES``
+    (``_in_tiles``).  The output grid and every march's schedule are built
+    once, here.  The stats are bit-identical whatever the group, tile,
+    thread and block layout or worker count.
     """
     plan = _plan(study, max(study.levels), ("reference", *study.levels))
-    chunks = _chunk_ranges(
-        study.M, plan.horizon, plan.level, study.coeffs.dim_noise, study.workers
-    )
+    groups = _balanced(range(study.M), min(study.workers, study.M))
     # Read at call time, so that a wrapper set on the module is what runs.
-    results = _run_groups(partial(_chunk_stats, study, plan), chunks, study.workers)
+    results = _run_groups(partial(_chunk_stats, study, plan), groups)
     stats = CouplingStats(study.levels, study.r, *(np.concatenate(p) for p in zip(*results)))
     if stats.n_failed > 0.01 * study.M:
         raise ExperimentFailed(f"{stats.n_failed} of {study.M} paths failed")
@@ -780,10 +735,9 @@ def holder_report(
     lag (up to five lags, averaged over anchor times and paths) and the
     fitted log-log slope, which should be at least ``p/2 - 0.2``; it is
     ``None`` with fewer than two lags or a zero moment.  Paths run in
-    groups over ``workers``, and each group in slices, as in
-    ``run_coupling_stats``; a slice is one tile, whose block buffer gets
-    the slice's whole share, since the table holds every path's states at
-    the grid.
+    groups over ``workers``, and each group in tiles on threads, by the
+    rule of ``run_coupling_stats``; the table's states at the grid, every
+    path's, come on top of the budget.
     """
     p_list = check_moments(p_list)
     grid_level = check_whole("grid_level", grid_level, 1)
@@ -793,18 +747,17 @@ def holder_report(
     process, label = ("reference", "reference") if reference else (level, f"wz-{level}")
     plan = _plan(study, level, (process,), grid_level)
 
-    def slice_states(indices, max_bytes):
+    def tile_states(indices, block_bytes):
         paths = _chunk_paths(study, plan, indices)
         if reference:
-            paths = FineBlocks(paths, plan.fine_level, plan.n_fine, max_bytes)
+            paths = FineBlocks(paths, plan.fine_level, plan.n_fine, block_bytes)
         out = _march_chunk(study, paths, process, plan)[0]
         return (np.ascontiguousarray(np.swapaxes(out, 0, 1)),)
 
-    def group_states(chunk):
-        return _in_slices(study, chunk, slice_states)[0]
-
-    chunks = _chunk_ranges(study.M, plan.horizon, level, study.coeffs.dim_noise, study.workers)
-    states = np.concatenate(_run_groups(group_states, chunks, study.workers))
+    groups = _balanced(range(study.M), min(study.workers, study.M))
+    states = np.concatenate(
+        _run_groups(lambda group: _in_tiles(study, plan, group, tile_states)[0], groups)
+    )
 
     n_grid = len(plan.grid) - 1
     strides = [2**j for j in range(5) if 2**j < n_grid]

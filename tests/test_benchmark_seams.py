@@ -65,3 +65,32 @@ def test_every_benchmark_seam_is_traced():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"missing": {}, "absent": []}
+
+
+def test_a_serial_converge_enters_the_group_march_once(tmp_path, monkeypatch, capsys):
+    # The benchmark's per-path latency of a rate workload is the time of
+    # each ``harness._chunk_stats`` call, which it wraps through the module
+    # attribute, over the rows of the first array it returns.  A serial
+    # converge enters it once, with one row per path.
+    from reflectedsde import cli, harness
+
+    calls, chunk_stats = [], harness._chunk_stats
+
+    def timed(*args, **kwargs):
+        out = chunk_stats(*args, **kwargs)
+        calls.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(harness, "_chunk_stats", timed)
+    config = {
+        "domain": {"name": "interval", "params": {"a": -1.0, "b": 1.0}},
+        "coefficients": {"name": "trig", "params": {"offset": [[0.5]], "amplitude": [[0.2]],
+                                                    "frequency": [1.0]}},
+        "x0": [0.0], "T": 1.0, "levels": [3, 4], "p_list": [2], "M": 150,
+        "fine_margin": 2, "substeps_per_knot": 2, "seed": 3, "workers": 1,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["converge", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == [150]

@@ -409,9 +409,9 @@ def test_holder_grid_level_below_one_exits_2(tmp_path, capsys):
 def test_holder_workers_print_the_same_bytes(tmp_path, capsys, monkeypatch):
     run_groups, seen = harness._run_groups, []
 
-    def spy(march, chunks, workers):
-        seen.append((len(chunks), workers))
-        return run_groups(march, chunks, workers)
+    def spy(march, groups):
+        seen.append([len(group) for group in groups])
+        return run_groups(march, groups)
 
     monkeypatch.setattr(harness, "_run_groups", spy)
     path = _write_config(tmp_path, levels=[4], M=24, grid_level=4)
@@ -420,8 +420,8 @@ def test_holder_workers_print_the_same_bytes(tmp_path, capsys, monkeypatch):
         assert main(["holder", "--config", str(path), "--workers", workers]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    # Both processes ran one group serially, then two over two workers.
-    assert seen == [(1, 1), (1, 1), (2, 2), (2, 2)]
+    # Both processes ran one group serially, then one of 12 paths per worker.
+    assert seen == [[24], [24], [12, 12], [12, 12]]
 
 
 def test_flag_overrides_win(tmp_path, capsys):

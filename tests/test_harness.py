@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import brownian, harness
+from reflectedsde import brownian, cover, harness
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import DegenerateFit, ExperimentFailed, MismatchedTimes, OutOfDomain
 from reflectedsde.harness import (
-    _chunk_ranges,
     default_rate_exponent,
     jackknife_se,
     path_seed,
@@ -214,9 +213,10 @@ def test_determinism_byte_identical(unit_interval, wavy_coeffs):
 
 
 def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
-    # A budget of 200 paths at level 4: the M=520 study spans three groups.
+    # A budget of 200 paths at level 4: each of the M=520 study's two groups
+    # of 260 paths marches in two numpy tiles of 130 (a custom projection
+    # has no native march), within the whole budget.
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 200 * 17 * 8)
-    assert len(_chunk_ranges(520, 1.0, 4, 1, 2)) == 3
 
     def clip_half(X, V):  # a closure: workers must inherit it, not rebuild it
         y = X + V
@@ -225,7 +225,13 @@ def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
 
     clipped = dataclasses.replace(unit_interval, resolve_batch=clip_half)
     custom = dataclasses.replace(unit_interval, name="custom", resolve_batch=None)
-    # The clipped study spans three groups, so group order is checked too.
+    study = rs.Study(clipped, wavy_coeffs, [0.0], 1.0, (3, 4), 520, 3, 4, 5, workers=2)
+    plan = harness._plan(study, 4, ())
+    assert harness._balanced(range(520), 2) == [range(260), range(260, 520)]
+    assert harness._tiles(study, plan, range(260, 520), 1) == (
+        [range(260, 390), range(390, 520)], 200 * 17 * 8)
+    # The clipped study spans two groups of two tiles, so their order is
+    # checked too.
     for domain, M in ((unit_interval, 24), (clipped, 520), (custom, 24)):
         parallel = rs.run_coupling_stats(
             rs.Study(domain, wavy_coeffs, [0.0], 1.0, (3, 4), M, 3, 4, 5, workers=2)
@@ -298,7 +304,9 @@ def _recording_blocks(monkeypatch):
 
 def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, monkeypatch):
     calls = _recording_blocks(monkeypatch)
+    tiles = _recording_tiles(monkeypatch)
     default = harness._CHUNK_BYTES
+    native = brownian._native() is not None
     for domain, coeffs, x0 in ((unit_interval, wavy_coeffs, [0.0]), _annulus_problem()):
         m = coeffs.dim_noise
         # Every study and Holder table here samples its paths at level 4 (17
@@ -306,56 +314,56 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
         # intervals per coarse one, 16 coarse intervals in all.
         path_bytes = 17 * m * 8
         monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
+        tiles.clear()
         expected = _layout_outputs(domain, coeffs, x0)
-        assert len(_chunk_ranges(12, 1.0, 4, m)) == 1
-        # (budget, groups of the M=12 study, reference blocks per group, and
-        # per group of the study's native tile).  Each group is one slice of
-        # one tile, as twelve paths are fewer than _SLICE_ROWS; a native tile
-        # of the study refines in half the budget, and the numpy march's
-        # tile and the Holder table's in all of it.
+        assert tiles == [12]
+        # (budget, tiles of the M=12 study's one group in the numpy march,
+        # reference blocks per numpy tile, and per native tile).  The numpy
+        # march's tiles refine in the whole budget; the native march makes
+        # one tile of twelve paths, fewer than _SLICE_ROWS, which refines in
+        # half the budget.  The reference table is cut by the same rule.
         layouts = [
-            (1, 12, 16, 16),                        # one-path groups, one-interval blocks
-            (4 * path_bytes, 3, 8, 16),             # four-path groups, two-interval blocks
-            (12 * path_bytes, 1, 8, 16),            # one group, two-interval blocks
-            (24 * path_bytes, 1, 4, 8),             # one group, four-interval blocks
-            (12 * m * 8 * (4 * 8 + 1), 1, 4, 16),   # one group, four-interval blocks
-            (12 * m * 8 * (16 * 8 + 1), 1, 1, 3),   # one group, one block
+            (1, 12, 16, 16),                        # one-path tiles, one-interval blocks
+            (4 * path_bytes, 3, 8, 16),             # four-path tiles, two-interval blocks
+            (12 * path_bytes, 1, 8, 16),            # one tile, two-interval blocks
+            (24 * path_bytes, 1, 4, 8),             # one tile, four-interval blocks
+            (12 * m * 8 * (4 * 8 + 1), 1, 4, 16),   # one tile, four-interval blocks
+            (12 * m * 8 * (16 * 8 + 1), 1, 1, 3),   # one tile, one block
         ]
-        native = brownian._native() is not None
-        for budget, n_groups, n_blocks, tile_blocks in layouts:
+        for budget, n_tiles, n_blocks, tile_blocks in layouts:
             monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
-            assert len(_chunk_ranges(12, 1.0, 4, m)) == n_groups
             calls.clear()
+            tiles.clear()
             arrays, holder = _layout_outputs(domain, coeffs, x0)
-            # The study's and the reference table's groups, each in its blocks.
-            study_blocks = tile_blocks if native else n_blocks
-            assert [n for n, _ in calls] == [study_blocks] * n_groups + [n_blocks] * n_groups
+            assert tiles == ([12] if native else [12 // n_tiles] * n_tiles)
+            # The study's and the reference table's tiles, each in its blocks.
+            per_run = [tile_blocks] if native else [n_blocks] * n_tiles
+            assert [n for n, _ in calls] == per_run * 2
             for got, want in zip(arrays, expected[0]):
                 np.testing.assert_array_equal(got, want)
             assert holder == expected[1]
 
-        # Tiles: one group of 200 paths in one slice.  A tile's arrays but its
-        # block buffer take 8 bytes per path for each of the 17 knots sampled
-        # and 16 slopes per noise dimension, the reference's and one level's
-        # 17 outputs, state and variation, and 17 distances.
+        # Tiles: one group of 200 paths on one thread.  A tile's arrays but
+        # its block buffer take 8 bytes per path for each of the 17 knots
+        # sampled and 16 slopes per noise dimension, the reference's and one
+        # level's 17 outputs, state and variation, and 17 distances.
         monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
         monkeypatch.setattr(harness, "_cpus", lambda: 1)
         d = domain.dim
         tile_bytes = 8 * ((17 + 16) * m + 2 * (18 * d + 1) + 17)
         study = rs.Study(domain, coeffs, x0, 1.0, (3, 4), 200, 3, 4, 5)
         assert harness._tile_bytes(study, harness._plan(study, 4, ())) == tile_bytes
-        tiles = _recording_tiles(monkeypatch)
         wide = _arrays(rs.run_coupling_stats(study))
         # (budget, tile widths of the native march): half the budget holds
         # all 200, 100 or 40 paths' arrays; the last takes no more tiles than
-        # runs of 64 paths, four, not five.
+        # runs of 64 paths, four, not five.  The numpy march's path arrays
+        # fit every budget here, so it marches one tile.
         for budget, widths in (
             (default, [200]),                       # one tile
             (2 * 100 * tile_bytes, [100, 100]),     # several tiles
             (2 * 40 * tile_bytes, [50] * 4),        # the 64-path floor
         ):
             monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
-            assert len(_chunk_ranges(200, 1.0, 4, m)) == 1
             tiles.clear()
             for got, want in zip(_arrays(rs.run_coupling_stats(study)), wide):
                 np.testing.assert_array_equal(got, want)
@@ -395,12 +403,17 @@ def test_a_planar_study_gives_the_same_stats_in_groups_of_one_path(monkeypatch):
         return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
 
     expected = stats(1)
-    assert [len(c) for c in _chunk_ranges(3, 1.0, 4, 2, 2)] == [1, 2]
-    got = [stats(2)]
+    # One group per worker: two workers take groups of one and two paths,
+    # and three or more a path each.
+    assert [len(c) for c in harness._balanced(range(3), min(2, 3))] == [1, 2]
+    assert [len(c) for c in harness._balanced(range(5), min(9, 5))] == [1] * 5
+    got = [stats(2), stats(3)]
+    # A budget of one byte: the numpy march cuts the group into tiles of one
+    # path each; the native march keeps its 64-path floor.
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
-    assert [len(c) for c in _chunk_ranges(3, 1.0, 4, 2)] == [1, 1, 1]
-    assert [len(c) for c in _chunk_ranges(5, 1.0, 4, 2)] == [1] * 5
+    tiles = _recording_tiles(monkeypatch)
     got.append(stats(1))
+    assert tiles == ([3] if brownian._native() is not None else [1, 1, 1])
     for arrays in got:
         for a, b in zip(arrays, expected):
             np.testing.assert_array_equal(a, b)
@@ -432,23 +445,51 @@ def test_stats_do_not_depend_on_the_layout_of_coefficient_outputs(problem, M):
             assert a.tobytes() == b.tobytes()
 
 
+def _cut(runs, indices) -> list[int]:
+    """The widths of ``runs``, once they cover ``indices`` in order with
+    widths that differ by at most one."""
+    assert [i for run in runs for i in run] == list(indices)
+    widths = [len(run) for run in runs]
+    assert min(widths) >= 1 and max(widths) - min(widths) <= 1
+    return widths
+
+
 @pytest.mark.parametrize("budget", [1, 10_000, 2**20, 2**40])
 def test_chunk_ranges_are_ordered_balanced_and_cover_the_study(budget, monkeypatch):
+    # The study's groups, one per worker, and each group's tiles by the
+    # native and the numpy rule, for paths at level 6 with d = m = 2.
     monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+    domain, coeffs, x0 = _annulus_problem()
     path_bytes = 65 * 2 * 8  # level 6 at T=1 with two noise dimensions
     for M in (2, 3, 7, 520, 2000):
         for workers in (1, 2, 3):
-            chunks = _chunk_ranges(M, 1.0, 6, 2, workers)
-            assert [i for chunk in chunks for i in chunk] == list(range(M))
-            widths = [len(chunk) for chunk in chunks]
-            assert min(widths) >= 1 and max(widths) - min(widths) <= 1
-            assert len(chunks) >= min(workers, M)
-            # The fewest groups that each fit in the budget, or hold one path.
-            width = max(budget // path_bytes, 1)
-            if width > 1:
-                assert max(widths) * path_bytes <= budget
-            if workers < len(chunks) < M:
-                assert M > (len(chunks) - 1) * width
+            study = rs.Study(domain, coeffs, x0, 1.0, [6], M, 2, 1, 0, workers=workers)
+            plan = harness._plan(study, 6, ())
+            groups = harness._balanced(range(M), min(workers, M))
+            assert len(_cut(groups, range(M))) == min(workers, M)
+            for group, cpus in ((g, c) for g in groups for c in (1, 4)):
+                monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+                # Native: the fewest tiles, a multiple of the thread count,
+                # that each hold at most w paths, w the most paths whose
+                # arrays fit half a thread's share, or _SLICE_ROWS.
+                monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
+                n = harness._thread_count(study, len(group))
+                assert 1 <= n <= cpus and (n == 1 or len(group) >= 64 * n)
+                tiles, block_bytes = harness._tiles(study, plan, group, n)
+                widths, share = _cut(tiles, group), budget // n
+                w = max((share - share // 2) // harness._tile_bytes(study, plan), 64)
+                assert block_bytes == share // 2 and len(tiles) % n == 0
+                assert max(widths) <= w and len(group) > (len(tiles) - n) * w
+                # Numpy: one thread, and the fewest tiles whose path arrays
+                # each fit in the budget, or hold one path.
+                monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: None)
+                assert harness._thread_count(study, len(group)) == 1
+                tiles, block_bytes = harness._tiles(study, plan, group, 1)
+                widths, width = _cut(tiles, group), max(budget // path_bytes, 1)
+                assert block_bytes == budget and max(widths) <= width
+                assert len(group) > (len(tiles) - 1) * width
+                if width > 1:
+                    assert max(widths) * path_bytes <= budget
 
 
 def _allocated_bytes(array):
@@ -468,6 +509,10 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
     assert brownian.dyadic_grid(39 / 128, 4) == (5, 17)
     budget = 10 * 17 * 8
     monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+    # One thread, and a floor of 8 paths per native tile, so that the native
+    # march cuts its group into the numpy march's tiles, of 8 paths.
+    monkeypatch.setattr(harness, "_SLICE_ROWS", 8)
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
     allocated = []
 
     def recording_sample_path(*args):
@@ -483,13 +528,14 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
             rs.Study(unit_interval, wavy_coeffs, [0.0], 0.3, [4], 24, 3, 8, 3), [2],
             grid_level=4, reference=reference,
         )
-    # Three groups of 8 paths per run; each reference refines its group in
-    # blocks of two coarse intervals (8 x 17 knots): three blocks for five,
-    # but the Holder grid ends at 0.25, so that march stops after two.  A
-    # native tile refines in half the budget, in blocks of one coarse
-    # interval (8 x 9 knots): five blocks.
+    # Three tiles of 8 paths per run; each numpy reference refines its tile
+    # in blocks of two coarse intervals (8 x 17 knots): three blocks for
+    # five, but the Holder grid ends at 0.25, so that march stops after two.
+    # A native tile refines in half the budget, in blocks of one coarse
+    # interval (8 x 9 knots): five blocks, and four to 0.25.
     assert len(allocated) == 9
-    assert [n for n, _ in calls] == [5 if brownian._native() is not None else 3] * 3 + [2] * 3
+    native = brownian._native() is not None
+    assert [n for n, _ in calls] == ([5] * 3 + [4] * 3 if native else [3] * 3 + [2] * 3)
     assert max(allocated + [nbytes for _, nbytes in calls]) <= budget
 
 
@@ -501,21 +547,83 @@ def test_every_array_of_a_native_tile_fits_its_share(planar, native, monkeypatch
     # horizon, 6 in all.  A tile's arrays but its block buffer take 8 bytes
     # per path for each of those knots and slopes, the reference's and one
     # level's 6 outputs, state and variation, and 6 distances.
-    domain, coeffs, x0 = _annulus_problem() if planar else (
-        rs.interval(-1.0, 1.0), rs.trig([[0.5]], [[0.2]], [1.0]), [0.0])
+    domain, coeffs, x0 = _native_problem(planar)
     m = d = domain.dim
     tile_bytes = 8 * ((17 + 5) * m + 2 * (7 * d + 1) + 6)
-    # One group of 142 paths in two slices of 71 on two CPUs.  Half of a
-    # slice's share holds exactly 70 paths' arrays, so each slice marches
-    # two tiles, of 35 and 36 paths.  The other half holds a tile's block
-    # buffer, two of its five coarse intervals.
+    # One group of 142 paths on two threads, as two CPUs allow.  Half of a
+    # thread's share holds exactly 70 paths' arrays, so the group is cut
+    # into four tiles, of 35 and 36 paths, two per thread.  The other half
+    # holds a tile's block buffer, two of its five coarse intervals.
     share = 2 * 70 * tile_bytes
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * share)
     monkeypatch.setattr(harness, "_cpus", lambda: 2)
-    assert len(_chunk_ranges(142, 154 / 512, 4, m)) == 1
+    study = rs.Study(domain, coeffs, x0, 0.3, (3, 4), 142, 5, 4, 5)
+    assert harness._thread_count(study, 142) == 2
+    assert harness._tiles(study, harness._plan(study, 4, ()), range(142), 2) == (
+        [range(0, 35), range(35, 71), range(71, 106), range(106, 142)], share // 2)
+    tiles = _recording_tile_arrays(monkeypatch)
+    rs.run_coupling_stats(study)
 
-    # Each tile's arrays, by name, recorded on its slice's thread from the
-    # sampling of its paths on.
+    assert sorted(tile.pop("width") for tile in tiles) == [35, 35, 36, 36]
+    for tile in tiles:
+        # Three reference blocks, one reference march, and two levels that
+        # each march, take slopes and measure distances.
+        assert [len(tile[name]) for name in ("block", "paths", "reference", "level", "slopes",
+                                             "distances")] == [3, 1, 1, 2, 2, 2]
+        arrays = sum(max(sizes) for name, sizes in tile.items() if name != "block")
+        assert arrays <= share - share // 2 and max(tile["block"]) <= share // 2
+        assert arrays + max(tile["block"]) <= share
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("planar", [False, True])
+def test_every_array_of_a_native_holder_tile_fits_its_share(planar, reference, native,
+                                                            monkeypatch):
+    # A Holder table at grid level 4 over T=0.3, with the fine grid at level
+    # 9 as above: paths at level 4 keep 17 knots and 5 slopes per noise
+    # dimension, and the outputs are the level-4 knots to 0.25, 5 in all.
+    # Its tiles are cut by the study's rule, which budgets 8 bytes per path
+    # for each of those knots and slopes, two marches' 5 outputs, state and
+    # variation, and 5 distances; the table's tile holds one march and a
+    # path-major copy of its states.
+    domain, coeffs, x0 = _native_problem(planar)
+    m = d = domain.dim
+    tile_bytes = 8 * ((17 + 5) * m + 2 * (6 * d + 1) + 5)
+    # 142 paths on two threads; half of a thread's share holds exactly 70
+    # paths' arrays: four tiles of 35 and 36 paths.  The other half holds
+    # the reference's block buffer, two of the four coarse intervals that
+    # reach 0.25.
+    share = 2 * 70 * tile_bytes
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * share)
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    tiles = _recording_tile_arrays(monkeypatch)
+    rs.holder_report(rs.Study(domain, coeffs, x0, 0.3, [4], 142, 5, 4, 5), [2], grid_level=4,
+                     reference=reference)
+
+    assert sorted(tile.pop("width") for tile in tiles) == [35, 35, 36, 36]
+    march = "reference" if reference else "level"
+    for tile in tiles:
+        counts = {"block": 2, "paths": 1, "reference": 1} if reference else {
+            "paths": 1, "level": 1, "slopes": 1}
+        assert {name: len(sizes) for name, sizes in tile.items()} == counts
+        # The copy of the states is as large as the march's states.
+        arrays = sum(max(sizes) for name, sizes in tile.items() if name != "block")
+        arrays += max(tile[march])
+        block = max(tile.get("block", [0]))
+        assert arrays <= share - share // 2 and block <= share // 2
+        assert arrays + block <= share
+
+
+def _native_problem(planar):
+    """A study problem the native march covers, at d = m = 2 or at d = m = 1."""
+    return _annulus_problem() if planar else (
+        rs.interval(-1.0, 1.0), rs.trig([[0.5]], [[0.2]], [1.0]), [0.0])
+
+
+def _recording_tile_arrays(monkeypatch):
+    """Patch the engine's array makers to record each tile's arrays, by
+    name, on the thread that marches it, from the sampling of its paths
+    on; returns the list of per-tile records."""
     tiles, current = [], threading.local()
 
     def record(name, array):
@@ -548,22 +656,12 @@ def test_every_array_of_a_native_tile_fits_its_share(planar, native, monkeypatch
         ("distances", "sum_squares", lambda out: out),
     ):
         monkeypatch.setattr(harness, attr, recording(name, getattr(harness, attr), array))
-    rs.run_coupling_stats(rs.Study(domain, coeffs, x0, 0.3, (3, 4), 142, 5, 4, 5))
-
-    assert sorted(tile.pop("width") for tile in tiles) == [35, 35, 36, 36]
-    for tile in tiles:
-        # Three reference blocks, one reference march, and two levels that
-        # each march, take slopes and measure distances.
-        assert [len(tile[name]) for name in ("block", "paths", "reference", "level", "slopes",
-                                             "distances")] == [3, 1, 1, 2, 2, 2]
-        arrays = sum(max(sizes) for name, sizes in tile.items() if name != "block")
-        assert arrays <= share - share // 2 and max(tile["block"]) <= share // 2
-        assert arrays + max(tile["block"]) <= share
+    return tiles
 
 
 def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkeypatch):
-    # Groups of 8 paths at level 4 over T=0.3, refined to level 7 in blocks
-    # as in the test above.
+    # 24 paths at level 4 over T=0.3, refined to level 7 in blocks: three
+    # numpy tiles of 8 paths, or one native tile, fewer than _SLICE_ROWS.
     default = harness._CHUNK_BYTES
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 10 * 17 * 8)
     calls = _recording_blocks(monkeypatch)
@@ -571,11 +669,13 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
     study = rs.Study(unit_interval, wavy_coeffs, [0.0], 0.3, (3, 4), 24, 3, 4, 5)
     expected = rs.run_coupling_stats(study)
     assert threading.active_count() == before
-    # The Holder grid ends at 0.25, inside the second block: each march
-    # stops there, before the third is refined.
+    # The Holder grid ends at 0.25: each march stops there.  A numpy tile
+    # refines in the whole budget, two coarse intervals a block, so it stops
+    # inside its second block, before the third is refined; the native tile
+    # refines in half the budget, one coarse interval a block: four blocks.
     calls.clear()
     rs.holder_report(dataclasses.replace(study, levels=(4,)), [2], 4, reference=True)
-    assert [n for n, _ in calls] == [2] * 3
+    assert [n for n, _ in calls] == ([4] if brownian._native() is not None else [2] * 3)
     assert threading.active_count() == before
 
     # A march that raises: a custom coefficient set marches in numpy and
@@ -596,12 +696,12 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
     assert failure.traceback and threading.active_count() == before
     np.testing.assert_array_equal(rs.run_coupling_stats(study).sup_dist, expected.sup_dist)
 
-    # One group of 200 paths in three slices on three CPUs (one slice
-    # without the library): each slice's thread is joined when the engine
+    # One group of 200 paths on three threads as three CPUs allow (one
+    # thread without the library): each thread is joined when the engine
     # call returns or raises.
     monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
     monkeypatch.setattr(harness, "_cpus", lambda: 3)
-    sliced = dataclasses.replace(study, M=200)
+    threaded = dataclasses.replace(study, M=200)
     march, marching = harness._march_chunk, set()
 
     def recording(study, paths, process, grid):
@@ -609,22 +709,22 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
         return march(study, paths, process, grid)
 
     monkeypatch.setattr(harness, "_march_chunk", recording)
-    sliced_expected = rs.run_coupling_stats(sliced)
+    threaded_expected = rs.run_coupling_stats(threaded)
     assert len(marching) == (3 if brownian._native() is not None else 1)
     assert threading.active_count() == before
 
-    # The first slice fails at level 4 while the others march.
+    # The first thread's tile fails at level 4 while the others march.
     def failing_first(study, paths, process, grid):
         if process == 4 and paths.seed[0] == path_seed(study.seed, 0):
-            raise RuntimeError("first slice failed")
+            raise RuntimeError("first thread failed")
         return march(study, paths, process, grid)
 
     monkeypatch.setattr(harness, "_march_chunk", failing_first)
-    with pytest.raises(RuntimeError, match="first slice failed"):
-        rs.run_coupling_stats(sliced)
+    with pytest.raises(RuntimeError, match="first thread failed"):
+        rs.run_coupling_stats(threaded)
     assert threading.active_count() == before
     monkeypatch.setattr(harness, "_march_chunk", march)
-    np.testing.assert_array_equal(rs.run_coupling_stats(sliced).sup_dist, sliced_expected.sup_dist)
+    np.testing.assert_array_equal(rs.run_coupling_stats(threaded).sup_dist, threaded_expected.sup_dist)
 
 
 def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interval, wavy_coeffs):

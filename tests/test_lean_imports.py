@@ -48,9 +48,10 @@ for domain, coeffs, x0 in ((interval, wavy, [0.0]), (rs.ball(1.0, dim=2), planar
     refinements.append(len(calls))
     rs.coupled_solve(domain, coeffs, path, 4, 8, x0, [1.0], record_substeps=True)
 covered = cover.native_march(interval, wavy) is not None
-# The config's 8 paths at level 3 (72 bytes each) stay one group of one
-# tile, and its reference refines them to level 5 in half the budget, in
-# blocks of two coarse intervals: four blocks over T=1.
+# The config's 8 paths at level 3 (72 bytes each) are one tile on one
+# thread, fewer than a native tile's floor, and its reference refines them
+# to level 5 in half the budget, in blocks of two coarse intervals: four
+# blocks over T=1.
 harness._CHUNK_BYTES = 2 * 8 * 8 * (2 * 4 + 1)
 calls.clear()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -88,7 +89,8 @@ def test_single_paths_and_a_serial_converge_leave_numpy_random_unloaded(native, 
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    # The converge samples its group and refines blocks 0 to 3, all on its
-    # own thread: one slice of 8 paths, and no thread per block.
+    # The converge samples its tile and refines blocks 0 to 3, all on its
+    # own thread: one tile of 8 paths on the caller's thread, and no thread
+    # per block.
     assert result == {"refinements": [1, 1], "covered": True, "code": 0,
                       "converge_refinements": [True] * 5, "loaded": []}

@@ -1,7 +1,8 @@
-"""A group is marched in slices, one thread per slice: no bit depends on
-the slice count, and no slice outlives its group.
+"""A group is cut into tiles, which its threads march, each a contiguous
+run of them: no bit depends on the thread count, and no thread outlives
+its group.
 
-The slice count follows the CPUs the process may run on
+The thread count follows the CPUs the process may run on
 (``harness._cpus``); the tests patch that helper, not the host.
 """
 
@@ -15,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from reflectedsde import brownian, cli, harness
+from reflectedsde import brownian, cli, cover, harness
 from test_harness import _arrays, _recording_blocks, _recording_tiles
 
 TRIG_1D = {"name": "trig", "params": {"offset": [[0.5]], "amplitude": [[0.2]],
@@ -24,13 +25,13 @@ TRIG_2D = {"name": "trig", "params": {"offset": [[0.6, 0.1], [0.1, 0.6]],
                                       "amplitude": [[0.3, 0.1], [0.1, 0.3]],
                                       "frequency": [1.0, 2.0],
                                       "drift_matrix": [[-0.5, 0.0], [0.0, -0.5]]}}
-# d = 2, m = 3: the numpy march, so one slice at every CPU count.
+# d = 2, m = 3: the numpy march, so one thread at every CPU count.
 TRIG_2X3 = {"name": "trig", "params": {"offset": [[0.5, 0.1, -0.1], [0.0, 0.4, 0.2]],
                                        "amplitude": [[0.2, 0.1, 0.1], [0.1, 0.2, 0.1]],
                                        "frequency": [1.0, -1.5],
                                        "drift_matrix": [[-0.5, 0.1], [0.0, -0.5]]}}
 ANNULUS = {"name": "annulus", "params": {"r1": 0.5, "r2": 1.0, "dim": 2}}
-# 259 paths: four slices at most, and 259 splits evenly into none of 2, 3, 4.
+# 259 paths: four threads at most, and 259 splits evenly into none of 2, 3, 4.
 STUDY = {"T": 1.0, "levels": [3, 4], "M": 259, "fine_margin": 3, "substeps_per_knot": 4,
          "p_list": [2], "seed": 31}
 CONFIGS = {
@@ -47,16 +48,16 @@ def _study(name, **changes):
     return cli.ExperimentConfig.from_dict(config).validate()
 
 
-def _counting_slices(monkeypatch, cpus):
-    """Patch the CPU count to ``cpus`` and record each group's slice count."""
+def _counting_threads(monkeypatch, cpus):
+    """Patch the CPU count to ``cpus`` and record each group's thread count."""
     monkeypatch.setattr(harness, "_cpus", lambda: cpus)
-    counts, count = [], harness._slice_count
+    counts, count = [], harness._thread_count
 
     def recording(study, rows):
         counts.append(count(study, rows))
         return counts[-1]
 
-    monkeypatch.setattr(harness, "_slice_count", recording)
+    monkeypatch.setattr(harness, "_thread_count", recording)
     return counts
 
 
@@ -70,7 +71,7 @@ def test_stats_and_converge_bytes_do_not_depend_on_the_cpu_count(
     runs = []
     for cpus in (1, 2, 3, 4):
         with monkeypatch.context() as patch:
-            counts = _counting_slices(patch, cpus)
+            counts = _counting_threads(patch, cpus)
             stats = harness.run_coupling_stats(_study(name))
             assert cli.main(["converge", "--config", str(path)]) == 0
             runs.append((_arrays(stats), capsys.readouterr().out))
@@ -83,24 +84,24 @@ def test_stats_and_converge_bytes_do_not_depend_on_the_cpu_count(
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_holder_table_bytes_do_not_depend_on_the_cpu_count(reference, monkeypatch):
-    tables, slices = [], []
+    tables, threads = [], []
     for cpus in (1, 3):
         with monkeypatch.context() as patch:
-            counts = _counting_slices(patch, cpus)
+            counts = _counting_threads(patch, cpus)
             report = harness.holder_report(
                 _study("annulus", levels=[4]), [2, 4], grid_level=4, reference=reference
             )
             tables.append(json.dumps(report.to_json_dict()) + report.to_csv_string())
-            slices += counts
+            threads += counts
     assert tables[0] == tables[1]
-    assert slices == [1, 3 if brownian._native() is not None else 1]
+    assert threads == [1, 3 if brownian._native() is not None else 1]
 
 
 def test_each_forked_worker_marches_its_share_of_the_cpus(monkeypatch, tmp_path):
-    # Two workers on four CPUs: each forked group runs two slices.  The
+    # Two workers on four CPUs: each forked group runs on two threads.  The
     # counts are written to a file, since the groups run in other processes.
     monkeypatch.setattr(harness, "_cpus", lambda: 4)
-    log, count = tmp_path / "slices.log", harness._slice_count
+    log, count = tmp_path / "threads.log", harness._thread_count
 
     def recording(study, rows):
         n = count(study, rows)
@@ -108,7 +109,7 @@ def test_each_forked_worker_marches_its_share_of_the_cpus(monkeypatch, tmp_path)
             fh.write(f"{os.getpid()} {n}\n")
         return n
 
-    monkeypatch.setattr(harness, "_slice_count", recording)
+    monkeypatch.setattr(harness, "_thread_count", recording)
     parallel = harness.run_coupling_stats(_study("interval", workers=2))
     entries = [line.split() for line in log.read_text().splitlines()]
     covered = brownian._native() is not None
@@ -119,60 +120,120 @@ def test_each_forked_worker_marches_its_share_of_the_cpus(monkeypatch, tmp_path)
         np.testing.assert_array_equal(expected, got)
 
 
+def test_each_forked_worker_marches_one_balanced_group(monkeypatch, tmp_path):
+    # Under a budget of 100 paths' arrays (17 knots at level 4), two workers
+    # still cut the 259-path study into two groups, of 129 and 130 paths,
+    # one per worker.  Each group's pid and width are written to a file,
+    # since the groups run in other processes, and each group holds its
+    # worker long enough for the other worker to take the other group.
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 100 * 17 * 8)
+    log, chunk_stats = tmp_path / "groups.log", harness._chunk_stats
+
+    def recording(study, plan, indices):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(indices)}\n")
+        time.sleep(0.2)
+        return chunk_stats(study, plan, indices)
+
+    monkeypatch.setattr(harness, "_chunk_stats", recording)
+    parallel = harness.run_coupling_stats(_study("interval", workers=2))
+    entries = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(width) for _, width in entries) == [129, 130]
+    pids = {pid for pid, _ in entries}
+    assert len(pids) == 2 and str(os.getpid()) not in pids
+    monkeypatch.setattr(harness, "_chunk_stats", chunk_stats)
+    serial = harness.run_coupling_stats(_study("interval"))
+    for expected, got in zip(_arrays(serial), _arrays(parallel)):
+        np.testing.assert_array_equal(expected, got)
+
+
+def test_the_pool_forks_one_worker_per_group(monkeypatch, tmp_path):
+    # Four workers on a two-path study make two groups of one path, and a
+    # forking pool starts all its workers at once: it must start two.  Each
+    # worker adopts the march once, in its own process, and writes its pid
+    # to a file.
+    log, adopt = tmp_path / "adopted.log", harness._adopt_march
+
+    def recording(march):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        adopt(march)
+
+    monkeypatch.setattr(harness, "_adopt_march", recording)
+    stats = harness.run_coupling_stats(_study("interval", M=2, workers=4))
+    pids = log.read_text().split()
+    assert len(pids) == len(set(pids)) == 2 and str(os.getpid()) not in pids
+    assert stats.sup_dist.shape == (2, 2)
+
+
 def test_the_numpy_backend_marches_one_slice(monkeypatch):
-    # Without the library both marches hold the GIL, so slices could only
-    # take turns; and the numpy march's cost is per call, so the slice is
-    # one tile, however small the budget.
+    # Without the library both marches hold the GIL, so threads could only
+    # take turns; and the numpy march's cost is per call, so its tiles are
+    # as wide as their path arrays fit in the budget: here all 259 paths.
     monkeypatch.setattr(brownian, "_native", lambda: None)
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 259 * 17 * 8)
-    counts = _counting_slices(monkeypatch, 4)
+    counts = _counting_threads(monkeypatch, 4)
     tiles = _recording_tiles(monkeypatch)
     stats = harness.run_coupling_stats(_study("interval"))
     assert counts == [1] and tiles == [259] and stats.sup_dist.shape == (259, 2)
 
 
 def test_slices_keep_at_least_one_tile_of_paths(monkeypatch, native):
+    # A group has one thread per CPU of its process's share, but no more
+    # than runs of _SLICE_ROWS paths.
     monkeypatch.setattr(harness, "_cpus", lambda: 8)
     study = _study("interval")
-    assert [harness._slice_count(study, rows) for rows in (1, 63, 64, 127, 128, 259, 600)] == [
+    assert [harness._thread_count(study, rows) for rows in (1, 63, 64, 127, 128, 259, 600)] == [
         1, 1, 1, 1, 2, 4, 8]
-    assert harness._slice_count(dataclasses.replace(study, workers=3), 600) == 2
-    assert harness._slice_count(dataclasses.replace(study, workers=9), 600) == 1
+    assert harness._thread_count(dataclasses.replace(study, workers=3), 600) == 2
+    assert harness._thread_count(dataclasses.replace(study, workers=9), 600) == 1
+    # A study of four paths has four groups at most, whatever its workers.
+    assert harness._thread_count(dataclasses.replace(study, M=4, workers=9), 600) == 2
 
 
-def _slice_runner(monkeypatch, cpus=3):
-    """``_in_slices`` over three slices of 192 paths, whatever the backend."""
-    monkeypatch.setattr(harness, "_slice_count", lambda study, rows: cpus)
+def _tile_runner(monkeypatch):
+    """``_in_tiles`` over 384 paths on three threads, whatever the backend:
+    the native rule cuts them into six tiles of 64 paths, two per thread,
+    each with a block buffer of 1000 bytes, half a thread's share."""
+    monkeypatch.setattr(harness, "_thread_count", lambda study, rows: 3)
+    monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 6000)
     study = _study("interval")
-    return lambda march: harness._in_slices(study, range(8, 200), march)
+    plan = harness._plan(study, 4, ())
+    return lambda march: harness._in_tiles(study, plan, range(8, 392), march)
 
 
 def test_slices_are_joined_in_path_order_with_a_share_of_the_budget(monkeypatch):
-    run = _slice_runner(monkeypatch)
+    run = _tile_runner(monkeypatch)
     seen = []
 
-    def march(indices, max_bytes):
-        seen.append((indices, max_bytes, threading.current_thread()))
-        return np.arange(indices.start, indices.stop), np.full((len(indices), 2), max_bytes)
+    def march(indices, block_bytes):
+        seen.append((indices, block_bytes, threading.current_thread()))
+        return np.arange(indices.start, indices.stop), np.full((len(indices), 2), block_bytes)
 
     first, second = run(march)
-    np.testing.assert_array_equal(first, np.arange(8, 200))
-    assert second.shape == (192, 2) and np.all(second == harness._CHUNK_BYTES // 3)
+    np.testing.assert_array_equal(first, np.arange(8, 392))
+    assert second.shape == (384, 2) and np.all(second == 1000)
     assert sorted((indices.start, indices.stop) for indices, _, _ in seen) == [
-        (8, 72), (72, 136), (136, 200)]
-    # The first slice runs on the caller's thread, the others on their own.
+        (8, 72), (72, 136), (136, 200), (200, 264), (264, 328), (328, 392)]
+    # The first run of tiles stays on the caller's thread, the others run
+    # on their own, each run's tiles in path order.
     threads = {indices.start: thread for indices, _, thread in seen}
-    assert threads[8] is threading.main_thread()
-    assert len({threads[72], threads[136], threading.main_thread()}) == 3
+    assert threads[8] is threads[72] is threading.main_thread()
+    assert threads[136] is threads[200] and threads[264] is threads[328]
+    assert len({threads[136], threads[264], threading.main_thread()}) == 3
+    assert [indices.start for indices, _, thread in seen if thread is threads[136]] == [136, 200]
 
 
 @pytest.mark.parametrize("succeeds", [8, 136])
 def test_a_failed_slice_raises_the_lowest_index_error_after_all_are_joined(
     succeeds, monkeypatch
 ):
-    # The slice at 8 runs on the caller's thread, those at 72 and 136 on
-    # their own.  The one slice that succeeds ends last.
-    run = _slice_runner(monkeypatch)
+    # The tiles at 8 and 72 run on the caller's thread, those at 136 and
+    # 200 on a thread of their own, and those at 264 and 328 on a third.
+    # Every tile but one fails, so each thread stops at its first failure,
+    # and the one tile that succeeds ends last.
+    run = _tile_runner(monkeypatch)
     before = threading.active_count()
     finished = []
 
@@ -190,10 +251,10 @@ def test_a_failed_slice_raises_the_lowest_index_error_after_all_are_joined(
 
 
 def test_each_slice_runs_under_the_callers_numpy_error_handling(monkeypatch):
-    # A thread starts with numpy's default handling, so each slice sets the
-    # caller's inside it: an invalid operation raises in every slice, as it
-    # would in one march on the caller's thread.
-    run = _slice_runner(monkeypatch)
+    # A thread starts with numpy's default handling, so each thread sets the
+    # caller's for its tiles: an invalid operation raises in the first tile
+    # of every thread, as it would in one march on the caller's thread.
+    run = _tile_runner(monkeypatch)
     seen = []
 
     def march(indices, max_bytes):
@@ -207,11 +268,11 @@ def test_each_slice_runs_under_the_callers_numpy_error_handling(monkeypatch):
     seen.clear()
     with np.errstate(invalid="ignore"):
         (out,) = run(march)
-    assert seen == ["ignore"] * 3 and np.all(np.isnan(out))
+    assert seen == ["ignore"] * 6 and np.all(np.isnan(out))
 
 
 def test_the_library_is_loaded_on_the_calling_thread_before_any_slice(monkeypatch):
-    # functools.cache has no lock: two slices loading the library at once
+    # functools.cache has no lock: two threads loading the library at once
     # could both build it, so the caller loads it first.
     native, first = brownian._native, []
 
@@ -227,19 +288,20 @@ def test_the_library_is_loaded_on_the_calling_thread_before_any_slice(monkeypatc
 
 
 def test_more_slices_than_cores_under_a_short_switch_interval_keep_the_bits(monkeypatch):
-    # Eight slices of the annulus study on the host's cores, with the GIL
-    # passed between the slices and numpy as often as it can be: the
+    # Eight threads of the annulus study on the host's cores, with the GIL
+    # passed between the threads and numpy as often as it can be: the
     # library's thread-local scratch, the shared study objects and each
-    # slice's one block buffer, refined again for every block, must give
-    # every slice the bits of one march.
+    # tile's one block buffer, refined again for every block, must give
+    # every thread the bits of one march.
     study = _study("annulus", M=520)
     expected = _arrays(harness.run_coupling_stats(study))
-    counts = _counting_slices(monkeypatch, 8)
-    # A budget of twice the group's path array (520 paths x 17 knots x
-    # m = 2) keeps one group of eight slices of 65 paths.  Each slice
-    # marches two tiles, of 32 and 33 paths, and each tile's reference four
+    counts = _counting_threads(monkeypatch, 8)
+    # A budget of twice the study's path array (520 paths x 17 knots x
+    # m = 2): eight threads, as many as runs of 64 paths, each marching two
+    # tiles, of 32 and 33 paths, since half of a thread's share holds
+    # fewer than 64 paths' arrays.  Each tile's reference refines four
     # blocks of four coarse intervals (33 knots per path) through one
-    # buffer, in half the slice's share.  One slice of one tile without the
+    # buffer, in the other half.  One thread of one tile without the
     # library, refined in the whole budget: four blocks of four coarse
     # intervals (33 knots per path).
     budget = 2 * 520 * 17 * 2 * 8
