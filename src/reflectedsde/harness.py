@@ -28,10 +28,11 @@ joined in path order.  Where the native march covers the study, a process
 has one thread per CPU of its share, but no more than runs of
 ``_SLICE_ROWS`` paths, and each thread an equal share of ``_CHUNK_BYTES``:
 the group is cut into the fewest balanced tiles, as many for each thread,
-whose arrays fit half a thread's share, or of ``_SLICE_ROWS`` paths, and
-the reference's block buffer takes the other half.  The numpy march, whose cost is per numpy call and not per path,
-runs on one thread, in tiles whose path arrays fit the whole budget, and
-their block buffer takes all of it.  Each tile samples, refines, marches
+whose arrays fit half a thread's share, or of ``_SLICE_ROWS`` paths while
+their path arrays fit the share, and the reference's block buffer takes
+the other half.  The numpy march, whose cost is per numpy call and not per
+path, runs on one thread, in tiles whose path arrays fit the whole budget,
+and their block buffer takes all of it.  Each tile samples, refines, marches
 and reduces its own paths, and a block spans as many whole coarse
 intervals as fit in its buffer's budget.  A Holder table is cut and
 marched the same way.  The output grid, each level's schedule and the
@@ -85,13 +86,14 @@ from .solvers import (
 # one buffer the reference refines each block of fine knots into, and half
 # to the tile's path array, the reference's outputs and one level's
 # outputs, slopes and distances (``_tile_bytes``), unless ``_SLICE_ROWS``
-# paths' arrays need more.  A numpy tile's path array, as ``sample_path``
-# allocates it, fits the whole budget, and so does its block buffer; its
-# outputs come on top.  Wider tiles spend less Python time per path, larger
-# blocks less per resumed (path, level) stream; README "Memory" has the
-# measured peaks.
+# paths' arrays need more; their path arrays, as ``sample_path`` allocates
+# them, fit the share all the same.  A numpy tile's path array fits the
+# whole budget, and so does its block buffer; its outputs come on top.
+# Wider tiles spend less Python time per path, larger blocks less per
+# resumed (path, level) stream; README "Memory" has the measured peaks.
 _CHUNK_BYTES = 16 * 2**20
-# Fewest paths per native tile, and per thread of a group.
+# Fewest paths per native tile while their path arrays fit a thread's
+# share, and per thread of a group.
 _SLICE_ROWS = 64
 
 
@@ -463,17 +465,18 @@ def _tiles(study: Study, plan: _Plan, indices, n: int) -> tuple[list[range], int
     Native: ``n ceil(L / (n w))`` balanced runs of the group's ``L`` paths,
     ``w`` the most paths whose arrays but the block buffer (``_tile_bytes``)
     fit in half of a thread's share of ``_CHUNK_BYTES``, but at least
-    ``_SLICE_ROWS``; the block buffer gets the other half.  Numpy: the
-    fewest balanced runs whose path arrays, as ``sample_path`` allocates
-    them, fit in ``_CHUNK_BYTES``, or of one path; the block buffer gets all
-    of it.
+    ``_SLICE_ROWS`` while their path arrays, as ``sample_path`` allocates
+    them, fit the whole share, or one path; the block buffer gets the other
+    half.  Numpy: the fewest balanced runs whose path arrays fit in
+    ``_CHUNK_BYTES``, or of one path; the block buffer gets all of it.
     """
+    path_bytes = dyadic_grid(plan.horizon, plan.level)[1] * study.coeffs.dim_noise * 8
     if cover.native_march(study.domain, study.coeffs) is None:
-        path_bytes = dyadic_grid(plan.horizon, plan.level)[1] * study.coeffs.dim_noise * 8
         width = max(_CHUNK_BYTES // path_bytes, 1)
         return _balanced(indices, ceil(len(indices) / width)), _CHUNK_BYTES
     share = _CHUNK_BYTES // n
-    width = max((share - share // 2) // _tile_bytes(study, plan), _SLICE_ROWS)
+    least = min(_SLICE_ROWS, max(share // path_bytes, 1))
+    width = max((share - share // 2) // _tile_bytes(study, plan), least)
     return _balanced(indices, n * ceil(len(indices) / (n * width))), share // 2
 
 
@@ -591,7 +594,9 @@ def _tile_stats(study: Study, plan: _Plan, indices, block_bytes):
             var_final[:, j] = wz_var
         # Free this level's arrays before the next level's march allocates.
         del wz_states, wz_var, diff, dist
-    return sup_dist, final_dist, f_final, var_final, ref_var
+    # ref_var is a view of the reference march's one buffer, outputs and
+    # all: a copy lets that buffer go with the tile.
+    return sup_dist, final_dist, f_final, var_final, ref_var.copy()
 
 
 # The group march a forked pool worker runs; set only inside pool workers.

@@ -317,11 +317,13 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
         tiles.clear()
         expected = _layout_outputs(domain, coeffs, x0)
         assert tiles == [12]
-        # (budget, tiles of the M=12 study's one group in the numpy march,
-        # reference blocks per numpy tile, and per native tile).  The numpy
-        # march's tiles refine in the whole budget; the native march makes
-        # one tile of twelve paths, fewer than _SLICE_ROWS, which refines in
-        # half the budget.  The reference table is cut by the same rule.
+        # (budget, tiles of the M=12 study's one group, reference blocks per
+        # numpy tile, and per native tile).  Both marches cut the group into
+        # the fewest tiles whose path arrays fit the budget: the native
+        # march's _SLICE_ROWS floor gives way where that many paths' path
+        # arrays do not fit.  The numpy march's tiles refine in the whole
+        # budget, the native march's in half of it.  The reference table is
+        # cut by the same rule.
         layouts = [
             (1, 12, 16, 16),                        # one-path tiles, one-interval blocks
             (4 * path_bytes, 3, 8, 16),             # four-path tiles, two-interval blocks
@@ -335,9 +337,9 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
             calls.clear()
             tiles.clear()
             arrays, holder = _layout_outputs(domain, coeffs, x0)
-            assert tiles == ([12] if native else [12 // n_tiles] * n_tiles)
+            assert tiles == [12 // n_tiles] * n_tiles
             # The study's and the reference table's tiles, each in its blocks.
-            per_run = [tile_blocks] if native else [n_blocks] * n_tiles
+            per_run = [tile_blocks if native else n_blocks] * n_tiles
             assert [n for n, _ in calls] == per_run * 2
             for got, want in zip(arrays, expected[0]):
                 np.testing.assert_array_equal(got, want)
@@ -408,12 +410,12 @@ def test_a_planar_study_gives_the_same_stats_in_groups_of_one_path(monkeypatch):
     assert [len(c) for c in harness._balanced(range(3), min(2, 3))] == [1, 2]
     assert [len(c) for c in harness._balanced(range(5), min(9, 5))] == [1] * 5
     got = [stats(2), stats(3)]
-    # A budget of one byte: the numpy march cuts the group into tiles of one
-    # path each; the native march keeps its 64-path floor.
+    # A budget of one byte: both marches cut the group into tiles of one
+    # path each, as no path's path array fits it.
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
     tiles = _recording_tiles(monkeypatch)
     got.append(stats(1))
-    assert tiles == ([3] if brownian._native() is not None else [1, 1, 1])
+    assert tiles == [1, 1, 1]
     for arrays in got:
         for a, b in zip(arrays, expected):
             np.testing.assert_array_equal(a, b)
@@ -471,15 +473,19 @@ def test_chunk_ranges_are_ordered_balanced_and_cover_the_study(budget, monkeypat
                 monkeypatch.setattr(harness, "_cpus", lambda: cpus)
                 # Native: the fewest tiles, a multiple of the thread count,
                 # that each hold at most w paths, w the most paths whose
-                # arrays fit half a thread's share, or _SLICE_ROWS.
+                # arrays fit half a thread's share, or _SLICE_ROWS while
+                # their path arrays fit the share, or one path.
                 monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
                 n = harness._thread_count(study, len(group))
                 assert 1 <= n <= cpus and (n == 1 or len(group) >= 64 * n)
                 tiles, block_bytes = harness._tiles(study, plan, group, n)
                 widths, share = _cut(tiles, group), budget // n
-                w = max((share - share // 2) // harness._tile_bytes(study, plan), 64)
+                least = min(64, max(share // path_bytes, 1))
+                w = max((share - share // 2) // harness._tile_bytes(study, plan), least)
                 assert block_bytes == share // 2 and len(tiles) % n == 0
                 assert max(widths) <= w and len(group) > (len(tiles) - n) * w
+                if max(widths) > 1:
+                    assert max(widths) * path_bytes <= share
                 # Numpy: one thread, and the fewest tiles whose path arrays
                 # each fit in the budget, or hold one path.
                 monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: None)
@@ -509,10 +515,6 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
     assert brownian.dyadic_grid(39 / 128, 4) == (5, 17)
     budget = 10 * 17 * 8
     monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
-    # One thread, and a floor of 8 paths per native tile, so that the native
-    # march cuts its group into the numpy march's tiles, of 8 paths.
-    monkeypatch.setattr(harness, "_SLICE_ROWS", 8)
-    monkeypatch.setattr(harness, "_cpus", lambda: 1)
     allocated = []
 
     def recording_sample_path(*args):
@@ -528,10 +530,12 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
             rs.Study(unit_interval, wavy_coeffs, [0.0], 0.3, [4], 24, 3, 8, 3), [2],
             grid_level=4, reference=reference,
         )
-    # Three tiles of 8 paths per run; each numpy reference refines its tile
-    # in blocks of two coarse intervals (8 x 17 knots): three blocks for
-    # five, but the Holder grid ends at 0.25, so that march stops after two.
-    # A native tile refines in half the budget, in blocks of one coarse
+    # Three tiles of 8 paths per run, on one thread (24 paths make no run
+    # of _SLICE_ROWS): the budget holds ten paths' path arrays, so neither
+    # march takes wider tiles.  Each numpy reference refines its tile in
+    # blocks of two coarse intervals (8 x 17 knots): three blocks for five,
+    # but the Holder grid ends at 0.25, so that march stops after two.  A
+    # native tile refines in half the budget, in blocks of one coarse
     # interval (8 x 9 knots): five blocks, and four to 0.25.
     assert len(allocated) == 9
     native = brownian._native() is not None
@@ -573,6 +577,34 @@ def test_every_array_of_a_native_tile_fits_its_share(planar, native, monkeypatch
         arrays = sum(max(sizes) for name, sizes in tile.items() if name != "block")
         assert arrays <= share - share // 2 and max(tile["block"]) <= share // 2
         assert arrays + max(tile["block"]) <= share
+
+
+def test_path_arrays_in_flight_fit_the_budget_on_many_threads(native, monkeypatch):
+    # 1024 paths at level 6 over T=1 keep 65 knots each, 520 bytes, on
+    # eight threads as eight CPUs allow.  A thread's share holds 20 paths'
+    # path arrays, and half of it one path's arrays but its block buffer, so
+    # the _SLICE_ROWS floor gives way: 56 tiles of 18 and 19 paths.
+    domain, coeffs, x0 = _native_problem(False)
+    path_bytes = 65 * 8
+    budget = 8 * 20 * path_bytes
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(harness, "_cpus", lambda: 8)
+    study = rs.Study(domain, coeffs, x0, 1.0, (5, 6), 1024, 2, 1, 3)
+    n = harness._thread_count(study, 1024)
+    assert n == 8
+    tiles, block_bytes = harness._tiles(study, harness._plan(study, 6, ()), range(1024), n)
+    assert len(tiles) == 56 and {len(tile) for tile in tiles} == {18, 19}
+    threads, sample = set(), harness.sample_path
+
+    def recording(*args):
+        threads.add(threading.current_thread())
+        return sample(*args)
+
+    monkeypatch.setattr(harness, "sample_path", recording)
+    records = _recording_tile_arrays(monkeypatch)
+    rs.run_coupling_stats(study)
+    assert len(threads) == n and len(records) == 56
+    assert max(size for tile in records for size in tile["paths"]) <= budget // n
 
 
 @pytest.mark.parametrize("reference", [False, True])
@@ -661,7 +693,7 @@ def _recording_tile_arrays(monkeypatch):
 
 def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkeypatch):
     # 24 paths at level 4 over T=0.3, refined to level 7 in blocks: three
-    # numpy tiles of 8 paths, or one native tile, fewer than _SLICE_ROWS.
+    # tiles of 8 paths, as the budget holds ten paths' path arrays.
     default = harness._CHUNK_BYTES
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 10 * 17 * 8)
     calls = _recording_blocks(monkeypatch)
@@ -671,11 +703,11 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
     assert threading.active_count() == before
     # The Holder grid ends at 0.25: each march stops there.  A numpy tile
     # refines in the whole budget, two coarse intervals a block, so it stops
-    # inside its second block, before the third is refined; the native tile
+    # inside its second block, before the third is refined; a native tile
     # refines in half the budget, one coarse interval a block: four blocks.
     calls.clear()
     rs.holder_report(dataclasses.replace(study, levels=(4,)), [2], 4, reference=True)
-    assert [n for n, _ in calls] == ([4] if brownian._native() is not None else [2] * 3)
+    assert [n for n, _ in calls] == [4 if brownian._native() is not None else 2] * 3
     assert threading.active_count() == before
 
     # A march that raises: a custom coefficient set marches in numpy and
@@ -751,6 +783,16 @@ def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interva
                 alone = rs.solve_wz(unit_interval, wavy_coeffs, path, 3, 4, [0.0], grid)
             np.testing.assert_array_equal(states[:, b], alone.states)
             np.testing.assert_array_equal(var[b], alone.variation[-1])
+
+
+def test_a_tiles_stats_hold_no_march_buffer(unit_interval, wavy_coeffs):
+    # A march's variation is a view of the buffer that holds its outputs
+    # too; the stats a tile returns are its own rows, so that a group's
+    # tiles, held until they are joined, keep no march's outputs alive.
+    study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, (3, 4), 5, 3, 4, 0)
+    plan = harness._plan(study, 4, ("reference", 3, 4))
+    for array in harness._tile_stats(study, plan, range(5), harness._CHUNK_BYTES):
+        assert _allocated_bytes(array) == array.nbytes
 
 
 def test_modified_domain_is_not_served_an_earlier_study(unit_interval, wavy_coeffs):

@@ -193,11 +193,13 @@ def test_slices_keep_at_least_one_tile_of_paths(monkeypatch, native):
 
 def _tile_runner(monkeypatch):
     """``_in_tiles`` over 384 paths on three threads, whatever the backend:
-    the native rule cuts them into six tiles of 64 paths, two per thread,
-    each with a block buffer of 1000 bytes, half a thread's share."""
+    a thread's share, 9000 bytes, holds the path arrays of 64 paths at level
+    4 (136 bytes each) but half of it not their other arrays, so the native
+    rule cuts them into six tiles of 64 paths, two per thread, each with a
+    block buffer of 4500 bytes, the other half."""
     monkeypatch.setattr(harness, "_thread_count", lambda study, rows: 3)
     monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
-    monkeypatch.setattr(harness, "_CHUNK_BYTES", 6000)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 27000)
     study = _study("interval")
     plan = harness._plan(study, 4, ())
     return lambda march: harness._in_tiles(study, plan, range(8, 392), march)
@@ -213,7 +215,7 @@ def test_slices_are_joined_in_path_order_with_a_share_of_the_budget(monkeypatch)
 
     first, second = run(march)
     np.testing.assert_array_equal(first, np.arange(8, 392))
-    assert second.shape == (384, 2) and np.all(second == 1000)
+    assert second.shape == (384, 2) and np.all(second == 4500)
     assert sorted((indices.start, indices.stop) for indices, _, _ in seen) == [
         (8, 72), (72, 136), (136, 200), (200, 264), (264, 328), (328, 392)]
     # The first run of tiles stays on the caller's thread, the others run
