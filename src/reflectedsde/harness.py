@@ -21,25 +21,19 @@ A study's paths are cut once.  Each worker gets one balanced group of
 consecutive paths, ``_balanced(range(M), min(workers, M))``; with several
 workers each group runs in a forked process of its own, which inherits the
 domain and coefficient objects themselves, so any domain, built-in,
-modified or custom, runs in parallel.  A group is cut into tiles
-(``_tiles``) that the process's threads march, each thread a contiguous
-run of them, the first run on the caller's thread; the tiles' arrays are
-joined in path order.  Where the native march covers the study, a process
-has one thread per CPU of its share, but no more than runs of
-``_SLICE_ROWS`` paths, and each thread an equal share of ``_CHUNK_BYTES``:
-the group is cut into the fewest balanced tiles, as many for each thread,
-whose arrays fit half a thread's share, or of ``_SLICE_ROWS`` paths while
-their path arrays fit the share, and the reference's block buffer takes
-the other half.  The numpy march, whose cost is per numpy call and not per
-path, runs on one thread, in tiles whose path arrays fit the whole budget,
-and their block buffer takes all of it.  Each tile samples, refines, marches
-and reduces its own paths, and a block spans as many whole coarse
-intervals as fit in its buffer's budget.  A Holder table is cut and
-marched the same way.  The output grid, each level's schedule and the
-reference's output positions depend only on the study, and are built once
-per engine or Holder call.  Per-path stats are reduced in path-index
-order, which makes every report bit-reproducible for a fixed configuration
-regardless of group, tile, thread and block layout or worker count.
+modified or custom, runs in parallel.  A group's result arrays are
+allocated once, and the group is cut into tiles by one rule, ``_layout``,
+which also sets the process's threads and each tile's share of
+``_CHUNK_BYTES``.  Each thread marches a contiguous run of tiles, the first
+run on the caller's thread, and each tile samples, refines, marches and
+reduces its own paths and writes its rows of the group's arrays; a block
+spans as many whole coarse intervals as fit in its buffer's budget.  A
+Holder table is cut and marched the same way.  The output grid, each
+level's schedule and the reference's output positions depend only on the
+study, and are built once per engine or Holder call.  Per-path stats are
+reduced in path-index order, which makes every report bit-reproducible for
+a fixed configuration regardless of group, tile, thread and block layout
+or worker count.
 
 The decay diagnostic uses the weighted squared distance
 ``exp(r (phi(X) + phi(X^n))) |X^n - X|^2`` with ``r`` strictly below
@@ -81,19 +75,12 @@ from .solvers import (
     wz_schedule,
 )
 
-# The memory budget of a process's tiles in flight, one per thread.  A
-# native thread's equal share goes half to its tile's block buffer, the
-# one buffer the reference refines each block of fine knots into, and half
-# to the tile's path array, the reference's outputs and one level's
-# outputs, slopes and distances (``_tile_bytes``), unless ``_SLICE_ROWS``
-# paths' arrays need more; their path arrays, as ``sample_path`` allocates
-# them, fit the share all the same.  A numpy tile's path array fits the
-# whole budget, and so does its block buffer; its outputs come on top.
+# The memory budget of a process's tiles in flight, one per thread, which
+# ``_layout`` shares out between each tile's arrays and its block buffer.
 # Wider tiles spend less Python time per path, larger blocks less per
 # resumed (path, level) stream; README "Memory" has the measured peaks.
 _CHUNK_BYTES = 16 * 2**20
-# Fewest paths per native tile while their path arrays fit a thread's
-# share, and per thread of a group.
+# Fewest paths per native tile and per thread of a group (``_layout``).
 _SLICE_ROWS = 64
 
 
@@ -423,7 +410,7 @@ def _plan(study: Study, level: int, processes, grid_level: int | None = None) ->
     return _Plan(level, fine_level, n_fine, horizon, grid, schedules)
 
 
-def _chunk_paths(study: Study, plan: _Plan, indices):
+def _tile_paths(study: Study, plan: _Plan, indices):
     """The Brownian paths of ``indices`` at ``plan.level`` over
     ``plan.horizon``, sampled as one batch."""
     seeds = path_seeds(study.seed, indices.start, len(indices))
@@ -438,16 +425,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _thread_count(study: Study, rows: int) -> int:
-    """Threads of a group of ``rows`` paths: one per CPU of the process's
-    share among the study's ``min(workers, M)`` groups, but no more than
-    runs of ``_SLICE_ROWS`` paths; one where the numpy march, which holds
-    the GIL, runs the study."""
-    if cover.native_march(study.domain, study.coeffs) is None:
-        return 1
-    return max(1, min(_cpus() // min(study.workers, study.M), rows // _SLICE_ROWS))
-
-
 def _tile_bytes(study: Study, plan: _Plan) -> int:
     """Bytes per path of a tile's arrays but its block buffer: the path
     array as ``sample_path`` allocates it, the top level's slopes, the
@@ -458,64 +435,64 @@ def _tile_bytes(study: Study, plan: _Plan) -> int:
     return 8 * ((n_held + n_knots) * m + 2 * ((n_out + 1) * d + 1) + n_out)
 
 
-def _tiles(study: Study, plan: _Plan, indices, n: int) -> tuple[list[range], int]:
-    """The tiles of a group's path indices on ``n`` threads, in path order,
-    and the bytes of each tile's block buffer.
+def _layout(study: Study, plan: _Plan, indices) -> tuple[int, list[range], int]:
+    """The threads that march a group's path indices, its tiles in path
+    order, and the bytes of each tile's block buffer: the one tile rule.
 
-    Native: ``n ceil(L / (n w))`` balanced runs of the group's ``L`` paths,
-    ``w`` the most paths whose arrays but the block buffer (``_tile_bytes``)
-    fit in half of a thread's share of ``_CHUNK_BYTES``, but at least
+    Native: ``n`` threads, one per CPU of the process's share among the
+    study's ``min(workers, M)`` groups, but no more than runs of
+    ``_SLICE_ROWS`` paths, each with a share of ``_CHUNK_BYTES // n``.  The
+    group's ``L`` paths are cut into ``n ceil(L / (n w))`` balanced tiles,
+    ``w`` the most paths whose arrays but the block buffer
+    (``_tile_bytes``) fit in half of the share, but at least
     ``_SLICE_ROWS`` while their path arrays, as ``sample_path`` allocates
     them, fit the whole share, or one path; the block buffer gets the other
-    half.  Numpy: the fewest balanced runs whose path arrays fit in
-    ``_CHUNK_BYTES``, or of one path; the block buffer gets all of it.
+    half.  Numpy, whose march holds the GIL and costs per numpy call, not
+    per path: one thread, and the fewest balanced tiles whose path arrays
+    fit in ``_CHUNK_BYTES``, or of one path; the block buffer gets all of
+    it.  Asking ``cover.native_march`` loads the library on the calling
+    thread.
     """
     path_bytes = dyadic_grid(plan.horizon, plan.level)[1] * study.coeffs.dim_noise * 8
     if cover.native_march(study.domain, study.coeffs) is None:
         width = max(_CHUNK_BYTES // path_bytes, 1)
-        return _balanced(indices, ceil(len(indices) / width)), _CHUNK_BYTES
+        return 1, _balanced(indices, ceil(len(indices) / width)), _CHUNK_BYTES
+    n = max(1, min(_cpus() // min(study.workers, study.M), len(indices) // _SLICE_ROWS))
     share = _CHUNK_BYTES // n
     least = min(_SLICE_ROWS, max(share // path_bytes, 1))
     width = max((share - share // 2) // _tile_bytes(study, plan), least)
-    return _balanced(indices, n * ceil(len(indices) / (n * width))), share // 2
+    return n, _balanced(indices, n * ceil(len(indices) / (n * width))), share // 2
 
 
-def _joined(parts: list) -> tuple:
-    """Tuples of path-major arrays, one per run of paths in path order,
-    joined into one tuple."""
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+def _in_tiles(study: Study, plan: _Plan, indices, march, out: tuple) -> tuple:
+    """``march(tile, rows, block_bytes)`` over the tiles of a group's path
+    indices (``_layout``), where ``rows`` are the views of the tile's rows
+    of ``out``, a tuple of path-major arrays, one row per path, that the
+    march writes; returns ``out``.
 
-
-def _in_tiles(study: Study, plan: _Plan, indices, march) -> tuple:
-    """``march(tile, block_bytes)`` over the tiles of a group's path indices
-    (``_tiles``); the tuples of path-major arrays it returns are joined in
-    path order.
-
-    Each of ``_thread_count`` threads marches a contiguous run of tiles, one
-    after another: the first run on the caller's thread, each other one on
-    its own under the caller's numpy error handling, since a thread starts
-    with numpy's default.  Per-path numbers do not depend on the batch
-    width, and the native march and refinement release the GIL, so the
-    threads run side by side with the bits of one march.  All are joined
-    before this returns or raises; the lowest-index failed run's error is
-    raised.
+    Each thread marches a contiguous run of tiles, one after another: the
+    first run on the caller's thread, each other one on its own under the
+    caller's numpy error handling, since a thread starts with numpy's
+    default.  Per-path numbers do not depend on the batch width, and the
+    native march and refinement release the GIL, so the threads run side
+    by side with the bits of one march.  All are joined before this
+    returns or raises; the lowest-index failed run's error is raised.
     """
-    # _thread_count asks cover.native_march, which loads the library on
-    # this thread before any other starts: functools.cache has no lock, so
-    # two threads loading it at once could both build it.
-    n = _thread_count(study, len(indices))
-    tiles, block_bytes = _tiles(study, plan, indices, n)
+    # _layout loads the library on this thread before any other starts:
+    # functools.cache has no lock, so two threads loading it at once could
+    # both build it.
+    n, tiles, block_bytes = _layout(study, plan, indices)
     runs, errors = _balanced(range(len(tiles)), n), np.geterr()
-    results, threads = [None] * n, []
+    failures, threads = [None] * n, []
 
     def run(i):
         try:
             with np.errstate(**errors):
-                results[i] = [march(tiles[t], block_bytes) for t in runs[i]]
+                for tile in (tiles[t] for t in runs[i]):
+                    rows = slice(tile.start - indices.start, tile.stop - indices.start)
+                    march(tile, tuple(array[rows] for array in out), block_bytes)
         except BaseException as error:  # re-raised on the caller's thread below
-            results[i] = error
+            failures[i] = error
 
     try:
         for i in range(1, n):
@@ -525,13 +502,13 @@ def _in_tiles(study: Study, plan: _Plan, indices, march) -> tuple:
     finally:
         for thread in threads:
             thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return _joined([part for result in results for part in result])
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    return out
 
 
-def _march_chunk(study: Study, paths, process, plan: _Plan):
+def _march_tile(study: Study, paths, process, plan: _Plan):
     """States at ``plan.grid`` and the variation at its last time over one
     tile of paths.
 
@@ -554,32 +531,29 @@ def _march_chunk(study: Study, paths, process, plan: _Plan):
 
 def _chunk_stats(study: Study, plan: _Plan, indices):
     """Coupled stats for one group of path indices (arrays ordered by index),
-    marched in tiles (``_in_tiles``)."""
-    return _in_tiles(study, plan, indices, partial(_tile_stats, study, plan))
+    allocated once and written tile by tile (``_in_tiles``)."""
+    per_level = [np.empty((len(indices), len(study.levels))) for _ in range(4)]
+    out = (*per_level, np.empty(len(indices)))
+    return _in_tiles(study, plan, indices, partial(_tile_stats, study, plan), out)
 
 
-def _tile_stats(study: Study, plan: _Plan, indices, block_bytes):
-    """Coupled stats for one tile of path indices (arrays ordered by index).
+def _tile_stats(study: Study, plan: _Plan, indices, rows, block_bytes):
+    """Write the coupled stats of one tile of path indices into ``rows``,
+    its rows of the group's arrays.
 
     The tile's paths are sampled once at the finest approximation level;
     the reference refines them block by block to the fine level, within
     ``block_bytes`` for its one buffer, and every level marches from them.
     """
-    domain, levels = study.domain, study.levels
-    paths = _chunk_paths(study, plan, indices)
-    B = len(indices)
+    domain = study.domain
+    sup_dist, final_dist, f_final, var_final, ref_var_final = rows
+    paths = _tile_paths(study, plan, indices)
     fine = FineBlocks(paths, plan.fine_level, plan.n_fine, block_bytes)
-    ref_states, ref_var, _ = _march_chunk(study, fine, "reference", plan)
-
-    n_lev = len(levels)
-    sup_dist = np.empty((B, n_lev))
-    final_dist = np.empty((B, n_lev))
-    f_final = np.empty((B, n_lev))
-    var_final = np.empty((B, n_lev))
+    ref_states, ref_var_final[:], _ = _march_tile(study, fine, "reference", plan)
     phi_ref_final = domain.phi(ref_states[-1])
 
-    for j, n in enumerate(levels):
-        wz_states, wz_var, _ = _march_chunk(study, paths, n, plan)
+    for j, n in enumerate(study.levels):
+        wz_states, var_final[:, j], _ = _march_tile(study, paths, n, plan)
         with np.errstate(invalid="ignore"):
             weight = np.exp(study.r * (phi_ref_final + domain.phi(wz_states[-1])))
             # np.linalg.norm(wz_states - ref_states, axis=2), bit for bit:
@@ -591,12 +565,8 @@ def _tile_stats(study: Study, plan: _Plan, indices, block_bytes):
             sup_dist[:, j] = np.max(dist, axis=0)
             final_dist[:, j] = dist[-1]
             f_final[:, j] = weight * dist[-1] ** 2
-            var_final[:, j] = wz_var
         # Free this level's arrays before the next level's march allocates.
-        del wz_states, wz_var, diff, dist
-    # ref_var is a view of the reference march's one buffer, outputs and
-    # all: a copy lets that buffer go with the tile.
-    return sup_dist, final_dist, f_final, var_final, ref_var.copy()
+        del wz_states, diff, dist
 
 
 # The group march a forked pool worker runs; set only inside pool workers.
@@ -636,9 +606,9 @@ def run_coupling_stats(study: Study) -> CouplingStats:
 
     The paths are cut into ``min(workers, M)`` balanced groups, one per
     worker, each run in a forked process of its own where the platform can
-    fork.  A group is cut into tiles once, which the process's threads
-    march, each within its thread's share of ``_CHUNK_BYTES``
-    (``_in_tiles``).  The output grid and every march's schedule are built
+    fork.  A group's arrays are allocated once, and the process's threads
+    march its tiles, each writing its rows (``_layout``, ``_in_tiles``).
+    The output grid and every march's schedule are built
     once, here.  The stats are bit-identical whatever the group, tile,
     thread and block layout or worker count.
     """
@@ -752,17 +722,18 @@ def holder_report(
     process, label = ("reference", "reference") if reference else (level, f"wz-{level}")
     plan = _plan(study, level, (process,), grid_level)
 
-    def tile_states(indices, block_bytes):
-        paths = _chunk_paths(study, plan, indices)
+    def tile_states(indices, rows, block_bytes):
+        paths = _tile_paths(study, plan, indices)
         if reference:
             paths = FineBlocks(paths, plan.fine_level, plan.n_fine, block_bytes)
-        out = _march_chunk(study, paths, process, plan)[0]
-        return (np.ascontiguousarray(np.swapaxes(out, 0, 1)),)
+        rows[0][:] = np.swapaxes(_march_tile(study, paths, process, plan)[0], 0, 1)
+
+    def group_states(group):
+        out = (np.empty((len(group), len(plan.grid), study.domain.dim)),)
+        return _in_tiles(study, plan, group, tile_states, out)[0]
 
     groups = _balanced(range(study.M), min(study.workers, study.M))
-    states = np.concatenate(
-        _run_groups(lambda group: _in_tiles(study, plan, group, tile_states)[0], groups)
-    )
+    states = np.concatenate(_run_groups(group_states, groups))
 
     n_grid = len(plan.grid) - 1
     strides = [2**j for j in range(5) if 2**j < n_grid]

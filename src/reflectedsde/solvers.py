@@ -45,13 +45,13 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import accumulate
-from math import ceil, prod
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from . import cover
-from .brownian import BrownianPath, _ptr, check_level, check_whole, wz_knot_slopes
+from .brownian import BrownianPath, _ptr, check_level, check_whole, dyadic_grid, wz_knot_slopes
 from .coefficients import CoefficientSet, ito_drift_batch, noise_term
 from .errors import MismatchedTimes, NonFiniteState, OutOfDomain
 from .geometry import DomainSpec, _resolver, check_feasible, check_point, sum_squares
@@ -134,7 +134,7 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
     within ``_COLLAPSE_TOL`` of each other are one step time, the smallest:
     an output or a knot start just after it is that step time.
     """
-    n_knots = ceil(horizon * 2.0**n - 1e-9)
+    n_knots = dyadic_grid(horizon, n)[0]
     knot_starts = np.arange(n_knots) / 2.0**n
     sub = (np.arange(substeps_per_knot) / substeps_per_knot) / 2.0**n
     base = (knot_starts[:, None] + sub).ravel()
@@ -484,7 +484,7 @@ def fine_grid_positions(fine_level: int, n_knots: int, output_times: np.ndarray)
 
 def coupled_output_grid(n: int, output_times, horizon: float) -> np.ndarray:
     """Level-``n`` knots joined with the requested output times."""
-    knots = np.arange(ceil(horizon * 2.0**n - 1e-9) + 1) / 2.0**n
+    knots = np.arange(dyadic_grid(horizon, n)[0] + 1) / 2.0**n
     return _union_times([knots[: knots.searchsorted(horizon + 1e-12, "right")],
                          np.asarray(output_times, float)])
 

@@ -228,8 +228,8 @@ def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
     study = rs.Study(clipped, wavy_coeffs, [0.0], 1.0, (3, 4), 520, 3, 4, 5, workers=2)
     plan = harness._plan(study, 4, ())
     assert harness._balanced(range(520), 2) == [range(260), range(260, 520)]
-    assert harness._tiles(study, plan, range(260, 520), 1) == (
-        [range(260, 390), range(390, 520)], 200 * 17 * 8)
+    assert harness._layout(study, plan, range(260, 520)) == (
+        1, [range(260, 390), range(390, 520)], 200 * 17 * 8)
     # The clipped study spans two groups of two tiles, so their order is
     # checked too.
     for domain, M in ((unit_interval, 24), (clipped, 520), (custom, 24)):
@@ -383,9 +383,9 @@ def _recording_tiles(monkeypatch):
     marched, from any thread."""
     widths, tile_stats = [], harness._tile_stats
 
-    def recording(study, plan, indices, block_bytes):
+    def recording(study, plan, indices, rows, block_bytes):
         widths.append(len(indices))
-        return tile_stats(study, plan, indices, block_bytes)
+        return tile_stats(study, plan, indices, rows, block_bytes)
 
     monkeypatch.setattr(harness, "_tile_stats", recording)
     return widths
@@ -476,9 +476,8 @@ def test_chunk_ranges_are_ordered_balanced_and_cover_the_study(budget, monkeypat
                 # arrays fit half a thread's share, or _SLICE_ROWS while
                 # their path arrays fit the share, or one path.
                 monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
-                n = harness._thread_count(study, len(group))
+                n, tiles, block_bytes = harness._layout(study, plan, group)
                 assert 1 <= n <= cpus and (n == 1 or len(group) >= 64 * n)
-                tiles, block_bytes = harness._tiles(study, plan, group, n)
                 widths, share = _cut(tiles, group), budget // n
                 least = min(64, max(share // path_bytes, 1))
                 w = max((share - share // 2) // harness._tile_bytes(study, plan), least)
@@ -489,8 +488,8 @@ def test_chunk_ranges_are_ordered_balanced_and_cover_the_study(budget, monkeypat
                 # Numpy: one thread, and the fewest tiles whose path arrays
                 # each fit in the budget, or hold one path.
                 monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: None)
-                assert harness._thread_count(study, len(group)) == 1
-                tiles, block_bytes = harness._tiles(study, plan, group, 1)
+                n, tiles, block_bytes = harness._layout(study, plan, group)
+                assert n == 1
                 widths, width = _cut(tiles, group), max(budget // path_bytes, 1)
                 assert block_bytes == budget and max(widths) <= width
                 assert len(group) > (len(tiles) - 1) * width
@@ -562,9 +561,8 @@ def test_every_array_of_a_native_tile_fits_its_share(planar, native, monkeypatch
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * share)
     monkeypatch.setattr(harness, "_cpus", lambda: 2)
     study = rs.Study(domain, coeffs, x0, 0.3, (3, 4), 142, 5, 4, 5)
-    assert harness._thread_count(study, 142) == 2
-    assert harness._tiles(study, harness._plan(study, 4, ()), range(142), 2) == (
-        [range(0, 35), range(35, 71), range(71, 106), range(106, 142)], share // 2)
+    assert harness._layout(study, harness._plan(study, 4, ()), range(142)) == (
+        2, [range(0, 35), range(35, 71), range(71, 106), range(106, 142)], share // 2)
     tiles = _recording_tile_arrays(monkeypatch)
     rs.run_coupling_stats(study)
 
@@ -590,9 +588,8 @@ def test_path_arrays_in_flight_fit_the_budget_on_many_threads(native, monkeypatc
     monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
     monkeypatch.setattr(harness, "_cpus", lambda: 8)
     study = rs.Study(domain, coeffs, x0, 1.0, (5, 6), 1024, 2, 1, 3)
-    n = harness._thread_count(study, 1024)
+    n, tiles, block_bytes = harness._layout(study, harness._plan(study, 6, ()), range(1024))
     assert n == 8
-    tiles, block_bytes = harness._tiles(study, harness._plan(study, 6, ()), range(1024), n)
     assert len(tiles) == 56 and {len(tile) for tile in tiles} == {18, 19}
     threads, sample = set(), harness.sample_path
 
@@ -616,8 +613,8 @@ def test_every_array_of_a_native_holder_tile_fits_its_share(planar, reference, n
     # dimension, and the outputs are the level-4 knots to 0.25, 5 in all.
     # Its tiles are cut by the study's rule, which budgets 8 bytes per path
     # for each of those knots and slopes, two marches' 5 outputs, state and
-    # variation, and 5 distances; the table's tile holds one march and a
-    # path-major copy of its states.
+    # variation, and 5 distances; the table's tile holds one march and
+    # writes its states path-major into its rows of the group's array.
     domain, coeffs, x0 = _native_problem(planar)
     m = d = domain.dim
     tile_bytes = 8 * ((17 + 5) * m + 2 * (6 * d + 1) + 5)
@@ -638,7 +635,7 @@ def test_every_array_of_a_native_holder_tile_fits_its_share(planar, reference, n
         counts = {"block": 2, "paths": 1, "reference": 1} if reference else {
             "paths": 1, "level": 1, "slopes": 1}
         assert {name: len(sizes) for name, sizes in tile.items()} == counts
-        # The copy of the states is as large as the march's states.
+        # The tile's rows of the states are as large as the march's states.
         arrays = sum(max(sizes) for name, sizes in tile.items() if name != "block")
         arrays += max(tile[march])
         block = max(tile.get("block", [0]))
@@ -734,13 +731,13 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
     monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
     monkeypatch.setattr(harness, "_cpus", lambda: 3)
     threaded = dataclasses.replace(study, M=200)
-    march, marching = harness._march_chunk, set()
+    march, marching = harness._march_tile, set()
 
     def recording(study, paths, process, grid):
         marching.add(threading.current_thread())
         return march(study, paths, process, grid)
 
-    monkeypatch.setattr(harness, "_march_chunk", recording)
+    monkeypatch.setattr(harness, "_march_tile", recording)
     threaded_expected = rs.run_coupling_stats(threaded)
     assert len(marching) == (3 if brownian._native() is not None else 1)
     assert threading.active_count() == before
@@ -751,11 +748,11 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
             raise RuntimeError("first thread failed")
         return march(study, paths, process, grid)
 
-    monkeypatch.setattr(harness, "_march_chunk", failing_first)
+    monkeypatch.setattr(harness, "_march_tile", failing_first)
     with pytest.raises(RuntimeError, match="first thread failed"):
         rs.run_coupling_stats(threaded)
     assert threading.active_count() == before
-    monkeypatch.setattr(harness, "_march_chunk", march)
+    monkeypatch.setattr(harness, "_march_tile", march)
     np.testing.assert_array_equal(rs.run_coupling_stats(threaded).sup_dist, threaded_expected.sup_dist)
 
 
@@ -772,7 +769,7 @@ def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interva
     np.testing.assert_array_equal(plan.grid, grid)
     for process in ("reference", 3):
         paths = brownian.FineBlocks(coarse, 7, 128, 1) if process == "reference" else coarse
-        states, var, log = harness._march_chunk(study, paths, process, plan)
+        states, var, log = harness._march_tile(study, paths, process, plan)
         assert log is None
         assert var.shape == (len(seeds),)
         for b, seed in enumerate(seeds):
@@ -785,14 +782,21 @@ def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interva
             np.testing.assert_array_equal(var[b], alone.variation[-1])
 
 
-def test_a_tiles_stats_hold_no_march_buffer(unit_interval, wavy_coeffs):
+def test_a_tiles_stats_hold_no_march_buffer(unit_interval, wavy_coeffs, monkeypatch):
     # A march's variation is a view of the buffer that holds its outputs
-    # too; the stats a tile returns are its own rows, so that a group's
-    # tiles, held until they are joined, keep no march's outputs alive.
-    study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, (3, 4), 5, 3, 4, 0)
+    # too; the tiles write their stats into the group's own arrays, so
+    # that no group array keeps a march's outputs alive: in one tile, and
+    # in three of four paths, as a budget of four paths' path arrays cuts.
+    tiles = _recording_tiles(monkeypatch)
+    study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, (3, 4), 12, 3, 4, 0)
     plan = harness._plan(study, 4, ("reference", 3, 4))
-    for array in harness._tile_stats(study, plan, range(5), harness._CHUNK_BYTES):
-        assert _allocated_bytes(array) == array.nbytes
+    for budget, widths in ((harness._CHUNK_BYTES, [12]), (4 * 17 * 8, [4, 4, 4])):
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+        tiles.clear()
+        stats = harness._chunk_stats(study, plan, range(12))
+        assert tiles == widths and len(stats) == 5
+        for array in stats:
+            assert array.base is None and len(array) == 12
 
 
 def test_modified_domain_is_not_served_an_earlier_study(unit_interval, wavy_coeffs):

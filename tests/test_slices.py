@@ -51,13 +51,14 @@ def _study(name, **changes):
 def _counting_threads(monkeypatch, cpus):
     """Patch the CPU count to ``cpus`` and record each group's thread count."""
     monkeypatch.setattr(harness, "_cpus", lambda: cpus)
-    counts, count = [], harness._thread_count
+    counts, layout = [], harness._layout
 
-    def recording(study, rows):
-        counts.append(count(study, rows))
-        return counts[-1]
+    def recording(*args):
+        threads, tiles, block_bytes = layout(*args)
+        counts.append(threads)
+        return threads, tiles, block_bytes
 
-    monkeypatch.setattr(harness, "_thread_count", recording)
+    monkeypatch.setattr(harness, "_layout", recording)
     return counts
 
 
@@ -101,15 +102,15 @@ def test_each_forked_worker_marches_its_share_of_the_cpus(monkeypatch, tmp_path)
     # Two workers on four CPUs: each forked group runs on two threads.  The
     # counts are written to a file, since the groups run in other processes.
     monkeypatch.setattr(harness, "_cpus", lambda: 4)
-    log, count = tmp_path / "threads.log", harness._thread_count
+    log, layout = tmp_path / "threads.log", harness._layout
 
-    def recording(study, rows):
-        n = count(study, rows)
+    def recording(*args):
+        n, tiles, block_bytes = layout(*args)
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {n}\n")
-        return n
+        return n, tiles, block_bytes
 
-    monkeypatch.setattr(harness, "_thread_count", recording)
+    monkeypatch.setattr(harness, "_layout", recording)
     parallel = harness.run_coupling_stats(_study("interval", workers=2))
     entries = [line.split() for line in log.read_text().splitlines()]
     covered = brownian._native() is not None
@@ -166,7 +167,7 @@ def test_the_pool_forks_one_worker_per_group(monkeypatch, tmp_path):
     assert stats.sup_dist.shape == (2, 2)
 
 
-def test_the_numpy_backend_marches_one_slice(monkeypatch):
+def test_the_numpy_backend_marches_on_one_thread(monkeypatch):
     # Without the library both marches hold the GIL, so threads could only
     # take turns; and the numpy march's cost is per call, so its tiles are
     # as wide as their path arrays fit in the budget: here all 259 paths.
@@ -178,42 +179,52 @@ def test_the_numpy_backend_marches_one_slice(monkeypatch):
     assert counts == [1] and tiles == [259] and stats.sup_dist.shape == (259, 2)
 
 
-def test_slices_keep_at_least_one_tile_of_paths(monkeypatch, native):
+def test_threads_keep_at_least_one_tile_of_paths(monkeypatch, native):
     # A group has one thread per CPU of its process's share, but no more
     # than runs of _SLICE_ROWS paths.
     monkeypatch.setattr(harness, "_cpus", lambda: 8)
     study = _study("interval")
-    assert [harness._thread_count(study, rows) for rows in (1, 63, 64, 127, 128, 259, 600)] == [
+    plan = harness._plan(study, 4, ())
+
+    def threads(study, rows):
+        return harness._layout(study, plan, range(rows))[0]
+
+    assert [threads(study, rows) for rows in (1, 63, 64, 127, 128, 259, 600)] == [
         1, 1, 1, 1, 2, 4, 8]
-    assert harness._thread_count(dataclasses.replace(study, workers=3), 600) == 2
-    assert harness._thread_count(dataclasses.replace(study, workers=9), 600) == 1
+    assert threads(dataclasses.replace(study, workers=3), 600) == 2
+    assert threads(dataclasses.replace(study, workers=9), 600) == 1
     # A study of four paths has four groups at most, whatever its workers.
-    assert harness._thread_count(dataclasses.replace(study, M=4, workers=9), 600) == 2
+    assert threads(dataclasses.replace(study, M=4, workers=9), 600) == 2
 
 
-def _tile_runner(monkeypatch):
-    """``_in_tiles`` over 384 paths on three threads, whatever the backend:
-    a thread's share, 9000 bytes, holds the path arrays of 64 paths at level
-    4 (136 bytes each) but half of it not their other arrays, so the native
-    rule cuts them into six tiles of 64 paths, two per thread, each with a
-    block buffer of 4500 bytes, the other half."""
-    monkeypatch.setattr(harness, "_thread_count", lambda study, rows: 3)
-    monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
+def _tile_runner(monkeypatch, covered=True):
+    """``_in_tiles`` over a group of 384 path indices: on three threads by
+    the native rule, as three CPUs allow, where a thread's
+    share, 9000 bytes, holds the path arrays of 64 paths at level 4 (136
+    bytes each) but half of it not their other arrays, so the group is cut
+    into six tiles of 64 paths, two per thread, each with a block buffer of
+    4500 bytes, the other half; without ``covered``, on one thread by the
+    numpy rule, in two tiles of 192 paths whose path arrays fit the budget."""
+    monkeypatch.setattr(harness, "_cpus", lambda: 3)
+    monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: () if covered else None)
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 27000)
     study = _study("interval")
     plan = harness._plan(study, 4, ())
-    return lambda march: harness._in_tiles(study, plan, range(8, 392), march)
+    return lambda march, out: harness._in_tiles(study, plan, range(8, 392), march, out)
 
 
-def test_slices_are_joined_in_path_order_with_a_share_of_the_budget(monkeypatch):
+def test_tiles_write_their_rows_in_path_order_with_a_share_of_the_budget(monkeypatch):
     run = _tile_runner(monkeypatch)
     seen = []
 
-    def march(indices, block_bytes):
+    def march(indices, rows, block_bytes):
         seen.append((indices, block_bytes, threading.current_thread()))
-        return np.arange(indices.start, indices.stop), np.full((len(indices), 2), block_bytes)
+        rows[0][:] = np.arange(indices.start, indices.stop)
+        rows[1][:] = block_bytes
 
-    first, second = run(march)
+    out = (np.zeros(384, int), np.zeros((384, 2)))
+    first, second = run(march, out)
+    assert first is out[0] and second is out[1]
     np.testing.assert_array_equal(first, np.arange(8, 392))
     assert second.shape == (384, 2) and np.all(second == 4500)
     assert sorted((indices.start, indices.stop) for indices, _, _ in seen) == [
@@ -227,8 +238,37 @@ def test_slices_are_joined_in_path_order_with_a_share_of_the_budget(monkeypatch)
     assert [indices.start for indices, _, thread in seen if thread is threads[136]] == [136, 200]
 
 
+@pytest.mark.parametrize("covered", [True, False])
+def test_tiles_write_every_row_of_the_groups_arrays_once_in_path_order(covered, monkeypatch):
+    # Each tile's rows are views of its rows of the group's arrays: every
+    # row is written once, with its own path's index, and each thread
+    # writes its tiles in path order; by the native rule on three threads,
+    # and by the numpy rule on one.
+    run = _tile_runner(monkeypatch, covered)
+    seen = []
+
+    def march(indices, rows, block_bytes):
+        assert all(np.shares_memory(row, array) for row, array in zip(rows, out))
+        written, paths = rows
+        assert len(written) == len(paths) == len(indices)
+        written += 1
+        paths[:] = indices
+        seen.append((threading.current_thread(), indices.start))
+
+    out = (np.zeros(384, int), np.full(384, -1))
+    assert run(march, out) is out
+    assert np.all(out[0] == 1)
+    np.testing.assert_array_equal(out[1], np.arange(8, 392))
+    assert len(seen) == (6 if covered else 2)
+    threads = {thread for thread, _ in seen}
+    assert len(threads) == (3 if covered else 1)
+    for thread in threads:
+        starts = [start for t, start in seen if t is thread]
+        assert starts == sorted(starts)
+
+
 @pytest.mark.parametrize("succeeds", [8, 136])
-def test_a_failed_slice_raises_the_lowest_index_error_after_all_are_joined(
+def test_a_failed_tile_raises_the_lowest_index_error_after_all_are_joined(
     succeeds, monkeypatch
 ):
     # The tiles at 8 and 72 run on the caller's thread, those at 136 and
@@ -239,41 +279,42 @@ def test_a_failed_slice_raises_the_lowest_index_error_after_all_are_joined(
     before = threading.active_count()
     finished = []
 
-    def march(indices, max_bytes):
+    def march(indices, rows, max_bytes):
         if indices.start == succeeds:
             time.sleep(0.05)
             finished.append(indices.start)
-            return (np.zeros(len(indices)),)
-        raise RuntimeError(f"slice at {indices.start} failed")
+            rows[0][:] = 0.0
+            return
+        raise RuntimeError(f"tile at {indices.start} failed")
 
-    with pytest.raises(RuntimeError, match=f"slice at {8 if succeeds != 8 else 72} failed"):
-        run(march)
+    with pytest.raises(RuntimeError, match=f"tile at {8 if succeeds != 8 else 72} failed"):
+        run(march, (np.empty(384),))
     assert finished == [succeeds]
     assert threading.active_count() == before
 
 
-def test_each_slice_runs_under_the_callers_numpy_error_handling(monkeypatch):
+def test_each_thread_runs_under_the_callers_numpy_error_handling(monkeypatch):
     # A thread starts with numpy's default handling, so each thread sets the
     # caller's for its tiles: an invalid operation raises in the first tile
     # of every thread, as it would in one march on the caller's thread.
     run = _tile_runner(monkeypatch)
     seen = []
 
-    def march(indices, max_bytes):
+    def march(indices, rows, max_bytes):
         seen.append(np.geterr()["invalid"])
-        return (np.sqrt(np.full(len(indices), -1.0)),)
+        rows[0][:] = np.sqrt(np.full(len(indices), -1.0))
 
     with np.errstate(invalid="raise"):
         with pytest.raises(FloatingPointError):
-            run(march)
+            run(march, (np.zeros(384),))
     assert seen == ["raise"] * 3
     seen.clear()
     with np.errstate(invalid="ignore"):
-        (out,) = run(march)
+        (out,) = run(march, (np.zeros(384),))
     assert seen == ["ignore"] * 6 and np.all(np.isnan(out))
 
 
-def test_the_library_is_loaded_on_the_calling_thread_before_any_slice(monkeypatch):
+def test_the_library_is_loaded_on_the_calling_thread_before_any_tile(monkeypatch):
     # functools.cache has no lock: two threads loading the library at once
     # could both build it, so the caller loads it first.
     native, first = brownian._native, []
@@ -289,7 +330,7 @@ def test_the_library_is_loaded_on_the_calling_thread_before_any_slice(monkeypatc
     assert first == [threading.main_thread()]
 
 
-def test_more_slices_than_cores_under_a_short_switch_interval_keep_the_bits(monkeypatch):
+def test_more_threads_than_cores_under_a_short_switch_interval_keep_the_bits(monkeypatch):
     # Eight threads of the annulus study on the host's cores, with the GIL
     # passed between the threads and numpy as often as it can be: the
     # library's thread-local scratch, the shared study objects and each
