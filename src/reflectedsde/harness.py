@@ -23,8 +23,8 @@ workers each group runs in a forked process of its own, which inherits the
 domain and coefficient objects themselves, so any domain, built-in,
 modified or custom, runs in parallel.  A group's result arrays are
 allocated once, and the group is cut into tiles by one rule, ``_layout``,
-which also sets the process's threads and each tile's share of
-``_CHUNK_BYTES``.  Each thread marches a contiguous run of tiles, the first
+which also sets the process's threads and the bytes of each tile's block
+buffer.  Each thread marches a contiguous run of tiles, the first
 run on the caller's thread, and each tile samples, refines, marches and
 reduces its own paths and writes its rows of the group's arrays; a block
 spans as many whole coarse intervals as fit in its buffer's budget.  A
@@ -75,13 +75,13 @@ from .solvers import (
     wz_schedule,
 )
 
-# The memory budget of a process's tiles in flight, one per thread, which
-# ``_layout`` shares out between each tile's arrays and its block buffer.
-# Wider tiles spend less Python time per path, larger blocks less per
-# resumed (path, level) stream; README "Memory" has the measured peaks.
+# The memory budget of a process's tiles in flight, one per thread;
+# ``_layout`` states how it is shared out.  README "Memory" has the
+# measured peaks.
 _CHUNK_BYTES = 16 * 2**20
-# Fewest paths per native tile and per thread of a group (``_layout``).
-_SLICE_ROWS = 64
+# Paths per native tile while their path arrays fit a thread's share, and
+# fewest per thread of a group (``_layout``); ``_march.c``'s ``TILE_ROWS``.
+_TILE_ROWS = 64
 
 
 def path_seed(seed: int, index: int) -> int:
@@ -441,27 +441,26 @@ def _layout(study: Study, plan: _Plan, indices) -> tuple[int, list[range], int]:
 
     Native: ``n`` threads, one per CPU of the process's share among the
     study's ``min(workers, M)`` groups, but no more than runs of
-    ``_SLICE_ROWS`` paths, each with a share of ``_CHUNK_BYTES // n``.  The
+    ``_TILE_ROWS`` paths, each with a share of ``_CHUNK_BYTES // n``.  The
     group's ``L`` paths are cut into ``n ceil(L / (n w))`` balanced tiles,
-    ``w`` the most paths whose arrays but the block buffer
-    (``_tile_bytes``) fit in half of the share, but at least
-    ``_SLICE_ROWS`` while their path arrays, as ``sample_path`` allocates
-    them, fit the whole share, or one path; the block buffer gets the other
-    half.  Numpy, whose march holds the GIL and costs per numpy call, not
-    per path: one thread, and the fewest balanced tiles whose path arrays
-    fit in ``_CHUNK_BYTES``, or of one path; the block buffer gets all of
-    it.  Asking ``cover.native_march`` loads the library on the calling
-    thread.
+    ``w`` being ``_TILE_ROWS`` while that many paths' path arrays, as
+    ``sample_path`` allocates them, fit the share, else as many as fit, or
+    one path.  The block buffer gets ``w`` paths' other arrays
+    (``_tile_bytes``), but no more than half the share.  Numpy, whose
+    march holds the GIL and costs per numpy call, not per path: one
+    thread, and the fewest balanced tiles whose path arrays fit in
+    ``_CHUNK_BYTES``, or of one path; the block buffer gets all of it.
+    Asking ``cover.native_march`` loads the library on the calling thread.
     """
     path_bytes = dyadic_grid(plan.horizon, plan.level)[1] * study.coeffs.dim_noise * 8
     if cover.native_march(study.domain, study.coeffs) is None:
         width = max(_CHUNK_BYTES // path_bytes, 1)
         return 1, _balanced(indices, ceil(len(indices) / width)), _CHUNK_BYTES
-    n = max(1, min(_cpus() // min(study.workers, study.M), len(indices) // _SLICE_ROWS))
+    n = max(1, min(_cpus() // min(study.workers, study.M), len(indices) // _TILE_ROWS))
     share = _CHUNK_BYTES // n
-    least = min(_SLICE_ROWS, max(share // path_bytes, 1))
-    width = max((share - share // 2) // _tile_bytes(study, plan), least)
-    return n, _balanced(indices, n * ceil(len(indices) / (n * width))), share // 2
+    width = min(_TILE_ROWS, max(share // path_bytes, 1))
+    block_bytes = min(share // 2, width * _tile_bytes(study, plan))
+    return n, _balanced(indices, n * ceil(len(indices) / (n * width))), block_bytes
 
 
 def _in_tiles(study: Study, plan: _Plan, indices, march, out: tuple) -> tuple:
@@ -699,6 +698,35 @@ def lyapunov_trace(domain: DomainSpec, X: ReflectedPath, Xn: ReflectedPath, r: f
 # Time-regularity (Holder) diagnostics
 # ---------------------------------------------------------------------------
 
+def _lag_moments(states: np.ndarray, strides, p_list) -> np.ndarray:
+    """Mean ``p``-th moments of the increment norms of ``states``, an ``(M,
+    n_grid + 1, d)`` array, over each stride of grid steps, averaged over
+    anchor times and paths: one row per moment order, one column per
+    stride.
+
+    One stride is reduced at a time, every moment order from its squared
+    norms, so no more than two ``(M, n_grid)`` arrays are held at once.
+    The squared norms are ``geometry.sum_squares`` of the increments, bit
+    for bit, formed one coordinate at a time; from eight coordinates numpy
+    adds in pairs, so there the increments are formed whole.
+    """
+    moments = np.empty((len(p_list), len(strides)))
+    for k, s in enumerate(strides):
+        if states.shape[2] >= 8:
+            squares = sum_squares(states[:, s:] - states[:, :-s])
+        else:
+            squares = None
+            for i in range(states.shape[2]):
+                step = np.subtract(states[:, s:, i], states[:, :-s, i])
+                step *= step
+                squares = step if squares is None else np.add(squares, step, out=squares)
+                del step
+        for j, p in enumerate(p_list):
+            moments[j, k] = np.mean(squares ** (p / 2.0))
+        del squares
+    return moments
+
+
 def holder_report(
     study: Study, p_list: Sequence[float], grid_level: int = 6, reference: bool = False
 ) -> HolderReport:
@@ -738,11 +766,8 @@ def holder_report(
     n_grid = len(plan.grid) - 1
     strides = [2**j for j in range(5) if 2**j < n_grid]
     lags = [s / 2.0**grid_level for s in strides]
-    # Squared increment norms per lag, shared by every moment order.
-    squares = [np.sum((states[:, s:] - states[:, :-s]) ** 2, axis=2) for s in strides]
     rows = []
-    for p in p_list:
-        moments = np.asarray([float(np.mean(sq ** (p / 2.0))) for sq in squares])
+    for p, moments in zip(p_list, _lag_moments(states, strides, p_list)):
         slope = None
         if len(strides) >= 2 and np.all(moments > 1e-300):
             slope = _lsq_slope(np.log(np.asarray(lags)), np.log(moments))

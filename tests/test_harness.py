@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,11 +320,11 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
         assert tiles == [12]
         # (budget, tiles of the M=12 study's one group, reference blocks per
         # numpy tile, and per native tile).  Both marches cut the group into
-        # the fewest tiles whose path arrays fit the budget: the native
-        # march's _SLICE_ROWS floor gives way where that many paths' path
-        # arrays do not fit.  The numpy march's tiles refine in the whole
-        # budget, the native march's in half of it.  The reference table is
-        # cut by the same rule.
+        # the fewest tiles whose path arrays fit the budget: a native tile
+        # holds _TILE_ROWS paths only where that many paths' path arrays
+        # fit.  The numpy march's tiles refine in the whole budget, the
+        # native march's in half of it, which here is less than a tile's
+        # other arrays.  The reference table is cut by the same rule.
         layouts = [
             (1, 12, 16, 16),                        # one-path tiles, one-interval blocks
             (4 * path_bytes, 3, 8, 16),             # four-path tiles, two-interval blocks
@@ -356,20 +357,22 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
         study = rs.Study(domain, coeffs, x0, 1.0, (3, 4), 200, 3, 4, 5)
         assert harness._tile_bytes(study, harness._plan(study, 4, ())) == tile_bytes
         wide = _arrays(rs.run_coupling_stats(study))
-        # (budget, tile widths of the native march): half the budget holds
-        # all 200, 100 or 40 paths' arrays; the last takes no more tiles than
-        # runs of 64 paths, four, not five.  The numpy march's path arrays
-        # fit every budget here, so it marches one tile.
-        for budget, widths in (
-            (default, [200]),                       # one tile
-            (2 * 100 * tile_bytes, [100, 100]),     # several tiles
-            (2 * 40 * tile_bytes, [50] * 4),        # the 64-path floor
+        # (budget, tile widths of the native march, and of the numpy march):
+        # a native tile holds at most _TILE_ROWS paths, so the group takes
+        # no fewer tiles than runs of 64 paths, four, however many paths'
+        # path arrays the budget holds; a budget of 40 paths' path arrays
+        # takes five.  The numpy march's tiles are as wide as their path
+        # arrays fit the budget.
+        for budget, widths, numpy_widths in (
+            (default, [50] * 4, [200]),             # one numpy tile
+            (100 * path_bytes, [50] * 4, [100] * 2),
+            (40 * path_bytes, [40] * 5, [40] * 5),  # the path arrays bound both
         ):
             monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
             tiles.clear()
             for got, want in zip(_arrays(rs.run_coupling_stats(study)), wide):
                 np.testing.assert_array_equal(got, want)
-            assert tiles == (widths if native else [200])
+            assert tiles == (widths if native else numpy_widths)
 
 
 def _arrays(stats):
@@ -467,24 +470,29 @@ def test_chunk_ranges_are_ordered_balanced_and_cover_the_study(budget, monkeypat
         for workers in (1, 2, 3):
             study = rs.Study(domain, coeffs, x0, 1.0, [6], M, 2, 1, 0, workers=workers)
             plan = harness._plan(study, 6, ())
+            tile_bytes = harness._tile_bytes(study, plan)
             groups = harness._balanced(range(M), min(workers, M))
             assert len(_cut(groups, range(M))) == min(workers, M)
             for group, cpus in ((g, c) for g in groups for c in (1, 4)):
                 monkeypatch.setattr(harness, "_cpus", lambda: cpus)
                 # Native: the fewest tiles, a multiple of the thread count,
-                # that each hold at most w paths, w the most paths whose
-                # arrays fit half a thread's share, or _SLICE_ROWS while
-                # their path arrays fit the share, or one path.
+                # that each hold at most w paths, w being _TILE_ROWS while
+                # their path arrays fit a thread's share, else as many as
+                # fit, or one path.  The block buffer holds w paths' other
+                # arrays, or half the share if that is less.
                 monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
                 n, tiles, block_bytes = harness._layout(study, plan, group)
                 assert 1 <= n <= cpus and (n == 1 or len(group) >= 64 * n)
                 widths, share = _cut(tiles, group), budget // n
-                least = min(64, max(share // path_bytes, 1))
-                w = max((share - share // 2) // harness._tile_bytes(study, plan), least)
-                assert block_bytes == share // 2 and len(tiles) % n == 0
+                w = min(64, max(share // path_bytes, 1))
+                assert block_bytes == min(share // 2, w * tile_bytes) and len(tiles) % n == 0
                 assert max(widths) <= w and len(group) > (len(tiles) - n) * w
                 if max(widths) > 1:
                     assert max(widths) * path_bytes <= share
+                # Where a tile's arrays fit half its share, they fit it
+                # together with its block buffer.
+                if max(widths) * tile_bytes <= share // 2:
+                    assert max(widths) * tile_bytes + block_bytes <= share
                 # Numpy: one thread, and the fewest tiles whose path arrays
                 # each fit in the budget, or hold one path.
                 monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: None)
@@ -530,7 +538,7 @@ def test_chunks_fit_the_budget_when_the_horizon_is_not_whole(
             grid_level=4, reference=reference,
         )
     # Three tiles of 8 paths per run, on one thread (24 paths make no run
-    # of _SLICE_ROWS): the budget holds ten paths' path arrays, so neither
+    # of _TILE_ROWS): the budget holds ten paths' path arrays, so neither
     # march takes wider tiles.  Each numpy reference refines its tile in
     # blocks of two coarse intervals (8 x 17 knots): three blocks for five,
     # but the Holder grid ends at 0.25, so that march stops after two.  A
@@ -554,15 +562,17 @@ def test_every_array_of_a_native_tile_fits_its_share(planar, native, monkeypatch
     m = d = domain.dim
     tile_bytes = 8 * ((17 + 5) * m + 2 * (7 * d + 1) + 6)
     # One group of 142 paths on two threads, as two CPUs allow.  Half of a
-    # thread's share holds exactly 70 paths' arrays, so the group is cut
-    # into four tiles, of 35 and 36 paths, two per thread.  The other half
-    # holds a tile's block buffer, two of its five coarse intervals.
+    # thread's share holds exactly 70 paths' arrays, and the whole share
+    # more than 64 paths' path arrays, so the group is cut into the fewest
+    # tiles of at most _TILE_ROWS paths on two threads: four, of 35 and 36
+    # paths, two per thread.  A tile's block buffer holds 64 paths' arrays,
+    # less than half the share: two of its five coarse intervals.
     share = 2 * 70 * tile_bytes
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * share)
     monkeypatch.setattr(harness, "_cpus", lambda: 2)
     study = rs.Study(domain, coeffs, x0, 0.3, (3, 4), 142, 5, 4, 5)
     assert harness._layout(study, harness._plan(study, 4, ()), range(142)) == (
-        2, [range(0, 35), range(35, 71), range(71, 106), range(106, 142)], share // 2)
+        2, [range(0, 35), range(35, 71), range(71, 106), range(106, 142)], 64 * tile_bytes)
     tiles = _recording_tile_arrays(monkeypatch)
     rs.run_coupling_stats(study)
 
@@ -573,15 +583,15 @@ def test_every_array_of_a_native_tile_fits_its_share(planar, native, monkeypatch
         assert [len(tile[name]) for name in ("block", "paths", "reference", "level", "slopes",
                                              "distances")] == [3, 1, 1, 2, 2, 2]
         arrays = sum(max(sizes) for name, sizes in tile.items() if name != "block")
-        assert arrays <= share - share // 2 and max(tile["block"]) <= share // 2
+        assert arrays <= share - share // 2 and max(tile["block"]) <= 64 * tile_bytes
         assert arrays + max(tile["block"]) <= share
 
 
 def test_path_arrays_in_flight_fit_the_budget_on_many_threads(native, monkeypatch):
     # 1024 paths at level 6 over T=1 keep 65 knots each, 520 bytes, on
     # eight threads as eight CPUs allow.  A thread's share holds 20 paths'
-    # path arrays, and half of it one path's arrays but its block buffer, so
-    # the _SLICE_ROWS floor gives way: 56 tiles of 18 and 19 paths.
+    # path arrays, so a tile holds at most 20 paths, not _TILE_ROWS: 56
+    # tiles of 18 and 19 paths.
     domain, coeffs, x0 = _native_problem(False)
     path_bytes = 65 * 8
     budget = 8 * 20 * path_bytes
@@ -602,6 +612,75 @@ def test_path_arrays_in_flight_fit_the_budget_on_many_threads(native, monkeypatc
     rs.run_coupling_stats(study)
     assert len(threads) == n and len(records) == 56
     assert max(size for tile in records for size in tile["paths"]) <= budget // n
+
+
+def _acceptance_study(levels):
+    """The acceptance study (``rate_interval_1d``'s problem, M=2000, fine
+    margin 4, 8 substeps) at ``levels``."""
+    coeffs = rs.trig([[0.5]], [[0.2]], [1.0], drift_matrix=[[-0.3]])
+    return rs.Study(rs.interval(-1.0, 1.0), coeffs, [0.0], 1.0, levels, 2000, 4, 8, 20240817)
+
+
+def _native_layout(study, cpus, monkeypatch):
+    """The native rule's layout of a serial study's one group at ``cpus``
+    patched CPUs: the thread count, the tile widths and the block bytes."""
+    monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    plan = harness._plan(study, max(study.levels), ())
+    n, tiles, block_bytes = harness._layout(study, plan, range(study.M))
+    return n, _cut(tiles, range(study.M)), block_bytes
+
+
+def test_the_acceptance_study_refines_in_blocks_of_its_tiles_arrays(monkeypatch):
+    # Two threads of 1000 paths each, on two CPUs.  A thread's 8 MiB share
+    # holds far more than 64 paths' path arrays (513 knots), so each thread
+    # marches sixteen tiles of 62 and 63 paths.  A tile's other arrays take
+    # 20,544 bytes a path: 513 knots and 512 slopes, two marches' 513
+    # outputs with their state and variation, and 513 distances.  The
+    # block buffer holds those arrays of 64 paths, well under half the
+    # share.
+    study = _acceptance_study((4, 5, 6, 7, 8, 9))
+    tile_bytes = harness._tile_bytes(study, harness._plan(study, 9, ()))
+    assert tile_bytes == 8 * (513 + 512 + 2 * (514 + 1) + 513) == 20544
+    n, widths, block_bytes = _native_layout(study, 2, monkeypatch)
+    assert (n, len(widths), set(widths)) == (2, 32, {62, 63})
+    assert block_bytes == 64 * tile_bytes < harness._CHUNK_BYTES // 4
+
+
+@pytest.mark.parametrize("cpus, layout", [
+    (2, ((2, 32, {62, 63}, 4 * 2**20), (2, 32, {62, 63}, 4 * 2**20))),
+    (4, ((4, 32, {62, 63}, 2 * 2**20), (4, 32, {62, 63}, 2 * 2**20))),
+    (8, ((8, 72, {27, 28}, 2**20), (8, 32, {62, 63}, 2**20))),
+])
+def test_long_grids_keep_their_tiles_and_half_share_blocks(cpus, layout, monkeypatch):
+    # (threads, tiles, widths, block bytes) of the interval study to level
+    # 13 and the rate_annulus_2d study to level 10.  Their tiles already
+    # held at most 64 paths, and 64 paths' arrays take more than half a
+    # thread's share, so the block buffer gets that half.  At eight CPUs a
+    # thread's 2 MiB share holds 31 of the interval's path arrays (8193
+    # knots), so it marches nine tiles of 27 and 28 paths.
+    domain, coeffs, x0 = _annulus_problem()
+    studies = (_acceptance_study(tuple(range(4, 14))),
+               rs.Study(domain, coeffs, x0, 1.0, tuple(range(3, 11)), 2000, 4, 8, 7))
+    for study, (threads, n_tiles, widths, block_bytes) in zip(studies, layout):
+        n, got, block = _native_layout(study, cpus, monkeypatch)
+        assert (n, len(got), set(got), block) == (threads, n_tiles, widths, block_bytes)
+
+
+def test_the_acceptance_study_traces_under_6_mb(native, monkeypatch):
+    # The peak of traced allocations of the acceptance study's engine call
+    # on two CPUs, result arrays included: about 4.5 MB with tiles of at
+    # most 64 paths refined in 64 paths' arrays, against 12.6 MB for tiles
+    # of 200 paths refined in half a thread's share.
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    study = _acceptance_study((4, 5, 6, 7, 8, 9))
+    tracemalloc.start()
+    try:
+        rs.run_coupling_stats(study)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 @pytest.mark.parametrize("reference", [False, True])
@@ -641,6 +720,35 @@ def test_every_array_of_a_native_holder_tile_fits_its_share(planar, reference, n
         block = max(tile.get("block", [0]))
         assert arrays <= share - share // 2 and block <= share // 2
         assert arrays + block <= share
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_holder_moments_reduce_one_lag_at_a_time_with_the_same_bits(d):
+    # 300 paths of 129 grid states with increments of mixed scales, and a
+    # few repeated states, whose increments are zero.  The table's moments
+    # equal those of every lag's squared norms formed whole, and the
+    # reduction holds no more than two (M, n_grid) arrays at once, the
+    # states and the buffers numpy takes for strided operands (getbufsize
+    # elements each) aside; from eight coordinates, where the increments
+    # are formed whole, 2 d + 1: the increments, their squares and their
+    # sum.
+    rng = np.random.default_rng(d)
+    states = rng.standard_normal((300, 129, d)) * 10.0 ** rng.integers(-8, 3, (300, 129, d))
+    states[:, 5] = states[:, 4]
+    strides, p_list = [1, 2, 4, 8, 16], [2.0, 4.0, 6.0]
+    squares = [np.sum((states[:, s:] - states[:, :-s]) ** 2, axis=2) for s in strides]
+    whole = [[float(np.mean(sq ** (p / 2.0))) for sq in squares] for p in p_list]
+    del squares
+    tracemalloc.start()
+    try:
+        moments = harness._lag_moments(states, strides, p_list)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert moments.tobytes() == np.asarray(whole).tobytes()
+    arrays = 300 * 128 * 8
+    buffers = 2 * np.getbufsize() * 8 + 4096
+    assert peak <= (2 if d < 8 else 2 * d + 1) * arrays + buffers
 
 
 def _native_problem(planar):

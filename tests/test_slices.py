@@ -181,7 +181,7 @@ def test_the_numpy_backend_marches_on_one_thread(monkeypatch):
 
 def test_threads_keep_at_least_one_tile_of_paths(monkeypatch, native):
     # A group has one thread per CPU of its process's share, but no more
-    # than runs of _SLICE_ROWS paths.
+    # than runs of _TILE_ROWS paths.
     monkeypatch.setattr(harness, "_cpus", lambda: 8)
     study = _study("interval")
     plan = harness._plan(study, 4, ())
@@ -199,12 +199,12 @@ def test_threads_keep_at_least_one_tile_of_paths(monkeypatch, native):
 
 def _tile_runner(monkeypatch, covered=True):
     """``_in_tiles`` over a group of 384 path indices: on three threads by
-    the native rule, as three CPUs allow, where a thread's
-    share, 9000 bytes, holds the path arrays of 64 paths at level 4 (136
-    bytes each) but half of it not their other arrays, so the group is cut
-    into six tiles of 64 paths, two per thread, each with a block buffer of
-    4500 bytes, the other half; without ``covered``, on one thread by the
-    numpy rule, in two tiles of 192 paths whose path arrays fit the budget."""
+    the native rule, as three CPUs allow, where a thread's share, 9000
+    bytes, holds the path arrays of 64 paths at level 4 (136 bytes each),
+    so the group is cut into six tiles of 64 paths, two per thread, each
+    with a block buffer of 4500 bytes, half the share, as that is less than
+    64 paths' other arrays; without ``covered``, on one thread by the numpy
+    rule, in two tiles of 192 paths whose path arrays fit the budget."""
     monkeypatch.setattr(harness, "_cpus", lambda: 3)
     monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: () if covered else None)
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 27000)
@@ -341,12 +341,12 @@ def test_more_threads_than_cores_under_a_short_switch_interval_keep_the_bits(mon
     counts = _counting_threads(monkeypatch, 8)
     # A budget of twice the study's path array (520 paths x 17 knots x
     # m = 2): eight threads, as many as runs of 64 paths, each marching two
-    # tiles, of 32 and 33 paths, since half of a thread's share holds
-    # fewer than 64 paths' arrays.  Each tile's reference refines four
-    # blocks of four coarse intervals (33 knots per path) through one
-    # buffer, in the other half.  One thread of one tile without the
-    # library, refined in the whole budget: four blocks of four coarse
-    # intervals (33 knots per path).
+    # tiles, of 32 and 33 paths, since a tile holds at most _TILE_ROWS
+    # paths.  Each tile's reference refines four blocks of four coarse
+    # intervals (33 knots per path) through one buffer, in half of a
+    # thread's share, less than 64 paths' other arrays.  One thread of one
+    # tile without the library, refined in the whole budget: four blocks of
+    # four coarse intervals (33 knots per path).
     budget = 2 * 520 * 17 * 2 * 8
     monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
     blocks = _recording_blocks(monkeypatch)
