@@ -56,7 +56,6 @@ import functools
 import os
 import platform
 import struct
-import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -96,6 +95,7 @@ def _library_path() -> Path:
 def _compile(target: Path) -> None:
     """Build the native library at ``target`` with the system C compiler,
     linking numpy's own sampler (``libnpyrandom.a``)."""
+    import subprocess  # here, not at import: it costs every process about 3 ms
     include = Path(np.get_include())
     library = include.parent.parent / "random" / "lib" / "libnpyrandom.a"
     subprocess.run(
@@ -138,7 +138,9 @@ def _native():
         ):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = args, result
-    except (OSError, subprocess.SubprocessError, AttributeError):
+    # A failed build raises subprocess's error, which only _compile loads.
+    except (OSError, AttributeError,
+            getattr(sys.modules.get("subprocess"), "SubprocessError", OSError)):
         return None
     return lib
 
@@ -189,7 +191,7 @@ def stream_keys(seeds, levels) -> np.ndarray:
         seed_words = seeds.astype(np.uint64) & np.uint64(_SEED_MASK)
     else:
         seed_words = np.array([int(s) & _SEED_MASK for s in seeds], np.uint64)
-    levels = [int(n) for n in levels]
+    levels = list(map(int, levels))
     keys = np.empty((len(levels), len(seed_words), 2), np.uint64)
     lib = _native()
     if lib is None:
@@ -367,7 +369,7 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     if not 0 < T < np.inf:
         raise InvalidHorizon(f"horizon must be positive and finite, got {T}")
     fine_level, m = check_whole("fine_level", fine_level, 1), check_whole("m", m, 1)
-    single = np.ndim(seed) == 0
+    single = type(seed) is int or np.ndim(seed) == 0
     if isinstance(seed, np.ndarray) and seed.ndim == 1 and np.issubdtype(seed.dtype, np.integer):
         seeds = seed.copy()
         seeds.setflags(write=False)
@@ -383,7 +385,7 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     draws = np.empty((len(seeds), (n_held - 1) // stride, m))
     streams = _Streams(seeds, 0, fine_level)
     streams.fill(0, draws)
-    draws.cumsum(axis=1, out=values[:, stride::stride])
+    np.add.accumulate(draws, axis=1, out=values[:, stride::stride])  # np.cumsum's sums
     _refine(values, stride, streams, 1)
     values = values[:, : n_fine + 1]
     return BrownianPath(
@@ -572,14 +574,8 @@ def dump_increments(path: BrownianPath, fileobj) -> None:
     """
     if np.ndim(path.values) != 2:
         raise ValueError("dump_increments takes a single path, not a batch")
-    fileobj.write(
-        _HEADER.pack(
-            path.dim_noise,
-            path.fine_level,
-            path.horizon,
-            path.seed & 0xFFFFFFFFFFFFFFFF,
-        )
-    )
+    header = (path.dim_noise, path.fine_level, path.horizon, path.seed & 0xFFFFFFFFFFFFFFFF)
+    fileobj.write(_HEADER.pack(*header))
     fileobj.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
 
 

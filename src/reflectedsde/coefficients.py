@@ -106,9 +106,11 @@ def _correction(grad: np.ndarray, sig: np.ndarray) -> np.ndarray:
     or a batch, in ascending ``j``, and within it ascending ``k``."""
     d, m = sig.shape[-2:]
     out = grad[..., 0, 0] * sig[..., 0, 0, None]
-    for j, k in np.ndindex(m, d):
-        if j or k:
-            out += grad[..., j, k] * sig[..., k, j, None]
+    # Plain ranges: building an np.ndindex costs more than a d = m = 1 term.
+    for j in range(m):
+        for k in range(d):
+            if j or k:
+                out += grad[..., j, k] * sig[..., k, j, None]
     return out
 
 

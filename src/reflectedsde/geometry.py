@@ -88,8 +88,8 @@ class DomainSpec:
 
     def contains(self, x) -> bool:
         """Whether every point of ``x``, shape ``(dim,)`` or ``(..., dim)``, is in the closure."""
-        distances = np.asarray(self.boundary_distance(check_points(self, x, "x")))
-        return bool((distances <= closure_tol(self)).all())
+        distances = np.asarray(self.boundary_distance(check_points(self, x, "x")), float)
+        return bool(np.maximum.reduce(distances, None, initial=-math.inf) <= closure_tol(self))
 
     def certificate_dict(self) -> dict:
         return {"c0": self.c0, "alpha": self.alpha, "phi_name": self.phi_name}
@@ -127,24 +127,14 @@ class ConeCoverCertificate:
             raise ValueError("cone directions must be unit vectors")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "centers": self.centers.tolist(),
-                "radius": self.radius,
-                "directions": self.directions.tolist(),
-                "lambda": self.lam,
-            }
-        )
+        return json.dumps({"centers": self.centers.tolist(), "radius": self.radius,
+                           "directions": self.directions.tolist(), "lambda": self.lam})
 
     @classmethod
     def from_json(cls, text: str) -> "ConeCoverCertificate":
         obj = json.loads(text)
-        return cls(
-            centers=np.asarray(obj["centers"], float),
-            radius=float(obj["radius"]),
-            directions=np.asarray(obj["directions"], float),
-            lam=float(obj["lambda"]),
-        )
+        return cls(np.asarray(obj["centers"], float), float(obj["radius"]),
+                   np.asarray(obj["directions"], float), float(obj["lambda"]))
 
 
 @dataclass(frozen=True)
@@ -204,10 +194,12 @@ def check_points(domain: DomainSpec, x, name: str) -> np.ndarray:
     return x
 
 
-def check_feasible(domain: DomainSpec, states, what: str) -> None:
-    """``InfeasibleStep`` naming ``what`` unless all ``states`` are finite closure points."""
-    worst = float(np.asarray(domain.boundary_distance(states)).max())
-    if not (-math.inf < worst <= closure_tol(domain) and np.isfinite(states).all()):
+def check_feasible(domain: DomainSpec, states, what: str, distances=None) -> None:
+    """``InfeasibleStep`` naming ``what`` unless all ``states`` are finite closure
+    points; a caller that found them finite may pass their ``distances``."""
+    given = distances is not None
+    worst = float(np.maximum.reduce(distances if given else domain.boundary_distance(states), None))
+    if not (-math.inf < worst <= closure_tol(domain) and (given or np.isfinite(states).all())):
         raise InfeasibleStep(f"{what} outside the domain closure (distance {worst})")
 
 
@@ -227,9 +219,10 @@ def sum_squares(a: np.ndarray) -> np.ndarray:
     d = a.shape[-1]
     if d >= 8:
         return np.add.reduce(a * a, axis=-1)
-    total = a[..., 0] * a[..., 0]
+    # np.square(x) is x * x, from one view of the column.
+    total = np.square(a[..., 0])
     for k in range(1, d):
-        total += a[..., k] * a[..., k]
+        total += np.square(a[..., k])
     return total
 
 
@@ -412,14 +405,8 @@ def check_d3(
         worst_margin = min(worst_margin, float(np.min(margins)))
     cover_ok = worst_cover <= cert.radius + CHECK_SLACK
     directions_ok = bool(worst_margin >= -CHECK_SLACK)
-    return D3Report(
-        passed=cover_ok and directions_ok,
-        cover_ok=cover_ok,
-        directions_ok=directions_ok,
-        worst_cover_distance=worst_cover,
-        worst_direction_margin=float(worst_margin),
-        n_boundary=n_boundary,
-    )
+    return D3Report(cover_ok and directions_ok, cover_ok, directions_ok, worst_cover,
+                    float(worst_margin), n_boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import accumulate
-from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -121,8 +119,11 @@ def _union_times(parts: list[np.ndarray]) -> np.ndarray:
     time before them: repeats, and near-repeats of non-dyadic substeps."""
     merged = np.concatenate(parts)
     merged.sort()
+    keep = np.empty(len(merged), bool)
+    keep[:1] = True
     with np.errstate(invalid="ignore"):  # a repeated infinity
-        return merged[np.concatenate(([True], merged[1:] - merged[:-1] > _COLLAPSE_TOL))]
+        np.greater(merged[1:] - merged[:-1], _COLLAPSE_TOL, out=keep[1:])
+    return merged[keep]
 
 
 def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizon: float):
@@ -135,9 +136,11 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
     an output or a knot start just after it is that step time.
     """
     n_knots = dyadic_grid(horizon, n)[0]
-    knot_starts = np.arange(n_knots) / 2.0**n
-    sub = (np.arange(substeps_per_knot) / substeps_per_knot) / 2.0**n
-    base = (knot_starts[:, None] + sub).ravel()
+    # ``k / 2^n + (s / substeps_per_knot) / 2^n``, scaled once: dividing by
+    # a power of two is exact, so the sum rounds to the same bits.
+    sub = np.arange(substeps_per_knot) / substeps_per_knot
+    base = (np.arange(n_knots)[:, None] + sub).ravel() / 2.0**n
+    knot_starts = base[::substeps_per_knot]
     output_times = np.asarray(output_times, float)
     times = _union_times([base, output_times, np.array([0.0, horizon])])
     # Sorted, so the times within [0, horizon] are one slice.
@@ -166,18 +169,21 @@ def _march_arrays(domain: DomainSpec, x0, n_out: int, n_steps: int, log_steps: b
     if log_steps and B != 1:
         raise ValueError(f"a step log is of one path, so x0 must have one row, got {B}")
     rows = n_steps + 1 if log_steps else 0
-    shapes = [(B, d), (B,), (n_out, B, d), (rows, d), (rows, d), (rows,)]
-    ends = list(accumulate(map(prod, shapes), initial=0))
-    buffer = np.zeros(ends[-1])
-    X, var, out, *log = [buffer[lo:hi].reshape(s) for lo, hi, s in zip(ends, ends[1:], shapes)]
+    # Where the variation, the outputs and the log's states, dL and |dL| start.
+    v, o = B * d, B * d + B
+    s = o + n_out * v
+    dl, dv = s + rows * d, s + 2 * rows * d
+    buffer = np.zeros(dv + rows)
+    X = buffer[:v].reshape(B, d)
     X[...] = x0
+    arrays = X, buffer[v:o], buffer[o:s].reshape(n_out, B, d)
     at = _ptr(buffer)
     if not log_steps:
-        return (X, var, out, None), [at + 8 * lo for lo in ends[:3]] + [None] * 3
-    log[0][0] = x0[0]
+        return (*arrays, None), [at, at + 8 * v, at + 8 * o, None, None, None]
+    log = buffer[s:dl].reshape(rows, d), buffer[dl:dv].reshape(rows, d), buffer[dv:]
+    log[0][0] = X[0]
     # Step i logs at row i + 1, so the log's addresses are of its row 1.
-    starts = (*ends[:3], ends[3] + d, ends[4] + d, ends[5] + 1)
-    return (X, var, out, tuple(log)), [at + 8 * lo for lo in starts]
+    return (*arrays, log), [at + 8 * i for i in (0, v, o, s + d, dl + d, dv + 1)]
 
 
 def _output_positions(out_pos, n_steps: int | None = None) -> np.ndarray:
@@ -188,9 +194,8 @@ def _output_positions(out_pos, n_steps: int | None = None) -> np.ndarray:
     pos = np.asarray(out_pos)
     if pos.ndim == 1 and (not len(pos) or pos.dtype.kind in "iu"):
         pos = np.ascontiguousarray(pos, np.int64)
-        if not len(pos) or (
-            pos[0] >= 0 and (n_steps is None or pos[-1] <= n_steps) and (pos[1:] >= pos[:-1]).all()
-        ):
+        if not len(pos) or (pos.item(0) >= 0 and (n_steps is None or pos.item(-1) <= n_steps)
+                            and np.logical_and.reduce(pos[1:] >= pos[:-1])):
             return pos
     within = "from 0" if n_steps is None else f"within 0..{n_steps}"
     raise ValueError(f"output positions must be ascending step positions {within}")
@@ -272,7 +277,8 @@ def integrate_wz_batch(
     slopes = _noise_batch(arrays[0], coeffs, np.ascontiguousarray(slopes, float))
     knot_idx = np.ascontiguousarray(knot_idx[: len(dts)], np.int64)
     # A negative index, read as unsigned, lies past every knot interval.
-    if len(knot_idx) != len(dts) or (knot_idx.view(np.uint64) >= slopes.shape[1]).any():
+    if len(knot_idx) != len(dts) or (
+            len(dts) and np.maximum.reduce(knot_idx.view(np.uint64), None) >= slopes.shape[1]):
         raise ValueError("knot_idx must give every step a knot interval of slopes")
     native = cover.native_march(domain, coeffs)
     if native is not None:
@@ -334,10 +340,11 @@ def integrate_reference_batch(
         head, outputs = (*tags, len(arrays[0]), *at[:2]), _ptr(out_steps)
 
         def march(start, values, pos, n, j):
-            # The block from knot pos on, and its row, knot and noise steps.
+            # The block from knot pos on, and its row, knot and noise steps
+            # (in floats: _noise_batch casts it).
             block = (None, 0, 0, 0) if values is None else (
                 _ptr(values) + (pos - start) * values.strides[1],
-                *(step // values.itemsize for step in values.strides),
+                *[step // 8 for step in values.strides],
             )
             return lib.march_reference(
                 *head, *block, pos, n, h, outputs, len(out_steps), j, *at[2:],
@@ -365,7 +372,7 @@ def integrate_reference_batch(
             raise ValueError(_BLOCK_RULE)
         j = march(start, values, pos, n, j)
         pos += n
-    return _march_result(np.arange(last + 1) * h, arrays)
+    return _march_result(np.arange(last + 1.0) * h, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +399,9 @@ def _check_path_inputs(domain, coeffs, path: BrownianPath, x0, output_times):
     if coeffs.dim_noise != path.dim_noise:
         raise ValueError(f"path has noise dimension {path.dim_noise}, coeffs {coeffs.dim_noise}")
     times = np.asarray(output_times, float)
-    if not (times.size and 0 <= times.min() and times.max() <= path.horizon + 1e-12):
+    # ``times.min()`` and ``times.max()``, without their Python-level wrappers.
+    if not (times.size and 0 <= np.minimum.reduce(times, None)
+            and np.maximum.reduce(times, None) <= path.horizon + 1e-12):
         raise ValueError(f"output_times must be nonempty and lie within [0, {path.horizon}]")
     return _check_start(domain, coeffs, x0), times
 
@@ -404,19 +413,23 @@ def _reflected_path(domain, output_times, level, out_pos, march, record_substeps
     The regulator and variation at each output are running sums of the
     step log, added in the kernel's order from its row 0, the start.
     ``NonFiniteState`` names the first output whose state is not finite;
-    ``InfeasibleStep`` follows for an output outside the closure.
+    ``InfeasibleStep`` follows for an output outside the closure.  One
+    distance pass serves both: the outputs are the recorded log's rows.
     """
     states, _, (times, log_states, d_l, d_var) = march
     states = states[:, 0]
-    if not np.isfinite(states).all():
+    if not np.logical_and.reduce(np.isfinite(states), None):
         first = np.argmin(np.isfinite(states).all(axis=1))
         raise NonFiniteState(f"non-finite state at t={times[out_pos[first]]}")
-    check_feasible(domain, states, "output states")
-    regulator, variation = d_l.cumsum(axis=0)[out_pos], d_var.cumsum()[out_pos]
+    rows = log_states if record_substeps else states
+    distances = np.asarray(domain.boundary_distance(rows), float)
+    feasible = distances[out_pos] if record_substeps else distances
+    check_feasible(domain, states, "output states", feasible)
+    # np.cumsum's sums without its dispatch.
+    regulator, variation = np.add.accumulate(d_l)[out_pos], np.add.accumulate(d_var)[out_pos]
     substeps = None
     if record_substeps:
-        distances = np.asarray(domain.boundary_distance(log_states[1:]), float)
-        substeps = SubstepLog(times[1:], log_states[1:], d_l[1:], d_var[1:], distances)
+        substeps = SubstepLog(times[1:], log_states[1:], d_l[1:], d_var[1:], distances[1:])
     return ReflectedPath(output_times, states, regulator, variation, level, substeps)
 
 
@@ -476,17 +489,20 @@ def fine_grid_positions(fine_level: int, n_knots: int, output_times: np.ndarray)
     at ``fine_level``; they must sit on that fine grid."""
     scaled = np.asarray(output_times, float) * 2.0**fine_level
     pos = np.rint(scaled).astype(np.intp)
-    if (np.abs(scaled - pos) > 1e-9).any() or not (
-            0 <= pos.min(initial=0) and pos.max(initial=0) <= n_knots):
+    # fmax skips NaNs, as a test of each distance would; a negative
+    # position, read as unsigned, lies past every knot.
+    off = np.fmax.reduce(np.abs(scaled - pos), None, initial=0.0)
+    if off > 1e-9 or np.maximum.reduce(pos.view(np.uintp), None, initial=0) > n_knots:
         raise ValueError("output times must lie on the path's fine dyadic grid")
     return pos
 
 
 def coupled_output_grid(n: int, output_times, horizon: float) -> np.ndarray:
     """Level-``n`` knots joined with the requested output times."""
-    knots = np.arange(dyadic_grid(horizon, n)[0] + 1) / 2.0**n
-    return _union_times([knots[: knots.searchsorted(horizon + 1e-12, "right")],
-                         np.asarray(output_times, float)])
+    last = dyadic_grid(horizon, n)[0]
+    # Every knot before the last covering one lies within the horizon.
+    last -= last / 2.0**n > horizon + 1e-12
+    return _union_times([np.arange(last + 1) / 2.0**n, np.asarray(output_times, float)])
 
 
 def coupled_solve(

@@ -2,8 +2,9 @@
 more than they need.
 
 Importing ``numpy.random`` raises a single path's peak resident memory by
-about 2 MB and a study's by more, and ``multiprocessing`` and
-``concurrent.futures`` serve only forked workers.  With the library
+about 2 MB and a study's by more, ``multiprocessing`` and
+``concurrent.futures`` serve only forked workers, and ``subprocess``
+(about 3 ms to import) only builds the library.  With the library
 loaded, path seeds and streams are keyed in C, so a single path, a
 coupled solve and a serial ``converge`` import none of them, also when
 its reference refines the fine grid in several blocks, each on the
@@ -56,8 +57,8 @@ harness._CHUNK_BYTES = 2 * 8 * 8 * (2 * 4 + 1)
 calls.clear()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["converge", "--config", sys.argv[1]])
-loaded = [name for name in ("numpy.random", "multiprocessing", "concurrent.futures")
-          if name in sys.modules]
+loaded = [name for name in ("numpy.random", "multiprocessing", "concurrent.futures",
+                          "subprocess") if name in sys.modules]
 print(json.dumps({"refinements": refinements, "covered": covered, "code": code,
                   "converge_refinements": calls, "loaded": loaded}))
 """
@@ -94,3 +95,15 @@ def test_single_paths_and_a_serial_converge_leave_numpy_random_unloaded(native, 
     # per block.
     assert result == {"refinements": [1, 1], "covered": True, "code": 0,
                       "converge_refinements": [True] * 5, "loaded": []}
+
+
+def test_importing_the_cli_leaves_subprocess_unloaded():
+    # Only building the native library runs a child process, so only the
+    # build imports ``subprocess``.
+    package_root = Path(rs.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    script = "import sys, reflectedsde.cli; print('subprocess' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import reflectedsde as rs
 from reflectedsde import brownian, harness
 from reflectedsde.coefficients import CoefficientSet
 from reflectedsde.errors import (
+    InfeasibleStep,
     LevelTooFine,
     MismatchedTimes,
     NonFiniteState,
@@ -381,3 +384,73 @@ def test_euler_substeps_miss_a_share_of_the_stratonovich_term_at_every_level(n):
         rms[k] = float(np.sqrt(np.mean((batch - exact) ** 2)))
     assert 1.5e-2 <= rms[8] <= 2.5e-2
     assert 6.0 <= rms[8] / rms[64] <= 10.0
+
+
+# The three per-path solvers at level 3 on one path at fine level 6, from
+# (0.5, 0) in the unit ball, with outputs at 0.5 and 1.0.
+SOLVES = {
+    "solve_wz": lambda D, C, P, log: rs.solve_wz(D, C, P, 3, 2, [0.5, 0.0], [0.5, 1.0], log),
+    "solve_reference": lambda D, C, P, log: rs.solve_reference(D, C, P, [0.5, 0.0], [0.5, 1.0],
+                                                               log),
+    "coupled_solve": lambda D, C, P, log: rs.coupled_solve(D, C, P, 3, 2, [0.5, 0.0], [0.5, 1.0],
+                                                           log),
+}
+
+
+@pytest.mark.parametrize("record_substeps", [False, True])
+@pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+def test_an_output_outside_the_closure_is_infeasible(solve, record_substeps):
+    # A custom resolution that puts every state at (2, 2), outside the unit
+    # ball: the outputs after the start lie sqrt(8) - 1 from its boundary.
+    ball = rs.ball(1.0, dim=2)
+    outside = replace(ball, resolve_batch=lambda X, V: (np.full_like(X, 2.0),
+                                                        np.full_like(X, 2.0) - (X + V)))
+    path, coeffs = rs.sample_path(2, 1.0, 6, 3), rs.constant([[0.4, 0.0], [0.0, 0.4]])
+    worst = float(np.sqrt(8.0) - 1.0)
+    message = f"output states outside the domain closure (distance {worst})"
+    with pytest.raises(InfeasibleStep) as raised:
+        solve(outside, coeffs, path, record_substeps)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("record_substeps", [False, True])
+@pytest.mark.parametrize("solve, t", [(SOLVES["solve_wz"], 0.5), (SOLVES["solve_reference"], 0.5),
+                                      (SOLVES["coupled_solve"], 0.125)],
+                         ids=SOLVES.keys())
+def test_a_non_finite_output_is_named_before_its_distance(solve, t, record_substeps):
+    # A NaN state has a NaN distance, so it is outside the closure too, but
+    # the first output after the start that is not finite is named first.
+    ball = rs.ball(1.0, dim=2)
+    lost = replace(ball, resolve_batch=lambda X, V: (np.full_like(X, np.nan),
+                                                     np.full_like(X, np.nan)))
+    path, coeffs = rs.sample_path(2, 1.0, 6, 3), rs.constant([[0.4, 0.0], [0.0, 0.4]])
+    with pytest.raises(NonFiniteState) as raised:
+        solve(lost, coeffs, path, record_substeps)
+    assert str(raised.value) == f"non-finite state at t={t}"
+
+
+@pytest.mark.parametrize("record_substeps", [False, True])
+def test_a_coupled_solve_takes_one_distance_pass_per_path(record_substeps):
+    # One call checks the start (contains), and one per path checks the
+    # outputs, over the step log when it is recorded, of which the outputs
+    # are rows: the log's distances and the outputs' are one pass.
+    ball, calls = rs.ball(1.0, dim=2), []
+
+    def distance(x):
+        calls.append(np.shape(x))
+        return ball.boundary_distance(x)
+
+    counted = replace(ball, boundary_distance=distance)
+    path, coeffs = rs.sample_path(2, 1.0, 6, 3), rs.constant([[0.4, 0.0], [0.0, 0.4]])
+    approx, ref = rs.coupled_solve(counted, coeffs, path, 3, 2, [0.5, 0.0], [1.0], record_substeps)
+    # x0, then the 17 rows of the Wong-Zakai log (8 knots of 2 substeps)
+    # and the 65 of the reference's (fine level 6), or the 9 outputs each.
+    assert calls == [(2,), (17, 2), (65, 2)] if record_substeps else [(2,), (9, 2), (9, 2)]
+    plain = rs.coupled_solve(ball, coeffs, path, 3, 2, [0.5, 0.0], [1.0], record_substeps)
+    for a, b in zip((approx, ref), plain):
+        for field in ("states", "regulator", "variation"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        if record_substeps:
+            assert (a.substeps.boundary_distances.tobytes()
+                    == b.substeps.boundary_distances.tobytes()
+                    == ball.boundary_distance(a.substeps.states).tobytes())
