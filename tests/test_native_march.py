@@ -58,11 +58,28 @@ DOMAINS = {
 }
 
 
-def _starts(domain):
-    """Starts at both bounds, at signed zeros, inside, and not finite."""
+# Batch widths across the native march's 64-row tile and the tail of its
+# vector loops: one row, an odd row after a pair, and no multiple of 64.
+WIDTHS = (1, 2, 3, 63, 64, 65, 200)
+
+
+def _spread(special, rows):
+    """``rows`` with the ``special`` rows spread through them, the first
+    and the last included, or as many of them as fit, spread over the
+    list."""
+    n = min(len(rows), len(special))
+    at = np.linspace(0, len(rows) - 1, n).round().astype(int)
+    rows[at] = np.array(special)[np.linspace(0, len(special) - 1, n).round().astype(int)]
+    return rows
+
+
+def _starts(domain, width=8):
+    """``width`` starts: at both bounds, at signed zeros, inside and not
+    finite, spread through random points in and around the interval."""
     lo, hi = domain.resolve_batch.native[2]
-    rows = [lo, hi, 0.0, -0.0, 0.5 * (lo + hi), np.nan, np.inf, -np.inf]
-    return np.array(rows)[:, None]
+    rows = np.random.default_rng(width).uniform(lo - 0.3, hi + 0.3, (width, 1))
+    return _spread([[lo], [hi], [0.0], [-0.0], [0.5 * (lo + hi)], [np.nan], [np.inf], [-np.inf]],
+                   rows)
 
 
 def _slopes(B, K, seed):
@@ -123,9 +140,9 @@ def test_wz_march_gives_the_numpy_bytes(native, monkeypatch, family, domain_name
     n, substeps = 3, 3
     times, knot_idx, out_pos = wz_schedule(n, substeps, [0.0, 0.3, 5 / 12, 1.0], 1.0)
     slopes = _slopes(len(x0), 2**n, 7)
-    # Every row of the batch, then each row alone with its step log.
-    runs = [(x0, slopes, False)] + [(x0[i : i + 1], slopes[i : i + 1], True)
-                                    for i in range(len(x0))]
+    # A batch of each width, then each special start alone with its step log.
+    runs = [(_starts(domain, w), _slopes(w, 2**n, 7), False) for w in WIDTHS]
+    runs += [(x0[i : i + 1], slopes[i : i + 1], True) for i in range(len(x0))]
     for start, slope, log in runs:
         native_arrays, numpy_arrays = _both(monkeypatch, lambda: integrate_wz_batch(
             domain, coeffs, start, slope, times, knot_idx, out_pos, log))
@@ -136,14 +153,11 @@ def test_wz_march_gives_the_numpy_bytes(native, monkeypatch, family, domain_name
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_reference_march_gives_the_numpy_bytes(native, monkeypatch, family, domain_name):
     domain, coeffs = DOMAINS[domain_name](), FAMILIES[family]()
-    x0 = _starts(domain)
-    B = len(x0)
-    coarse = rs.sample_path(1, 1.0, 3, list(range(B)))
     fine_level = 6
     # Outputs at the start, repeated, and a last one inside a block.
     out_steps = np.array([0, 0, 5, 8, 8, 37])
 
-    def blocks(rows):
+    def blocks(coarse, rows):
         # One coarse interval per block, with a zero first increment and a
         # huge knot that overflows.
         for start, values in FineBlocks(coarse, fine_level, 64, 1).blocks():
@@ -154,9 +168,14 @@ def test_reference_march_gives_the_numpy_bytes(native, monkeypatch, family, doma
                 values[:, 3] = 1e308
             yield start, values
 
-    for rows, log in [(slice(None), False)] + [(slice(i, i + 1), True) for i in range(B)]:
+    # A batch of each width, then each special start alone with its step log.
+    runs = [(_starts(domain, w), slice(None), False) for w in WIDTHS]
+    specials = _starts(domain)
+    runs += [(specials, slice(i, i + 1), True) for i in range(len(specials))]
+    for x0, rows, log in runs:
+        coarse = rs.sample_path(1, 1.0, 3, list(range(len(x0))))
         native_arrays, numpy_arrays = _both(monkeypatch, lambda: integrate_reference_batch(
-            domain, coeffs, x0[rows], blocks(rows), fine_level, out_steps, log))
+            domain, coeffs, x0[rows], blocks(coarse, rows), fine_level, out_steps, log))
         assert native_arrays == numpy_arrays
 
 
@@ -275,16 +294,17 @@ def test_the_library_key_covers_both_sources(monkeypatch, tmp_path):
     assert brownian._library_path() == key
 
 
-def test_both_sources_compile_without_a_warning():
-    # The library's own flags, with every warning of -Wall -Wextra an error.
+def test_both_sources_compile_without_a_warning(monkeypatch, tmp_path):
+    # The library's own build, with every warning of -Wall -Wextra an
+    # error; the optimiser runs, so its warnings (-Wmaybe-uninitialized,
+    # -Warray-bounds, -Wstringop-overflow) are checked too.
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
-    proc = subprocess.run(
-        ["cc", *brownian._CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-         "-I", np.get_include(), *map(str, brownian._SOURCES)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(brownian, "_CFLAGS", [*brownian._CFLAGS, "-Wall", "-Wextra", "-Werror"])
+    try:
+        brownian._compile(tmp_path / "library.so")
+    except subprocess.CalledProcessError as error:
+        pytest.fail(error.stderr.decode())
 
 
 _SETUP = """
@@ -454,10 +474,6 @@ PLANAR_DOMAINS = {
     "annulus": lambda: rs.annulus(0.5, 1.0, dim=2),
 }
 
-# Widths either side of the native march's 64-row tile, and one that is no
-# multiple of it.
-PLANAR_WIDTHS = (2, 63, 64, 65, 200)
-
 # Starts on both annulus spheres (on the ball's sphere and inside the box
 # too), at the centre, at -0.0, outside every domain and not finite.
 _PLANAR_STARTS = [
@@ -468,13 +484,9 @@ _PLANAR_STARTS = [
 
 
 def _planar_starts(width):
-    """``width`` starts: the special ones (spread over them when fewer),
-    then random points in and around the domains."""
-    rows = np.random.default_rng(width).uniform(-1.2, 1.2, (width, 2))
-    n = min(width, len(_PLANAR_STARTS))
-    pick = np.linspace(0, len(_PLANAR_STARTS) - 1, n).round().astype(int)
-    rows[:n] = np.array(_PLANAR_STARTS)[pick]
-    return rows
+    """``width`` starts: the special ones spread through random points in
+    and around the domains."""
+    return _spread(_PLANAR_STARTS, np.random.default_rng(width).uniform(-1.2, 1.2, (width, 2)))
 
 
 @pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
@@ -484,7 +496,7 @@ def test_planar_wz_march_gives_the_numpy_bytes(native, monkeypatch, family, doma
     # An output after the first step, which a zero slope leaves on a bound
     # for a start there.
     times, knot_idx, out_pos = wz_schedule(3, 3, [0.0, 1 / 24, 0.3, 5 / 12, 1.0], 1.0)
-    for width in PLANAR_WIDTHS:
+    for width in WIDTHS:
         x0 = _planar_starts(width)
         slopes = np.random.default_rng(7).normal(0.0, 4.0, (width, 8, 2))
         slopes[:, 0] = 0.0
@@ -501,7 +513,7 @@ def test_planar_reference_march_gives_the_numpy_bytes(native, monkeypatch, famil
     domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family]()
     fine_level = 6
     out_steps = np.array([0, 0, 1, 5, 8, 8, 37])
-    for width in PLANAR_WIDTHS:
+    for width in WIDTHS:
         x0 = _planar_starts(width)
         coarse = rs.sample_path(2, 1.0, 3, list(range(width)))
 
@@ -696,6 +708,10 @@ def _march_both(domain, coeffs, x0, slopes, values, log):
 @given(group=_groups())
 # A zero drift matrix times an infinite state is NaN, alone and in a group.
 @example(group=("1 interval constant_no_drift", [[np.inf], [0.0]], [0], 0, 1.0))
+# A NaN row ends the first 64-row tile, and a -0.0 row is the next tile's
+# only row.
+@example(group=("2 annulus trig", [[0.75, 0.0]] * 63 + [[np.nan, 0.3], [-0.0, -0.0]],
+                [63, 64], 0, 1.0))
 def test_a_path_marched_alone_gives_its_rows_bytes_in_a_group(group):
     # Both schemes, on both backends: each drawn row of a group marched
     # alone with its step log, as a single path is, gives the bytes of its
@@ -734,7 +750,7 @@ from test_native_march import (DOMAINS, FAMILIES, PLANAR_DOMAINS, PLANAR_FAMILIE
 libc = ctypes.CDLL(None)
 libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
 page, pages = mmap.PAGESIZE, []
-covered, march_arrays = cover.native_march, solvers._march_arrays
+covered, march_arrays, noise_batch = cover.native_march, solvers._march_arrays, solvers._noise_batch
 
 
 def at_page_end(a):
@@ -758,14 +774,21 @@ def guarded(domain, coeffs):
 
 
 def guarded_arrays(*args):
-    # Each step log array moved to the end of its own readable page, and
-    # the native march pointed at the moved copies' row 1, where step 0
-    # logs.
+    # The state, the variation, the outputs and each step log array moved
+    # to the end of its own readable page, and the native march pointed at
+    # the moved copies, the log's at row 1, where step 0 logs.
     (X, var, out, log), at = march_arrays(*args)
+    X, var, out = at_page_end(X), at_page_end(var), at_page_end(out)
+    at = [X.ctypes.data, var.ctypes.data, out.ctypes.data]
     if log is None:
-        return (X, var, out, log), at
+        return (X, var, out, log), at + [None] * 3
     log = tuple(at_page_end(a) for a in log)
-    return (X, var, out, log), at[:3] + [a[1:].ctypes.data for a in log]
+    return (X, var, out, log), at + [a[1:].ctypes.data for a in log]
+
+
+def guarded_noise(*args):
+    # The WZ slopes and the reference's Brownian blocks at a page end.
+    return at_page_end(noise_batch(*args))
 
 
 def stats(domain, coeffs, x0):
@@ -783,15 +806,18 @@ planes = [(PLANAR_DOMAINS[name](), family(), _PLANAR_PATH_STARTS[name][0])
 runs = [(run, study) for run in (stats, single_path) for study in lines + planes]
 for run, study in runs:
     expected = run(*study)
-    cover.native_march, solvers._march_arrays = guarded, guarded_arrays
+    cover.native_march, solvers._march_arrays, solvers._noise_batch = (
+        guarded, guarded_arrays, guarded_noise)
     assert run(*study) == expected
-    cover.native_march, solvers._march_arrays = covered, march_arrays
+    cover.native_march, solvers._march_arrays, solvers._noise_batch = (
+        covered, march_arrays, noise_batch)
 print(len(runs))
 """
 
 
 def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
-    # Each covered study marches with each of its two packed tags, and a
+    # Each covered study marches with each of its two packed tags, its
+    # state, variation, outputs, WZ slopes and Brownian blocks, and a
     # single path with each of its step log's arrays, zero row included,
     # at the end of a readable page, in a child process that a read or
     # write past them kills.
