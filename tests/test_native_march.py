@@ -800,10 +800,23 @@ def single_path(domain, coeffs, x0):
     return _arrays(rs.coupled_solve(domain, coeffs, path, 3, 2, x0, [0.5, 1.0], True))
 
 
+def batch(domain, coeffs, x0):
+    # 65 rows, a full tile and a tile of one, whose row is each array's
+    # last, through both schemes.
+    x0 = np.tile(np.asarray(x0, float), (65, 1))
+    paths = rs.sample_path(coeffs.dim_noise, 1.0, 5, list(range(65)))
+    times, knot_idx, out_pos = solvers.wz_schedule(3, 2, [0.5, 1.0], 1.0)
+    return _arrays([
+        solvers.integrate_wz_batch(domain, coeffs, x0, rs.wz_knot_slopes(paths, 3), times,
+                                   knot_idx, out_pos),
+        solvers.integrate_reference_batch(domain, coeffs, x0, [(0, paths.values)], 5, [16, 32]),
+    ])
+
+
 lines = [(make(), family(), [0.0]) for make in DOMAINS.values() for family in FAMILIES.values()]
 planes = [(PLANAR_DOMAINS[name](), family(), _PLANAR_PATH_STARTS[name][0])
           for name in PLANAR_DOMAINS for family in PLANAR_FAMILIES.values()]
-runs = [(run, study) for run in (stats, single_path) for study in lines + planes]
+runs = [(run, study) for run in (stats, single_path, batch) for study in lines + planes]
 for run, study in runs:
     expected = run(*study)
     cover.native_march, solvers._march_arrays, solvers._noise_batch = (
@@ -820,7 +833,8 @@ def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
     # state, variation, outputs, WZ slopes and Brownian blocks, and a
     # single path with each of its step log's arrays, zero row included,
     # at the end of a readable page, in a child process that a read or
-    # write past them kills.
+    # write past them kills; as a group, as a single path and as a batch
+    # of 65 rows, whose last tile holds the arrays' last row alone.
     if not sys.platform.startswith("linux"):
         pytest.skip("the guard page is set with Linux's mprotect")
     tests_dir = Path(__file__).resolve().parent
@@ -830,4 +844,4 @@ def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     planes = len(PLANAR_DOMAINS) * len(PLANAR_FAMILIES)
-    assert int(proc.stdout) == 2 * (len(DOMAINS) * len(FAMILIES) + planes)
+    assert int(proc.stdout) == 3 * (len(DOMAINS) * len(FAMILIES) + planes)
