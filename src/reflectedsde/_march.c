@@ -197,9 +197,8 @@ INLINE void fields(int d, const kernel_t *k, const tile_t *y, int n, tile_t *sig
         int p = dm == 1 ? 0 : k->spread[e];
         for (int r = 0; r < n; r++) {
             sig[e][r] = k->s[e] + k->amp[e] * sn[p][r];
-            double c = g ? k->amp[e] * cs[p][r] : 0.0;
             for (int i = 0; g && i < d; i++)
-                g[e * d + i][r] = c * k->f[i];
+                g[e * d + i][r] = k->amp[e] * cs[p][r] * k->f[i];
         }
     }
 }
