@@ -3,11 +3,11 @@
  * One call marches a batch of B paths through a run of steps of either
  * scheme, with a built-in coefficient family (constant, linear or trig)
  * and an affine drift b(y) = A y + c, on a box (at d = 1 the interval)
- * or, at d = 2, a ball or an annulus.  Both schemes are one march written
- * once over d, which differ only in their displacement, as solvers._march
- * does in numpy; each entry point inlines it once for each d, with d a
- * constant, so that every loop over coordinates has constant bounds, and
- * once more for each d at B = 1.
+ * or, at d = 2 and d = 3, a ball or an annulus.  Both schemes are one
+ * march written once over d, which differ only in their displacement, as
+ * solvers._march does in numpy; each entry point inlines it once for each
+ * d, with d a constant, so that every loop over coordinates has constant
+ * bounds, and once more for each d at B = 1.
  *
  * Rows march in tiles of up to TILE_ROWS.  A tile loads its rows' states
  * and variations into structure-of-arrays locals, y[k][r] for coordinate k
@@ -54,8 +54,8 @@
  *
  * dom and fam are the tags cover.native_tag packs, as doubles, with
  * matrices row-major and m = d:
- *   dom = {d, domain, then four slots: the box's lo (d) and hi (d), the
- *          ball's radius, or the annulus's r1 and r2};
+ *   dom = {d, domain, then 2 * D_MAX slots: the box's lo (d) and hi (d),
+ *          the ball's radius, or the annulus's r1 and r2};
  *   fam = {family, the drift's A (d * d) and c (d), then the family's
  *          values:
  *     constant: sigma (d * m);
@@ -70,7 +70,7 @@
 #include <stddef.h>
 #include <stdint.h>
 
-#define D_MAX 2
+#define D_MAX 3
 /* The marches' parts, inlined where d is a constant. */
 #define INLINE static inline __attribute__((always_inline))
 
@@ -348,7 +348,7 @@ INLINE int64_t march(int d, int ref, const double *dom, const double *fam, int64
     return j;
 }
 
-/* The march inlined at d = 1 and d = 2, and for each at B = 1 too: a
+/* The march inlined at d = 1, 2 and 3, and for each at B = 1 too: a
  * single path's row loops then unroll, and its tile stays in registers. */
 INLINE int64_t inlined(int ref, const double *dom, const double *fam, int64_t B, double *x,
                        double *var, io_t io, int64_t first, int64_t n_steps, int64_t j)
@@ -356,8 +356,11 @@ INLINE int64_t inlined(int ref, const double *dom, const double *fam, int64_t B,
     if (dom[0] == 1.0)
         return B == 1 ? march(1, ref, dom, fam, 1, x, var, io, first, n_steps, j)
                       : march(1, ref, dom, fam, B, x, var, io, first, n_steps, j);
-    return B == 1 ? march(2, ref, dom, fam, 1, x, var, io, first, n_steps, j)
-                  : march(2, ref, dom, fam, B, x, var, io, first, n_steps, j);
+    if (dom[0] == 2.0)
+        return B == 1 ? march(2, ref, dom, fam, 1, x, var, io, first, n_steps, j)
+                      : march(2, ref, dom, fam, B, x, var, io, first, n_steps, j);
+    return B == 1 ? march(3, ref, dom, fam, 1, x, var, io, first, n_steps, j)
+                  : march(3, ref, dom, fam, B, x, var, io, first, n_steps, j);
 }
 
 /* ------------------------------------------------------------------------

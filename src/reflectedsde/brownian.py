@@ -23,7 +23,7 @@ check fails, that function draws every normal.
 
 The same library holds the native march of ``solvers`` (``_march.c``),
 which marches the built-in families' studies at d = m = 1 and, on the
-built-in domains, at d = m = 2.  It is
+built-in domains, at d = m = 2 and d = m = 3.  It is
 compiled on first use with ``cc`` and ``_CFLAGS`` into
 ``$XDG_CACHE_HOME/reflectedsde/<key>.so`` (``~/.cache`` when
 ``XDG_CACHE_HOME`` is unset), where the key is the SHA-256 of both C
@@ -151,8 +151,8 @@ def native_library() -> str | None:
     The library draws every Brownian stream and marches the studies it
     covers (``cover.native_march``: a built-in family on a
     one-dimensional box at d = m = 1, or on a box, ball or annulus at
-    d = m = 2, a single path included); without it, sampling and every
-    march run numpy, with the same bits.
+    d = m = 2 or d = m = 3, a single path included); without it,
+    sampling and every march run numpy, with the same bits.
     """
     lib = _native()
     return None if lib is None else lib._name

@@ -81,7 +81,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     format: str = "json"
-    workers: int = 1
     thresholds: dict = field(default_factory=dict)
     grid_level: int = 6
     r: float | None = None
@@ -94,9 +93,10 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
         names = [f.name for f in fields(cls)]
-        # "deterministic_reduction" still parses so older config files load;
-        # it selects nothing, as reduction is always in path-index order.
-        unknown = set(data) - set(names) - {"deterministic_reduction"}
+        # "deterministic_reduction" and "workers" still parse so older
+        # config files load; they select nothing, as reduction is always in
+        # path-index order and a study always runs in one process.
+        unknown = set(data) - set(names) - {"deterministic_reduction", "workers"}
         if unknown:
             raise ConfigError(f"unknown keys {sorted(unknown)}", field="config")
         if "domain" not in data:
@@ -152,7 +152,7 @@ class ExperimentConfig:
         try:
             return harness.Study(
                 domain, coeffs, self.x0, self.T, self.levels, self.M, self.fine_margin,
-                self.substeps_per_knot, self.seed, self.r, self.workers,
+                self.substeps_per_knot, self.seed, self.r,
             )
         except (ValueError, OutOfDomain) as exc:
             raise ConfigError(str(exc))
@@ -330,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
         p.add_argument("--out")
         p.add_argument("--format", choices=["json", "csv"])
         if name == "certify":
@@ -363,7 +362,7 @@ def _load_config(args) -> ExperimentConfig:
         config.domain = domain
     if hasattr(args, "domain") and args.cover is not None:
         config.cover_certificate = args.cover
-    for key in ("seed", "workers", "out", "format"):
+    for key in ("seed", "out", "format"):
         if getattr(args, key) is not None:
             setattr(config, key, getattr(args, key))
     return config

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cover import native_tag
+from .cover import D_MAX, native_tag
 from .errors import OutOfDomain
 from .geometry import DomainSpec, check_points
 
@@ -137,7 +137,7 @@ def finite_difference_correction(
 
 def _built_in(coeffs: CoefficientSet, family: str, *params) -> CoefficientSet:
     """``coeffs``, with its three callables tagged for the native march when
-    d = m = 1 or d = m = 2.
+    d = m <= ``cover.D_MAX``.
 
     The tag, ``cover.native_tag(d, family, values)``, is one object set on
     ``sigma``, ``b`` and ``grad_sigma``: ``values`` holds the drift's matrix
@@ -146,7 +146,7 @@ def _built_in(coeffs: CoefficientSet, family: str, *params) -> CoefficientSet:
     set with any callable replaced or wrapped runs the numpy march.
     """
     d, m = coeffs.dim_state, coeffs.dim_noise
-    if d == m and d <= 2:
+    if d == m <= D_MAX:
         tag = native_tag(d, family, tuple(float(v) for p in params for v in np.ravel(p)))
         for fn in (coeffs.sigma, coeffs.b, coeffs.grad_sigma):
             fn.native = tag

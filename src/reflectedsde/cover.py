@@ -3,11 +3,11 @@
 ``native_march`` is the one place that decides whether a study marches in
 C, and ``native_tag`` the one place that packs the parameters the C march
 reads; ``_march.c``'s header gives their layout once, in terms of d.  The
-C file holds one march per scheme, written over d and inlined for d = 1
-and d = 2.  It covers a built-in family on a one-dimensional box at
-d = m = 1, and on a box, ball or annulus at d = m = 2, at every batch
-width, a single path included.  ``solvers`` runs every other study with
-the numpy march, with the same bits.
+C file holds one march, written over d and inlined for d = 1, 2 and 3.  It
+covers a built-in family on a one-dimensional box at d = m = 1, and on a
+box, ball or annulus at d = m = 2 and d = m = 3, at every batch width, a
+single path included.  ``solvers`` runs every other study (m != d, d >= 4,
+a custom domain or set) with the numpy march, with the same bits.
 """
 
 from __future__ import annotations
@@ -24,16 +24,19 @@ if TYPE_CHECKING:
 
 DOMAINS = ("box", "ball", "annulus")
 FAMILIES = ("constant", "linear", "trig")
+# The largest d = m the native march covers, ``_march.c``'s ``D_MAX``.
+D_MAX = 3
 
 
 def native_tag(d: int, name: str, values: tuple) -> tuple:
     """The read-only tag ``(d, name, values, packed)`` that a built-in
     factory sets on its callables.  ``packed`` is the bytes the native
-    march reads: for a domain ``d``, its index in ``DOMAINS`` and four
-    slots of its bounds or radii; for a family its index in ``FAMILIES``
-    and its values."""
+    march reads: for a domain ``d``, its index in ``DOMAINS`` and
+    ``2 * D_MAX`` slots, its bounds or radii then zeros, so that a box of
+    any covered d fills them at most; for a family its index in
+    ``FAMILIES`` and its values."""
     if name in DOMAINS:
-        head = (d, DOMAINS.index(name), *values, *(0.0,) * (4 - len(values)))
+        head = (d, DOMAINS.index(name), *values, *(0.0,) * (2 * D_MAX - len(values)))
     else:
         head = (FAMILIES.index(name), *values)
     return d, name, values, np.array(head, float).tobytes()
@@ -44,8 +47,8 @@ def native_march(domain: DomainSpec, coeffs: CoefficientSet):
     native march when it covers the study, else ``None``.
 
     It covers a built-in domain with a built-in family at d = m = 1 (the
-    one-dimensional box) and at d = m = 2 (the box, the ball or the
-    annulus), marched through that domain's and that set's own
+    one-dimensional box) and at d = m = 2 and d = m = 3 (the box, the ball
+    or the annulus), marched through that domain's and that set's own
     callables: the domain factories tag ``resolve_batch`` with their bounds
     or radii, and each family factory tags ``sigma``, ``b`` and
     ``grad_sigma`` with one shared tag (``coefficients._built_in``).  A

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .brownian import _SEED_MASK, check_whole
-from .cover import native_tag
+from .cover import D_MAX, native_tag
 from .errors import (
     InfeasibleStep,
     NoBoundarySamples,
@@ -483,7 +483,7 @@ def box(lo, hi) -> DomainSpec:
         state = np.minimum(np.maximum(y, lo_b), hi_b)
         return state, state - y
 
-    if d <= 2:
+    if d <= D_MAX:
         # The bounds the native march clips to (cover.native_march).
         resolve_batch.native = native_tag(d, "box", (*lo.tolist(), *hi.tolist()))
 
@@ -548,7 +548,7 @@ def ball(radius: float, dim: int = 2) -> DomainSpec:
             state[out] = y[out] * (radius / r[out])[:, None]
         return state, state - y
 
-    if d == 2:
+    if 2 <= d <= D_MAX:
         # The radius the native march pushes to (cover.native_march).
         resolve_batch.native = native_tag(d, "ball", (radius,))
 
@@ -631,7 +631,7 @@ def annulus(r1: float, r2: float, dim: int = 2) -> DomainSpec:
             state[out] = y[out] * scale[:, None]
         return state, state - y
 
-    if d == 2:
+    if 2 <= d <= D_MAX:
         # The radii the native march pushes to (cover.native_march).
         resolve_batch.native = native_tag(d, "annulus", (r1, r2))
 

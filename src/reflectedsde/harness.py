@@ -17,23 +17,18 @@ stream resuming where the previous block stopped, so the fine grid is
 never held whole: each block is refined into one buffer when the march
 asks for it.
 
-A study's paths are cut once.  Each worker gets one balanced group of
-consecutive paths, ``_balanced(range(M), min(workers, M))``; with several
-workers each group runs in a forked process of its own, which inherits the
-domain and coefficient objects themselves, so any domain, built-in,
-modified or custom, runs in parallel.  A group's result arrays are
-allocated once, and the group is cut into tiles by one rule, ``_layout``,
-which also sets the process's threads and the bytes of each tile's block
-buffer.  Each thread marches a contiguous run of tiles, the first
-run on the caller's thread, and each tile samples, refines, marches and
-reduces its own paths and writes its rows of the group's arrays; a block
-spans as many whole coarse intervals as fit in its buffer's budget.  A
-Holder table is cut and marched the same way.  The output grid, each
-level's schedule and the reference's output positions depend only on the
-study, and are built once per engine or Holder call.  Per-path stats are
-reduced in path-index order, which makes every report bit-reproducible for
-a fixed configuration regardless of group, tile, thread and block layout
-or worker count.
+A study runs in one process.  Its result arrays are allocated once, and
+its paths are cut into tiles by one rule, ``_layout``, which also sets the
+threads and the bytes of each tile's block buffer.  Each thread marches a
+contiguous run of tiles, the first run on the caller's thread, and each
+tile samples, refines, marches and reduces its own paths and writes its
+rows of the study's arrays; a block spans as many whole coarse intervals
+as fit in its buffer's budget.  A Holder table is cut and marched the same
+way.  The output grid, each level's schedule and the reference's output
+positions depend only on the study, and are built once per engine or
+Holder call.  Per-path stats are reduced in path-index order, which makes
+every report bit-reproducible for a fixed configuration regardless of
+tile, thread and block layout or CPU count.
 
 The decay diagnostic uses the weighted squared distance
 ``exp(r (phi(X) + phi(X^n))) |X^n - X|^2`` with ``r`` strictly below
@@ -80,7 +75,7 @@ from .solvers import (
 # measured peaks.
 _CHUNK_BYTES = 16 * 2**20
 # Paths per native tile while their path arrays fit a thread's share, and
-# fewest per thread of a group (``_layout``); ``_march.c``'s ``TILE_ROWS``.
+# fewest per thread (``_layout``); ``_march.c``'s ``TILE_ROWS``.
 _TILE_ROWS = 64
 
 
@@ -340,7 +335,6 @@ class Study:
     substeps_per_knot: int
     seed: int
     r: float | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if not 0 < self.T < np.inf:
@@ -350,7 +344,7 @@ class Study:
             raise ValueError(f"levels must be nonempty and strictly increasing, got {levels}")
         checked = {"levels": levels}
         for name, least in (
-            ("M", 2), ("fine_margin", 2), ("substeps_per_knot", 1), ("workers", 1), ("seed", None),
+            ("M", 2), ("fine_margin", 2), ("substeps_per_knot", 1), ("seed", None),
         ):
             checked[name] = check_whole(name, getattr(self, name), least)
         checked["r"] = default_rate_exponent(self.domain) if self.r is None else self.r
@@ -435,39 +429,40 @@ def _tile_bytes(study: Study, plan: _Plan) -> int:
     return 8 * ((n_held + n_knots) * m + 2 * ((n_out + 1) * d + 1) + n_out)
 
 
-def _layout(study: Study, plan: _Plan, indices) -> tuple[int, list[range], int]:
-    """The threads that march a group's path indices, its tiles in path
-    order, and the bytes of each tile's block buffer: the one tile rule.
+def _layout(study: Study, plan: _Plan) -> tuple[int, list[range], int]:
+    """The threads that march a study's paths, its tiles in path order, and
+    the bytes of each tile's block buffer: the one tile rule.
 
-    Native: ``n`` threads, one per CPU of the process's share among the
-    study's ``min(workers, M)`` groups, but no more than runs of
+    Native: ``n`` threads, one per CPU, but no more than runs of
     ``_TILE_ROWS`` paths, each with a share of ``_CHUNK_BYTES // n``.  The
-    group's ``L`` paths are cut into ``n ceil(L / (n w))`` balanced tiles,
-    ``w`` being ``_TILE_ROWS`` while that many paths' path arrays, as
-    ``sample_path`` allocates them, fit the share, else as many as fit, or
-    one path.  The block buffer gets ``w`` paths' other arrays
-    (``_tile_bytes``), but no more than half the share.  Numpy, whose
-    march holds the GIL and costs per numpy call, not per path: one
-    thread, and the fewest balanced tiles whose path arrays fit in
-    ``_CHUNK_BYTES``, or of one path; the block buffer gets all of it.
+    study's ``M`` paths are cut into ``n ceil(M / (n w))`` balanced tiles,
+    or into ``M`` tiles of one path if that is fewer, ``w`` being
+    ``_TILE_ROWS`` while that many paths' path arrays, as ``sample_path``
+    allocates them, fit the share, else as many as fit, or one path.  The
+    block buffer gets ``w`` paths' other arrays (``_tile_bytes``), but no
+    more than half the share.  Numpy, whose march holds the GIL and costs
+    per numpy call, not per path: one thread, and the fewest balanced
+    tiles whose path arrays fit in ``_CHUNK_BYTES``, or of one path; the
+    block buffer gets all of it.
     Asking ``cover.native_march`` loads the library on the calling thread.
     """
+    M = study.M
     path_bytes = dyadic_grid(plan.horizon, plan.level)[1] * study.coeffs.dim_noise * 8
     if cover.native_march(study.domain, study.coeffs) is None:
         width = max(_CHUNK_BYTES // path_bytes, 1)
-        return 1, _balanced(indices, ceil(len(indices) / width)), _CHUNK_BYTES
-    n = max(1, min(_cpus() // min(study.workers, study.M), len(indices) // _TILE_ROWS))
+        return 1, _balanced(range(M), ceil(M / width)), _CHUNK_BYTES
+    n = max(1, min(_cpus(), M // _TILE_ROWS))
     share = _CHUNK_BYTES // n
     width = min(_TILE_ROWS, max(share // path_bytes, 1))
     block_bytes = min(share // 2, width * _tile_bytes(study, plan))
-    return n, _balanced(indices, n * ceil(len(indices) / (n * width))), block_bytes
+    return n, _balanced(range(M), min(M, n * ceil(M / (n * width)))), block_bytes
 
 
-def _in_tiles(study: Study, plan: _Plan, indices, march, out: tuple) -> tuple:
-    """``march(tile, rows, block_bytes)`` over the tiles of a group's path
-    indices (``_layout``), where ``rows`` are the views of the tile's rows
-    of ``out``, a tuple of path-major arrays, one row per path, that the
-    march writes; returns ``out``.
+def _in_tiles(study: Study, plan: _Plan, march, out: tuple) -> tuple:
+    """``march(tile, rows, block_bytes)`` over the tiles of the study's
+    paths (``_layout``), where ``rows`` are the views of the tile's rows of
+    ``out``, a tuple of path-major arrays, one row per path, that the march
+    writes; returns ``out``.
 
     Each thread marches a contiguous run of tiles, one after another: the
     first run on the caller's thread, each other one on its own under the
@@ -480,7 +475,7 @@ def _in_tiles(study: Study, plan: _Plan, indices, march, out: tuple) -> tuple:
     # _layout loads the library on this thread before any other starts:
     # functools.cache has no lock, so two threads loading it at once could
     # both build it.
-    n, tiles, block_bytes = _layout(study, plan, indices)
+    n, tiles, block_bytes = _layout(study, plan)
     runs, errors = _balanced(range(len(tiles)), n), np.geterr()
     failures, threads = [None] * n, []
 
@@ -488,8 +483,8 @@ def _in_tiles(study: Study, plan: _Plan, indices, march, out: tuple) -> tuple:
         try:
             with np.errstate(**errors):
                 for tile in (tiles[t] for t in runs[i]):
-                    rows = slice(tile.start - indices.start, tile.stop - indices.start)
-                    march(tile, tuple(array[rows] for array in out), block_bytes)
+                    rows = tuple(array[tile.start:tile.stop] for array in out)
+                    march(tile, rows, block_bytes)
         except BaseException as error:  # re-raised on the caller's thread below
             failures[i] = error
 
@@ -528,17 +523,17 @@ def _march_tile(study: Study, paths, process, plan: _Plan):
     return integrate_wz_batch(domain, coeffs, x0_batch, slopes, *schedule)
 
 
-def _chunk_stats(study: Study, plan: _Plan, indices):
-    """Coupled stats for one group of path indices (arrays ordered by index),
+def _chunk_stats(study: Study, plan: _Plan):
+    """Coupled stats of the study's paths (arrays ordered by path index),
     allocated once and written tile by tile (``_in_tiles``)."""
-    per_level = [np.empty((len(indices), len(study.levels))) for _ in range(4)]
-    out = (*per_level, np.empty(len(indices)))
-    return _in_tiles(study, plan, indices, partial(_tile_stats, study, plan), out)
+    per_level = [np.empty((study.M, len(study.levels))) for _ in range(4)]
+    out = (*per_level, np.empty(study.M))
+    return _in_tiles(study, plan, partial(_tile_stats, study, plan), out)
 
 
 def _tile_stats(study: Study, plan: _Plan, indices, rows, block_bytes):
     """Write the coupled stats of one tile of path indices into ``rows``,
-    its rows of the group's arrays.
+    its rows of the study's arrays.
 
     The tile's paths are sampled once at the finest approximation level;
     the reference refines them block by block to the fine level, within
@@ -568,54 +563,17 @@ def _tile_stats(study: Study, plan: _Plan, indices, rows, block_bytes):
         del wz_states, diff, dist
 
 
-# The group march a forked pool worker runs; set only inside pool workers.
-_WORKER_MARCH = None
-
-
-def _adopt_march(march):
-    global _WORKER_MARCH
-    _WORKER_MARCH = march
-
-
-def _worker_group(indices):
-    return _WORKER_MARCH(indices)
-
-
-def _run_groups(march, groups) -> list:
-    """``march(group)`` per group, in order; each in a forked process of its
-    own where there are several groups and the platform can fork."""
-    if len(groups) > 1:
-        import multiprocessing  # here, so that a serial study does not load it
-        from concurrent.futures import ProcessPoolExecutor
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Forked workers inherit the march and the study objects it
-            # holds instead of unpickling them, so any domain, modified or
-            # custom, runs as it does serially.  A forking pool starts all
-            # its workers at once: one per group.
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                len(groups), mp_context=fork, initializer=_adopt_march, initargs=(march,)
-            ) as pool:
-                return list(pool.map(_worker_group, groups))
-    return [march(group) for group in groups]
-
-
 def run_coupling_stats(study: Study) -> CouplingStats:
     """Coupled per-path statistics for all levels on common Brownian paths.
 
-    The paths are cut into ``min(workers, M)`` balanced groups, one per
-    worker, each run in a forked process of its own where the platform can
-    fork.  A group's arrays are allocated once, and the process's threads
-    march its tiles, each writing its rows (``_layout``, ``_in_tiles``).
-    The output grid and every march's schedule are built
-    once, here.  The stats are bit-identical whatever the group, tile,
-    thread and block layout or worker count.
+    The study's arrays are allocated once, and its threads march its tiles,
+    each writing its rows (``_layout``, ``_in_tiles``).  The output grid and
+    every march's schedule are built once, here.  The stats are
+    bit-identical whatever the tile, thread and block layout or CPU count.
     """
     plan = _plan(study, max(study.levels), ("reference", *study.levels))
-    groups = _balanced(range(study.M), min(study.workers, study.M))
     # Read at call time, so that a wrapper set on the module is what runs.
-    results = _run_groups(partial(_chunk_stats, study, plan), groups)
-    stats = CouplingStats(study.levels, study.r, *(np.concatenate(p) for p in zip(*results)))
+    stats = CouplingStats(study.levels, study.r, *_chunk_stats(study, plan))
     if stats.n_failed > 0.01 * study.M:
         raise ExperimentFailed(f"{stats.n_failed} of {study.M} paths failed")
     return stats
@@ -738,9 +696,8 @@ def holder_report(
     lag (up to five lags, averaged over anchor times and paths) and the
     fitted log-log slope, which should be at least ``p/2 - 0.2``; it is
     ``None`` with fewer than two lags or a zero moment.  Paths run in
-    groups over ``workers``, and each group in tiles on threads, by the
-    rule of ``run_coupling_stats``; the table's states at the grid, every
-    path's, come on top of the budget.
+    tiles on threads, by the rule of ``run_coupling_stats``; the table's
+    states at the grid, every path's, come on top of the budget.
     """
     p_list = check_moments(p_list)
     grid_level = check_whole("grid_level", grid_level, 1)
@@ -756,12 +713,8 @@ def holder_report(
             paths = FineBlocks(paths, plan.fine_level, plan.n_fine, block_bytes)
         rows[0][:] = np.swapaxes(_march_tile(study, paths, process, plan)[0], 0, 1)
 
-    def group_states(group):
-        out = (np.empty((len(group), len(plan.grid), study.domain.dim)),)
-        return _in_tiles(study, plan, group, tile_states, out)[0]
-
-    groups = _balanced(range(study.M), min(study.workers, study.M))
-    states = np.concatenate(_run_groups(group_states, groups))
+    out = (np.empty((study.M, len(plan.grid), study.domain.dim)),)
+    states = _in_tiles(study, plan, tile_states, out)[0]
 
     n_grid = len(plan.grid) - 1
     strides = [2**j for j in range(5) if 2**j < n_grid]

@@ -23,15 +23,15 @@ assembles the result; the backend only runs a span of steps.  That is the
 native march (``_march.c``) when the library loads and
 ``cover.native_march`` covers the study: a built-in family on a
 one-dimensional box at d = m = 1, or on a box, ball or annulus at d = m =
-2, at any batch width.  Otherwise it is the numpy ``_march``, on the same
-contract and with the same bits.  ``coupled_solve`` checks its inputs once
-and then runs both drivers.
+2 or d = m = 3, at any batch width.  Otherwise it is the numpy
+``_march``, on the same contract and with the same bits.
+``coupled_solve`` checks its inputs once and then runs both drivers.
 
 The march operates on a batch of paths in lockstep and does the same work
 for every caller: it keeps the states at the outputs and the variation
 after the last step.  The public per-path operations call it with batch
 size one and a step log, whose running sums give the regulator and
-variation at each output; the Monte Carlo harness calls it with groups of
+variation at each output; the Monte Carlo harness calls it with tiles of
 paths.  Every array operation of a step is elementwise across the batch:
 each contraction of the coefficients is a column sum in ascending index
 order (``coefficients``), on both backends.  So a path marched alone gives

@@ -14,7 +14,7 @@ def pytest_addoption(parser):
         "--no-native",
         action="store_true",
         help="run numpy only: the native library (Brownian streams and the march of "
-        "d = m = 1 and d = m = 2 built-in studies at every batch width) is never loaded",
+        "d = m <= 3 built-in studies at every batch width) is never loaded",
     )
 
 
@@ -41,8 +41,8 @@ def pytest_report_header(config):
     ziggurat = ("" if brownian._native().inline_ziggurat() else
                 "; the inline ziggurat failed its check at load, so numpy's "
                 "random_standard_normal draws every normal")
-    return (f"native library: {lib} (Brownian streams; the march of d = m = 1 and "
-            f"d = m = 2 built-in studies at every batch width){ziggurat}")
+    return (f"native library: {lib} (Brownian streams; the march of d = m <= 3 "
+            f"built-in studies at every batch width){ziggurat}")
 
 
 @pytest.fixture

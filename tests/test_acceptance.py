@@ -249,7 +249,7 @@ def test_criterion_10_byte_identical_reports(problem):
 
     def run() -> bytes:
         report = rs.estimate_strong_error(
-            rs.Study(domain, coeffs, [0.0], 1.0, [4, 5, 6], 50, 3, SUBSTEPS, SEED, workers=1), 2.0
+            rs.Study(domain, coeffs, [0.0], 1.0, [4, 5, 6], 50, 3, SUBSTEPS, SEED), 2.0
         )
         return json.dumps(report.to_json_dict(), sort_keys=True).encode()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reflectedsde as rs
-from reflectedsde import harness
+from reflectedsde import brownian, harness
 from reflectedsde.cli import ExperimentConfig, main
 from reflectedsde.errors import ConfigError
 
@@ -53,11 +53,13 @@ def test_unknown_key_is_reported():
 
 
 def test_legacy_reduction_key_is_accepted_and_ignored(tmp_path):
+    # So is "workers", which chose a number of forked processes.
     plain = ExperimentConfig.from_file(str(_write_config(tmp_path)))
-    legacy = ExperimentConfig.from_file(
-        str(_write_config(tmp_path, "legacy.json", deterministic_reduction=False))
-    )
-    assert legacy == plain and "deterministic_reduction" not in legacy.to_dict()
+    for key, value in (("deterministic_reduction", False), ("workers", 2)):
+        legacy = ExperimentConfig.from_file(
+            str(_write_config(tmp_path, "legacy.json", **{key: value}))
+        )
+        assert legacy == plain and key not in legacy.to_dict()
 
 
 def test_missing_domain_is_reported():
@@ -76,7 +78,7 @@ def test_validation_reports_field_names(tmp_path):
     with pytest.raises(ConfigError, match="p_list"):
         config.validate()
     for key, value in (
-        ("T", 0.0), ("M", 1), ("substeps_per_knot", 0), ("fine_margin", 1), ("workers", 0)
+        ("T", 0.0), ("M", 1), ("substeps_per_knot", 0), ("fine_margin", 1)
     ):
         config = ExperimentConfig.from_file(str(_write_config(tmp_path, **{key: value})))
         with pytest.raises(ConfigError, match=f"^{key} "):
@@ -93,7 +95,7 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("T", "1"), ("levels", 5), ("M", 2.5), ("seed", "x"), ("workers", 1.5),
+        ("T", "1"), ("levels", 5), ("M", 2.5), ("seed", "x"), ("substeps_per_knot", 1.5),
         ("thresholds", [1]), ("M", True), ("T", False), ("T", None), ("out", 3),
         ("x0", {"a": 1}), ("r", "0.5"),
     ],
@@ -407,21 +409,30 @@ def test_holder_grid_level_below_one_exits_2(tmp_path, capsys):
 
 
 def test_holder_workers_print_the_same_bytes(tmp_path, capsys, monkeypatch):
-    run_groups, seen = harness._run_groups, []
+    # A study's worker threads, one per CPU, print one thread's bytes.
+    layout, seen = harness._layout, []
 
-    def spy(march, groups):
-        seen.append([len(group) for group in groups])
-        return run_groups(march, groups)
+    def spy(study, plan):
+        n, tiles, block_bytes = layout(study, plan)
+        seen.append(n)
+        return n, tiles, block_bytes
 
-    monkeypatch.setattr(harness, "_run_groups", spy)
-    path = _write_config(tmp_path, levels=[4], M=24, grid_level=4)
+    monkeypatch.setattr(harness, "_layout", spy)
+    path = _write_config(tmp_path, levels=[4], M=130, grid_level=4)
     outputs = []
-    for workers in ("1", "2"):
-        assert main(["holder", "--config", str(path), "--workers", workers]) == 0
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        assert main(["holder", "--config", str(path)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    # Both processes ran one group serially, then one of 12 paths per worker.
-    assert seen == [[24], [24], [12, 12], [12, 12]]
+    # Both processes ran on one thread, then natively on one per CPU: the
+    # 130 paths make two runs of 64.
+    two = 2 if brownian._native() is not None else 1
+    assert seen == [1, 1, two, two]
+    # A study runs in one process: there is no flag that forks more.
+    with pytest.raises(SystemExit):
+        main(["holder", "--config", str(path), "--workers", "2"])
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_flag_overrides_win(tmp_path, capsys):

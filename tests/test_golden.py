@@ -52,7 +52,7 @@ def _ball3_problem():
 
 def _planar_trig_2x3_problem():
     # d = 2, m = 3: the noise term sums three columns, and the noise-
-    # interaction term six, which the native march (d = m = 2) does not run.
+    # interaction term six, which the native march (d = m only) does not run.
     coeffs = rs.trig(
         offset=[[0.5, 0.1, -0.1], [0.0, 0.4, 0.2]],
         amplitude=[[0.2, 0.1, 0.1], [0.1, 0.2, 0.1]],

@@ -214,51 +214,37 @@ def test_determinism_byte_identical(unit_interval, wavy_coeffs):
 
 
 def test_parallel_workers_match_serial(unit_interval, wavy_coeffs, monkeypatch):
-    # A budget of 200 paths at level 4: each of the M=520 study's two groups
-    # of 260 paths marches in two numpy tiles of 130 (a custom projection
-    # has no native march), within the whole budget.
+    # A study's work is shared among tiles, and gives the bytes of a serial
+    # run in one tile (tests/test_slices.py checks the threads).  A budget
+    # of 200 paths at level 4: the M=520 study of a custom projection,
+    # which has no native march, marches in three numpy tiles of 173 and
+    # 174 paths on one thread, within the whole budget.
+    default = harness._CHUNK_BYTES
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 200 * 17 * 8)
 
-    def clip_half(X, V):  # a closure: workers must inherit it, not rebuild it
+    def clip_half(X, V):  # a closure, which no pickling could rebuild
         y = X + V
         state = np.clip(y, -0.5, 0.5)
         return state, state - y
 
     clipped = dataclasses.replace(unit_interval, resolve_batch=clip_half)
     custom = dataclasses.replace(unit_interval, name="custom", resolve_batch=None)
-    study = rs.Study(clipped, wavy_coeffs, [0.0], 1.0, (3, 4), 520, 3, 4, 5, workers=2)
-    plan = harness._plan(study, 4, ())
-    assert harness._balanced(range(520), 2) == [range(260), range(260, 520)]
-    assert harness._layout(study, plan, range(260, 520)) == (
-        1, [range(260, 390), range(390, 520)], 200 * 17 * 8)
-    # The clipped study spans two groups of two tiles, so their order is
-    # checked too.
+    study = rs.Study(clipped, wavy_coeffs, [0.0], 1.0, (3, 4), 520, 3, 4, 5)
+    assert harness._layout(study, harness._plan(study, 4, ())) == (
+        1, [range(0, 173), range(173, 346), range(346, 520)], 200 * 17 * 8)
     for domain, M in ((unit_interval, 24), (clipped, 520), (custom, 24)):
-        parallel = rs.run_coupling_stats(
-            rs.Study(domain, wavy_coeffs, [0.0], 1.0, (3, 4), M, 3, 4, 5, workers=2)
-        )
-        # The serial run gets a copy named "custom", so nothing keyed by the
-        # domain's name can stand in for either run.
-        serial = rs.run_coupling_stats(rs.Study(
-            dataclasses.replace(domain, name="custom"), wavy_coeffs, [0.0], 1.0, (3, 4), M,
-            3, 4, 5, workers=1,
-        ))
-        np.testing.assert_array_equal(serial.sup_dist, parallel.sup_dist)
-        np.testing.assert_array_equal(serial.f_final, parallel.f_final)
-
-    # holder_report runs its groups through the same loop: two workers (two
-    # groups) give the serial report's bytes, for both processes.
-    annulus, trig, x0 = _annulus_problem()
-    for domain, coeffs, start in ((unit_interval, wavy_coeffs, [0.0]), (annulus, trig, x0)):
-        for reference in (True, False):
-            serial, parallel = (
-                json.dumps(rs.holder_report(
-                    rs.Study(domain, coeffs, start, 1.0, [4], 24, 3, 4, 5, workers=workers),
-                    [2, 4], grid_level=4, reference=reference,
-                ).to_json_dict())
-                for workers in (1, 2)
-            )
-            assert serial == parallel
+        tiled = rs.run_coupling_stats(
+            rs.Study(domain, wavy_coeffs, [0.0], 1.0, (3, 4), M, 3, 4, 5))
+        # The run in one tile gets a copy named "custom", so nothing keyed
+        # by the domain's name can stand in for either run.
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_CHUNK_BYTES", default)
+            whole = rs.run_coupling_stats(rs.Study(
+                dataclasses.replace(domain, name="custom"), wavy_coeffs, [0.0], 1.0, (3, 4), M,
+                3, 4, 5,
+            ))
+        np.testing.assert_array_equal(whole.sup_dist, tiled.sup_dist)
+        np.testing.assert_array_equal(whole.f_final, tiled.f_final)
 
 
 def _annulus_problem():
@@ -318,8 +304,8 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
         tiles.clear()
         expected = _layout_outputs(domain, coeffs, x0)
         assert tiles == [12]
-        # (budget, tiles of the M=12 study's one group, reference blocks per
-        # numpy tile, and per native tile).  Both marches cut the group into
+        # (budget, tiles of the M=12 study, reference blocks per numpy tile,
+        # and per native tile).  Both marches cut the study into
         # the fewest tiles whose path arrays fit the budget: a native tile
         # holds _TILE_ROWS paths only where that many paths' path arrays
         # fit.  The numpy march's tiles refine in the whole budget, the
@@ -346,7 +332,7 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
                 np.testing.assert_array_equal(got, want)
             assert holder == expected[1]
 
-        # Tiles: one group of 200 paths on one thread.  A tile's arrays but
+        # Tiles: a study of 200 paths on one thread.  A tile's arrays but
         # its block buffer take 8 bytes per path for each of the 17 knots
         # sampled and 16 slopes per noise dimension, the reference's and one
         # level's 17 outputs, state and variation, and 17 distances.
@@ -358,7 +344,7 @@ def test_chunk_layout_is_invisible_in_the_results(unit_interval, wavy_coeffs, mo
         assert harness._tile_bytes(study, harness._plan(study, 4, ())) == tile_bytes
         wide = _arrays(rs.run_coupling_stats(study))
         # (budget, tile widths of the native march, and of the numpy march):
-        # a native tile holds at most _TILE_ROWS paths, so the group takes
+        # a native tile holds at most _TILE_ROWS paths, so the study takes
         # no fewer tiles than runs of 64 paths, four, however many paths'
         # path arrays the budget holds; a budget of 40 paths' path arrays
         # takes five.  The numpy march's tiles are as wide as their path
@@ -395,32 +381,27 @@ def _recording_tiles(monkeypatch):
 
 
 def test_a_planar_study_gives_the_same_stats_in_groups_of_one_path(monkeypatch):
-    # At d=2 a path marched alone gives the bytes of its row in a wider
-    # group, so groups of a single path leave the stats as they are.
-    domain, coeffs, x0 = _annulus_problem()
+    # At d=2 and d=3 a path marched alone gives the bytes of its row in a
+    # wider tile, so tiles of a single path leave the stats as they are.
+    tiles, default = _recording_tiles(monkeypatch), harness._CHUNK_BYTES
+    for domain, coeffs, x0 in (_annulus_problem(), _ball3_problem()):
 
-    def stats(workers):
-        # Seed 3: before every contraction had one summation order, a path
-        # marched alone here differed by up to 4.4e-16 in sup_dist and
-        # ref_var_final from its row in the group of three.
-        s = rs.run_coupling_stats(rs.Study(domain, coeffs, x0, 1.0, (3, 4), 3, 3, 4, 3,
-                                           workers=workers))
-        return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
+        def stats(budget):
+            # Seed 3: before every contraction had one summation order, a
+            # path marched alone here differed by up to 4.4e-16 in sup_dist
+            # and ref_var_final from its row in the tile of three.
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+            tiles.clear()
+            s = rs.run_coupling_stats(rs.Study(domain, coeffs, x0, 1.0, (3, 4), 3, 3, 4, 3))
+            return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
 
-    expected = stats(1)
-    # One group per worker: two workers take groups of one and two paths,
-    # and three or more a path each.
-    assert [len(c) for c in harness._balanced(range(3), min(2, 3))] == [1, 2]
-    assert [len(c) for c in harness._balanced(range(5), min(9, 5))] == [1] * 5
-    got = [stats(2), stats(3)]
-    # A budget of one byte: both marches cut the group into tiles of one
-    # path each, as no path's path array fits it.
-    monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
-    tiles = _recording_tiles(monkeypatch)
-    got.append(stats(1))
-    assert tiles == [1, 1, 1]
-    for arrays in got:
-        for a, b in zip(arrays, expected):
+        expected = stats(default)
+        assert tiles == [3]
+        # A budget of one byte: both marches cut the study into tiles of
+        # one path each, as no path's path array fits it.
+        got = stats(1)
+        assert tiles == [1, 1, 1]
+        for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
 
 
@@ -461,48 +442,46 @@ def _cut(runs, indices) -> list[int]:
 
 @pytest.mark.parametrize("budget", [1, 10_000, 2**20, 2**40])
 def test_chunk_ranges_are_ordered_balanced_and_cover_the_study(budget, monkeypatch):
-    # The study's groups, one per worker, and each group's tiles by the
-    # native and the numpy rule, for paths at level 6 with d = m = 2.
+    # The study's tiles by the native and the numpy rule, for paths at
+    # level 6 with d = m = 2.
     monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
     domain, coeffs, x0 = _annulus_problem()
     path_bytes = 65 * 2 * 8  # level 6 at T=1 with two noise dimensions
     for M in (2, 3, 7, 520, 2000):
-        for workers in (1, 2, 3):
-            study = rs.Study(domain, coeffs, x0, 1.0, [6], M, 2, 1, 0, workers=workers)
-            plan = harness._plan(study, 6, ())
-            tile_bytes = harness._tile_bytes(study, plan)
-            groups = harness._balanced(range(M), min(workers, M))
-            assert len(_cut(groups, range(M))) == min(workers, M)
-            for group, cpus in ((g, c) for g in groups for c in (1, 4)):
-                monkeypatch.setattr(harness, "_cpus", lambda: cpus)
-                # Native: the fewest tiles, a multiple of the thread count,
-                # that each hold at most w paths, w being _TILE_ROWS while
-                # their path arrays fit a thread's share, else as many as
-                # fit, or one path.  The block buffer holds w paths' other
-                # arrays, or half the share if that is less.
-                monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
-                n, tiles, block_bytes = harness._layout(study, plan, group)
-                assert 1 <= n <= cpus and (n == 1 or len(group) >= 64 * n)
-                widths, share = _cut(tiles, group), budget // n
-                w = min(64, max(share // path_bytes, 1))
-                assert block_bytes == min(share // 2, w * tile_bytes) and len(tiles) % n == 0
-                assert max(widths) <= w and len(group) > (len(tiles) - n) * w
-                if max(widths) > 1:
-                    assert max(widths) * path_bytes <= share
-                # Where a tile's arrays fit half its share, they fit it
-                # together with its block buffer.
-                if max(widths) * tile_bytes <= share // 2:
-                    assert max(widths) * tile_bytes + block_bytes <= share
-                # Numpy: one thread, and the fewest tiles whose path arrays
-                # each fit in the budget, or hold one path.
-                monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: None)
-                n, tiles, block_bytes = harness._layout(study, plan, group)
-                assert n == 1
-                widths, width = _cut(tiles, group), max(budget // path_bytes, 1)
-                assert block_bytes == budget and max(widths) <= width
-                assert len(group) > (len(tiles) - 1) * width
-                if width > 1:
-                    assert max(widths) * path_bytes <= budget
+        study = rs.Study(domain, coeffs, x0, 1.0, [6], M, 2, 1, 0)
+        plan = harness._plan(study, 6, ())
+        tile_bytes = harness._tile_bytes(study, plan)
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+            # Native: the fewest tiles, a multiple of the thread count or a
+            # path each, that each hold at most w paths, w being _TILE_ROWS
+            # while their path arrays fit a thread's share, else as many as
+            # fit, or one path.  The block buffer holds w paths' other
+            # arrays, or half the share if that is less.
+            monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
+            n, tiles, block_bytes = harness._layout(study, plan)
+            assert 1 <= n <= cpus and (n == 1 or M >= 64 * n)
+            widths, share = _cut(tiles, range(M)), budget // n
+            w = min(64, max(share // path_bytes, 1))
+            assert block_bytes == min(share // 2, w * tile_bytes)
+            assert len(tiles) % n == 0 or len(tiles) == M
+            assert max(widths) <= w and M > (len(tiles) - n) * w
+            if max(widths) > 1:
+                assert max(widths) * path_bytes <= share
+            # Where a tile's arrays fit half its share, they fit it together
+            # with its block buffer.
+            if max(widths) * tile_bytes <= share // 2:
+                assert max(widths) * tile_bytes + block_bytes <= share
+            # Numpy: one thread, and the fewest tiles whose path arrays each
+            # fit in the budget, or hold one path.
+            monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: None)
+            n, tiles, block_bytes = harness._layout(study, plan)
+            assert n == 1
+            widths, width = _cut(tiles, range(M)), max(budget // path_bytes, 1)
+            assert block_bytes == budget and max(widths) <= width
+            assert M > (len(tiles) - 1) * width
+            if width > 1:
+                assert max(widths) * path_bytes <= budget
 
 
 def _allocated_bytes(array):
@@ -561,9 +540,9 @@ def test_every_array_of_a_native_tile_fits_its_share(planar, native, monkeypatch
     domain, coeffs, x0 = _native_problem(planar)
     m = d = domain.dim
     tile_bytes = 8 * ((17 + 5) * m + 2 * (7 * d + 1) + 6)
-    # One group of 142 paths on two threads, as two CPUs allow.  Half of a
+    # A study of 142 paths on two threads, as two CPUs allow.  Half of a
     # thread's share holds exactly 70 paths' arrays, and the whole share
-    # more than 64 paths' path arrays, so the group is cut into the fewest
+    # more than 64 paths' path arrays, so the study is cut into the fewest
     # tiles of at most _TILE_ROWS paths on two threads: four, of 35 and 36
     # paths, two per thread.  A tile's block buffer holds 64 paths' arrays,
     # less than half the share: two of its five coarse intervals.
@@ -571,7 +550,7 @@ def test_every_array_of_a_native_tile_fits_its_share(planar, native, monkeypatch
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * share)
     monkeypatch.setattr(harness, "_cpus", lambda: 2)
     study = rs.Study(domain, coeffs, x0, 0.3, (3, 4), 142, 5, 4, 5)
-    assert harness._layout(study, harness._plan(study, 4, ()), range(142)) == (
+    assert harness._layout(study, harness._plan(study, 4, ())) == (
         2, [range(0, 35), range(35, 71), range(71, 106), range(106, 142)], 64 * tile_bytes)
     tiles = _recording_tile_arrays(monkeypatch)
     rs.run_coupling_stats(study)
@@ -598,7 +577,7 @@ def test_path_arrays_in_flight_fit_the_budget_on_many_threads(native, monkeypatc
     monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
     monkeypatch.setattr(harness, "_cpus", lambda: 8)
     study = rs.Study(domain, coeffs, x0, 1.0, (5, 6), 1024, 2, 1, 3)
-    n, tiles, block_bytes = harness._layout(study, harness._plan(study, 6, ()), range(1024))
+    n, tiles, block_bytes = harness._layout(study, harness._plan(study, 6, ()))
     assert n == 8
     assert len(tiles) == 56 and {len(tile) for tile in tiles} == {18, 19}
     threads, sample = set(), harness.sample_path
@@ -622,12 +601,12 @@ def _acceptance_study(levels):
 
 
 def _native_layout(study, cpus, monkeypatch):
-    """The native rule's layout of a serial study's one group at ``cpus``
-    patched CPUs: the thread count, the tile widths and the block bytes."""
+    """The native rule's layout of a study at ``cpus`` patched CPUs: the
+    thread count, the tile widths and the block bytes."""
     monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: ())
     monkeypatch.setattr(harness, "_cpus", lambda: cpus)
     plan = harness._plan(study, max(study.levels), ())
-    n, tiles, block_bytes = harness._layout(study, plan, range(study.M))
+    n, tiles, block_bytes = harness._layout(study, plan)
     return n, _cut(tiles, range(study.M)), block_bytes
 
 
@@ -693,7 +672,7 @@ def test_every_array_of_a_native_holder_tile_fits_its_share(planar, reference, n
     # Its tiles are cut by the study's rule, which budgets 8 bytes per path
     # for each of those knots and slopes, two marches' 5 outputs, state and
     # variation, and 5 distances; the table's tile holds one march and
-    # writes its states path-major into its rows of the group's array.
+    # writes its states path-major into its rows of the study's array.
     domain, coeffs, x0 = _native_problem(planar)
     m = d = domain.dim
     tile_bytes = 8 * ((17 + 5) * m + 2 * (6 * d + 1) + 5)
@@ -833,7 +812,7 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
     assert failure.traceback and threading.active_count() == before
     np.testing.assert_array_equal(rs.run_coupling_stats(study).sup_dist, expected.sup_dist)
 
-    # One group of 200 paths on three threads as three CPUs allow (one
+    # A study of 200 paths on three threads as three CPUs allow (one
     # thread without the library): each thread is joined when the engine
     # call returns or raises.
     monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
@@ -865,7 +844,7 @@ def test_no_thread_outlives_a_reference_march(unit_interval, wavy_coeffs, monkey
 
 
 def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interval, wavy_coeffs):
-    # A group march keeps states at every output, the variation only at the
+    # A tile's march keeps states at every output, the variation only at the
     # last one (the only row the engine reads), and no regulator.
     seeds = [21, 22, 23]
     coarse = rs.sample_path(1, 1.0, 3, seeds)
@@ -892,8 +871,8 @@ def test_chunk_marches_record_states_and_variation_but_no_regulator(unit_interva
 
 def test_a_tiles_stats_hold_no_march_buffer(unit_interval, wavy_coeffs, monkeypatch):
     # A march's variation is a view of the buffer that holds its outputs
-    # too; the tiles write their stats into the group's own arrays, so
-    # that no group array keeps a march's outputs alive: in one tile, and
+    # too; the tiles write their stats into the study's own arrays, so
+    # that no study array keeps a march's outputs alive: in one tile, and
     # in three of four paths, as a budget of four paths' path arrays cuts.
     tiles = _recording_tiles(monkeypatch)
     study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, (3, 4), 12, 3, 4, 0)
@@ -901,7 +880,7 @@ def test_a_tiles_stats_hold_no_march_buffer(unit_interval, wavy_coeffs, monkeypa
     for budget, widths in ((harness._CHUNK_BYTES, [12]), (4 * 17 * 8, [4, 4, 4])):
         monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
         tiles.clear()
-        stats = harness._chunk_stats(study, plan, range(12))
+        stats = harness._chunk_stats(study, plan)
         assert tiles == widths and len(stats) == 5
         for array in stats:
             assert array.base is None and len(array) == 12
@@ -960,8 +939,6 @@ def test_levels_and_margin_validation(unit_interval, wavy_coeffs):
     for levels in ((-1, 1), (0, 1), (True, 2), (1, np.True_), (None, 2), (np.nan, 2)):
         with pytest.raises(ValueError, match="^levels"):
             rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, levels, 10, 4, 8, 1)
-    with pytest.raises(ValueError, match="^workers"):
-        rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], 10, 4, 8, 1, workers=0)
     for M in (0, 1):
         with pytest.raises(ValueError, match="^M"):
             rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [4], M, 4, 8, 4)
@@ -981,7 +958,7 @@ def test_study_record_holds_the_checked_values(unit_interval, thick_annulus, wav
     study = rs.Study(unit_interval, wavy_coeffs, [0.0], 1.0, [3.0, 4], 10.0, 4, 8, 7.0)
     assert isinstance(study.x0, np.ndarray) and study.x0.dtype == float
     assert study.levels == (3, 4) and all(type(n) is int for n in study.levels)
-    for name in ("M", "fine_margin", "substeps_per_knot", "seed", "workers"):
+    for name in ("M", "fine_margin", "substeps_per_knot", "seed"):
         assert type(getattr(study, name)) is int
     assert study.r == default_rate_exponent(unit_interval)
     planar = rs.constant(np.eye(2))

@@ -50,11 +50,6 @@ BAD_INPUTS = {
     "run_coupling_stats M 20.5": (
         "M",
         lambda D, C, P: rs.run_coupling_stats(rs.Study(D, C, [0.0], 1.0, [2, 3], 20.5, 2, 4, 1))),
-    "run_coupling_stats workers 1.5": (
-        "workers",
-        lambda D, C, P: rs.run_coupling_stats(
-            rs.Study(D, C, [0.0], 1.0, [2, 3], 8, 2, 4, 1, workers=1.5)),
-    ),
     "run_coupling_stats T inf": (
         "T",
         lambda D, C, P: rs.run_coupling_stats(

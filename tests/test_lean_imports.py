@@ -1,9 +1,9 @@
-"""With the native library, the per-path API and a serial study load no
-more than they need.
+"""With the native library, the per-path API and a study load no more than
+they need.
 
 Importing ``numpy.random`` raises a single path's peak resident memory by
-about 2 MB and a study's by more, ``multiprocessing`` and
-``concurrent.futures`` serve only forked workers, and ``subprocess``
+about 2 MB and a study's by more, a study runs in one process, so it never
+imports ``multiprocessing`` or ``concurrent.futures``, and ``subprocess``
 (about 3 ms to import) only builds the library.  With the library
 loaded, path seeds and streams are keyed in C, so a single path, a
 coupled solve and a serial ``converge`` import none of them, also when
@@ -107,3 +107,48 @@ def test_importing_the_cli_leaves_subprocess_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+WORKERS_SCRIPT = r"""
+import contextlib
+import io
+import json
+import sys
+
+from reflectedsde import brownian, cli
+
+if sys.argv[3] == "numpy":
+    brownian._native = lambda: None
+reports = []
+for config in sys.argv[1:3]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["converge", "--config", config])
+    reports.append([code, out.getvalue()])
+loaded = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
+print(json.dumps({"reports": reports, "loaded": loaded}))
+"""
+
+
+def test_a_config_that_sets_workers_converges_in_one_process(tmp_path, request):
+    # Older configs set "workers", the forked processes of a study, which
+    # a study no longer has: the key loads and selects nothing, so the
+    # report's bytes are those of a config without it, and nothing that
+    # forks is imported.  At d = 1 natively where the session has the
+    # library, else in numpy.
+    plain, legacy = tmp_path / "plain.json", tmp_path / "legacy.json"
+    config = dict(CONFIG, M=130)
+    plain.write_text(json.dumps(config))
+    legacy.write_text(json.dumps(dict(config, workers=2)))
+    backend = "numpy" if request.config.getoption("--no-native") else "library"
+    package_root = Path(rs.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKERS_SCRIPT, str(plain), str(legacy), backend], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    (code, report), legacy_run = result["reports"]
+    assert code == 0 and json.loads(report)["rate"]["n_paths"] == 130
+    assert legacy_run == [code, report] and result["loaded"] == []

@@ -2,12 +2,13 @@
 
 The native march (``_march.c``) runs a built-in family on a
 one-dimensional box at d = m = 1, and on a box, ball or annulus at
-d = m = 2, a single path included, when the native library loads; every other
-study, and every study under ``--no-native``, runs the numpy march.  The
-byte tests run each march both ways, the second time with the library
-switched off, and compare every array they return, NaNs and signed zeros
-included; the planar ones, and a path alone against its row in a group,
-compare up to the sign of a NaN (``_without_nan_signs``).
+d = m = 2 and d = m = 3, a single path included, when the native library
+loads; every other study, and every study under ``--no-native``, runs the
+numpy march.  The byte tests run each march both ways, the second time
+with the library switched off, and compare every array they return, NaNs
+and signed zeros included; the planar and spatial ones, and a path alone
+against its row in a group, compare up to the sign of a NaN
+(``_without_nan_signs``).
 """
 
 import dataclasses
@@ -307,6 +308,29 @@ def test_both_sources_compile_without_a_warning(monkeypatch, tmp_path):
         pytest.fail(error.stderr.decode())
 
 
+def test_the_march_frames_are_static_and_far_under_a_thread_stack(tmp_path):
+    # Each entry point's frame holds its inlined tiles, which grow with
+    # D_MAX cubed.  The library's own flags with -fstack-usage: both frames
+    # are static (no alloca or variable-length array) and under 64 KiB,
+    # far under musl's 128 KiB default thread stack, on which the engine's
+    # threads march.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    source = next(s for s in brownian._SOURCES if s.name == "_march.c")
+    # The tags cover.native_tag packs are padded to the same D_MAX.
+    assert f"\n#define D_MAX {cover.D_MAX}\n" in source.read_text()
+    subprocess.run(["cc", *brownian._CFLAGS, "-fstack-usage", "-c", str(source), "-o",
+                    str(tmp_path / "march.o")], check=True, capture_output=True)
+    (usage,) = tmp_path.glob("*.su")
+    frames = {}
+    for line in usage.read_text().splitlines():
+        where, size, kind = line.split("\t")
+        frames[where.rsplit(":", 1)[-1]] = (int(size), kind)
+    for entry in ("march_reference", "march_wz"):
+        size, kind = frames[entry]
+        assert kind == "static" and size < 64 * 1024, (entry, size, kind)
+
+
 _SETUP = """
 import json
 from reflectedsde import brownian, cli
@@ -489,16 +513,16 @@ def _planar_starts(width):
     return _spread(_PLANAR_STARTS, np.random.default_rng(width).uniform(-1.2, 1.2, (width, 2)))
 
 
-@pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
-@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
-def test_planar_wz_march_gives_the_numpy_bytes(native, monkeypatch, family, domain_name):
-    domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family]()
+def _wz_bytes(monkeypatch, domain, coeffs, starts):
+    """The WZ march of ``starts(width)`` at every width, native against
+    numpy, up to the sign of a NaN."""
+    d = domain.dim
     # An output after the first step, which a zero slope leaves on a bound
     # for a start there.
     times, knot_idx, out_pos = wz_schedule(3, 3, [0.0, 1 / 24, 0.3, 5 / 12, 1.0], 1.0)
     for width in WIDTHS:
-        x0 = _planar_starts(width)
-        slopes = np.random.default_rng(7).normal(0.0, 4.0, (width, 8, 2))
+        x0 = starts(width)
+        slopes = np.random.default_rng(7).normal(0.0, 4.0, (width, 8, d))
         slopes[:, 0] = 0.0
         slopes[::3, 4] = 1e308
         slopes[1::4, 2, 1] = -1e308
@@ -507,15 +531,14 @@ def test_planar_wz_march_gives_the_numpy_bytes(native, monkeypatch, family, doma
         assert _without_nan_signs(native_arrays) == _without_nan_signs(numpy_arrays)
 
 
-@pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
-@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
-def test_planar_reference_march_gives_the_numpy_bytes(native, monkeypatch, family, domain_name):
-    domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family]()
+def _reference_bytes(monkeypatch, domain, coeffs, starts):
+    """The reference march of ``starts(width)`` at every width, native
+    against numpy, up to the sign of a NaN."""
     fine_level = 6
     out_steps = np.array([0, 0, 1, 5, 8, 8, 37])
     for width in WIDTHS:
-        x0 = _planar_starts(width)
-        coarse = rs.sample_path(2, 1.0, 3, list(range(width)))
+        x0 = starts(width)
+        coarse = rs.sample_path(domain.dim, 1.0, 3, list(range(width)))
 
         def blocks():
             # One coarse interval per block, with a zero first increment,
@@ -536,6 +559,20 @@ def test_planar_reference_march_gives_the_numpy_bytes(native, monkeypatch, famil
         assert _without_nan_signs(native_arrays) == _without_nan_signs(numpy_arrays)
 
 
+@pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
+@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
+def test_planar_wz_march_gives_the_numpy_bytes(native, monkeypatch, family, domain_name):
+    _wz_bytes(monkeypatch, PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family](),
+              _planar_starts)
+
+
+@pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
+@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
+def test_planar_reference_march_gives_the_numpy_bytes(native, monkeypatch, family, domain_name):
+    _reference_bytes(monkeypatch, PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family](),
+                     _planar_starts)
+
+
 @pytest.mark.parametrize("M", [2, 3, 67, 515])
 @pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
 def test_planar_engine_stats_give_the_numpy_bytes(native, monkeypatch, domain_name, M):
@@ -546,23 +583,19 @@ def test_planar_engine_stats_give_the_numpy_bytes(native, monkeypatch, domain_na
     assert native_arrays == numpy_arrays
 
 
-@pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
-@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
-def test_planar_single_row_marches_give_the_numpy_bytes(
-    native, monkeypatch, family, domain_name
-):
-    # Each special start alone, with its step log, through both schemes:
-    # states, variation and the log's states, dL and |dL|, byte for byte.
-    domain, coeffs = PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family]()
+def _single_row_bytes(monkeypatch, domain, coeffs, starts):
+    """Each of ``starts`` alone, with its step log, through both schemes:
+    states, variation and the log's states, dL and |dL|, native against
+    numpy, byte for byte up to the sign of a NaN."""
     assert cover.native_march(domain, coeffs) is not None
-    starts = np.array(_PLANAR_STARTS)
+    starts, d = np.array(starts), domain.dim
     times, knot_idx, out_pos = wz_schedule(3, 3, [0.0, 1 / 24, 0.3, 5 / 12, 1.0], 1.0)
-    slopes = np.random.default_rng(7).normal(0.0, 4.0, (len(starts), 8, 2))
+    slopes = np.random.default_rng(7).normal(0.0, 4.0, (len(starts), 8, d))
     slopes[:, 0] = 0.0
     slopes[::3, 4] = 1e308
     slopes[1::4, 2, 1] = -1e308
     fine_level, out_steps = 6, np.array([0, 0, 1, 5, 8, 8, 37])
-    coarse = rs.sample_path(2, 1.0, 3, list(range(len(starts))))
+    coarse = rs.sample_path(d, 1.0, 3, list(range(len(starts))))
 
     def blocks(row):
         # As the wide reference test's, one row at a time.
@@ -589,6 +622,15 @@ def test_planar_single_row_marches_give_the_numpy_bytes(
             assert _without_nan_signs(native_arrays) == _without_nan_signs(numpy_arrays)
 
 
+@pytest.mark.parametrize("domain_name", sorted(PLANAR_DOMAINS))
+@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
+def test_planar_single_row_marches_give_the_numpy_bytes(
+    native, monkeypatch, family, domain_name
+):
+    _single_row_bytes(monkeypatch, PLANAR_DOMAINS[domain_name](), PLANAR_FAMILIES[family](),
+                      _PLANAR_STARTS)
+
+
 # A start inside each planar domain and one on its boundary.
 _PLANAR_PATH_STARTS = {
     "box": ([0.5, -0.25], [1.0, -0.0]),
@@ -597,13 +639,13 @@ _PLANAR_PATH_STARTS = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
-def test_planar_single_path_solves_give_the_numpy_bytes(native, monkeypatch, family):
-    coeffs = PLANAR_FAMILIES[family]()
-    path = rs.sample_path(2, 1.0, 8, 21)
-    for domain_name, make in sorted(PLANAR_DOMAINS.items()):
+def _single_path_bytes(monkeypatch, domains, coeffs, path_starts):
+    """Single-path solves from each of ``path_starts[name]`` on each of
+    ``domains``, native against numpy, byte for byte."""
+    path = rs.sample_path(coeffs.dim_noise, 1.0, 8, 21)
+    for domain_name, make in sorted(domains.items()):
         domain = make()
-        for x0 in _PLANAR_PATH_STARTS[domain_name]:
+        for x0 in path_starts[domain_name]:
             for solve in (
                 lambda: rs.solve_wz(domain, coeffs, path, 4, 3, x0, [0.3, 5 / 12, 1.0], True),
                 lambda: rs.solve_reference(domain, coeffs, path, x0, [0.25, 1.0], True),
@@ -613,26 +655,142 @@ def test_planar_single_path_solves_give_the_numpy_bytes(native, monkeypatch, fam
                 assert native_arrays == numpy_arrays
 
 
+@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
+def test_planar_single_path_solves_give_the_numpy_bytes(native, monkeypatch, family):
+    _single_path_bytes(monkeypatch, PLANAR_DOMAINS, PLANAR_FAMILIES[family](),
+                       _PLANAR_PATH_STARTS)
+
+
+# ---------------------------------------------------------------------------
+# The spatial march: d = m = 3
+# ---------------------------------------------------------------------------
+
+_SPATIAL_DRIFT = [[-0.5, 0.1, 0.0], [0.0, -0.5, 0.1], [0.1, 0.0, -0.5]]
+
+SPATIAL_FAMILIES = {
+    # Negative entries, and -0.0 offsets.
+    "constant_negative": lambda: rs.constant(
+        [[-0.4, -0.1, 0.0], [-0.1, -0.3, 0.1], [0.0, 0.2, -0.5]], drift_matrix=_SPATIAL_DRIFT,
+        drift_offset=[0.05, -0.0, -0.0],
+    ),
+    "constant_no_drift": lambda: rs.constant(np.eye(3) * 0.4 + 0.05),
+    "linear": lambda: rs.linear(
+        np.arange(27.0).reshape(3, 3, 3) / 40.0 - 0.3, np.eye(3) * 0.4 - 0.0,
+        drift_matrix=_SPATIAL_DRIFT, drift_offset=[0.1, -0.0, 0.2],
+    ),
+    "trig": lambda: rs.trig(np.eye(3) * 0.5 + 0.1, np.full((3, 3), 0.2), [1.0, 2.0, -0.5],
+                            drift_matrix=_SPATIAL_DRIFT),
+    # Three distinct phases shared unevenly over the nine entries.
+    "trig_three_phases": lambda: rs.trig(
+        np.eye(3) * 0.5 + 0.1, np.full((3, 3), 0.2), [1.0, -2.0, 0.5],
+        phase=[[0.0, 0.0, 0.5], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]],
+        drift_matrix=_SPATIAL_DRIFT, drift_offset=[0.2, -0.1, -0.0],
+    ),
+    # Nine distinct phases, as many as a set has entries, a zero frequency
+    # and no drift.
+    "trig_nine_phases": lambda: rs.trig(
+        np.eye(3) * 0.5, np.full((3, 3), 0.15) - 0.05 * np.eye(3), [0.0, 2.0, -1.0],
+        phase=np.arange(9.0).reshape(3, 3) / 7.0 - 0.5,
+    ),
+}
+
+SPATIAL_DOMAINS = {
+    # Bounds at -0.0, so that a state reaching one at +0.0 takes its sign.
+    "box": lambda: rs.box([-0.0, -0.5, -0.25], [1.0, -0.0, 0.5]),
+    "ball": lambda: rs.ball(1.0, dim=3),
+    "annulus": lambda: rs.annulus(0.5, 1.0, dim=3),
+}
+
+# Starts on both annulus spheres (on the ball's sphere and on the box's
+# faces too), at the centre, at -0.0, outside every domain and not finite.
+_SPATIAL_STARTS = [
+    [0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [-1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.75, 0.0], [1.0, -0.0, 0.5],
+    [0.5, -0.25, 0.1], [2.0, -3.0, 0.5], [np.nan, 0.3, 0.0], [0.3, 0.0, np.nan],
+    [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0], [np.inf, -np.inf, 1.0], [np.nan, np.inf, 0.0],
+]
+
+# A start inside each spatial domain and one on its boundary.
+_SPATIAL_PATH_STARTS = {
+    "box": ([0.5, -0.25, 0.1], [1.0, -0.0, 0.5]),
+    "ball": ([0.3, 0.2, -0.1], [0.0, 0.6, 0.8]),
+    "annulus": ([0.75, 0.0, 0.1], [0.0, 0.0, -0.5]),
+}
+
+
+def _spatial_starts(width):
+    """``width`` starts: the special ones spread through random points in
+    and around the domains."""
+    return _spread(_SPATIAL_STARTS, np.random.default_rng(width).uniform(-1.2, 1.2, (width, 3)))
+
+
+@pytest.mark.parametrize("domain_name", sorted(SPATIAL_DOMAINS))
+@pytest.mark.parametrize("family", sorted(SPATIAL_FAMILIES))
+def test_spatial_wz_march_gives_the_numpy_bytes(native, monkeypatch, family, domain_name):
+    _wz_bytes(monkeypatch, SPATIAL_DOMAINS[domain_name](), SPATIAL_FAMILIES[family](),
+              _spatial_starts)
+
+
+@pytest.mark.parametrize("domain_name", sorted(SPATIAL_DOMAINS))
+@pytest.mark.parametrize("family", sorted(SPATIAL_FAMILIES))
+def test_spatial_reference_march_gives_the_numpy_bytes(native, monkeypatch, family,
+                                                       domain_name):
+    _reference_bytes(monkeypatch, SPATIAL_DOMAINS[domain_name](), SPATIAL_FAMILIES[family](),
+                     _spatial_starts)
+
+
+@pytest.mark.parametrize("domain_name", sorted(SPATIAL_DOMAINS))
+@pytest.mark.parametrize("family", sorted(SPATIAL_FAMILIES))
+def test_spatial_single_row_marches_give_the_numpy_bytes(
+    native, monkeypatch, family, domain_name
+):
+    _single_row_bytes(monkeypatch, SPATIAL_DOMAINS[domain_name](), SPATIAL_FAMILIES[family](),
+                      _SPATIAL_STARTS)
+
+
+@pytest.mark.parametrize("family", sorted(SPATIAL_FAMILIES))
+def test_spatial_single_path_solves_give_the_numpy_bytes(native, monkeypatch, family):
+    _single_path_bytes(monkeypatch, SPATIAL_DOMAINS, SPATIAL_FAMILIES[family](),
+                       _SPATIAL_PATH_STARTS)
+
+
+@pytest.mark.parametrize("M", [3, 67, 130])
+@pytest.mark.parametrize("domain_name", sorted(SPATIAL_DOMAINS))
+def test_spatial_engine_stats_give_the_numpy_bytes(native, monkeypatch, domain_name, M):
+    domain, coeffs = SPATIAL_DOMAINS[domain_name](), SPATIAL_FAMILIES["trig_three_phases"]()
+    x0 = _SPATIAL_PATH_STARTS[domain_name][0]
+    native_arrays, numpy_arrays = _both(monkeypatch, lambda: rs.run_coupling_stats(
+        rs.Study(domain, coeffs, x0, 1.0, (2, 3), M, 2, 3, seed=8)))
+    assert native_arrays == numpy_arrays
+
+
 def _planar_study():
     return PLANAR_DOMAINS["annulus"](), PLANAR_FAMILIES["trig"]()
 
 
 def test_the_march_covers_each_planar_built_in_at_every_width(native):
-    # Coverage does not depend on the batch width, which it is not given.
-    for make_domain in PLANAR_DOMAINS.values():
-        for family in PLANAR_FAMILIES.values():
-            assert cover.native_march(make_domain(), family()) is not None
+    # Coverage does not depend on the batch width, which it is not given;
+    # every built-in at d = m = 3 is covered too.
+    for domains, families in ((PLANAR_DOMAINS, PLANAR_FAMILIES),
+                              (SPATIAL_DOMAINS, SPATIAL_FAMILIES)):
+        for make_domain in domains.values():
+            for family in families.values():
+                assert cover.native_march(make_domain(), family()) is not None
 
 
 def _planar_uncovered():
-    """Planar and spatial studies the native march leaves to numpy."""
+    """Studies of built-in domains the native march leaves to numpy: m !=
+    d, d > 3, the ball at d = 1, and replaced, wrapped or custom callables."""
     annulus, trig = _planar_study()
     return {
         "(2, 3) trig": (annulus, rs.trig(
             [[0.5, 0.1, 0.0], [0.1, 0.5, 0.1]], [[0.2, 0.1, 0.1], [0.1, 0.2, 0.1]], [1.0, 0.5])),
-        "d = 3 ball": (rs.ball(1.0, dim=3), rs.trig(
-            np.eye(3) * 0.5, np.eye(3) * 0.2, [1.0, 0.5, -0.5])),
-        "d = 3 box": (rs.box([0.0] * 3, [1.0] * 3), rs.constant(np.eye(3) * 0.3)),
+        "(3, 2) trig": (rs.ball(1.0, dim=3), rs.trig(
+            [[0.5, 0.1], [0.1, 0.5], [0.0, 0.2]], [[0.2, 0.1], [0.1, 0.2], [0.1, 0.1]],
+            [1.0, 0.5, -0.5])),
+        "d = 4 ball": (rs.ball(1.0, dim=4), rs.trig(
+            np.eye(4) * 0.5, np.eye(4) * 0.2, [1.0, 0.5, -0.5, 0.25])),
+        "d = 1 ball": (rs.ball(1.0, dim=1), rs.trig([[0.5]], [[0.2]], [1.0])),
         "replaced sigma": (annulus, dataclasses.replace(trig, sigma=lambda y: trig.sigma(y))),
         "wrapped grad_sigma": (annulus, dataclasses.replace(
             trig, grad_sigma=_wrapped(trig.grad_sigma))),
@@ -654,7 +812,7 @@ def test_uncovered_planar_studies_run_the_numpy_march(native, case):
 # A path marched alone and its row in a group
 # ---------------------------------------------------------------------------
 
-# d = 3 studies, which march in numpy.
+# d = 3 studies, which march natively where the library loads.
 SPATIAL_STUDIES = {
     "ball_trig": lambda: (rs.ball(1.0, dim=3), rs.trig(
         np.full((3, 3), 0.1) + 0.4 * np.eye(3), np.full((3, 3), 0.2), [1.0, -2.0, 0.5],
@@ -715,8 +873,8 @@ def _march_both(domain, coeffs, x0, slopes, values, log):
 def test_a_path_marched_alone_gives_its_rows_bytes_in_a_group(group):
     # Both schemes, on both backends: each drawn row of a group marched
     # alone with its step log, as a single path is, gives the bytes of its
-    # row in the group's march (up to the sign of a NaN), at d = 1 and
-    # d = 2 natively where the library loads and at d = 3 in numpy.
+    # row in the group's march (up to the sign of a NaN), at d = 1, 2 and
+    # 3, natively where the library loads.
     name, starts, rows, seed, scale = group
     (domain, coeffs), x0 = GROUP_STUDIES[name](), np.array(starts)
     paths = rs.sample_path(coeffs.dim_noise, 1.0, 5, list(range(seed, seed + len(x0))))
@@ -735,6 +893,9 @@ def test_a_path_marched_alone_gives_its_rows_bytes_in_a_group(group):
                     assert _without_nan_signs(_arrays(alone)) == _without_nan_signs(_arrays(row))
 
 
+# The d = 3 domains the guard-page child marches.
+SPATIAL_GUARDED = ("box", "annulus")
+
 _GUARDED = """
 import ctypes
 import mmap
@@ -745,7 +906,8 @@ import numpy as np
 import reflectedsde as rs
 from reflectedsde import cover, solvers
 from test_native_march import (DOMAINS, FAMILIES, PLANAR_DOMAINS, PLANAR_FAMILIES,
-                               _PLANAR_PATH_STARTS, _arrays)
+                               SPATIAL_DOMAINS, SPATIAL_FAMILIES, SPATIAL_GUARDED,
+                               _PLANAR_PATH_STARTS, _SPATIAL_PATH_STARTS, _arrays)
 
 libc = ctypes.CDLL(None)
 libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
@@ -816,7 +978,10 @@ def batch(domain, coeffs, x0):
 lines = [(make(), family(), [0.0]) for make in DOMAINS.values() for family in FAMILIES.values()]
 planes = [(PLANAR_DOMAINS[name](), family(), _PLANAR_PATH_STARTS[name][0])
           for name in PLANAR_DOMAINS for family in PLANAR_FAMILIES.values()]
-runs = [(run, study) for run in (stats, single_path, batch) for study in lines + planes]
+# The d = 3 box fills every slot of its packed domain tag.
+spaces = [(SPATIAL_DOMAINS[name](), family(), _SPATIAL_PATH_STARTS[name][0])
+          for name in SPATIAL_GUARDED for family in SPATIAL_FAMILIES.values()]
+runs = [(run, study) for run in (stats, single_path, batch) for study in lines + planes + spaces]
 for run, study in runs:
     expected = run(*study)
     cover.native_march, solvers._march_arrays, solvers._noise_batch = (
@@ -834,7 +999,8 @@ def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
     # single path with each of its step log's arrays, zero row included,
     # at the end of a readable page, in a child process that a read or
     # write past them kills; as a group, as a single path and as a batch
-    # of 65 rows, whose last tile holds the arrays' last row alone.
+    # of 65 rows, whose last tile holds the arrays' last row alone; at
+    # d = 1, at d = 2 and, on the box and the annulus, at d = 3.
     if not sys.platform.startswith("linux"):
         pytest.skip("the guard page is set with Linux's mprotect")
     tests_dir = Path(__file__).resolve().parent
@@ -844,4 +1010,5 @@ def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     planes = len(PLANAR_DOMAINS) * len(PLANAR_FAMILIES)
-    assert int(proc.stdout) == 3 * (len(DOMAINS) * len(FAMILIES) + planes)
+    spaces = len(SPATIAL_GUARDED) * len(SPATIAL_FAMILIES)
+    assert int(proc.stdout) == 3 * (len(DOMAINS) * len(FAMILIES) + planes + spaces)

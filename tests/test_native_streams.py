@@ -224,19 +224,19 @@ def test_two_processes_building_into_one_empty_cache_agree(native, tmp_path):
     assert Path(lib_a).suffix == ".so" and len(Path(lib_a).stem) == 64
 
 
-def test_forked_workers_on_native_streams_equal_serial_numpy_streams(native, monkeypatch):
+def test_a_study_on_native_streams_equals_one_on_numpy_streams(native, monkeypatch):
     coeffs = rs.trig([[0.5, 0.1], [0.1, 0.4]], [[0.2, 0.0], [0.0, 0.2]], [1.0, -1.0],
                      drift_matrix=[[-0.3, 0.0], [0.0, -0.3]])
 
-    def stats(workers):
+    def stats():
         s = rs.run_coupling_stats(rs.Study(
-            rs.ball(1.0, dim=2), coeffs, [0.2, 0.1], 1.0, (3, 4), 24, 3, 4, 5, workers=workers
+            rs.ball(1.0, dim=2), coeffs, [0.2, 0.1], 1.0, (3, 4), 24, 3, 4, 5
         ))
         return [s.sup_dist, s.final_dist, s.f_final, s.var_final, s.ref_var_final]
 
-    parallel = stats(2)
+    native_streams = stats()
     monkeypatch.setattr(brownian, "_native", lambda: None)
-    for got, want in zip(parallel, stats(1)):
+    for got, want in zip(native_streams, stats()):
         np.testing.assert_array_equal(got, want)
 
 

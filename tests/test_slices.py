@@ -1,6 +1,6 @@
-"""A group is cut into tiles, which its threads march, each a contiguous
+"""A study is cut into tiles, which its threads march, each a contiguous
 run of them: no bit depends on the thread count, and no thread outlives
-its group.
+its engine or Holder call.
 
 The thread count follows the CPUs the process may run on
 (``harness._cpus``); the tests patch that helper, not the host.
@@ -8,7 +8,6 @@ The thread count follows the CPUs the process may run on
 
 import dataclasses
 import json
-import os
 import sys
 import threading
 import time
@@ -49,7 +48,7 @@ def _study(name, **changes):
 
 
 def _counting_threads(monkeypatch, cpus):
-    """Patch the CPU count to ``cpus`` and record each group's thread count."""
+    """Patch the CPU count to ``cpus`` and record each call's thread count."""
     monkeypatch.setattr(harness, "_cpus", lambda: cpus)
     counts, layout = [], harness._layout
 
@@ -98,75 +97,6 @@ def test_holder_table_bytes_do_not_depend_on_the_cpu_count(reference, monkeypatc
     assert threads == [1, 3 if brownian._native() is not None else 1]
 
 
-def test_each_forked_worker_marches_its_share_of_the_cpus(monkeypatch, tmp_path):
-    # Two workers on four CPUs: each forked group runs on two threads.  The
-    # counts are written to a file, since the groups run in other processes.
-    monkeypatch.setattr(harness, "_cpus", lambda: 4)
-    log, layout = tmp_path / "threads.log", harness._layout
-
-    def recording(*args):
-        n, tiles, block_bytes = layout(*args)
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {n}\n")
-        return n, tiles, block_bytes
-
-    monkeypatch.setattr(harness, "_layout", recording)
-    parallel = harness.run_coupling_stats(_study("interval", workers=2))
-    entries = [line.split() for line in log.read_text().splitlines()]
-    covered = brownian._native() is not None
-    assert sorted(n for _, n in entries) == ["2" if covered else "1"] * 2
-    assert str(os.getpid()) not in {pid for pid, _ in entries}
-    serial = harness.run_coupling_stats(_study("interval"))
-    for expected, got in zip(_arrays(serial), _arrays(parallel)):
-        np.testing.assert_array_equal(expected, got)
-
-
-def test_each_forked_worker_marches_one_balanced_group(monkeypatch, tmp_path):
-    # Under a budget of 100 paths' arrays (17 knots at level 4), two workers
-    # still cut the 259-path study into two groups, of 129 and 130 paths,
-    # one per worker.  Each group's pid and width are written to a file,
-    # since the groups run in other processes, and each group holds its
-    # worker long enough for the other worker to take the other group.
-    monkeypatch.setattr(harness, "_CHUNK_BYTES", 100 * 17 * 8)
-    log, chunk_stats = tmp_path / "groups.log", harness._chunk_stats
-
-    def recording(study, plan, indices):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {len(indices)}\n")
-        time.sleep(0.2)
-        return chunk_stats(study, plan, indices)
-
-    monkeypatch.setattr(harness, "_chunk_stats", recording)
-    parallel = harness.run_coupling_stats(_study("interval", workers=2))
-    entries = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(int(width) for _, width in entries) == [129, 130]
-    pids = {pid for pid, _ in entries}
-    assert len(pids) == 2 and str(os.getpid()) not in pids
-    monkeypatch.setattr(harness, "_chunk_stats", chunk_stats)
-    serial = harness.run_coupling_stats(_study("interval"))
-    for expected, got in zip(_arrays(serial), _arrays(parallel)):
-        np.testing.assert_array_equal(expected, got)
-
-
-def test_the_pool_forks_one_worker_per_group(monkeypatch, tmp_path):
-    # Four workers on a two-path study make two groups of one path, and a
-    # forking pool starts all its workers at once: it must start two.  Each
-    # worker adopts the march once, in its own process, and writes its pid
-    # to a file.
-    log, adopt = tmp_path / "adopted.log", harness._adopt_march
-
-    def recording(march):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        adopt(march)
-
-    monkeypatch.setattr(harness, "_adopt_march", recording)
-    stats = harness.run_coupling_stats(_study("interval", M=2, workers=4))
-    pids = log.read_text().split()
-    assert len(pids) == len(set(pids)) == 2 and str(os.getpid()) not in pids
-    assert stats.sup_dist.shape == (2, 2)
-
-
 def test_the_numpy_backend_marches_on_one_thread(monkeypatch):
     # Without the library both marches hold the GIL, so threads could only
     # take turns; and the numpy march's cost is per call, so its tiles are
@@ -180,37 +110,33 @@ def test_the_numpy_backend_marches_on_one_thread(monkeypatch):
 
 
 def test_threads_keep_at_least_one_tile_of_paths(monkeypatch, native):
-    # A group has one thread per CPU of its process's share, but no more
-    # than runs of _TILE_ROWS paths.
-    monkeypatch.setattr(harness, "_cpus", lambda: 8)
+    # A study has one thread per CPU, but no more than runs of _TILE_ROWS
+    # paths.
     study = _study("interval")
     plan = harness._plan(study, 4, ())
 
-    def threads(study, rows):
-        return harness._layout(study, plan, range(rows))[0]
+    def threads(cpus, M):
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        return harness._layout(dataclasses.replace(study, M=M), plan)[0]
 
-    assert [threads(study, rows) for rows in (1, 63, 64, 127, 128, 259, 600)] == [
-        1, 1, 1, 1, 2, 4, 8]
-    assert threads(dataclasses.replace(study, workers=3), 600) == 2
-    assert threads(dataclasses.replace(study, workers=9), 600) == 1
-    # A study of four paths has four groups at most, whatever its workers.
-    assert threads(dataclasses.replace(study, M=4, workers=9), 600) == 2
+    assert [threads(8, M) for M in (2, 63, 64, 127, 128, 259, 600)] == [1, 1, 1, 1, 2, 4, 8]
+    assert [threads(cpus, 600) for cpus in (1, 2, 3, 9, 10)] == [1, 2, 3, 9, 9]
 
 
 def _tile_runner(monkeypatch, covered=True):
-    """``_in_tiles`` over a group of 384 path indices: on three threads by
-    the native rule, as three CPUs allow, where a thread's share, 9000
-    bytes, holds the path arrays of 64 paths at level 4 (136 bytes each),
-    so the group is cut into six tiles of 64 paths, two per thread, each
-    with a block buffer of 4500 bytes, half the share, as that is less than
-    64 paths' other arrays; without ``covered``, on one thread by the numpy
+    """``_in_tiles`` over a study of 384 paths: on three threads by the
+    native rule, as three CPUs allow, where a thread's share, 9000 bytes,
+    holds the path arrays of 64 paths at level 4 (136 bytes each), so the
+    study is cut into six tiles of 64 paths, two per thread, each with a
+    block buffer of 4500 bytes, half the share, as that is less than 64
+    paths' other arrays; without ``covered``, on one thread by the numpy
     rule, in two tiles of 192 paths whose path arrays fit the budget."""
     monkeypatch.setattr(harness, "_cpus", lambda: 3)
     monkeypatch.setattr(cover, "native_march", lambda domain, coeffs: () if covered else None)
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 27000)
-    study = _study("interval")
+    study = _study("interval", M=384)
     plan = harness._plan(study, 4, ())
-    return lambda march, out: harness._in_tiles(study, plan, range(8, 392), march, out)
+    return lambda march, out: harness._in_tiles(study, plan, march, out)
 
 
 def test_tiles_write_their_rows_in_path_order_with_a_share_of_the_budget(monkeypatch):
@@ -225,22 +151,22 @@ def test_tiles_write_their_rows_in_path_order_with_a_share_of_the_budget(monkeyp
     out = (np.zeros(384, int), np.zeros((384, 2)))
     first, second = run(march, out)
     assert first is out[0] and second is out[1]
-    np.testing.assert_array_equal(first, np.arange(8, 392))
+    np.testing.assert_array_equal(first, np.arange(384))
     assert second.shape == (384, 2) and np.all(second == 4500)
     assert sorted((indices.start, indices.stop) for indices, _, _ in seen) == [
-        (8, 72), (72, 136), (136, 200), (200, 264), (264, 328), (328, 392)]
+        (0, 64), (64, 128), (128, 192), (192, 256), (256, 320), (320, 384)]
     # The first run of tiles stays on the caller's thread, the others run
     # on their own, each run's tiles in path order.
     threads = {indices.start: thread for indices, _, thread in seen}
-    assert threads[8] is threads[72] is threading.main_thread()
-    assert threads[136] is threads[200] and threads[264] is threads[328]
-    assert len({threads[136], threads[264], threading.main_thread()}) == 3
-    assert [indices.start for indices, _, thread in seen if thread is threads[136]] == [136, 200]
+    assert threads[0] is threads[64] is threading.main_thread()
+    assert threads[128] is threads[192] and threads[256] is threads[320]
+    assert len({threads[128], threads[256], threading.main_thread()}) == 3
+    assert [indices.start for indices, _, thread in seen if thread is threads[128]] == [128, 192]
 
 
 @pytest.mark.parametrize("covered", [True, False])
 def test_tiles_write_every_row_of_the_groups_arrays_once_in_path_order(covered, monkeypatch):
-    # Each tile's rows are views of its rows of the group's arrays: every
+    # Each tile's rows are views of its rows of the study's arrays: every
     # row is written once, with its own path's index, and each thread
     # writes its tiles in path order; by the native rule on three threads,
     # and by the numpy rule on one.
@@ -258,7 +184,7 @@ def test_tiles_write_every_row_of_the_groups_arrays_once_in_path_order(covered, 
     out = (np.zeros(384, int), np.full(384, -1))
     assert run(march, out) is out
     assert np.all(out[0] == 1)
-    np.testing.assert_array_equal(out[1], np.arange(8, 392))
+    np.testing.assert_array_equal(out[1], np.arange(384))
     assert len(seen) == (6 if covered else 2)
     threads = {thread for thread, _ in seen}
     assert len(threads) == (3 if covered else 1)
@@ -271,25 +197,26 @@ def test_tiles_write_every_row_of_the_groups_arrays_once_in_path_order(covered, 
 def test_a_failed_tile_raises_the_lowest_index_error_after_all_are_joined(
     succeeds, monkeypatch
 ):
-    # The tiles at 8 and 72 run on the caller's thread, those at 136 and
-    # 200 on a thread of their own, and those at 264 and 328 on a third.
-    # Every tile but one fails, so each thread stops at its first failure,
-    # and the one tile that succeeds ends last.
+    # The tiles at 0 and 64 run on the caller's thread, those at 128 and
+    # 192 on a thread of their own, and those at 256 and 320 on a third.
+    # Every tile but the one that holds path ``succeeds`` fails, so each
+    # thread stops at its first failure, and the one tile that succeeds, the
+    # first of its thread, ends last.
     run = _tile_runner(monkeypatch)
     before = threading.active_count()
     finished = []
 
     def march(indices, rows, max_bytes):
-        if indices.start == succeeds:
+        if succeeds in indices:
             time.sleep(0.05)
             finished.append(indices.start)
             rows[0][:] = 0.0
             return
         raise RuntimeError(f"tile at {indices.start} failed")
 
-    with pytest.raises(RuntimeError, match=f"tile at {8 if succeeds != 8 else 72} failed"):
+    with pytest.raises(RuntimeError, match=f"tile at {0 if succeeds != 8 else 64} failed"):
         run(march, (np.empty(384),))
-    assert finished == [succeeds]
+    assert finished == [succeeds // 64 * 64]
     assert threading.active_count() == before
 
 
