@@ -808,6 +808,21 @@ def test_uncovered_planar_studies_run_the_numpy_march(native, case):
     assert cover.native_march(domain, coeffs) is None
 
 
+# d = 3 studies with diagonal coefficients, beside the full ones the
+# covers test above draws.
+_SPATIAL_DIAGONAL = {
+    "d = 3 ball": lambda: (rs.ball(1.0, dim=3), rs.trig(
+        np.eye(3) * 0.5, np.eye(3) * 0.2, [1.0, 0.5, -0.5])),
+    "d = 3 box": lambda: (rs.box([0.0] * 3, [1.0] * 3), rs.constant(np.eye(3) * 0.3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPATIAL_DIAGONAL))
+def test_spatial_built_in_studies_run_the_native_march(native, case):
+    domain, coeffs = _SPATIAL_DIAGONAL[case]()
+    assert cover.native_march(domain, coeffs) is not None
+
+
 # ---------------------------------------------------------------------------
 # A path marched alone and its row in a group
 # ---------------------------------------------------------------------------
