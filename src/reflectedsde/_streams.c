@@ -12,14 +12,23 @@
  * them back from that function when it is loaded and checks the inline
  * path against it; if the check fails, every draw calls numpy's function.
  * Without this library, brownian.py draws the same bits from
- * numpy's SeedSequence plus one re-keyed numpy Philox: a second oracle.
+ * numpy's SeedSequence plus one numpy Philox per stream: a second oracle.
  *
- * SeedSequence's hash (seed_sequence) also gives the per-path seeds of a
- * range of path indices (path_seeds), so that keying needs no numpy.random.
- * refine_levels inserts every midpoint level of a batch in one call: path
- * by path for path-major knots, and for time-major knots a tile of paths at
- * a time, each stream first drawing a short run of normals into a scratch
- * with its state held locally.
+ * Entry points:
+ * - sample_paths samples a batch of paths in one call: for each path it
+ *   keys every (seed, level) stream, draws level 0, forms the running sums
+ *   and refines every level, each stream's state held locally;
+ * - path_seeds gives the per-path seeds of a range of path indices, with
+ *   SeedSequence's hash (seed_sequence), so that keying needs no
+ *   numpy.random; stream_keys gives the keys of (seed, level) streams;
+ * - fill_streams draws runs of normals from saved stream states, and
+ *   refine_levels inserts every midpoint level of a batch, or of a time
+ *   block, in one call: path by path for path-major knots, and for
+ *   time-major knots a tile of paths at a time, each stream first drawing
+ *   a short run of normals into a scratch with its state held locally;
+ *   both save every stream's state back, so that a stream drawn in pieces
+ *   resumes where it stopped;
+ * - inline_ziggurat tells whether the inline fast path passed its check.
  *
  * brownian.py builds this file, with _march.c, into one library:
  *     cc <_CFLAGS> -I <numpy include> _streams.c _march.c \
@@ -29,8 +38,9 @@
  * mulhilo needs unsigned __int128 (gcc and clang on 64-bit targets).
  *
  * Every stream has a saved state of nine words: the counter (4), the buffer
- * (4) and the buffer position; a fresh stream has counter zero and position
- * 4.  Normal draws never take a 32-bit half, so that half is not saved.
+ * (4) and the buffer position; a fresh stream (FRESH below) has counter
+ * zero and position 4.  Normal draws never take a 32-bit half, so that half
+ * is not saved.
  */
 
 #include <stdint.h>
@@ -45,6 +55,9 @@ double random_standard_normal(bitgen_t *bitgen_state);
 #define PHILOX_W0 0x9E3779B97F4A7C15ULL
 #define PHILOX_W1 0xBB67AE8584CAA73BULL
 #define PHILOX_ROUNDS 10
+
+/* The saved state of a stream at counter zero. */
+static const uint64_t FRESH[9] = {0, 0, 0, 0, 0, 0, 0, 0, 4};
 
 typedef struct {
     uint64_t counter[4];
@@ -258,10 +271,9 @@ static int zig_check(void)
         }
     }
     const uint64_t key[2] = {0x243F6A8885A308D3ULL, 0x13198A2E03707344ULL};
-    const uint64_t fresh[9] = {0, 0, 0, 0, 0, 0, 0, 0, 4};
     philox_t ours, theirs;
-    philox_load(&ours, key, fresh);
-    philox_load(&theirs, key, fresh);
+    philox_load(&ours, key, FRESH);
+    philox_load(&theirs, key, FRESH);
     bitgen_t our_g = philox_bitgen(&ours), their_g = philox_bitgen(&theirs);
     for (int n = 0; n < CHECK_DRAWS; n++) {
         double x = normal(&ours, &our_g), y = random_standard_normal(&their_g);
@@ -496,5 +508,47 @@ void refine_levels(const uint64_t *keys, uint64_t *saved, int64_t n_paths, doubl
                      knot_step, comp_step, n_mid, m, scales[l], z, z ? RUN / m : 0);
         knot_step /= 2;
         n_mid *= 2;
+    }
+}
+
+/* The bits of a seed that key its streams: brownian._SEED_MASK. */
+#define SEED_MASK 0x7FFFFFFFFFFFFFFFULL
+
+/* ``n_paths`` paths sampled into ``values``, C-contiguous of shape
+ * (n_paths, units * 2^fine_level + 1, m), as brownian.sample_path's numpy
+ * branch samples them, bit for bit.  Path ``b``'s stream at each level is
+ * keyed by seed_key from ``seeds[b]`` masked to 63 bits and starts fresh,
+ * its state held locally and not saved.  Knot 0 is 0.0.  Level 0 draws
+ * units * m normals, knot-major, into every 2^fine_level-th knot as their
+ * running sums, started from the first draw as np.add.accumulate starts
+ * (so a -0.0 draw stays -0.0).  Levels 1 .. fine_level then fill their
+ * midpoints as refine_levels does, level ``l`` scaled by ``scales[l - 1]``. */
+void sample_paths(const uint64_t *seeds, int64_t n_paths, int64_t m, int64_t units,
+                  int64_t fine_level, const double *scales, double *values)
+{
+    int64_t stride = (int64_t)1 << fine_level, path_step = (units * stride + 1) * m;
+    for (int64_t b = 0; b < n_paths; b++) {
+        uint64_t seed = seeds[b] & SEED_MASK, key[2], saved[9];
+        double *path = values + b * path_step;
+        for (int64_t c = 0; c < m; c++)
+            path[c] = 0.0;
+        seed_key(seed, 0, key);
+        philox_t s;
+        philox_load(&s, key, FRESH);
+        bitgen_t g = philox_bitgen(&s);
+        for (int64_t k = 0; k < units; k++) {
+            double *knot = path + (k + 1) * stride * m;
+            const double *prev = knot - stride * m;
+            for (int64_t c = 0; c < m; c++) {
+                double z = normal(&s, &g);
+                knot[c] = k ? prev[c] + z : z;
+            }
+        }
+        for (int64_t level = 1; level <= fine_level; level++) {
+            seed_key(seed, (uint32_t)level, key);
+            memcpy(saved, FRESH, sizeof saved);
+            refine_path(key, saved, path, (stride >> level) * m, 1, units << (level - 1), m,
+                        scales[level - 1]);
+        }
     }
 }

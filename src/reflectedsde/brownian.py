@@ -11,11 +11,15 @@ repeated refinement of a coarser path.
 Each stream is the Philox generator that ``SeedSequence([seed, level])``
 keys (the seed masked to 63 bits), started at counter zero; the draws are
 exactly those of ``Generator(Philox(SeedSequence([seed, level])))``.  The
-stream library, ``_streams.c``, holds SeedSequence's hash (for the
-``(levels, paths)`` key table of a sampling call, ``stream_keys``, and the
-per-path seeds of a range of path indices, ``path_seeds``), Philox4x64-10
-and numpy's ziggurat.  It refines every level of a batch, or of a time
-block, in one call.  The ziggurat's one-word fast path runs inline with
+stream library, ``_streams.c``, holds SeedSequence's hash (for stream keys,
+``stream_keys``, and the per-path seeds of a range of path indices,
+``path_seeds``), Philox4x64-10 and numpy's ziggurat.  ``sample_path`` is one
+library call for the whole batch: per path it keys every level's stream,
+draws level 0, forms the running sums and refines every level, each
+stream's state held in C.  ``refine`` and ``FineBlocks`` key their levels'
+streams first and refine every level of a batch, or of a time block, in
+one call, saving each stream's state for its next block.  The ziggurat's
+one-word fast path runs inline with
 numpy's tables, which the library reads back from numpy's own
 ``random_standard_normal`` (in numpy's ``libnpyrandom.a``) when it loads
 and checks against it; the wedge and the tail call that function.  If the
@@ -30,11 +34,12 @@ compiled on first use with ``cc`` and ``_CFLAGS`` into
 sources, the flags, the numpy version, the operating system and the
 machine type; it is built in a temporary directory and renamed into place.
 When it cannot be compiled or loaded, sampling falls back to numpy, level
-by level: SeedSequence itself for keys and seeds, and one numpy Philox
-re-keyed to a stream's key and saved state before each of its draws, with
-the same bits; the march falls back to its numpy loop.  With the library,
-nothing here imports ``numpy.random``.  The tests compare both paths byte
-for byte.  ``native_library()`` tells which path runs.
+by level: SeedSequence itself for keys and seeds, one numpy Philox
+re-keyed to a stream's key for its first draw, and a generator of the
+stream's own for every later draw, with the same bits; the march falls
+back to its numpy loop.  With the library,
+nothing here imports ``numpy.random`` or ``hashlib``.  The tests compare
+both paths byte for byte.  ``native_library()`` tells which path runs.
 
 The interpolant is the lagged one: on the knot interval starting at
 ``k / 2^n`` it interpolates the path over the PREVIOUS knot interval, which
@@ -83,10 +88,18 @@ _CFLAGS = ["-O3", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared"]
 def _library_path() -> Path:
     """Cache path of the native library for these C sources and flags, numpy
     and platform."""
-    # Imported here: the engine's import path does not load it otherwise.
-    import hashlib
+    # CPython's builtin SHA-256, as the stdlib's random takes its sha512:
+    # hashlib would load OpenSSL's libcrypto into every process that loads
+    # the library.  The digest is the same.
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.11
+        except ImportError:
+            from hashlib import sha256
 
-    tag = hashlib.sha256(b"".join(source.read_bytes() for source in _SOURCES))
+    tag = sha256(b"".join(source.read_bytes() for source in _SOURCES))
     tag.update(f"{_CFLAGS} {np.__version__} {sys.platform} {platform.machine()}".encode())
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     return Path(cache, "reflectedsde", tag.hexdigest() + ".so")
@@ -122,6 +135,7 @@ def _native():
         lib = ctypes.CDLL(str(target))
         ptr, i64, u64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
         for name, args, result in (
+            ("sample_paths", [ptr, i64, i64, i64, i64, ptr, ptr], None),
             ("stream_keys", [ptr, i64, ptr, i64, ptr], None),
             ("path_seeds", [u64, u64, i64, ptr], None),
             ("fill_streams", [ptr, ptr, i64, i64, ptr], None),
@@ -220,6 +234,19 @@ def path_seeds(seed: int, first: int, n: int) -> np.ndarray:
     return out
 
 
+def _philox_state(saved: np.ndarray, key: np.ndarray) -> dict:
+    """numpy's Philox state of the stream keyed ``key`` at its nine
+    ``saved`` words."""
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": saved[:4], "key": key},
+        "buffer": saved[4:8],
+        "buffer_pos": int(saved[8]),
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 class _Streams:
     """The standard normal streams of a batch at levels ``first`` to ``last``.
 
@@ -227,9 +254,14 @@ class _Streams:
     ``stream_keys(seeds, [level])[0, b]``, started at counter zero.  Each
     stream's state is saved after every draw and its next draw resumes
     there, so a stream drawn in pieces gives the values it gives in one
-    draw.  Draws run in the stream library, or through one numpy Philox set
-    to the stream's key and saved state before each draw, with the same
-    bits.
+    draw.  Draws run in the stream library, or in numpy with the same
+    bits: a stream's first draw through one numpy Philox set to the
+    stream's key, its state saved after, and every later draw through a
+    numpy generator of the stream's own, built at its second draw from
+    the saved state and kept, so that a stream resumed block after block
+    costs one draw call per block, not a re-key.  Most streams are drawn
+    once (``sample_path``'s and ``refine``'s), and building a generator
+    costs more than a re-key.
     """
 
     def __init__(self, seeds, first: int, last: int):
@@ -245,6 +277,7 @@ class _Streams:
             return
         self._bitgen = np.random.Philox(key=0)
         self._normal = np.random.Generator(self._bitgen).standard_normal
+        self._own = {}
 
     def addresses(self, level: int, b: int = 0):
         """Addresses of the key and saved state of stream ``(level, b)``, for
@@ -261,15 +294,16 @@ class _Streams:
             self.lib.fill_streams(*self.addresses(level, b), 1, out.size, _draws_ptr(out))
             return
         j = level - self.first
-        row = self.saved[j, b]
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": row[:4], "key": self.keys[j, b]},
-            "buffer": row[4:8],
-            "buffer_pos": int(row[8]),
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        row, key = self.saved[j, b], self.keys[j, b]
+        if row[0]:  # drawn before: a stream's counter moves at its first normal
+            normal = self._own.get((level, b))
+            if normal is None:
+                bitgen = np.random.Philox(key=key)
+                bitgen.state = _philox_state(row, key)
+                normal = self._own[level, b] = np.random.Generator(bitgen).standard_normal
+            normal(out=out)
+            return
+        self._bitgen.state = _philox_state(row, key)
         self._normal(out=out)
         after = self._bitgen.state
         row[:4] = after["state"]["counter"]
@@ -365,6 +399,7 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
     a batch of paths sampled into one ``(B, K + 1, m)`` array.  A
     one-dimensional array of an integer dtype is whole by its dtype, so it
     is checked once, not seed by seed, and the batch keeps a read-only copy.
+    With the library the whole batch is sampled in one library call.
     """
     if not 0 < T < np.inf:
         raise InvalidHorizon(f"horizon must be positive and finite, got {T}")
@@ -379,19 +414,43 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
 
     # The final array is allocated once; level 0 fills every 2^fine_level-th
     # knot and each finer level fills the midpoints between filled knots.
-    stride = 2**fine_level
     values = np.empty((len(seeds), n_held, m))
-    values[:, 0] = 0.0
-    draws = np.empty((len(seeds), (n_held - 1) // stride, m))
-    streams = _Streams(seeds, 0, fine_level)
-    streams.fill(0, draws)
-    np.add.accumulate(draws, axis=1, out=values[:, stride::stride])  # np.cumsum's sums
-    _refine(values, stride, streams, 1)
+    lib = _native()
+    if lib is None:
+        stride = 2**fine_level
+        values[:, 0] = 0.0
+        draws = np.empty((len(seeds), (n_held - 1) // stride, m))
+        streams = _Streams(seeds, 0, fine_level)
+        streams.fill(0, draws)
+        np.add.accumulate(draws, axis=1, out=values[:, stride::stride])  # np.cumsum's sums
+        _refine(values, stride, streams, 1)
+    else:
+        # The library masks each seed word to 63 bits, as stream_keys does;
+        # an integer array's cast to uint64 keeps a negative seed's two's
+        # complement, as ``&`` on an int does.  A ctypes array holds the
+        # words (and the cast array) for the call.
+        words_type = ctypes.c_uint64 * len(seeds)
+        if isinstance(seeds, tuple):
+            words = words_type(*[s & _SEED_MASK for s in seeds])
+        else:
+            words = words_type.from_buffer(seeds.astype(np.uint64))
+        lib.sample_paths(words, len(seeds), m, n_held >> fine_level, fine_level,
+                         _scales(fine_level)[1], _ptr(values))
     values = values[:, : n_fine + 1]
     return BrownianPath(
         m, n_fine / 2.0**fine_level, fine_level, seeds[0] if single else seeds,
         values[0] if single else values,
     )
+
+
+@functools.cache
+def _scales(last: int) -> tuple[np.ndarray, int]:
+    """The midpoint scales ``2.0 ** (-0.5 * (level + 1))`` of levels 1 to
+    ``last``, read-only, and their address for the library."""
+    scales = np.array([2.0 ** (-0.5 * (level + 1)) for level in range(1, last + 1)])
+    address = _ptr(scales)
+    scales.setflags(write=False)
+    return scales, address
 
 
 def _refine(values: np.ndarray, gap: int, streams: _Streams, first: int) -> None:
@@ -406,17 +465,16 @@ def _refine(values: np.ndarray, gap: int, streams: _Streams, first: int) -> None
     batch, or level by level in numpy calls a scratch of rows at a time.
     """
     levels = range(first, streams.last + 1)
-    # Held here, so that the array outlives the library call that reads it.
-    scales = np.array([2.0 ** (-0.5 * (level + 1)) for level in levels])
+    scales, address = _scales(streams.last)
     B, N, m = values.shape
     if streams.lib is not None:
         path_step, knot_step, comp_step = (s // values.itemsize for s in values.strides)
         streams.lib.refine_levels(
             *streams.addresses(first), B, _ptr(values), path_step, knot_step * (gap // 2),
-            comp_step, (N - 1) // gap, m, _ptr(scales), len(scales),
+            comp_step, (N - 1) // gap, m, address + (first - 1) * scales.itemsize, len(levels),
         )
         return
-    for level, scale in zip(levels, scales):
+    for level, scale in zip(levels, scales[first - 1 :]):
         mid = values[:, gap // 2 :: gap]
         np.add(values[:, 0:-1:gap], values[:, gap::gap], out=mid)
         mid *= 0.5

@@ -2,15 +2,17 @@
 they need.
 
 Importing ``numpy.random`` raises a single path's peak resident memory by
-about 2 MB and a study's by more, a study runs in one process, so it never
-imports ``multiprocessing`` or ``concurrent.futures``, and ``subprocess``
-(about 3 ms to import) only builds the library.  With the library
-loaded, path seeds and streams are keyed in C, so a single path, a
-coupled solve and a serial ``converge`` import none of them, also when
-its reference refines the fine grid in several blocks, each on the
-thread that marches it.  Sampling a path refines all its levels in one
-library call.  Each check runs in a fresh interpreter, since imports are
-process-wide.
+about 2 MB and a study's by more, ``hashlib`` loads OpenSSL's libcrypto
+(about 3.5 MB), a study runs in one process, so it never imports
+``multiprocessing`` or ``concurrent.futures``, and ``subprocess`` (about
+3 ms to import) only builds the library.  With the library loaded, path
+seeds and streams are keyed in C and the library's cache key is hashed by
+CPython's builtin SHA-256, so a single path, a coupled solve and a serial
+``converge`` import none of them, also when its reference refines the fine
+grid in several blocks, each on the thread that marches it.  Sampling a
+path, or a tile's batch of paths, is one library call that keys, draws
+and refines every level.  Each check runs in a fresh interpreter, since
+imports are process-wide.
 """
 
 import json
@@ -32,11 +34,11 @@ import reflectedsde as rs
 from reflectedsde import brownian, cli, cover, harness
 
 lib = brownian._native()
-# Per library refinement, whether the caller's thread made it.
+# Per library sampling or refinement, whether the caller's thread made it.
 calls = []
-refine_levels = lib.refine_levels
-lib.refine_levels = lambda *args: (
-    calls.append(threading.current_thread() is threading.main_thread()) or refine_levels(*args))
+for name in ("sample_paths", "refine_levels"):
+    setattr(lib, name, lambda *args, _fn=getattr(lib, name): (
+        calls.append(threading.current_thread() is threading.main_thread()) or _fn(*args)))
 
 interval = rs.interval(-1.0, 1.0)
 wavy = rs.trig([[0.5]], [[0.2]], [1.0], drift_matrix=[[-0.3]])
@@ -57,8 +59,8 @@ harness._CHUNK_BYTES = 2 * 8 * 8 * (2 * 4 + 1)
 calls.clear()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["converge", "--config", sys.argv[1]])
-loaded = [name for name in ("numpy.random", "multiprocessing", "concurrent.futures",
-                          "subprocess") if name in sys.modules]
+loaded = [name for name in ("numpy.random", "hashlib", "multiprocessing",
+                          "concurrent.futures", "subprocess") if name in sys.modules]
 print(json.dumps({"refinements": refinements, "covered": covered, "code": code,
                   "converge_refinements": calls, "loaded": loaded}))
 """
@@ -90,9 +92,9 @@ def test_single_paths_and_a_serial_converge_leave_numpy_random_unloaded(native, 
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    # The converge samples its tile and refines blocks 0 to 3, all on its
-    # own thread: one tile of 8 paths on the caller's thread, and no thread
-    # per block.
+    # Each single path is one library call.  The converge samples its tile
+    # in one call and refines blocks 0 to 3, all on its own thread: one tile
+    # of 8 paths on the caller's thread, and no thread per block.
     assert result == {"refinements": [1, 1], "covered": True, "code": 0,
                       "converge_refinements": [True] * 5, "loaded": []}
 

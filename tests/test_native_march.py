@@ -309,26 +309,30 @@ def test_both_sources_compile_without_a_warning(monkeypatch, tmp_path):
 
 
 def test_the_march_frames_are_static_and_far_under_a_thread_stack(tmp_path):
-    # Each entry point's frame holds its inlined tiles, which grow with
-    # D_MAX cubed.  The library's own flags with -fstack-usage: both frames
-    # are static (no alloca or variable-length array) and under 64 KiB,
-    # far under musl's 128 KiB default thread stack, on which the engine's
-    # threads march.
+    # Each march entry point's frame holds its inlined tiles, which grow
+    # with D_MAX cubed.  The library's own flags with -fstack-usage: both
+    # frames are static (no alloca or variable-length array) and under
+    # 64 KiB, far under musl's 128 KiB default thread stack, on which the
+    # engine's threads march.  The engine's tiles sample their paths on
+    # those threads too, so sample_paths' frame is static and under 4 KiB.
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
-    source = next(s for s in brownian._SOURCES if s.name == "_march.c")
+    sources = {s.name: s for s in brownian._SOURCES}
     # The tags cover.native_tag packs are padded to the same D_MAX.
-    assert f"\n#define D_MAX {cover.D_MAX}\n" in source.read_text()
-    subprocess.run(["cc", *brownian._CFLAGS, "-fstack-usage", "-c", str(source), "-o",
-                    str(tmp_path / "march.o")], check=True, capture_output=True)
-    (usage,) = tmp_path.glob("*.su")
+    assert f"\n#define D_MAX {cover.D_MAX}\n" in sources["_march.c"].read_text()
     frames = {}
-    for line in usage.read_text().splitlines():
-        where, size, kind = line.split("\t")
-        frames[where.rsplit(":", 1)[-1]] = (int(size), kind)
-    for entry in ("march_reference", "march_wz"):
+    for name, obj in (("_march.c", "march.o"), ("_streams.c", "streams.o")):
+        subprocess.run(["cc", *brownian._CFLAGS, "-fstack-usage", "-I", np.get_include(), "-c",
+                        str(sources[name]), "-o", str(tmp_path / obj)],
+                       check=True, capture_output=True)
+        usage = tmp_path / obj.replace(".o", ".su")
+        for line in usage.read_text().splitlines():
+            where, size, kind = line.split("\t")
+            frames[where.rsplit(":", 1)[-1]] = (int(size), kind)
+    for entry, limit in (("march_reference", 64 * 1024), ("march_wz", 64 * 1024),
+                         ("sample_paths", 4 * 1024)):
         size, kind = frames[entry]
-        assert kind == "static" and size < 64 * 1024, (entry, size, kind)
+        assert kind == "static" and size < limit, (entry, size, kind)
 
 
 _SETUP = """
@@ -919,7 +923,7 @@ import sys
 import numpy as np
 
 import reflectedsde as rs
-from reflectedsde import cover, solvers
+from reflectedsde import brownian, cover, solvers
 from test_native_march import (DOMAINS, FAMILIES, PLANAR_DOMAINS, PLANAR_FAMILIES,
                                SPATIAL_DOMAINS, SPATIAL_FAMILIES, SPATIAL_GUARDED,
                                _PLANAR_PATH_STARTS, _SPATIAL_PATH_STARTS, _arrays)
@@ -939,7 +943,7 @@ def at_page_end(a):
     if libc.mprotect(end, page, 0) != 0:
         sys.exit("mprotect failed")
     pages.append(buf)
-    copy = np.ctypeslib.as_array((ctypes.c_double * a.size).from_address(end - a.nbytes))
+    copy = np.frombuffer((ctypes.c_char * a.nbytes).from_address(end - a.nbytes), a.dtype)
     copy[:] = a.ravel()
     return copy.reshape(a.shape)
 
@@ -1004,7 +1008,22 @@ for run, study in runs:
     assert run(*study) == expected
     cover.native_march, solvers._march_arrays, solvers._noise_batch = (
         covered, march_arrays, noise_batch)
-print(len(runs))
+
+# Batches sampled in one library call into values that end at a page end,
+# the seed words and the scales at page ends too: (m, T, fine level,
+# seeds), the horizon whole or not.
+samples = [(1, 1.0, 4, list(range(65))), (2, 0.7, 5, [-3, 2**63 + 1, 7]), (3, 2.5, 3, [11])]
+lib = brownian._native()
+for m, T, fine_level, seeds in samples:
+    expected = rs.sample_path(m, T, fine_level, seeds).values
+    n_fine, n_held = brownian.dyadic_grid(T, fine_level)
+    words = at_page_end(np.array([s % 2**64 for s in seeds], np.uint64))
+    scales = at_page_end(brownian._scales(fine_level)[0])
+    values = at_page_end(np.full((len(seeds), n_held, m), np.nan))
+    lib.sample_paths(words.ctypes.data, len(seeds), m, n_held >> fine_level, fine_level,
+                     scales.ctypes.data, values.ctypes.data)
+    assert values[:, : n_fine + 1].tobytes() == expected.tobytes()
+print(len(runs), len(samples))
 """
 
 
@@ -1015,7 +1034,9 @@ def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
     # at the end of a readable page, in a child process that a read or
     # write past them kills; as a group, as a single path and as a batch
     # of 65 rows, whose last tile holds the arrays' last row alone; at
-    # d = 1, at d = 2 and, on the box and the annulus, at d = 3.
+    # d = 1, at d = 2 and, on the box and the annulus, at d = 3.  Batches
+    # of paths sampled in one library call write values that end at a page
+    # end, from seed words and scales that end at one.
     if not sys.platform.startswith("linux"):
         pytest.skip("the guard page is set with Linux's mprotect")
     tests_dir = Path(__file__).resolve().parent
@@ -1026,4 +1047,5 @@ def test_the_kernels_read_no_parameter_past_the_packed_ones(native):
     assert proc.returncode == 0, proc.stderr
     planes = len(PLANAR_DOMAINS) * len(PLANAR_FAMILIES)
     spaces = len(SPATIAL_GUARDED) * len(SPATIAL_FAMILIES)
-    assert int(proc.stdout) == 3 * (len(DOMAINS) * len(FAMILIES) + planes + spaces)
+    assert proc.stdout.split() == [str(3 * (len(DOMAINS) * len(FAMILIES) + planes + spaces)),
+                                   "3"]

@@ -66,6 +66,52 @@ def test_native_streams_draw_the_numpy_bytes(native, monkeypatch, case):
     assert _stream_digest(*CASES[case]) == drawn
 
 
+# Seeds that a single library call masks to 63 bits as stream_keys does:
+# negative ones, 2^63 and above, 2^64 and above.
+_WIDE_SEEDS = [-5, 0, 2**63, 2**63 + 9, 2**64 + 3, -(2**40), 12345]
+# numpy's ziggurat_nor_r: a draw beyond it in absolute value comes from the
+# ziggurat's tail, which numpy's function draws, never the inline path.
+_TAIL = 3.6541528853610088
+
+
+def _one_call_batches(fine_level):
+    """Batches of width 1 as an int, a tuple and a uint64 array and, below
+    level 16, of width 70 as a tuple of wide seeds, as the same seeds'
+    uint64 words and as ``path_seeds``'s array."""
+    batches = [_WIDE_SEEDS[0], (2**63 + 9,), np.array([2**64 - 5], np.uint64)]
+    if fine_level < 16:
+        wide = _WIDE_SEEDS + [path_seed(23, i) for i in range(70 - len(_WIDE_SEEDS))]
+        batches += [tuple(wide), np.array([s % 2**64 for s in wide], np.uint64),
+                    path_seeds(23, 0, 70)]
+    return batches
+
+
+def _sampled(m, T, fine_level):
+    return [rs.sample_path(m, T, fine_level, seeds).values.tobytes()
+            for seeds in _one_call_batches(fine_level)]
+
+
+@pytest.mark.parametrize("fine_level", [1, 9, 16])
+@pytest.mark.parametrize("T", [1.0, 0.7, 2.5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sampling_in_one_library_call_gives_the_numpy_bytes(native, monkeypatch, m, T,
+                                                            fine_level):
+    # The library keys, draws level 0, sums and refines every level in one
+    # call; the numpy branch keys with SeedSequence, sums with
+    # np.add.accumulate and refines level by level.
+    drawn = _sampled(m, T, fine_level)
+    monkeypatch.setattr(brownian, "_native", lambda: None)
+    assert _sampled(m, T, fine_level) == drawn
+
+
+def test_a_level_16_stream_reaches_the_ziggurat_tail():
+    # So the level-16 cases above draw tail normals, which numpy's function
+    # draws in the library too.
+    (key,) = stream_keys([_WIDE_SEEDS[0]], [16])[0]
+    z = np.random.Generator(np.random.Philox(key=key)).standard_normal(2**15)
+    assert np.count_nonzero(np.abs(z) > _TAIL) > 0
+
+
 # Seeds and path indices at the edges of SeedSequence's word counts: one
 # entropy word below 2^32, two from there, so that seed and index together
 # give up to five words, more than the pool's four.
@@ -255,9 +301,6 @@ def test_batched_sampling_builds_one_philox_and_no_seedsequence(native, monkeypa
     assert built["SeedSequence"] == 0 and built["Philox"] <= 1
 
 
-# numpy's ziggurat_nor_r: a draw beyond it in absolute value comes from the
-# ziggurat's tail, which numpy's function draws, never the inline path.
-_TAIL = 3.6541528853610088
 # Uneven pieces, so that draws resume at every position of a Philox block.
 _PIECES = [1, 2, 3, 5, 17, 4093, 65539, 262147]
 
