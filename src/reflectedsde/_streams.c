@@ -21,13 +21,12 @@
  * - path_seeds gives the per-path seeds of a range of path indices, with
  *   SeedSequence's hash (seed_sequence), so that keying needs no
  *   numpy.random; stream_keys gives the keys of (seed, level) streams;
- * - fill_streams draws runs of normals from saved stream states, and
- *   refine_levels inserts every midpoint level of a batch, or of a time
- *   block, in one call: path by path for path-major knots, and for
- *   time-major knots a tile of paths at a time, each stream first drawing
- *   a short run of normals into a scratch with its state held locally;
- *   both save every stream's state back, so that a stream drawn in pieces
- *   resumes where it stopped;
+ * - refine_levels inserts every midpoint level of a batch, or of a time
+ *   block, in one call, drawing from saved stream states: path by path for
+ *   path-major knots, and for time-major knots a tile of paths at a time,
+ *   each stream first drawing a short run of normals into a scratch with
+ *   its state held locally; it saves every stream's state back, so that a
+ *   stream drawn in pieces resumes where it stopped;
  * - inline_ziggurat tells whether the inline fast path passed its check.
  *
  * brownian.py builds this file, with _march.c, into one library:
@@ -405,15 +404,6 @@ static void draw_run(const uint64_t *key, uint64_t *saved, int64_t count, double
     philox_save(&s, saved);
 }
 
-/* ``count`` normals of each of ``n`` streams into ``out``, stream after
- * stream.  Stream ``b`` is keyed ``keys[2b:2b+2]`` and starts at
- * ``saved[9b:9b+9]``, saved back after. */
-void fill_streams(const uint64_t *keys, uint64_t *saved, int64_t n, int64_t count, double *out)
-{
-    for (int64_t b = 0; b < n; b++)
-        draw_run(keys + 2 * b, saved + 9 * b, count, out + b * count);
-}
-
 /* Paths refined together when knots are stored time-major. */
 #define TILE 256
 /* Most normals each stream of a tile draws at a time, in whole knots. */
@@ -445,8 +435,8 @@ static void refine_path(const uint64_t *key, uint64_t *saved, double *values, in
  * ``values[b * path_step + k * knot_step + c * comp_step]``; knots 0, 2, 4,
  * ... are filled and the ``n_mid`` odd knots between them are set to
  * ``((left + right) * 0.5) + (z * scale)``, with ``z`` drawn from stream
- * ``b`` (keys and saved state as for fill_streams) in knot-major,
- * component-minor order.
+ * ``b``, keyed ``keys[2b:2b+2]`` and started at ``saved[9b:9b+9]``, in
+ * knot-major, component-minor order, and saved back after.
  *
  * Path-major knots (no scratch ``z``) are refined one path at a time, its
  * stream's state held locally.  Time-major knots are refined a tile of

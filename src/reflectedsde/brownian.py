@@ -18,12 +18,14 @@ library call for the whole batch: per path it keys every level's stream,
 draws level 0, forms the running sums and refines every level, each
 stream's state held in C.  ``refine`` and ``FineBlocks`` key their levels'
 streams first and refine every level of a batch, or of a time block, in
-one call, saving each stream's state for its next block.  The ziggurat's
-one-word fast path runs inline with
-numpy's tables, which the library reads back from numpy's own
-``random_standard_normal`` (in numpy's ``libnpyrandom.a``) when it loads
-and checks against it; the wedge and the tail call that function.  If the
-check fails, that function draws every normal.
+one call, saving each stream's state for its next block.  With the
+library, their ``_Streams`` only keys the streams and holds those saved
+states; it draws, in numpy, only without the library.  The ziggurat's
+one-word fast path runs inline with numpy's tables, which the library
+reads back from numpy's own ``random_standard_normal`` (in numpy's
+``libnpyrandom.a``) when it loads and checks against it; the wedge and
+the tail call that function.  If the check fails, that function draws
+every normal.
 
 The same library holds the native march of ``solvers`` (``_march.c``),
 which marches the built-in families' studies at d = m = 1 and, on the
@@ -138,7 +140,6 @@ def _native():
             ("sample_paths", [ptr, i64, i64, i64, i64, ptr, ptr], None),
             ("stream_keys", [ptr, i64, ptr, i64, ptr], None),
             ("path_seeds", [u64, u64, i64, ptr], None),
-            ("fill_streams", [ptr, ptr, i64, i64, ptr], None),
             ("refine_levels", [ptr, ptr, i64, ptr, i64, i64, i64, i64, i64, ptr, i64], None),
             # Not 20 arguments: CPython 3.11 caches every freed 20-tuple and
             # reuses none, so each call with 20 would keep its argument
@@ -180,13 +181,6 @@ def _ptr(a: np.ndarray) -> int:
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
     except (TypeError, ValueError):
         return a.ctypes.data
-
-
-def _draws_ptr(out: np.ndarray) -> int:
-    """Address of ``out``, checked to be an array the library may fill."""
-    if out.dtype != np.float64 or not out.flags.c_contiguous or not out.flags.writeable:
-        raise ValueError("normals are drawn into a writeable C-contiguous float64 array")
-    return _ptr(out)
 
 
 def stream_keys(seeds, levels) -> np.ndarray:
@@ -254,14 +248,15 @@ class _Streams:
     ``stream_keys(seeds, [level])[0, b]``, started at counter zero.  Each
     stream's state is saved after every draw and its next draw resumes
     there, so a stream drawn in pieces gives the values it gives in one
-    draw.  Draws run in the stream library, or in numpy with the same
-    bits: a stream's first draw through one numpy Philox set to the
-    stream's key, its state saved after, and every later draw through a
-    numpy generator of the stream's own, built at its second draw from
-    the saved state and kept, so that a stream resumed block after block
-    costs one draw call per block, not a re-key.  Most streams are drawn
-    once (``sample_path``'s and ``refine``'s), and building a generator
-    costs more than a re-key.
+    draw.  With the library, this only keys the streams and holds their
+    saved states, which ``refine_levels`` draws from and saves back.
+    Without it, ``draw`` draws in numpy with the same bits: a stream's
+    first draw through one numpy Philox set to the stream's key, its state
+    saved after, and every later draw through a numpy generator of the
+    stream's own, built at its second draw from the saved state and kept,
+    so that a stream resumed block after block costs one draw call per
+    block, not a re-key.  Most streams are drawn once (``sample_path``'s
+    and ``refine``'s), and building a generator costs more than a re-key.
     """
 
     def __init__(self, seeds, first: int, last: int):
@@ -279,20 +274,14 @@ class _Streams:
         self._normal = np.random.Generator(self._bitgen).standard_normal
         self._own = {}
 
-    def addresses(self, level: int, b: int = 0):
-        """Addresses of the key and saved state of stream ``(level, b)``, for
-        the library."""
+    def addresses(self, level: int):
+        """Addresses of the keys and saved states of level ``level``'s
+        streams, for the library."""
         j = level - self.first
-        return (
-            self._keys_at + j * self.keys.strides[0] + b * self.keys.strides[1],
-            self._saved_at + j * self.saved.strides[0] + b * self.saved.strides[1],
-        )
+        return self._keys_at + j * self.keys.strides[0], self._saved_at + j * self.saved.strides[0]
 
     def draw(self, level: int, b: int, out: np.ndarray) -> None:
-        """Fill the C-contiguous ``out`` from stream ``(level, b)``."""
-        if self.lib is not None:
-            self.lib.fill_streams(*self.addresses(level, b), 1, out.size, _draws_ptr(out))
-            return
+        """Fill the C-contiguous ``out`` from stream ``(level, b)``, in numpy."""
         j = level - self.first
         row, key = self.saved[j, b], self.keys[j, b]
         if row[0]:  # drawn before: a stream's counter moves at its first normal
@@ -309,15 +298,6 @@ class _Streams:
         row[:4] = after["state"]["counter"]
         row[4:8] = after["buffer"]
         row[8] = after["buffer_pos"]
-
-    def fill(self, level: int, out: np.ndarray) -> None:
-        """Fill row ``b`` of the C-contiguous ``out`` from stream ``(level, b)``."""
-        if self.lib is None:
-            for b in range(len(out)):
-                self.draw(level, b, out[b])
-            return
-        count = out.size // len(out) if len(out) else 0
-        self.lib.fill_streams(*self.addresses(level), len(out), count, _draws_ptr(out))
 
 
 @dataclass(frozen=True)
@@ -421,7 +401,8 @@ def sample_path(m: int, T: float, fine_level: int, seed) -> BrownianPath:
         values[:, 0] = 0.0
         draws = np.empty((len(seeds), (n_held - 1) // stride, m))
         streams = _Streams(seeds, 0, fine_level)
-        streams.fill(0, draws)
+        for b in range(len(seeds)):
+            streams.draw(0, b, draws[b])
         np.add.accumulate(draws, axis=1, out=values[:, stride::stride])  # np.cumsum's sums
         _refine(values, stride, streams, 1)
     else:

@@ -42,7 +42,7 @@ import os
 import threading
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
-from math import ceil, floor
+from math import ceil
 from typing import Sequence
 
 import numpy as np
@@ -395,7 +395,7 @@ def _plan(study: Study, level: int, processes, grid_level: int | None = None) ->
         grid = coupled_output_grid(level, [horizon], horizon)
     else:
         # Grid knots must sit on the fine grid of the padded horizon.
-        grid = np.arange(floor(horizon * 2.0**grid_level + 1e-9) + 1) / 2.0**grid_level
+        grid = coupled_output_grid(grid_level, [], horizon)
     schedules = {
         process: fine_grid_positions(fine_level, n_fine, grid) if process == "reference"
         else wz_schedule(process, study.substeps_per_knot, grid, grid[-1])

@@ -17,15 +17,17 @@ drift, the strong-order-half reference.
 
 Both are one scheme, an unconstrained step followed by the discrete
 Skorokhod map; they differ only in the displacement rule and the step
-grid.  Each has one driver, which checks the inputs, lays out what the
+grid.  Each has one batch kernel, ``integrate_wz_batch`` or
+``integrate_reference_batch``, which checks its arrays, lays out what the
 march fills as views of one buffer, walks the reference's blocks and
-assembles the result; the backend only runs a span of steps.  That is the
+returns the outputs; the backend only runs a span of steps.  That is the
 native march (``_march.c``) when the library loads and
 ``cover.native_march`` covers the study: a built-in family on a
 one-dimensional box at d = m = 1, or on a box, ball or annulus at d = m =
 2 or d = m = 3, at any batch width.  Otherwise it is the numpy
-``_march``, on the same contract and with the same bits.
-``coupled_solve`` checks its inputs once and then runs both drivers.
+``_march``, on the same contract and with the same bits.  One driver,
+``_reflected_path``, runs either process on a single path;
+``coupled_solve`` checks its inputs once and runs it for both.
 
 The march operates on a batch of paths in lockstep and does the same work
 for every caller: it keeps the states at the outputs and the variation
@@ -406,9 +408,12 @@ def _check_path_inputs(domain, coeffs, path: BrownianPath, x0, output_times):
     return _check_start(domain, coeffs, x0), times
 
 
-def _reflected_path(domain, output_times, level, out_pos, march, record_substeps):
-    """The ``ReflectedPath`` of ``march``, the kernel's ``(states, variation,
-    step log)`` for one path with outputs at step positions ``out_pos``.
+def _reflected_path(domain, coeffs, path, process, substeps_per_knot, x0, output_times,
+                    record_substeps):
+    """One path's ``ReflectedPath`` of ``process``, a level (the ODE's
+    ``wz_schedule``) or ``"reference"`` (the fine grid), marched with a step
+    log on checked inputs, the times sorted without repeats (but for the
+    fine grid's, for the reference).
 
     The regulator and variation at each output are running sums of the
     step log, added in the kernel's order from its row 0, the start.
@@ -416,6 +421,17 @@ def _reflected_path(domain, output_times, level, out_pos, march, record_substeps
     ``InfeasibleStep`` follows for an output outside the closure.  One
     distance pass serves both: the outputs are the recorded log's rows.
     """
+    if process == "reference":
+        level = path.fine_level
+        out_pos = fine_grid_positions(level, path.n_knots, output_times)
+        march = integrate_reference_batch(
+            domain, coeffs, x0[None], [(0, path.values[None])], level, out_pos, True)
+    else:
+        level, slopes = process, wz_knot_slopes(path, process)[None]
+        times, knot_idx, out_pos = wz_schedule(
+            level, substeps_per_knot, output_times, path.horizon)
+        march = integrate_wz_batch(
+            domain, coeffs, x0[None], slopes, times, knot_idx, out_pos, True)
     states, _, (times, log_states, d_l, d_var) = march
     states = states[:, 0]
     if not np.logical_and.reduce(np.isfinite(states), None):
@@ -447,17 +463,9 @@ def solve_wz(
     x0, output_times = _check_path_inputs(domain, coeffs, path, x0, output_times)
     n = check_level(path, n)
     substeps_per_knot = check_whole("substeps_per_knot", substeps_per_knot, 1)
-    return _solve_wz(
+    return _reflected_path(
         domain, coeffs, path, n, substeps_per_knot, x0, np.unique(output_times), record_substeps
     )
-
-
-def _solve_wz(domain, coeffs, path, n, substeps_per_knot, x0, output_times, record_substeps):
-    """``solve_wz`` on checked inputs, the times sorted without repeats."""
-    slopes = wz_knot_slopes(path, n)[None]
-    times, knot_idx, out_pos = wz_schedule(n, substeps_per_knot, output_times, path.horizon)
-    march = integrate_wz_batch(domain, coeffs, x0[None], slopes, times, knot_idx, out_pos, True)
-    return _reflected_path(domain, output_times, n, out_pos, march, record_substeps)
 
 
 def solve_reference(
@@ -470,18 +478,9 @@ def solve_reference(
 ) -> ReflectedPath:
     """Projected Euler-Maruyama reference solution along one path."""
     x0, output_times = _check_path_inputs(domain, coeffs, path, x0, output_times)
-    return _solve_reference(domain, coeffs, path, x0, np.unique(output_times), record_substeps)
-
-
-def _solve_reference(domain, coeffs, path, x0, output_times, record_substeps):
-    """``solve_reference`` on checked inputs, the times sorted without
-    repeats, but for the fine grid's."""
-    out_steps = fine_grid_positions(path.fine_level, path.n_knots, output_times)
-    blocks = [(0, path.values[None])]
-    march = integrate_reference_batch(
-        domain, coeffs, x0[None], blocks, path.fine_level, out_steps, True
+    return _reflected_path(
+        domain, coeffs, path, "reference", 0, x0, np.unique(output_times), record_substeps
     )
-    return _reflected_path(domain, output_times, path.fine_level, out_steps, march, record_substeps)
 
 
 def fine_grid_positions(fine_level: int, n_knots: int, output_times: np.ndarray) -> np.ndarray:
@@ -525,8 +524,8 @@ def coupled_solve(
         domain, coeffs, path, x0, np.array(output_times, float, ndmin=1))
     substeps_per_knot = check_whole("substeps_per_knot", substeps_per_knot, 1)
     grid = coupled_output_grid(n, times, path.horizon)
-    approx = _solve_wz(domain, coeffs, path, n, substeps_per_knot, x0, grid, record_substeps)
-    return approx, _solve_reference(domain, coeffs, path, x0, grid, record_substeps)
+    approx = _reflected_path(domain, coeffs, path, n, substeps_per_knot, x0, grid, record_substeps)
+    return approx, _reflected_path(domain, coeffs, path, "reference", 0, x0, grid, record_substeps)
 
 
 def check_shared_times(a: ReflectedPath, b: ReflectedPath, what: str) -> None:

@@ -202,26 +202,28 @@ def test_an_integer_seed_array_is_checked_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_a_resumed_stream_draws_what_one_draw_gives(monkeypatch):
-    # On both backends.  Without the library a stream's first draw re-keys a
-    # shared Philox and each later one runs the stream's own generator.
+    # In numpy, the one backend that draws through ``_Streams`` (the
+    # library's resumed draws are in test_native_streams): a stream's first
+    # draw re-keys a shared Philox and each later one runs the stream's own
+    # generator.
+    monkeypatch.setattr(brownian, "_native", lambda: None)
     seeds = [5, -7, 2**63 + 1]
-    for backend in ("session", "numpy"):
-        if backend == "numpy":
-            monkeypatch.setattr(brownian, "_native", lambda: None)
-        whole = brownian._Streams(seeds, 3, 4).draw
-        pieces = brownian._Streams(seeds, 3, 4).draw
-        for b in range(len(seeds)):
-            expected = np.empty(1000)
-            whole(4, b, expected)
-            got = np.empty(1000)
-            pieces(4, b, got[:333])
-            pieces(3, b, np.empty(17))  # another stream in between
-            pieces(4, b, got[333:500])
-            pieces(4, b, got[500:])
-            np.testing.assert_array_equal(got, expected)
+    whole = brownian._Streams(seeds, 3, 4).draw
+    pieces = brownian._Streams(seeds, 3, 4).draw
+    for b in range(len(seeds)):
+        expected = np.empty(1000)
+        whole(4, b, expected)
+        got = np.empty(1000)
+        pieces(4, b, got[:333])
+        pieces(3, b, np.empty(17))  # another stream in between
+        pieces(4, b, got[333:500])
+        pieces(4, b, got[500:])
+        np.testing.assert_array_equal(got, expected)
 
 
-def test_draws_refuse_a_strided_output():
+def test_draws_refuse_a_strided_output(monkeypatch):
+    # In numpy, whose standard_normal refuses it, as ``_Streams.draw`` runs.
+    monkeypatch.setattr(brownian, "_native", lambda: None)
     streams = brownian._Streams([5], 0, 0)
     with pytest.raises(ValueError):
         streams.draw(0, 0, np.empty((4, 2))[:, 0])

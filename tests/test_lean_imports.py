@@ -12,7 +12,9 @@ CPython's builtin SHA-256, so a single path, a coupled solve and a serial
 grid in several blocks, each on the thread that marches it.  Sampling a
 path, or a tile's batch of paths, is one library call that keys, draws
 and refines every level.  Each check runs in a fresh interpreter, since
-imports are process-wide.
+imports are process-wide.  So does the check that the library holds only
+what runs: a study, a coupled solve and a refinement call every entry
+point its loader declares, but ``inline_ziggurat``, which only tests read.
 """
 
 import json
@@ -97,6 +99,48 @@ def test_single_paths_and_a_serial_converge_leave_numpy_random_unloaded(native, 
     # of 8 paths on the caller's thread, and no thread per block.
     assert result == {"refinements": [1, 1], "covered": True, "code": 0,
                       "converge_refinements": [True] * 5, "loaded": []}
+
+
+ENTRY_POINTS_SCRIPT = r"""
+import contextlib
+import io
+import json
+import sys
+
+import reflectedsde as rs
+from reflectedsde import brownian, cli
+
+lib = brownian._native()
+# ctypes keeps each function it has looked up on the library: the loader's
+# declared entry points.
+declared = sorted(name for name, fn in vars(lib).items() if isinstance(fn, lib._FuncPtr))
+called = set()
+for name in declared:
+    setattr(lib, name, lambda *args, _fn=getattr(lib, name), _name=name: (
+        called.add(_name) or _fn(*args)))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["converge", "--config", sys.argv[1]])
+path = rs.sample_path(1, 1.0, 6, 3)
+rs.coupled_solve(rs.interval(-1.0, 1.0), rs.trig([[0.5]], [[0.2]], [1.0]), path, 4, 8, [0.0],
+                 [1.0], record_substeps=True)
+rs.refine(path)
+print(json.dumps({"code": code, "declared": declared, "called": sorted(called)}))
+"""
+
+
+def test_every_library_entry_point_serves_a_study_a_solve_or_a_refinement(native, tmp_path):
+    # An entry point that no converge, coupled solve or refinement calls is
+    # dead weight in the library; only the tests read inline_ziggurat.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    package_root = Path(rs.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run([sys.executable, "-c", ENTRY_POINTS_SCRIPT, str(config)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0 and "sample_paths" in result["called"]
+    assert [n for n in result["declared"] if n not in result["called"]] == ["inline_ziggurat"]
 
 
 def test_importing_the_cli_leaves_subprocess_unloaded():

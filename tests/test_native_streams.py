@@ -309,13 +309,32 @@ def test_the_inline_ziggurat_passes_its_check(native):
     assert native.inline_ziggurat() == 1
 
 
+# One level's scale for _refined_normals: 1, so that a midpoint is its normal.
+_UNIT_SCALE = np.ones(1)
+
+
+def _refined_normals(streams, level, count, time_major):
+    """``count`` normals of each stream of ``level``, as ``refine_levels``
+    draws them into the midpoints of knots of ``-0.0`` at scale 1: a
+    midpoint ``((-0.0 + -0.0) * 0.5) + (z * 1.0)`` is ``z``'s bytes, signed
+    zeros included.  Time-major knots are refined a tile of streams at a
+    time, each drawing runs into a scratch; path-major ones stream by
+    stream."""
+    B = streams.keys.shape[1]
+    knots = np.full((2 * count + 1, B, 1) if time_major else (B, 2 * count + 1, 1), -0.0)
+    values = knots.transpose(1, 0, 2) if time_major else knots
+    steps = [step // values.itemsize for step in values.strides]
+    streams.lib.refine_levels(*streams.addresses(level), B, knots.ctypes.data, *steps, count, 1,
+                              _UNIT_SCALE.ctypes.data, 1)
+    return values[:, 1::2, 0]
+
+
 def test_long_streams_drawn_in_pieces_give_numpys_bytes_tail_included(native):
     """More than ten million normals from eight ``(seed, level)`` streams,
-    drawn through ``_Streams.fill`` (every stream of a level at once) and
-    ``_Streams.draw`` (one stream) in uneven pieces, against each stream's
-    own numpy generator.  About 1% of the words leave the inline fast path
-    for numpy's wedge and tail, the path that every word takes when the
-    inline check fails."""
+    drawn through ``refine_levels`` in uneven pieces, time-major and
+    path-major by turns, against each stream's own numpy generator.  About
+    1% of the words leave the inline fast path for numpy's wedge and tail,
+    the path that every word takes when the inline check fails."""
     seeds, first, last = [0, 41, -7, 2**63 + 5], 3, 4
     streams = brownian._Streams(seeds, first, last)
     numpy_normal = {
@@ -327,12 +346,7 @@ def test_long_streams_drawn_in_pieces_give_numpys_bytes_tail_included(native):
     for turn in range(5):
         for count in _PIECES:
             for level in range(first, last + 1):
-                out = np.empty((len(seeds), count))
-                if turn % 2 == 0:
-                    streams.fill(level, out)
-                else:
-                    for b in range(len(seeds)):
-                        streams.draw(level, b, out[b])
+                out = _refined_normals(streams, level, count, time_major=turn % 2 == 0)
                 for b in range(len(seeds)):
                     want = numpy_normal[level, b](count)
                     assert out[b].tobytes() == want.tobytes(), (level, b, turn, count)
