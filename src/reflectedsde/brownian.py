@@ -28,8 +28,7 @@ the tail call that function.  If the check fails, that function draws
 every normal.
 
 The same library holds the native march of ``solvers`` (``_march.c``),
-which marches the built-in families' studies at d = m = 1 and, on the
-built-in domains, at d = m = 2 and d = m = 3.  It is
+which marches the studies that ``cover.native_march`` covers.  It is
 compiled on first use with ``cc`` and ``_CFLAGS`` into
 ``$XDG_CACHE_HOME/reflectedsde/<key>.so`` (``~/.cache`` when
 ``XDG_CACHE_HOME`` is unset), where the key is the SHA-256 of both C
@@ -164,9 +163,7 @@ def native_library() -> str | None:
     """Path of the native library, or ``None`` when the numpy paths run.
 
     The library draws every Brownian stream and marches the studies it
-    covers (``cover.native_march``: a built-in family on a
-    one-dimensional box at d = m = 1, or on a box, ball or annulus at
-    d = m = 2 or d = m = 3, a single path included); without it,
+    covers (``cover.native_march`` states which); without it,
     sampling and every march run numpy, with the same bits.
     """
     lib = _native()

@@ -124,7 +124,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items()}
+        return asdict(self)
 
     def build(self, key: str, factory):
         """``factory(name, **params)`` from the ``{"name", "params"}`` object

@@ -3,11 +3,9 @@
 ``native_march`` is the one place that decides whether a study marches in
 C, and ``native_tag`` the one place that packs the parameters the C march
 reads; ``_march.c``'s header gives their layout once, in terms of d.  The
-C file holds one march, written over d and inlined for d = 1, 2 and 3.  It
-covers a built-in family on a one-dimensional box at d = m = 1, and on a
-box, ball or annulus at d = m = 2 and d = m = 3, at every batch width, a
-single path included.  ``solvers`` runs every other study (m != d, d >= 4,
-a custom domain or set) with the numpy march, with the same bits.
+C file holds one march, written over d and inlined for d = 1, 2 and 3.
+``native_march`` states which studies it covers; ``solvers`` runs every
+other study with the numpy march, with the same bits.
 """
 
 from __future__ import annotations
@@ -48,13 +46,13 @@ def native_march(domain: DomainSpec, coeffs: CoefficientSet):
 
     It covers a built-in domain with a built-in family at d = m = 1 (the
     one-dimensional box) and at d = m = 2 and d = m = 3 (the box, the ball
-    or the annulus), marched through that domain's and that set's own
-    callables: the domain factories tag ``resolve_batch`` with their bounds
-    or radii, and each family factory tags ``sigma``, ``b`` and
-    ``grad_sigma`` with one shared tag (``coefficients._built_in``).  A
-    replaced, wrapped or custom callable, any other dimension or no
-    library (see ``brownian.native_library``) runs the numpy march, with
-    the same bits.
+    or the annulus), at every batch width, a single path included,
+    marched through that domain's and that set's own callables: the domain
+    factories tag ``resolve_batch`` with their bounds or radii, and each
+    family factory tags ``sigma``, ``b`` and ``grad_sigma`` with one
+    shared tag (``coefficients._built_in``).  A replaced, wrapped or
+    custom callable, any other dimension or no library (see
+    ``brownian.native_library``) runs the numpy march, with the same bits.
     """
     shape = getattr(domain.resolve_batch, "native", None)
     tag = getattr(coeffs.sigma, "native", None)

@@ -71,8 +71,9 @@ from .solvers import (
 )
 
 # The memory budget of a process's tiles in flight, one per thread;
-# ``_layout`` states how it is shared out.  README "Memory" has the
-# measured peaks.
+# ``_layout`` states how it is shared out.  The measured peaks are in
+# ``BENCH_32.json``, and those of 64-path tiles, which have no BENCH file,
+# in the CHANGES.md entry that introduced them.
 _CHUNK_BYTES = 16 * 2**20
 # Paths per native tile while their path arrays fit a thread's share, and
 # fewest per thread (``_layout``); ``_march.c``'s ``TILE_ROWS``.

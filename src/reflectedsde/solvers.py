@@ -22,11 +22,9 @@ grid.  Each has one batch kernel, ``integrate_wz_batch`` or
 march fills as views of one buffer, walks the reference's blocks and
 returns the outputs; the backend only runs a span of steps.  That is the
 native march (``_march.c``) when the library loads and
-``cover.native_march`` covers the study: a built-in family on a
-one-dimensional box at d = m = 1, or on a box, ball or annulus at d = m =
-2 or d = m = 3, at any batch width.  Otherwise it is the numpy
-``_march``, on the same contract and with the same bits.  One driver,
-``_reflected_path``, runs either process on a single path;
+``cover.native_march`` covers the study, at any batch width.  Otherwise
+it is the numpy ``_march``, on the same contract and with the same bits.
+One driver, ``_reflected_path``, runs either process on a single path;
 ``coupled_solve`` checks its inputs once and runs it for both.
 
 The march operates on a batch of paths in lockstep and does the same work
