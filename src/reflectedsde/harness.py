@@ -82,7 +82,7 @@ _TILE_ROWS = 64
 
 def path_seed(seed: int, index: int) -> int:
     """Per-path seed derived from the experiment seed and the path index (``path_seeds``)."""
-    return int(path_seeds(seed, index, 1)[0])
+    return path_seeds(seed, index, 1).item(0)
 
 
 def default_rate_exponent(domain: DomainSpec) -> float:

@@ -20,12 +20,12 @@ Skorokhod map; they differ only in the displacement rule and the step
 grid.  Each has one batch kernel, ``integrate_wz_batch`` or
 ``integrate_reference_batch``, which checks its arrays, lays out what the
 march fills as views of one buffer, walks the reference's blocks and
-returns the outputs; the backend only runs a span of steps.  That is the
-native march (``_march.c``) when the library loads and
-``cover.native_march`` covers the study, at any batch width.  Otherwise
-it is the numpy ``_march``, on the same contract and with the same bits.
-One driver, ``_reflected_path``, runs either process on a single path;
-``coupled_solve`` checks its inputs once and runs it for both.
+returns the outputs; the backend, the native march (``_march.c``) where
+``cover.native_march`` covers the study, else the numpy ``_march`` with
+the same bits, only runs a span of steps.  One driver, ``_reflected_path``,
+runs either process on a single path: its schedule, one kernel call at
+batch size one with a step log, the result read off that log.  Keeping
+nothing between calls, ``coupled_solve`` checks once and runs it for both.
 
 The march operates on a batch of paths in lockstep and does the same work
 for every caller: it keeps the states at the outputs and the variation
@@ -55,7 +55,7 @@ from .errors import MismatchedTimes, NonFiniteState, OutOfDomain
 from .geometry import DomainSpec, _resolver, check_feasible, check_point, sum_squares
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SubstepLog:
     """Per-substep diagnostics for regulator checks (single-path runs only)."""
 
@@ -66,7 +66,7 @@ class SubstepLog:
     boundary_distances: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReflectedPath:
     """Constrained trajectory with cumulative regulator and its variation."""
 
@@ -115,14 +115,18 @@ _COLLAPSE_TOL = 1e-13
 
 
 def _union_times(parts: list[np.ndarray]) -> np.ndarray:
-    """The sorted times of ``parts`` but those within ``_COLLAPSE_TOL`` of the
-    time before them: repeats, and near-repeats of non-dyadic substeps."""
+    """The sorted times of ``parts`` (at least one) but those within ``_COLLAPSE_TOL``
+    of the time before them: repeats, and near-repeats of non-dyadic substeps."""
     merged = np.concatenate(parts)
     merged.sort()
     keep = np.empty(len(merged), bool)
-    keep[:1] = True
-    with np.errstate(invalid="ignore"):  # a repeated infinity
+    keep[0] = True
+    # Only a repeated infinity (at an end) warns: enter numpy's costly error state just then.
+    if -np.inf < merged.item(0) and merged.item(-1) < np.inf:
         np.greater(merged[1:] - merged[:-1], _COLLAPSE_TOL, out=keep[1:])
+    else:
+        with np.errstate(invalid="ignore"):
+            np.greater(merged[1:] - merged[:-1], _COLLAPSE_TOL, out=keep[1:])
     return merged[keep]
 
 
@@ -136,15 +140,16 @@ def wz_schedule(n: int, substeps_per_knot: int, output_times: np.ndarray, horizo
     an output or a knot start just after it is that step time.
     """
     n_knots = dyadic_grid(horizon, n)[0]
-    # ``k / 2^n + (s / substeps_per_knot) / 2^n``, scaled once: dividing by
-    # a power of two is exact, so the sum rounds to the same bits.
-    sub = np.arange(substeps_per_knot) / substeps_per_knot
-    base = (np.arange(n_knots)[:, None] + sub).ravel() / 2.0**n
+    # ``(k + s / substeps_per_knot) / 2^n`` as ``k / 2^n`` (arange adds k exact steps) plus
+    # ``s / (substeps_per_knot 2^n)``: powers of two scale exactly, so the bits are kept.
+    sub = np.arange(substeps_per_knot) / (substeps_per_knot * 2.0**n)
+    base = (np.arange(0.0, n_knots / 2.0**n, 1 / 2.0**n)[:, None] + sub).ravel()
     knot_starts = base[::substeps_per_knot]
     output_times = np.asarray(output_times, float)
-    times = _union_times([base, output_times, np.array([0.0, horizon])])
-    # Sorted, so the times within [0, horizon] are one slice.
-    times = times[times.searchsorted(0.0) : times.searchsorted(horizon + 1e-12, "right")]
+    times = _union_times([base, output_times, (0.0, horizon)])
+    # Sorted, so the times within [0, horizon] are one slice: all when the ends are.
+    if not (0.0 <= times.item(0) and times.item(-1) <= horizon + 1e-12):
+        times = times[times.searchsorted(0.0) : times.searchsorted(horizon + 1e-12, "right")]
     knot_idx = knot_starts.searchsorted(times[:-1] + _COLLAPSE_TOL, "right") - 1
     out_pos = times.searchsorted(output_times + _COLLAPSE_TOL, "right") - 1
     return times, knot_idx, out_pos
@@ -176,14 +181,15 @@ def _march_arrays(domain: DomainSpec, x0, n_out: int, n_steps: int, log_steps: b
     buffer = np.zeros(dv + rows)
     X = buffer[:v].reshape(B, d)
     X[...] = x0
-    arrays = X, buffer[v:o], buffer[o:s].reshape(n_out, B, d)
     at = _ptr(buffer)
+    arrays = X, buffer[v:o], buffer[o:s].reshape(n_out, B, d)
     if not log_steps:
         return (*arrays, None), [at, at + 8 * v, at + 8 * o, None, None, None]
     log = buffer[s:dl].reshape(rows, d), buffer[dl:dv].reshape(rows, d), buffer[dv:]
-    log[0][0] = X[0]
+    log[0][0] = x0[0]
     # Step i logs at row i + 1, so the log's addresses are of its row 1.
-    return (*arrays, log), [at + 8 * i for i in (0, v, o, s + d, dl + d, dv + 1)]
+    return (*arrays, log), [at, at + 8 * v, at + 8 * o, at + 8 * (s + d), at + 8 * (dl + d),
+                            at + 8 * (dv + 1)]
 
 
 def _output_positions(out_pos, n_steps: int | None = None) -> np.ndarray:
@@ -195,18 +201,10 @@ def _output_positions(out_pos, n_steps: int | None = None) -> np.ndarray:
     if pos.ndim == 1 and (not len(pos) or pos.dtype.kind in "iu"):
         pos = np.ascontiguousarray(pos, np.int64)
         if not len(pos) or (pos.item(0) >= 0 and (n_steps is None or pos.item(-1) <= n_steps)
-                            and np.logical_and.reduce(pos[1:] >= pos[:-1])):
+                            and not np.count_nonzero(pos[1:] < pos[:-1])):
             return pos
     within = "from 0" if n_steps is None else f"within 0..{n_steps}"
     raise ValueError(f"output positions must be ascending step positions {within}")
-
-
-def _march_result(times, arrays):
-    """The drivers' states at the outputs (leading output axis), variation
-    after the last step, and step log with the step times first (row 0 at
-    the start, as ``_march_arrays`` lays it out)."""
-    _, var, out, log = arrays
-    return out, var, None if log is None else (np.array(times), *log)
 
 
 def _noise_batch(X: np.ndarray, coeffs: CoefficientSet, noise) -> np.ndarray:
@@ -266,9 +264,12 @@ def integrate_wz_batch(
     """Drive the constrained ODE for a batch of paths over one schedule.
 
     ``slopes`` has shape ``(B, K_n, m)``; each step moves along the
-    interpolant's slope on its knot interval.  Returns as ``_march_result``
-    at the step positions ``out_pos``, from one native call where
-    ``cover.native_march`` covers the study.
+    interpolant's slope on its knot interval.  Returns the states at the
+    step positions ``out_pos`` (leading output axis), the variation after
+    the last step and, with ``log_steps``, the step log led by a copy of
+    ``times`` (row 0 the start, as ``_march_arrays`` lays it out), else
+    ``None``; from one native call where ``cover.native_march`` covers the
+    study.
     """
     times = np.asarray(times, float)
     dts = times[1:] - times[:-1]
@@ -282,11 +283,9 @@ def integrate_wz_batch(
         raise ValueError("knot_idx must give every step a knot interval of slopes")
     native = cover.native_march(domain, coeffs)
     if native is not None:
-        lib, *tags = native
-        lib.march_wz(
-            *tags, len(arrays[0]), *at[:2], _ptr(slopes), slopes.shape[1],
-            _ptr(dts), _ptr(knot_idx), len(dts), _ptr(out_pos), len(out_pos), *at[2:],
-        )
+        lib, dom, fam = native
+        lib.march_wz(dom, fam, len(slopes), *at[:2], _ptr(slopes), slopes.shape[1], _ptr(dts),
+                     _ptr(knot_idx), len(dts), _ptr(out_pos), len(out_pos), *at[2:])
     else:
         knot, s = -1, None
 
@@ -301,7 +300,8 @@ def integrate_wz_batch(
             return (noise_term(coeffs.sigma(X), s) + coeffs.b(X)) * dts[i]
 
         _march(_resolver(domain), arrays, out_pos, 0, 0, len(dts), displacement)
-    return _march_result(times, arrays)
+    _, var, out, log = arrays
+    return out, var, None if log is None else (np.array(times), *log)
 
 
 _BLOCK_RULE = "each block must hold every row's knots from the march's position on"
@@ -325,30 +325,27 @@ def integrate_reference_batch(
     values is the block ``(0, values)``.  Each step forms its own
     increment, so no increments array is held.  ``out_steps`` are fine-knot
     indices at which to record, and the march stops at the last of them.
-    ``sigma`` is evaluated once per step.  Returns as ``_march_result``, from
-    one native call per block where ``cover.native_march`` covers the
-    study.
+    ``sigma`` is evaluated once per step.  Returns as ``integrate_wz_batch``,
+    the log led by the knot times, from one native call per block where
+    ``cover.native_march`` covers the study.
     """
     h = 2.0 ** (-fine_level)
     out_steps = _output_positions(out_steps)
-    last = int(out_steps[-1]) if len(out_steps) else 0
+    last = out_steps.item(-1) if len(out_steps) else 0
     arrays, at = _march_arrays(domain, x0, len(out_steps), last, log_steps)
     native = cover.native_march(domain, coeffs)
     if native is not None:
-        lib, *tags = native
-        # The arguments every block's call shares, each address taken once.
-        head, outputs = (*tags, len(arrays[0]), *at[:2]), _ptr(out_steps)
+        lib, dom, fam = native
+        outputs = _ptr(out_steps)  # taken once for every block's call
 
         def march(start, values, pos, n, j):
             # The block from knot pos on, and its row, knot and noise steps
             # (in floats: _noise_batch casts it).
-            block = (None, 0, 0, 0) if values is None else (
-                _ptr(values) + (pos - start) * values.strides[1],
-                *[step // 8 for step in values.strides],
-            )
-            return lib.march_reference(
-                *head, *block, pos, n, h, outputs, len(out_steps), j, *at[2:],
-            )
+            row, knot, noise = (0, 0, 0) if values is None else values.strides
+            block = None if values is None else _ptr(values) + (pos - start) * knot
+            return lib.march_reference(dom, fam, len(arrays[0]), *at[:2], block, row // 8,
+                                       knot // 8, noise // 8, pos, n, h, outputs,
+                                       len(out_steps), j, *at[2:])
     else:
         resolve = _resolver(domain)
 
@@ -372,7 +369,9 @@ def integrate_reference_batch(
             raise ValueError(_BLOCK_RULE)
         j = march(start, values, pos, n, j)
         pos += n
-    return _march_result(np.arange(last + 1.0) * h, arrays)
+    _, var, out, log = arrays
+    # ``k h`` for k = 0..last: numpy's arange adds k times the exact step h.
+    return out, var, None if log is None else (np.arange(0.0, (last + 1) * h, h), *log)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +398,9 @@ def _check_path_inputs(domain, coeffs, path: BrownianPath, x0, output_times):
     if coeffs.dim_noise != path.dim_noise:
         raise ValueError(f"path has noise dimension {path.dim_noise}, coeffs {coeffs.dim_noise}")
     times = np.asarray(output_times, float)
-    # ``times.min()`` and ``times.max()``, without their Python-level wrappers.
-    if not (times.size and 0 <= np.minimum.reduce(times, None)
-            and np.maximum.reduce(times, None) <= path.horizon + 1e-12):
+    ends = times.flatten()  # sorted, the least and the greatest time, a NaN last
+    ends.sort()
+    if not (times.size and 0 <= ends.item(0) and ends.item(-1) <= path.horizon + 1e-12):
         raise ValueError(f"output_times must be nonempty and lie within [0, {path.horizon}]")
     return _check_start(domain, coeffs, x0), times
 
@@ -409,9 +408,9 @@ def _check_path_inputs(domain, coeffs, path: BrownianPath, x0, output_times):
 def _reflected_path(domain, coeffs, path, process, substeps_per_knot, x0, output_times,
                     record_substeps):
     """One path's ``ReflectedPath`` of ``process``, a level (the ODE's
-    ``wz_schedule``) or ``"reference"`` (the fine grid), marched with a step
-    log on checked inputs, the times sorted without repeats (but for the
-    fine grid's, for the reference).
+    ``wz_schedule``) or ``"reference"`` (the fine grid), marched at batch
+    size one with a step log on checked inputs, the times sorted without
+    repeats (but for the fine grid's, for the reference).
 
     The regulator and variation at each output are running sums of the
     step log, added in the kernel's order from its row 0, the start.
@@ -432,15 +431,17 @@ def _reflected_path(domain, coeffs, path, process, substeps_per_knot, x0, output
             domain, coeffs, x0[None], slopes, times, knot_idx, out_pos, True)
     states, _, (times, log_states, d_l, d_var) = march
     states = states[:, 0]
-    if not np.logical_and.reduce(np.isfinite(states), None):
-        first = np.argmin(np.isfinite(states).all(axis=1))
+    finite = np.isfinite(states)
+    if np.count_nonzero(finite) < finite.size:
+        first = np.argmin(finite.all(axis=1))
         raise NonFiniteState(f"non-finite state at t={times[out_pos[first]]}")
     rows = log_states if record_substeps else states
     distances = np.asarray(domain.boundary_distance(rows), float)
-    feasible = distances[out_pos] if record_substeps else distances
+    feasible = distances.take(out_pos) if record_substeps else distances
     check_feasible(domain, states, "output states", feasible)
     # np.cumsum's sums without its dispatch.
-    regulator, variation = np.add.accumulate(d_l)[out_pos], np.add.accumulate(d_var)[out_pos]
+    regulator = np.add.accumulate(d_l).take(out_pos, 0)
+    variation = np.add.accumulate(d_var).take(out_pos)
     substeps = None
     if record_substeps:
         substeps = SubstepLog(times[1:], log_states[1:], d_l[1:], d_var[1:], distances[1:])
@@ -499,7 +500,9 @@ def coupled_output_grid(n: int, output_times, horizon: float) -> np.ndarray:
     last = dyadic_grid(horizon, n)[0]
     # Every knot before the last covering one lies within the horizon.
     last -= last / 2.0**n > horizon + 1e-12
-    return _union_times([np.arange(last + 1) / 2.0**n, np.asarray(output_times, float)])
+    # ``k / 2^n``: numpy's arange adds k times the exact step.
+    knots = np.arange(0.0, (last + 1) / 2.0**n, 1 / 2.0**n)
+    return _union_times([knots, np.asarray(output_times, float)])
 
 
 def coupled_solve(

@@ -67,6 +67,57 @@ def test_every_benchmark_seam_is_traced():
     assert result == {"missing": {}, "absent": []}
 
 
+SWEEP = r"""
+import json
+
+import unit
+from spans import Tracer
+from workloads import WORKLOADS, config_for
+
+import reflectedsde as rs
+from reflectedsde import harness, solvers
+
+# A sweep unit's patches, domain and coefficients, and three of its calls.
+config = config_for(WORKLOADS["single_path_ball_2d"], 0)
+tracer = Tracer()
+unit._trace_solvers(tracer, solvers)
+tracer.patch("coefficients.eval", solvers, "ito_drift_batch")
+domain = unit._traced_domain(tracer, rs.make_domain(config["domain"]["name"],
+                                                    **config["domain"]["params"]))
+coeffs = unit._traced_coefficients(tracer, rs.make_coefficients(
+    config["coefficients"]["name"], **config["coefficients"]["params"]))
+for i in range(3):
+    path = rs.sample_path(coeffs.dim_noise, config["T"], config["fine_level"],
+                          harness.path_seed(config["seed"], i))
+    rs.coupled_solve(domain, coeffs, path, config["level"], config["substeps_per_knot"],
+                     config["x0"], [config["T"]], record_substeps=True)
+print(json.dumps({"counts": tracer.counts, "entered": sorted(tracer.self_s),
+                  "missing": tracer.missing}))
+"""
+
+
+def test_a_traced_sweep_attributes_every_layer():
+    # Three calls of the single-path workload (ball, linear, level 4, fine
+    # level 8, 8 substeps, one output at T = 1) under the sweep unit's
+    # spans: each marches 128 Wong-Zakai steps and 256 reference steps, and
+    # the schedule, slope, geometry and coefficient spans are all entered,
+    # so no refactor of the single-path route can zero a layer unnoticed.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", SWEEP],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["missing"] == {}
+    assert result["counts"]["solvers.wz.path_steps"] == 3 * 128
+    assert result["counts"]["solvers.reference.path_steps"] == 3 * 256
+    for layer in ("solvers.schedule", "brownian.wz_knot_slopes", "geometry.eval",
+                  "coefficients.eval"):
+        assert layer in result["entered"], layer
+
+
 def test_a_serial_converge_enters_the_group_march_once(tmp_path, monkeypatch, capsys):
     # The benchmark's per-path latency of a rate workload is the time of
     # each ``harness._chunk_stats`` call, which it wraps through the module

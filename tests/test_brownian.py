@@ -564,3 +564,17 @@ def test_binary_dump_round_trip():
 def test_dump_increments_rejects_a_batch():
     with pytest.raises(ValueError, match="batch"):
         rs.dump_increments(rs.sample_path(1, 1.0, 3, [1, 2]), io.BytesIO())
+
+
+def test_ptr_is_each_arrays_data_address():
+    # brownian._ptr reads the data pointer off the array object: it must be
+    # a.ctypes.data for every kind of array the march is handed, a path's
+    # read-only values, strided and offset views and empty arrays among them.
+    path = rs.sample_path(2, 1.0, 4, seed=1)
+    base = np.arange(24.0).reshape(4, 6)
+    arrays = [path.values, path.values[None], path.values[3:], base, base[1:, 2:], base[:, ::2],
+              base.T, base[2], np.empty(0), base[:0], np.arange(5, dtype=np.int64)[2:],
+              np.zeros((1, 3, 2))[:, 1]]
+    assert not path.values.flags.writeable
+    for a in arrays:
+        assert brownian._ptr(a) == a.ctypes.data
